@@ -332,17 +332,17 @@ fn relation_stats(
 }
 
 /// Estimated communication and DFS volume of the 2-way cascade in the
-/// query's (unreordered) condition order, from sampled selectivities:
-/// each stage shuffles the previous intermediate plus the newly-bound
-/// base relation and materializes its output on the DFS for the next.
-fn cascade_cost(query: &Query, sizes: &[f64], samples: &[Vec<Rect>]) -> CandidateCost {
+/// query's (unreordered) condition order, from the sampled selectivity
+/// of each triple: each stage shuffles the previous intermediate plus
+/// the newly-bound base relation and materializes its output on the DFS
+/// for the next.
+fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> CandidateCost {
     let triples = query.triples();
     let mut bound = vec![false; query.num_relations()];
     let mut comm = 0.0;
     let mut dfs = 0.0;
     let mut intermediate = 0.0;
-    for (stage, t) in triples.iter().enumerate() {
-        let sel = estimate_selectivity(t, samples);
+    for (stage, (t, &sel)) in triples.iter().zip(selectivities).enumerate() {
         let (l, r) = (t.left.index(), t.right.index());
         let nl = sizes[l];
         let nr = sizes[r];
@@ -488,9 +488,16 @@ fn plan_from_stats(
             .sum()
     };
     let pairs = hypercube_pairs(query.triples(), sizes, &shares);
+    // One sample-pair scan per triple, shared by the cascade's stages
+    // and map-side's matched-pair term.
+    let selectivities: Vec<f64> = query
+        .triples()
+        .iter()
+        .map(|t| estimate_selectivity(t, samples))
+        .collect();
 
     let mut candidates = vec![
-        cascade_cost(query, sizes, samples),
+        cascade_cost(query, sizes, &selectivities),
         CandidateCost::new(Algorithm::AllReplicate, 1, all_rep_comm, 0.0, 0.0),
         CandidateCost::new(
             Algorithm::ControlledReplicate,
@@ -515,9 +522,8 @@ fn plan_from_stats(
         let matched: f64 = query
             .triples()
             .iter()
-            .map(|t| {
-                estimate_selectivity(t, samples) * sizes[t.left.index()] * sizes[t.right.index()]
-            })
+            .zip(&selectivities)
+            .map(|(t, sel)| sel * sizes[t.left.index()] * sizes[t.right.index()])
             .sum();
         candidates.push(CandidateCost::new(Algorithm::MapSide, 1, 0.0, 0.0, matched));
     }
@@ -606,6 +612,21 @@ mod tests {
         assert_eq!(p.algorithm, Algorithm::MapSide, "plan: {}", p.to_json());
         // Deterministic (second call is also the cache-hit path).
         assert_eq!(p.to_json(), plan_stored(&q, &refs, &grid, 64).to_json());
+        // Each triple's selectivity is estimated once and feeds both the
+        // cascade and map-side terms; the plan is, byte for byte, what
+        // estimating it per term produced.
+        assert_eq!(
+            p.to_json(),
+            concat!(
+                r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
+                r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":168.0,"cost":2003.4},"#,
+                r#"{"algorithm":"cascade","jobs":2,"comm_records":985.0,"dfs_records":23.5,"local_pairs":0.0,"cost":5055.6},"#,
+                r#"{"algorithm":"crep-l","jobs":2,"comm_records":2280.0,"dfs_records":900.0,"local_pairs":0.0,"cost":8980.0},"#,
+                r#"{"algorithm":"crep","jobs":2,"comm_records":5508.0,"dfs_records":900.0,"local_pairs":0.0,"cost":12208.0},"#,
+                r#"{"algorithm":"allrep","jobs":1,"comm_records":19229.0,"dfs_records":0.0,"local_pairs":0.0,"cost":21229.0},"#,
+                r#"{"algorithm":"hypercube","jobs":1,"comm_records":14400.0,"dfs_records":0.0,"local_pairs":720000.0,"cost":30800.0}]}"#,
+            )
+        );
         // Map-side never infects the in-memory plan.
         let (a, b, c) = (
             relation(300, 1, 30.0),

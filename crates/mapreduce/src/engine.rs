@@ -1640,7 +1640,7 @@ mod tests {
         // The (task, emit-sequence) shuffle tiebreak: the value stream of
         // each key group is a pure function of the input, not of racy
         // chunk-claim order.
-        let runs: Vec<Vec<u32>> = (0..8)
+        let runs: Vec<Vec<(u32, Vec<u32>)>> = (0..8)
             .map(|_| {
                 let e = engine();
                 let input: Vec<u32> = (0..500).collect();
@@ -1651,13 +1651,17 @@ mod tests {
                             .reducers(4)
                             .map(|&x: &u32, emit| emit(x % 7, x))
                             .partition(|&k: &u32, n| k as usize % n)
-                            .reduce(|_: &u32, vs: &[u32], _out: &mut dyn FnMut(())| {
-                                seen.lock().extend_from_slice(vs);
+                            .reduce(|k: &u32, vs: &[u32], _out: &mut dyn FnMut(())| {
+                                seen.lock().push((*k, vs.to_vec()));
                             }),
                         &input,
                     )
                     .unwrap();
-                seen.into_inner()
+                // The four reducers run concurrently, so which group is
+                // seen first is a race; each group's stream is not.
+                let mut groups = seen.into_inner();
+                groups.sort_unstable_by_key(|(k, _)| *k);
+                groups
             })
             .collect();
         for run in &runs[1..] {

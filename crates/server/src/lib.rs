@@ -43,6 +43,7 @@ pub mod cache;
 pub mod client;
 mod event;
 pub mod json;
+mod plans;
 pub mod protocol;
 pub mod signal;
 pub mod source;
@@ -56,11 +57,14 @@ use std::time::{Duration, Instant};
 use mwsj_core::mapreduce::{
     json_escape, CancelToken, EngineConfig, FaultPlan, JobErrorKind, JobMetrics, NetFaultPlan,
 };
+use mwsj_core::optimizer::Plan;
+use mwsj_core::store::StoredDataset;
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, JoinRun};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
 
 use cache::{CacheKey, CachedResult, ResultCache};
+use plans::{PlanKey, PlanMemo};
 use protocol::{ErrorCode, ExplainRequest, QueryRequest, Request};
 
 pub use client::{Client, ClientConfig, ClientError, Proto};
@@ -311,18 +315,60 @@ type LoadedDataset = (Arc<Vec<Rect>>, u64);
 
 /// A mounted stored dataset paired with how long its open took — charged
 /// to the first query that mounts it (see [`mwsj_core::StoredRun`]).
-type MountedStore = (Arc<mwsj_core::store::StoredDataset>, Duration);
+type MountedStore = (Arc<StoredDataset>, Duration);
+
+/// The range-scoped shard mounts of one stored dataset: element `i` is
+/// the store opened with shard `i`'s seed-cell scope.
+type ShardMounts = Arc<Vec<Arc<StoredDataset>>>;
+
+/// Loaded resources by name. The lock guards the map only, never a load:
+/// a request whose resources are all registered must not wait behind
+/// another request's first load of something else.
+struct Registry<V>(parking_lot::Mutex<HashMap<String, V>>);
+
+impl<V: Clone> Registry<V> {
+    fn new() -> Self {
+        Self(parking_lot::Mutex::new(HashMap::new()))
+    }
+
+    fn get(&self, name: &str) -> Option<V> {
+        self.0.lock().get(name).cloned()
+    }
+
+    /// The registered value, or the result of `load` registered under
+    /// `name`. Concurrent first loads of one name each run `load`; the
+    /// first to finish is registered and the others drop their copy — so
+    /// `n` clients first-touching one name transiently hold `n` copies.
+    fn get_or_load(
+        &self,
+        name: &str,
+        load: impl FnOnce() -> Result<V, String>,
+    ) -> Result<V, String> {
+        if let Some(hit) = self.get(name) {
+            return Ok(hit);
+        }
+        let loaded = load()?;
+        Ok(self
+            .0
+            .lock()
+            .entry(name.to_string())
+            .or_insert(loaded)
+            .clone())
+    }
+}
 
 struct Inner {
     config: ServerConfig,
     cluster: Cluster,
     cache: ResultCache,
+    /// Costed plans by `(canonical query, fingerprints, stored)`.
+    plans: PlanMemo,
     /// Loaded datasets by source spec, with their DFS fingerprints.
-    datasets: parking_lot::Mutex<HashMap<String, LoadedDataset>>,
+    datasets: Registry<LoadedDataset>,
     /// Mounted `store:` datasets by path. Mounting holds the cell index
     /// and record sections, not a materialized `Vec<Rect>` — stored
     /// queries join straight off these.
-    stores: parking_lot::Mutex<HashMap<String, MountedStore>>,
+    stores: Registry<MountedStore>,
     admission: Admission,
     stats: ServiceStats,
     stop: AtomicBool,
@@ -332,10 +378,8 @@ struct Inner {
     /// One engine instance per shard (empty when `shards` == 1). Each
     /// shard runs its seed-cell slice of stored map-side queries.
     shard_clusters: Vec<Cluster>,
-    /// Range-scoped shard mounts of `store:` datasets, by path: element
-    /// `i` is the store opened with shard `i`'s seed-cell scope.
-    shard_mounts:
-        parking_lot::Mutex<HashMap<String, Arc<Vec<Arc<mwsj_core::store::StoredDataset>>>>>,
+    /// Range-scoped shard mounts of `store:` datasets, by path.
+    shard_mounts: Registry<ShardMounts>,
 }
 
 impl Inner {
@@ -354,83 +398,68 @@ impl Inner {
         *self.brownout_until.lock() = Some(Instant::now() + self.config.brownout_window);
     }
 
-    /// Loads (or reuses) a dataset, fingerprinting it through the DFS.
+    /// Loads (or reuses) a dataset with its DFS-recipe fingerprint
+    /// ([`mwsj_core::store::dataset_fingerprint`] — what `Dfs::write` of
+    /// the records would report, without keeping a second copy of them).
     fn dataset(&self, spec: &str) -> Result<LoadedDataset, String> {
-        let mut map = self.datasets.lock();
-        if let Some(entry) = map.get(spec) {
-            return Ok(entry.clone());
-        }
-        let rects = source::load_source(spec)?;
-        let extent = self.config.extent;
-        if let Some(bad) = rects.iter().find(|r| {
-            !(r.min_x() >= 0.0 && r.max_x() <= extent && r.min_y() >= 0.0 && r.max_y() <= extent)
-        }) {
-            return Err(format!(
-                "dataset `{spec}` does not fit the service space [0, {extent}]^2 \
-                 (rectangle spans x [{}, {}], y [{}, {}])",
-                bad.min_x(),
-                bad.max_x(),
-                bad.min_y(),
-                bad.max_y()
-            ));
-        }
-        let records: Vec<(f64, f64, f64, f64)> =
-            rects.iter().map(|r| (r.x(), r.y(), r.l(), r.b())).collect();
-        let dfs_name = format!("ds/{spec}");
-        let dfs = &self.cluster.engine().dfs;
-        dfs.write(&dfs_name, records);
-        let fp = dfs.fingerprint(&dfs_name).map_err(|e| e.to_string())?.0;
-        let entry = (Arc::new(rects), fp);
-        map.insert(spec.to_string(), entry.clone());
-        Ok(entry)
+        self.datasets.get_or_load(spec, || {
+            let rects = source::load_source(spec)?;
+            let extent = self.config.extent;
+            if let Some(bad) = rects.iter().find(|r| {
+                !(r.min_x() >= 0.0
+                    && r.max_x() <= extent
+                    && r.min_y() >= 0.0
+                    && r.max_y() <= extent)
+            }) {
+                return Err(format!(
+                    "dataset `{spec}` does not fit the service space [0, {extent}]^2 \
+                     (rectangle spans x [{}, {}], y [{}, {}])",
+                    bad.min_x(),
+                    bad.max_x(),
+                    bad.min_y(),
+                    bad.max_y()
+                ));
+            }
+            let fp = mwsj_core::store::dataset_fingerprint(&rects);
+            Ok((Arc::new(rects), fp))
+        })
     }
 
     /// Mounts (or reuses) a stored dataset for a `store:PATH` spec. The
-    /// store's ingest fingerprint follows the same recipe as the DFS
+    /// store's ingest fingerprint follows the same recipe as the
     /// fingerprint in [`Inner::dataset`], so a stored binding and its
     /// materialized twin share cache entries.
     fn mounted_store(&self, path: &str) -> Result<MountedStore, String> {
-        let mut map = self.stores.lock();
-        if let Some(entry) = map.get(path) {
-            return Ok(entry.clone());
-        }
-        let t0 = Instant::now();
-        let stored = mwsj_core::store::StoredDataset::open(std::path::Path::new(path))
-            .map_err(|e| format!("opening store `{path}`: {e}"))?;
-        let entry = (Arc::new(stored), t0.elapsed());
-        map.insert(path.to_string(), entry.clone());
-        Ok(entry)
+        self.stores.get_or_load(path, || {
+            let t0 = Instant::now();
+            let stored = StoredDataset::open(std::path::Path::new(path))
+                .map_err(|e| format!("opening store `{path}`: {e}"))?;
+            Ok((Arc::new(stored), t0.elapsed()))
+        })
     }
 
     /// Mounts (or reuses) the per-shard range-scoped instances of a
     /// stored dataset: the file is read once and opened `shards` times,
     /// each open validating its own seed-cell scope (checksums still
     /// cover every byte in every instance).
-    fn shard_stores(
-        &self,
-        path: &str,
-    ) -> Result<Arc<Vec<Arc<mwsj_core::store::StoredDataset>>>, String> {
-        let mut map = self.shard_mounts.lock();
-        if let Some(entry) = map.get(path) {
-            return Ok(Arc::clone(entry));
-        }
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("reading store `{path}` for shards: {e}"))?;
-        let ranges = mwsj_core::shards::seed_cell_ranges(
-            self.cluster.grid().num_cells(),
-            self.config.shards,
-        );
-        let mut scoped = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let store = mwsj_core::store::StoredDataset::from_bytes_scoped(&bytes, range.clone())
-                .map_err(|e| {
-                format!("opening store `{path}` scoped to cells {range:?}: {e}")
-            })?;
-            scoped.push(Arc::new(store));
-        }
-        let entry = Arc::new(scoped);
-        map.insert(path.to_string(), Arc::clone(&entry));
-        Ok(entry)
+    fn shard_stores(&self, path: &str) -> Result<ShardMounts, String> {
+        self.shard_mounts.get_or_load(path, || {
+            let bytes = std::fs::read(path)
+                .map_err(|e| format!("reading store `{path}` for shards: {e}"))?;
+            let ranges = mwsj_core::shards::seed_cell_ranges(
+                self.cluster.grid().num_cells(),
+                self.config.shards,
+            );
+            let mut scoped = Vec::with_capacity(ranges.len());
+            for range in ranges {
+                let store =
+                    StoredDataset::from_bytes_scoped(&bytes, range.clone()).map_err(|e| {
+                        format!("opening store `{path}` scoped to cells {range:?}: {e}")
+                    })?;
+                scoped.push(Arc::new(store));
+            }
+            Ok(Arc::new(scoped))
+        })
     }
 }
 
@@ -474,14 +503,15 @@ impl Server {
         };
         let inner = Arc::new(Inner {
             cache: ResultCache::new(config.cache_bytes),
-            datasets: parking_lot::Mutex::new(HashMap::new()),
-            stores: parking_lot::Mutex::new(HashMap::new()),
+            plans: PlanMemo::default(),
+            datasets: Registry::new(),
+            stores: Registry::new(),
             admission: Admission::new(config.max_inflight, config.max_queue),
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
             brownout_until: parking_lot::Mutex::new(None),
             shard_clusters,
-            shard_mounts: parking_lot::Mutex::new(HashMap::new()),
+            shard_mounts: Registry::new(),
             cluster,
             config,
         });
@@ -515,20 +545,23 @@ impl Server {
 /// The event loop dispatches this on a worker thread with a cancel
 /// token it can fire if the client disconnects or the drain deadline
 /// passes mid-run.
-fn answer(inner: &Arc<Inner>, line: &str, cancel: &CancelToken) -> String {
+fn answer(inner: &Inner, line: &str, cancel: &CancelToken) -> String {
     match protocol::parse_request(line) {
-        Err(msg) => {
-            inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-            protocol::error_response(ErrorCode::BadRequest, &msg)
-        }
+        Err(msg) => fail(inner, ErrorCode::BadRequest, &msg),
         Ok(Request::Stats) => stats_response(inner),
         Ok(Request::Shutdown) => {
             inner.stop.store(true, Ordering::SeqCst);
             "{\"ok\":true,\"stopping\":true}".to_string()
         }
-        Ok(Request::Query(q)) => handle_query(inner, q, cancel),
+        Ok(Request::Query(q)) => handle_query(inner, &q, cancel),
         Ok(Request::Explain(e)) => handle_explain(inner, &e),
     }
+}
+
+/// Counts a failed request and renders its typed error.
+fn fail(inner: &Inner, code: ErrorCode, msg: &str) -> String {
+    inner.stats.errors.fetch_add(1, Ordering::Relaxed);
+    protocol::error_response(code, msg)
 }
 
 /// A parsed and bound query: the canonical form, the datasets bound to
@@ -542,7 +575,7 @@ struct BoundQuery {
     /// wall charged to this query — bound when *every* spec is a
     /// `store:PATH` whose grid matches the service grid. Such queries
     /// run shuffle-free off the stores without materializing anything.
-    stores: Option<(Vec<Arc<mwsj_core::store::StoredDataset>>, Duration)>,
+    stores: Option<(Vec<Arc<StoredDataset>>, Duration)>,
     /// The `store:` paths behind `stores` (canonical order; empty when
     /// `stores` is unbound) — the scatter path re-mounts these with
     /// per-shard seed-cell scopes.
@@ -553,10 +586,16 @@ struct BoundQuery {
     perm: Vec<usize>,
 }
 
-/// Parses a query and binds a dataset to every canonical relation
-/// position — shared by the `query` and `explain` operations.
+// The query path is six stages, one function each:
+// bind → resolve → lookup → admit → run → render.
+// A result-cache hit leaves after lookup, so everything it pays — parse,
+// bind, the plan memo, the cache get, the response render — is
+// proportional to the request and the reply, never to the datasets.
+
+/// Stage 1 — bind: parses a query and binds a dataset to every canonical
+/// relation position. Shared by the `query` and `explain` operations.
 fn bind_query(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     query_text: &str,
     data: &[(String, String)],
 ) -> Result<BoundQuery, String> {
@@ -642,159 +681,153 @@ fn bind_query(
     })
 }
 
+/// The costed plan of a bound query, through the plan memo. A miss plans
+/// exactly as [`Cluster::plan`] / [`Cluster::plan_stored`] do; the plan is
+/// a pure function of the memo key (see [`plans`]), so a hit returns the
+/// same bytes without touching the datasets.
+fn plan_for(inner: &Inner, bound: &BoundQuery) -> Arc<Plan> {
+    let key = PlanKey {
+        query: bound.canonical.to_string(),
+        fingerprints: bound.fingerprints.clone(),
+        stored: bound.stores.is_some(),
+    };
+    inner.plans.get_or_plan(key, || match &bound.stores {
+        Some((stores, _)) => {
+            let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
+            inner.cluster.plan_stored(&bound.canonical, &refs)
+        }
+        None => {
+            let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
+            inner.cluster.plan(&bound.canonical, &refs)
+        }
+    })
+}
+
 /// Answers an `explain` request: binds the datasets and returns the
 /// costed plan without executing anything.
-fn handle_explain(inner: &Arc<Inner>, e: &ExplainRequest) -> String {
+fn handle_explain(inner: &Inner, e: &ExplainRequest) -> String {
     match bind_query(inner, &e.query, &e.data) {
-        Ok(bound) => {
-            let plan = if let Some((stores, _)) = &bound.stores {
-                let refs: Vec<&mwsj_core::store::StoredDataset> =
-                    stores.iter().map(Arc::as_ref).collect();
-                inner.cluster.plan_stored(&bound.canonical, &refs)
-            } else {
-                let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
-                inner.cluster.plan(&bound.canonical, &refs)
-            };
-            format!(
-                "{{\"ok\":true,\"plan\":{},\"fingerprint\":\"{:016x}\"}}",
-                plan.to_json(),
-                bound.combined_fingerprint
-            )
-        }
-        Err(msg) => {
-            inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-            protocol::error_response(ErrorCode::BadRequest, &msg)
-        }
+        Ok(bound) => format!(
+            "{{\"ok\":true,\"plan\":{},\"fingerprint\":\"{:016x}\"}}",
+            plan_for(inner, &bound).to_json(),
+            bound.combined_fingerprint
+        ),
+        Err(msg) => fail(inner, ErrorCode::BadRequest, &msg),
     }
 }
 
-/// Executes a query request end to end on the calling (worker) thread.
-/// The event loop owns `cancel`: it fires on client disconnect and at
-/// the drain deadline, and the run reports a typed `cancelled` error.
-fn handle_query(inner: &Arc<Inner>, q: QueryRequest, cancel: &CancelToken) -> String {
-    let started = Instant::now();
-    let fail = |code: ErrorCode, msg: &str| {
-        inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-        protocol::error_response(code, msg)
-    };
-
-    let BoundQuery {
-        canonical,
-        datasets,
-        stores,
-        store_paths,
-        fingerprints,
-        combined_fingerprint,
-        perm,
-    } = match bind_query(inner, &q.query, &q.data) {
-        Ok(bound) => bound,
-        Err(msg) => return fail(ErrorCode::BadRequest, &msg),
-    };
-
-    // Resolve `auto` to the optimizer's concrete choice *before* forming
-    // the cache key: the key must never contain `"auto"`, so an auto
-    // query and its manually-pinned twin share one cache entry. The plan
-    // is deterministic, so resolving here and pinning the worker's run
-    // keeps the key and the execution consistent.
-    let algorithm = if q.algorithm == Algorithm::Auto {
-        if let Some((stores, _)) = &stores {
-            let refs: Vec<&mwsj_core::store::StoredDataset> =
-                stores.iter().map(Arc::as_ref).collect();
-            inner.cluster.plan_stored(&canonical, &refs).algorithm
-        } else {
-            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
-            inner.cluster.plan(&canonical, &refs).algorithm
-        }
+/// Stage 2 — resolve: the concrete algorithm the request runs under.
+/// `auto` becomes the optimizer's choice *before* the cache key is
+/// formed: the key must never contain `"auto"`, so an auto query and its
+/// manually-pinned twin share one cache entry. The plan is deterministic,
+/// so resolving here and pinning the run keeps the key and the execution
+/// consistent. A pinned request never plans.
+fn resolve(
+    inner: &Inner,
+    bound: &BoundQuery,
+    requested: Algorithm,
+) -> Result<Algorithm, &'static str> {
+    let algorithm = if requested == Algorithm::Auto {
+        plan_for(inner, bound).algorithm
     } else {
-        q.algorithm
+        requested
     };
-    if algorithm == Algorithm::MapSide && stores.is_none() {
-        return fail(
-            ErrorCode::BadRequest,
+    if algorithm == Algorithm::MapSide && bound.stores.is_none() {
+        return Err(
             "the map-side join needs every binding to be a `store:PATH` dataset \
              co-partitioned with the service grid",
         );
     }
+    Ok(algorithm)
+}
 
-    let key = CacheKey {
-        query: canonical.to_string(),
-        fingerprints,
-        algorithm: algorithm.to_string(),
-        count_only: q.count_only,
-    };
-    if let Some(hit) = inner.cache.get(&key) {
-        inner.stats.queries.fetch_add(1, Ordering::Relaxed);
-        inner
-            .stats
-            .served_from_cache
-            .fetch_add(1, Ordering::Relaxed);
-        return render_query_response(true, &hit, &perm, combined_fingerprint, started.elapsed());
-    }
+/// Stage 3 — lookup: a result-cache hit, counted as a served query.
+fn lookup(inner: &Inner, key: &CacheKey) -> Option<Arc<CachedResult>> {
+    let hit = inner.cache.get(key)?;
+    inner.stats.queries.fetch_add(1, Ordering::Relaxed);
+    inner
+        .stats
+        .served_from_cache
+        .fetch_add(1, Ordering::Relaxed);
+    Some(hit)
+}
 
+/// Stage 4 — admit: a join slot for a cache miss, or the `overloaded`
+/// response that sheds it.
+fn admit(inner: &Inner) -> Result<AdmitGuard<'_>, String> {
     // Brownout: while the overload lease is live, misses are shed
-    // immediately rather than queueing behind a saturated engine (the
-    // cache-hit path above still serves).
+    // immediately rather than queueing behind a saturated engine (cache
+    // hits never get here and still serve).
     if inner.brownout_active() {
         inner.stats.shed.fetch_add(1, Ordering::Relaxed);
         inner.stats.brownout_sheds.fetch_add(1, Ordering::Relaxed);
         inner.note_overload();
-        return protocol::error_response(
+        return Err(protocol::error_response(
             ErrorCode::Overloaded,
             "service in brownout: cache misses are shed while overloaded",
-        );
+        ));
     }
+    inner.admission.admit().map_err(|msg| {
+        inner.stats.shed.fetch_add(1, Ordering::Relaxed);
+        inner.note_overload();
+        protocol::error_response(ErrorCode::Overloaded, &msg)
+    })
+}
 
-    let _slot = match inner.admission.admit() {
-        Ok(guard) => guard,
-        Err(msg) => {
-            inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-            inner.note_overload();
-            return protocol::error_response(ErrorCode::Overloaded, &msg);
-        }
-    };
-
-    // The run itself — sharded scatter/gather for stored map-side
-    // queries on a sharded service, otherwise the single-node paths.
-    // `catch_unwind` preserves the old worker-thread isolation: an
-    // engine panic answers `join_failed` instead of killing the service.
-    let token = cancel.clone();
-    let sharded =
-        algorithm == Algorithm::MapSide && stores.is_some() && !inner.shard_clusters.is_empty();
-    let result: std::thread::Result<Result<JoinOutput, JoinError>> =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if sharded {
-                return run_sharded(inner, &canonical, &q, &store_paths, &token);
+/// Stage 5 — run: the join itself — sharded scatter/gather for stored
+/// map-side queries on a sharded service, otherwise the single-node
+/// paths. `catch_unwind` isolates the request: an engine panic answers
+/// `join_failed` instead of killing the service.
+fn run(
+    inner: &Inner,
+    bound: &BoundQuery,
+    q: &QueryRequest,
+    algorithm: Algorithm,
+    cancel: &CancelToken,
+) -> std::thread::Result<Result<JoinOutput, JoinError>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some((stores, open_wall)) = &bound.stores {
+            if algorithm == Algorithm::MapSide && !inner.shard_clusters.is_empty() {
+                return run_sharded(inner, &bound.canonical, q, &bound.store_paths, cancel);
             }
-            if let Some((stores, open_wall)) = &stores {
-                let refs: Vec<&mwsj_core::store::StoredDataset> =
-                    stores.iter().map(Arc::as_ref).collect();
-                let mut run = mwsj_core::StoredRun::new(&canonical, &refs)
-                    .algorithm(algorithm)
-                    .count_only(q.count_only)
-                    .cancel(token.clone())
-                    .priority(q.priority)
-                    .share(q.share)
-                    .open_wall(*open_wall);
-                if let Some(ms) = q.deadline_ms {
-                    run = run.deadline(Duration::from_millis(ms));
-                }
-                return inner.cluster.submit_stored(&run);
-            }
-            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
-            let mut run = JoinRun::new(&canonical, &refs)
+            let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
+            let mut run = mwsj_core::StoredRun::new(&bound.canonical, &refs)
                 .algorithm(algorithm)
                 .count_only(q.count_only)
-                .cancel(token.clone())
+                .cancel(cancel.clone())
                 .priority(q.priority)
                 .share(q.share)
-                .input_fingerprint(combined_fingerprint);
+                .open_wall(*open_wall);
             if let Some(ms) = q.deadline_ms {
                 run = run.deadline(Duration::from_millis(ms));
             }
-            inner.cluster.submit(&run)
-        }));
+            return inner.cluster.submit_stored(&run);
+        }
+        let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
+        let mut run = JoinRun::new(&bound.canonical, &refs)
+            .algorithm(algorithm)
+            .count_only(q.count_only)
+            .cancel(cancel.clone())
+            .priority(q.priority)
+            .share(q.share)
+            .input_fingerprint(bound.combined_fingerprint);
+        if let Some(ms) = q.deadline_ms {
+            run = run.deadline(Duration::from_millis(ms));
+        }
+        inner.cluster.submit(&run)
+    }))
+}
 
-    match result {
+/// Stage 6 — render: caches a finished run and renders it in the
+/// requester's relation order, or maps a failed one to its typed error.
+fn render(
+    inner: &Inner,
+    outcome: std::thread::Result<Result<JoinOutput, JoinError>>,
+    key: CacheKey,
+    bound: &BoundQuery,
+    started: Instant,
+) -> String {
+    match outcome {
         Ok(Ok(output)) => {
             let value = CachedResult {
                 tuples: output.tuples,
@@ -804,11 +837,11 @@ fn handle_query(inner: &Arc<Inner>, q: QueryRequest, cancel: &CancelToken) -> St
             };
             let cached = inner.cache.insert(key, value);
             inner.stats.queries.fetch_add(1, Ordering::Relaxed);
-            render_query_response(
+            protocol::query_response(
                 false,
                 &cached,
-                &perm,
-                combined_fingerprint,
+                &bound.perm,
+                bound.combined_fingerprint,
                 started.elapsed(),
             )
         }
@@ -822,15 +855,52 @@ fn handle_query(inner: &Arc<Inner>, q: QueryRequest, cancel: &CancelToken) -> St
                 };
                 protocol::error_response(code, &e.to_string())
             } else {
-                fail(ErrorCode::JoinFailed, &e.to_string())
+                fail(inner, ErrorCode::JoinFailed, &e.to_string())
             }
         }
-        Ok(Err(e)) => fail(ErrorCode::JoinFailed, &e.to_string()),
+        Ok(Err(e)) => fail(inner, ErrorCode::JoinFailed, &e.to_string()),
         Err(_) => fail(
+            inner,
             ErrorCode::JoinFailed,
             "internal error: join worker panicked",
         ),
     }
+}
+
+/// Executes a query request end to end on the calling (worker) thread.
+/// The event loop owns `cancel`: it fires on client disconnect and at
+/// the drain deadline, and the run reports a typed `cancelled` error.
+fn handle_query(inner: &Inner, q: &QueryRequest, cancel: &CancelToken) -> String {
+    let started = Instant::now();
+    let bound = match bind_query(inner, &q.query, &q.data) {
+        Ok(bound) => bound,
+        Err(msg) => return fail(inner, ErrorCode::BadRequest, &msg),
+    };
+    let algorithm = match resolve(inner, &bound, q.algorithm) {
+        Ok(algorithm) => algorithm,
+        Err(msg) => return fail(inner, ErrorCode::BadRequest, msg),
+    };
+    let key = CacheKey {
+        query: bound.canonical.to_string(),
+        fingerprints: bound.fingerprints.clone(),
+        algorithm: algorithm.to_string(),
+        count_only: q.count_only,
+    };
+    if let Some(hit) = lookup(inner, &key) {
+        return protocol::query_response(
+            true,
+            &hit,
+            &bound.perm,
+            bound.combined_fingerprint,
+            started.elapsed(),
+        );
+    }
+    let _slot = match admit(inner) {
+        Ok(slot) => slot,
+        Err(overloaded) => return overloaded,
+    };
+    let outcome = run(inner, &bound, q, algorithm, cancel);
+    render(inner, outcome, key, &bound, started)
 }
 
 /// Scatters a stored map-side query across the engine shards — each
@@ -839,7 +909,7 @@ fn handle_query(inner: &Arc<Inner>, q: QueryRequest, cancel: &CancelToken) -> St
 /// (see [`mwsj_core::shards`]). The deadline is armed once here on the
 /// shared token; `submit_stored_partial` never arms its own.
 fn run_sharded(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     canonical: &Query,
     q: &QueryRequest,
     store_paths: &[String],
@@ -851,7 +921,7 @@ fn run_sharded(
         cancel.deadline_in(Duration::from_millis(ms));
     }
     // Mount the per-shard scoped instances: `mounts[rel][shard]`.
-    let mounts: Vec<Arc<Vec<Arc<mwsj_core::store::StoredDataset>>>> = store_paths
+    let mounts: Vec<ShardMounts> = store_paths
         .iter()
         .map(|path| inner.shard_stores(path))
         .collect::<Result<_, String>>()
@@ -865,13 +935,10 @@ fn run_sharded(
             })
         })?;
     let ranges = shards::seed_cell_ranges(inner.cluster.grid().num_cells(), inner.config.shards);
-    let open_wall = {
-        let map = inner.stores.lock();
-        store_paths
-            .iter()
-            .filter_map(|p| map.get(p).map(|(_, wall)| *wall))
-            .sum()
-    };
+    let open_wall = store_paths
+        .iter()
+        .filter_map(|p| inner.stores.get(p).map(|(_, wall)| wall))
+        .sum();
 
     let t0 = Instant::now();
     let mut partials: Vec<Result<ShardPartial, JoinError>> = Vec::new();
@@ -885,7 +952,7 @@ fn run_sharded(
                 let cancel = cancel.clone();
                 let range = range.clone();
                 scope.spawn(move || {
-                    let refs: Vec<&mwsj_core::store::StoredDataset> =
+                    let refs: Vec<&StoredDataset> =
                         mounts.iter().map(|m| m[shard].as_ref()).collect();
                     let run = mwsj_core::StoredRun::new(canonical, &refs)
                         .algorithm(Algorithm::MapSide)
@@ -903,8 +970,7 @@ fn run_sharded(
     });
     let partials: Vec<ShardPartial> = partials.into_iter().collect::<Result<_, _>>()?;
 
-    let shard0: Vec<&mwsj_core::store::StoredDataset> =
-        mounts.iter().map(|m| m[0].as_ref()).collect();
+    let shard0: Vec<&StoredDataset> = mounts.iter().map(|m| m[0].as_ref()).collect();
     let spec = GatherSpec {
         record_total: shard0.iter().map(|s| s.record_count()).sum(),
         count_only: q.count_only,
@@ -913,31 +979,6 @@ fn run_sharded(
         input_fingerprint: shards::combined_fingerprint(&shard0),
     };
     Ok(shards::gather(partials, &spec))
-}
-
-/// Renders an `ok` query response, permuting the canonical-order tuples
-/// back to the requester's relation order.
-fn render_query_response(
-    cached: bool,
-    result: &CachedResult,
-    perm: &[usize],
-    fingerprint: u64,
-    wall: Duration,
-) -> String {
-    let mut tuples: Vec<Vec<u32>> = result
-        .tuples
-        .iter()
-        .map(|t| perm.iter().map(|&j| t[j]).collect())
-        .collect();
-    tuples.sort_unstable();
-    format!(
-        "{{\"ok\":true,\"cached\":{cached},\"algorithm\":\"{}\",\"tuple_count\":{},\"tuples\":{},\"counters\":{},\"wall_ms\":{:.3},\"fingerprint\":\"{fingerprint:016x}\"}}",
-        result.algorithm,
-        result.tuple_count,
-        protocol::tuples_json(&tuples),
-        result.counters,
-        wall.as_secs_f64() * 1e3,
-    )
 }
 
 /// The logical (concurrency-invariant) per-job counters of a run.
@@ -969,9 +1010,10 @@ fn counters_json(jobs: &[JobMetrics]) -> String {
 /// Renders the `stats` response.
 fn stats_response(inner: &Inner) -> String {
     let c = inner.cache.stats();
+    let p = inner.plans.stats();
     let sched = inner.cluster.engine().scheduler();
     format!(
-        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"shards\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{}}}",
+        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"shards\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}}}",
         inner.stats.queries.load(Ordering::Relaxed),
         inner.stats.served_from_cache.load(Ordering::Relaxed),
         inner.stats.cancelled.load(Ordering::Relaxed),
@@ -988,5 +1030,224 @@ fn stats_response(inner: &Inner) -> String {
         c.entries,
         sched.slots(),
         sched.available(),
+        p.hits,
+        p.misses,
+        p.entries,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    const A: &str = "synthetic:n=300,seed=1,extent=5000,lmax=300";
+    const B: &str = "synthetic:n=300,seed=2,extent=5000,lmax=300";
+    const C: &str = "synthetic:n=300,seed=3,extent=5000,lmax=300";
+
+    fn service() -> Arc<Inner> {
+        Server::bind(ServerConfig::default()).expect("bind").inner
+    }
+
+    fn ask(inner: &Inner, line: &str) -> String {
+        answer(inner, line, &CancelToken::new())
+    }
+
+    fn request(op: &str, query: &str, data: &[(&str, &str)], extra: &str) -> String {
+        let bindings: Vec<String> = data
+            .iter()
+            .map(|(name, spec)| format!("\"{name}\":\"{spec}\""))
+            .collect();
+        format!(
+            "{{\"op\":\"{op}\",\"query\":\"{query}\",\"data\":{{{}}}{extra}}}",
+            bindings.join(",")
+        )
+    }
+
+    /// Ingests `spec` on the service grid; the file is unique per test.
+    fn ingest(inner: &Inner, test: &str, spec: &str) -> String {
+        let rects = source::load_source(spec).expect("load source");
+        let path = std::env::temp_dir().join(format!(
+            "mwsj-server-unit-{}-{test}-{}.store",
+            std::process::id(),
+            mwsj_core::store::dataset_fingerprint(&rects)
+        ));
+        mwsj_core::store::StoreBuilder::new(inner.cluster.grid())
+            .write(&rects, &path)
+            .expect("ingest store");
+        format!("store:{}", path.display())
+    }
+
+    fn remove(store_specs: &[String]) {
+        for spec in store_specs {
+            let _ = std::fs::remove_file(spec.strip_prefix("store:").expect("a store spec"));
+        }
+    }
+
+    #[test]
+    fn registry_hit_does_not_wait_behind_another_names_load() {
+        let registry: Registry<u32> = Registry::new();
+        registry.get_or_load("a", || Ok(1)).unwrap();
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (hit_tx, hit_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let registry = &registry;
+            scope.spawn(move || {
+                registry.get_or_load("b", || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(2)
+                })
+            });
+            // `b`'s load is now running and stays running until released.
+            started_rx.recv().unwrap();
+            scope.spawn(move || {
+                let hit = registry.get_or_load("a", || unreachable!("`a` is registered"));
+                hit_tx.send(hit).unwrap();
+            });
+            // A hit that waited for `b` would hang here; the timeout only
+            // turns that hang into a failure.
+            let hit = hit_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).unwrap();
+            assert_eq!(hit, Ok(Ok(1)), "the hit on `a` waited behind `b`'s load");
+        });
+        assert_eq!(registry.get("b"), Some(2));
+    }
+
+    #[test]
+    fn racing_first_loads_register_one_copy() {
+        let registry: Registry<u32> = Registry::new();
+        // The second load finishes inside the first: the first then finds
+        // the name taken and drops its own copy.
+        let outer = registry.get_or_load("a", || {
+            assert_eq!(registry.get_or_load("a", || Ok(2)), Ok(2));
+            Ok(1)
+        });
+        assert_eq!(outer, Ok(2));
+        assert_eq!(
+            registry.get_or_load("b", || Err("unreadable".to_string())),
+            Err("unreadable".to_string())
+        );
+        assert_eq!(registry.get("b"), None);
+    }
+
+    #[test]
+    fn synthetic_fingerprint_is_the_dfs_recipe_and_the_stored_twin_shares_the_entry() {
+        let inner = service();
+        let (rects, fp) = inner.dataset(A).expect("load");
+        let dfs = &inner.cluster.engine().dfs;
+        let records: Vec<(f64, f64, f64, f64)> =
+            rects.iter().map(|r| (r.x(), r.y(), r.l(), r.b())).collect();
+        dfs.write("recipe", records);
+        assert_eq!(fp, dfs.fingerprint("recipe").expect("written").0);
+
+        let stores = [ingest(&inner, "twin", A), ingest(&inner, "twin", B)];
+        let pinned = ",\"algorithm\":\"crep-l\"";
+        let first = ask(
+            &inner,
+            &request("query", "A ov B", &[("A", A), ("B", B)], pinned),
+        );
+        assert!(first.contains("\"cached\":false"), "{first}");
+        let twin = ask(
+            &inner,
+            &request(
+                "query",
+                "A ov B",
+                &[("A", &stores[0]), ("B", &stores[1])],
+                pinned,
+            ),
+        );
+        assert!(twin.contains("\"cached\":true"), "{twin}");
+        remove(&stores);
+    }
+
+    #[test]
+    fn explain_is_memoized_and_byte_identical_to_a_fresh_plan() {
+        let inner = service();
+        let q2 = "A ov B and B ov C";
+        let abc = [("A", A), ("B", B), ("C", C)];
+        let cold = ask(&inner, &request("explain", q2, &abc, ""));
+        let warm = ask(&inner, &request("explain", q2, &abc, ""));
+        assert_eq!(cold, warm);
+        let s = inner.plans.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // What the memo answers is what the planner says.
+        let bound = bind_query(
+            &inner,
+            q2,
+            &abc.map(|(n, s)| (n.to_string(), s.to_string())),
+        )
+        .expect("bind");
+        let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
+        let fresh = inner.cluster.plan(&bound.canonical, &refs).to_json();
+        assert!(warm.contains(&fresh), "{warm} vs {fresh}");
+
+        // An `auto` query over the same binding resolves from the memo,
+        // and a differently-spelled one shares its canonical key.
+        let auto = ask(&inner, &request("query", q2, &abc, ",\"count_only\":true"));
+        assert!(auto.contains("\"ok\":true"), "{auto}");
+        ask(&inner, &request("explain", "C ov B and B ov A", &abc, ""));
+        assert_eq!(inner.plans.stats().hits, 3);
+        // A pinned query never plans.
+        let before = inner.plans.stats();
+        ask(
+            &inner,
+            &request(
+                "query",
+                q2,
+                &abc,
+                ",\"algorithm\":\"cascade\",\"count_only\":true",
+            ),
+        );
+        assert_eq!(inner.plans.stats(), before);
+
+        // Another query over the same datasets, and the same query over a
+        // re-seeded dataset, are different plans.
+        ask(
+            &inner,
+            &request("explain", "A ov B and B ov C and A ov C", &abc, ""),
+        );
+        let reseeded = "synthetic:n=300,seed=4,extent=5000,lmax=300";
+        ask(
+            &inner,
+            &request("explain", q2, &[("A", A), ("B", B), ("C", reseeded)], ""),
+        );
+        let s = inner.plans.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (3, 3, 3));
+        let stats = ask(&inner, "{\"op\":\"stats\"}");
+        assert!(
+            stats.ends_with(",\"plans\":{\"hits\":3,\"misses\":3,\"entries\":3}}"),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn stored_and_in_memory_plans_of_the_same_data_do_not_alias() {
+        let inner = service();
+        let stores = [ingest(&inner, "alias", A), ingest(&inner, "alias", B)];
+        let memory = ask(
+            &inner,
+            &request("explain", "A ov B", &[("A", A), ("B", B)], ""),
+        );
+        let stored = ask(
+            &inner,
+            &request(
+                "explain",
+                "A ov B",
+                &[("A", &stores[0]), ("B", &stores[1])],
+                "",
+            ),
+        );
+        // Same data, so the same combined fingerprint …
+        let fingerprint =
+            |r: &str| r[r.find("\"fingerprint\"").expect("fingerprint")..].to_string();
+        assert_eq!(fingerprint(&memory), fingerprint(&stored));
+        // … but map-side is only a stored candidate.
+        assert!(stored.contains("\"algorithm\":\"map-side\""), "{stored}");
+        assert!(!memory.contains("map-side"), "{memory}");
+        let s = inner.plans.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
+        remove(&stores);
+    }
 }

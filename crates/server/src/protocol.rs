@@ -21,9 +21,12 @@
 //! combined input fingerprint and the per-job logical counters; failures
 //! carry `"ok":false` plus a typed error code from [`ErrorCode`].
 
+use std::time::Duration;
+
 use mwsj_core::mapreduce::json_escape;
 use mwsj_core::Algorithm;
 
+use crate::cache::CachedResult;
 use crate::json::Json;
 
 /// A parsed client request.
@@ -190,25 +193,114 @@ pub fn error_response(code: ErrorCode, message: &str) -> String {
     )
 }
 
+/// Decimal digits of `id`.
+fn decimal_len(id: u32) -> usize {
+    id.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Appends `id` in decimal, formatted on the stack.
+fn push_u32(out: &mut Vec<u8>, mut id: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (id % 10) as u8;
+        id /= 10;
+        if id == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Upper bound on the bytes [`push_tuples`] writes for `tuples` of
+/// `arity` ids: per id the digits of the widest one and a separator, per
+/// tuple its brackets, plus the outer pair.
+fn tuples_capacity(tuples: &[Vec<u32>], arity: usize) -> usize {
+    let max_id = tuples.iter().flatten().copied().max().unwrap_or(0);
+    tuples.len() * (arity * (decimal_len(max_id) + 1) + 2) + 2
+}
+
+/// Appends tuples as a JSON array of id arrays — the one writer behind
+/// [`tuples_json`] and [`query_response`].
+fn push_tuples<'a>(out: &mut Vec<u8>, tuples: impl Iterator<Item = &'a [u32]>) {
+    out.push(b'[');
+    for (i, t) in tuples.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'[');
+        for (j, &id) in t.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            push_u32(out, id);
+        }
+        out.push(b']');
+    }
+    out.push(b']');
+}
+
 /// Renders result tuples as a JSON array of id arrays.
 #[must_use]
 pub fn tuples_json(tuples: &[Vec<u32>]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tuples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let arity = tuples.first().map_or(0, Vec::len);
+    let mut out = Vec::with_capacity(tuples_capacity(tuples, arity));
+    push_tuples(&mut out, tuples.iter().map(Vec::as_slice));
+    String::from_utf8(out).expect("digits and punctuation are ASCII")
+}
+
+/// Renders an `ok` query response into one pre-sized buffer: the cached
+/// tuples (sorted, ids per *canonical* position) come out sorted in the
+/// *requester's* relation order, where requester position `i` reads
+/// canonical position `perm[i]`. An identity `perm` streams the cached
+/// tuples as they are; any other permutes them into one flat id array
+/// and sorts row indices over it — no per-tuple allocation either way.
+#[must_use]
+pub(crate) fn query_response(
+    cached: bool,
+    result: &CachedResult,
+    perm: &[usize],
+    fingerprint: u64,
+    wall: Duration,
+) -> String {
+    use std::io::Write as _;
+
+    let rows = result.tuples.len();
+    let arity = perm.len();
+    let mut out = Vec::with_capacity(
+        tuples_capacity(&result.tuples, arity)
+            + result.counters.len()
+            + result.algorithm.len()
+            + 160,
+    );
+    write!(
+        out,
+        "{{\"ok\":true,\"cached\":{cached},\"algorithm\":\"{}\",\"tuple_count\":{},\"tuples\":",
+        result.algorithm, result.tuple_count,
+    )
+    .expect("writing to a Vec cannot fail");
+    if perm.iter().enumerate().all(|(i, &j)| i == j) {
+        debug_assert!(result.tuples.windows(2).all(|w| w[0] < w[1]));
+        push_tuples(&mut out, result.tuples.iter().map(Vec::as_slice));
+    } else {
+        let mut flat: Vec<u32> = Vec::with_capacity(rows * arity);
+        for t in &result.tuples {
+            flat.extend(perm.iter().map(|&j| t[j]));
         }
-        out.push('[');
-        for (j, id) in t.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&id.to_string());
-        }
-        out.push(']');
+        let row = |r: usize| &flat[r * arity..(r + 1) * arity];
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        push_tuples(&mut out, order.iter().map(|&r| row(r)));
     }
-    out.push(']');
-    out
+    write!(
+        out,
+        ",\"counters\":{},\"wall_ms\":{:.3},\"fingerprint\":\"{fingerprint:016x}\"}}",
+        result.counters,
+        wall.as_secs_f64() * 1e3,
+    )
+    .expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("built from UTF-8 parts")
 }
 
 #[cfg(test)]
@@ -313,9 +405,126 @@ mod tests {
     #[test]
     fn tuples_render_compactly() {
         assert_eq!(tuples_json(&[]), "[]");
+        assert_eq!(tuples_json(&[vec![7]]), "[[7]]");
         assert_eq!(
             tuples_json(&[vec![1, 2, 3], vec![4, 5, 6]]),
             "[[1,2,3],[4,5,6]]"
         );
+        assert_eq!(
+            tuples_json(&[vec![0, u32::MAX], vec![u32::MAX, 10]]),
+            "[[0,4294967295],[4294967295,10]]"
+        );
+    }
+
+    /// The pre-rewrite `tuples_json`: a `String` per id.
+    fn tuples_json_oracle(tuples: &[Vec<u32>]) -> String {
+        let mut out = String::from("[");
+        for (i, t) in tuples.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, id) in t.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(&id.to_string());
+            }
+            out.push(']');
+        }
+        out.push(']');
+        out
+    }
+
+    /// The pre-rewrite response renderer: clone every tuple permuted,
+    /// sort the clones, render, splice with `format!`.
+    fn query_response_oracle(
+        cached: bool,
+        result: &CachedResult,
+        perm: &[usize],
+        fingerprint: u64,
+        wall: Duration,
+    ) -> String {
+        let mut tuples: Vec<Vec<u32>> = result
+            .tuples
+            .iter()
+            .map(|t| perm.iter().map(|&j| t[j]).collect())
+            .collect();
+        tuples.sort_unstable();
+        format!(
+            "{{\"ok\":true,\"cached\":{cached},\"algorithm\":\"{}\",\"tuple_count\":{},\"tuples\":{},\"counters\":{},\"wall_ms\":{:.3},\"fingerprint\":\"{fingerprint:016x}\"}}",
+            result.algorithm,
+            result.tuple_count,
+            tuples_json_oracle(&tuples),
+            result.counters,
+            wall.as_secs_f64() * 1e3,
+        )
+    }
+
+    #[test]
+    fn count_only_response_has_an_empty_tuple_array() {
+        let result = CachedResult {
+            tuples: Vec::new(),
+            tuple_count: 12,
+            counters: "[]".to_string(),
+            algorithm: "crep-l".to_string(),
+        };
+        let wall = Duration::from_micros(1500);
+        assert_eq!(
+            query_response(true, &result, &[1, 0], 0xAB, wall),
+            "{\"ok\":true,\"cached\":true,\"algorithm\":\"crep-l\",\"tuple_count\":12,\"tuples\":[],\
+             \"counters\":[],\"wall_ms\":1.500,\"fingerprint\":\"00000000000000ab\"}"
+        );
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The in-place renderer's bytes equal the old
+            /// permute-clone-sort-`tuples_json` pipeline for any arity,
+            /// tuple set and requester permutation (identity included).
+            #[test]
+            fn renderer_matches_the_clone_and_sort_pipeline(
+                arity in 2usize..6,
+                ids in proptest::collection::vec((0u32..40, 0u32..4), 0..200),
+                perm_keys in proptest::collection::vec(0u64..3, 5..6),
+                cached in proptest::bool::ANY,
+                wall_us in 0u64..10_000_000,
+            ) {
+                // Small ids so prefixes tie, a quarter pushed to the top
+                // of the range so widths vary up to ten digits.
+                let ids: Vec<u32> = ids
+                    .into_iter()
+                    .map(|(id, top)| if top == 0 { u32::MAX - id } else { id })
+                    .collect();
+                let mut tuples: Vec<Vec<u32>> =
+                    ids.chunks_exact(arity).map(<[u32]>::to_vec).collect();
+                tuples.sort_unstable();
+                tuples.dedup();
+                // Keys in 0..3 tie often, so the (stable) argsort yields
+                // the identity about as often as any other permutation.
+                let mut perm: Vec<usize> = (0..arity).collect();
+                perm.sort_by_key(|&i| perm_keys[i]);
+                let result = CachedResult {
+                    tuple_count: tuples.len() as u64,
+                    tuples,
+                    counters: "[{\"job\":\"j\"}]".to_string(),
+                    algorithm: "cascade".to_string(),
+                };
+                let wall = Duration::from_micros(wall_us);
+                prop_assert_eq!(
+                    query_response(cached, &result, &perm, wall_us, wall),
+                    query_response_oracle(cached, &result, &perm, wall_us, wall)
+                );
+                prop_assert_eq!(
+                    tuples_json(&result.tuples),
+                    tuples_json_oracle(&result.tuples)
+                );
+            }
+        }
     }
 }
