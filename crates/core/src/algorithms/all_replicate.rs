@@ -11,13 +11,10 @@
 //! top-left corner travels to almost every reducer, whether or not it
 //! joins anything (the paper's `u_4` example).
 
-use mwsj_local::JoinKernel;
-use mwsj_partition::CellId;
 use mwsj_query::Query;
 
-use super::{count_record, finish_tuples, flatten_input, is_designated_cell, tuple_ids, AlgoCtx};
-use crate::record::group_by_relation;
-use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob};
+use crate::{JoinError, JoinOutput, TaggedRect};
 
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
@@ -25,57 +22,16 @@ pub(crate) fn run(
     relations: &[&[mwsj_geom::Rect]],
 ) -> Result<JoinOutput, JoinError> {
     let grid = ctx.grid;
-    let count_only = ctx.count_only;
     let input = flatten_input(relations);
-    let n = query.num_relations();
-    // Compile the local-join kernel once; the reduce closure shares it
-    // across every reducer group (per-thread scratch inside).
-    let kernel = JoinKernel::new(query);
-
-    let raw: Vec<Vec<u32>> = ctx.engine.run(
-        ctx.spec("all-replicate")
-            .map(|tr: &TaggedRect, emit| {
-                for cell in grid.fourth_quadrant_cells(&tr.rect) {
-                    emit(cell.0, *tr);
-                }
-            })
-            .partition(|&k: &u32, p| k as usize % p)
-            .reduce(|&cell: &u32, values: &[TaggedRect], out| {
-                let rels = group_by_relation(n, values.iter().copied());
-                // Faithful to the paper's reducers: enumerate the local join
-                // of everything received, emit only at the designated cell
-                // (§6.2). (A designated-cell-aware matcher exists in
-                // `mwsj_local::multiway_cell`; the `ablation_pruning` bench
-                // shows it does not pay off under 4th-quadrant delivery, and
-                // using it would give our reducers a shortcut the paper's
-                // evaluation does not have.)
-                let mut found = 0u64;
-                kernel.execute(&rels, |tuple| {
-                    if is_designated_cell(grid, CellId(cell), tuple) {
-                        found += 1;
-                        if !count_only {
-                            out(tuple_ids(tuple));
-                        }
-                    }
-                });
-                if count_only && found > 0 {
-                    out(count_record(found));
-                }
-            }),
-        &input,
-    )?;
-
-    let report = ctx.report();
-    let stats = ReplicationStats {
-        rectangles_replicated: input.len() as u64,
-        rectangles_after_replication: report.jobs[0].map_output_records,
+    let job = JoinJob {
+        name: "all-replicate",
+        algorithm: Algorithm::AllReplicate,
+        designated_only: true,
+        replicated: input.len() as u64,
     };
-    let (tuples, tuple_count) = finish_tuples(raw, count_only);
-    Ok(JoinOutput {
-        tuples,
-        tuple_count,
-        stats,
-        report,
-        algorithm: super::Algorithm::AllReplicate,
+    replicate_join(ctx, query, &job, &input, |tr: &TaggedRect, emit| {
+        for cell in grid.fourth_quadrant_cells(&tr.rect) {
+            emit(cell.0, *tr);
+        }
     })
 }

@@ -40,18 +40,14 @@
 //! tuples (our property tests find them).
 
 use mwsj_geom::Rect;
-use mwsj_local::{marking, JoinKernel};
+use mwsj_local::marking;
 use mwsj_partition::CellId;
 use mwsj_query::{replication_bounds, Query};
 
-use super::{
-    count_record, finish_tuples, flatten_input, is_designated_cell, max_diagonal, tuple_ids,
-    AlgoCtx,
-};
+use super::{flatten_input, max_diagonal, replicate_join, AlgoCtx, Algorithm, JoinJob};
 use crate::record::group_by_relation;
-use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
+use crate::{JoinError, JoinOutput, TaggedRect};
 
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
@@ -60,7 +56,6 @@ pub(crate) fn run(
 ) -> Result<JoinOutput, JoinError> {
     let engine = ctx.engine;
     let grid = ctx.grid;
-    let count_only = ctx.count_only;
     let input = flatten_input(relations);
     let n = query.num_relations();
 
@@ -103,7 +98,6 @@ pub(crate) fn run(
     let round1 = engine.dfs.read::<(TaggedRect, bool)>("c-rep/marked")?;
 
     let marked_count = round1.iter().filter(|(_, m)| *m).count() as u64;
-    let unmarked_count = round1.len() as u64 - marked_count;
 
     // C-Rep-L per-relation replication bounds (with the √2 designated-cell
     // factor; see the module docs).
@@ -116,15 +110,23 @@ pub(crate) fn run(
     });
 
     // ---- Round 2: replicate marked / project unmarked, join ----------
-    // One kernel compilation serves every round-2 reducer group.
-    let kernel = JoinKernel::new(query);
-    let raw: Vec<Vec<u32>> = engine.run(
-        ctx.spec(if limit {
-            "c-rep-l-round2-join"
-        } else {
-            "c-rep-round2-join"
-        })
-        .map(|(tr, marked): &(TaggedRect, bool), emit| {
+    let (name, algorithm) = if limit {
+        ("c-rep-l-round2-join", Algorithm::ControlledReplicateLimit)
+    } else {
+        ("c-rep-round2-join", Algorithm::ControlledReplicate)
+    };
+    let job = JoinJob {
+        name,
+        algorithm,
+        designated_only: true,
+        replicated: marked_count,
+    };
+    replicate_join(
+        ctx,
+        query,
+        &job,
+        &round1,
+        |(tr, marked): &(TaggedRect, bool), emit| {
             let targets = if *marked {
                 match &bounds {
                     Some(b) => grid.fourth_quadrant_cells_within(&tr.rect, b[tr.relation.index()]),
@@ -136,46 +138,6 @@ pub(crate) fn run(
             for cell in targets {
                 emit(cell.0, *tr);
             }
-        })
-        .partition(|&k: &u32, p| k as usize % p)
-        .reduce(|&cell: &u32, values: &[TaggedRect], out| {
-            let rels = group_by_relation(n, values.iter().copied());
-            // Faithful enumerate-then-filter, as in All-Replicate's reducer
-            // (see the comment there and the `ablation_pruning` bench).
-            let mut found = 0u64;
-            kernel.execute(&rels, |tuple| {
-                if is_designated_cell(grid, CellId(cell), tuple) {
-                    found += 1;
-                    if !count_only {
-                        out(tuple_ids(tuple));
-                    }
-                }
-            });
-            if count_only && found > 0 {
-                out(count_record(found));
-            }
-        }),
-        &round1,
-    )?;
-
-    let report = ctx.report();
-    // Round 2 emits one pair per replication target for marked rectangles
-    // plus exactly one projected pair per unmarked rectangle.
-    let after_replication = report.jobs[1].map_output_records - unmarked_count;
-    let stats = ReplicationStats {
-        rectangles_replicated: marked_count,
-        rectangles_after_replication: after_replication,
-    };
-    let (tuples, tuple_count) = finish_tuples(raw, count_only);
-    Ok(JoinOutput {
-        tuples,
-        tuple_count,
-        stats,
-        report,
-        algorithm: if limit {
-            super::Algorithm::ControlledReplicateLimit
-        } else {
-            super::Algorithm::ControlledReplicate
         },
-    })
+    )
 }

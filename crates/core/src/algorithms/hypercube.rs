@@ -26,13 +26,11 @@
 //! kernel. The [`crate::optimizer`] weighs this against the spatial
 //! algorithms per query.
 
-use mwsj_local::JoinKernel;
 use mwsj_mapreduce::Fnv64;
 use mwsj_query::Query;
 
-use super::{count_record, finish_tuples, flatten_input, AlgoCtx};
-use crate::record::group_by_relation;
-use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob};
+use crate::{JoinError, JoinOutput, TaggedRect};
 
 /// Derives the share vector `s` for relation cardinalities `sizes` and a
 /// reducer budget `k`: the deterministic exact optimum of the Shares
@@ -124,85 +122,53 @@ pub(crate) fn run(
     query: &Query,
     relations: &[&[mwsj_geom::Rect]],
 ) -> Result<JoinOutput, JoinError> {
-    let count_only = ctx.count_only;
     let input = flatten_input(relations);
-    let n = query.num_relations();
     let sizes: Vec<u64> = relations.iter().map(|r| r.len() as u64).collect();
-    let shares = ctx
-        .shares
-        .clone()
-        .unwrap_or_else(|| derive_shares(&sizes, ctx.num_reducers));
-    debug_assert_eq!(shares.len(), n);
+    // The same derivation the optimizer's plan reports, so an auto run
+    // and its pinned twin are byte-identical.
+    let shares = derive_shares(&sizes, ctx.num_reducers);
+    debug_assert_eq!(shares.len(), query.num_relations());
     let strides = strides(&shares);
-    let kernel = JoinKernel::new(query);
-
-    let raw: Vec<Vec<u32>> = ctx.engine.run(
-        ctx.spec("hypercube")
-            .map(|tr: &TaggedRect, emit| {
-                // Fix this rectangle's own dimension, spin an odometer over
-                // every other dimension: one emit per hypercube cell whose
-                // dim-i coordinate matches the rectangle's hash.
-                let i = tr.relation.index();
-                let own = own_coordinate(tr, shares[i]);
-                let mut coords = vec![0u32; shares.len()];
-                coords[i] = own;
-                loop {
-                    let key: u32 = coords
-                        .iter()
-                        .zip(strides.iter())
-                        .map(|(&c, &st)| c * st)
-                        .sum();
-                    emit(key, *tr);
-                    // Advance the odometer, skipping the fixed dimension.
-                    let mut dim = shares.len();
-                    loop {
-                        if dim == 0 {
-                            return;
-                        }
-                        dim -= 1;
-                        if dim == i {
-                            continue;
-                        }
-                        coords[dim] += 1;
-                        if coords[dim] < shares[dim] {
-                            break;
-                        }
-                        coords[dim] = 0;
-                    }
-                }
-            })
-            .partition(|&k: &u32, p| k as usize % p)
-            .reduce(|_key: &u32, values: &[TaggedRect], out| {
-                let rels = group_by_relation(n, values.iter().copied());
-                // No duplicate filter: the members of any joining tuple
-                // share exactly one hypercube cell (their joint hash
-                // vector), so each result is produced exactly once.
-                let mut found = 0u64;
-                kernel.execute(&rels, |tuple| {
-                    found += 1;
-                    if !count_only {
-                        out(super::tuple_ids(tuple));
-                    }
-                });
-                if count_only && found > 0 {
-                    out(count_record(found));
-                }
-            }),
-        &input,
-    )?;
-
-    let report = ctx.report();
-    let stats = ReplicationStats {
-        rectangles_replicated: input.len() as u64,
-        rectangles_after_replication: report.jobs[0].map_output_records,
+    let job = JoinJob {
+        name: "hypercube",
+        algorithm: Algorithm::Hypercube,
+        // The members of any joining tuple share exactly one hypercube
+        // cell (their joint hash vector): each result is produced once.
+        designated_only: false,
+        replicated: input.len() as u64,
     };
-    let (tuples, tuple_count) = finish_tuples(raw, count_only);
-    Ok(JoinOutput {
-        tuples,
-        tuple_count,
-        stats,
-        report,
-        algorithm: super::Algorithm::Hypercube,
+    replicate_join(ctx, query, &job, &input, |tr: &TaggedRect, emit| {
+        // Fix this rectangle's own dimension, spin an odometer over
+        // every other dimension: one emit per hypercube cell whose
+        // dim-i coordinate matches the rectangle's hash.
+        let i = tr.relation.index();
+        let own = own_coordinate(tr, shares[i]);
+        let mut coords = vec![0u32; shares.len()];
+        coords[i] = own;
+        loop {
+            let key: u32 = coords
+                .iter()
+                .zip(strides.iter())
+                .map(|(&c, &st)| c * st)
+                .sum();
+            emit(key, *tr);
+            // Advance the odometer, skipping the fixed dimension.
+            let mut dim = shares.len();
+            loop {
+                if dim == 0 {
+                    return;
+                }
+                dim -= 1;
+                if dim == i {
+                    continue;
+                }
+                coords[dim] += 1;
+                if coords[dim] < shares[dim] {
+                    break;
+                }
+                coords[dim] = 0;
+            }
+        }
     })
 }
 

@@ -27,38 +27,30 @@
 //! them byte-for-byte.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use mwsj_local::dedup::multiway_tuple_cell_of;
 use mwsj_local::{JoinKernel, LocalRect};
-use mwsj_mapreduce::{JobError, JobErrorKind, JobMetrics, Phase};
+use mwsj_mapreduce::{JobError, JobErrorKind, Phase};
 use mwsj_query::Query;
 use mwsj_store::StoredDataset;
 
-use super::{normalize_tuples, tuple_ids, AlgoCtx, Algorithm};
-use crate::{JoinError, JoinOutput, ReplicationStats};
-
-/// The raw output of one (possibly range-scoped) map-side execution:
-/// unnormalized tuples, the per-designated-cell tally, and the join
-/// wall time. [`run`] finalizes these into a [`JoinOutput`]; sharded
-/// serving gathers several of them first (see [`crate::shards`]).
-pub(crate) struct Partial {
-    pub tuples: Vec<Vec<u32>>,
-    pub tally: Vec<u64>,
-    pub join_wall: Duration,
-}
+use super::{tuple_ids, AlgoCtx};
+use crate::shards::ShardPartial;
+use crate::JoinError;
 
 /// Runs the map-side kernel, seeding only from cells in `seed_range`
 /// (`None` seeds from every cell). Probes always traverse the whole
 /// forest — the scope restricts which tuples are *enumerated*, not
 /// which rectangles participate, so disjoint seed ranges partition the
-/// output exactly.
+/// output exactly. [`crate::shards::gather`] finalizes one or several
+/// of these partials into a [`crate::JoinOutput`]. Of the context it
+/// reads only the grid, `count_only` and the cancel token.
 pub(crate) fn execute(
     ctx: &AlgoCtx<'_>,
     query: &Query,
     stores: &[&StoredDataset],
     seed_range: Option<std::ops::Range<u32>>,
-) -> Result<Partial, JoinError> {
+) -> Result<ShardPartial, JoinError> {
     let grid = ctx.grid;
     let num_cells = grid.num_cells() as usize;
     let count_only = ctx.count_only;
@@ -127,7 +119,6 @@ pub(crate) fn execute(
         .map_or(4, std::num::NonZeroUsize::get)
         .min(cells.len().max(1));
 
-    let join_started = Instant::now();
     let next = AtomicUsize::new(0);
     let mut tuples: Vec<Vec<u32>> = Vec::new();
     let mut tally: Vec<u64> = vec![0; num_cells];
@@ -227,76 +218,17 @@ pub(crate) fn execute(
             }
         }
     });
-    let join_wall = join_started.elapsed();
 
     if ctx.cancel.is_cancelled() {
-        return Err(cancelled_error(&ctx.cancel));
+        return Err(JoinError::Job(JobError {
+            job: "map-side".to_string(),
+            phase: Phase::Reduce,
+            task: 0,
+            attempts: 1,
+            kind: JobErrorKind::Cancelled {
+                deadline_exceeded: ctx.cancel.cancelled_by_deadline(),
+            },
+        }));
     }
-
-    Ok(Partial {
-        tuples,
-        tally,
-        join_wall,
-    })
-}
-
-/// The typed cancellation error every map-side path reports.
-pub(crate) fn cancelled_error(cancel: &mwsj_mapreduce::CancelToken) -> JoinError {
-    JoinError::Job(JobError {
-        job: "map-side".to_string(),
-        phase: Phase::Reduce,
-        task: 0,
-        attempts: 1,
-        kind: JobErrorKind::Cancelled {
-            deadline_exceeded: cancel.cancelled_by_deadline(),
-        },
-    })
-}
-
-pub(crate) fn run(
-    ctx: &AlgoCtx<'_>,
-    query: &Query,
-    stores: &[&StoredDataset],
-    open_wall: Duration,
-) -> Result<JoinOutput, JoinError> {
-    let Partial {
-        tuples,
-        tally,
-        join_wall,
-    } = execute(ctx, query, stores, None)?;
-    let count_only = ctx.count_only;
-
-    let tuple_count: u64 = tally.iter().sum();
-    let groups = tally.iter().filter(|&&t| t > 0).count() as u64;
-    // Synthetic job metrics: no engine job ran, but the run still reports
-    // the counters the shuffle algorithms report — all communication
-    // counters are genuinely zero, and the index-open cost is surfaced so
-    // "shuffle-free" wall time accounts for everything the run did.
-    ctx.hub.push(JobMetrics {
-        job_name: "map-side".to_string(),
-        map_input_records: stores.iter().map(|s| s.record_count()).sum(),
-        reduce_input_groups: groups,
-        max_partition_records: tally.iter().copied().max().unwrap_or(0),
-        // Mirrors count-record semantics: one committed record per
-        // designated cell with output in count-only mode, else the tuples.
-        reduce_output_records: if count_only { groups } else { tuple_count },
-        reduce_wall: join_wall,
-        total_wall: open_wall + join_wall,
-        index_open_wall: open_wall,
-        input_fingerprint: ctx.input_fingerprint,
-        ..JobMetrics::default()
-    });
-
-    let tuples = if count_only {
-        Vec::new()
-    } else {
-        normalize_tuples(tuples)
-    };
-    Ok(JoinOutput {
-        algorithm: Algorithm::MapSide,
-        tuples,
-        tuple_count,
-        stats: ReplicationStats::default(),
-        report: ctx.report(),
-    })
+    Ok(ShardPartial { tuples, tally })
 }

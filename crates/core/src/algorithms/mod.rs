@@ -13,12 +13,14 @@ pub(crate) mod hypercube;
 pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
+use mwsj_local::JoinKernel;
 use mwsj_mapreduce::{CancelToken, Engine, JobSpec, MetricsHub, MetricsReport, TraceSink, Unset};
-use mwsj_partition::Grid;
-use mwsj_query::RelationId;
+use mwsj_partition::{CellId, Grid};
+use mwsj_query::{Query, RelationId};
 use serde::{Deserialize, Serialize};
 
-use crate::TaggedRect;
+use crate::record::group_by_relation;
+use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 
 /// Everything an algorithm needs from the cluster plus the per-run
 /// options, threaded as one context so the four `run` entry points share a
@@ -48,10 +50,6 @@ pub(crate) struct AlgoCtx<'a> {
     /// Combined fingerprint of the datasets bound to the query positions
     /// (0 when the caller did not supply one).
     pub input_fingerprint: u64,
-    /// Planner-chosen hypercube share vector (one share per relation
-    /// position). `None` lets the hypercube algorithm derive shares from
-    /// the relation sizes; ignored by the spatial algorithms.
-    pub shares: Option<Vec<u32>>,
     /// DFS counters (read bytes, write bytes, transient failures) at
     /// submit time; [`AlgoCtx::report`] subtracts them so a run's report
     /// covers its own DFS traffic without resetting shared engine state.
@@ -221,22 +219,97 @@ pub(crate) fn normalize_tuples(mut tuples: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     tuples
 }
 
-/// The designated-cell test shared by the single-round reducers: emit the
-/// tuple only at the cell of the multi-way duplicate-avoidance point
-/// (§6.2). Runs once per *candidate* tuple at every receiving reducer —
-/// allocation-free (the extrema stream through
-/// [`mwsj_local::dedup::multiway_tuple_cell_of`]).
-pub(crate) fn is_designated_cell(
-    grid: &mwsj_partition::Grid,
-    cell: mwsj_partition::CellId,
-    tuple: &[mwsj_local::LocalRect],
-) -> bool {
-    mwsj_local::dedup::multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r)) == cell
+/// What distinguishes one replicate-and-join algorithm from another,
+/// besides its routing function: the job name, the algorithm it reports,
+/// whether reducers apply the designated-cell filter, and its stats line.
+pub(crate) struct JoinJob {
+    /// Engine job name (also the trace span name).
+    pub name: &'static str,
+    /// The algorithm the output reports.
+    pub algorithm: Algorithm,
+    /// Emit a tuple only at the cell of its multi-way duplicate-avoidance
+    /// point (§6.2). On for the spatial algorithms, whose 4th-quadrant
+    /// replication delivers a tuple's members to several cells; off for
+    /// the hypercube, whose delivery is already exactly-once.
+    pub designated_only: bool,
+    /// Input records the routing function replicates ("rectangles
+    /// replicated"). It projects the rest — exactly one pair each, not
+    /// counted as copies "after replication".
+    pub replicated: u64,
+}
+
+/// The one replicate-and-join job behind All-Replicate, round 2 of
+/// C-Rep / C-Rep-L and the hypercube join (§6–§7): the map applies the
+/// algorithm's replication function `route` to every input record, keys
+/// hash onto the physical reducers, and every reducer group runs the
+/// compiled local join over whatever arrived. The algorithms differ only
+/// in `route` — their mapping schema — and in the [`JoinJob`] description.
+pub(crate) fn replicate_join<I: Sync>(
+    ctx: &AlgoCtx<'_>,
+    query: &Query,
+    job: &JoinJob,
+    input: &[I],
+    route: impl Fn(&I, &mut dyn FnMut(u32, TaggedRect)) + Sync,
+) -> Result<JoinOutput, JoinError> {
+    let grid = ctx.grid;
+    let count_only = ctx.count_only;
+    let n = query.num_relations();
+    // Compile the local-join kernel once; the reduce closure shares it
+    // across every reducer group (per-thread scratch inside).
+    let kernel = JoinKernel::new(query);
+
+    let raw: Vec<Vec<u32>> = ctx.engine.run(
+        ctx.spec(job.name)
+            .map(route)
+            .partition(|&k: &u32, p| k as usize % p)
+            .reduce(|&key: &u32, values: &[TaggedRect], out| {
+                let rels = group_by_relation(n, values.iter().copied());
+                // Faithful to the paper's reducers: enumerate the local
+                // join of everything received, then filter. The test runs
+                // once per *candidate* tuple at every receiving reducer and
+                // is allocation-free (the extrema stream through
+                // `multiway_tuple_cell_of`).
+                let mut found = 0u64;
+                kernel.execute(&rels, |tuple| {
+                    if !job.designated_only
+                        || mwsj_local::dedup::multiway_tuple_cell_of(
+                            grid,
+                            tuple.iter().map(|(r, _)| r),
+                        ) == CellId(key)
+                    {
+                        found += 1;
+                        if !count_only {
+                            out(tuple_ids(tuple));
+                        }
+                    }
+                });
+                if count_only && found > 0 {
+                    out(count_record(found));
+                }
+            }),
+        input,
+    )?;
+
+    let report = ctx.report();
+    let join = report.jobs.last().expect("the join job just ran");
+    let stats = ReplicationStats {
+        rectangles_replicated: job.replicated,
+        rectangles_after_replication: join.map_output_records
+            - (input.len() as u64 - job.replicated),
+    };
+    let (tuples, tuple_count) = finish_tuples(raw, count_only);
+    Ok(JoinOutput {
+        algorithm: job.algorithm,
+        tuples,
+        tuple_count,
+        stats,
+        report,
+    })
 }
 
 /// The ids of a tuple's members, in position order. The returned `Vec` is
 /// the output record itself (only built for tuples that passed the
-/// designated-cell filter), so this is the one allocation the materialized
+/// reducer's filter), so this is the one allocation the materialized
 /// path keeps.
 pub(crate) fn tuple_ids(tuple: &[mwsj_local::LocalRect]) -> Vec<u32> {
     tuple.iter().map(|&(_, id)| id).collect()

@@ -1,10 +1,15 @@
+use std::time::Instant;
+
 use mwsj_geom::{Coord, Rect};
-use mwsj_mapreduce::{Engine, EngineConfig, Fnv64, TraceSink};
+use mwsj_mapreduce::{Engine, EngineConfig, TraceSink};
 use mwsj_partition::Grid;
 use mwsj_query::Query;
 use mwsj_store::StoredDataset;
 
 use crate::algorithms::{self, AlgoCtx, Algorithm};
+use crate::optimizer::{self, Plan};
+use crate::run_config::Run;
+use crate::shards::{self, GatherSpec, ShardPartial};
 use crate::{JoinError, JoinOutput, JoinRun, StoredRun};
 
 /// Cluster configuration: the partitioned space, the reducer grid and the
@@ -134,9 +139,10 @@ impl Cluster {
     /// run's jobs even when runs share the cluster concurrently.
     ///
     /// # Panics
-    /// Panics if the number of datasets does not match the query's relation
-    /// positions, a rectangle lies outside the configured space, or — under
-    /// a fault plan — a job fails outright (see [`Cluster::submit`]).
+    /// Panics on any [`JoinError`]: the number of datasets does not match
+    /// the query's relation positions, a rectangle lies outside the
+    /// configured space, or — under a fault plan — a job fails outright
+    /// (see [`Cluster::submit`]).
     #[must_use]
     pub fn run(&self, query: &Query, relations: &[&[Rect]], algorithm: Algorithm) -> JoinOutput {
         self.submit(&JoinRun::new(query, relations).algorithm(algorithm))
@@ -152,94 +158,27 @@ impl Cluster {
     /// Panics if the number of datasets does not match the query's
     /// relation positions.
     #[must_use]
-    pub fn plan(&self, query: &Query, relations: &[&[Rect]]) -> crate::optimizer::Plan {
-        crate::optimizer::plan(query, relations, &self.grid, self.num_reducers)
+    pub fn plan(&self, query: &Query, relations: &[&[Rect]]) -> Plan {
+        optimizer::plan(query, relations, &self.grid, self.num_reducers)
     }
 
-    /// Submits a fully-described join run — the single entry point behind
-    /// every other run method. The [`JoinRun`] carries the query, the
-    /// datasets, the algorithm and the run options (count-only mode, a
-    /// per-run [`TraceSink`]).
+    /// Submits a fully-described join run over in-memory datasets. The
+    /// [`JoinRun`] carries the query, the datasets, the algorithm and the
+    /// run options (count-only mode, a per-run [`TraceSink`]).
     ///
-    /// Failed jobs surface as a [`JoinError`] instead of panicking: a task
+    /// Failed runs surface as a [`JoinError`] instead of panicking: a task
     /// that exhausts its attempt budget under a fault plan (or an
     /// intermediate dataset whose DFS read retries run out) fails the
-    /// join, not the process.
+    /// join, not the process, and so does a malformed run.
     ///
     /// # Errors
     /// [`JoinError::Job`] when a map-reduce job fails;
-    /// [`JoinError::Dfs`] when an intermediate dataset stays unreadable.
-    ///
-    /// # Panics
-    /// Panics on *caller* errors: dataset count not matching the query, or
-    /// rectangles outside the space.
+    /// [`JoinError::Dfs`] when an intermediate dataset stays unreadable;
+    /// [`JoinError::InvalidInput`] on caller errors — dataset count not
+    /// matching the query, rectangles outside the space, or
+    /// [`Algorithm::MapSide`] (which needs stored inputs).
     pub fn submit(&self, run: &JoinRun<'_>) -> Result<JoinOutput, JoinError> {
-        assert_eq!(
-            run.relations.len(),
-            run.query.num_relations(),
-            "one dataset per query relation position"
-        );
-        let extent = self.grid.extent();
-        for (i, rel) in run.relations.iter().enumerate() {
-            assert!(
-                rel.iter().all(|r| extent.contains_rect(r)),
-                "relation {i} contains rectangles outside the cluster space"
-            );
-        }
-        if let Some(timeout) = run.deadline {
-            run.cancel.deadline_in(timeout);
-        }
-        // Resolve `Auto` to the optimizer's concrete choice (and its share
-        // vector) before building the context, so the dispatch below only
-        // ever sees executable algorithms. A pinned hypercube run derives
-        // the same shares itself — the plan and the algorithm share one
-        // deterministic derivation, so auto and pinned runs stay
-        // byte-identical.
-        let (algorithm, shares) = match run.algorithm {
-            Algorithm::Auto => {
-                let plan = self.plan(run.query, run.relations);
-                let shares = (plan.algorithm == Algorithm::Hypercube)
-                    .then(|| plan.shares.clone())
-                    .flatten();
-                (plan.algorithm, shares)
-            }
-            pinned => (pinned, None),
-        };
-        let ctx = AlgoCtx {
-            engine: &self.engine,
-            grid: &self.grid,
-            num_reducers: self.num_reducers,
-            count_only: run.count_only,
-            trace: &run.trace,
-            cancel: run.cancel.clone(),
-            hub: mwsj_mapreduce::MetricsHub::new(),
-            priority: run.priority,
-            share: run.share,
-            input_fingerprint: run.input_fingerprint,
-            shares,
-            dfs_base: (
-                self.engine.dfs.read_bytes(),
-                self.engine.dfs.write_bytes(),
-                self.engine.dfs.transient_read_failures(),
-            ),
-        };
-        match algorithm {
-            Algorithm::TwoWayCascade => algorithms::cascade::run(&ctx, run.query, run.relations),
-            Algorithm::AllReplicate => {
-                algorithms::all_replicate::run(&ctx, run.query, run.relations)
-            }
-            Algorithm::ControlledReplicate => {
-                algorithms::controlled_replicate::run(&ctx, run.query, run.relations, false)
-            }
-            Algorithm::ControlledReplicateLimit => {
-                algorithms::controlled_replicate::run(&ctx, run.query, run.relations, true)
-            }
-            Algorithm::Hypercube => algorithms::hypercube::run(&ctx, run.query, run.relations),
-            Algorithm::MapSide => {
-                panic!("the map-side join needs stored datasets; use Cluster::submit_stored")
-            }
-            Algorithm::Auto => unreachable!("Auto resolved to a concrete algorithm above"),
-        }
+        self.execute(run, Inputs::Memory(run.inputs))
     }
 
     /// Builds the cost-based execution plan for a query over *stored*
@@ -254,9 +193,11 @@ impl Cluster {
     /// positions, or a store was ingested with a different grid than this
     /// cluster's.
     #[must_use]
-    pub fn plan_stored(&self, query: &Query, stores: &[&StoredDataset]) -> crate::optimizer::Plan {
-        self.check_stored(query, stores);
-        crate::optimizer::plan_stored(query, stores, &self.grid, self.num_reducers)
+    pub fn plan_stored(&self, query: &Query, stores: &[&StoredDataset]) -> Plan {
+        let inputs = Inputs::Stored(stores);
+        self.validate(query, inputs)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.plan_inputs(query, inputs)
     }
 
     /// Submits a join run over stored datasets.
@@ -265,70 +206,27 @@ impl Cluster {
     /// runs directly over the per-cell stored R-trees — no map, sort,
     /// shuffle or merge phase, and the relations are never materialized in
     /// memory. Any other algorithm materializes the stored relations and
-    /// goes through [`Cluster::submit`] unchanged, so outputs and logical
+    /// runs exactly as under [`Cluster::submit`], so outputs and logical
     /// counters are byte-identical across both paths.
     ///
     /// The combined input fingerprint is derived from the stores' recorded
     /// fingerprints exactly as [`Cluster::submit`] callers derive it from
-    /// in-memory datasets, so result-cache keys are unaffected by where
-    /// the data lives.
+    /// in-memory datasets ([`crate::combine_fingerprints`]), so result-cache
+    /// keys are unaffected by where the data lives.
     ///
     /// # Errors
     /// Like [`Cluster::submit`]; the map-side path can only fail by
-    /// cancellation or deadline.
-    ///
-    /// # Panics
-    /// Panics on caller errors: store count not matching the query, or a
-    /// store ingested with a different grid than this cluster's.
+    /// cancellation or deadline. [`JoinError::InvalidInput`] when the
+    /// store count does not match the query, or a store was ingested with
+    /// a different grid than this cluster's.
     pub fn submit_stored(&self, run: &StoredRun<'_>) -> Result<JoinOutput, JoinError> {
-        self.check_stored(run.query, run.stores);
-        if let Some(timeout) = run.deadline {
-            run.cancel.deadline_in(timeout);
-        }
-        let algorithm = match run.algorithm {
-            Algorithm::Auto => self.plan_stored(run.query, run.stores).algorithm,
-            pinned => pinned,
-        };
-        let fingerprint = combined_fingerprint(run.stores);
-        if algorithm == Algorithm::MapSide {
-            let ctx = AlgoCtx {
-                engine: &self.engine,
-                grid: &self.grid,
-                num_reducers: self.num_reducers,
-                count_only: run.count_only,
-                trace: &run.trace,
-                cancel: run.cancel.clone(),
-                hub: mwsj_mapreduce::MetricsHub::new(),
-                priority: run.priority,
-                share: run.share,
-                input_fingerprint: fingerprint,
-                shares: None,
-                dfs_base: (
-                    self.engine.dfs.read_bytes(),
-                    self.engine.dfs.write_bytes(),
-                    self.engine.dfs.transient_read_failures(),
-                ),
-            };
-            return algorithms::map_side::run(&ctx, run.query, run.stores, run.open_wall);
-        }
-        let materialized: Vec<Vec<Rect>> = run.stores.iter().map(|s| s.materialize()).collect();
-        let relations: Vec<&[Rect]> = materialized.iter().map(Vec::as_slice).collect();
-        self.submit(
-            &JoinRun::new(run.query, &relations)
-                .algorithm(algorithm)
-                .count_only(run.count_only)
-                .trace(run.trace.clone())
-                .cancel(run.cancel.clone())
-                .priority(run.priority)
-                .share(run.share)
-                .input_fingerprint(fingerprint),
-        )
+        self.execute(run, Inputs::Stored(run.inputs))
     }
 
     /// Runs one shard's slice of a map-side join over stored datasets:
     /// seeds only from start-relation rectangles homed in `seed_cells`,
     /// probes everything, and returns the raw tuples and per-cell tally
-    /// for [`crate::shards::gather`] to merge.
+    /// for [`shards::gather`] to merge.
     ///
     /// Unlike [`Cluster::submit_stored`] this never arms a deadline on
     /// the run's cancel token — the scatter caller owns the token and
@@ -336,18 +234,130 @@ impl Cluster {
     /// [`Algorithm::MapSide`]; `run.algorithm` is ignored.
     ///
     /// # Errors
-    /// Only by cancellation or deadline on the shared token.
-    ///
-    /// # Panics
-    /// Panics on caller errors: store count not matching the query, or a
-    /// store ingested with a different grid than this cluster's.
+    /// By cancellation or deadline on the shared token;
+    /// [`JoinError::InvalidInput`] as for [`Cluster::submit_stored`].
     pub fn submit_stored_partial(
         &self,
         run: &StoredRun<'_>,
         seed_cells: std::ops::Range<u32>,
-    ) -> Result<crate::shards::ShardPartial, JoinError> {
-        self.check_stored(run.query, run.stores);
-        let ctx = AlgoCtx {
+    ) -> Result<ShardPartial, JoinError> {
+        self.validate(run.query, Inputs::Stored(run.inputs))?;
+        let ctx = self.ctx(run, shards::combined_fingerprint(run.inputs));
+        algorithms::map_side::execute(&ctx, run.query, run.inputs, Some(seed_cells))
+    }
+
+    /// The one execution path behind [`Cluster::submit`] and
+    /// [`Cluster::submit_stored`]: validate → arm the deadline → resolve
+    /// `Auto` → build the context → dispatch. `inputs` is `run.inputs`,
+    /// tagged with where the data lives.
+    fn execute<B>(&self, run: &Run<'_, B>, inputs: Inputs<'_>) -> Result<JoinOutput, JoinError> {
+        self.validate(run.query, inputs)?;
+        if let Some(timeout) = run.deadline {
+            run.cancel.deadline_in(timeout);
+        }
+        // Resolve `Auto` to the optimizer's concrete choice, so the
+        // dispatch below only ever sees executable algorithms.
+        let algorithm = match run.algorithm {
+            Algorithm::Auto => self.plan_inputs(run.query, inputs).algorithm,
+            pinned => pinned,
+        };
+        let fingerprint = match inputs {
+            Inputs::Memory(_) => run.input_fingerprint,
+            Inputs::Stored(stores) => shards::combined_fingerprint(stores),
+        };
+        let ctx = self.ctx(run, fingerprint);
+
+        // Map-side is the same join with the co-partitioning precondition
+        // already met: a single node gathers the one full-range partial.
+        if let (Algorithm::MapSide, Inputs::Stored(stores)) = (algorithm, inputs) {
+            let started = Instant::now();
+            let partial = algorithms::map_side::execute(&ctx, run.query, stores, None)?;
+            let spec = GatherSpec {
+                record_total: stores.iter().map(|s| s.record_count()).sum(),
+                count_only: run.count_only,
+                open_wall: run.open_wall,
+                join_wall: started.elapsed(),
+                input_fingerprint: fingerprint,
+            };
+            return Ok(shards::gather(vec![partial], &spec));
+        }
+
+        // Every other algorithm shuffles in-memory relations; stored
+        // inputs are materialized first.
+        let materialized: Vec<Vec<Rect>>;
+        let slices: Vec<&[Rect]>;
+        let relations = match inputs {
+            Inputs::Memory(relations) => relations,
+            Inputs::Stored(stores) => {
+                materialized = stores.iter().map(|s| s.materialize()).collect();
+                slices = materialized.iter().map(Vec::as_slice).collect();
+                &slices
+            }
+        };
+        match algorithm {
+            Algorithm::TwoWayCascade => algorithms::cascade::run(&ctx, run.query, relations),
+            Algorithm::AllReplicate => algorithms::all_replicate::run(&ctx, run.query, relations),
+            Algorithm::ControlledReplicate => {
+                algorithms::controlled_replicate::run(&ctx, run.query, relations, false)
+            }
+            Algorithm::ControlledReplicateLimit => {
+                algorithms::controlled_replicate::run(&ctx, run.query, relations, true)
+            }
+            Algorithm::Hypercube => algorithms::hypercube::run(&ctx, run.query, relations),
+            Algorithm::MapSide => Err(JoinError::InvalidInput(
+                "the map-side join needs stored datasets; use Cluster::submit_stored".to_string(),
+            )),
+            Algorithm::Auto => unreachable!("Auto resolved to a concrete algorithm above"),
+        }
+    }
+
+    /// The caller-error checks shared by every entry point.
+    fn validate(&self, query: &Query, inputs: Inputs<'_>) -> Result<(), JoinError> {
+        let invalid = |msg: String| Err(JoinError::InvalidInput(msg));
+        match inputs {
+            Inputs::Memory(relations) => {
+                if relations.len() != query.num_relations() {
+                    return invalid("one dataset per query relation position".to_string());
+                }
+                let extent = self.grid.extent();
+                for (i, rel) in relations.iter().enumerate() {
+                    if !rel.iter().all(|r| extent.contains_rect(r)) {
+                        return invalid(format!(
+                            "relation {i} contains rectangles outside the cluster space"
+                        ));
+                    }
+                }
+            }
+            Inputs::Stored(stores) => {
+                if stores.len() != query.num_relations() {
+                    return invalid("one stored dataset per query relation position".to_string());
+                }
+                for (i, s) in stores.iter().enumerate() {
+                    if s.grid() != &self.grid {
+                        return invalid(format!(
+                            "stored dataset {i} was ingested with a different grid than the cluster's"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The optimizer's plan for validated inputs.
+    fn plan_inputs(&self, query: &Query, inputs: Inputs<'_>) -> Plan {
+        match inputs {
+            Inputs::Memory(relations) => self.plan(query, relations),
+            Inputs::Stored(stores) => {
+                optimizer::plan_stored(query, stores, &self.grid, self.num_reducers)
+            }
+        }
+    }
+
+    /// The algorithm context of one run: the cluster's engine and grid
+    /// plus the run's options.
+    fn ctx<'a, B>(&'a self, run: &'a Run<'_, B>, input_fingerprint: u64) -> AlgoCtx<'a> {
+        AlgoCtx {
             engine: &self.engine,
             grid: &self.grid,
             num_reducers: self.num_reducers,
@@ -357,48 +367,23 @@ impl Cluster {
             hub: mwsj_mapreduce::MetricsHub::new(),
             priority: run.priority,
             share: run.share,
-            input_fingerprint: combined_fingerprint(run.stores),
-            shares: None,
+            input_fingerprint,
             dfs_base: (
                 self.engine.dfs.read_bytes(),
                 self.engine.dfs.write_bytes(),
                 self.engine.dfs.transient_read_failures(),
             ),
-        };
-        let partial = algorithms::map_side::execute(&ctx, run.query, run.stores, Some(seed_cells))?;
-        Ok(crate::shards::ShardPartial {
-            tuples: partial.tuples,
-            tally: partial.tally,
-        })
-    }
-
-    /// The shared caller-error checks of the stored entry points.
-    fn check_stored(&self, query: &Query, stores: &[&StoredDataset]) {
-        assert_eq!(
-            stores.len(),
-            query.num_relations(),
-            "one stored dataset per query relation position"
-        );
-        for (i, s) in stores.iter().enumerate() {
-            assert!(
-                s.grid() == &self.grid,
-                "stored dataset {i} was ingested with a different grid than the cluster's"
-            );
         }
     }
 }
 
-/// The combined fingerprint of a run's stored inputs: the same recipe
-/// (record count, then each dataset fingerprint) the server applies to
-/// in-memory bindings, so cache keys do not depend on where data lives.
-#[must_use]
-pub(crate) fn combined_fingerprint(stores: &[&StoredDataset]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(stores.len() as u64);
-    for s in stores {
-        h.write_u64(s.fingerprint());
-    }
-    h.finish()
+/// What a run binds to the query's relation positions.
+#[derive(Clone, Copy)]
+enum Inputs<'a> {
+    /// In-memory relations.
+    Memory(&'a [&'a [Rect]]),
+    /// Opened stored datasets.
+    Stored(&'a [&'a StoredDataset]),
 }
 
 #[cfg(test)]
@@ -439,16 +424,130 @@ mod tests {
         let _ = cluster.run(&q, &[&r, &r], Algorithm::MapSide);
     }
 
+    // Every caller error comes back typed from the `submit*` entry points.
+
+    fn small_cluster() -> (Cluster, Query, Vec<Rect>) {
+        (
+            Cluster::new(ClusterConfig::for_space((0.0, 10.0), (0.0, 10.0), 2)),
+            Query::parse("a ov b").unwrap(),
+            vec![Rect::new(1.0, 9.0, 1.0, 1.0)],
+        )
+    }
+
+    /// A store of `rects` ingested on a 4×4 grid — not `small_cluster`'s.
+    fn store_on_another_grid(rects: &[Rect]) -> Vec<u8> {
+        let other = Grid::square((0.0, 10.0), (0.0, 10.0), 4);
+        mwsj_store::StoreBuilder::new(&other).build(rects).unwrap()
+    }
+
+    #[track_caller]
+    fn assert_invalid<T: std::fmt::Debug>(result: Result<T, JoinError>, want: &str) {
+        match result {
+            Err(JoinError::InvalidInput(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected InvalidInput({want}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn submit_reports_wrong_arity_as_invalid_input() {
+        let (cluster, q, r) = small_cluster();
+        assert_invalid(
+            cluster.submit(&JoinRun::new(&q, &[&r])),
+            "one dataset per query relation position",
+        );
+    }
+
+    #[test]
+    fn submit_reports_out_of_space_rectangles_as_invalid_input() {
+        let (cluster, q, ok) = small_cluster();
+        let bad = vec![Rect::new(5.0, 5.0, 20.0, 2.0)];
+        assert_invalid(
+            cluster.submit(&JoinRun::new(&q, &[&ok, &bad])),
+            "relation 1 contains rectangles outside the cluster space",
+        );
+    }
+
+    #[test]
+    fn submit_reports_map_side_over_memory_as_invalid_input() {
+        let (cluster, q, r) = small_cluster();
+        assert_invalid(
+            cluster.submit(&JoinRun::new(&q, &[&r, &r]).algorithm(Algorithm::MapSide)),
+            "needs stored datasets",
+        );
+    }
+
+    #[test]
+    fn stored_runs_report_grid_mismatch_as_invalid_input() {
+        let (cluster, q, r) = small_cluster();
+        let store = StoredDataset::from_bytes(&store_on_another_grid(&r)).unwrap();
+        let stores = [&store, &store];
+        let run = StoredRun::new(&q, &stores);
+        assert_invalid(cluster.submit_stored(&run), "different grid");
+        assert_invalid(cluster.submit_stored_partial(&run, 0..4), "different grid");
+        assert_invalid(
+            cluster.submit_stored(&StoredRun::new(&q, &stores[..1])),
+            "one stored dataset per query relation position",
+        );
+    }
+
     #[test]
     #[should_panic(expected = "different grid")]
-    fn stored_runs_reject_grid_mismatch() {
-        let cluster = Cluster::new(ClusterConfig::for_space((0.0, 10.0), (0.0, 10.0), 2));
-        let other = Grid::square((0.0, 10.0), (0.0, 10.0), 4);
-        let bytes = mwsj_store::StoreBuilder::new(&other)
-            .build(&[Rect::new(1.0, 9.0, 1.0, 1.0)])
+    fn stored_plans_reject_grid_mismatch() {
+        let (cluster, q, r) = small_cluster();
+        let store = StoredDataset::from_bytes(&store_on_another_grid(&r)).unwrap();
+        let _ = cluster.plan_stored(&q, &[&store, &store]);
+    }
+
+    /// The one execution path arms the run's deadline whatever the inputs
+    /// and the algorithm; a shard partial leaves the token to its caller.
+    #[test]
+    fn a_deadline_reaches_every_dispatch_arm_but_not_a_partial() {
+        use mwsj_mapreduce::JobErrorKind;
+        use std::time::Duration;
+
+        let (cluster, q, r) = small_cluster();
+        let bytes = mwsj_store::StoreBuilder::new(cluster.grid())
+            .build(&r)
             .unwrap();
         let store = StoredDataset::from_bytes(&bytes).unwrap();
-        let q = Query::parse("a ov b").unwrap();
-        let _ = cluster.submit_stored(&crate::StoredRun::new(&q, &[&store, &store]));
+        let (relations, stores): ([&[Rect]; 2], _) = ([&r, &r], [&store, &store]);
+        let timed_out = |result: Result<JoinOutput, JoinError>| match result {
+            Err(JoinError::Job(e)) => assert!(
+                matches!(
+                    e.kind,
+                    JobErrorKind::Cancelled {
+                        deadline_exceeded: true
+                    }
+                ),
+                "{e}"
+            ),
+            other => panic!("expected a deadline error, got {other:?}"),
+        };
+
+        let memory = JoinRun::new(&q, &relations).algorithm(Algorithm::AllReplicate);
+        timed_out(cluster.submit(&memory.deadline(Duration::ZERO)));
+        for algorithm in [Algorithm::MapSide, Algorithm::AllReplicate] {
+            let stored = StoredRun::new(&q, &stores)
+                .algorithm(algorithm)
+                .deadline(Duration::ZERO);
+            timed_out(cluster.submit_stored(&stored));
+        }
+        let partial = StoredRun::new(&q, &stores).deadline(Duration::ZERO);
+        let cells = cluster.grid().num_cells();
+        assert!(cluster.submit_stored_partial(&partial, 0..cells).is_ok());
+    }
+
+    /// Validation comes first: a malformed run arms no deadline on the
+    /// caller's token.
+    #[test]
+    fn invalid_runs_leave_the_cancel_token_unarmed() {
+        let (cluster, q, r) = small_cluster();
+        let token = mwsj_mapreduce::CancelToken::new();
+        let relations: [&[Rect]; 1] = [&r];
+        let run = JoinRun::new(&q, &relations)
+            .cancel(token.clone())
+            .deadline(std::time::Duration::ZERO);
+        assert_invalid(cluster.submit(&run), "one dataset per");
+        assert!(!token.is_cancelled());
     }
 }

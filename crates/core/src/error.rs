@@ -6,6 +6,7 @@ use mwsj_mapreduce::{DfsError, JobError};
 /// [`run`](mwsj_mapreduce::Engine::run) path, so a task exhausting its
 /// attempt budget (or a DFS dataset staying unreadable between rounds)
 /// surfaces here instead of aborting the process.
+/// So does a run the caller described wrongly.
 /// [`Cluster::run`](crate::Cluster::run) panics on these;
 /// [`Cluster::submit`](crate::Cluster::submit) returns them.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,6 +17,12 @@ pub enum JoinError {
     /// An intermediate dataset could not be read back from the DFS between
     /// rounds.
     Dfs(DfsError),
+    /// The run itself is malformed — a caller error, found before any job
+    /// starts: binding count not matching the query's relation positions,
+    /// a rectangle outside the cluster space, a store ingested on another
+    /// grid, or [`Algorithm::MapSide`](crate::Algorithm::MapSide) over
+    /// in-memory bindings.
+    InvalidInput(String),
 }
 
 impl std::fmt::Display for JoinError {
@@ -23,6 +30,7 @@ impl std::fmt::Display for JoinError {
         match self {
             JoinError::Job(e) => e.fmt(f),
             JoinError::Dfs(e) => e.fmt(f),
+            JoinError::InvalidInput(msg) => f.write_str(msg),
         }
     }
 }
@@ -32,6 +40,7 @@ impl std::error::Error for JoinError {
         match self {
             JoinError::Job(e) => Some(e),
             JoinError::Dfs(e) => Some(e),
+            JoinError::InvalidInput(_) => None,
         }
     }
 }

@@ -61,7 +61,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use error::JoinError;
 pub use record::TaggedRect;
 pub use result::{JoinOutput, ReplicationStats};
-pub use run_config::{JoinRun, StoredRun};
+pub use run_config::{combine_fingerprints, JoinRun, Run, StoredRun};
 
 // Re-export the building blocks a downstream user needs alongside the core
 // API, so `mwsj-core` is usable as a single dependency.

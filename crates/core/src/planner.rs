@@ -88,44 +88,8 @@ pub fn optimize_cascade_order(
 ) -> Query {
     assert_eq!(relations.len(), query.num_relations());
     let samples = sample_relations(relations, sample_size, seed);
-    order_greedily(query, relations, |t| estimate_selectivity(t, &samples))
-}
+    let selectivity = |t: &Triple| estimate_selectivity(t, &samples);
 
-/// Like [`optimize_cascade_order`], but estimating selectivities from
-/// [`mwsj_query::GridHistogram`] statistics instead of samples — the
-/// catalog-statistics flavor: the histograms can be built once per dataset
-/// and reused across queries.
-#[must_use]
-pub fn optimize_cascade_order_with_histograms(
-    query: &Query,
-    relations: &[&[Rect]],
-    x_range: (f64, f64),
-    y_range: (f64, f64),
-    buckets: usize,
-) -> Query {
-    assert_eq!(relations.len(), query.num_relations());
-    let hists: Vec<mwsj_query::GridHistogram> = relations
-        .iter()
-        .map(|rel| mwsj_query::GridHistogram::build(rel, x_range, y_range, buckets, buckets))
-        .collect();
-    order_greedily(query, relations, |t| {
-        let (l, r) = (t.left.index(), t.right.index());
-        let card = (relations[l].len() * relations[r].len()) as f64;
-        if card == 0.0 {
-            return 0.0;
-        }
-        // Contains implies overlap: the d = 0 estimate is its upper bound.
-        hists[l].estimate_join(&hists[r], t.predicate.distance()) / card
-    })
-}
-
-/// The shared greedy: order conditions smallest-estimated-growth-first,
-/// keeping every prefix connected.
-fn order_greedily(
-    query: &Query,
-    relations: &[&[Rect]],
-    selectivity: impl Fn(&Triple) -> f64,
-) -> Query {
     // Estimated output cardinality of each condition alone.
     let mut remaining: Vec<(Triple, f64)> = query
         .triples()
@@ -257,32 +221,6 @@ mod tests {
             (planned.name(first.left), planned.name(first.right)),
             ("B", "C"),
             "planned order: {planned}"
-        );
-    }
-
-    #[test]
-    fn histogram_planner_agrees_on_the_selective_start() {
-        let a = relation(80, 11, 120.0);
-        let b = relation(80, 12, 120.0);
-        let c = vec![Rect::new(0.5, 1.0, 0.2, 0.2); 80];
-        let q = Query::parse("A ov B and B ov C").unwrap();
-        let planned = optimize_cascade_order_with_histograms(
-            &q,
-            &[&a, &b, &c],
-            (0.0, 1000.0),
-            (0.0, 1000.0),
-            16,
-        );
-        let first = planned.triples()[0];
-        assert_eq!(
-            (planned.name(first.left), planned.name(first.right)),
-            ("B", "C"),
-            "planned order: {planned}"
-        );
-        // And reordering preserves semantics here too.
-        assert_eq!(
-            reference::in_memory_join(&planned, &[&a, &b, &c]),
-            reference::in_memory_join(&q, &[&a, &b, &c])
         );
     }
 

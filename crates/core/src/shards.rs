@@ -1,7 +1,7 @@
 //! Cell-range planning and counter gathering for sharded serving.
 //!
 //! The serving tier can split a stored-dataset map-side join across N
-//! engine shards: each shard owns a disjoint, contiguous range of grid
+//! shards: each shard owns a disjoint, contiguous range of grid
 //! cells and enumerates exactly the tuples whose *start-relation seed*
 //! is homed in its range (probes still traverse every cell tree, so no
 //! shard needs another shard's data to finish its slice). Because the
@@ -64,7 +64,8 @@ pub fn seed_cell_ranges(num_cells: u32, shards: u32) -> Vec<Range<u32>> {
 /// without submitting a full run.
 #[must_use]
 pub fn combined_fingerprint(stores: &[&mwsj_store::StoredDataset]) -> u64 {
-    crate::cluster::combined_fingerprint(stores)
+    let fingerprints: Vec<u64> = stores.iter().map(|s| s.fingerprint()).collect();
+    crate::combine_fingerprints(&fingerprints)
 }
 
 /// One shard's slice of a map-side run: the tuples seeded from its
@@ -105,7 +106,12 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
         for (total, part) in tally.iter_mut().zip(p.tally) {
             *total += part;
         }
-        tuples.extend(p.tuples);
+        // A single partial (the single-node run) keeps its buffer.
+        if tuples.is_empty() {
+            tuples = p.tuples;
+        } else {
+            tuples.extend(p.tuples);
+        }
     }
     let tuple_count: u64 = tally.iter().sum();
     let groups = tally.iter().filter(|&&t| t > 0).count() as u64;
@@ -203,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_gather_matches_the_single_node_run() {
+    fn gather_of_partials_is_the_single_node_run_field_for_field() {
         use crate::{Algorithm, Cluster, ClusterConfig, StoredRun};
         use mwsj_geom::Rect;
         use mwsj_query::Query;
@@ -238,28 +244,32 @@ mod tests {
         let refs: Vec<&StoredDataset> = stores.iter().collect();
         let query = Query::parse("a ov b and b within 4 of c").expect("query");
 
-        for count_only in [false, true] {
-            let single = cluster
-                .submit_stored(
-                    &StoredRun::new(&query, &refs)
-                        .algorithm(Algorithm::MapSide)
-                        .count_only(count_only),
-                )
-                .expect("single-node run");
+        // Everything but the three wall-clock fields gather stamps.
+        let logical = |mut out: JoinOutput| {
+            for job in &mut out.report.jobs {
+                job.reduce_wall = Duration::ZERO;
+                job.total_wall = Duration::ZERO;
+                job.index_open_wall = Duration::ZERO;
+            }
+            format!("{out:?}")
+        };
+        for (count_only, shards) in [(false, 1), (false, 2), (false, 5), (true, 1), (true, 5)] {
+            let run = StoredRun::new(&query, &refs)
+                .algorithm(Algorithm::MapSide)
+                .count_only(count_only);
+            let single = cluster.submit_stored(&run).expect("single-node run");
+            assert!(single.tuple_count > 0, "test data should join");
+            assert_eq!(single.tuples.is_empty(), count_only);
 
-            let partials: Vec<ShardPartial> = seed_cell_ranges(grid.num_cells(), 4)
+            let partials: Vec<ShardPartial> = seed_cell_ranges(grid.num_cells(), shards)
                 .into_iter()
                 .map(|range| {
                     cluster
-                        .submit_stored_partial(
-                            &StoredRun::new(&query, &refs)
-                                .algorithm(Algorithm::MapSide)
-                                .count_only(count_only),
-                            range,
-                        )
+                        .submit_stored_partial(&run, range)
                         .expect("shard run")
                 })
                 .collect();
+            assert_eq!(partials.len(), shards as usize);
             let spec = GatherSpec {
                 record_total: refs.iter().map(|s| s.record_count()).sum(),
                 count_only,
@@ -267,18 +277,11 @@ mod tests {
                 join_wall: Duration::ZERO,
                 input_fingerprint: combined_fingerprint(&refs),
             };
-            let gathered = gather(partials, &spec);
-
-            assert!(single.tuple_count > 0, "test data should join");
-            assert_eq!(gathered.tuple_count, single.tuple_count);
-            assert_eq!(gathered.tuples, single.tuples);
-            let (g, s) = (&gathered.report.jobs[0], &single.report.jobs[0]);
-            assert_eq!(g.job_name, s.job_name);
-            assert_eq!(g.map_input_records, s.map_input_records);
-            assert_eq!(g.reduce_input_groups, s.reduce_input_groups);
-            assert_eq!(g.max_partition_records, s.max_partition_records);
-            assert_eq!(g.reduce_output_records, s.reduce_output_records);
-            assert_eq!(g.input_fingerprint, s.input_fingerprint);
+            assert_eq!(
+                logical(gather(partials, &spec)),
+                logical(single),
+                "{shards} shards, count_only={count_only}"
+            );
         }
     }
 

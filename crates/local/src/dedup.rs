@@ -121,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn figure3_multiway_cell_is_19() {
+    fn figure3_designated_cell_is_19() {
         // Figure 3: grid 8x4 over the space; U = (u1, v1, w1, x1). x1 is
         // the rightmost rectangle, u1 the lowermost; cell 19 contains
         // (x1.x, u1.y). Recreate the geometry: 8 columns x 4 rows over
@@ -142,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn multiway_cell_of_iterator_matches_slice_form() {
+    fn tuple_cell_of_iterator_matches_slice_form() {
         let grid = grid8();
         let tuple = [
             Rect::new(15.0, 15.0, 4.0, 4.0),
@@ -197,7 +197,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_multiway_cell_in_fourth_quadrant_of_every_member(
+        fn prop_designated_cell_in_fourth_quadrant_of_every_member(
             a in arb_rect(), b in arb_rect(), c in arb_rect()
         ) {
             // All-Replicate routes every rectangle to its 4th quadrant; the

@@ -32,7 +32,6 @@ pub mod dedup;
 pub mod kernel;
 pub mod marking;
 pub mod multiway;
-pub mod multiway_cell;
 pub mod planesweep;
 
 pub use kernel::JoinKernel;

@@ -23,14 +23,12 @@
 
 mod bounds;
 mod graph;
-pub mod histogram;
 mod parser;
 mod plan;
 mod query;
 
 pub use bounds::replication_bounds;
 pub use graph::JoinGraph;
-pub use histogram::GridHistogram;
 pub use parser::ParseError;
 pub use plan::{JoinPlan, PlanStep, ProbeEdge, VerifyEdge};
 pub use query::{Predicate, Query, QueryBuilder, QueryError, RelationId, Triple};

@@ -25,7 +25,7 @@
 //!   cancelled at the next task boundary, releasing its slots to the
 //!   other tenants; deadlines propagate into the engine the same way.
 //! * **Sharded serving** — with [`ServerConfig::shards`] > 1, stored
-//!   map-side queries scatter across N engine shards, each owning a
+//!   map-side queries scatter across N shards, each owning a
 //!   disjoint seed-cell range of the dataset, and the gathered result
 //!   is byte-identical to a single-node run (see
 //!   [`mwsj_core::shards`]).
@@ -59,7 +59,9 @@ use mwsj_core::mapreduce::{
 };
 use mwsj_core::optimizer::Plan;
 use mwsj_core::store::StoredDataset;
-use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, JoinRun};
+use mwsj_core::{
+    Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, JoinRun, Run, StoredRun,
+};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
 
@@ -106,7 +108,7 @@ pub struct ServerConfig {
     /// immediately instead of queueing — bounding tail latency while
     /// overloaded.
     pub brownout_window: Duration,
-    /// Engine shards for stored map-side queries: each shard owns a
+    /// Shards for stored map-side queries: each shard owns a
     /// disjoint seed-cell range and the front-end scatters/gathers.
     /// 1 (the default) serves single-node.
     pub shards: u32,
@@ -223,7 +225,7 @@ impl ServerConfig {
         self
     }
 
-    /// Shards stored map-side queries across `shards` engine instances.
+    /// Shards stored map-side queries across `shards` seed-cell ranges.
     #[must_use]
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
@@ -375,9 +377,6 @@ struct Inner {
     /// Brownout lease: while `Instant::now()` is before this, cache
     /// misses are shed without queueing.
     brownout_until: parking_lot::Mutex<Option<Instant>>,
-    /// One engine instance per shard (empty when `shards` == 1). Each
-    /// shard runs its seed-cell slice of stored map-side queries.
-    shard_clusters: Vec<Cluster>,
     /// Range-scoped shard mounts of `store:` datasets, by path.
     shard_mounts: Registry<ShardMounts>,
 }
@@ -484,23 +483,6 @@ impl Server {
         engine.fault_plan = config.engine_faults.clone();
         let cluster =
             Cluster::new(ClusterConfig::for_space(space, space, config.grid).with_engine(engine));
-        // One engine instance per shard: the front-end scatters stored
-        // map-side queries across these and gathers the partials.
-        let shard_clusters: Vec<Cluster> = if config.shards > 1 {
-            let count =
-                mwsj_core::shards::seed_cell_ranges(cluster.grid().num_cells(), config.shards)
-                    .len();
-            (0..count)
-                .map(|_| {
-                    Cluster::new(
-                        ClusterConfig::for_space(space, space, config.grid)
-                            .with_engine(EngineConfig::default().with_slots(config.slots)),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let inner = Arc::new(Inner {
             cache: ResultCache::new(config.cache_bytes),
             plans: PlanMemo::default(),
@@ -510,7 +492,6 @@ impl Server {
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
             brownout_until: parking_lot::Mutex::new(None),
-            shard_clusters,
             shard_mounts: Registry::new(),
             cluster,
             config,
@@ -569,21 +550,28 @@ fn fail(inner: &Inner, code: ErrorCode, msg: &str) -> String {
 /// requester-order permutation.
 struct BoundQuery {
     canonical: Query,
-    /// In-memory relations; empty (never read) when `stores` is bound.
-    datasets: Vec<Arc<Vec<Rect>>>,
-    /// Mounted stores in canonical relation order, plus the total open
-    /// wall charged to this query — bound when *every* spec is a
-    /// `store:PATH` whose grid matches the service grid. Such queries
-    /// run shuffle-free off the stores without materializing anything.
-    stores: Option<(Vec<Arc<StoredDataset>>, Duration)>,
-    /// The `store:` paths behind `stores` (canonical order; empty when
-    /// `stores` is unbound) — the scatter path re-mounts these with
-    /// per-shard seed-cell scopes.
-    store_paths: Vec<String>,
+    binding: Binding,
     fingerprints: Vec<u64>,
     combined_fingerprint: u64,
     /// Requester position i reads canonical position perm[i].
     perm: Vec<usize>,
+}
+
+/// What a query's relation positions are bound to, in canonical order.
+enum Binding {
+    /// In-memory relations.
+    Memory(Vec<Arc<Vec<Rect>>>),
+    /// Mounted stores — bound when *every* spec is a `store:PATH` whose
+    /// grid matches the service grid. Such queries run shuffle-free off
+    /// the stores without materializing anything.
+    Stored {
+        stores: Vec<Arc<StoredDataset>>,
+        /// The `store:` paths behind `stores`; the scatter path re-mounts
+        /// these with per-shard seed-cell scopes.
+        paths: Vec<String>,
+        /// Total open wall charged to this query.
+        open_wall: Duration,
+    },
 }
 
 // The query path is six stages, one function each:
@@ -625,42 +613,41 @@ fn bind_query(
     // The shuffle-free path: every binding is a stored dataset that is
     // co-partitioned with the service grid. Mount them all; fall back to
     // materializing if any store was ingested on a different grid.
-    let mut datasets: Vec<Arc<Vec<Rect>>> = Vec::new();
-    let mut fingerprints: Vec<u64> = Vec::with_capacity(canonical_names.len());
-    let mut stores = None;
-    let mut store_paths: Vec<String> = Vec::new();
+    let mut fingerprints: Vec<u64> = Vec::with_capacity(specs.len());
+    let mut binding = None;
     if specs.iter().all(|s| s.starts_with("store:")) {
-        let mut mounted = Vec::with_capacity(specs.len());
+        let mut stores = Vec::with_capacity(specs.len());
         let mut paths = Vec::with_capacity(specs.len());
         let mut open_wall = Duration::ZERO;
         for spec in &specs {
             let path = spec.strip_prefix("store:").expect("checked above");
             let (store, opened_in) = inner.mounted_store(path)?;
             open_wall += opened_in;
-            mounted.push(store);
+            stores.push(store);
             paths.push(path.to_string());
         }
-        if mounted.iter().all(|s| s.grid() == inner.cluster.grid()) {
-            fingerprints.extend(mounted.iter().map(|s| s.fingerprint()));
-            stores = Some((mounted, open_wall));
-            store_paths = paths;
+        if stores.iter().all(|s| s.grid() == inner.cluster.grid()) {
+            fingerprints.extend(stores.iter().map(|s| s.fingerprint()));
+            binding = Some(Binding::Stored {
+                stores,
+                paths,
+                open_wall,
+            });
         }
     }
-    if stores.is_none() {
-        for spec in &specs {
-            let (rects, fp) = inner.dataset(spec)?;
-            datasets.push(rects);
-            fingerprints.push(fp);
+    let binding = match binding {
+        Some(stored) => stored,
+        None => {
+            let mut datasets = Vec::with_capacity(specs.len());
+            for spec in &specs {
+                let (rects, fp) = inner.dataset(spec)?;
+                datasets.push(rects);
+                fingerprints.push(fp);
+            }
+            Binding::Memory(datasets)
         }
-    }
-    let combined_fingerprint = {
-        let mut h = mwsj_core::mapreduce::Fnv64::new();
-        h.write_u64(fingerprints.len() as u64);
-        for fp in &fingerprints {
-            h.write_u64(*fp);
-        }
-        h.finish()
     };
+    let combined_fingerprint = mwsj_core::combine_fingerprints(&fingerprints);
     let perm: Vec<usize> = requested_names
         .iter()
         .map(|n| {
@@ -672,9 +659,7 @@ fn bind_query(
         .collect();
     Ok(BoundQuery {
         canonical,
-        datasets,
-        stores,
-        store_paths,
+        binding,
         fingerprints,
         combined_fingerprint,
         perm,
@@ -689,15 +674,15 @@ fn plan_for(inner: &Inner, bound: &BoundQuery) -> Arc<Plan> {
     let key = PlanKey {
         query: bound.canonical.to_string(),
         fingerprints: bound.fingerprints.clone(),
-        stored: bound.stores.is_some(),
+        stored: matches!(bound.binding, Binding::Stored { .. }),
     };
-    inner.plans.get_or_plan(key, || match &bound.stores {
-        Some((stores, _)) => {
+    inner.plans.get_or_plan(key, || match &bound.binding {
+        Binding::Stored { stores, .. } => {
             let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
             inner.cluster.plan_stored(&bound.canonical, &refs)
         }
-        None => {
-            let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
+        Binding::Memory(datasets) => {
+            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
             inner.cluster.plan(&bound.canonical, &refs)
         }
     })
@@ -732,7 +717,7 @@ fn resolve(
     } else {
         requested
     };
-    if algorithm == Algorithm::MapSide && bound.stores.is_none() {
+    if algorithm == Algorithm::MapSide && matches!(bound.binding, Binding::Memory(_)) {
         return Err(
             "the map-side join needs every binding to be a `store:PATH` dataset \
              co-partitioned with the service grid",
@@ -774,6 +759,26 @@ fn admit(inner: &Inner) -> Result<AdmitGuard<'_>, String> {
     })
 }
 
+/// The request's run options — the same whatever the run is bound to, and
+/// for every shard of a scattered run.
+fn run_options<'a, B>(
+    run: Run<'a, B>,
+    q: &QueryRequest,
+    algorithm: Algorithm,
+    cancel: &CancelToken,
+) -> Run<'a, B> {
+    let run = run
+        .algorithm(algorithm)
+        .count_only(q.count_only)
+        .cancel(cancel.clone())
+        .priority(q.priority)
+        .share(q.share);
+    match q.deadline_ms {
+        Some(ms) => run.deadline(Duration::from_millis(ms)),
+        None => run,
+    }
+}
+
 /// Stage 5 — run: the join itself — sharded scatter/gather for stored
 /// map-side queries on a sharded service, otherwise the single-node
 /// paths. `catch_unwind` isolates the request: an engine panic answers
@@ -785,36 +790,29 @@ fn run(
     algorithm: Algorithm,
     cancel: &CancelToken,
 ) -> std::thread::Result<Result<JoinOutput, JoinError>> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some((stores, open_wall)) = &bound.stores {
-            if algorithm == Algorithm::MapSide && !inner.shard_clusters.is_empty() {
-                return run_sharded(inner, &bound.canonical, q, &bound.store_paths, cancel);
-            }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &bound.binding {
+        Binding::Stored { paths, .. }
+            if algorithm == Algorithm::MapSide && inner.config.shards > 1 =>
+        {
+            run_sharded(inner, &bound.canonical, q, paths, cancel)
+        }
+        Binding::Stored {
+            stores, open_wall, ..
+        } => {
             let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
-            let mut run = mwsj_core::StoredRun::new(&bound.canonical, &refs)
-                .algorithm(algorithm)
-                .count_only(q.count_only)
-                .cancel(cancel.clone())
-                .priority(q.priority)
-                .share(q.share)
-                .open_wall(*open_wall);
-            if let Some(ms) = q.deadline_ms {
-                run = run.deadline(Duration::from_millis(ms));
-            }
-            return inner.cluster.submit_stored(&run);
+            let run = StoredRun::new(&bound.canonical, &refs).open_wall(*open_wall);
+            inner
+                .cluster
+                .submit_stored(&run_options(run, q, algorithm, cancel))
         }
-        let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
-        let mut run = JoinRun::new(&bound.canonical, &refs)
-            .algorithm(algorithm)
-            .count_only(q.count_only)
-            .cancel(cancel.clone())
-            .priority(q.priority)
-            .share(q.share)
-            .input_fingerprint(bound.combined_fingerprint);
-        if let Some(ms) = q.deadline_ms {
-            run = run.deadline(Duration::from_millis(ms));
+        Binding::Memory(datasets) => {
+            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
+            let run =
+                JoinRun::new(&bound.canonical, &refs).input_fingerprint(bound.combined_fingerprint);
+            inner
+                .cluster
+                .submit(&run_options(run, q, algorithm, cancel))
         }
-        inner.cluster.submit(&run)
     }))
 }
 
@@ -858,6 +856,7 @@ fn render(
                 fail(inner, ErrorCode::JoinFailed, &e.to_string())
             }
         }
+        Ok(Err(JoinError::InvalidInput(msg))) => fail(inner, ErrorCode::BadRequest, &msg),
         Ok(Err(e)) => fail(inner, ErrorCode::JoinFailed, &e.to_string()),
         Err(_) => fail(
             inner,
@@ -903,11 +902,12 @@ fn handle_query(inner: &Inner, q: &QueryRequest, cancel: &CancelToken) -> String
     render(inner, outcome, key, &bound, started)
 }
 
-/// Scatters a stored map-side query across the engine shards — each
+/// Scatters a stored map-side query across the shards — each
 /// seeds only its own cell range off its range-scoped store mounts —
 /// and gathers the partials into the exact single-node [`JoinOutput`]
-/// (see [`mwsj_core::shards`]). The deadline is armed once here on the
-/// shared token; `submit_stored_partial` never arms its own.
+/// (see [`mwsj_core::shards`]). Every partial runs on the one service
+/// cluster: a partial reads only its grid. The deadline is armed once
+/// here on the shared token; `submit_stored_partial` never arms its own.
 fn run_sharded(
     inner: &Inner,
     canonical: &Query,
@@ -925,15 +925,7 @@ fn run_sharded(
         .iter()
         .map(|path| inner.shard_stores(path))
         .collect::<Result<_, String>>()
-        .map_err(|msg| {
-            JoinError::Job(mwsj_core::mapreduce::JobError {
-                job: "shard-mount".to_string(),
-                phase: mwsj_core::mapreduce::Phase::Map,
-                task: 0,
-                attempts: 1,
-                kind: JobErrorKind::AttemptsExhausted { last_error: msg },
-            })
-        })?;
+        .map_err(JoinError::InvalidInput)?;
     let ranges = shards::seed_cell_ranges(inner.cluster.grid().num_cells(), inner.config.shards);
     let open_wall = store_paths
         .iter()
@@ -948,19 +940,15 @@ fn run_sharded(
             .enumerate()
             .map(|(shard, range)| {
                 let mounts = &mounts;
-                let cluster = &inner.shard_clusters[shard];
-                let cancel = cancel.clone();
                 let range = range.clone();
                 scope.spawn(move || {
                     let refs: Vec<&StoredDataset> =
                         mounts.iter().map(|m| m[shard].as_ref()).collect();
-                    let run = mwsj_core::StoredRun::new(canonical, &refs)
-                        .algorithm(Algorithm::MapSide)
-                        .count_only(q.count_only)
-                        .cancel(cancel)
-                        .priority(q.priority)
-                        .share(q.share);
-                    cluster.submit_stored_partial(&run, range)
+                    let run = StoredRun::new(canonical, &refs);
+                    inner.cluster.submit_stored_partial(
+                        &run_options(run, q, Algorithm::MapSide, cancel),
+                        range,
+                    )
                 })
             })
             .collect();
@@ -1162,6 +1150,33 @@ mod tests {
         remove(&stores);
     }
 
+    /// A shard re-mount that fails is the request's fault, not a job's:
+    /// the stores are mounted once for binding, again per shard scope.
+    #[test]
+    fn a_failed_shard_mount_is_a_bad_request() {
+        let inner = Server::bind(ServerConfig::default().with_shards(2))
+            .expect("bind")
+            .inner;
+        let stores = [ingest(&inner, "mount", A), ingest(&inner, "mount", B)];
+        let data = [("A", stores[0].as_str()), ("B", stores[1].as_str())];
+        // A shuffle algorithm binds (and registers) the plain mounts only.
+        let shuffled = ask(
+            &inner,
+            &request("query", "A ov B", &data, ",\"algorithm\":\"crep-l\""),
+        );
+        assert!(shuffled.contains("\"ok\":true"), "{shuffled}");
+        remove(&stores);
+        let scattered = ask(
+            &inner,
+            &request("query", "A ov B", &data, ",\"algorithm\":\"map-side\""),
+        );
+        assert!(
+            scattered.starts_with("{\"ok\":false,\"error\":\"bad_request\""),
+            "{scattered}"
+        );
+        assert!(scattered.contains("for shards"), "{scattered}");
+    }
+
     #[test]
     fn explain_is_memoized_and_byte_identical_to_a_fresh_plan() {
         let inner = service();
@@ -1179,7 +1194,10 @@ mod tests {
             &abc.map(|(n, s)| (n.to_string(), s.to_string())),
         )
         .expect("bind");
-        let refs: Vec<&[Rect]> = bound.datasets.iter().map(|d| d.as_slice()).collect();
+        let Binding::Memory(datasets) = &bound.binding else {
+            panic!("synthetic specs bind in memory");
+        };
+        let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
         let fresh = inner.cluster.plan(&bound.canonical, &refs).to_json();
         assert!(warm.contains(&fresh), "{warm} vs {fresh}");
 

@@ -185,6 +185,7 @@ fn exhausted_attempts_surface_join_error_not_abort() {
             assert_eq!(e.attempts, 3);
         }
         JoinError::Dfs(e) => panic!("expected a job error, got DFS error {e}"),
+        JoinError::InvalidInput(msg) => panic!("expected a job error, got invalid input: {msg}"),
     }
     let msg = err.to_string();
     assert!(
@@ -288,6 +289,9 @@ fn cancel_mid_run_under_faults_releases_slots_and_leaves_survivors_exact() {
             assert!(e.to_string().contains("by caller"), "{e}");
         }
         JoinError::Dfs(e) => panic!("expected a cancelled job error, got DFS error {e}"),
+        JoinError::InvalidInput(msg) => {
+            panic!("expected a cancelled job error, got invalid input: {msg}")
+        }
     }
 
     // (b) No stray attempts: once the error surfaced, the doomed run's

@@ -293,7 +293,7 @@ fn kernel_reducers_leave_communication_counters_unchanged() {
     // Per-job (map_output_records, shuffle_bytes, reduce_input_groups,
     // reduce_output_records).
     type JobCounters = (u64, u64, u64, u64);
-    let golden: [(Algorithm, &[JobCounters]); 4] = [
+    let golden: [(Algorithm, &[JobCounters]); 5] = [
         (
             Algorithm::TwoWayCascade,
             &[(606, 26_362, 64, 58), (461, 25_373, 64, 152)],
@@ -307,6 +307,7 @@ fn kernel_reducers_leave_communication_counters_unchanged() {
             Algorithm::ControlledReplicateLimit,
             &[(917, 38_514, 64, 750), (1_732, 72_744, 64, 152)],
         ),
+        (Algorithm::Hypercube, &[(12_000, 504_000, 64, 152)]),
     ];
 
     for (alg, jobs) in golden {

@@ -105,6 +105,26 @@ fn all_rep_after_replication_matches_fourth_quadrants() {
     assert_eq!(out.stats.rectangles_after_replication, expected);
 }
 
+/// The hypercube derives its shares itself; they are the shares the plan
+/// reports, so relation `i` travels to exactly `Π_{j≠i} s_j` reducers.
+#[test]
+fn hypercube_after_replication_matches_the_planned_shares() {
+    let (r1, r2, r3) = workload();
+    let q = Query::parse("R1 ov R2 and R2 ov R3").unwrap();
+    let cl = cluster();
+    let shares = cl
+        .plan(&q, &[&r1, &r2, &r3])
+        .shares
+        .expect("plans carry the share vector");
+    let product: u64 = shares.iter().map(|&s| u64::from(s)).product();
+    let expected: u64 = shares.iter().map(|&s| 2_000 * product / u64::from(s)).sum();
+
+    let out = cl.run(&q, &[&r1, &r2, &r3], Algorithm::Hypercube);
+    assert_eq!(out.stats.rectangles_replicated, 6_000);
+    assert_eq!(out.stats.rectangles_after_replication, expected);
+    assert_eq!(out.report.jobs[0].map_output_records, expected);
+}
+
 #[test]
 fn shuffle_bytes_track_record_sizes() {
     let (r1, r2, r3) = workload();
