@@ -13,7 +13,7 @@
 
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob, TupleFilter};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 pub(crate) fn run(
@@ -26,10 +26,10 @@ pub(crate) fn run(
     let job = JoinJob {
         name: "all-replicate",
         algorithm: Algorithm::AllReplicate,
-        designated_only: true,
-        replicated: input.len() as u64,
+        filter: TupleFilter::Designated,
+        earlier: Vec::new(),
     };
-    replicate_join(ctx, query, &job, &input, |tr: &TaggedRect, emit| {
+    replicate_join(ctx, query, job, &input, |tr: &TaggedRect, emit| {
         for cell in grid.fourth_quadrant_cells(&tr.rect) {
             emit(cell.0, *tr);
         }

@@ -184,9 +184,9 @@ pub(crate) fn run(
         // Materialize the intermediate result between jobs, as a Hadoop
         // cascade must (§6.4).
         if !remaining.is_empty() {
-            let name = format!("cascade/stage-{stage}");
-            engine.dfs.write(&name, intermediate.clone());
-            intermediate = engine.dfs.read::<Partial>(&name)?.as_ref().clone();
+            intermediate = engine
+                .dfs
+                .materialize(&format!("cascade/stage-{stage}"), intermediate)?;
         }
         stage += 1;
     }

@@ -2,18 +2,26 @@
 //!
 //! Two map-reduce rounds:
 //!
-//! 1. **Mark.** All relations are *split*; the reducer of each cell runs
-//!    the C1-C4 marking procedure (`mwsj_local::marking`) and emits every
-//!    rectangle **starting** in its cell, flagged marked or unmarked. Each
-//!    rectangle starts in exactly one cell (and is always split onto it),
-//!    so round 1 emits each input rectangle exactly once. The flagged
+//! 1. **Mark, and join what the cell holds.** All relations are *split*;
+//!    the reducer of each cell `c` runs the C1-C4 marking procedure
+//!    (`mwsj_local::marking`) and emits the marked rectangles **starting**
+//!    in `c`. Each rectangle starts in exactly one cell (and is always
+//!    split onto it), so a marked rectangle is emitted exactly once. The
+//!    reducer then runs the local multi-way join over the same group and
+//!    emits every tuple whose §6.2 designated cell is `c`. Only the marked
 //!    stream is materialized on the DFS, as Hadoop would between jobs.
-//! 2. **Join.** Marked rectangles are replicated — with `f1` (C-Rep) or
-//!    with `f2` under per-relation distance bounds (C-Rep-L) — and
-//!    unmarked rectangles are projected. Each reducer computes the local
-//!    multi-way join; the designated cell of §6.2 emits each tuple once.
+//! 2. **Join across cells.** The marked rectangles are replicated — with
+//!    `f1` (C-Rep) or with `f2` under per-relation distance bounds
+//!    (C-Rep-L). Each reducer computes the local multi-way join and emits
+//!    a tuple iff its cell is the tuple's designated cell *and* some
+//!    member is not split onto it — the tuples round 1 could not see.
 //!
-//! # Why projecting unmarked rectangles is safe
+//! This departs from §7.1, which *projects* every unmarked rectangle into
+//! round 2 so that one reducer pass emits all tuples. The output is the
+//! same; the unmarked rectangles just never cross the DFS or the second
+//! shuffle.
+//!
+//! # Why an unmarked rectangle never leaves round 1
 //!
 //! For an output tuple `U'` and an unmarked member `v` starting in cell
 //! `c_v`: if some member of `U'` did not overlap `c_v`, the members of
@@ -23,10 +31,22 @@
 //! `mwsj-partition`, the duplicate-avoidance point `(u_r.x, u_l.y)` then
 //! lies in `c_v` itself (the region contains `u_r.x` because `u_r`
 //! overlaps the region and starts right of `v`; symmetrically for
-//! `u_l.y`). Hence the designated cell is `c_v`, which receives `v` by
-//! projection, every other unmarked member by the same argument, and every
-//! marked member because the designated cell lies in each member's 4th
-//! quadrant.
+//! `u_l.y`). Hence the designated cell is `c_v`, every member is split
+//! onto it, and its round-1 reducer emits `U'`.
+//!
+//! Contrapositive: a tuple with a member that is *not* split onto its
+//! designated cell consists of marked rectangles only, and every marked
+//! member reaches that cell in round 2 because the designated cell lies
+//! in each member's 4th quadrant. So round 1 emits exactly the tuples
+//! whose members are all split onto their designated cell, round 2
+//! exactly the others, and each tuple is emitted once.
+//!
+//! Round 2's "is every member split onto this cell" must be the function
+//! that routed round 1, [`mwsj_partition::Grid::splits_onto`]. A test
+//! against the cell's corner coordinates differs from the routing by one
+//! ulp on non-dyadic grids; a tuple with an edge on such a boundary would
+//! then be taken for local by round 2 although round 1 never saw it
+//! whole, and be lost.
 //!
 //! # The C-Rep-L bound
 //!
@@ -40,13 +60,24 @@
 //! tuples (our property tests find them).
 
 use mwsj_geom::Rect;
-use mwsj_local::marking;
+use mwsj_local::{marking, JoinKernel};
 use mwsj_partition::CellId;
-use mwsj_query::{replication_bounds, Query};
+use mwsj_query::{replication_bounds, Query, RelationId};
 
-use super::{flatten_input, max_diagonal, replicate_join, AlgoCtx, Algorithm, JoinJob};
+use super::{
+    flatten_input, join_group, max_diagonal, replicate_join, AlgoCtx, Algorithm, JoinJob,
+    TupleFilter,
+};
 use crate::record::group_by_relation;
 use crate::{JoinError, JoinOutput, TaggedRect};
+
+/// What a round-1 reducer commits.
+enum Round1 {
+    /// A marked rectangle starting in the reducer's cell: round 2's input.
+    Marked(TaggedRect),
+    /// A join output record (tuple ids or a count record) of the cell.
+    Joined(Vec<u32>),
+}
 
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
@@ -58,9 +89,10 @@ pub(crate) fn run(
     let grid = ctx.grid;
     let input = flatten_input(relations);
     let n = query.num_relations();
+    let kernel = JoinKernel::new(query);
 
-    // ---- Round 1: split everything, mark per cell --------------------
-    let round1: Vec<(TaggedRect, bool)> = engine.run(
+    // ---- Round 1: split everything; mark and join per cell -----------
+    let round1: Vec<Round1> = engine.run(
         ctx.spec("c-rep-round1-mark")
             .map(|tr: &TaggedRect, emit| {
                 for cell in grid.split_cells(&tr.rect) {
@@ -69,35 +101,46 @@ pub(crate) fn run(
             })
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&cell: &u32, values: &[TaggedRect], out| {
-                let cell_id = CellId(cell);
                 let rels = group_by_relation(n, values.iter().copied());
-                let flags = marking::mark_for_replication(query, grid, cell_id, &rels);
+                let flags = marking::mark_for_replication(query, grid, CellId(cell), &rels);
                 for (pos, (rel_rects, rel_flags)) in rels.iter().zip(&flags).enumerate() {
                     for (&(rect, id), &marked) in rel_rects.iter().zip(rel_flags) {
-                        if grid.cell_of(&rect) == cell_id {
-                            out((
-                                TaggedRect::new(mwsj_query::RelationId(pos as u16), id, rect),
-                                marked,
-                            ));
+                        if marked && grid.cell_of(&rect) == CellId(cell) {
+                            out(Round1::Marked(TaggedRect::new(
+                                RelationId(pos as u16),
+                                id,
+                                rect,
+                            )));
                         }
                     }
                 }
+                // Everything split onto this cell is here, so a tuple
+                // designated to it is found here iff all its members are
+                // split onto it; round 2 emits the others.
+                join_group(
+                    ctx,
+                    &kernel,
+                    TupleFilter::Designated,
+                    cell,
+                    &rels,
+                    &mut |record| out(Round1::Joined(record)),
+                );
             }),
         &input,
     )?;
-    debug_assert_eq!(
-        round1.len(),
-        input.len(),
-        "round 1 re-emits each rectangle once"
-    );
+    let mut marked = Vec::new();
+    let mut joined = Vec::new();
+    for record in round1 {
+        match record {
+            Round1::Marked(tr) => marked.push(tr),
+            Round1::Joined(ids) => joined.push(ids),
+        }
+    }
 
-    // Materialize the flagged stream between jobs, as Hadoop does. Under
+    // Materialize the marked stream between jobs, as Hadoop does. Under
     // fault injection the read-back may hit transient failures; exhausted
     // retries surface as a `JoinError::Dfs`.
-    engine.dfs.write("c-rep/marked", round1);
-    let round1 = engine.dfs.read::<(TaggedRect, bool)>("c-rep/marked")?;
-
-    let marked_count = round1.iter().filter(|(_, m)| *m).count() as u64;
+    let marked = engine.dfs.materialize("c-rep/marked", marked)?;
 
     // C-Rep-L per-relation replication bounds (with the √2 designated-cell
     // factor; see the module docs).
@@ -109,7 +152,7 @@ pub(crate) fn run(
             .collect()
     });
 
-    // ---- Round 2: replicate marked / project unmarked, join ----------
+    // ---- Round 2: replicate the marked, join across cells ------------
     let (name, algorithm) = if limit {
         ("c-rep-l-round2-join", Algorithm::ControlledReplicateLimit)
     } else {
@@ -118,26 +161,16 @@ pub(crate) fn run(
     let job = JoinJob {
         name,
         algorithm,
-        designated_only: true,
-        replicated: marked_count,
+        filter: TupleFilter::DesignatedCrossCell,
+        earlier: joined,
     };
-    replicate_join(
-        ctx,
-        query,
-        &job,
-        &round1,
-        |(tr, marked): &(TaggedRect, bool), emit| {
-            let targets = if *marked {
-                match &bounds {
-                    Some(b) => grid.fourth_quadrant_cells_within(&tr.rect, b[tr.relation.index()]),
-                    None => grid.fourth_quadrant_cells(&tr.rect),
-                }
-            } else {
-                vec![grid.cell_of(&tr.rect)]
-            };
-            for cell in targets {
-                emit(cell.0, *tr);
-            }
-        },
-    )
+    replicate_join(ctx, query, job, &marked, |tr: &TaggedRect, emit| {
+        let targets = match &bounds {
+            Some(b) => grid.fourth_quadrant_cells_within(&tr.rect, b[tr.relation.index()]),
+            None => grid.fourth_quadrant_cells(&tr.rect),
+        };
+        for cell in targets {
+            emit(cell.0, *tr);
+        }
+    })
 }

@@ -29,7 +29,7 @@
 use mwsj_mapreduce::Fnv64;
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob, TupleFilter};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 /// Derives the share vector `s` for relation cardinalities `sizes` and a
@@ -134,10 +134,10 @@ pub(crate) fn run(
         algorithm: Algorithm::Hypercube,
         // The members of any joining tuple share exactly one hypercube
         // cell (their joint hash vector): each result is produced once.
-        designated_only: false,
-        replicated: input.len() as u64,
+        filter: TupleFilter::All,
+        earlier: Vec::new(),
     };
-    replicate_join(ctx, query, &job, &input, |tr: &TaggedRect, emit| {
+    replicate_join(ctx, query, job, &input, |tr: &TaggedRect, emit| {
         // Fix this rectangle's own dimension, spin an odometer over
         // every other dimension: one emit per hypercube cell whose
         // dim-i coordinate matches the rectangle's hash.

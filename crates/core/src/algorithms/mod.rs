@@ -104,8 +104,9 @@ pub enum Algorithm {
     /// 4th quadrant and join in a single round.
     AllReplicate,
     /// The paper's *Controlled-Replicate* (§7): round 1 marks the
-    /// rectangles satisfying conditions C1-C4; round 2 replicates only
-    /// those and projects the rest.
+    /// rectangles satisfying conditions C1-C4 and joins what each cell
+    /// already holds; round 2 replicates only the marked rectangles and
+    /// joins the tuples that span cells.
     ControlledReplicate,
     /// *C-Rep-L* (§7.9): like C-Rep, but marked rectangles are replicated
     /// only to 4th-quadrant cells within a per-relation distance bound
@@ -219,23 +220,80 @@ pub(crate) fn normalize_tuples(mut tuples: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     tuples
 }
 
+/// Which of the tuples its local join finds a reducer emits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TupleFilter {
+    /// Every tuple. For the hypercube, whose delivery is already
+    /// exactly-once: the members of a joining tuple share exactly one
+    /// hypercube cell.
+    All,
+    /// Tuples whose multi-way duplicate-avoidance point (§6.2) lies in the
+    /// reducer's cell. For the spatial algorithms, whose routing delivers
+    /// a tuple's members to several cells.
+    Designated,
+    /// [`TupleFilter::Designated`] tuples with at least one member that
+    /// is not split onto the reducer's cell. Round 2 of C-Rep: the tuples
+    /// whose members are all split onto their designated cell were
+    /// emitted there by round 1.
+    DesignatedCrossCell,
+}
+
+/// The reducer body every join job shares: runs the compiled local join
+/// over one reducer group and emits what passes `filter` — the tuple's
+/// ids, or in count-only mode one [`count_record`] for the group.
+///
+/// Faithful to the paper's reducers: enumerate the local join of
+/// everything received, then filter. The test runs once per *candidate*
+/// tuple at every receiving reducer and is allocation-free (the extrema
+/// stream through `multiway_tuple_cell_of`; membership is
+/// [`Grid::splits_onto`], the predicate that routed round 1).
+pub(crate) fn join_group(
+    ctx: &AlgoCtx<'_>,
+    kernel: &JoinKernel,
+    filter: TupleFilter,
+    key: u32,
+    rels: &[Vec<mwsj_local::LocalRect>],
+    out: &mut dyn FnMut(Vec<u32>),
+) {
+    let grid = ctx.grid;
+    let cell = CellId(key);
+    let mut found = 0u64;
+    kernel.execute(rels, |tuple| {
+        let designated = || {
+            mwsj_local::dedup::multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r)) == cell
+        };
+        let keep = match filter {
+            TupleFilter::All => true,
+            TupleFilter::Designated => designated(),
+            TupleFilter::DesignatedCrossCell => {
+                designated() && tuple.iter().any(|(r, _)| !grid.splits_onto(r, cell))
+            }
+        };
+        if keep {
+            found += 1;
+            if !ctx.count_only {
+                out(tuple_ids(tuple));
+            }
+        }
+    });
+    if ctx.count_only && found > 0 {
+        out(count_record(found));
+    }
+}
+
 /// What distinguishes one replicate-and-join algorithm from another,
 /// besides its routing function: the job name, the algorithm it reports,
-/// whether reducers apply the designated-cell filter, and its stats line.
+/// which tuples its reducers emit, and what an earlier round brought.
 pub(crate) struct JoinJob {
     /// Engine job name (also the trace span name).
     pub name: &'static str,
     /// The algorithm the output reports.
     pub algorithm: Algorithm,
-    /// Emit a tuple only at the cell of its multi-way duplicate-avoidance
-    /// point (§6.2). On for the spatial algorithms, whose 4th-quadrant
-    /// replication delivers a tuple's members to several cells; off for
-    /// the hypercube, whose delivery is already exactly-once.
-    pub designated_only: bool,
-    /// Input records the routing function replicates ("rectangles
-    /// replicated"). It projects the rest — exactly one pair each, not
-    /// counted as copies "after replication".
-    pub replicated: u64,
+    /// Which locally-found tuples a reducer emits.
+    pub filter: TupleFilter,
+    /// Output records (tuples or [`count_record`]s) an earlier round of
+    /// the same run already committed; empty for one-round algorithms.
+    pub earlier: Vec<Vec<u32>>,
 }
 
 /// The one replicate-and-join job behind All-Replicate, round 2 of
@@ -244,60 +302,39 @@ pub(crate) struct JoinJob {
 /// hash onto the physical reducers, and every reducer group runs the
 /// compiled local join over whatever arrived. The algorithms differ only
 /// in `route` — their mapping schema — and in the [`JoinJob`] description.
+/// Every input record counts as *replicated* in the stats: no caller
+/// routes a record by projection.
 pub(crate) fn replicate_join<I: Sync>(
     ctx: &AlgoCtx<'_>,
     query: &Query,
-    job: &JoinJob,
+    job: JoinJob,
     input: &[I],
     route: impl Fn(&I, &mut dyn FnMut(u32, TaggedRect)) + Sync,
 ) -> Result<JoinOutput, JoinError> {
-    let grid = ctx.grid;
-    let count_only = ctx.count_only;
     let n = query.num_relations();
     // Compile the local-join kernel once; the reduce closure shares it
     // across every reducer group (per-thread scratch inside).
     let kernel = JoinKernel::new(query);
 
-    let raw: Vec<Vec<u32>> = ctx.engine.run(
+    let mut raw: Vec<Vec<u32>> = ctx.engine.run(
         ctx.spec(job.name)
             .map(route)
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&key: &u32, values: &[TaggedRect], out| {
                 let rels = group_by_relation(n, values.iter().copied());
-                // Faithful to the paper's reducers: enumerate the local
-                // join of everything received, then filter. The test runs
-                // once per *candidate* tuple at every receiving reducer and
-                // is allocation-free (the extrema stream through
-                // `multiway_tuple_cell_of`).
-                let mut found = 0u64;
-                kernel.execute(&rels, |tuple| {
-                    if !job.designated_only
-                        || mwsj_local::dedup::multiway_tuple_cell_of(
-                            grid,
-                            tuple.iter().map(|(r, _)| r),
-                        ) == CellId(key)
-                    {
-                        found += 1;
-                        if !count_only {
-                            out(tuple_ids(tuple));
-                        }
-                    }
-                });
-                if count_only && found > 0 {
-                    out(count_record(found));
-                }
+                join_group(ctx, &kernel, job.filter, key, &rels, out);
             }),
         input,
     )?;
+    raw.extend(job.earlier);
 
     let report = ctx.report();
     let join = report.jobs.last().expect("the join job just ran");
     let stats = ReplicationStats {
-        rectangles_replicated: job.replicated,
-        rectangles_after_replication: join.map_output_records
-            - (input.len() as u64 - job.replicated),
+        rectangles_replicated: input.len() as u64,
+        rectangles_after_replication: join.map_output_records,
     };
-    let (tuples, tuple_count) = finish_tuples(raw, count_only);
+    let (tuples, tuple_count) = finish_tuples(raw, ctx.count_only);
     Ok(JoinOutput {
         algorithm: job.algorithm,
         tuples,

@@ -23,7 +23,7 @@
 //!   volume, the dominant term of every algorithm's runtime here and in
 //!   the paper's tables.
 //! - `dfs_records` — records written to and re-read from the DFS between
-//!   rounds (the cascade's intermediates, C-Rep's marked stream), charged
+//!   rounds (the cascade's intermediates, C-Rep's marked rectangles), charged
 //!   `DFS_WEIGHT` each: a DFS round-trip costs more than a shuffled
 //!   record (checksummed write + read + decode).
 //! - `jobs` — map-reduce rounds, charged `JOB_OVERHEAD` records each:
@@ -460,21 +460,18 @@ fn plan_from_stats(
         .map(|b| b * std::f64::consts::SQRT_2)
         .collect();
     let stats = relation_stats(sizes, samples, grid, &bounds, d);
-    let total: f64 = sizes.iter().sum();
 
     // All-Replicate: one round, every rectangle shuffled q4-fold.
     let all_rep_comm: f64 = stats.iter().map(|s| s.n * s.q4).sum();
-    // C-Rep: round 1 splits everything; round 2 replicates the marked
-    // rectangles f1-fold and projects the rest once. The marked stream
-    // makes one DFS round-trip between the rounds.
+    // C-Rep: round 1 splits everything and joins per cell; only the
+    // marked rectangles make the DFS round-trip and are replicated by
+    // round 2, f1-fold (f2-fold under the C-Rep-L bound).
     let round1: f64 = stats.iter().map(|s| s.n * s.split).sum();
-    let crep_round2: f64 = stats
-        .iter()
-        .map(|s| s.n * (s.marked * s.q4_marked + (1.0 - s.marked)))
-        .sum();
+    let marked: f64 = stats.iter().map(|s| s.n * s.marked).sum();
+    let crep_round2: f64 = stats.iter().map(|s| s.n * s.marked * s.q4_marked).sum();
     let crep_l_round2: f64 = stats
         .iter()
-        .map(|s| s.n * (s.marked * s.q4_bounded_marked + (1.0 - s.marked)))
+        .map(|s| s.n * s.marked * s.q4_bounded_marked)
         .sum();
     // Hypercube: one round, relation i shuffled Π_{j≠i} s_j-fold.
     let share_sizes: Vec<u64> = sizes.iter().map(|&n| n as u64).collect();
@@ -503,14 +500,14 @@ fn plan_from_stats(
             Algorithm::ControlledReplicate,
             2,
             round1 + crep_round2,
-            total,
+            marked,
             0.0,
         ),
         CandidateCost::new(
             Algorithm::ControlledReplicateLimit,
             2,
             round1 + crep_l_round2,
-            total,
+            marked,
             0.0,
         ),
         CandidateCost::new(Algorithm::Hypercube, 1, hyper_comm, 0.0, pairs),
@@ -621,8 +618,8 @@ mod tests {
                 r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
                 r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":168.0,"cost":2003.4},"#,
                 r#"{"algorithm":"cascade","jobs":2,"comm_records":985.0,"dfs_records":23.5,"local_pairs":0.0,"cost":5055.6},"#,
-                r#"{"algorithm":"crep-l","jobs":2,"comm_records":2280.0,"dfs_records":900.0,"local_pairs":0.0,"cost":8980.0},"#,
-                r#"{"algorithm":"crep","jobs":2,"comm_records":5508.0,"dfs_records":900.0,"local_pairs":0.0,"cost":12208.0},"#,
+                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1542.0,"dfs_records":162.0,"local_pairs":0.0,"cost":6028.0},"#,
+                r#"{"algorithm":"crep","jobs":2,"comm_records":4770.0,"dfs_records":162.0,"local_pairs":0.0,"cost":9256.0},"#,
                 r#"{"algorithm":"allrep","jobs":1,"comm_records":19229.0,"dfs_records":0.0,"local_pairs":0.0,"cost":21229.0},"#,
                 r#"{"algorithm":"hypercube","jobs":1,"comm_records":14400.0,"dfs_records":0.0,"local_pairs":720000.0,"cost":30800.0}]}"#,
             )

@@ -43,8 +43,9 @@
 //! the paper's chain queries) arc consistency is exact — every survivor
 //! extends to a full consistent set. On cyclic subsets it may keep a
 //! rectangle that belongs to no full set; that only **over**-marks, which
-//! is always safe (a replicated rectangle reaches a superset of the cells
-//! a projected one does) and never misses a mark.
+//! is always safe (round 2 then holds a superset of the rectangles it
+//! needs, and its designated-cell filter decides what is emitted) and
+//! never misses a mark.
 
 use mwsj_geom::Rect;
 use mwsj_partition::{CellId, Grid};

@@ -90,6 +90,8 @@ pub struct Dfs {
     injector: FaultInjector,
     read_seq: AtomicU64,
     transient_read_failures: AtomicU64,
+    /// Suffix source for [`Dfs::materialize`]'s private dataset names.
+    materialize_seq: AtomicU64,
 }
 
 impl Dfs {
@@ -174,6 +176,28 @@ impl Dfs {
         Ok(data)
     }
 
+    /// Materializes a stream between two jobs of one run, as Hadoop does:
+    /// writes `data`, reads it back through the fault and integrity path,
+    /// and deletes the dataset again — charged to the counters like the
+    /// [`Dfs::write`] and [`Dfs::read`] it consists of.
+    ///
+    /// The dataset lives under a name no other call can produce (`label`
+    /// plus a sequence number), so concurrent runs on a shared engine never
+    /// read each other's stream, and the DFS does not keep a finished
+    /// run's stream alive.
+    pub fn materialize<T: RecordSize + StableHash + Send + Sync + 'static>(
+        &self,
+        label: &str,
+        data: Vec<T>,
+    ) -> Result<Vec<T>, DfsError> {
+        let seq = self.materialize_seq.fetch_add(1, Ordering::Relaxed);
+        let name = format!("{label}#{seq}");
+        self.write(&name, data);
+        let read = self.read(&name);
+        self.delete(&name);
+        Ok(Arc::into_inner(read?).expect("nobody else knew the dataset's name"))
+    }
+
     /// Tampers the stored integrity frame of a dataset — the test hook for
     /// at-rest corruption. Every subsequent read fails with
     /// [`DfsError::Corrupt`] until the dataset is rewritten.
@@ -195,6 +219,12 @@ impl Dfs {
     #[must_use]
     pub fn exists(&self, name: &str) -> bool {
         self.datasets.read().contains_key(name)
+    }
+
+    /// Number of datasets currently stored.
+    #[must_use]
+    pub fn dataset_count(&self) -> usize {
+        self.datasets.read().len()
     }
 
     /// Number of records in a dataset.
@@ -349,6 +379,26 @@ mod tests {
             dfs.tamper("nope").unwrap_err(),
             DfsError::NotFound("nope".into())
         );
+    }
+
+    #[test]
+    fn materialize_round_trips_and_leaves_nothing_behind() {
+        let dfs = Dfs::new();
+        let back = dfs.materialize("stream", vec![1u64, 2, 3]).unwrap();
+        assert_eq!(back, vec![1, 2, 3]);
+        assert_eq!((dfs.write_bytes(), dfs.read_bytes()), (24, 24));
+        assert_eq!(dfs.dataset_count(), 0);
+
+        // An unreadable stream is deleted too.
+        use crate::fault::FaultPlan;
+        let mut plan = FaultPlan::none();
+        plan.dfs_read_failure_rate = 1.0;
+        let dfs = Dfs::with_faults(FaultInjector::new(plan));
+        assert!(matches!(
+            dfs.materialize("stream", vec![1u64]),
+            Err(DfsError::Unavailable(_))
+        ));
+        assert_eq!(dfs.dataset_count(), 0);
     }
 
     #[test]

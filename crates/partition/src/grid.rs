@@ -179,50 +179,53 @@ impl Grid {
         Rect::new(x, y, self.cell_w, self.cell_h)
     }
 
-    /// Whether the closed rectangle intersects the cell's half-open region
-    /// ("has at least one point in common" in the paper's split definition,
-    /// made boundary-exact; see the crate docs).
+    /// Whether the rectangle is **split** onto `cell`: the closed rectangle
+    /// intersects the cell's half-open region ("has at least one point in
+    /// common" in the paper's split definition, made boundary-exact; see
+    /// the crate docs). Allocation-free.
+    ///
+    /// This is *the* cell-membership predicate. It is decided by the same
+    /// point-to-index division ([`Grid::col_of_x`], [`Grid::row_of_y`])
+    /// that routes [`Grid::split_cells`] and [`Grid::cell_of`], never by
+    /// comparing against [`Grid::cell_rect`] corners: those are computed
+    /// by multiplication and differ from the division by one ulp on
+    /// non-dyadic grids, so a test against them disagrees with the routing
+    /// for rectangles whose edges sit on a cell boundary.
+    #[must_use]
+    pub fn splits_onto(&self, r: &Rect, cell: CellId) -> bool {
+        let (c0, c1, r0, r1) = self.index_span(r);
+        (c0..=c1).contains(&self.col_of(cell)) && (r0..=r1).contains(&self.row_of(cell))
+    }
+
+    /// [`Grid::splits_onto`] under its older name, which callers outside
+    /// the workspace (`benchmark/`) still use.
     #[must_use]
     pub fn rect_overlaps_cell(&self, r: &Rect, cell: CellId) -> bool {
-        let c = self.cell_rect(cell);
-        let col = self.col_of(cell);
-        let row = self.row_of(cell);
-        // x axis: region [lo, hi), last column closed at xn.
-        let x_ok = r.max_x() >= c.min_x()
-            && (r.min_x() < c.max_x() || (col == self.cols - 1 && r.min_x() <= c.max_x()));
-        // y axis: region open at the top, closed at the bottom boundary; the
-        // top row is closed at yn.
-        let y_ok = r.min_y() <= c.max_y()
-            && (r.max_y() > c.min_y() || (row == self.rows - 1 && r.max_y() >= c.min_y()));
-        x_ok && y_ok
+        self.splits_onto(r, cell)
     }
 
-    /// Whether the rectangle crosses the boundary of `cell`, i.e. overlaps at
-    /// least one other cell. This is the overlap-predicate crossing test of
-    /// condition C2 (§7.4).
+    /// Whether the rectangle crosses the boundary of `cell`, i.e. is split
+    /// onto at least one other cell. This is the overlap-predicate crossing
+    /// test of condition C2 (§7.4).
     #[must_use]
     pub fn rect_crosses_cell(&self, r: &Rect, cell: CellId) -> bool {
-        let c = self.cell_rect(cell);
-        let col = self.col_of(cell);
-        let row = self.row_of(cell);
-        // Crosses right: some part of the closed rect lies in the next
-        // column's region [hi, ...). Crosses down: some part lies below
-        // (y <= min_y of the cell, belonging to the region of the row below).
-        let crosses_right = col + 1 < self.cols && r.max_x() >= c.max_x();
-        let crosses_down = row + 1 < self.rows && r.min_y() <= c.min_y();
-        let crosses_left = r.min_x() < c.min_x();
-        let crosses_up = r.max_y() > c.max_y();
-        crosses_right || crosses_down || crosses_left || crosses_up
+        let (col, row) = (self.col_of(cell), self.row_of(cell));
+        self.index_span(r) != (col, col, row, row)
     }
 
-    /// Minimum distance between a cell (closed extent) and a rectangle —
-    /// `dist(c, r)` of equation (2). Using the closed extent only ever
-    /// over-approximates cell membership, which is the safe direction for
-    /// every use in the paper (replication and C2 checks send *more*, never
-    /// fewer, rectangles).
+    /// Minimum distance between a cell and a rectangle — `dist(c, r)` of
+    /// equation (2): zero for a cell the rectangle is split onto, the
+    /// distance to the cell's closed extent otherwise. Membership decides
+    /// first because [`Grid::cell_rect`] corners can sit one ulp inside the
+    /// cell's region, which would put a rectangle at a positive distance
+    /// from a cell it is routed to.
     #[must_use]
     pub fn cell_distance(&self, cell: CellId, r: &Rect) -> Coord {
-        self.cell_rect(cell).distance(r)
+        if self.splits_onto(r, cell) {
+            0.0
+        } else {
+            self.cell_rect(cell).distance(r)
+        }
     }
 
     /// Whether some cell **other than** `cell` lies within distance `d` of
@@ -251,8 +254,10 @@ impl Grid {
         (0..self.num_cells()).map(CellId)
     }
 
-    /// Inclusive `(col_lo, col_hi, row_lo, row_hi)` index span of the cells a
-    /// rectangle can interact with (clamped to the grid).
+    /// Inclusive `(col_lo, col_hi, row_lo, row_hi)` index span of the cells
+    /// whose regions a rectangle intersects (clamped to the grid). Column
+    /// and row indices are monotone in the coordinate, so the span is exact
+    /// for any rectangle that touches the space at all.
     fn index_span(&self, r: &Rect) -> (u32, u32, u32, u32) {
         let clamp_x = |x: Coord| x.clamp(self.x0, self.xn);
         let clamp_y = |y: Coord| y.clamp(self.y0, self.yn);
@@ -263,17 +268,15 @@ impl Grid {
         (c0, c1, r0, r1)
     }
 
-    /// All cells overlapped by the rectangle (the **split** target set, §4).
+    /// All cells overlapped by the rectangle (the **split** target set, §4):
+    /// exactly the cells [`Grid::splits_onto`] accepts.
     #[must_use]
     pub fn split_cells(&self, r: &Rect) -> Vec<CellId> {
         let (c0, c1, r0, r1) = self.index_span(r);
         let mut out = Vec::with_capacity(((c1 - c0 + 1) * (r1 - r0 + 1)) as usize);
         for row in r0..=r1 {
             for col in c0..=c1 {
-                let cell = self.cell_at(col, row);
-                if self.rect_overlaps_cell(r, cell) {
-                    out.push(cell);
-                }
+                out.push(self.cell_at(col, row));
             }
         }
         out
@@ -428,6 +431,22 @@ mod tests {
     }
 
     #[test]
+    fn membership_follows_the_routing_division_not_the_cell_corners() {
+        // Side 3 over [0, 1000]: the row 0 / row 1 boundary computed by
+        // multiplication (1000 - 1·333.33… = 666.666…7) is one ulp above
+        // where the routing division puts a bottom edge at that value
+        // (row 0). A membership test against `cell_rect` corners would
+        // accept cell 5 (col 2, row 1); the rectangle is routed to cell 2
+        // only.
+        let g = Grid::square((0.0, 1000.0), (0.0, 1000.0), 3);
+        let r = Rect::from_bounds(700.0, 666.666_666_666_666_7, 800.0, 900.0).unwrap();
+        assert_eq!(g.split_cells(&r), vec![CellId(2)]);
+        assert!(g.splits_onto(&r, CellId(2)));
+        assert!(!g.splits_onto(&r, CellId(5)));
+        assert!(!g.rect_overlaps_cell(&r, CellId(5)));
+    }
+
+    #[test]
     fn rect_crosses_cell_detects_all_directions() {
         let g = fig2_grid();
         let c6 = CellId::from_paper_number(6);
@@ -527,6 +546,41 @@ mod tests {
             for c in g.cells() {
                 prop_assert_eq!(split.contains(&c), g.rect_overlaps_cell(&r, c));
             }
+        }
+
+        /// Rectangles whose every edge is snapped to a half-cell multiple,
+        /// on grids whose cell width is not a binary fraction: the case
+        /// where corner arithmetic and index arithmetic part by one ulp.
+        #[test]
+        fn prop_membership_is_one_predicate_on_non_dyadic_grids(
+            side in 0usize..5,
+            a in 0u32..21,
+            b in 0u32..21,
+            c in 0u32..21,
+            d in 0u32..21,
+        ) {
+            let side = [3u32, 5, 6, 7, 10][side];
+            let g = Grid::square((0.0, 1000.0), (0.0, 1000.0), side);
+            let half = 1000.0 / f64::from(side) / 2.0;
+            let snap = |k: u32| (f64::from(k % (2 * side + 1)) * half).min(1000.0);
+            let (x0, x1) = (snap(a).min(snap(b)), snap(a).max(snap(b)));
+            let (y0, y1) = (snap(c).min(snap(d)), snap(c).max(snap(d)));
+            let r = Rect::from_bounds(x0, y0, x1, y1).unwrap();
+            let split = g.split_cells(&r);
+            for cell in g.cells() {
+                prop_assert_eq!(split.contains(&cell), g.splits_onto(&r, cell));
+                prop_assert_eq!(split.contains(&cell), g.rect_overlaps_cell(&r, cell));
+            }
+            // The predicate is the point-to-cell map extended to a
+            // rectangle: the cell of every corner is a member, and the
+            // members are exactly the index rectangle the corners span.
+            let top_left = g.cell_of_point(&Point::new(x0, y1));
+            let bottom_right = g.cell_of_point(&Point::new(x1, y0));
+            prop_assert_eq!(split.first(), Some(&top_left));
+            prop_assert_eq!(split.last(), Some(&bottom_right));
+            let cols = g.col_of(bottom_right) - g.col_of(top_left) + 1;
+            let rows = g.row_of(bottom_right) - g.row_of(top_left) + 1;
+            prop_assert_eq!(split.len() as u32, cols * rows);
         }
 
         #[test]

@@ -236,6 +236,52 @@ fn count_only_tuple_counts_survive_retries_and_speculation() {
     }
 }
 
+/// C-Rep round 1 emits the cell-local tuples itself, so in count-only
+/// mode its reducers commit count records next to the marked rectangles.
+/// Both kinds of record must ride the task-commit protocol: under retries
+/// and speculation in *both* rounds every job commits what the clean run
+/// commits, and the two rounds still add up to the reference.
+#[test]
+fn count_only_crep_l_round1_counts_commit_once_under_faults() {
+    let q = chain_query();
+    let r1 = synthetic(4_000, 181);
+    let r2 = synthetic(4_000, 182);
+    let r3 = synthetic(4_000, 183);
+    let expected = reference::in_memory_join(&q, &[&r1, &r2, &r3]).len() as u64;
+
+    let mut plan = FaultPlan::chaos(31, 0.25, 0.1).with_max_attempts(8);
+    plan.straggler_delay = std::time::Duration::from_millis(1);
+    let counting = |cl: &Cluster| {
+        cl.submit(
+            &JoinRun::new(&q, &[&r1, &r2, &r3])
+                .algorithm(Algorithm::ControlledReplicateLimit)
+                .counting(),
+        )
+        .expect("an eight-attempt budget survives the plan")
+    };
+    let clean = counting(&cluster_with(None));
+    let faulty = counting(&cluster_with(Some(plan)));
+
+    assert_eq!(clean.tuple_count, expected);
+    assert_eq!(faulty.tuple_count, expected);
+    assert_eq!(
+        clean.stats.rectangles_replicated,
+        faulty.stats.rectangles_replicated
+    );
+    // Round 1 commits the marked rectangles *and* count records.
+    assert!(clean.report.jobs[0].reduce_output_records > clean.stats.rectangles_replicated);
+    for (c, f) in clean.report.jobs.iter().zip(&faulty.report.jobs) {
+        assert_eq!(c.map_output_records, f.map_output_records, "{}", c.job_name);
+        assert_eq!(
+            c.reduce_output_records, f.reduce_output_records,
+            "{}",
+            c.job_name
+        );
+        assert!(f.retries > 0, "{}: fault plan injected nothing", f.job_name);
+    }
+    assert_eq!(clean.report.dfs_write_bytes, faulty.report.dfs_write_bytes);
+}
+
 /// Cancellation composes with fault injection: cancelling one run mid-way
 /// on a shared cluster under an active chaos plan must (a) surface a
 /// `Cancelled` error that is never retried, (b) stop scheduling work — no

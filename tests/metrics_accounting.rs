@@ -61,17 +61,21 @@ fn cascade_pays_dfs_traffic_others_pay_little() {
         "single-round: no DFS round trip"
     );
 
-    // C-Rep materializes only the flagged rectangle stream (38 + 1 bytes
-    // per rectangle), independent of the result size.
+    // C-Rep materializes only the marked rectangles (38 bytes each),
+    // independent of the input and the result size.
     let crep = cl.run(&q, &[&r1, &r2, &r3], Algorithm::ControlledReplicate);
-    assert_eq!(crep.report.dfs_write_bytes, 39 * 6_000);
+    assert_eq!(
+        crep.report.dfs_write_bytes,
+        38 * crep.stats.rectangles_replicated
+    );
 }
 
 #[test]
 fn intermediate_pair_accounting_is_exact() {
     // Round-1 of C-Rep splits everything: the job's map-output count must
-    // equal the sum of split-cell counts; round 2 must equal projections
-    // plus replication targets, which the stats expose.
+    // equal the sum of split-cell counts; round 2 maps the marked
+    // rectangles only, so its count is the replication targets the stats
+    // expose.
     let (r1, r2, r3) = workload();
     let q = Query::parse("R1 ov R2 and R2 ov R3").unwrap();
     let cl = cluster();
@@ -84,10 +88,9 @@ fn intermediate_pair_accounting_is_exact() {
         .sum();
     assert_eq!(out.report.jobs[0].map_output_records, expected_split);
 
-    let unmarked = 6_000 - out.stats.rectangles_replicated;
     assert_eq!(
         out.report.jobs[1].map_output_records,
-        out.stats.rectangles_after_replication + unmarked
+        out.stats.rectangles_after_replication
     );
 }
 
