@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use mwsj_bench::BenchLog;
 use mwsj_datagen::SyntheticConfig;
-use mwsj_local::{multiway, planesweep, JoinKernel, LocalRect};
+use mwsj_local::{multiway, JoinKernel, LocalRect};
 use mwsj_query::Query;
 
 const REPS: usize = 3;
@@ -170,25 +170,6 @@ fn main() {
     });
     assert_eq!(naive.tuples, kernel.tuples, "reducer_groups");
     report(&mut log, "reducer_groups_64x100_3chain", &naive, &kernel);
-
-    // Context line: the specialized 2-way plane sweep on the same input
-    // (not an old-vs-new pair; logged for cross-PR comparability).
-    let a = relation(3_000, 1);
-    let b = relation(3_000, 2);
-    let sweep = best_of(|| planesweep::sweep_join_pairs(&a, &b, 0.0).len());
-    println!(
-        "{:<17} | {:>8} | {:>9.3} | {:>7} | {}",
-        "planesweep_2way",
-        "-",
-        ms(sweep.best),
-        "-",
-        sweep.tuples
-    );
-    log.push_record(format!(
-        "{{\"workload\":\"planesweep_2way_3k\",\"impl\":\"planesweep\",\"best_ms\":{:.3},\"tuples\":{}}}",
-        ms(sweep.best),
-        sweep.tuples
-    ));
 
     log.write().expect("write BENCH_local.json");
 }

@@ -25,10 +25,11 @@ fn bench_rtree(c: &mut Criterion) {
         b.iter(|| RTree::bulk_load(black_box(data.clone())));
     });
     group.bench_function("window_query_200", |b| {
+        let mut stack = Vec::new();
         b.iter(|| {
             let mut hits = 0usize;
             for p in &probes {
-                tree.query_overlaps(black_box(p), |_, _| hits += 1);
+                tree.query_within_scratch(black_box(p), 0.0, &mut stack, |_, _| hits += 1);
             }
             black_box(hits)
         });

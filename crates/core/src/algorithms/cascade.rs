@@ -351,25 +351,27 @@ fn run_pair_job(
                     return;
                 }
                 let tree = RTree::bulk_load(base);
+                let tree = tree.view();
                 let mut found = 0u64;
                 for p in &tuples {
                     let anchor = p.rect(anchor_pos.index());
-                    tree.query_within(&anchor, d, |rect, &id| {
+                    tree.query_within(&anchor, d, |rect, id| {
                         // The distance probe equals the predicate for Overlap
                         // and Range; asymmetric predicates (Contains) need the
                         // exact oriented check on top.
-                        if !predicate.eval_oriented(&anchor, rect, anchor_is_right) {
+                        if !predicate.eval_oriented(&anchor, &rect, anchor_is_right) {
                             return;
                         }
                         // Designated cell (§5.3): the start of the overlap
                         // between the enlarged anchor and the partner.
-                        let designated = mwsj_local::dedup::range_pair_cell(grid, &anchor, rect, d)
-                            .expect("within distance implies enlarged overlap");
+                        let designated =
+                            mwsj_local::dedup::range_pair_cell(grid, &anchor, &rect, d)
+                                .expect("within distance implies enlarged overlap");
                         if designated == CellId(cell) {
                             if counting {
                                 found += 1;
                             } else {
-                                out(StageOut::Tuple(p.bind(new_pos.index(), id, *rect)));
+                                out(StageOut::Tuple(p.bind(new_pos.index(), id, rect)));
                             }
                         }
                     });

@@ -7,9 +7,10 @@
 //!    (`mwsj_local::marking`) and emits the marked rectangles **starting**
 //!    in `c`. Each rectangle starts in exactly one cell (and is always
 //!    split onto it), so a marked rectangle is emitted exactly once. The
-//!    reducer then runs the local multi-way join over the same group and
-//!    emits every tuple whose §6.2 designated cell is `c`. Only the marked
-//!    stream is materialized on the DFS, as Hadoop would between jobs.
+//!    reducer then runs the local multi-way join over the same group —
+//!    through the index marking already probed — and emits every tuple
+//!    whose §6.2 designated cell is `c`. Only the marked stream is
+//!    materialized on the DFS, as Hadoop would between jobs.
 //! 2. **Join across cells.** The marked rectangles are replicated — with
 //!    `f1` (C-Rep) or with `f2` under per-relation distance bounds
 //!    (C-Rep-L). Each reducer computes the local multi-way join and emits
@@ -58,10 +59,24 @@
 //! therefore replicate to `√2 × replication_bounds(...)` — the paper does
 //! not spell this factor out, but without it boundary configurations lose
 //! tuples (our property tests find them).
+//!
+//! That is a statement about real numbers, and the routing compares
+//! computed ones. With a range distance of exactly one cell width on a
+//! grid whose cell width is not a binary fraction, a designated cell sits
+//! *at* the bound; a bound one ulp low put `bound × √2` under the cell's
+//! computed distance and the tuple was lost
+//! (`tests/crep_l_bound_counterexample.rs`). `replication_bounds` now
+//! yields a one-hop bound exactly, and [`limited_reach`] widens the
+//! distance by a few ulps of itself and of the largest grid coordinate
+//! (cell corners are computed as `x0 + col × width`). What the bound
+//! guarantees is one-sided: every cell within the real-number bound is
+//! reached. A cell a rounding error beyond it may be reached too, which
+//! costs one shuffled record and no correctness — round 2's
+//! designated-cell filter decides what is emitted.
 
 use mwsj_geom::Rect;
-use mwsj_local::{marking, JoinKernel};
-use mwsj_partition::CellId;
+use mwsj_local::{marking, GroupIndex, JoinKernel};
+use mwsj_partition::{CellId, Grid};
 use mwsj_query::{replication_bounds, Query, RelationId};
 
 use super::{
@@ -70,6 +85,25 @@ use super::{
 };
 use crate::record::group_by_relation;
 use crate::{JoinError, JoinOutput, TaggedRect};
+
+/// The C-Rep-L replication distance per relation position: the join-graph
+/// bound for rectangles of diagonal at most `d_max`, times the `√2` of the
+/// designated cell, widened so that rounding cannot reject a cell at
+/// exactly that distance (module docs). The one definition both the
+/// routing and the optimizer's pricing of it use.
+pub(crate) fn limited_reach(query: &Query, d_max: f64, grid: &Grid) -> Vec<f64> {
+    const ULPS: f64 = 8.0 * f64::EPSILON;
+    let (x0, xn) = grid.x_range();
+    let (y0, yn) = grid.y_range();
+    let largest_coordinate = [x0, xn, y0, yn]
+        .into_iter()
+        .map(f64::abs)
+        .fold(0.0, f64::max);
+    replication_bounds(query, d_max)
+        .into_iter()
+        .map(|b| b * std::f64::consts::SQRT_2 * (1.0 + ULPS) + largest_coordinate * ULPS)
+        .collect()
+}
 
 /// What a round-1 reducer commits.
 enum Round1 {
@@ -102,7 +136,9 @@ pub(crate) fn run(
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&cell: &u32, values: &[TaggedRect], out| {
                 let rels = group_by_relation(n, values.iter().copied());
-                let flags = marking::mark_for_replication(query, grid, CellId(cell), &rels);
+                // One index serves both the marking and the join below.
+                let group = GroupIndex::new(&rels);
+                let flags = marking::mark_indexed(query, grid, CellId(cell), &group);
                 for (pos, (rel_rects, rel_flags)) in rels.iter().zip(&flags).enumerate() {
                     for (&(rect, id), &marked) in rel_rects.iter().zip(rel_flags) {
                         if marked && grid.cell_of(&rect) == CellId(cell) {
@@ -122,7 +158,7 @@ pub(crate) fn run(
                     &kernel,
                     TupleFilter::Designated,
                     cell,
-                    &rels,
+                    &group,
                     &mut |record| out(Round1::Joined(record)),
                 );
             }),
@@ -142,15 +178,8 @@ pub(crate) fn run(
     // retries surface as a `JoinError::Dfs`.
     let marked = engine.dfs.materialize("c-rep/marked", marked)?;
 
-    // C-Rep-L per-relation replication bounds (with the √2 designated-cell
-    // factor; see the module docs).
-    let bounds: Option<Vec<f64>> = limit.then(|| {
-        let d_max = max_diagonal(relations);
-        replication_bounds(query, d_max)
-            .into_iter()
-            .map(|b| b * std::f64::consts::SQRT_2)
-            .collect()
-    });
+    let bounds: Option<Vec<f64>> =
+        limit.then(|| limited_reach(query, max_diagonal(relations), grid));
 
     // ---- Round 2: replicate the marked, join across cells ------------
     let (name, algorithm) = if limit {
@@ -173,4 +202,27 @@ pub(crate) fn run(
             emit(cell.0, *tr);
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn limited_reach_covers_the_cell_at_exactly_the_bound() {
+        // tests/crep_l_bound_counterexample.rs at the routing level: `b`
+        // is one cell width from cell 8 on each axis, the range is one
+        // cell width, so cell 8 sits at √2 × the middle relation's bound.
+        let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 3);
+        let cell = 1000.0 / 3.0;
+        let query = Query::parse(&format!("A ra({cell}) B and B ra({cell}) C")).unwrap();
+        let reach = limited_reach(&query, 1000.0 * std::f64::consts::SQRT_2, &grid);
+        let b = Rect::from_bounds(cell / 2.0, 2.0 * cell, cell, 1000.0).unwrap();
+        assert!(grid
+            .fourth_quadrant_cells_within(&b, reach[1])
+            .contains(&CellId(8)));
+        // The widening is slack for rounding, not more reach.
+        let exact = cell * std::f64::consts::SQRT_2;
+        assert!(reach[1] > exact && reach[1] < exact * (1.0 + 1e-12));
+    }
 }

@@ -28,10 +28,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use mwsj_geom::Rect;
 use mwsj_local::dedup::multiway_tuple_cell_of;
 use mwsj_local::{JoinKernel, LocalRect};
 use mwsj_mapreduce::{JobError, JobErrorKind, Phase};
 use mwsj_query::Query;
+use mwsj_rtree::PackedRTree;
 use mwsj_store::StoredDataset;
 
 use super::{tuple_ids, AlgoCtx};
@@ -66,7 +68,7 @@ pub(crate) fn execute(
         .expect("queries bind at least one relation");
 
     // Validate every cell tree once up front; probes borrow these views.
-    let forests: Vec<Vec<mwsj_rtree::PackedRTree<'_>>> = stores
+    let forests: Vec<Vec<PackedRTree<'_>>> = stores
         .iter()
         .map(|s| grid.cells().map(|c| s.cell_tree(c)).collect())
         .collect();
@@ -88,22 +90,12 @@ pub(crate) fn execute(
     let (y0, yn) = grid.y_range();
     let (cols, rows) = (grid.cols(), grid.rows());
 
-    // Flat per-relation root MBRs (corner coordinates), `None` for empty
-    // cells: probing checks these inline with the exact arithmetic of the
-    // tree's own root prune, so most trees in the candidate cell span are
-    // rejected without a traversal call at all.
-    type RootMbrs = Vec<Vec<Option<(f64, f64, f64, f64)>>>;
-    let mbrs: RootMbrs = forests
+    // Per-relation root MBRs, `None` for empty cells: probing checks
+    // these first, so most trees in the candidate cell span are rejected
+    // without a traversal call at all.
+    let mbrs: Vec<Vec<Option<Rect>>> = forests
         .iter()
-        .map(|trees| {
-            trees
-                .iter()
-                .map(|t| {
-                    t.root_mbr()
-                        .map(|m| (m.min_x(), m.min_y(), m.max_x(), m.max_y()))
-                })
-                .collect()
-        })
+        .map(|trees| trees.iter().map(PackedRTree::root_mbr).collect())
         .collect();
 
     let kernel = JoinKernel::new(query);
@@ -154,7 +146,7 @@ pub(crate) fn execute(
                                 // (bodies extend right/down from the home
                                 // point). Widened by one cell to absorb
                                 // floating-point rounding; each tree's root
-                                // MBR check exactly re-filters.
+                                // MBR exactly re-filters.
                                 let (max_l, max_b) = reach[w];
                                 let c0 = grid
                                     .col_of_x((rect.min_x() - d - max_l).clamp(x0, xn))
@@ -166,26 +158,11 @@ pub(crate) fn execute(
                                     .saturating_sub(1);
                                 let r1 = (grid.row_of_y((rect.min_y() - d).clamp(y0, yn)) + 1)
                                     .min(rows - 1);
-                                let (p_min_x, p_min_y, p_max_x, p_max_y) =
-                                    (rect.min_x(), rect.min_y(), rect.max_x(), rect.max_y());
                                 for row in r0..=r1 {
                                     for col in c0..=c1 {
                                         let idx = (row * cols + col) as usize;
-                                        let Some((mn_x, mn_y, mx_x, mx_y)) = mbrs[w][idx] else {
-                                            continue;
-                                        };
-                                        // The tree's own root prune, inlined.
-                                        let hit = if d == 0.0 {
-                                            mn_x <= p_max_x
-                                                && p_min_x <= mx_x
-                                                && mn_y <= p_max_y
-                                                && p_min_y <= mx_y
-                                        } else {
-                                            let dx = (p_min_x - mx_x).max(mn_x - p_max_x).max(0.0);
-                                            let dy = (p_min_y - mx_y).max(mn_y - p_max_y).max(0.0);
-                                            dx * dx + dy * dy <= d * d
-                                        };
-                                        if !hit {
+                                        if !mbrs[w][idx].is_some_and(|m| m.within_distance(rect, d))
+                                        {
                                             continue;
                                         }
                                         forests[w][idx].query_within_scratch(

@@ -13,7 +13,7 @@ pub(crate) mod hypercube;
 pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
-use mwsj_local::JoinKernel;
+use mwsj_local::{GroupIndex, JoinKernel};
 use mwsj_mapreduce::{CancelToken, Engine, JobSpec, MetricsHub, MetricsReport, TraceSink, Unset};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Query, RelationId};
@@ -239,8 +239,8 @@ pub(crate) enum TupleFilter {
 }
 
 /// The reducer body every join job shares: runs the compiled local join
-/// over one reducer group and emits what passes `filter` — the tuple's
-/// ids, or in count-only mode one [`count_record`] for the group.
+/// over one (indexed) reducer group and emits what passes `filter` — the
+/// tuple's ids, or in count-only mode one [`count_record`] for the group.
 ///
 /// Faithful to the paper's reducers: enumerate the local join of
 /// everything received, then filter. The test runs once per *candidate*
@@ -252,13 +252,13 @@ pub(crate) fn join_group(
     kernel: &JoinKernel,
     filter: TupleFilter,
     key: u32,
-    rels: &[Vec<mwsj_local::LocalRect>],
+    group: &GroupIndex<'_>,
     out: &mut dyn FnMut(Vec<u32>),
 ) {
     let grid = ctx.grid;
     let cell = CellId(key);
     let mut found = 0u64;
-    kernel.execute(rels, |tuple| {
+    kernel.execute_on(group, |tuple| {
         let designated = || {
             mwsj_local::dedup::multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r)) == cell
         };
@@ -322,7 +322,7 @@ pub(crate) fn replicate_join<I: Sync>(
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&key: &u32, values: &[TaggedRect], out| {
                 let rels = group_by_relation(n, values.iter().copied());
-                join_group(ctx, &kernel, job.filter, key, &rels, out);
+                join_group(ctx, &kernel, job.filter, key, &GroupIndex::new(&rels), out);
             }),
         input,
     )?;

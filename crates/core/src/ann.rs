@@ -27,7 +27,7 @@
 
 use mwsj_geom::{Coord, Rect};
 use mwsj_mapreduce::JobSpec;
-use mwsj_rtree::RTree;
+use mwsj_rtree::{PackedRTree, RTree};
 
 use crate::{Cluster, JoinError};
 
@@ -118,6 +118,7 @@ pub fn try_ann_join(
             .reduce(|_: &u32, values: &[Record], out| {
                 let (outers, inners) = partition_records(values);
                 let tree = RTree::bulk_load(inners);
+                let tree = tree.view();
                 for (id, r) in outers {
                     let ub = tree.nearest(&r).map_or(diag, |(_, _, d)| d);
                     out((id, ub));
@@ -160,8 +161,9 @@ pub fn try_ann_join(
                     return;
                 }
                 let tree = RTree::bulk_load(inners);
+                let tree = tree.view();
                 for (id, r) in outers {
-                    if let Some((nn_rect, &nn_id, d)) = tree.nearest(&r) {
+                    if let Some((nn_rect, nn_id, d)) = tree.nearest(&r) {
                         // Re-scan the ≤ d ball tracking (distance², id) so
                         // distance ties resolve toward the smallest inner id —
                         // the tree's own tie-break follows storage order, which
@@ -169,7 +171,7 @@ pub fn try_ann_join(
                         // Seed with the nearest entry itself: `d` is a rounded
                         // sqrt, so the ball query may exclude it.
                         let mut best: (Coord, u32) = (nn_rect.distance_sq(&r), nn_id);
-                        tree.query_within(&r, d, |rect, &nn| {
+                        tree.query_within(&r, d, |rect, nn| {
                             let ds = rect.distance_sq(&r);
                             if ds < best.0 || (ds == best.0 && nn < best.1) {
                                 best = (ds, nn);
@@ -332,6 +334,7 @@ pub fn try_knn_join(
             .reduce(|_: &u32, values: &[Record], out| {
                 let (outers, inners) = partition_records(values);
                 let tree = RTree::bulk_load(inners);
+                let tree = tree.view();
                 for (id, r) in outers {
                     let knn = tree.k_nearest(&r, k);
                     // A valid bound needs k local neighbors; otherwise the
@@ -377,8 +380,9 @@ pub fn try_knn_join(
                     return;
                 }
                 let tree = RTree::bulk_load(inners);
+                let tree = tree.view();
                 for (id, r) in outers {
-                    for nn in local_k_best(&tree, &r, k) {
+                    for nn in local_k_best(tree, &r, k) {
                         out(NearestNeighbor {
                             outer: id,
                             inner: nn.1,
@@ -423,16 +427,16 @@ pub fn try_knn_join(
 /// The local top-k by `(distance², inner id)`: exact even under the
 /// sqrt-rounding of the k-th distance, by unioning the tree's k-nearest
 /// with the ≤ d_k ball.
-fn local_k_best(tree: &RTree<u32>, r: &Rect, k: usize) -> Vec<(Coord, u32)> {
+fn local_k_best(tree: PackedRTree<'_>, r: &Rect, k: usize) -> Vec<(Coord, u32)> {
     let knn = tree.k_nearest(r, k);
     let Some(&(_, _, d_k)) = knn.last() else {
         return Vec::new();
     };
     let mut cands: Vec<(Coord, u32)> = knn
         .iter()
-        .map(|&(rect, &id, _)| (rect.distance_sq(r), id))
+        .map(|&(rect, id, _)| (rect.distance_sq(r), id))
         .collect();
-    tree.query_within(r, d_k, |rect, &id| {
+    tree.query_within(r, d_k, |rect, id| {
         cands.push((rect.distance_sq(r), id));
     });
     cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -47,11 +47,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use mwsj_geom::Rect;
 use mwsj_partition::Grid;
-use mwsj_query::{replication_bounds, Query, Triple};
+use mwsj_query::{Query, Triple};
 use mwsj_store::{dataset_fingerprint, StoredDataset};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
+use crate::algorithms::controlled_replicate::limited_reach;
 use crate::algorithms::hypercube::derive_shares;
 use crate::algorithms::{max_diagonal, Algorithm};
 use crate::planner::{estimate_selectivity, sample_relations};
@@ -455,10 +456,7 @@ fn plan_from_stats(
     stored: bool,
 ) -> Plan {
     let d = query.max_range_distance();
-    let bounds: Vec<f64> = replication_bounds(query, max_diag)
-        .into_iter()
-        .map(|b| b * std::f64::consts::SQRT_2)
-        .collect();
+    let bounds = limited_reach(query, max_diag, grid);
     let stats = relation_stats(sizes, samples, grid, &bounds, d);
 
     // All-Replicate: one round, every rectangle shuffled q4-fold.

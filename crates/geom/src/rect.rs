@@ -189,10 +189,7 @@ impl Rect {
     /// rectangles share at least one point.
     #[must_use]
     pub fn overlaps(&self, other: &Rect) -> bool {
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
+        self.bounds_within(other.bounds(), 0.0)
     }
 
     /// The rectangular intersection of two rectangles, or `None` if they do
@@ -238,7 +235,39 @@ impl Rect {
     /// `self` is within distance `d` of some point of `other`.
     #[must_use]
     pub fn within_distance(&self, other: &Rect, d: Coord) -> bool {
-        self.distance_sq(other) <= d * d
+        self.bounds_within(other.bounds(), d * d)
+    }
+
+    /// The closed within-distance test on raw bounds: whether the rectangle
+    /// `[min_x, min_y, max_x, max_y]` lies within distance `√d_sq` of
+    /// `self`. Every index in the workspace stores rectangles as four
+    /// coordinates (R-tree words, the reducer kernel's coordinate arrays)
+    /// and accepts a candidate through this one function, so an index
+    /// probe and the predicate it stands for cannot disagree.
+    ///
+    /// `d_sq == 0` is the overlap test and is decided by comparisons alone:
+    /// the square of a subnormal gap underflows to zero, which would accept
+    /// two rectangles that do not touch.
+    #[inline]
+    #[must_use]
+    pub fn bounds_within(&self, [min_x, min_y, max_x, max_y]: [Coord; 4], d_sq: Coord) -> bool {
+        if d_sq == 0.0 {
+            return min_x <= self.max_x
+                && self.min_x <= max_x
+                && min_y <= self.max_y
+                && self.min_y <= max_y;
+        }
+        let dx = axis_gap(self.min_x, self.max_x, min_x, max_x);
+        let dy = axis_gap(self.min_y, self.max_y, min_y, max_y);
+        dx * dx + dy * dy <= d_sq
+    }
+
+    /// The corner coordinates as `[min_x, min_y, max_x, max_y]` — the
+    /// order every serialized form uses and [`Rect::bounds_within`] takes.
+    #[inline]
+    #[must_use]
+    pub fn bounds(&self) -> [Coord; 4] {
+        [self.min_x, self.min_y, self.max_x, self.max_y]
     }
 
     /// Enlarges the rectangle by `d` units on every side (§5.3): the top-left
@@ -389,6 +418,19 @@ mod tests {
     }
 
     #[test]
+    fn overlap_is_exact_where_a_squared_gap_underflows() {
+        // A gap of 1e-200 squares to zero: only comparisons keep the
+        // d = 0 test from reporting two disjoint rectangles as touching.
+        let a = Rect::from_bounds(-1.0, 0.0, 0.0, 1.0).unwrap();
+        let b = Rect::from_bounds(1e-200, 0.0, 1.0, 1.0).unwrap();
+        assert_eq!(a.distance_sq(&b), 0.0, "the underflow this test is about");
+        assert!(!a.overlaps(&b));
+        assert!(!a.within_distance(&b, 0.0));
+        assert!(!a.bounds_within(b.bounds(), 0.0));
+        assert!(a.within_distance(&b, 1e-100));
+    }
+
+    #[test]
     fn distance_to_point_inside_and_outside() {
         let a = r(0.0, 10.0, 5.0, 5.0);
         assert_eq!(a.distance_to_point(&Point::new(2.0, 7.0)), 0.0);
@@ -464,6 +506,16 @@ mod tests {
         #[test]
         fn prop_overlap_iff_distance_zero(a in arb_rect(), b in arb_rect()) {
             prop_assert_eq!(a.overlaps(&b), a.distance_sq(&b) == 0.0);
+        }
+
+        #[test]
+        fn prop_bounds_within_is_the_distance_test(a in arb_rect(), b in arb_rect(), d in 0.0..300.0f64) {
+            // On raw bounds or on rectangles, from either side, one answer:
+            // the squared distance against d².
+            let want = a.distance_sq(&b) <= d * d;
+            prop_assert_eq!(a.bounds_within(b.bounds(), d * d), want);
+            prop_assert_eq!(b.bounds_within(a.bounds(), d * d), want);
+            prop_assert_eq!(a.within_distance(&b, d), want);
         }
 
         #[test]

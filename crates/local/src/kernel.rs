@@ -1,8 +1,8 @@
 //! The precompiled, allocation-free multi-way join kernel.
 //!
-//! [`JoinKernel`] is the execution engine behind
-//! [`crate::multiway::multiway_join`]: the same window-reduction
-//! backtracking search, restructured for the reduce-phase hot loop.
+//! [`JoinKernel`] is the reducer-local join: a window-reduction
+//! backtracking search in the spirit of Mamoulis & Papadias' multiway
+//! spatial joins, structured for the reduce-phase hot loop.
 //!
 //! * **Precompiled plans.** The query's probe and verify edges are
 //!   resolved once per start vertex by [`mwsj_query::JoinPlan`] (the bound
@@ -15,24 +15,18 @@
 //!   `[base, len)` of the buffer that is truncated on backtrack. No
 //!   per-probe `Vec` — a probe appends to the arena and the frame records
 //!   where its candidates start.
-//! * **SoA rectangles + linear scan for small relations.** Relations
-//!   below [`LINEAR_SCAN_THRESHOLD`] are not indexed at all: their corner
-//!   coordinates are copied into four flat arrays and probed by a branch-
-//!   light linear scan (exactly `distance_sq(candidate, probe) <= d²`,
-//!   the R-tree's acceptance test). Larger relations still get an STR
-//!   bulk-loaded R-tree whose visitor pushes straight into the arena.
-//! * **Thread-local scratch.** All of the above lives in one scratch
+//! * **Candidates come from a probe function.** The search itself is
+//!   [`JoinKernel::execute_seeded`]: depth-0 seeds plus a function that
+//!   appends a relation's rectangles within `d` of a probe rectangle.
+//!   Reducers pass a [`GroupIndex`] ([`JoinKernel::execute_on`]); the
+//!   map-side join passes a forest of stored per-cell trees.
+//! * **Thread-local scratch.** Arena, frames and memo live in one scratch
 //!   struct per worker thread, reused across reducer groups: after the
-//!   first group on a thread, executing a group allocates only for R-tree
-//!   construction of above-threshold relations (and whatever `emit`
-//!   itself does).
+//!   first group on a thread, the search itself allocates nothing (the
+//!   group's index and whatever `emit` does still allocate).
 //!
-//! The kernel emits exactly the tuples of the recursive matcher; only the
-//! order of candidates *within one probe* can differ when a relation is
-//! scanned linearly instead of through a tree (a permutation, invisible
-//! after the algorithms' normalization). `multiway_join_naive` in
-//! [`crate::multiway`] keeps the original recursive implementation as the
-//! comparison oracle.
+//! `multiway_join_naive` in [`crate::multiway`] is the independent
+//! recursive matcher the tests compare the kernel's tuple set against.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -40,78 +34,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use mwsj_geom::{Coord, Rect};
 use mwsj_query::{JoinPlan, PlanStep, Query};
-use mwsj_rtree::RTree;
 
+use crate::index::GroupIndex;
 use crate::LocalRect;
-
-/// Relations smaller than this are probed by a linear scan over the SoA
-/// arrays instead of an R-tree. At `NODE_CAPACITY = 16` a tree this size
-/// is 1-2 leaves plus a root: walking it costs more than scanning four
-/// flat `f64` arrays (see the `micro_local_join` bench).
-pub const LINEAR_SCAN_THRESHOLD: usize = 48;
-
-/// One relation's rectangles in structure-of-arrays layout: the probe
-/// scan reads each coordinate array sequentially.
-#[derive(Default)]
-struct Soa {
-    min_x: Vec<Coord>,
-    max_x: Vec<Coord>,
-    min_y: Vec<Coord>,
-    max_y: Vec<Coord>,
-}
-
-impl Soa {
-    fn fill(&mut self, rel: &[LocalRect]) {
-        self.min_x.clear();
-        self.max_x.clear();
-        self.min_y.clear();
-        self.max_y.clear();
-        for (r, _) in rel {
-            self.min_x.push(r.min_x());
-            self.max_x.push(r.max_x());
-            self.min_y.push(r.min_y());
-            self.max_y.push(r.max_y());
-        }
-    }
-
-    /// Appends every rectangle of `rel` within distance `d` (closed) of
-    /// the probe — the R-tree's `query_within` acceptance test, run as a
-    /// scan over the coordinate arrays (`rel` is only read at accepted
-    /// positions, in order, to copy the `(rect, id)` into the arena).
-    // The scan walks four coordinate arrays plus `rel` in lockstep; an
-    // index loop states that more directly than a five-way zip.
-    #[allow(clippy::needless_range_loop)]
-    fn probe_into(&self, rel: &[LocalRect], probe: &Rect, d: Coord, out: &mut Vec<LocalRect>) {
-        let (p_lo_x, p_hi_x) = (probe.min_x(), probe.max_x());
-        let (p_lo_y, p_hi_y) = (probe.min_y(), probe.max_y());
-        if d == 0.0 {
-            // Overlap fast path: distance_sq <= 0 iff both axis gaps are 0
-            // iff the closed rectangles overlap — pure comparisons.
-            for i in 0..self.min_x.len() {
-                if self.min_x[i] <= p_hi_x
-                    && p_lo_x <= self.max_x[i]
-                    && self.min_y[i] <= p_hi_y
-                    && p_lo_y <= self.max_y[i]
-                {
-                    out.push(rel[i]);
-                }
-            }
-        } else {
-            let d_sq = d * d;
-            for i in 0..self.min_x.len() {
-                let dx = (self.min_x[i] - p_hi_x)
-                    .max(p_lo_x - self.max_x[i])
-                    .max(0.0);
-                let dy = (self.min_y[i] - p_hi_y)
-                    .max(p_lo_y - self.max_y[i])
-                    .max(0.0);
-                if dx * dx + dy * dy <= d_sq {
-                    out.push(rel[i]);
-                }
-            }
-        }
-    }
-}
 
 /// Multiply-rotate hasher for the fixed-width rectangle keys of the probe
 /// memo. The keys are 32 bytes of trusted coordinate bits — SipHash's
@@ -141,12 +66,7 @@ impl Hasher for RectKeyHasher {
 type RectKeyMap = HashMap<[u64; 4], (u32, u32), BuildHasherDefault<RectKeyHasher>>;
 
 fn rect_key(r: &Rect) -> [u64; 4] {
-    [
-        r.min_x().to_bits(),
-        r.max_x().to_bits(),
-        r.min_y().to_bits(),
-        r.max_y().to_bits(),
-    ]
+    r.bounds().map(f64::to_bits)
 }
 
 /// One depth of the iterative search: its candidates occupy
@@ -161,16 +81,12 @@ struct Frame {
 /// Reusable per-thread working memory.
 #[derive(Default)]
 struct Scratch {
-    soa: Vec<Soa>,
-    trees: Vec<Option<RTree<u32>>>,
     /// Flat candidate arena shared by all depths. Probes copy the full
     /// `(rect, id)` in, so consuming a candidate is one sequential arena
     /// read — no random access back into the relation vectors.
     arena: Vec<LocalRect>,
     frames: Vec<Frame>,
     tuple: Vec<LocalRect>,
-    /// R-tree traversal stack, reused across probes.
-    tree_stack: Vec<u32>,
     /// Per-depth probe memo: probe-rect bits -> range in `memo_arena`. A
     /// probe's result depends only on the probe rectangle (the target
     /// index and distance are fixed per depth), so when the probing
@@ -213,9 +129,15 @@ impl JoinKernel {
 
     /// Finds every consistent full tuple over the local relations and
     /// calls `emit` with one `(rect, id)` per relation position, in
-    /// position order. Same contract as
-    /// [`crate::multiway::multiway_join`].
-    pub fn execute(&self, relations: &[Vec<LocalRect>], mut emit: impl FnMut(&[LocalRect])) {
+    /// position order: indexes the group, then [`JoinKernel::execute_on`].
+    pub fn execute(&self, relations: &[Vec<LocalRect>], emit: impl FnMut(&[LocalRect])) {
+        self.execute_on(&GroupIndex::new(relations), emit);
+    }
+
+    /// [`JoinKernel::execute`] over a group the caller indexed — and may
+    /// have probed already, as C-Rep's round-1 reducer does to mark.
+    pub fn execute_on(&self, group: &GroupIndex<'_>, emit: impl FnMut(&[LocalRect])) {
+        let relations = group.relations();
         assert_eq!(
             relations.len(),
             self.n,
@@ -224,37 +146,34 @@ impl JoinKernel {
         if relations.iter().any(Vec::is_empty) {
             return;
         }
-        // Seed from the smallest relation (first minimal, like the
-        // original `min_by_key`).
+        // Seed from the smallest relation (the first of several): it is
+        // the one relation the search never probes, so never indexes.
         let start = (0..self.n)
             .min_by_key(|&i| relations[i].len())
             .expect("non-empty query");
-        // Borrow the thread's scratch for the duration of the group; a
-        // reentrant call from `emit` falls back to a fresh one.
-        let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        self.run(
-            self.plans[start].steps(),
-            relations,
-            &mut scratch,
-            &mut emit,
+        let mut stack = Vec::new();
+        self.execute_seeded(
+            start,
+            &relations[start],
+            |w, rect, d, out| group.probe(w, rect, d, &mut stack, |_, &entry| out.push(entry)),
+            emit,
         );
-        SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
 
-    /// Runs the search seeded by caller-supplied depth-0 candidates,
-    /// probing through a caller-supplied index — the entry point for
-    /// map-side joins over *stored* per-cell trees, where the candidate
-    /// index is a forest of serialized R-trees rather than the in-memory
-    /// relation vectors.
+    /// Runs the search from caller-supplied depth-0 candidates, probing
+    /// through a caller-supplied index: a [`GroupIndex`] for a reducer
+    /// group, a forest of serialized R-trees for map-side joins over
+    /// *stored* per-cell trees.
     ///
     /// `start` picks the compiled plan (seeds are candidates of relation
     /// position `start`); `probe(w, rect, d, out)` must append every
     /// `(rect, id)` of relation position `w` within distance `d` (closed)
-    /// of `rect` — the R-tree acceptance test — to `out`, appending only.
-    /// Probe results are memoized per depth by the probe rectangle's bit
-    /// pattern (exactly as [`JoinKernel::execute`] memoizes), so the
-    /// probe must be a pure function of `(w, rect, d)` for one call.
-    /// `emit` receives each full tuple in relation-position order.
+    /// of `rect` — [`Rect::bounds_within`], the R-tree acceptance test —
+    /// to `out`, appending only. Probe results are memoized per depth by
+    /// the probe rectangle's bit pattern, so the probe must be a pure
+    /// function of `(w, rect, d)` for one call. `emit` receives each full
+    /// tuple in relation-position order. A reentrant call from `emit`
+    /// runs on a fresh scratch.
     ///
     /// # Panics
     /// Panics when `start` is not a relation position of the query.
@@ -270,103 +189,37 @@ impl JoinKernel {
             return;
         }
         let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        let Scratch {
-            arena,
-            frames,
-            tuple,
-            memo,
-            memo_arena,
-            ..
-        } = &mut scratch;
-        arena.clear();
-        arena.extend_from_slice(seeds);
+        scratch.arena.clear();
+        scratch.arena.extend_from_slice(seeds);
         search(
             self.plans[start].steps(),
             self.n,
-            arena,
-            frames,
-            tuple,
-            memo,
-            memo_arena,
+            &mut scratch,
             &mut probe,
             &mut emit,
         );
         SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
-
-    fn run(
-        &self,
-        steps: &[PlanStep],
-        relations: &[Vec<LocalRect>],
-        scratch: &mut Scratch,
-        emit: &mut impl FnMut(&[LocalRect]),
-    ) {
-        let n = self.n;
-        let Scratch {
-            soa,
-            trees,
-            arena,
-            frames,
-            tuple,
-            tree_stack,
-            memo,
-            memo_arena,
-        } = scratch;
-
-        // Index the probed relations (every step but the first): SoA scan
-        // below the threshold, R-tree above.
-        soa.resize_with(n, Soa::default);
-        trees.clear();
-        trees.resize_with(n, || None);
-        for step in steps.iter().skip(1) {
-            let v = step.relation.index();
-            let rel = &relations[v];
-            if rel.len() < LINEAR_SCAN_THRESHOLD {
-                soa[v].fill(rel);
-            } else {
-                // Payload = the record id: the tree visitor hands back the
-                // complete `(rect, id)` with no indirection.
-                trees[v] = Some(RTree::bulk_load(rel.clone()));
-            }
-        }
-
-        // Depth 0: every rectangle of the start relation seeds the search.
-        arena.clear();
-        arena.extend_from_slice(&relations[steps[0].relation.index()]);
-
-        let mut probe = |w: usize, probe_rect: &Rect, d: Coord, out: &mut Vec<LocalRect>| {
-            if let Some(tree) = &trees[w] {
-                tree.query_within_scratch(probe_rect, d, tree_stack, |r, &id| {
-                    out.push((*r, id));
-                });
-            } else {
-                soa[w].probe_into(&relations[w], probe_rect, d, out);
-            }
-        };
-        search(
-            steps, n, arena, frames, tuple, memo, memo_arena, &mut probe, emit,
-        );
-    }
 }
 
-/// The iterative backtracking loop shared by [`JoinKernel::execute`] and
-/// [`JoinKernel::execute_seeded`]: candidate generation is abstracted
-/// behind `probe`, everything else (verify edges, frame bookkeeping, the
-/// per-depth probe memo) is identical for both entry points. `arena` must
-/// arrive holding exactly the depth-0 seeds; the remaining scratch parts
-/// are (re)initialized here.
-#[allow(clippy::too_many_arguments)]
+/// The iterative backtracking loop: candidate generation is behind
+/// `probe`; verify edges, frame bookkeeping and the per-depth probe memo
+/// are here. `scratch.arena` must arrive holding exactly the depth-0
+/// seeds; the remaining scratch parts are (re)initialized here.
 fn search(
     steps: &[PlanStep],
     n: usize,
-    arena: &mut Vec<LocalRect>,
-    frames: &mut Vec<Frame>,
-    tuple: &mut Vec<LocalRect>,
-    memo: &mut Vec<RectKeyMap>,
-    memo_arena: &mut Vec<LocalRect>,
+    scratch: &mut Scratch,
     probe: &mut impl FnMut(usize, &Rect, Coord, &mut Vec<LocalRect>),
     emit: &mut impl FnMut(&[LocalRect]),
 ) {
+    let Scratch {
+        arena,
+        frames,
+        tuple,
+        memo,
+        memo_arena,
+    } = scratch;
     tuple.clear();
     tuple.resize(n, (Rect::new(0.0, 0.0, 0.0, 0.0), 0));
     frames.clear();
@@ -453,8 +306,10 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::LINEAR_SCAN_THRESHOLD;
     use crate::multiway::{brute_force_join, multiway_join_naive, normalized};
     use mwsj_query::Query;
+    use mwsj_rtree::RTree;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -591,7 +446,7 @@ mod tests {
         let kernel = JoinKernel::new(&q);
         let want = normalized(kernel_ids(&q, &rels));
         assert!(!want.is_empty(), "test should exercise non-empty output");
-        let trees: Vec<RTree<u32>> = rels.iter().map(|r| RTree::bulk_load(r.clone())).collect();
+        let trees: Vec<RTree> = rels.iter().map(|r| RTree::bulk_load(r.clone())).collect();
         for (start, seeds) in rels.iter().enumerate() {
             let mut out: Vec<Vec<u32>> = Vec::new();
             let mut stack = Vec::new();
@@ -599,14 +454,41 @@ mod tests {
                 start,
                 seeds,
                 |w, probe, d, out| {
-                    trees[w].query_within_scratch(probe, d, &mut stack, |r, &id| {
-                        out.push((*r, id));
-                    });
+                    trees[w].query_within_scratch(probe, d, &mut stack, |r, id| out.push((r, id)));
                 },
                 |tuple| out.push(tuple.iter().map(|&(_, id)| id).collect()),
             );
             assert_eq!(normalized(out), want, "start = {start}");
         }
+    }
+
+    #[test]
+    fn join_on_an_index_marking_probed_first_equals_a_fresh_join() {
+        // C-Rep's round-1 reducer: mark, then join through the same index.
+        let grid = mwsj_partition::Grid::square((0.0, 300.0), (0.0, 300.0), 2);
+        let q = Query::builder()
+            .overlap("A", "B")
+            .range("B", "C", 10.0)
+            .build()
+            .unwrap();
+        let rels = vec![
+            random_relation(LINEAR_SCAN_THRESHOLD * 2, 600, 30.0),
+            random_relation(LINEAR_SCAN_THRESHOLD / 2, 601, 30.0),
+            random_relation(LINEAR_SCAN_THRESHOLD * 3, 602, 30.0),
+        ];
+        let group = GroupIndex::new(&rels);
+        let cell = mwsj_partition::CellId(0);
+        let flags = crate::marking::mark_indexed(&q, &grid, cell, &group);
+        assert_eq!(
+            flags,
+            crate::marking::mark_for_replication(&q, &grid, cell, &rels)
+        );
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        JoinKernel::new(&q).execute_on(&group, |tuple| {
+            out.push(tuple.iter().map(|&(_, id)| id).collect());
+        });
+        assert!(!out.is_empty(), "test should exercise non-empty output");
+        assert_eq!(normalized(out), normalized(kernel_ids(&q, &rels)));
     }
 
     #[test]

@@ -50,8 +50,8 @@
 use mwsj_geom::Rect;
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Predicate, Query, RelationId};
-use mwsj_rtree::RTree;
 
+use crate::index::GroupIndex;
 use crate::LocalRect;
 
 /// Computes, for every local rectangle, whether it belongs to `uS_c` — the
@@ -69,14 +69,31 @@ pub fn mark_for_replication(
     cell: CellId,
     relations: &[Vec<LocalRect>],
 ) -> Vec<Vec<bool>> {
-    let n = query.num_relations();
+    mark_indexed(query, grid, cell, &GroupIndex::new(relations))
+}
+
+/// [`mark_for_replication`] over a group the caller indexed, so that the
+/// join that follows on the same reducer probes the same index.
+#[must_use]
+pub fn mark_indexed(
+    query: &Query,
+    grid: &Grid,
+    cell: CellId,
+    group: &GroupIndex<'_>,
+) -> Vec<Vec<bool>> {
+    let relations = group.relations();
     assert_eq!(
         relations.len(),
-        n,
+        query.num_relations(),
         "one rectangle set per relation position"
     );
     let graph = query.graph();
     let mut marked: Vec<Vec<bool>> = relations.iter().map(|r| vec![false; r.len()]).collect();
+    // The survivors of the subset under consideration, as a bitmap per
+    // relation (what a probe filters by) and as position lists (what the
+    // fixpoint iterates over).
+    let mut alive: Vec<Vec<bool>> = marked.clone();
+    let mut stack = Vec::new();
 
     for mask in graph.connected_subsets(true) {
         debug_assert!(
@@ -92,15 +109,14 @@ pub fn mark_for_replication(
                 continue;
             }
             let obligations = graph.outside_edges(rel, mask);
-            let list: Vec<u32> = relations[rel.index()]
-                .iter()
-                .enumerate()
+            let list: Vec<u32> = (0u32..)
+                .zip(&relations[rel.index()])
                 .filter(|(_, (rect, _))| {
                     obligations
                         .iter()
                         .all(|p| crosses_for_predicate(grid, cell, rect, *p))
                 })
-                .map(|(i, _)| i as u32)
+                .map(|(i, _)| i)
                 .collect();
             if list.is_empty() {
                 empty = true;
@@ -111,15 +127,19 @@ pub fn mark_for_replication(
         if empty {
             continue;
         }
-
-        // C1 via arc-consistency over the predicates internal to S.
-        arc_consistency(query, relations, mask, &mut candidates);
-        if candidates.iter().any(|(_, list)| list.is_empty()) {
-            continue;
-        }
         for (rel, list) in &candidates {
             for &i in list {
-                marked[rel.index()][i as usize] = true;
+                alive[rel.index()][i as usize] = true;
+            }
+        }
+
+        // C1 via arc-consistency over the predicates internal to S.
+        arc_consistency(query, group, mask, &mut candidates, &mut alive, &mut stack);
+        let consistent = candidates.iter().all(|(_, list)| !list.is_empty());
+        for (rel, list) in &candidates {
+            for &i in list {
+                alive[rel.index()][i as usize] = false;
+                marked[rel.index()][i as usize] |= consistent;
             }
         }
     }
@@ -137,105 +157,103 @@ fn crosses_for_predicate(grid: &Grid, cell: CellId, rect: &Rect, p: Predicate) -
     }
 }
 
-/// Prunes candidate lists to arc consistency: a rectangle survives iff for
-/// every internal edge of `mask` incident to its relation there exists a
-/// supporting partner among the other relation's survivors.
 /// Predicates between one (ordered) relation pair; `flipped` records that
 /// the triple listed the pair as (b, a), so asymmetric predicates keep
 /// their orientation.
 type PairPredicates = Vec<(Predicate, bool)>;
 
+/// Prunes candidate lists to arc consistency: a rectangle survives iff for
+/// every internal edge of `mask` incident to its relation there exists a
+/// supporting partner among the other relation's survivors.
+///
+/// Supports are looked up by probing the group's index over the *whole*
+/// relation and keeping only hits the `alive` bitmap still holds.
+/// Removing a rectangle can only remove supports, so whatever order the
+/// removals happen in, the loop ends at the one greatest arc-consistent
+/// subset of the candidates — the set an index over the survivors alone
+/// would reach. On return `alive` is set exactly at the listed survivors.
 fn arc_consistency(
     query: &Query,
-    relations: &[Vec<LocalRect>],
+    group: &GroupIndex<'_>,
     mask: u32,
     candidates: &mut [(RelationId, Vec<u32>)],
+    alive: &mut [Vec<bool>],
+    stack: &mut Vec<u32>,
 ) {
     // Internal constraint per relation pair: the conjunction of all
     // parallel predicates between them.
-    let pairs: Vec<(RelationId, RelationId, PairPredicates)> = {
-        let mut pairs: Vec<(RelationId, RelationId, PairPredicates)> = Vec::new();
-        for t in query.triples() {
-            let (a, b, flipped) = if t.left < t.right {
-                (t.left, t.right, false)
-            } else {
-                (t.right, t.left, true)
-            };
-            if mask & (1 << a.index()) == 0 || mask & (1 << b.index()) == 0 {
-                continue;
-            }
-            if let Some(entry) = pairs.iter_mut().find(|(x, y, _)| (*x, *y) == (a, b)) {
-                entry.2.push((t.predicate, flipped));
-            } else {
-                pairs.push((a, b, vec![(t.predicate, flipped)]));
-            }
+    let mut pairs: Vec<(RelationId, RelationId, PairPredicates)> = Vec::new();
+    for t in query.triples() {
+        let (a, b, flipped) = if t.left < t.right {
+            (t.left, t.right, false)
+        } else {
+            (t.right, t.left, true)
+        };
+        if mask & (1 << a.index()) == 0 || mask & (1 << b.index()) == 0 {
+            continue;
         }
-        pairs
-    };
-    if pairs.is_empty() {
-        return; // Singleton subset: nothing internal to check.
+        if let Some(entry) = pairs.iter_mut().find(|(x, y, _)| (*x, *y) == (a, b)) {
+            entry.2.push((t.predicate, flipped));
+        } else {
+            pairs.push((a, b, vec![(t.predicate, flipped)]));
+        }
     }
+    let relations = group.relations();
 
-    let slot_of = |rel: RelationId, candidates: &[(RelationId, Vec<u32>)]| {
-        candidates
-            .iter()
-            .position(|(r, _)| *r == rel)
-            .expect("relation in subset")
-    };
-
-    loop {
-        let mut changed = false;
+    let mut changed = !pairs.is_empty(); // a singleton subset has nothing internal
+    while changed {
+        changed = false;
         for &(a, b, ref preds) in &pairs {
-            // The loosest probe distance that any support must satisfy;
-            // every predicate is then verified exactly.
+            // The tightest probe distance among the parallel predicates: a
+            // support must satisfy all of them, so it lies within the
+            // smallest of their distances, and the smallest filters
+            // hardest. Every predicate is then verified exactly.
             let probe_d = preds
                 .iter()
                 .map(|(p, _)| p.distance())
                 .fold(f64::INFINITY, f64::min);
-            for (from, to) in [(a, b), (b, a)] {
-                let from_slot = slot_of(from, candidates);
-                let to_slot = slot_of(to, candidates);
-                // Index the current survivors of `to`.
-                let tree = RTree::bulk_load(
-                    candidates[to_slot]
-                        .1
-                        .iter()
-                        .map(|&i| (relations[to.index()][i as usize].0, ()))
-                        .collect(),
-                );
-                let before = candidates[from_slot].1.len();
-                let from_rel = from.index();
-                let kept: Vec<u32> = candidates[from_slot]
-                    .1
+            // A predicate stored as (a -> b, flipped) evaluates left = a.
+            let holds = |ra: &Rect, rb: &Rect| {
+                preds
                     .iter()
-                    .copied()
-                    .filter(|&i| {
-                        let rect = relations[from_rel][i as usize].0;
-                        // `rect` belongs to `from`; a predicate stored as
-                        // (a -> b, flipped) evaluates left = a. When probing
-                        // from b, the arguments swap once more.
-                        let probing_from_a = from == a;
-                        let mut supported = false;
-                        tree.query_within(&rect, probe_d, |partner, ()| {
-                            if !supported
-                                && preds.iter().all(|&(p, flipped)| {
-                                    p.eval_oriented(&rect, partner, flipped == probing_from_a)
-                                })
-                            {
-                                supported = true;
-                            }
-                        });
-                        supported
-                    })
-                    .collect();
-                if kept.len() != before {
-                    changed = true;
-                    candidates[from_slot].1 = kept;
+                    .all(|&(p, flipped)| p.eval_oriented(ra, rb, flipped))
+            };
+            for (from, to) in [(a, b), (b, a)] {
+                let slot = |rel: RelationId| {
+                    candidates
+                        .iter()
+                        .position(|(r, _)| *r == rel)
+                        .expect("relation in subset")
+                };
+                let (from_slot, to_slot) = (slot(from), slot(to));
+                // A support is a pair, found from either end: probe with
+                // whichever relation has fewer survivors left.
+                let from_side = candidates[from_slot].1.len() <= candidates[to_slot].1.len();
+                let (prober, probers, probed) = if from_side {
+                    (from, &candidates[from_slot].1, to)
+                } else {
+                    (to, &candidates[to_slot].1, from)
+                };
+                let probed_alive = &alive[probed.index()];
+                let mut supported = vec![false; relations[from.index()].len()];
+                for &i in probers {
+                    let rect = relations[prober.index()][i as usize].0;
+                    group.probe(probed.index(), &rect, probe_d, stack, |pos, (other, _)| {
+                        let hit = if from_side { i as usize } else { pos };
+                        let (ra, rb) = if prober == a {
+                            (&rect, other)
+                        } else {
+                            (other, &rect)
+                        };
+                        supported[hit] |= probed_alive[pos] && !supported[hit] && holds(ra, rb);
+                    });
                 }
+                let list = &mut candidates[from_slot].1;
+                let before = list.len();
+                list.retain(|&i| supported[i as usize]);
+                changed |= list.len() != before;
+                alive[from.index()] = supported;
             }
-        }
-        if !changed {
-            break;
         }
     }
 }
@@ -532,5 +550,115 @@ mod tests {
         let local = vec![vec![u_far], vec![v_far], Vec::new()];
         let flags = mark_for_replication(&query, &grid, c1, &local);
         assert!(flags.iter().flatten().all(|&m| !m), "{flags:?}");
+    }
+
+    /// Marking by definition: per connected proper subset, C2-filter the
+    /// relations, then delete unsupported rectangles by nested loops until
+    /// nothing changes. No index, no bitmap.
+    fn mark_by_definition(
+        query: &Query,
+        grid: &Grid,
+        cell: CellId,
+        relations: &[Vec<LocalRect>],
+    ) -> Vec<Vec<bool>> {
+        let graph = query.graph();
+        let mut marked: Vec<Vec<bool>> = relations.iter().map(|r| vec![false; r.len()]).collect();
+        for mask in graph.connected_subsets(true) {
+            let inside = |rel: RelationId| mask & (1 << rel.index()) != 0;
+            let mut alive: Vec<Vec<bool>> =
+                relations.iter().map(|r| vec![false; r.len()]).collect();
+            for rel in query.relations().filter(|&rel| inside(rel)) {
+                for (i, (rect, _)) in relations[rel.index()].iter().enumerate() {
+                    alive[rel.index()][i] = graph
+                        .outside_edges(rel, mask)
+                        .iter()
+                        .all(|p| crosses_for_predicate(grid, cell, rect, *p));
+                }
+            }
+            loop {
+                let before = alive.clone();
+                for (rel, other) in query
+                    .triples()
+                    .iter()
+                    .flat_map(|t| [(t.left, t.right), (t.right, t.left)])
+                    .filter(|&(l, r)| inside(l) && inside(r))
+                {
+                    // Every parallel predicate between the pair must hold
+                    // for one and the same partner.
+                    let supports = |x: &Rect, y: &Rect| {
+                        query.triples().iter().all(|t| {
+                            if (t.left, t.right) == (rel, other) {
+                                t.predicate.eval(x, y)
+                            } else if (t.left, t.right) == (other, rel) {
+                                t.predicate.eval(y, x)
+                            } else {
+                                true
+                            }
+                        })
+                    };
+                    for (i, (rect, _)) in relations[rel.index()].iter().enumerate() {
+                        let supported = relations[other.index()]
+                            .iter()
+                            .zip(&before[other.index()])
+                            .any(|((partner, _), &on)| on && supports(rect, partner));
+                        alive[rel.index()][i] &= supported;
+                    }
+                }
+                if alive == before {
+                    break;
+                }
+            }
+            let live = |rel: RelationId| alive[rel.index()].contains(&true);
+            if query.relations().filter(|&r| inside(r)).all(live) {
+                for (m, a) in marked.iter_mut().zip(&alive) {
+                    for (m, &a) in m.iter_mut().zip(a) {
+                        *m |= a;
+                    }
+                }
+            }
+        }
+        marked
+    }
+
+    #[test]
+    fn shared_index_marking_equals_marking_by_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Relations on both sides of the scan/tree threshold, on a cell of
+        // a 3×3 grid, for a chain, a cycle, parallel edges and containment.
+        let grid = Grid::square((0.0, 300.0), (0.0, 300.0), 3);
+        let cell = grid.cell_at(1, 1);
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut relation = |n: usize| -> Vec<LocalRect> {
+            (0..n as u32)
+                .map(|id| {
+                    let x = rng.random_range(80.0..200.0);
+                    let y = rng.random_range(110.0..220.0);
+                    let (l, b) = (rng.random_range(0.0..25.0), rng.random_range(0.0..25.0));
+                    (Rect::new(x, y, l, b), id)
+                })
+                .filter(|(r, _)| grid.splits_onto(r, cell))
+                .collect()
+        };
+        let rels = vec![relation(150), relation(40), relation(90)];
+        for text in [
+            "A ov B and B ov C",
+            "A ra(6) B and B ov C and C ra(9) A",
+            "A ov B and A ra(3) B and B ra(12) C",
+            "A contains B and C ov B",
+        ] {
+            let query = Query::parse(text).unwrap();
+            let got = mark_for_replication(&query, &grid, cell, &rels);
+            assert_eq!(
+                got,
+                mark_by_definition(&query, &grid, cell, &rels),
+                "{text}"
+            );
+            assert!(got.iter().flatten().any(|&m| m), "{text}: nothing marked");
+            assert!(
+                got.iter().flatten().any(|&m| !m),
+                "{text}: everything marked"
+            );
+        }
     }
 }

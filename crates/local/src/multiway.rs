@@ -1,21 +1,16 @@
-//! The reducer-local multi-way join: find every tuple (one rectangle per
-//! relation position) satisfying all of a query's predicates.
+//! The references for the reducer-local multi-way join: find every tuple
+//! (one rectangle per relation position) satisfying all of a query's
+//! predicates.
 //!
-//! The paper leaves the reducer-side algorithm unspecified; this is a
-//! window-reduction backtracking matcher in the spirit of Mamoulis &
-//! Papadias' multiway spatial joins: relations are bound in a BFS order of
-//! the join graph, each extension is driven by an index probe from an
-//! already-bound neighbor (the tightest incident predicate), and all other
-//! predicates to bound relations are verified before extending further.
-//!
-//! [`multiway_join`] executes on the precompiled, allocation-free
-//! [`crate::kernel::JoinKernel`]; jobs running many reducer groups build
-//! the kernel once and call it directly. [`multiway_join_naive`] keeps the
-//! original recursive implementation — per-call R-trees, dynamic probe
-//! selection, a fresh candidate `Vec` per probe — as the comparison
-//! reference for the equivalence tests and the old-vs-new micro-bench.
-//! [`brute_force_join`] is the quadratic-or-worse oracle used by the test
-//! suites to validate both matchers and every distributed algorithm.
+//! [`multiway_join`] runs [`crate::kernel::JoinKernel`], the join the
+//! reducers use; jobs running many reducer groups build the kernel once
+//! and call it directly. [`multiway_join_naive`] is an independent
+//! recursive matcher — relations bound in a BFS order of the join graph,
+//! each extension an index probe from the bound neighbor with the tightest
+//! predicate, per-call R-trees, a fresh candidate `Vec` per probe — that
+//! `mwsj_core::reference::in_memory_join` and the equivalence tests compare
+//! the kernel against. [`brute_force_join`] is the
+//! quadratic-or-worse oracle that validates both.
 
 use mwsj_geom::Rect;
 use mwsj_query::{Query, RelationId};
@@ -57,7 +52,7 @@ pub fn multiway_join_naive(
     }
 
     // Index every relation; payload = position in the input vector.
-    let trees: Vec<RTree<u32>> = relations
+    let trees: Vec<RTree> = relations
         .iter()
         .map(|rel| {
             RTree::bulk_load(
@@ -85,7 +80,7 @@ pub fn multiway_join_naive(
     struct Ctx<'a, F> {
         graph: &'a mwsj_query::JoinGraph,
         relations: &'a [Vec<LocalRect>],
-        trees: &'a [RTree<u32>],
+        trees: &'a [RTree],
         order: &'a [RelationId],
         emit: F,
     }
@@ -128,9 +123,9 @@ pub fn multiway_join_naive(
         let probe_rect = tuple[u.index()].0;
         // Collect candidate indices first (the tree probe borrows ctx).
         let mut candidates: Vec<u32> = Vec::new();
-        ctx.trees[v.index()].query_within(&probe_rect, pred.distance(), |_, &idx| {
-            candidates.push(idx);
-        });
+        ctx.trees[v.index()]
+            .view()
+            .query_within(&probe_rect, pred.distance(), |_, idx| candidates.push(idx));
         for idx in candidates {
             let (rect, id) = ctx.relations[v.index()][idx as usize];
             // Verify every predicate between v and all bound relations

@@ -19,8 +19,12 @@ use crate::query::{Query, RelationId};
 ///
 /// The replication bound for `R_i` is the maximum over all `R_j` of the
 /// minimum such path cost — a weighted eccentricity, computed here with
-/// Dijkstra over edge weights `d_edge + d_max` (subtracting the final
-/// `d_max` once, since only *intermediate* vertices contribute).
+/// Dijkstra where leaving a vertex other than the source costs that
+/// vertex's `d_max` on top of the edge's `d_edge`. Each intermediate
+/// vertex is charged as it is crossed, never added and taken back: a
+/// one-hop bound is `d_edge` to the bit, where `(d + d_max) − d_max` lands
+/// an ulp below `d` and, at a range of exactly one cell width, lost the
+/// cell sitting at the bound.
 ///
 /// For the paper's chains this reproduces the closed forms exactly:
 /// * overlap chain of `m` relations: `(m-2)·d_max` at the ends (§7.9);
@@ -36,7 +40,7 @@ pub fn replication_bounds(query: &Query, d_max: Coord) -> Vec<Coord> {
     let n = query.num_relations();
     let mut bounds = Vec::with_capacity(n);
     for src in 0..n {
-        // Dijkstra with weight d_edge + d_max per hop.
+        // Dijkstra; a hop out of an intermediate vertex crosses its body.
         let mut dist = vec![Coord::INFINITY; n];
         dist[src] = 0.0;
         let mut visited = vec![false; n];
@@ -52,22 +56,16 @@ pub fn replication_bounds(query: &Query, d_max: Coord) -> Vec<Coord> {
                 break;
             }
             visited[u] = true;
+            let body = if u == src { 0.0 } else { d_max };
             for &(w, p, _) in g.neighbors(RelationId(u as u16)) {
-                let cand = dist[u] + p.distance() + d_max;
+                let cand = dist[u] + body + p.distance();
                 if cand < dist[w.index()] {
                     dist[w.index()] = cand;
                 }
             }
         }
-        // Eccentricity minus the one over-counted d_max (paths with h hops
-        // have h-1 intermediate vertices). The source itself is at 0.
-        let ecc = dist
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| v != src)
-            .map(|(_, &d)| d)
-            .fold(0.0, Coord::max);
-        bounds.push((ecc - d_max).max(0.0));
+        // The eccentricity; the source itself is at 0.
+        bounds.push(dist.iter().copied().fold(0.0, Coord::max));
     }
     bounds
 }
@@ -171,6 +169,21 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(replication_bounds(&q, 10.0), vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn one_hop_bound_is_the_edge_distance_to_the_bit() {
+        // (d + d_max) - d_max is one ulp under d for these values; the
+        // middle relation of the chain must get exactly d.
+        let d = 1000.0 / 3.0;
+        let q = Query::builder()
+            .range("A", "B", d)
+            .range("B", "C", d)
+            .build()
+            .unwrap();
+        let d_max = 1000.0 * std::f64::consts::SQRT_2;
+        assert!((d + d_max) - d_max < d, "the rounding this test is about");
+        assert_eq!(replication_bounds(&q, d_max)[1], d);
     }
 
     #[test]

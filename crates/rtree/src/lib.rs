@@ -5,10 +5,14 @@
 //! C-Rep round-1 marking procedure all probe "which rectangles of relation
 //! R overlap / lie within d of this window?". The paper leaves the local
 //! algorithm unspecified; we use index nested loops over an R-tree,
-//! validated against plane sweep and brute force in `mwsj-local`.
+//! validated against brute force here and in `mwsj-local`.
 //!
 //! The tree is immutable after construction (reducer inputs are batch data),
 //! so STR bulk loading gives near-optimal packing with no insert machinery.
+//! There is one layout — two `u64` word arrays, [`packed`] — and one
+//! implementation of each query, on the borrowed [`PackedRTree`]: an
+//! [`RTree`] owns the words bulk load wrote, a mounted store lends the
+//! words it read, and both are probed by the same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,23 +1,20 @@
-//! A serialized, zero-copy view of an STR-packed R-tree.
+//! The R-tree's word layout, and every query over it.
 //!
-//! [`pack`] flattens an [`RTree<u32>`] into two plain `u64` word arrays —
-//! one for the leaf-packed entries, one for the nodes — preserving the
-//! bulk-load layout exactly: entries stay in leaf-pack order, each level's
-//! nodes stay contiguous, children precede parents and the root is the
-//! last node. [`PackedRTree`] reinterprets borrowed word slices as a
-//! queryable tree without rebuilding anything: coordinates are read back
-//! with `f64::from_bits` on the fly, so opening a stored dataset costs one
-//! validation scan and no per-entry allocation.
-//!
-//! [`PackedRTree::query_within_scratch`] replicates the traversal of
-//! [`RTree::query_within_scratch`] operation for operation (same pruning,
-//! same acceptance arithmetic, same visit order), which is what lets the
-//! map-side join over stored trees produce byte-identical results to the
-//! in-memory kernels.
+//! A bulk-loaded tree *is* two plain `u64` word arrays — one for the
+//! leaf-packed entries, one for the nodes: entries in leaf-pack order, each
+//! level's nodes contiguous, children before parents, the root last.
+//! [`crate::RTree`] owns the arrays STR bulk load writes;
+//! [`PackedRTree`] borrows them, from an [`crate::RTree`] or from a
+//! mounted store file, and answers every query in place: coordinates are
+//! read back with `f64::from_bits` on the fly, so opening a stored dataset
+//! costs one validation scan and no per-entry allocation, and a join over
+//! stored trees walks exactly the code a join over freshly built ones does.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use mwsj_geom::{Coord, Rect};
 
-use crate::tree::{Node, NodeContent};
 use crate::RTree;
 
 /// Words per packed entry: four corner coordinates (IEEE bit patterns)
@@ -28,61 +25,85 @@ pub const ENTRY_WORDS: usize = 5;
 /// (0 = leaf, 1 = inner) and the packed `start`/`end` range.
 pub const NODE_WORDS: usize = 6;
 
-const KIND_LEAF: u64 = 0;
-const KIND_INNER: u64 = 1;
+pub(crate) const KIND_LEAF: u64 = 0;
+pub(crate) const KIND_INNER: u64 = 1;
 
-/// Flattens a bulk-loaded tree into `(entry_words, node_words)`.
+/// Copies a tree's `(entry_words, node_words)` out of it
+/// ([`RTree::words`] borrows them instead).
 ///
 /// Entry *i* occupies words `[5 i .. 5 i + 5]`: `min_x`, `min_y`, `max_x`,
 /// `max_y` as `f64::to_bits`, then the payload. Node *j* occupies words
 /// `[6 j .. 6 j + 6]`: the four MBR corners, the kind word and
 /// `(start << 32) | end` (entry range for leaves, child-node range for
-/// inner nodes). An empty tree packs to two empty arrays.
+/// inner nodes). An empty tree is two empty arrays.
 #[must_use]
-pub fn pack(tree: &RTree<u32>) -> (Vec<u64>, Vec<u64>) {
-    let mut entry_words = Vec::with_capacity(tree.entries.len() * ENTRY_WORDS);
-    for (rect, id) in &tree.entries {
-        push_rect(&mut entry_words, rect);
-        entry_words.push(u64::from(*id));
-    }
-    let mut node_words = Vec::with_capacity(tree.nodes.len() * NODE_WORDS);
-    for Node { mbr, content } in &tree.nodes {
-        push_rect(&mut node_words, mbr);
-        let (kind, start, end) = match *content {
-            NodeContent::Leaf { start, end } => (KIND_LEAF, start, end),
-            NodeContent::Inner { start, end } => (KIND_INNER, start, end),
-        };
-        node_words.push(kind);
-        node_words.push((u64::from(start) << 32) | u64::from(end));
-    }
-    (entry_words, node_words)
+pub fn pack(tree: &RTree) -> (Vec<u64>, Vec<u64>) {
+    let (entries, nodes) = tree.words();
+    (entries.to_vec(), nodes.to_vec())
 }
 
-fn push_rect(words: &mut Vec<u64>, r: &Rect) {
-    words.push(r.min_x().to_bits());
-    words.push(r.min_y().to_bits());
-    words.push(r.max_x().to_bits());
-    words.push(r.max_y().to_bits());
+/// Appends one node: its MBR, kind and `start..end` range.
+pub(crate) fn push_node(nodes: &mut Vec<u64>, mbr: &Rect, kind: u64, start: usize, end: usize) {
+    nodes.extend(mbr.bounds().map(f64::to_bits));
+    nodes.push(kind);
+    nodes.push(((start as u64) << 32) | end as u64);
 }
 
-fn rect_at(words: &[u64], base: usize) -> Option<Rect> {
-    Rect::from_bounds(
-        f64::from_bits(words[base]),
-        f64::from_bits(words[base + 1]),
-        f64::from_bits(words[base + 2]),
-        f64::from_bits(words[base + 3]),
-    )
+#[inline]
+fn bounds_at(words: &[u64], base: usize) -> [Coord; 4] {
+    let corners: [u64; 4] = words[base..base + 4].try_into().expect("four words");
+    corners.map(f64::from_bits)
+}
+
+/// The rectangle whose corners start at word `base`; `None` when they are
+/// non-finite or inverted.
+pub(crate) fn rect_at(words: &[u64], base: usize) -> Option<Rect> {
+    let [min_x, min_y, max_x, max_y] = bounds_at(words, base);
+    Rect::from_bounds(min_x, min_y, max_x, max_y)
+}
+
+fn node_range(word: u64) -> (u32, u32) {
+    ((word >> 32) as u32, (word & 0xFFFF_FFFF) as u32)
 }
 
 /// A read-only R-tree over borrowed packed words (see [`pack`]).
 ///
-/// Construction validates the whole structure once — word counts, node
-/// kinds, range bounds, child ordering and corner finiteness — so queries
-/// can trust every access afterwards.
+/// [`PackedRTree::new`] validates the whole structure once — word counts,
+/// node kinds, range bounds, child ordering and corner finiteness — so
+/// queries can trust every access afterwards.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedRTree<'a> {
     entries: &'a [u64],
     nodes: &'a [u64],
+}
+
+/// Best-first queue item of [`PackedRTree::nearest`]: a min-heap on the
+/// distance, insertion order breaking ties deterministically.
+struct Nearer {
+    dist: Coord,
+    seq: u64,
+    node: u32,
+}
+
+impl PartialEq for Nearer {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Nearer {}
+impl PartialOrd for Nearer {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Nearer {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed for a min-heap; distances are finite by construction.
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then(other.seq.cmp(&self.seq))
+    }
 }
 
 impl<'a> PackedRTree<'a> {
@@ -128,9 +149,8 @@ impl<'a> PackedRTree<'a> {
                 return Err(format!("node {j}: non-finite or inverted MBR"));
             }
             let kind = nodes[base + 4];
-            let range = nodes[base + 5];
-            let start = (range >> 32) as usize;
-            let end = (range & 0xFFFF_FFFF) as usize;
+            let (start, end) = node_range(nodes[base + 5]);
+            let (start, end) = (start as usize, end as usize);
             if start >= end {
                 return Err(format!("node {j}: empty or inverted range {start}..{end}"));
             }
@@ -157,6 +177,12 @@ impl<'a> PackedRTree<'a> {
         Ok(Self { entries, nodes })
     }
 
+    /// Wraps words bulk load just wrote, which hold by construction
+    /// everything [`PackedRTree::new`] checks.
+    pub(crate) fn from_bulk_loaded(entries: &'a [u64], nodes: &'a [u64]) -> Self {
+        Self { entries, nodes }
+    }
+
     /// Number of indexed entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -169,14 +195,30 @@ impl<'a> PackedRTree<'a> {
         self.entries.is_empty()
     }
 
+    /// The root's node id; children precede parents, so it is the last.
+    fn root(&self) -> Option<u32> {
+        (self.nodes.len() / NODE_WORDS)
+            .checked_sub(1)
+            .map(|r| r as u32)
+    }
+
+    fn node_mbr(&self, node: u32) -> Rect {
+        rect_at(self.nodes, node as usize * NODE_WORDS).expect("validated at construction")
+    }
+
+    /// A node's `start..end` range and whether it indexes entries (a leaf)
+    /// or child nodes.
+    fn node_children(&self, node: u32) -> (std::ops::Range<u32>, bool) {
+        let base = node as usize * NODE_WORDS;
+        let (start, end) = node_range(self.nodes[base + 5]);
+        (start..end, self.nodes[base + 4] == KIND_LEAF)
+    }
+
     /// The MBR of the whole tree (`None` when empty) — the cheap
     /// whole-tree prune for forest probes.
     #[must_use]
     pub fn root_mbr(&self) -> Option<Rect> {
-        let num_nodes = self.nodes.len() / NODE_WORDS;
-        (num_nodes > 0).then(|| {
-            rect_at(self.nodes, (num_nodes - 1) * NODE_WORDS).expect("validated at construction")
-        })
+        self.root().map(|root| self.node_mbr(root))
     }
 
     /// The `(rect, payload)` of entry `i` in storage (leaf-pack) order.
@@ -190,15 +232,24 @@ impl<'a> PackedRTree<'a> {
         (rect, self.entries[base + 4] as u32)
     }
 
-    /// Iterates over all `(rect, payload)` entries in storage order —
-    /// matches [`RTree::iter`] on the packed source tree.
+    /// Iterates over all `(rect, payload)` entries in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (Rect, u32)> + '_ {
         (0..self.len()).map(|i| self.entry(i))
     }
 
-    /// Calls `visit` for every entry within distance `d` (closed) of the
-    /// probe; `d == 0` is the overlap query. Pruning, acceptance tests and
-    /// visit order replicate [`RTree::query_within_scratch`] exactly.
+    /// Calls `visit` for every entry whose rectangle lies within distance
+    /// `d` (closed) of the probe rectangle. `d = 0` is the overlap query.
+    pub fn query_within(&self, probe: &Rect, d: Coord, visit: impl FnMut(Rect, u32)) {
+        self.query_within_scratch(probe, d, &mut Vec::new(), visit);
+    }
+
+    /// [`PackedRTree::query_within`] with a caller-owned traversal stack:
+    /// probing in a loop reuses one buffer instead of allocating a stack
+    /// per probe. The stack is cleared on entry.
+    ///
+    /// This is the workspace's one window/distance traversal; nodes are
+    /// pruned and entries accepted by [`Rect::bounds_within`] on the stored
+    /// corner words.
     pub fn query_within_scratch(
         &self,
         probe: &Rect,
@@ -206,73 +257,113 @@ impl<'a> PackedRTree<'a> {
         stack: &mut Vec<u32>,
         mut visit: impl FnMut(Rect, u32),
     ) {
-        let num_nodes = self.nodes.len() / NODE_WORDS;
-        if num_nodes == 0 {
-            return;
-        }
-        stack.clear();
-        stack.push((num_nodes - 1) as u32);
-        let (p_min_x, p_min_y, p_max_x, p_max_y) =
-            (probe.min_x(), probe.min_y(), probe.max_x(), probe.max_y());
-        let overlaps = |base: usize, words: &[u64]| {
-            let min_x = f64::from_bits(words[base]);
-            let min_y = f64::from_bits(words[base + 1]);
-            let max_x = f64::from_bits(words[base + 2]);
-            let max_y = f64::from_bits(words[base + 3]);
-            min_x <= p_max_x && p_min_x <= max_x && min_y <= p_max_y && p_min_y <= max_y
-        };
-        let distance_sq = |base: usize, words: &[u64]| {
-            let min_x = f64::from_bits(words[base]);
-            let min_y = f64::from_bits(words[base + 1]);
-            let max_x = f64::from_bits(words[base + 2]);
-            let max_y = f64::from_bits(words[base + 3]);
-            let dx = (p_min_x - max_x).max(min_x - p_max_x).max(0.0);
-            let dy = (p_min_y - max_y).max(min_y - p_max_y).max(0.0);
-            dx * dx + dy * dy
-        };
-        if d == 0.0 {
-            while let Some(id) = stack.pop() {
-                let base = id as usize * NODE_WORDS;
-                if !overlaps(base, self.nodes) {
-                    continue;
-                }
-                let (start, end) = node_range(self.nodes[base + 5]);
-                if self.nodes[base + 4] == KIND_LEAF {
-                    for e in start..end {
-                        if overlaps(e as usize * ENTRY_WORDS, self.entries) {
-                            let (rect, payload) = self.entry(e as usize);
-                            visit(rect, payload);
-                        }
-                    }
-                } else {
-                    stack.extend(start..end);
-                }
-            }
-            return;
-        }
+        let Some(root) = self.root() else { return };
         let d_sq = d * d;
-        while let Some(id) = stack.pop() {
-            let base = id as usize * NODE_WORDS;
-            if distance_sq(base, self.nodes) > d_sq {
+        stack.clear();
+        stack.push(root);
+        while let Some(node) = stack.pop() {
+            if !probe.bounds_within(bounds_at(self.nodes, node as usize * NODE_WORDS), d_sq) {
                 continue;
             }
-            let (start, end) = node_range(self.nodes[base + 5]);
-            if self.nodes[base + 4] == KIND_LEAF {
-                for e in start..end {
-                    if distance_sq(e as usize * ENTRY_WORDS, self.entries) <= d_sq {
-                        let (rect, payload) = self.entry(e as usize);
-                        visit(rect, payload);
-                    }
+            let (children, is_leaf) = self.node_children(node);
+            if !is_leaf {
+                stack.extend(children);
+                continue;
+            }
+            for e in children {
+                if probe.bounds_within(bounds_at(self.entries, e as usize * ENTRY_WORDS), d_sq) {
+                    let (rect, payload) = self.entry(e as usize);
+                    visit(rect, payload);
                 }
-            } else {
-                stack.extend(start..end);
             }
         }
     }
-}
 
-fn node_range(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, (word & 0xFFFF_FFFF) as u32)
+    /// Returns the entry nearest to the probe rectangle (smallest closed
+    /// rectangle-to-rectangle distance), with its distance. Ties resolve to
+    /// the entry earliest in storage order. Best-first branch-and-bound
+    /// over node MBR distances.
+    #[must_use]
+    pub fn nearest(&self, probe: &Rect) -> Option<(Rect, u32, Coord)> {
+        let root = self.root()?;
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        heap.push(Nearer {
+            dist: self.node_mbr(root).distance(probe),
+            seq,
+            node: root,
+        });
+        let mut best: Option<(u32, Coord)> = None;
+        while let Some(item) = heap.pop() {
+            if best.is_some_and(|(_, best_d)| item.dist > best_d) {
+                break; // every remaining node is farther
+            }
+            let (children, is_leaf) = self.node_children(item.node);
+            for c in children {
+                if is_leaf {
+                    let d = self.entry(c as usize).0.distance(probe);
+                    if best.is_none_or(|(be, bd)| d < bd || (d == bd && c < be)) {
+                        best = Some((c, d));
+                    }
+                } else {
+                    seq += 1;
+                    heap.push(Nearer {
+                        dist: self.node_mbr(c).distance(probe),
+                        seq,
+                        node: c,
+                    });
+                }
+            }
+        }
+        best.map(|(e, d)| {
+            let (rect, payload) = self.entry(e as usize);
+            (rect, payload, d)
+        })
+    }
+
+    /// Returns the `k` entries nearest to the probe (by closed rectangle
+    /// distance, ties toward earlier storage order), sorted nearest-first.
+    /// Fewer than `k` when the tree is smaller. Branch-and-bound: nodes
+    /// farther than the current k-th best are never opened.
+    #[must_use]
+    pub fn k_nearest(&self, probe: &Rect, k: usize) -> Vec<(Rect, u32, Coord)> {
+        let Some(root) = self.root().filter(|_| k > 0) else {
+            return Vec::new();
+        };
+        // Current k best as (distance, entry index), kept sorted ascending;
+        // worst at the back. k is small in practice (NN queries), so a
+        // sorted Vec beats a heap.
+        let mut best: Vec<(Coord, u32)> = Vec::with_capacity(k + 1);
+        let mut stack: Vec<(Coord, u32)> = vec![(self.node_mbr(root).distance(probe), root)];
+        while let Some((node_dist, node)) = stack.pop() {
+            if best.len() == k && node_dist > best[k - 1].0 {
+                continue;
+            }
+            let (children, is_leaf) = self.node_children(node);
+            for c in children {
+                if !is_leaf {
+                    let d = self.node_mbr(c).distance(probe);
+                    if best.len() < k || d <= best[k - 1].0 {
+                        stack.push((d, c));
+                    }
+                    continue;
+                }
+                let cand = (self.entry(c as usize).0.distance(probe), c);
+                if best.len() == k && cand >= best[k - 1] {
+                    continue;
+                }
+                let pos = best.partition_point(|&b| b < cand);
+                best.insert(pos, cand);
+                best.truncate(k);
+            }
+        }
+        best.into_iter()
+            .map(|(d, e)| {
+                let (rect, payload) = self.entry(e as usize);
+                (rect, payload, d)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -296,7 +387,7 @@ mod tests {
 
     #[test]
     fn empty_tree_packs_and_queries() {
-        let tree: RTree<u32> = RTree::bulk_load(Vec::new());
+        let tree = RTree::bulk_load(Vec::new());
         let (entries, nodes) = pack(&tree);
         assert!(entries.is_empty() && nodes.is_empty());
         let packed = PackedRTree::new(&entries, &nodes).unwrap();
@@ -314,29 +405,29 @@ mod tests {
     }
 
     #[test]
-    fn iter_matches_source_tree_storage_order() {
-        let tree = RTree::bulk_load(random_rects(777, 3));
+    fn iter_yields_every_loaded_entry_once() {
+        let items = random_rects(777, 3);
+        let tree = RTree::bulk_load(items.clone());
         let (entries, nodes) = pack(&tree);
         let packed = PackedRTree::new(&entries, &nodes).unwrap();
-        assert_eq!(packed.len(), tree.len());
-        for (got, want) in packed.iter().zip(tree.iter()) {
-            assert_eq!(got.0, want.0);
-            assert_eq!(got.1, want.1);
-        }
+        assert_eq!(packed.len(), items.len());
+        let mut got: Vec<(Rect, u32)> = packed.iter().collect();
+        got.sort_unstable_by_key(|&(_, id)| id);
+        assert_eq!(got, items);
     }
 
     #[test]
-    fn queries_replicate_source_tree_exactly() {
-        // Same hits *in the same visit order*, on both the d == 0 overlap
-        // fast path and the d > 0 distance path, across many probes.
+    fn borrowed_view_answers_every_probe_like_a_linear_scan() {
+        // Owned tree -> pack -> PackedRTree::new: the validated view over
+        // copied words reports, at d == 0 and d > 0 and across leaf-count
+        // boundaries, exactly the entries the brute-force filter keeps.
         for n in [1usize, 15, 16, 17, 255, 1000, 5000] {
-            let tree = RTree::bulk_load(random_rects(n, 40 + n as u64));
-            let (entries, nodes) = pack(&tree);
+            let items = random_rects(n, 40 + n as u64);
+            let (entries, nodes) = pack(&RTree::bulk_load(items.clone()));
             let packed = PackedRTree::new(&entries, &nodes).unwrap();
-            assert_eq!(packed.root_mbr().is_some(), !tree.is_empty());
+            assert!(packed.root_mbr().is_some());
             let mut rng = StdRng::seed_from_u64(900 + n as u64);
             let mut stack = Vec::new();
-            let mut tree_stack = Vec::new();
             for probe_no in 0..40 {
                 let probe = Rect::new(
                     rng.random_range(0.0..900.0),
@@ -351,11 +442,40 @@ mod tests {
                 };
                 let mut got: Vec<(Rect, u32)> = Vec::new();
                 packed.query_within_scratch(&probe, d, &mut stack, |r, id| got.push((r, id)));
-                let mut want: Vec<(Rect, u32)> = Vec::new();
-                tree.query_within_scratch(&probe, d, &mut tree_stack, |r, &id| {
-                    want.push((*r, id));
-                });
+                got.sort_unstable_by_key(|&(_, id)| id);
+                let want: Vec<(Rect, u32)> = items
+                    .iter()
+                    .copied()
+                    .filter(|(r, _)| r.within_distance(&probe, d))
+                    .collect();
                 assert_eq!(got, want, "n = {n}, probe {probe_no}, d = {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_view_nearest_and_k_nearest_agree_with_a_linear_scan() {
+        for n in [1usize, 17, 1000] {
+            let items = random_rects(n, 70 + n as u64);
+            let (entries, nodes) = pack(&RTree::bulk_load(items.clone()));
+            let packed = PackedRTree::new(&entries, &nodes).unwrap();
+            let mut rng = StdRng::seed_from_u64(300 + n as u64);
+            for _ in 0..40 {
+                let probe = Rect::new(
+                    rng.random_range(0.0..1000.0),
+                    rng.random_range(10.0..1000.0),
+                    rng.random_range(0.0..10.0),
+                    rng.random_range(0.0..10.0),
+                );
+                let mut scan: Vec<Coord> = items.iter().map(|(r, _)| r.distance(&probe)).collect();
+                scan.sort_unstable_by(Coord::total_cmp);
+                let (rect, id, d) = packed.nearest(&probe).unwrap();
+                assert_eq!(d, scan[0]);
+                assert_eq!(items[id as usize], (rect, id));
+                for k in [1usize, 3, 50] {
+                    let got: Vec<Coord> = packed.k_nearest(&probe, k).iter().map(|t| t.2).collect();
+                    assert_eq!(got, scan[..k.min(n)], "n = {n}, k = {k}");
+                }
             }
         }
     }

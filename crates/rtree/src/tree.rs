@@ -1,409 +1,104 @@
 use mwsj_geom::{Coord, Rect};
 
+use crate::packed::{
+    push_node, rect_at, PackedRTree, ENTRY_WORDS, KIND_INNER, KIND_LEAF, NODE_WORDS,
+};
 use crate::NODE_CAPACITY;
 
-/// An immutable R-tree over `(Rect, T)` entries, bulk-loaded with the
-/// Sort-Tile-Recursive algorithm.
+/// An immutable R-tree over `(Rect, u32)` entries, bulk-loaded with the
+/// Sort-Tile-Recursive algorithm straight into the packed word layout of
+/// [`crate::packed`].
 ///
-/// `T` is an arbitrary payload (record ids in the join algorithms). Queries
-/// return references to payloads of entries whose rectangle overlaps a
-/// window ([`RTree::query_overlaps`]) or lies within a distance of a probe
-/// rectangle ([`RTree::query_within`]).
+/// The payload is a record id or a position, whatever the caller indexes
+/// by. The tree owns its words; every query runs on the borrowed
+/// [`PackedRTree`] that [`RTree::view`] returns.
 #[derive(Debug, Clone)]
-pub struct RTree<T> {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) entries: Vec<(Rect, T)>,
-    pub(crate) root: Option<usize>,
+pub struct RTree {
+    entries: Vec<u64>,
+    nodes: Vec<u64>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) mbr: Rect,
-    pub(crate) content: NodeContent,
+fn union_all(rects: impl Iterator<Item = Rect>) -> Rect {
+    rects
+        .reduce(|a, b| a.union(&b))
+        .expect("a node has at least one child")
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum NodeContent {
-    /// Entries `entries[start..end]`. Bulk load stores entries in leaf-pack
-    /// order, so a leaf scan is one sequential read — no index indirection,
-    /// no per-leaf allocation.
-    Leaf { start: u32, end: u32 },
-    /// Child nodes `nodes[start..end]` (each level is packed contiguously,
-    /// so a node's children are consecutive ids).
-    Inner { start: u32, end: u32 },
-}
-
-impl<T> RTree<T> {
+impl RTree {
     /// Bulk-loads a tree from `(rect, payload)` entries using STR packing.
     #[must_use]
-    pub fn bulk_load(mut items: Vec<(Rect, T)>) -> Self {
-        if items.is_empty() {
+    pub fn bulk_load(mut items: Vec<(Rect, u32)>) -> Self {
+        let n = items.len();
+        if n == 0 {
             return Self {
-                nodes: Vec::new(),
                 entries: Vec::new(),
-                root: None,
+                nodes: Vec::new(),
             };
         }
         // STR: sort by center-x, tile into vertical slabs of sqrt(n/cap)
         // runs, sort each slab by center-y, pack leaves of NODE_CAPACITY.
         items.sort_unstable_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
-        let n = items.len();
         let leaf_count = n.div_ceil(NODE_CAPACITY);
         let slab_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let slab_size = n.div_ceil(slab_count);
-
-        // Determine the leaf packing order, then *store the entries in that
-        // order*: each leaf owns a contiguous range of `entries`, scanned
-        // sequentially at query time.
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        for slab in idx.chunks_mut(slab_size) {
-            slab.sort_unstable_by(|&a, &b| {
-                items[a as usize]
-                    .0
-                    .center()
-                    .y
-                    .total_cmp(&items[b as usize].0.center().y)
-            });
+        for slab in items.chunks_mut(n.div_ceil(slab_count)) {
+            slab.sort_unstable_by(|a, b| a.0.center().y.total_cmp(&b.0.center().y));
         }
-        let mut slots: Vec<Option<(Rect, T)>> = items.into_iter().map(Some).collect();
-        let entries: Vec<(Rect, T)> = idx
-            .iter()
-            .map(|&i| slots[i as usize].take().expect("each index exactly once"))
-            .collect();
 
-        let mut nodes: Vec<Node> = Vec::with_capacity(2 * leaf_count);
-        let mut start = 0;
-        while start < n {
-            let end = (start + NODE_CAPACITY).min(n);
-            let mbr = entries[start..end]
-                .iter()
-                .map(|(r, _)| *r)
-                .reduce(|a, b| a.union(&b))
-                .expect("non-empty chunk");
-            nodes.push(Node {
-                mbr,
-                content: NodeContent::Leaf {
-                    start: start as u32,
-                    end: end as u32,
-                },
-            });
-            start = end;
+        // Entries are stored in leaf-pack order: each leaf owns a
+        // contiguous range, scanned sequentially at query time.
+        let mut entries = Vec::with_capacity(n * ENTRY_WORDS);
+        let mut nodes = Vec::with_capacity(2 * leaf_count * NODE_WORDS);
+        for (leaf, chunk) in items.chunks(NODE_CAPACITY).enumerate() {
+            for (rect, payload) in chunk {
+                entries.extend(rect.bounds().map(f64::to_bits));
+                entries.push(u64::from(*payload));
+            }
+            let start = leaf * NODE_CAPACITY;
+            let mbr = union_all(chunk.iter().map(|(r, _)| *r));
+            push_node(&mut nodes, &mbr, KIND_LEAF, start, start + chunk.len());
         }
 
         // Build upper levels by packing child MBRs in index order (children
         // are already spatially clustered by the STR pass). Each level is
-        // appended contiguously, so children form consecutive id ranges.
-        let mut level_start = 0;
-        let mut level_len = nodes.len();
-        while level_len > 1 {
-            let next_start = nodes.len();
-            let mut child = level_start;
-            let level_end = level_start + level_len;
-            while child < level_end {
-                let chunk_end = (child + NODE_CAPACITY).min(level_end);
-                let mbr = nodes[child..chunk_end]
-                    .iter()
-                    .map(|node| node.mbr)
-                    .reduce(|a, b| a.union(&b))
-                    .expect("non-empty chunk");
-                nodes.push(Node {
-                    mbr,
-                    content: NodeContent::Inner {
-                        start: child as u32,
-                        end: chunk_end as u32,
-                    },
-                });
-                child = chunk_end;
+        // appended contiguously, so children form consecutive id ranges and
+        // the root is the last node.
+        let mut level = 0..leaf_count;
+        while level.len() > 1 {
+            let next_start = nodes.len() / NODE_WORDS;
+            for start in level.clone().step_by(NODE_CAPACITY) {
+                let end = (start + NODE_CAPACITY).min(level.end);
+                let mbr = union_all((start..end).map(|child| {
+                    rect_at(&nodes, child * NODE_WORDS).expect("written from a rectangle")
+                }));
+                push_node(&mut nodes, &mbr, KIND_INNER, start, end);
             }
-            level_start = next_start;
-            level_len = nodes.len() - next_start;
+            level = next_start..nodes.len() / NODE_WORDS;
         }
-
-        Self {
-            root: Some(nodes.len() - 1),
-            nodes,
-            entries,
-        }
+        Self { entries, nodes }
     }
 
-    /// Number of indexed entries.
+    /// The tree as a queryable borrowed view.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    pub fn view(&self) -> PackedRTree<'_> {
+        PackedRTree::from_bulk_loaded(&self.entries, &self.nodes)
     }
 
-    /// Whether the tree is empty.
+    /// The `(entry_words, node_words)` of the packed layout, for writing
+    /// the tree out as it is.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn words(&self) -> (&[u64], &[u64]) {
+        (&self.entries, &self.nodes)
     }
 
-    /// Iterates over all `(rect, payload)` entries in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Rect, T)> {
-        self.entries.iter()
-    }
-
-    /// Calls `visit` for every entry whose rectangle (closed) overlaps the
-    /// query window.
-    pub fn query_overlaps<'a>(&'a self, window: &Rect, visit: impl FnMut(&'a Rect, &'a T)) {
-        self.query_within(window, 0.0, visit);
-    }
-
-    /// Calls `visit` for every entry whose rectangle lies within distance
-    /// `d` (closed) of the probe rectangle. `d = 0` is the overlap query.
-    pub fn query_within<'a>(&'a self, probe: &Rect, d: Coord, visit: impl FnMut(&'a Rect, &'a T)) {
-        let mut stack = Vec::new();
-        self.query_within_scratch(probe, d, &mut stack, visit);
-    }
-
-    /// [`RTree::query_within`] with a caller-owned traversal stack: probing
-    /// in a loop reuses one buffer instead of allocating a stack per probe.
-    /// The stack is cleared on entry; visit order is identical to
-    /// [`RTree::query_within`].
-    ///
-    /// `d == 0` takes an overlap fast path — `distance_sq(a, b) <= 0` iff
-    /// both axis gaps are zero iff the closed rectangles overlap, so the
-    /// acceptance test reduces to four comparisons with no arithmetic.
-    pub fn query_within_scratch<'a>(
-        &'a self,
+    /// [`PackedRTree::query_within_scratch`] on [`RTree::view`].
+    pub fn query_within_scratch(
+        &self,
         probe: &Rect,
         d: Coord,
         stack: &mut Vec<u32>,
-        mut visit: impl FnMut(&'a Rect, &'a T),
+        visit: impl FnMut(Rect, u32),
     ) {
-        let Some(root) = self.root else { return };
-        stack.clear();
-        stack.push(root as u32);
-        if d == 0.0 {
-            while let Some(id) = stack.pop() {
-                let node = &self.nodes[id as usize];
-                if !node.mbr.overlaps(probe) {
-                    continue;
-                }
-                match node.content {
-                    NodeContent::Leaf { start, end } => {
-                        for (rect, payload) in &self.entries[start as usize..end as usize] {
-                            if rect.overlaps(probe) {
-                                visit(rect, payload);
-                            }
-                        }
-                    }
-                    NodeContent::Inner { start, end } => stack.extend(start..end),
-                }
-            }
-            return;
-        }
-        let d_sq = d * d;
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if node.mbr.distance_sq(probe) > d_sq {
-                continue;
-            }
-            match node.content {
-                NodeContent::Leaf { start, end } => {
-                    for (rect, payload) in &self.entries[start as usize..end as usize] {
-                        if rect.distance_sq(probe) <= d_sq {
-                            visit(rect, payload);
-                        }
-                    }
-                }
-                NodeContent::Inner { start, end } => stack.extend(start..end),
-            }
-        }
-    }
-
-    /// Clears `out` and fills it with the payloads of every entry within
-    /// distance `d` (closed) of the probe rectangle — the buffer-reusing
-    /// twin of [`RTree::query_within`]. Callers probing in a loop keep one
-    /// allocation alive across probes instead of collecting a fresh `Vec`
-    /// each time.
-    pub fn query_within_into(&self, probe: &Rect, d: Coord, out: &mut Vec<T>)
-    where
-        T: Clone,
-    {
-        out.clear();
-        self.query_within(probe, d, |_, t| out.push(t.clone()));
-    }
-
-    /// Collects payload references overlapping the window (convenience for
-    /// tests and small probes; hot paths use the visitor form).
-    #[must_use]
-    pub fn overlapping(&self, window: &Rect) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.query_overlaps(window, |_, t| out.push(t));
-        out
-    }
-
-    /// Returns the entry nearest to the probe rectangle (smallest closed
-    /// rectangle-to-rectangle distance), with its distance. Ties resolve to
-    /// the entry earliest in storage order. Best-first branch-and-bound
-    /// over node MBR distances.
-    #[must_use]
-    pub fn nearest(&self, probe: &Rect) -> Option<(&Rect, &T, Coord)> {
-        use std::cmp::Ordering as CmpOrdering;
-        use std::collections::BinaryHeap;
-
-        /// Min-heap item ordered by distance (then insertion order for
-        /// deterministic tie-breaks).
-        struct Item {
-            dist: Coord,
-            seq: u64,
-            node: usize,
-        }
-        impl PartialEq for Item {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist && self.seq == other.seq
-            }
-        }
-        impl Eq for Item {}
-        impl PartialOrd for Item {
-            fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Item {
-            fn cmp(&self, other: &Self) -> CmpOrdering {
-                // Reverse for a min-heap; distances are finite by
-                // construction.
-                other
-                    .dist
-                    .total_cmp(&self.dist)
-                    .then(other.seq.cmp(&self.seq))
-            }
-        }
-
-        let root = self.root?;
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(Item {
-            dist: self.nodes[root].mbr.distance(probe),
-            seq,
-            node: root,
-        });
-        let mut best: Option<(u32, Coord)> = None;
-        while let Some(item) = heap.pop() {
-            if let Some((_, best_d)) = best {
-                if item.dist > best_d {
-                    break; // every remaining node is farther
-                }
-            }
-            match self.nodes[item.node].content {
-                NodeContent::Leaf { start, end } => {
-                    for e in start..end {
-                        let d = self.entries[e as usize].0.distance(probe);
-                        let better = match best {
-                            None => true,
-                            Some((be, bd)) => d < bd || (d == bd && e < be),
-                        };
-                        if better {
-                            best = Some((e, d));
-                        }
-                    }
-                }
-                NodeContent::Inner { start, end } => {
-                    for c in start..end {
-                        seq += 1;
-                        heap.push(Item {
-                            dist: self.nodes[c as usize].mbr.distance(probe),
-                            seq,
-                            node: c as usize,
-                        });
-                    }
-                }
-            }
-        }
-        best.map(|(e, d)| {
-            let (rect, payload) = &self.entries[e as usize];
-            (rect, payload, d)
-        })
-    }
-
-    /// Returns the `k` entries nearest to the probe (by closed rectangle
-    /// distance, ties toward earlier storage order), sorted nearest-first.
-    /// Fewer than `k` when the tree is smaller. Branch-and-bound: nodes
-    /// farther than the current k-th best are never opened.
-    #[must_use]
-    pub fn k_nearest(&self, probe: &Rect, k: usize) -> Vec<(&Rect, &T, Coord)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        // Current k best as (distance, entry index), kept sorted ascending;
-        // worst at the back. k is small in practice (NN queries), so a
-        // sorted Vec beats a heap.
-        let mut best: Vec<(Coord, u32)> = Vec::with_capacity(k + 1);
-        let mut stack: Vec<(Coord, usize)> = vec![(self.nodes[root].mbr.distance(probe), root)];
-        while let Some((node_dist, node)) = stack.pop() {
-            if best.len() == k && node_dist > best[k - 1].0 {
-                continue;
-            }
-            match self.nodes[node].content {
-                NodeContent::Leaf { start, end } => {
-                    for e in start..end {
-                        let d = self.entries[e as usize].0.distance(probe);
-                        let cand = (d, e);
-                        if best.len() == k {
-                            let worst = best[k - 1];
-                            if (cand.0, cand.1) >= (worst.0, worst.1) {
-                                continue;
-                            }
-                        }
-                        let pos = best.partition_point(|&(bd, be)| (bd, be) < (cand.0, cand.1));
-                        best.insert(pos, cand);
-                        best.truncate(k);
-                    }
-                }
-                NodeContent::Inner { start, end } => {
-                    for c in start..end {
-                        let d = self.nodes[c as usize].mbr.distance(probe);
-                        if best.len() < k || d <= best[k - 1].0 {
-                            stack.push((d, c as usize));
-                        }
-                    }
-                }
-            }
-        }
-        best.into_iter()
-            .map(|(d, e)| {
-                let (rect, payload) = &self.entries[e as usize];
-                (rect, payload, d)
-            })
-            .collect()
-    }
-
-    /// True if any entry overlaps the window.
-    #[must_use]
-    pub fn any_overlaps(&self, window: &Rect) -> bool {
-        let mut found = false;
-        // Early exit: the visitor API scans the whole result set, so walk
-        // manually here.
-        let Some(root) = self.root else { return false };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if found {
-                break;
-            }
-            let node = &self.nodes[id];
-            if !node.mbr.overlaps(window) {
-                continue;
-            }
-            match node.content {
-                NodeContent::Leaf { start, end } => {
-                    if self.entries[start as usize..end as usize]
-                        .iter()
-                        .any(|(r, _)| r.overlaps(window))
-                    {
-                        found = true;
-                    }
-                }
-                NodeContent::Inner { start, end } => {
-                    stack.extend((start..end).map(|c| c as usize));
-                }
-            }
-        }
-        found
+        self.view().query_within_scratch(probe, d, stack, visit);
     }
 }
 
@@ -414,7 +109,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, usize)> {
+    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, u32)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
@@ -422,13 +117,13 @@ mod tests {
                 let y = rng.random_range(20.0..1000.0);
                 let l = rng.random_range(0.0..40.0);
                 let b = rng.random_range(0.0..20.0);
-                (Rect::new(x, y, l, b), i)
+                (Rect::new(x, y, l, b), i as u32)
             })
             .collect()
     }
 
-    fn brute_overlaps(items: &[(Rect, usize)], w: &Rect) -> Vec<usize> {
-        let mut v: Vec<usize> = items
+    fn brute_overlaps(items: &[(Rect, u32)], w: &Rect) -> Vec<u32> {
+        let mut v: Vec<u32> = items
             .iter()
             .filter(|(r, _)| r.overlaps(w))
             .map(|&(_, i)| i)
@@ -437,8 +132,8 @@ mod tests {
         v
     }
 
-    fn brute_within(items: &[(Rect, usize)], w: &Rect, d: Coord) -> Vec<usize> {
-        let mut v: Vec<usize> = items
+    fn brute_within(items: &[(Rect, u32)], w: &Rect, d: Coord) -> Vec<u32> {
+        let mut v: Vec<u32> = items
             .iter()
             .filter(|(r, _)| r.within_distance(w, d))
             .map(|&(_, i)| i)
@@ -447,21 +142,28 @@ mod tests {
         v
     }
 
+    /// The sorted payloads the tree reports within `d` of `w`.
+    fn within(tree: &RTree, w: &Rect, d: Coord) -> Vec<u32> {
+        let mut got = Vec::new();
+        tree.view().query_within(w, d, |_, i| got.push(i));
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn empty_tree_queries() {
-        let t: RTree<usize> = RTree::bulk_load(Vec::new());
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-        assert!(t.overlapping(&Rect::new(0.0, 10.0, 10.0, 10.0)).is_empty());
-        assert!(!t.any_overlaps(&Rect::new(0.0, 10.0, 10.0, 10.0)));
+        let t = RTree::bulk_load(Vec::new());
+        assert!(t.view().is_empty());
+        assert_eq!(t.view().len(), 0);
+        assert!(within(&t, &Rect::new(0.0, 10.0, 10.0, 10.0), 0.0).is_empty());
     }
 
     #[test]
     fn single_entry() {
-        let t = RTree::bulk_load(vec![(Rect::new(5.0, 10.0, 2.0, 2.0), 42usize)]);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.overlapping(&Rect::new(6.0, 9.0, 1.0, 1.0)), vec![&42]);
-        assert!(t.overlapping(&Rect::new(20.0, 9.0, 1.0, 1.0)).is_empty());
+        let t = RTree::bulk_load(vec![(Rect::new(5.0, 10.0, 2.0, 2.0), 42)]);
+        assert_eq!(t.view().len(), 1);
+        assert_eq!(within(&t, &Rect::new(6.0, 9.0, 1.0, 1.0), 0.0), vec![42]);
+        assert!(within(&t, &Rect::new(20.0, 9.0, 1.0, 1.0), 0.0).is_empty());
     }
 
     #[test]
@@ -476,9 +178,7 @@ mod tests {
                 rng.random_range(0.0..150.0),
                 rng.random_range(0.0..150.0),
             );
-            let mut got: Vec<usize> = tree.overlapping(&w).into_iter().copied().collect();
-            got.sort_unstable();
-            assert_eq!(got, brute_overlaps(&items, &w));
+            assert_eq!(within(&tree, &w, 0.0), brute_overlaps(&items, &w));
         }
     }
 
@@ -495,41 +195,14 @@ mod tests {
                 rng.random_range(0.0..100.0),
             );
             let d = rng.random_range(0.0..80.0);
-            let mut got = Vec::new();
-            tree.query_within(&w, d, |_, &i| got.push(i));
-            got.sort_unstable();
-            assert_eq!(got, brute_within(&items, &w, d));
-        }
-    }
-
-    #[test]
-    fn query_within_into_matches_visitor_and_reuses_buffer() {
-        let items = random_rects(400, 19);
-        let tree = RTree::bulk_load(items.clone());
-        let mut buf: Vec<usize> = Vec::new();
-        let mut rng = StdRng::seed_from_u64(4000);
-        for _ in 0..30 {
-            let w = Rect::new(
-                rng.random_range(0.0..900.0),
-                rng.random_range(100.0..1000.0),
-                rng.random_range(0.0..100.0),
-                rng.random_range(0.0..100.0),
-            );
-            let d = rng.random_range(0.0..80.0);
-            // The buffer is cleared, not appended to — stale contents from
-            // the previous probe must not leak.
-            tree.query_within_into(&w, d, &mut buf);
-            let mut expect = Vec::new();
-            tree.query_within(&w, d, |_, &i| expect.push(i));
-            assert_eq!(buf, expect, "same payloads in the same visit order");
+            assert_eq!(within(&tree, &w, d), brute_within(&items, &w, d));
         }
     }
 
     #[test]
     fn query_within_scratch_matches_fresh_stack_at_all_distances() {
-        // d == 0 takes the overlap fast path; d > 0 the distance path —
-        // both must visit exactly what query_within visits, in the same
-        // order, with one stack reused across every probe.
+        // With one stack reused across every probe, at d == 0 and d > 0,
+        // the visits are exactly those of query_within, in the same order.
         let items = random_rects(400, 21);
         let tree = RTree::bulk_load(items.clone());
         let mut stack: Vec<u32> = Vec::new();
@@ -547,35 +220,19 @@ mod tests {
                 rng.random_range(0.0..80.0)
             };
             let mut got = Vec::new();
-            tree.query_within_scratch(&w, d, &mut stack, |_, &i| got.push(i));
+            tree.query_within_scratch(&w, d, &mut stack, |_, i| got.push(i));
             let mut expect = Vec::new();
-            tree.query_within(&w, d, |_, &i| expect.push(i));
+            tree.view().query_within(&w, d, |_, i| expect.push(i));
             assert_eq!(got, expect, "probe {probe_no} (d = {d})");
-        }
-    }
-
-    #[test]
-    fn any_overlaps_agrees_with_query() {
-        let items = random_rects(300, 13);
-        let tree = RTree::bulk_load(items.clone());
-        let mut rng = StdRng::seed_from_u64(3000);
-        for _ in 0..50 {
-            let w = Rect::new(
-                rng.random_range(0.0..1000.0),
-                rng.random_range(20.0..1000.0),
-                rng.random_range(0.0..30.0),
-                rng.random_range(0.0..30.0),
-            );
-            assert_eq!(tree.any_overlaps(&w), !tree.overlapping(&w).is_empty());
         }
     }
 
     #[test]
     fn duplicate_rectangles_are_all_returned() {
         let r = Rect::new(10.0, 20.0, 5.0, 5.0);
-        let items: Vec<(Rect, usize)> = (0..40).map(|i| (r, i)).collect();
+        let items: Vec<(Rect, u32)> = (0..40).map(|i| (r, i)).collect();
         let tree = RTree::bulk_load(items);
-        assert_eq!(tree.overlapping(&r).len(), 40);
+        assert_eq!(within(&tree, &r, 0.0).len(), 40);
     }
 
     #[test]
@@ -583,9 +240,7 @@ mod tests {
         let items = random_rects(5000, 17);
         let tree = RTree::bulk_load(items.clone());
         let w = Rect::new(200.0, 800.0, 300.0, 300.0);
-        let mut got: Vec<usize> = tree.overlapping(&w).into_iter().copied().collect();
-        got.sort_unstable();
-        assert_eq!(got, brute_overlaps(&items, &w));
+        assert_eq!(within(&tree, &w, 0.0), brute_overlaps(&items, &w));
     }
 
     proptest! {
@@ -596,16 +251,14 @@ mod tests {
                 (0.0..500.0f64, 50.0..500.0f64, 0.0..50.0f64, 0.0..50.0f64), 0..120),
             wx in 0.0..500.0f64, wy in 50.0..500.0f64, wl in 0.0..200.0f64, wb in 0.0..200.0f64,
         ) {
-            let items: Vec<(Rect, usize)> = rects
+            let items: Vec<(Rect, u32)> = rects
                 .into_iter()
                 .enumerate()
-                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i))
+                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i as u32))
                 .collect();
             let w = Rect::new(wx, wy, wl, wb);
             let tree = RTree::bulk_load(items.clone());
-            let mut got: Vec<usize> = tree.overlapping(&w).into_iter().copied().collect();
-            got.sort_unstable();
-            prop_assert_eq!(got, brute_overlaps(&items, &w));
+            prop_assert_eq!(within(&tree, &w, 0.0), brute_overlaps(&items, &w));
         }
 
         #[test]
@@ -614,17 +267,14 @@ mod tests {
                 (0.0..500.0f64, 50.0..500.0f64, 0.0..50.0f64, 0.0..50.0f64), 0..100),
             wx in 0.0..500.0f64, wy in 50.0..500.0f64, d in 0.0..100.0f64,
         ) {
-            let items: Vec<(Rect, usize)> = rects
+            let items: Vec<(Rect, u32)> = rects
                 .into_iter()
                 .enumerate()
-                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i))
+                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i as u32))
                 .collect();
             let w = Rect::new(wx, wy, 10.0, 10.0);
             let tree = RTree::bulk_load(items.clone());
-            let mut got = Vec::new();
-            tree.query_within(&w, d, |_, &i| got.push(i));
-            got.sort_unstable();
-            prop_assert_eq!(got, brute_within(&items, &w, d));
+            prop_assert_eq!(within(&tree, &w, d), brute_within(&items, &w, d));
         }
     }
 }
@@ -636,7 +286,7 @@ mod nearest_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, usize)> {
+    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, u32)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
@@ -647,13 +297,13 @@ mod nearest_tests {
                         rng.random_range(0.0..30.0),
                         rng.random_range(0.0..15.0),
                     ),
-                    i,
+                    i as u32,
                 )
             })
             .collect()
     }
 
-    fn brute_nearest(items: &[(Rect, usize)], probe: &Rect) -> Option<(usize, f64)> {
+    fn brute_nearest(items: &[(Rect, u32)], probe: &Rect) -> Option<(u32, f64)> {
         items
             .iter()
             .map(|(r, i)| (*i, r.distance(probe)))
@@ -662,8 +312,8 @@ mod nearest_tests {
 
     #[test]
     fn nearest_empty_tree() {
-        let t: RTree<usize> = RTree::bulk_load(Vec::new());
-        assert!(t.nearest(&Rect::new(0.0, 1.0, 1.0, 1.0)).is_none());
+        let t = RTree::bulk_load(Vec::new());
+        assert!(t.view().nearest(&Rect::new(0.0, 1.0, 1.0, 1.0)).is_none());
     }
 
     #[test]
@@ -678,13 +328,16 @@ mod nearest_tests {
                 rng.random_range(0.0..10.0),
                 rng.random_range(0.0..10.0),
             );
-            let (_, &id, d) = tree.nearest(&probe).unwrap();
+            let (_, id, d) = tree.view().nearest(&probe).unwrap();
             let (bid, bd) = brute_nearest(&items, &probe).unwrap();
             assert_eq!(d, bd, "distance mismatch");
             // With equal distance, ids may differ only if distances tie;
             // the tree breaks ties by storage order == insertion order
             // after STR sorting, so compare distances of both.
-            assert_eq!(items[bid].0.distance(&probe), items[id].0.distance(&probe));
+            assert_eq!(
+                items[bid as usize].0.distance(&probe),
+                items[id as usize].0.distance(&probe)
+            );
         }
     }
 
@@ -693,7 +346,7 @@ mod nearest_tests {
         let items = random_rects(100, 6);
         let tree = RTree::bulk_load(items.clone());
         let probe = items[42].0;
-        let (_, _, d) = tree.nearest(&probe).unwrap();
+        let (_, _, d) = tree.view().nearest(&probe).unwrap();
         assert_eq!(d, 0.0);
     }
 
@@ -705,14 +358,14 @@ mod nearest_tests {
                 (0.0..400.0f64, 40.0..400.0f64, 0.0..40.0f64, 0.0..40.0f64), 1..80),
             px in 0.0..400.0f64, py in 40.0..400.0f64,
         ) {
-            let items: Vec<(Rect, usize)> = rects
+            let items: Vec<(Rect, u32)> = rects
                 .into_iter()
                 .enumerate()
-                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i))
+                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i as u32))
                 .collect();
             let tree = RTree::bulk_load(items.clone());
             let probe = Rect::new(px, py, 1.0, 1.0);
-            let (_, _, d) = tree.nearest(&probe).unwrap();
+            let (_, _, d) = tree.view().nearest(&probe).unwrap();
             let (_, bd) = brute_nearest(&items, &probe).unwrap();
             prop_assert_eq!(d, bd);
         }
@@ -725,7 +378,7 @@ mod k_nearest_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, usize)> {
+    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, u32)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
@@ -736,13 +389,13 @@ mod k_nearest_tests {
                         rng.random_range(0.0..10.0),
                         rng.random_range(0.0..10.0),
                     ),
-                    i,
+                    i as u32,
                 )
             })
             .collect()
     }
 
-    fn brute_k(items: &[(Rect, usize)], probe: &Rect, k: usize) -> Vec<f64> {
+    fn brute_k(items: &[(Rect, u32)], probe: &Rect, k: usize) -> Vec<f64> {
         let mut d: Vec<f64> = items.iter().map(|(r, _)| r.distance(probe)).collect();
         d.sort_unstable_by(f64::total_cmp);
         d.truncate(k);
@@ -763,6 +416,7 @@ mod k_nearest_tests {
             );
             for k in [1usize, 3, 10, 50] {
                 let got: Vec<f64> = tree
+                    .view()
                     .k_nearest(&probe, k)
                     .iter()
                     .map(|&(_, _, d)| d)
@@ -777,8 +431,8 @@ mod k_nearest_tests {
         let items = random_rects(5, 22);
         let tree = RTree::bulk_load(items);
         let probe = Rect::new(100.0, 100.0, 1.0, 1.0);
-        assert!(tree.k_nearest(&probe, 0).is_empty());
-        assert_eq!(tree.k_nearest(&probe, 50).len(), 5);
+        assert!(tree.view().k_nearest(&probe, 0).is_empty());
+        assert_eq!(tree.view().k_nearest(&probe, 50).len(), 5);
     }
 
     #[test]
@@ -786,7 +440,7 @@ mod k_nearest_tests {
         let items = random_rects(200, 23);
         let tree = RTree::bulk_load(items);
         let probe = Rect::new(250.0, 250.0, 1.0, 1.0);
-        let res = tree.k_nearest(&probe, 20);
+        let res = tree.view().k_nearest(&probe, 20);
         for w in res.windows(2) {
             assert!(w[0].2 <= w[1].2);
         }
@@ -797,7 +451,7 @@ mod k_nearest_tests {
         let items = random_rects(150, 24);
         let tree = RTree::bulk_load(items);
         let probe = Rect::new(33.0, 44.0, 1.0, 1.0);
-        let (_, _, d1) = tree.nearest(&probe).unwrap();
-        assert_eq!(tree.k_nearest(&probe, 1)[0].2, d1);
+        let (_, _, d1) = tree.view().nearest(&probe).unwrap();
+        assert_eq!(tree.view().k_nearest(&probe, 1)[0].2, d1);
     }
 }

@@ -45,7 +45,7 @@ use mwsj_geom::Rect;
 use mwsj_mapreduce::Fnv64;
 use mwsj_partition::{CellId, Grid};
 use mwsj_rtree::packed::{ENTRY_WORDS, NODE_WORDS};
-use mwsj_rtree::{pack, PackedRTree, RTree};
+use mwsj_rtree::{PackedRTree, RTree};
 
 /// `"MWSJSTOR"` in ASCII, read as a big-endian integer.
 pub const MAGIC: u64 = 0x4D57_534A_5354_4F52;
@@ -192,19 +192,14 @@ impl<'a> StoreBuilder<'a> {
                 .reduce(|a, b| a.union(&b))
                 .unwrap_or(Rect::new(0.0, 0.0, 0.0, 0.0));
             let tree = RTree::bulk_load(members);
-            let (entries, nodes) = pack(&tree);
+            let (entries, nodes) = tree.words();
             meta.push((entry_words.len() / ENTRY_WORDS) as u64);
             meta.push((entries.len() / ENTRY_WORDS) as u64);
             meta.push((node_words.len() / NODE_WORDS) as u64);
             meta.push((nodes.len() / NODE_WORDS) as u64);
-            meta.extend([
-                extent.min_x().to_bits(),
-                extent.min_y().to_bits(),
-                extent.max_x().to_bits(),
-                extent.max_y().to_bits(),
-            ]);
-            entry_words.extend_from_slice(&entries);
-            node_words.extend_from_slice(&nodes);
+            meta.extend(extent.bounds().map(f64::to_bits));
+            entry_words.extend_from_slice(entries);
+            node_words.extend_from_slice(nodes);
         }
 
         let mut words = Vec::with_capacity(6 + meta.len() + entry_words.len() + node_words.len());
