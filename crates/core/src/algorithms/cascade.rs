@@ -17,10 +17,10 @@
 //! Hadoop would fold that predicate into the following job's reducer.
 
 use mwsj_geom::Rect;
+use mwsj_local::{GroupIndex, LocalRect};
 use mwsj_mapreduce::{Fnv64, RecordSize, StableHash};
 use mwsj_partition::CellId;
 use mwsj_query::{Predicate, Query, RelationId, Triple};
-use mwsj_rtree::RTree;
 
 use super::{normalize_tuples, AlgoCtx};
 use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
@@ -338,29 +338,32 @@ fn run_pair_job(
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&cell: &u32, values: &[Side], out| {
                 // Borrow the partial tuples straight out of the shuffle
-                // slice; only the (small) base pairs are copied out.
+                // slice; only the anchors and the (small) base pairs are
+                // copied out, as the two sides of a one-edge group.
                 let mut tuples: Vec<&Partial> = Vec::new();
-                let mut base: Vec<(Rect, u32)> = Vec::new();
+                let mut sides: [Vec<LocalRect>; 2] = Default::default();
                 for v in values {
                     match v {
-                        Side::Tuple(p) => tuples.push(p),
-                        Side::Base(tr) => base.push((tr.rect, tr.id)),
+                        Side::Tuple(p) => {
+                            sides[0].push((p.rect(anchor_pos.index()), 0));
+                            tuples.push(p);
+                        }
+                        Side::Base(tr) => sides[1].push((tr.rect, tr.id)),
                     }
                 }
-                if tuples.is_empty() || base.is_empty() {
+                if sides.iter().any(Vec::is_empty) {
                     return;
                 }
-                let tree = RTree::bulk_load(base);
-                let tree = tree.view();
+                let pairs = GroupIndex::new(&sides).pairs(0, 1, d, None);
                 let mut found = 0u64;
-                for p in &tuples {
-                    let anchor = p.rect(anchor_pos.index());
-                    tree.query_within(&anchor, d, |rect, id| {
-                        // The distance probe equals the predicate for Overlap
+                for (i, (p, &(anchor, _))) in tuples.iter().zip(&sides[0]).enumerate() {
+                    for &j in pairs.from(0, 1).row(i) {
+                        let (rect, id) = sides[1][j as usize];
+                        // The pair list equals the predicate for Overlap
                         // and Range; asymmetric predicates (Contains) need the
                         // exact oriented check on top.
                         if !predicate.eval_oriented(&anchor, &rect, anchor_is_right) {
-                            return;
+                            continue;
                         }
                         // Designated cell (§5.3): the start of the overlap
                         // between the enlarged anchor and the partner.
@@ -374,7 +377,7 @@ fn run_pair_job(
                                 out(StageOut::Tuple(p.bind(new_pos.index(), id, rect)));
                             }
                         }
-                    });
+                    }
                 }
                 if found > 0 {
                     out(StageOut::Count(found));

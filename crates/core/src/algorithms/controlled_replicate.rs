@@ -8,7 +8,7 @@
 //!    in `c`. Each rectangle starts in exactly one cell (and is always
 //!    split onto it), so a marked rectangle is emitted exactly once. The
 //!    reducer then runs the local multi-way join over the same group —
-//!    through the index marking already probed — and emits every tuple
+//!    off the pair lists marking already swept — and emits every tuple
 //!    whose §6.2 designated cell is `c`. Only the marked stream is
 //!    materialized on the DFS, as Hadoop would between jobs.
 //! 2. **Join across cells.** The marked rectangles are replicated — with
@@ -136,7 +136,7 @@ pub(crate) fn run(
             .partition(|&k: &u32, p| k as usize % p)
             .reduce(|&cell: &u32, values: &[TaggedRect], out| {
                 let rels = group_by_relation(n, values.iter().copied());
-                // One index serves both the marking and the join below.
+                // One sweep per edge serves the marking and the join below.
                 let group = GroupIndex::new(&rels);
                 let flags = marking::mark_indexed(query, grid, CellId(cell), &group);
                 for (pos, (rel_rects, rel_flags)) in rels.iter().zip(&flags).enumerate() {

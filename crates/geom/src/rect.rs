@@ -247,15 +247,18 @@ impl Rect {
     ///
     /// `d_sq == 0` is the overlap test and is decided by comparisons alone:
     /// the square of a subnormal gap underflows to zero, which would accept
-    /// two rectangles that do not touch.
+    /// two rectangles that do not touch. The four comparisons are combined
+    /// without short-circuit: the reducer's sweep compacts its candidates
+    /// with no branch on the outcome, and a tree walk branches once per
+    /// node or entry instead of up to four times.
     #[inline]
     #[must_use]
     pub fn bounds_within(&self, [min_x, min_y, max_x, max_y]: [Coord; 4], d_sq: Coord) -> bool {
         if d_sq == 0.0 {
-            return min_x <= self.max_x
-                && self.min_x <= max_x
-                && min_y <= self.max_y
-                && self.min_y <= max_y;
+            return (min_x <= self.max_x)
+                & (self.min_x <= max_x)
+                & (min_y <= self.max_y)
+                & (self.min_y <= max_y);
         }
         let dx = axis_gap(self.min_x, self.max_x, min_x, max_x);
         let dy = axis_gap(self.min_y, self.max_y, min_y, max_y);

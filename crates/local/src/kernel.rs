@@ -9,21 +9,28 @@
 //!   set at depth `d` is exactly the first `d` relations of the BFS
 //!   order), so the per-candidate loop never walks the join graph or an
 //!   assignment array. Symmetric probe predicates are verified by the
-//!   index probe itself and dropped from the verify lists.
+//!   probe itself and dropped from the verify lists.
 //! * **Iterative stack, flat arena.** Recursion is replaced by an explicit
 //!   depth cursor over one flat candidate buffer; each depth owns a range
 //!   `[base, len)` of the buffer that is truncated on backtrack. No
 //!   per-probe `Vec` — a probe appends to the arena and the frame records
 //!   where its candidates start.
-//! * **Candidates come from a probe function.** The search itself is
-//!   [`JoinKernel::execute_seeded`]: depth-0 seeds plus a function that
-//!   appends a relation's rectangles within `d` of a probe rectangle.
-//!   Reducers pass a [`GroupIndex`] ([`JoinKernel::execute_on`]); the
-//!   map-side join passes a forest of stored per-cell trees.
+//! * **Candidates come from a probe function.** There is one backtracking
+//!   loop, `search`, and two ways into it. A reducer
+//!   ([`JoinKernel::execute_on`]) resolves each step's pair list from the
+//!   group's [`GroupIndex`] up front — in plan order, each list swept only
+//!   for the rectangles the previous steps can reach — and its probe
+//!   copies an adjacency row into the arena: entries carry their
+//!   *position* in the relation while inside the search and are mapped
+//!   back to record ids on emit. The map-side join
+//!   ([`JoinKernel::execute_seeded`]) passes a probe over its forest of
+//!   stored per-cell trees; there a step's candidates are walked once per
+//!   distinct binding of the step's `from` relation and memoized by its
+//!   id, whichever depth that relation was bound at.
 //! * **Thread-local scratch.** Arena, frames and memo live in one scratch
 //!   struct per worker thread, reused across reducer groups: after the
 //!   first group on a thread, the search itself allocates nothing (the
-//!   group's index and whatever `emit` does still allocate).
+//!   group's pair lists and whatever `emit` does still allocate).
 //!
 //! `multiway_join_naive` in [`crate::multiway`] is the independent
 //! recursive matcher the tests compare the kernel's tuple set against.
@@ -38,36 +45,27 @@ use mwsj_query::{JoinPlan, PlanStep, Query};
 use crate::index::GroupIndex;
 use crate::LocalRect;
 
-/// Multiply-rotate hasher for the fixed-width rectangle keys of the probe
-/// memo. The keys are 32 bytes of trusted coordinate bits — SipHash's
-/// hash-flooding resistance buys nothing here and costs measurable time
-/// in the probe loop.
+/// Multiply hasher for the `u32` record ids of the probe memo: trusted
+/// keys — SipHash's hash-flooding resistance buys nothing here and costs
+/// measurable time in the probe loop.
 #[derive(Default)]
-struct RectKeyHasher(u64);
+struct IdHasher(u64);
 
-impl Hasher for RectKeyHasher {
+impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_ne_bytes(buf));
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("memo keys are u32 ids");
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-type RectKeyMap = HashMap<[u64; 4], (u32, u32), BuildHasherDefault<RectKeyHasher>>;
-
-fn rect_key(r: &Rect) -> [u64; 4] {
-    r.bounds().map(f64::to_bits)
-}
+type IdMap = HashMap<u32, (u32, u32), BuildHasherDefault<IdHasher>>;
 
 /// One depth of the iterative search: its candidates occupy
 /// `arena[base..]` (up to the next frame's base) and `cursor` counts how
@@ -78,23 +76,29 @@ struct Frame {
     cursor: usize,
 }
 
-/// Reusable per-thread working memory.
+/// What the backtracking loop itself works on.
 #[derive(Default)]
-struct Scratch {
+struct Search {
     /// Flat candidate arena shared by all depths. Probes copy the full
     /// `(rect, id)` in, so consuming a candidate is one sequential arena
     /// read — no random access back into the relation vectors.
     arena: Vec<LocalRect>,
     frames: Vec<Frame>,
     tuple: Vec<LocalRect>,
-    /// Per-depth probe memo: probe-rect bits -> range in `memo_arena`. A
-    /// probe's result depends only on the probe rectangle (the target
-    /// index and distance are fixed per depth), so when the probing
-    /// relation is not the start relation — i.e. the same rectangle is
-    /// probed once per partial tuple it appears in — the index walk runs
-    /// once and repeats are a range copy.
-    memo: Vec<RectKeyMap>,
+}
+
+/// Reusable per-thread working memory.
+#[derive(Default)]
+struct Scratch {
+    search: Search,
+    /// [`JoinKernel::execute_seeded`]'s probe memo, per probed relation:
+    /// id of the probing entry -> range in `memo_arena`.
+    memo: Vec<IdMap>,
     memo_arena: Vec<LocalRect>,
+    /// [`JoinKernel::execute_on`]'s reach bitmaps, per relation, and the
+    /// tuple it hands to `emit` (positions mapped back to ids).
+    alive: Vec<Vec<bool>>,
+    emitted: Vec<LocalRect>,
 }
 
 thread_local! {
@@ -129,14 +133,15 @@ impl JoinKernel {
 
     /// Finds every consistent full tuple over the local relations and
     /// calls `emit` with one `(rect, id)` per relation position, in
-    /// position order: indexes the group, then [`JoinKernel::execute_on`].
+    /// position order: wraps the group, then [`JoinKernel::execute_on`].
     pub fn execute(&self, relations: &[Vec<LocalRect>], emit: impl FnMut(&[LocalRect])) {
         self.execute_on(&GroupIndex::new(relations), emit);
     }
 
-    /// [`JoinKernel::execute`] over a group the caller indexed — and may
-    /// have probed already, as C-Rep's round-1 reducer does to mark.
-    pub fn execute_on(&self, group: &GroupIndex<'_>, emit: impl FnMut(&[LocalRect])) {
+    /// [`JoinKernel::execute`] over a group the caller wrapped — and whose
+    /// pair lists it may have built already, as C-Rep's round-1 reducer
+    /// does to mark.
+    pub fn execute_on(&self, group: &GroupIndex<'_>, mut emit: impl FnMut(&[LocalRect])) {
         let relations = group.relations();
         assert_eq!(
             relations.len(),
@@ -146,34 +151,77 @@ impl JoinKernel {
         if relations.iter().any(Vec::is_empty) {
             return;
         }
-        // Seed from the smallest relation (the first of several): it is
-        // the one relation the search never probes, so never indexes.
+        // Seed from the smallest relation (the first of several).
         let start = (0..self.n)
             .min_by_key(|&i| relations[i].len())
             .expect("non-empty query");
-        let mut stack = Vec::new();
-        self.execute_seeded(
-            start,
-            &relations[start],
-            |w, rect, d, out| group.probe(w, rect, d, &mut stack, |_, &entry| out.push(entry)),
-            emit,
+        let steps = self.plans[start].steps();
+        let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let Scratch {
+            search: state,
+            alive,
+            emitted,
+            ..
+        } = &mut scratch;
+        // Each step's pair list, by the relation it binds. A list the group
+        // does not hold yet is swept for the `from` rectangles some partial
+        // tuple can bind — those with a partner along the plan so far.
+        alive.resize_with(self.n, Vec::new);
+        alive[start].clear();
+        alive[start].resize(relations[start].len(), true);
+        let mut lists: Vec<_> = (0..self.n).map(|_| None).collect();
+        for step in &steps[1..] {
+            let edge = step.probe.as_ref().expect("non-root steps have a probe");
+            let (from, w) = (edge.from.index(), step.relation.index());
+            let list = group.pairs(from, w, edge.predicate.distance(), Some(&alive[from]));
+            let mut reached = std::mem::take(&mut alive[w]);
+            reached.clear();
+            reached.resize(relations[w].len(), false);
+            for (i, _) in alive[from].iter().enumerate().filter(|(_, &on)| on) {
+                for &j in list.from(from, w).row(i) {
+                    reached[j as usize] = true;
+                }
+            }
+            alive[w] = reached;
+            lists[w] = Some((list, from));
+        }
+        state.arena.clear();
+        let seeds = relations[start].iter().zip(0..);
+        state.arena.extend(seeds.map(|(&(r, _), i)| (r, i)));
+        search(
+            steps,
+            self.n,
+            state,
+            &mut |w, &(_, i), _, out| {
+                let (list, from) = lists[w].as_ref().expect("every later step has a list");
+                let row = list.from(*from, w).row(i as usize);
+                out.extend(row.iter().map(|&j| (relations[w][j as usize].0, j)));
+            },
+            &mut |tuple| {
+                emitted.clear();
+                let ids = tuple.iter().zip(relations);
+                emitted.extend(ids.map(|(&(r, i), rel)| (r, rel[i as usize].1)));
+                emit(emitted);
+            },
         );
+        SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
 
     /// Runs the search from caller-supplied depth-0 candidates, probing
-    /// through a caller-supplied index: a [`GroupIndex`] for a reducer
-    /// group, a forest of serialized R-trees for map-side joins over
-    /// *stored* per-cell trees.
+    /// through a caller-supplied index — the map-side join's forest of
+    /// serialized R-trees over *stored* per-cell trees.
     ///
     /// `start` picks the compiled plan (seeds are candidates of relation
     /// position `start`); `probe(w, rect, d, out)` must append every
     /// `(rect, id)` of relation position `w` within distance `d` (closed)
     /// of `rect` — [`Rect::bounds_within`], the R-tree acceptance test —
-    /// to `out`, appending only. Probe results are memoized per depth by
-    /// the probe rectangle's bit pattern, so the probe must be a pure
-    /// function of `(w, rect, d)` for one call. `emit` receives each full
-    /// tuple in relation-position order. A reentrant call from `emit`
-    /// runs on a fresh scratch.
+    /// to `out`, appending only. A step's candidates depend only on the
+    /// binding of its `from` relation, so past depth 1 (whose probes are
+    /// the seeds, each bound once) results are memoized by the id of the
+    /// probing entry: ids must be unique within a relation position and
+    /// the probe a pure function of `(w, rect, d)` for one call. `emit`
+    /// receives each full tuple in relation-position order. A reentrant
+    /// call from `emit` runs on a fresh scratch.
     ///
     /// # Panics
     /// Panics when `start` is not a relation position of the query.
@@ -188,14 +236,35 @@ impl JoinKernel {
         if seeds.is_empty() {
             return;
         }
+        let steps = self.plans[start].steps();
         let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        scratch.arena.clear();
-        scratch.arena.extend_from_slice(seeds);
+        let Scratch {
+            search: state,
+            memo,
+            memo_arena,
+            ..
+        } = &mut scratch;
+        state.arena.clear();
+        state.arena.extend_from_slice(seeds);
+        memo.resize_with(self.n, IdMap::default);
+        memo.iter_mut().for_each(IdMap::clear);
+        memo_arena.clear();
+        let first = steps.get(1).map(|s| s.relation.index());
         search(
-            self.plans[start].steps(),
+            steps,
             self.n,
-            &mut scratch,
-            &mut probe,
+            state,
+            &mut |w, (rect, id), d, out| {
+                if Some(w) == first {
+                    return probe(w, rect, d, out);
+                }
+                let (start, end) = *memo[w].entry(*id).or_insert_with(|| {
+                    let start = memo_arena.len() as u32;
+                    probe(w, rect, d, memo_arena);
+                    (start, memo_arena.len() as u32)
+                });
+                out.extend_from_slice(&memo_arena[start as usize..end as usize]);
+            },
             &mut emit,
         );
         SCRATCH.with(|s| *s.borrow_mut() = scratch);
@@ -203,32 +272,26 @@ impl JoinKernel {
 }
 
 /// The iterative backtracking loop: candidate generation is behind
-/// `probe`; verify edges, frame bookkeeping and the per-depth probe memo
-/// are here. `scratch.arena` must arrive holding exactly the depth-0
-/// seeds; the remaining scratch parts are (re)initialized here.
+/// `probe(w, entry, d, out)`, which appends the candidates of relation
+/// `w` for the bound entry of the step's `from` relation; verify edges and
+/// frame bookkeeping are here. `state.arena` must arrive holding exactly
+/// the depth-0 seeds; frames and tuple are (re)initialized here.
 fn search(
     steps: &[PlanStep],
     n: usize,
-    scratch: &mut Scratch,
-    probe: &mut impl FnMut(usize, &Rect, Coord, &mut Vec<LocalRect>),
+    state: &mut Search,
+    probe: &mut impl FnMut(usize, &LocalRect, Coord, &mut Vec<LocalRect>),
     emit: &mut impl FnMut(&[LocalRect]),
 ) {
-    let Scratch {
+    let Search {
         arena,
         frames,
         tuple,
-        memo,
-        memo_arena,
-    } = scratch;
+    } = state;
     tuple.clear();
     tuple.resize(n, (Rect::new(0.0, 0.0, 0.0, 0.0), 0));
     frames.clear();
     frames.resize(n, Frame::default());
-    memo.resize_with(n, RectKeyMap::default);
-    for m in memo.iter_mut() {
-        m.clear();
-    }
-    memo_arena.clear();
 
     let mut depth = 0usize;
     loop {
@@ -272,29 +335,16 @@ fn search(
             emit(tuple);
             continue;
         }
-        // Probe for the next depth's candidates. When the probing
-        // relation is the start relation every probe rectangle is
-        // distinct, so the index is walked directly; otherwise the
-        // same rectangle recurs once per partial tuple containing it
-        // and the result is memoized by rectangle.
+        // Probe for the next depth's candidates.
         let next = &steps[depth + 1];
-        let w = next.relation.index();
         let probe_edge = next.probe.as_ref().expect("non-root steps have a probe");
-        let probe_rect = &tuple[probe_edge.from.index()].0;
-        let d = probe_edge.predicate.distance();
         let next_base = arena.len();
-        if probe_edge.from == steps[0].relation {
-            probe(w, probe_rect, d, arena);
-        } else {
-            let (s, e) = *memo[depth + 1]
-                .entry(rect_key(probe_rect))
-                .or_insert_with(|| {
-                    let m0 = memo_arena.len();
-                    probe(w, probe_rect, d, memo_arena);
-                    (m0 as u32, memo_arena.len() as u32)
-                });
-            arena.extend_from_slice(&memo_arena[s as usize..e as usize]);
-        }
+        probe(
+            next.relation.index(),
+            &tuple[probe_edge.from.index()],
+            probe_edge.predicate.distance(),
+            arena,
+        );
         depth += 1;
         frames[depth] = Frame {
             base: next_base,
@@ -306,7 +356,6 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::LINEAR_SCAN_THRESHOLD;
     use crate::multiway::{brute_force_join, multiway_join_naive, normalized};
     use mwsj_query::Query;
     use mwsj_rtree::RTree;
@@ -377,25 +426,130 @@ mod tests {
     }
 
     #[test]
-    fn kernel_crosses_the_linear_scan_threshold() {
-        // One relation well above the threshold (tree-probed), one well
-        // below (SoA-scanned), one at the boundary.
+    fn kernel_crosses_the_strip_rule() {
+        // Groups whose pair lists sweep in one strip (a side too small to
+        // fill two) and, when marking asked for complete lists first, in
+        // several; forward semi-join rows either way.
         let q = Query::builder()
             .overlap("A", "B")
             .range("B", "C", 10.0)
             .build()
             .unwrap();
-        for sizes in [
-            [LINEAR_SCAN_THRESHOLD * 3, 10, LINEAR_SCAN_THRESHOLD],
-            [10, LINEAR_SCAN_THRESHOLD * 2, LINEAR_SCAN_THRESHOLD - 1],
-        ] {
-            let rels: Vec<Vec<LocalRect>> = sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| random_relation(s, 40 + i as u64, 25.0))
+        for sizes in [[144, 10, 48], [10, 96, 47], [47, 48, 49]] {
+            let rels: Vec<Vec<LocalRect>> = (sizes.iter().zip(40..))
+                .map(|(&s, seed)| random_relation(s, seed, 25.0))
                 .collect();
             check_against_oracles(&q, &rels);
         }
+        // Too large for the exponential oracle: the chain by nested loops.
+        let rels: Vec<Vec<LocalRect>> = ([600, 700, 800].iter().zip(50..))
+            .map(|(&s, seed)| random_relation(s, seed, 12.0))
+            .collect();
+        let mut want = Vec::new();
+        for (a, ia) in &rels[0] {
+            for (b, ib) in rels[1].iter().filter(|(b, _)| a.overlaps(b)) {
+                let reach = |(c, _): &&LocalRect| b.within_distance(c, 10.0);
+                want.extend(
+                    rels[2]
+                        .iter()
+                        .filter(reach)
+                        .map(|(_, ic)| vec![*ia, *ib, *ic]),
+                );
+            }
+        }
+        assert!(want.len() > 1_000, "test should exercise a real output");
+        assert_eq!(normalized(kernel_ids(&q, &rels)), normalized(want.clone()));
+        let group = GroupIndex::new(&rels);
+        let grid = mwsj_partition::Grid::square((0.0, 300.0), (0.0, 300.0), 2);
+        let _ = crate::marking::mark_indexed(&q, &grid, mwsj_partition::CellId(0), &group);
+        let (_, complete) = group.sweep_counts();
+        assert!(complete > 4_000, "marking should have swept both edges");
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        JoinKernel::new(&q).execute_on(&group, |tuple| {
+            out.push(tuple.iter().map(|&(_, id)| id).collect());
+        });
+        assert_eq!(normalized(out), normalized(want));
+        assert_eq!(
+            group.sweep_counts().1,
+            complete,
+            "the join swept an edge again"
+        );
+    }
+
+    #[test]
+    fn a_small_seed_relation_never_triggers_a_full_join_of_the_others() {
+        // The skew guard, as a count: with four R1 rectangles the R2–R3
+        // list is swept only for the R2 rectangles an R1 rectangle reaches.
+        let q = Query::builder()
+            .overlap("R1", "R2")
+            .overlap("R2", "R3")
+            .build()
+            .unwrap();
+        let rels = vec![
+            random_relation(4, 700, 12.0),
+            random_relation(20_000, 701, 12.0),
+            random_relation(20_000, 702, 12.0),
+        ];
+        let reached: Vec<&LocalRect> = (rels[1].iter())
+            .filter(|(b, _)| rels[0].iter().any(|(a, _)| a.overlaps(b)))
+            .collect();
+        let pairs = |from: &[&LocalRect], to: &[LocalRect]| -> u64 {
+            let partners = |(f, _): &&LocalRect| to.iter().filter(|(t, _)| f.overlaps(t)).count();
+            from.iter().map(partners).sum::<usize>() as u64
+        };
+        let seeds: Vec<&LocalRect> = rels[0].iter().collect();
+        let bound = pairs(&seeds, &rels[1]) + pairs(&reached, &rels[2]);
+        let group = GroupIndex::new(&rels);
+        let mut got: Vec<Vec<u32>> = Vec::new();
+        JoinKernel::new(&q).execute_on(&group, |tuple| {
+            got.push(tuple.iter().map(|&(_, id)| id).collect());
+        });
+        let (_, materialized) = group.sweep_counts();
+        assert!(
+            materialized <= bound,
+            "{materialized} pairs for a bound of {bound}"
+        );
+        assert!(bound < 20_000, "a full R2 ⋈ R3 holds some 600 000 pairs");
+        assert!(!got.is_empty(), "test should exercise non-empty output");
+        assert_eq!(normalized(got), normalized(naive_ids(&q, &rels)));
+    }
+
+    #[test]
+    fn a_star_seeded_at_its_centre_probes_each_seed_once_per_leaf() {
+        // `A ov B and A ov C` seeded at A: both later steps probe from the
+        // seed, and the step-2 probe must not run again for every
+        // depth-1 candidate the seed has.
+        let q = Query::builder()
+            .overlap("A", "B")
+            .overlap("A", "C")
+            .build()
+            .unwrap();
+        let rels = vec![
+            random_relation(60, 800, 40.0),
+            random_relation(300, 801, 40.0),
+            random_relation(300, 802, 40.0),
+        ];
+        let trees: Vec<RTree> = rels.iter().map(|r| RTree::bulk_load(r.clone())).collect();
+        let (mut probes, mut stack) = (0usize, Vec::new());
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        JoinKernel::new(&q).execute_seeded(
+            0,
+            &rels[0],
+            |w, probe, d, out| {
+                probes += 1;
+                trees[w].query_within_scratch(probe, d, &mut stack, |r, id| out.push((r, id)));
+            },
+            |tuple| out.push(tuple.iter().map(|&(_, id)| id).collect()),
+        );
+        assert!(
+            out.len() > 10 * rels[0].len(),
+            "seeds need several B partners each"
+        );
+        assert_eq!(normalized(out), normalized(brute_force_join(&q, &rels)));
+        assert!(
+            probes <= rels[0].len() * 2,
+            "{probes} probes for 60 seeds, 2 leaves"
+        );
     }
 
     #[test]
@@ -472,9 +626,9 @@ mod tests {
             .build()
             .unwrap();
         let rels = vec![
-            random_relation(LINEAR_SCAN_THRESHOLD * 2, 600, 30.0),
-            random_relation(LINEAR_SCAN_THRESHOLD / 2, 601, 30.0),
-            random_relation(LINEAR_SCAN_THRESHOLD * 3, 602, 30.0),
+            random_relation(96, 600, 30.0),
+            random_relation(24, 601, 30.0),
+            random_relation(144, 602, 30.0),
         ];
         let group = GroupIndex::new(&rels);
         let cell = mwsj_partition::CellId(0);

@@ -5,8 +5,8 @@
 //! implements those local pieces:
 //!
 //! * [`index`] — the one index a reducer builds over its group: per
-//!   relation a coordinate-array scan or an R-tree, chosen by size, built
-//!   on first probe and shared by everything below;
+//!   join-graph edge a pair list, swept from the two relations in `min_x`
+//!   order on first use and read as adjacency rows by everything below;
 //! * [`kernel`] — the reducer-side multi-way join (*All-Replicate*, both
 //!   rounds of *Controlled-Replicate*, the hypercube, map-side): finds
 //!   every tuple of local rectangles satisfying the query with per-depth

@@ -47,11 +47,13 @@
 //! needs, and its designated-cell filter decides what is emitted) and
 //! never misses a mark.
 
+use std::rc::Rc;
+
 use mwsj_geom::Rect;
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Predicate, Query, RelationId};
 
-use crate::index::GroupIndex;
+use crate::index::{GroupIndex, PairList};
 use crate::LocalRect;
 
 /// Computes, for every local rectangle, whether it belongs to `uS_c` — the
@@ -72,8 +74,8 @@ pub fn mark_for_replication(
     mark_indexed(query, grid, cell, &GroupIndex::new(relations))
 }
 
-/// [`mark_for_replication`] over a group the caller indexed, so that the
-/// join that follows on the same reducer probes the same index.
+/// [`mark_for_replication`] over a group the caller wrapped, so that the
+/// join that follows on the same reducer reads the same pair lists.
 #[must_use]
 pub fn mark_indexed(
     query: &Query,
@@ -88,12 +90,13 @@ pub fn mark_indexed(
         "one rectangle set per relation position"
     );
     let graph = query.graph();
+    let mut pairs = internal_pairs(query);
     let mut marked: Vec<Vec<bool>> = relations.iter().map(|r| vec![false; r.len()]).collect();
     // The survivors of the subset under consideration, as a bitmap per
-    // relation (what a probe filters by) and as position lists (what the
+    // relation (what a row is filtered by) and as position lists (what the
     // fixpoint iterates over).
     let mut alive: Vec<Vec<bool>> = marked.clone();
-    let mut stack = Vec::new();
+    let mut crossing: Vec<Vec<(Predicate, Vec<bool>)>> = vec![Vec::new(); relations.len()];
 
     for mask in graph.connected_subsets(true) {
         debug_assert!(
@@ -101,22 +104,26 @@ pub fn mark_indexed(
             "a proper subset of a connected graph has an outside edge (C3)"
         );
 
-        // C2 pre-filter: candidate lists per relation in S.
+        // C2 pre-filter: candidate lists per relation in S. A rectangle's
+        // crossing flag for an obligation is the same in every subset that
+        // imposes it, so it is computed when the first one does.
         let mut candidates: Vec<(RelationId, Vec<u32>)> = Vec::new();
         let mut empty = false;
         for rel in query.relations() {
             if mask & (1 << rel.index()) == 0 {
                 continue;
             }
+            let (rects, known) = (&relations[rel.index()], &mut crossing[rel.index()]);
             let obligations = graph.outside_edges(rel, mask);
-            let list: Vec<u32> = (0u32..)
-                .zip(&relations[rel.index()])
-                .filter(|(_, (rect, _))| {
-                    obligations
-                        .iter()
-                        .all(|p| crosses_for_predicate(grid, cell, rect, *p))
-                })
-                .map(|(i, _)| i)
+            for p in &obligations {
+                if !known.iter().any(|(q, _)| q == p) {
+                    let crosses = |(r, _): &LocalRect| crosses_for_predicate(grid, cell, r, *p);
+                    known.push((*p, rects.iter().map(crosses).collect()));
+                }
+            }
+            let imposed = |(q, _): &&(Predicate, Vec<bool>)| obligations.contains(q);
+            let list: Vec<u32> = (0..rects.len() as u32)
+                .filter(|&i| known.iter().filter(imposed).all(|(_, f)| f[i as usize]))
                 .collect();
             if list.is_empty() {
                 empty = true;
@@ -134,7 +141,7 @@ pub fn mark_indexed(
         }
 
         // C1 via arc-consistency over the predicates internal to S.
-        arc_consistency(query, group, mask, &mut candidates, &mut alive, &mut stack);
+        arc_consistency(group, mask, &mut pairs, &mut candidates, &mut alive);
         let consistent = candidates.iter().all(|(_, list)| !list.is_empty());
         for (rel, list) in &candidates {
             for &i in list {
@@ -157,102 +164,106 @@ fn crosses_for_predicate(grid: &Grid, cell: CellId, rect: &Rect, p: Predicate) -
     }
 }
 
-/// Predicates between one (ordered) relation pair; `flipped` records that
-/// the triple listed the pair as (b, a), so asymmetric predicates keep
-/// their orientation.
-type PairPredicates = Vec<(Predicate, bool)>;
+/// The constraint between one relation pair `a < b`: the conjunction of
+/// all parallel predicates between them (`flipped` records that the
+/// triple listed the pair as `(b, a)`, so asymmetric predicates keep their
+/// orientation), and the pair list supports are read from.
+struct PairConstraint {
+    a: RelationId,
+    b: RelationId,
+    predicates: Vec<(Predicate, bool)>,
+    /// Built when the first subset holding both relations needs it.
+    list: Option<Rc<PairList>>,
+}
 
-/// Prunes candidate lists to arc consistency: a rectangle survives iff for
-/// every internal edge of `mask` incident to its relation there exists a
-/// supporting partner among the other relation's survivors.
-///
-/// Supports are looked up by probing the group's index over the *whole*
-/// relation and keeping only hits the `alive` bitmap still holds.
-/// Removing a rectangle can only remove supports, so whatever order the
-/// removals happen in, the loop ends at the one greatest arc-consistent
-/// subset of the candidates — the set an index over the survivors alone
-/// would reach. On return `alive` is set exactly at the listed survivors.
-fn arc_consistency(
-    query: &Query,
-    group: &GroupIndex<'_>,
-    mask: u32,
-    candidates: &mut [(RelationId, Vec<u32>)],
-    alive: &mut [Vec<bool>],
-    stack: &mut Vec<u32>,
-) {
-    // Internal constraint per relation pair: the conjunction of all
-    // parallel predicates between them.
-    let mut pairs: Vec<(RelationId, RelationId, PairPredicates)> = Vec::new();
+fn internal_pairs(query: &Query) -> Vec<PairConstraint> {
+    let mut pairs: Vec<PairConstraint> = Vec::new();
     for t in query.triples() {
         let (a, b, flipped) = if t.left < t.right {
             (t.left, t.right, false)
         } else {
             (t.right, t.left, true)
         };
-        if mask & (1 << a.index()) == 0 || mask & (1 << b.index()) == 0 {
-            continue;
-        }
-        if let Some(entry) = pairs.iter_mut().find(|(x, y, _)| (*x, *y) == (a, b)) {
-            entry.2.push((t.predicate, flipped));
+        if let Some(entry) = pairs.iter_mut().find(|p| (p.a, p.b) == (a, b)) {
+            entry.predicates.push((t.predicate, flipped));
         } else {
-            pairs.push((a, b, vec![(t.predicate, flipped)]));
+            pairs.push(PairConstraint {
+                a,
+                b,
+                predicates: vec![(t.predicate, flipped)],
+                list: None,
+            });
         }
     }
-    let relations = group.relations();
+    pairs
+}
 
-    let mut changed = !pairs.is_empty(); // a singleton subset has nothing internal
+/// Prunes candidate lists to arc consistency: a rectangle survives iff for
+/// every internal edge of `mask` incident to its relation there exists a
+/// supporting partner among the other relation's survivors.
+///
+/// Supports are read off the edge's pair list — the rectangle's row over
+/// the *whole* other relation — keeping only partners the `alive` bitmap
+/// still holds. Removing a rectangle can only remove supports, so whatever
+/// order the removals happen in, the loop ends at the one greatest
+/// arc-consistent subset of the candidates. On return `alive` is set
+/// exactly at the listed survivors.
+fn arc_consistency(
+    group: &GroupIndex<'_>,
+    mask: u32,
+    pairs: &mut [PairConstraint],
+    candidates: &mut [(RelationId, Vec<u32>)],
+    alive: &mut [Vec<bool>],
+) {
+    let relations = group.relations();
+    let inside =
+        |p: &&mut PairConstraint| mask & (1 << p.a.index()) != 0 && mask & (1 << p.b.index()) != 0;
+    let mut changed = true;
     while changed {
         changed = false;
-        for &(a, b, ref preds) in &pairs {
-            // The tightest probe distance among the parallel predicates: a
-            // support must satisfy all of them, so it lies within the
-            // smallest of their distances, and the smallest filters
-            // hardest. Every predicate is then verified exactly.
-            let probe_d = preds
-                .iter()
-                .map(|(p, _)| p.distance())
-                .fold(f64::INFINITY, f64::min);
+        for pair in pairs.iter_mut().filter(inside) {
+            let (a, b) = (pair.a.index(), pair.b.index());
+            let predicates = &pair.predicates;
+            // The list is swept at the tightest distance among the
+            // parallel predicates: a support must satisfy all of them, so
+            // it lies within the smallest of their distances, and the
+            // smallest filters hardest. One symmetric predicate *is* that
+            // list; anything else is then verified exactly.
+            let list = pair.list.get_or_insert_with(|| {
+                let d = predicates.iter().map(|(p, _)| p.distance());
+                group.pairs(a, b, d.fold(f64::INFINITY, f64::min), None)
+            });
+            let exact = matches!(predicates[..], [(p, _)] if p.is_symmetric());
             // A predicate stored as (a -> b, flipped) evaluates left = a.
             let holds = |ra: &Rect, rb: &Rect| {
-                preds
-                    .iter()
-                    .all(|&(p, flipped)| p.eval_oriented(ra, rb, flipped))
+                exact
+                    || predicates
+                        .iter()
+                        .all(|&(p, flipped)| p.eval_oriented(ra, rb, flipped))
             };
             for (from, to) in [(a, b), (b, a)] {
-                let slot = |rel: RelationId| {
-                    candidates
-                        .iter()
-                        .position(|(r, _)| *r == rel)
-                        .expect("relation in subset")
-                };
-                let (from_slot, to_slot) = (slot(from), slot(to));
-                // A support is a pair, found from either end: probe with
-                // whichever relation has fewer survivors left.
-                let from_side = candidates[from_slot].1.len() <= candidates[to_slot].1.len();
-                let (prober, probers, probed) = if from_side {
-                    (from, &candidates[from_slot].1, to)
-                } else {
-                    (to, &candidates[to_slot].1, from)
-                };
-                let probed_alive = &alive[probed.index()];
-                let mut supported = vec![false; relations[from.index()].len()];
-                for &i in probers {
-                    let rect = relations[prober.index()][i as usize].0;
-                    group.probe(probed.index(), &rect, probe_d, stack, |pos, (other, _)| {
-                        let hit = if from_side { i as usize } else { pos };
-                        let (ra, rb) = if prober == a {
-                            (&rect, other)
+                let slot = candidates
+                    .iter()
+                    .position(|(r, _)| r.index() == from)
+                    .expect("relation in subset");
+                let rows = list.from(from, to);
+                let mut from_alive = std::mem::take(&mut alive[from]);
+                let before = candidates[slot].1.len();
+                candidates[slot].1.retain(|&i| {
+                    let rect = &relations[from][i as usize].0;
+                    from_alive[i as usize] = rows.row(i as usize).iter().any(|&j| {
+                        let partner = &relations[to][j as usize].0;
+                        let (ra, rb) = if from == a {
+                            (rect, partner)
                         } else {
-                            (other, &rect)
+                            (partner, rect)
                         };
-                        supported[hit] |= probed_alive[pos] && !supported[hit] && holds(ra, rb);
+                        alive[to][j as usize] && holds(ra, rb)
                     });
-                }
-                let list = &mut candidates[from_slot].1;
-                let before = list.len();
-                list.retain(|&i| supported[i as usize]);
-                changed |= list.len() != before;
-                alive[from.index()] = supported;
+                    from_alive[i as usize]
+                });
+                changed |= candidates[slot].1.len() != before;
+                alive[from] = from_alive;
             }
         }
     }
@@ -621,11 +632,40 @@ mod tests {
     }
 
     #[test]
+    fn paper_fixtures_mark_as_marking_by_definition_does() {
+        let f = fig5();
+        for cell in (1..=4).map(CellId::from_paper_number) {
+            let local = at_cell(&f, cell);
+            assert_eq!(
+                mark_for_replication(&f.query, &f.grid, cell, &local),
+                mark_by_definition(&f.query, &f.grid, cell, &local),
+                "Figure 5, {cell:?}"
+            );
+        }
+        // Figure 7's reducer C1, with and without the far R3 rectangle.
+        let grid = Grid::square((0.0, 8.0), (0.0, 8.0), 2);
+        let query = Query::parse("R1 ra(1) R2 and R2 ra(1) R3").unwrap();
+        let u = vec![(Rect::new(1.9, 7.3, 0.5, 0.5), 1)];
+        let v = vec![
+            (Rect::new(2.8, 7.0, 0.7, 0.5), 1),
+            (Rect::new(1.5, 6.0, 0.5, 0.5), 2),
+        ];
+        for w in [Vec::new(), vec![(Rect::new(3.9, 7.2, 0.4, 0.4), 1)]] {
+            let local = vec![u.clone(), v.clone(), w];
+            let c1 = CellId::from_paper_number(1);
+            assert_eq!(
+                mark_for_replication(&query, &grid, c1, &local),
+                mark_by_definition(&query, &grid, c1, &local)
+            );
+        }
+    }
+
+    #[test]
     fn shared_index_marking_equals_marking_by_definition() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Relations on both sides of the scan/tree threshold, on a cell of
-        // a 3×3 grid, for a chain, a cycle, parallel edges and containment.
+        // Unequal relations on a cell of a 3×3 grid, for a chain, a star,
+        // a cycle, parallel edges and containment.
         let grid = Grid::square((0.0, 300.0), (0.0, 300.0), 3);
         let cell = grid.cell_at(1, 1);
         let mut rng = StdRng::seed_from_u64(16);
@@ -643,6 +683,7 @@ mod tests {
         let rels = vec![relation(150), relation(40), relation(90)];
         for text in [
             "A ov B and B ov C",
+            "B ov A and B ra(4) C",
             "A ra(6) B and B ov C and C ra(9) A",
             "A ov B and A ra(3) B and B ra(12) C",
             "A contains B and C ov B",

@@ -34,8 +34,9 @@ pub fn multiway_join(query: &Query, relations: &[Vec<LocalRect>], emit: impl FnM
 /// The pre-kernel recursive matcher, kept as an independent reference:
 /// same bind order and probe selection as the kernel, but resolved
 /// dynamically per node with per-probe allocations. Emits the same tuple
-/// set as [`multiway_join`] (candidate order within a probe may differ —
-/// the kernel scans small relations linearly instead of through a tree).
+/// set as [`multiway_join`] (candidate order within a probe differs — the
+/// kernel reads swept pair lists where this matcher walks a tree, which is
+/// what makes it an independent oracle).
 pub fn multiway_join_naive(
     query: &Query,
     relations: &[Vec<LocalRect>],

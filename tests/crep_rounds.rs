@@ -5,8 +5,8 @@
 //! geometry that should agree could differ — edges on the cell boundaries
 //! of grids whose cell width is not a binary fraction, zero-area,
 //! duplicate and whole-extent rectangles, a range distance of exactly one
-//! cell width, cyclic and hybrid join graphs, relations on both sides of
-//! the reducer index's scan/tree threshold — and runs all five shuffle
+//! cell width, cyclic and hybrid join graphs, reducer groups from empty
+//! to several dozen rectangles a relation — and runs all five shuffle
 //! algorithms, plus the map-side join over stores built from the same
 //! rectangles, against the in-memory reference, checking both the
 //! materialized tuples and the count-only total: the tuple set is
@@ -101,9 +101,11 @@ fn every_algorithm_emits_each_reference_tuple_exactly_once() {
             for round in 0..3u64 {
                 let seed = u64::from(side) * 1_000 + shape as u64 * 10 + round;
                 let mut rng = StdRng::seed_from_u64(seed);
-                // The last round is above the reducer index's scan/tree
-                // threshold (48); the 4-relation star stays at what keeps
-                // its reference tractable.
+                // The last round fills the reducer groups (on the 1×1 grid
+                // one group holds all 70); the 4-relation star stays at
+                // what keeps its reference tractable. Every group here
+                // sweeps in one strip — `mwsj-local`'s own tests cross the
+                // strip rule.
                 let n = match (*arity > 3, round == 2) {
                     (true, _) => 14,
                     (false, false) => 28,

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mwsj_core::mapreduce::NetFaultPlan;
+use mwsj_core::mapreduce::{FaultPlan, NetFaultPlan};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinRun};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
@@ -366,28 +366,34 @@ fn sigterm_drains_in_flight_requests_to_completion() {
     signal::reset();
 }
 
-/// SIGTERM drain, the deadline path: when in-flight work outlives the
-/// drain deadline, it is cancelled through the engine's token and the
-/// client gets a typed `cancelled` response — not a hung connection.
+/// SIGTERM drain, the deadline path: a join still running at the drain
+/// deadline is cancelled through the engine's token and the client gets a
+/// typed `cancelled` response — not a hung connection.
+///
+/// The join is held, not assumed slow: every task attempt of the server's
+/// engine straggles, sleeping out at least a tenth of `straggler_delay`
+/// (`FaultInjector::straggler_delay`) — 600 ms, past the 400 ms + 100 ms
+/// at which the deadline fires — and an attempt is only over when that
+/// sleep is. However fast joins get, this one outlives the deadline.
 #[test]
 fn short_drain_deadline_cancels_stragglers_with_typed_errors() {
     let _guard = serial();
+    let mut hold = FaultPlan::none();
+    hold.straggler_rate = 1.0;
+    hold.straggler_delay = Duration::from_secs(6);
     let (addr, h) = start(
         ServerConfig::default()
             .with_slots(4)
-            .with_drain_deadline(Duration::from_millis(100)),
+            .with_drain_deadline(Duration::from_millis(100))
+            .with_engine_faults(hold),
     );
 
-    // Pre-generate the heavy datasets so the run below is pure join time.
-    {
-        let mut c = Client::connect(&addr).expect("connect");
-        let _ = c.request(&heavy_line(",\"deadline_ms\":1"));
-    }
     let straggler = thread::spawn({
         let addr = addr.clone();
         move || {
             let mut c = Client::connect(&addr).expect("connect");
-            c.request(&heavy_line("")).expect("straggler response")
+            let line = query_line("A ov B", &[("A", A), ("B", B)], "");
+            c.request(&line).expect("straggler response")
         }
     });
     thread::sleep(Duration::from_millis(400)); // join is now in flight
