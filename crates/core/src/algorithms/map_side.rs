@@ -4,21 +4,34 @@
 //! partitions on, the expensive half of every shuffle algorithm — map,
 //! sort, shuffle, merge — is already done and sitting on disk: each cell
 //! holds an STR-packed R-tree over exactly the rectangles homed there.
-//! This module joins directly over those trees with the precompiled
-//! [`JoinKernel`], one logical task per grid cell, no engine job at all.
+//! This module turns each grid cell into one reducer group straight from
+//! those trees and joins it with the reducers' own [`JoinKernel`], one
+//! logical task per cell, no engine job at all.
+//!
+//! # One gathered group per seed cell
+//!
+//! The join picks one *start* relation (the smallest). A cell's group
+//! holds the start rectangles homed there and, for each later step of the
+//! start relation's [`JoinPlan`] — bind `w` from `from` at distance `d` —
+//! every stored rectangle of `w` within `d` of the MBR of the `from`
+//! rectangles gathered so far: one window query per candidate cell tree
+//! (each tree's root MBR prunes a cell in one comparison) instead of one
+//! walk per rectangle. The window over-approximates — whatever lies within
+//! `d` of a `from` rectangle lies within `d` of their MBR — so by
+//! induction along the plan the group holds every member of every tuple
+//! seeded in the cell, and the kernel's swept pair lists
+//! ([`GroupIndex::pairs`], a forward semi-join from the seeds) decide the
+//! exact pairs.
 //!
 //! # Exactly-once enumeration
 //!
 //! The shuffle algorithms replicate rectangles so every candidate tuple
 //! *meets* somewhere, then keep one copy via the designated-cell rule.
 //! Stored datasets need neither: each rectangle is stored exactly once at
-//! its home cell, so the join picks one *start* relation (the smallest)
-//! and, per cell, seeds the kernel with the start rectangles homed there.
-//! The other relations are probed through the whole forest of per-cell
-//! trees (each tree's root MBR prunes non-overlapping cells in one
-//! comparison). Every output tuple contains exactly one start-relation
-//! member, which is homed at exactly one cell — so every tuple is
-//! enumerated exactly once globally, with no duplicate filtering.
+//! its home cell, so a group's start relation is the cell's alone and no
+//! rectangle enters a group twice. Every output tuple contains exactly one
+//! start-relation member, which is homed at exactly one cell — so every
+//! tuple is enumerated exactly once globally, with no duplicate filtering.
 //!
 //! The designated-cell rule still matters for *accounting*: tuples are
 //! attributed to their §6.2 duplicate-avoidance cell, so the per-cell
@@ -28,11 +41,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mwsj_geom::Rect;
+use mwsj_geom::{Coord, Rect};
 use mwsj_local::dedup::multiway_tuple_cell_of;
-use mwsj_local::{JoinKernel, LocalRect};
+use mwsj_local::{GroupIndex, JoinKernel, LocalRect};
 use mwsj_mapreduce::{JobError, JobErrorKind, Phase};
-use mwsj_query::Query;
+use mwsj_query::{JoinPlan, Query, RelationId};
 use mwsj_rtree::PackedRTree;
 use mwsj_store::StoredDataset;
 
@@ -40,8 +53,8 @@ use super::{tuple_ids, AlgoCtx};
 use crate::shards::ShardPartial;
 use crate::JoinError;
 
-/// Runs the map-side kernel, seeding only from cells in `seed_range`
-/// (`None` seeds from every cell). Probes always traverse the whole
+/// Runs the map-side join, seeding only from cells in `seed_range`
+/// (`None` seeds from every cell). Gathering always reads the whole
 /// forest — the scope restricts which tuples are *enumerated*, not
 /// which rectangles participate, so disjoint seed ranges partition the
 /// output exactly. [`crate::shards::gather`] finalizes one or several
@@ -66,37 +79,67 @@ pub(crate) fn execute(
         .min_by_key(|(_, s)| s.record_count())
         .map(|(i, _)| i)
         .expect("queries bind at least one relation");
+    let plan = JoinPlan::compile(query, RelationId(start as u16));
 
-    // Validate every cell tree once up front; probes borrow these views.
+    // Validate every cell tree once up front; gathers borrow these views.
     let forests: Vec<Vec<PackedRTree<'_>>> = stores
         .iter()
         .map(|s| grid.cells().map(|c| s.cell_tree(c)).collect())
         .collect();
 
-    // Per-relation reach: a stored rectangle's body extends right by at
-    // most `max_l` and down by at most `max_b` from its home (start)
-    // point. A probe therefore only needs the cell trees whose cells can
-    // contain the home point of a qualifying rectangle — a handful of
-    // cells instead of the whole forest (the dominant cost at scale).
-    let reach: Vec<(f64, f64)> = stores
-        .iter()
-        .map(|s| {
-            s.iter().fold((0.0f64, 0.0f64), |(l, b), (r, _)| {
-                (l.max(r.l()), b.max(r.b()))
-            })
-        })
-        .collect();
-    let (x0, xn) = grid.x_range();
-    let (y0, yn) = grid.y_range();
-    let (cols, rows) = (grid.cols(), grid.rows());
-
-    // Per-relation root MBRs, `None` for empty cells: probing checks
+    // Per-relation root MBRs, `None` for empty cells: a gather checks
     // these first, so most trees in the candidate cell span are rejected
     // without a traversal call at all.
     let mbrs: Vec<Vec<Option<Rect>>> = forests
         .iter()
         .map(|trees| trees.iter().map(PackedRTree::root_mbr).collect())
         .collect();
+
+    // Per-relation reach: a stored rectangle's body extends right by at
+    // most `max_l` and down by at most `max_b` from its home (start)
+    // point, and no rectangle is longer or taller than its tree's root
+    // MBR — a bound read off the cells, not the records (it is a one-sided
+    // filter, so a bound serves as well as the maximum). A gather
+    // therefore only needs the cell trees whose cells can contain the home
+    // point of a qualifying rectangle — a handful of cells instead of the
+    // whole forest.
+    let reach: Vec<(Coord, Coord)> = mbrs
+        .iter()
+        .map(|cells| {
+            let extents = cells.iter().flatten();
+            extents.fold((0.0, 0.0), |(l, b), e| (e.l().max(l), e.b().max(b)))
+        })
+        .collect();
+    let (x0, xn) = grid.x_range();
+    let (y0, yn) = grid.y_range();
+    let (cols, rows) = (grid.cols(), grid.rows());
+
+    // Appends every stored rectangle of relation `w` within `d` of
+    // `window`. Home points of such rectangles lie in the window grown by
+    // `d`, plus the relation's reach to the left/top (bodies extend
+    // right/down from the home point). The span is widened by one cell to
+    // absorb floating-point rounding; each tree's root MBR exactly
+    // re-filters.
+    let gather = |w: usize, window: &Rect, d: Coord, stack: &mut Vec<u32>, out: &mut Vec<_>| {
+        let (max_l, max_b) = reach[w];
+        let c0 = grid
+            .col_of_x((window.min_x() - d - max_l).clamp(x0, xn))
+            .saturating_sub(1);
+        let c1 = (grid.col_of_x((window.max_x() + d).clamp(x0, xn)) + 1).min(cols - 1);
+        let r0 = grid
+            .row_of_y((window.max_y() + d + max_b).clamp(y0, yn))
+            .saturating_sub(1);
+        let r1 = (grid.row_of_y((window.min_y() - d).clamp(y0, yn)) + 1).min(rows - 1);
+        for row in r0..=r1 {
+            for col in c0..=c1 {
+                let idx = (row * cols + col) as usize;
+                if mbrs[w][idx].is_some_and(|m| m.within_distance(window, d)) {
+                    forests[w][idx]
+                        .query_within_scratch(window, d, stack, |r, id| out.push((r, id)));
+                }
+            }
+        }
+    };
 
     let kernel = JoinKernel::new(query);
     let in_scope = |c: usize| {
@@ -111,89 +154,58 @@ pub(crate) fn execute(
         .map_or(4, std::num::NonZeroUsize::get)
         .min(cells.len().max(1));
 
+    // One worker's share of the cell queue: its tuples and its tally by
+    // designated cell. The group's vectors are reused from cell to cell.
     let next = AtomicUsize::new(0);
-    let mut tuples: Vec<Vec<u32>> = Vec::new();
-    let mut tally: Vec<u64> = vec![0; num_cells];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let forests = &forests;
-                let reach = &reach;
-                let mbrs = &mbrs;
-                let kernel = &kernel;
-                let cells = &cells;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut out: Vec<Vec<u32>> = Vec::new();
-                    let mut tally: Vec<u64> = vec![0; num_cells];
-                    let mut stack: Vec<u32> = Vec::new();
-                    let mut seeds: Vec<LocalRect> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cell) = cells.get(i) else { break };
-                        if ctx.cancel.is_cancelled() {
-                            break;
-                        }
-                        seeds.clear();
-                        seeds.extend(forests[start][cell].iter());
-                        kernel.execute_seeded(
-                            start,
-                            &seeds,
-                            |w, rect, d, acc| {
-                                // Home points of rectangles within d of the
-                                // probe lie in the probe window grown by d,
-                                // plus the relation's reach to the left/top
-                                // (bodies extend right/down from the home
-                                // point). Widened by one cell to absorb
-                                // floating-point rounding; each tree's root
-                                // MBR exactly re-filters.
-                                let (max_l, max_b) = reach[w];
-                                let c0 = grid
-                                    .col_of_x((rect.min_x() - d - max_l).clamp(x0, xn))
-                                    .saturating_sub(1);
-                                let c1 = (grid.col_of_x((rect.max_x() + d).clamp(x0, xn)) + 1)
-                                    .min(cols - 1);
-                                let r0 = grid
-                                    .row_of_y((rect.max_y() + d + max_b).clamp(y0, yn))
-                                    .saturating_sub(1);
-                                let r1 = (grid.row_of_y((rect.min_y() - d).clamp(y0, yn)) + 1)
-                                    .min(rows - 1);
-                                for row in r0..=r1 {
-                                    for col in c0..=c1 {
-                                        let idx = (row * cols + col) as usize;
-                                        if !mbrs[w][idx].is_some_and(|m| m.within_distance(rect, d))
-                                        {
-                                            continue;
-                                        }
-                                        forests[w][idx].query_within_scratch(
-                                            rect,
-                                            d,
-                                            &mut stack,
-                                            |r, id| acc.push((r, id)),
-                                        );
-                                    }
-                                }
-                            },
-                            |tuple| {
-                                let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));
-                                tally[dc.0 as usize] += 1;
-                                if !count_only {
-                                    out.push(tuple_ids(tuple));
-                                }
-                            },
-                        );
-                    }
-                    (out, tally)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (out, t) = h.join().expect("map-side worker panicked");
+    let work = || {
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        let mut tally: Vec<u64> = vec![0; num_cells];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut relations: Vec<Vec<LocalRect>> = vec![Vec::new(); stores.len()];
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&cell) = cells.get(i) else { break };
+            if ctx.cancel.is_cancelled() {
+                break;
+            }
+            relations.iter_mut().for_each(Vec::clear);
+            relations[start].extend(forests[start][cell].iter());
+            for step in &plan.steps()[1..] {
+                let edge = step.probe.as_ref().expect("non-root steps have a probe");
+                let (from, w) = (edge.from.index(), step.relation.index());
+                let bound = relations[from].iter().map(|(r, _)| *r);
+                // Nothing to bind from: the cell has no tuple.
+                let Some(window) = bound.reduce(|a, b| a.union(&b)) else {
+                    break;
+                };
+                let d = edge.predicate.distance();
+                gather(w, &window, d, &mut stack, &mut relations[w]);
+            }
+            kernel.execute_on(&GroupIndex::new(&relations), |tuple| {
+                let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));
+                tally[dc.0 as usize] += 1;
+                if !count_only {
+                    out.push(tuple_ids(tuple));
+                }
+            });
+        }
+        (out, tally)
+    };
+    // The caller takes a share too: `workers - 1` threads are spawned, and
+    // a worker that panicked is resumed with its own payload.
+    let (tuples, tally) = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let (mut tuples, mut tally) = work();
+        for handle in spawned {
+            let (out, t) = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             tuples.extend(out);
             for (total, part) in tally.iter_mut().zip(t) {
                 *total += part;
             }
         }
+        (tuples, tally)
     });
 
     if ctx.cancel.is_cancelled() {

@@ -225,7 +225,7 @@ impl Cluster {
 
     /// Runs one shard's slice of a map-side join over stored datasets:
     /// seeds only from start-relation rectangles homed in `seed_cells`,
-    /// probes everything, and returns the raw tuples and per-cell tally
+    /// gathers from every cell, and returns the raw tuples and per-cell tally
     /// for [`shards::gather`] to merge.
     ///
     /// Unlike [`Cluster::submit_stored`] this never arms a deadline on

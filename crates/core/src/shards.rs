@@ -3,9 +3,9 @@
 //! The serving tier can split a stored-dataset map-side join across N
 //! shards: each shard owns a disjoint, contiguous range of grid
 //! cells and enumerates exactly the tuples whose *start-relation seed*
-//! is homed in its range (probes still traverse every cell tree, so no
-//! shard needs another shard's data to finish its slice). Because the
-//! map-side join already attributes every tuple to its §6.2
+//! is homed in its range (its groups are still gathered from every cell
+//! tree, so no shard needs another shard's data to finish its slice).
+//! Because the map-side join already attributes every tuple to its §6.2
 //! designated cell for accounting, the per-cell tallies of the shards
 //! are disjoint and sum element-wise — gathering reconstructs the
 //! *identical* logical counters a single-node run reports:

@@ -15,20 +15,17 @@
 //!   `[base, len)` of the buffer that is truncated on backtrack. No
 //!   per-probe `Vec` — a probe appends to the arena and the frame records
 //!   where its candidates start.
-//! * **Candidates come from a probe function.** There is one backtracking
-//!   loop, `search`, and two ways into it. A reducer
-//!   ([`JoinKernel::execute_on`]) resolves each step's pair list from the
-//!   group's [`GroupIndex`] up front — in plan order, each list swept only
-//!   for the rectangles the previous steps can reach — and its probe
-//!   copies an adjacency row into the arena: entries carry their
-//!   *position* in the relation while inside the search and are mapped
-//!   back to record ids on emit. The map-side join
-//!   ([`JoinKernel::execute_seeded`]) passes a probe over its forest of
-//!   stored per-cell trees; there a step's candidates are walked once per
-//!   distinct binding of the step's `from` relation and memoized by its
-//!   id, whichever depth that relation was bound at.
-//! * **Thread-local scratch.** Arena, frames and memo live in one scratch
-//!   struct per worker thread, reused across reducer groups: after the
+//! * **Candidates are adjacency rows.** There is one backtracking loop,
+//!   `search`, and one way into it: [`JoinKernel::execute_on`] resolves
+//!   each step's pair list from the group's [`GroupIndex`] up front — in
+//!   plan order, each list swept only for the rectangles the previous
+//!   steps can reach — and its probe copies an adjacency row into the
+//!   arena: entries carry their *position* in the relation while inside
+//!   the search and are mapped back to record ids on emit. A group is
+//!   whatever the caller wrapped: a reducer's key group, or the group the
+//!   map-side join gathers per seed cell from its stored per-cell trees.
+//! * **Thread-local scratch.** Arena, frames and reach bitmaps live in one
+//!   scratch struct per worker thread, reused across groups: after the
 //!   first group on a thread, the search itself allocates nothing (the
 //!   group's pair lists and whatever `emit` does still allocate).
 //!
@@ -36,36 +33,12 @@
 //! recursive matcher the tests compare the kernel's tuple set against.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use mwsj_geom::{Coord, Rect};
+use mwsj_geom::Rect;
 use mwsj_query::{JoinPlan, PlanStep, Query};
 
 use crate::index::GroupIndex;
 use crate::LocalRect;
-
-/// Multiply hasher for the `u32` record ids of the probe memo: trusted
-/// keys — SipHash's hash-flooding resistance buys nothing here and costs
-/// measurable time in the probe loop.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("memo keys are u32 ids");
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type IdMap = HashMap<u32, (u32, u32), BuildHasherDefault<IdHasher>>;
 
 /// One depth of the iterative search: its candidates occupy
 /// `arena[base..]` (up to the next frame's base) and `cursor` counts how
@@ -91,12 +64,8 @@ struct Search {
 #[derive(Default)]
 struct Scratch {
     search: Search,
-    /// [`JoinKernel::execute_seeded`]'s probe memo, per probed relation:
-    /// id of the probing entry -> range in `memo_arena`.
-    memo: Vec<IdMap>,
-    memo_arena: Vec<LocalRect>,
-    /// [`JoinKernel::execute_on`]'s reach bitmaps, per relation, and the
-    /// tuple it hands to `emit` (positions mapped back to ids).
+    /// The reach bitmaps, per relation, and the tuple handed to `emit`
+    /// (positions mapped back to ids).
     alive: Vec<Vec<bool>>,
     emitted: Vec<LocalRect>,
 }
@@ -161,7 +130,6 @@ impl JoinKernel {
             search: state,
             alive,
             emitted,
-            ..
         } = &mut scratch;
         // Each step's pair list, by the relation it binds. A list the group
         // does not hold yet is swept for the `from` rectangles some partial
@@ -192,7 +160,7 @@ impl JoinKernel {
             steps,
             self.n,
             state,
-            &mut |w, &(_, i), _, out| {
+            &mut |w, &(_, i), out| {
                 let (list, from) = lists[w].as_ref().expect("every later step has a list");
                 let row = list.from(*from, w).row(i as usize);
                 out.extend(row.iter().map(|&j| (relations[w][j as usize].0, j)));
@@ -206,81 +174,18 @@ impl JoinKernel {
         );
         SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
-
-    /// Runs the search from caller-supplied depth-0 candidates, probing
-    /// through a caller-supplied index — the map-side join's forest of
-    /// serialized R-trees over *stored* per-cell trees.
-    ///
-    /// `start` picks the compiled plan (seeds are candidates of relation
-    /// position `start`); `probe(w, rect, d, out)` must append every
-    /// `(rect, id)` of relation position `w` within distance `d` (closed)
-    /// of `rect` — [`Rect::bounds_within`], the R-tree acceptance test —
-    /// to `out`, appending only. A step's candidates depend only on the
-    /// binding of its `from` relation, so past depth 1 (whose probes are
-    /// the seeds, each bound once) results are memoized by the id of the
-    /// probing entry: ids must be unique within a relation position and
-    /// the probe a pure function of `(w, rect, d)` for one call. `emit`
-    /// receives each full tuple in relation-position order. A reentrant
-    /// call from `emit` runs on a fresh scratch.
-    ///
-    /// # Panics
-    /// Panics when `start` is not a relation position of the query.
-    pub fn execute_seeded(
-        &self,
-        start: usize,
-        seeds: &[LocalRect],
-        mut probe: impl FnMut(usize, &Rect, Coord, &mut Vec<LocalRect>),
-        mut emit: impl FnMut(&[LocalRect]),
-    ) {
-        assert!(start < self.n, "start relation position out of range");
-        if seeds.is_empty() {
-            return;
-        }
-        let steps = self.plans[start].steps();
-        let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        let Scratch {
-            search: state,
-            memo,
-            memo_arena,
-            ..
-        } = &mut scratch;
-        state.arena.clear();
-        state.arena.extend_from_slice(seeds);
-        memo.resize_with(self.n, IdMap::default);
-        memo.iter_mut().for_each(IdMap::clear);
-        memo_arena.clear();
-        let first = steps.get(1).map(|s| s.relation.index());
-        search(
-            steps,
-            self.n,
-            state,
-            &mut |w, (rect, id), d, out| {
-                if Some(w) == first {
-                    return probe(w, rect, d, out);
-                }
-                let (start, end) = *memo[w].entry(*id).or_insert_with(|| {
-                    let start = memo_arena.len() as u32;
-                    probe(w, rect, d, memo_arena);
-                    (start, memo_arena.len() as u32)
-                });
-                out.extend_from_slice(&memo_arena[start as usize..end as usize]);
-            },
-            &mut emit,
-        );
-        SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    }
 }
 
 /// The iterative backtracking loop: candidate generation is behind
-/// `probe(w, entry, d, out)`, which appends the candidates of relation
-/// `w` for the bound entry of the step's `from` relation; verify edges and
+/// `probe(w, entry, out)`, which appends the candidates of relation `w`
+/// for the bound entry of the step's `from` relation; verify edges and
 /// frame bookkeeping are here. `state.arena` must arrive holding exactly
 /// the depth-0 seeds; frames and tuple are (re)initialized here.
 fn search(
     steps: &[PlanStep],
     n: usize,
     state: &mut Search,
-    probe: &mut impl FnMut(usize, &LocalRect, Coord, &mut Vec<LocalRect>),
+    probe: &mut impl FnMut(usize, &LocalRect, &mut Vec<LocalRect>),
     emit: &mut impl FnMut(&[LocalRect]),
 ) {
     let Search {
@@ -342,7 +247,6 @@ fn search(
         probe(
             next.relation.index(),
             &tuple[probe_edge.from.index()],
-            probe_edge.predicate.distance(),
             arena,
         );
         depth += 1;
@@ -358,7 +262,6 @@ mod tests {
     use super::*;
     use crate::multiway::{brute_force_join, multiway_join_naive, normalized};
     use mwsj_query::Query;
-    use mwsj_rtree::RTree;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -515,44 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn a_star_seeded_at_its_centre_probes_each_seed_once_per_leaf() {
-        // `A ov B and A ov C` seeded at A: both later steps probe from the
-        // seed, and the step-2 probe must not run again for every
-        // depth-1 candidate the seed has.
-        let q = Query::builder()
-            .overlap("A", "B")
-            .overlap("A", "C")
-            .build()
-            .unwrap();
-        let rels = vec![
-            random_relation(60, 800, 40.0),
-            random_relation(300, 801, 40.0),
-            random_relation(300, 802, 40.0),
-        ];
-        let trees: Vec<RTree> = rels.iter().map(|r| RTree::bulk_load(r.clone())).collect();
-        let (mut probes, mut stack) = (0usize, Vec::new());
-        let mut out: Vec<Vec<u32>> = Vec::new();
-        JoinKernel::new(&q).execute_seeded(
-            0,
-            &rels[0],
-            |w, probe, d, out| {
-                probes += 1;
-                trees[w].query_within_scratch(probe, d, &mut stack, |r, id| out.push((r, id)));
-            },
-            |tuple| out.push(tuple.iter().map(|&(_, id)| id).collect()),
-        );
-        assert!(
-            out.len() > 10 * rels[0].len(),
-            "seeds need several B partners each"
-        );
-        assert_eq!(normalized(out), normalized(brute_force_join(&q, &rels)));
-        assert!(
-            probes <= rels[0].len() * 2,
-            "{probes} probes for 60 seeds, 2 leaves"
-        );
-    }
-
-    #[test]
     fn kernel_handles_contains_in_both_orientations() {
         let q = Query::builder()
             .contains("A", "B")
@@ -583,40 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_seeded_matches_execute_from_every_start() {
-        // Seeding with a full relation and probing through bulk-loaded
-        // trees must reproduce `execute` exactly (normalized: `execute`
-        // picks its own start vertex, which changes emission order).
-        let q = Query::builder()
-            .overlap("A", "B")
-            .range("B", "C", 12.0)
-            .build()
-            .unwrap();
-        let rels = vec![
-            random_relation(60, 500, 30.0),
-            random_relation(45, 501, 30.0),
-            random_relation(55, 502, 30.0),
-        ];
-        let kernel = JoinKernel::new(&q);
-        let want = normalized(kernel_ids(&q, &rels));
-        assert!(!want.is_empty(), "test should exercise non-empty output");
-        let trees: Vec<RTree> = rels.iter().map(|r| RTree::bulk_load(r.clone())).collect();
-        for (start, seeds) in rels.iter().enumerate() {
-            let mut out: Vec<Vec<u32>> = Vec::new();
-            let mut stack = Vec::new();
-            kernel.execute_seeded(
-                start,
-                seeds,
-                |w, probe, d, out| {
-                    trees[w].query_within_scratch(probe, d, &mut stack, |r, id| out.push((r, id)));
-                },
-                |tuple| out.push(tuple.iter().map(|&(_, id)| id).collect()),
-            );
-            assert_eq!(normalized(out), want, "start = {start}");
-        }
-    }
-
-    #[test]
     fn join_on_an_index_marking_probed_first_equals_a_fresh_join() {
         // C-Rep's round-1 reducer: mark, then join through the same index.
         let grid = mwsj_partition::Grid::square((0.0, 300.0), (0.0, 300.0), 2);
@@ -643,15 +474,6 @@ mod tests {
         });
         assert!(!out.is_empty(), "test should exercise non-empty output");
         assert_eq!(normalized(out), normalized(kernel_ids(&q, &rels)));
-    }
-
-    #[test]
-    fn execute_seeded_empty_seeds_is_a_no_op() {
-        let q = Query::builder().overlap("A", "B").build().unwrap();
-        let kernel = JoinKernel::new(&q);
-        let mut called = false;
-        kernel.execute_seeded(0, &[], |_, _, _, _| {}, |_| called = true);
-        assert!(!called);
     }
 
     #[test]

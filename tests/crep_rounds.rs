@@ -16,16 +16,26 @@
 //! C-Rep-L's replication stops at a computed distance), but the reducer
 //! join and its index are shared by all of them.
 //!
-//! The second half is the shared-cluster regression: inter-round streams
+//! The map-side join builds a reducer group per seed cell out of the
+//! stored per-cell trees, choosing the trees to read by its own index
+//! arithmetic (a window's cell span, widened by the relation's reach); it
+//! gets non-square and non-dyadic grids over a 3:1 extent, bodies several
+//! cells long, and every start relation a query shape offers — and, cut
+//! into shards that do not divide the cell count, must gather to the
+//! single-node output field for field.
+//!
+//! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
 //! runs on one cluster could read each other's.
 
+use mwsj_core::shards::{self, GatherSpec};
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 const EXTENT: f64 = 1000.0;
 
@@ -35,13 +45,23 @@ fn cluster(side: u32) -> Cluster {
 
 /// `n` rectangles biased to the hard cases for a `side × side` grid.
 fn adversarial_relation(rng: &mut StdRng, n: usize, side: u32) -> Vec<Rect> {
-    let half = EXTENT / f64::from(side) / 2.0;
-    let slots = 2 * side;
+    adversarial_on(rng, n, (EXTENT, side), (EXTENT, side), 4)
+}
+
+/// The same over any grid: each axis is its `(extent, cells)`, and a body
+/// is at most `reach` half cells long.
+fn adversarial_on(
+    rng: &mut StdRng,
+    n: usize,
+    x: (f64, u32),
+    y: (f64, u32),
+    reach: u32,
+) -> Vec<Rect> {
     let mut out: Vec<Rect> = Vec::with_capacity(n);
     while out.len() < n {
         let kind = rng.random_range(0..20);
         if kind == 0 {
-            out.push(Rect::from_bounds(0.0, 0.0, EXTENT, EXTENT).expect("the whole extent"));
+            out.push(Rect::from_bounds(0.0, 0.0, x.0, y.0).expect("the whole extent"));
             continue;
         }
         if kind == 1 && !out.is_empty() {
@@ -51,22 +71,23 @@ fn adversarial_relation(rng: &mut StdRng, n: usize, side: u32) -> Vec<Rect> {
         }
         // An edge coordinate: on the half-cell lattice three times out of
         // four, anywhere otherwise.
-        let edge = |rng: &mut StdRng| {
+        let half = |(extent, cells): (f64, u32)| extent / f64::from(cells) / 2.0;
+        let edge = |rng: &mut StdRng, axis: (f64, u32)| {
             if rng.random_range(0..4) > 0 {
-                (f64::from(rng.random_range(0..=slots)) * half).min(EXTENT)
+                (f64::from(rng.random_range(0..=2 * axis.1)) * half(axis)).min(axis.0)
             } else {
-                rng.random_range(0.0..EXTENT)
+                rng.random_range(0.0..axis.0)
             }
         };
-        let (x0, y0) = (edge(rng), edge(rng));
+        let (x0, y0) = (edge(rng, x), edge(rng, y));
         // Zero extent on either axis one time in four; otherwise up to
-        // two cells long, again mostly lattice-aligned.
-        let far = |rng: &mut StdRng, near: f64| match rng.random_range(0..4) {
+        // `reach` half cells long, again mostly lattice-aligned.
+        let far = |rng: &mut StdRng, near: f64, axis: (f64, u32)| match rng.random_range(0..4) {
             0 => near,
-            1 => (near + rng.random_range(0.0..4.0 * half)).min(EXTENT),
-            _ => (near + f64::from(rng.random_range(1..=4u32)) * half).min(EXTENT),
+            1 => (near + rng.random_range(0.0..f64::from(reach) * half(axis))).min(axis.0),
+            _ => (near + f64::from(rng.random_range(1..=reach)) * half(axis)).min(axis.0),
         };
-        let (x1, y1) = (far(rng, x0), far(rng, y0));
+        let (x1, y1) = (far(rng, x0, x), far(rng, y0, y));
         out.push(Rect::from_bounds(x0, y0, x1, y1).expect("ordered, in-extent bounds"));
     }
     out
@@ -167,6 +188,162 @@ fn every_algorithm_emits_each_reference_tuple_exactly_once() {
         reference_tuples > 100 * u64::from(cases),
         "{reference_tuples} reference tuples over {cases} cases"
     );
+}
+
+/// An uneven grid over `[0, width] × [0, 1000]`, the stores of `relations`
+/// built on it, and what the reference says they join to.
+struct StoredCase {
+    cluster: Cluster,
+    bytes: Vec<Vec<u8>>,
+    expected: Vec<Vec<u32>>,
+}
+
+impl StoredCase {
+    /// Relations of the given sizes, bodies up to four cells long, each
+    /// with one more rectangle covering the whole extent.
+    fn generate(rng: &mut StdRng, query: &Query, sizes: &[usize], grid: (u32, u32, f64)) -> Self {
+        let (cols, rows, width) = grid;
+        let cluster = Cluster::new(ClusterConfig {
+            grid_cols: cols,
+            grid_rows: rows,
+            ..ClusterConfig::for_space((0.0, width), (0.0, EXTENT), 1)
+        });
+        let relations: Vec<Vec<Rect>> = (sizes.iter())
+            .map(|&n| {
+                let mut rel = adversarial_on(rng, n, (width, cols), (EXTENT, rows), 8);
+                rel.push(Rect::from_bounds(0.0, 0.0, width, EXTENT).expect("the whole extent"));
+                rel
+            })
+            .collect();
+        let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+        let builder = StoreBuilder::new(cluster.grid());
+        Self {
+            bytes: (relations.iter())
+                .map(|rel| builder.build(rel).expect("in-extent rectangles"))
+                .collect(),
+            expected: reference::in_memory_join(query, &slices),
+            cluster,
+        }
+    }
+
+    /// The stores, opened whole.
+    fn open(&self) -> Vec<StoredDataset> {
+        (self.bytes.iter())
+            .map(|b| StoredDataset::from_bytes(b).expect("a store just built"))
+            .collect()
+    }
+}
+
+#[test]
+fn map_side_gathers_every_tuple_on_uneven_grids_from_every_start() {
+    // (cols, rows, width): the last is the 3:1 extent.
+    let grids = [(3, 3, EXTENT), (7, 5, EXTENT), (8, 8, 3.0 * EXTENT)];
+    let mut reference_tuples = 0u64;
+    for (g, &grid) in grids.iter().enumerate() {
+        let cell = grid.2 / f64::from(grid.0);
+        // The smallest relation seeds: a chain from its end and its
+        // middle, a star from its centre and from a leaf, a cycle, and a
+        // containment probed from the content and from the container.
+        let shapes = [
+            (format!("A ov B and B ra({cell}) C"), [24, 40, 40]),
+            (format!("A ov B and B ra({cell}) C"), [40, 24, 40]),
+            ("C ov L1 and C ov L2".to_string(), [16, 40, 40]),
+            ("C ov L1 and C ov L2".to_string(), [40, 16, 40]),
+            (
+                format!("A ov B and B ra({cell}) C and C ov A"),
+                [40, 40, 24],
+            ),
+            ("A contains B and B ov C".to_string(), [40, 40, 24]),
+            ("A contains B and B ov C".to_string(), [24, 40, 40]),
+        ];
+        for (shape, (text, sizes)) in shapes.iter().enumerate() {
+            let query = Query::parse(text).unwrap_or_else(|e| panic!("{text}: {e:?}"));
+            for round in 0..2u64 {
+                let seed = 90_000 + g as u64 * 100 + shape as u64 * 10 + round;
+                let case =
+                    StoredCase::generate(&mut StdRng::seed_from_u64(seed), &query, sizes, grid);
+                let stores = case.open();
+                let stores: Vec<&StoredDataset> = stores.iter().collect();
+                let run = StoredRun::new(&query, &stores).algorithm(Algorithm::MapSide);
+                let got = case.cluster.submit_stored(&run).expect("fault-free run");
+                let counted = case.cluster.submit_stored(&run.counting());
+                let what = format!("`{text}` {sizes:?} on grid {grid:?}, seed {seed}");
+                assert!(
+                    got.tuples == case.expected,
+                    "{what}: {} tuples, the reference has {}",
+                    got.tuples.len(),
+                    case.expected.len()
+                );
+                assert_eq!(
+                    counted.expect("fault-free run").tuple_count,
+                    case.expected.len() as u64,
+                    "{what}: a tuple was counted twice or not at all"
+                );
+                reference_tuples += case.expected.len() as u64;
+            }
+        }
+    }
+    assert!(reference_tuples > 100_000, "{reference_tuples} tuples");
+}
+
+#[test]
+fn sharded_map_side_gathers_to_the_single_node_output_for_any_shard_count() {
+    let query = Query::parse("A ov B and B ra(125) C").unwrap();
+    let case = StoredCase::generate(
+        &mut StdRng::seed_from_u64(64),
+        &query,
+        &[60, 80, 80],
+        (8, 8, EXTENT),
+    );
+    let whole = case.open();
+    let whole: Vec<&StoredDataset> = whole.iter().collect();
+    // Everything but the wall-clock fields, which the gatherer stamps.
+    let logical = |mut out: JoinOutput| {
+        for job in &mut out.report.jobs {
+            job.reduce_wall = Duration::ZERO;
+            job.total_wall = Duration::ZERO;
+            job.index_open_wall = Duration::ZERO;
+        }
+        format!("{out:?}")
+    };
+    for count_only in [false, true] {
+        let single = StoredRun::new(&query, &whole)
+            .algorithm(Algorithm::MapSide)
+            .count_only(count_only);
+        let single = case.cluster.submit_stored(&single).expect("single node");
+        assert_eq!(single.tuple_count, case.expected.len() as u64);
+        assert_eq!(single.report.jobs[0].job_name, "map-side");
+        let single = logical(single);
+        for shard_count in [3, 5, 7] {
+            let ranges = shards::seed_cell_ranges(64, shard_count);
+            assert_eq!(ranges.len(), shard_count as usize);
+            let partials = (ranges.into_iter())
+                .map(|range| {
+                    // Each shard opens the stores for its own cells.
+                    let scoped: Vec<StoredDataset> = (case.bytes.iter())
+                        .map(|b| StoredDataset::from_bytes_scoped(b, range.clone()))
+                        .collect::<Result<_, _>>()
+                        .expect("a store just built");
+                    let scoped: Vec<&StoredDataset> = scoped.iter().collect();
+                    let run = StoredRun::new(&query, &scoped).count_only(count_only);
+                    case.cluster.submit_stored_partial(&run, range)
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .expect("fault-free shards");
+            let spec = GatherSpec {
+                record_total: whole.iter().map(|s| s.record_count()).sum(),
+                count_only,
+                open_wall: Duration::ZERO,
+                join_wall: Duration::ZERO,
+                input_fingerprint: shards::combined_fingerprint(&whole),
+            };
+            assert_eq!(
+                logical(shards::gather(partials, &spec)),
+                single,
+                "{shard_count} shards, count_only = {count_only}"
+            );
+        }
+    }
 }
 
 #[test]
