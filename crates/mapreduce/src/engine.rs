@@ -114,8 +114,9 @@ pub struct Unset;
 /// submission site), so their key/value argument types are occasionally
 /// not inferable from context — annotate them where the compiler asks (as
 /// in the example above). Beyond the three stage functions, the builder
-/// carries a per-job [`FaultPlan`] override ([`JobSpec::fault_plan`]) and
-/// a per-job [`TraceSink`] ([`JobSpec::trace`]).
+/// carries a per-job [`TraceSink`] ([`JobSpec::trace`]), the scheduling
+/// weights and the job's [`CancelToken`]; faults are engine-wide
+/// ([`EngineConfig::fault_plan`]).
 #[derive(Debug, Clone)]
 pub struct JobSpec<MF = Unset, PF = Unset, RF = Unset> {
     name: String,
@@ -123,7 +124,6 @@ pub struct JobSpec<MF = Unset, PF = Unset, RF = Unset> {
     map_fn: MF,
     partition_fn: PF,
     reduce_fn: RF,
-    fault_plan: Option<FaultPlan>,
     trace: TraceSink,
     priority: i32,
     share: u32,
@@ -133,8 +133,8 @@ pub struct JobSpec<MF = Unset, PF = Unset, RF = Unset> {
 }
 
 impl JobSpec {
-    /// Starts a spec for a job with the given name, one reducer, no fault
-    /// override, no per-job trace sink, default scheduling (priority 0,
+    /// Starts a spec for a job with the given name, one reducer, no
+    /// per-job trace sink, default scheduling (priority 0,
     /// share 1) and a fresh, never-cancelled [`CancelToken`].
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
@@ -144,7 +144,6 @@ impl JobSpec {
             map_fn: Unset,
             partition_fn: Unset,
             reduce_fn: Unset,
-            fault_plan: None,
             trace: TraceSink::disabled(),
             priority: 0,
             share: 1,
@@ -177,7 +176,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             map_fn,
             partition_fn: self.partition_fn,
             reduce_fn: self.reduce_fn,
-            fault_plan: self.fault_plan,
             trace: self.trace,
             priority: self.priority,
             share: self.share,
@@ -201,7 +199,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             map_fn: self.map_fn,
             partition_fn,
             reduce_fn: self.reduce_fn,
-            fault_plan: self.fault_plan,
             trace: self.trace,
             priority: self.priority,
             share: self.share,
@@ -229,7 +226,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             map_fn: self.map_fn,
             partition_fn: self.partition_fn,
             reduce_fn,
-            fault_plan: self.fault_plan,
             trace: self.trace,
             priority: self.priority,
             share: self.share,
@@ -237,15 +233,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             collect: self.collect,
             input_fingerprint: self.input_fingerprint,
         }
-    }
-
-    /// Overrides the engine's fault plan for this job only (the engine's
-    /// DFS keeps its own injector — a per-job plan governs task faults,
-    /// stragglers and the attempt budget of this job).
-    #[must_use]
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
     }
 
     /// Records this job's spans into the given sink instead of the
@@ -353,7 +340,10 @@ enum AttemptError {
     /// User code panicked; the panic was isolated to the attempt.
     Panic(String),
     /// The partitioner routed a key out of range (not retryable).
-    BadPartition { partition: usize },
+    BadPartition {
+        partition: usize,
+        num_partitions: usize,
+    },
     /// A committed spill run failed integrity verification on shuffle
     /// open; the producing map attempt is re-executed.
     CorruptRun,
@@ -364,7 +354,7 @@ impl AttemptError {
         match self {
             AttemptError::Injected => "injected fault".to_string(),
             AttemptError::Panic(m) => format!("task panicked: {m}"),
-            AttemptError::BadPartition { partition } => {
+            AttemptError::BadPartition { partition, .. } => {
                 format!("partitioner returned out-of-range partition {partition}")
             }
             AttemptError::CorruptRun => {
@@ -410,20 +400,235 @@ fn median(durations: &[Duration]) -> Option<Duration> {
     Some(sorted[sorted.len() / 2])
 }
 
-/// Per-phase context shared by every task of the phase: fault decisions,
-/// tracing, speculation counters, and the committed-duration samples that
-/// drive slow-start pacing.
-struct TaskCtx<'a> {
+/// Per-job state shared by every task of every phase: the job's identity,
+/// its fault, trace, scheduling and cancellation handles, its first
+/// failure, and the counters that belong to no single phase.
+struct JobCtx<'a> {
+    name: &'a str,
+    id: u64,
     injector: &'a FaultInjector,
     sink: &'a TraceSink,
+    scheduler: &'a SlotScheduler,
+    cancel: &'a CancelToken,
+    /// The first failure wins; `abort` stops every worker at its next
+    /// task claim.
+    failure: Mutex<Option<JobError>>,
+    abort: AtomicBool,
+    queue_wait_nanos: AtomicU64,
+    slot_nanos: AtomicU64,
+    retries: AtomicU64,
+    speculative_launched: AtomicU64,
+    speculative_won: AtomicU64,
+}
+
+impl JobCtx<'_> {
+    fn error(&self, phase: Phase, task: usize, attempts: u32, kind: JobErrorKind) -> JobError {
+        JobError {
+            job: self.name.to_string(),
+            phase,
+            task,
+            attempts,
+            kind,
+        }
+    }
+
+    fn cancelled(&self, phase: Phase, task: usize, attempts: u32) -> JobError {
+        let deadline_exceeded = self.cancel.cancelled_by_deadline();
+        let kind = JobErrorKind::Cancelled { deadline_exceeded };
+        self.error(phase, task, attempts, kind)
+    }
+
+    fn fail(&self, err: JobError) {
+        self.failure.lock().get_or_insert(err);
+        self.abort.store(true, Ordering::SeqCst);
+    }
+
+    /// Runs one phase of the job — the only place tasks are claimed and
+    /// slots are held. `workers` scoped threads claim tasks `0..tasks` in
+    /// order and run `body` on each while holding one slot of the shared
+    /// pool; the first `Err` (or a tripped [`CancelToken`]) fails the job
+    /// and stops every worker at its next claim. Every acquired slot is
+    /// released on every path, and time spent queueing for and holding
+    /// slots is charged to the job. Returns the phase's wall time, or the
+    /// job's failure.
+    fn run_phase(
+        &self,
+        span: SpanPhase,
+        tasks: usize,
+        workers: usize,
+        body: impl Fn(usize) -> Result<(), JobError> + Sync,
+    ) -> Result<Duration, JobError> {
+        let start = Instant::now();
+        self.sink.record(TraceEvent::PhaseStart {
+            job: self.id,
+            phase: span,
+            ts: self.sink.now_micros(),
+        });
+        // The shuffle runs no attempts of its own: a failure there is
+        // reported against the reduce task whose partition it was opening.
+        let phase = match span {
+            SpanPhase::Map => Phase::Map,
+            SpanPhase::Shuffle | SpanPhase::Reduce => Phase::Reduce,
+        };
+        let next_task = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    if self.abort.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let task = next_task.fetch_add(1, Ordering::Relaxed);
+                    if task >= tasks {
+                        break;
+                    }
+                    // Cancellation is checked at every task claim (and
+                    // again once a contended slot is finally granted), so
+                    // a cancelled job stops within one task granularity.
+                    if self.cancel.is_cancelled() {
+                        self.fail(self.cancelled(phase, task, 0));
+                        break;
+                    }
+                    let wait = self.scheduler.acquire(self.id);
+                    self.queue_wait_nanos
+                        .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+                    let outcome = if self.cancel.is_cancelled() {
+                        Err(self.cancelled(phase, task, 0))
+                    } else if self.abort.load(Ordering::SeqCst) {
+                        Ok(()) // another task already failed the job
+                    } else {
+                        let held = Instant::now();
+                        let outcome = body(task);
+                        self.slot_nanos
+                            .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        outcome
+                    };
+                    self.scheduler.release(self.id);
+                    if let Err(err) = outcome {
+                        self.fail(err);
+                    }
+                });
+            }
+        });
+        self.sink.record(TraceEvent::PhaseEnd {
+            job: self.id,
+            phase: span,
+            ts: self.sink.now_micros(),
+        });
+        match self.failure.lock().take() {
+            Some(err) => Err(err),
+            None => Ok(start.elapsed()),
+        }
+    }
+}
+
+/// Per-phase context shared by every task of a phase that runs user code
+/// (map, reduce): its failure counter and the committed-duration samples
+/// that drive slow-start pacing.
+struct TaskCtx<'a> {
+    job: &'a JobCtx<'a>,
     phase: Phase,
-    job: u64,
     /// Durations of committed attempts in this phase (work time only — the
     /// injected straggler sleep happens outside the attempt body), feeding
     /// the median for slow-start pacing.
-    completed: &'a Mutex<Vec<Duration>>,
-    speculative_launched: &'a AtomicU64,
-    speculative_won: &'a AtomicU64,
+    completed: Mutex<Vec<Duration>>,
+    failures: AtomicU64,
+}
+
+impl<'a> TaskCtx<'a> {
+    fn new(job: &'a JobCtx<'a>, phase: Phase) -> Self {
+        Self {
+            job,
+            phase,
+            completed: Mutex::new(Vec::new()),
+            failures: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs one attempt of `task`: `body` is the user code, executed under
+    /// `catch_unwind` and writing only attempt-local buffers, so whatever
+    /// a failed attempt produced is simply dropped. A successful attempt's
+    /// work time is sampled for slow-start pacing; every attempt leaves
+    /// one [`TraceEvent::Attempt`].
+    fn attempt<T>(
+        &self,
+        task: usize,
+        attempt: u32,
+        body: impl FnOnce() -> Result<T, AttemptError>,
+    ) -> Result<T, AttemptError> {
+        let (job, sink) = (self.job, self.job.sink);
+        // Consulted at the task boundary, applied at completion: the
+        // attempt does its (discarded) work first, exercising the
+        // partial-output-isolation path.
+        let injected = job.injector.should_fail(self.phase, job.id, task, attempt);
+        let t0 = Instant::now();
+        let start = sink.now_micros();
+        let result = match catch_unwind(AssertUnwindSafe(body)) {
+            Err(payload) => Err(AttemptError::Panic(panic_message(payload))),
+            Ok(Ok(_)) if injected => Err(AttemptError::Injected),
+            Ok(done) => done,
+        };
+        if result.is_ok() {
+            self.completed.lock().push(t0.elapsed());
+        }
+        sink.record(TraceEvent::Attempt {
+            job: job.id,
+            phase: self.phase,
+            task,
+            attempt: attempt & !SPECULATIVE_BIT,
+            speculative: attempt & SPECULATIVE_BIT != 0,
+            start,
+            end: sink.now_micros(),
+            outcome: result
+                .as_ref()
+                .map_or_else(AttemptError::outcome, |_| AttemptOutcome::Succeeded),
+        });
+        result
+    }
+
+    /// Runs `task` until an attempt succeeds and returns what it produced
+    /// — for the caller to commit, so logical counters count committed
+    /// work, never attempts. Failed attempts are retried up to
+    /// [`FaultPlan::max_attempts`]; each attempt may race a speculative
+    /// duplicate (see [`attempt_with_speculation`]).
+    fn run_task<T: Send>(
+        &self,
+        task: usize,
+        run: &(impl Fn(usize, u32) -> Result<T, AttemptError> + Sync),
+    ) -> Result<T, JobError> {
+        let job = self.job;
+        let mut attempt = 0u32;
+        loop {
+            let failed = match attempt_with_speculation(self, task, attempt, run) {
+                Ok(done) => return Ok(done),
+                // Not retried: the partitioner is deterministic.
+                Err(AttemptError::BadPartition {
+                    partition,
+                    num_partitions,
+                }) => {
+                    let kind = JobErrorKind::BadPartitioner {
+                        partition,
+                        num_partitions,
+                    };
+                    return Err(job.error(self.phase, task, attempt + 1, kind));
+                }
+                Err(e) => e,
+            };
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            attempt += 1;
+            // A cancelled job is never retried: the retry budget is for
+            // task faults, not for work the caller no longer wants.
+            if job.cancel.is_cancelled() {
+                return Err(job.cancelled(self.phase, task, attempt));
+            }
+            if attempt >= job.injector.max_attempts() || job.abort.load(Ordering::SeqCst) {
+                let kind = JobErrorKind::AttemptsExhausted {
+                    last_error: failed.message(),
+                };
+                return Err(job.error(self.phase, task, attempt, kind));
+            }
+            job.retries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Runs one task attempt, racing a speculative duplicate when the
@@ -447,13 +652,14 @@ where
     T: Send,
     F: Fn(usize, u32) -> Result<T, AttemptError> + Sync,
 {
-    let Some(delay) = ctx
+    let job = ctx.job;
+    let Some(delay) = job
         .injector
-        .straggler_delay(ctx.phase, ctx.job, task, attempt)
+        .straggler_delay(ctx.phase, job.id, task, attempt)
     else {
         return run(task, attempt);
     };
-    let slowstart = ctx.injector.slowstart();
+    let slowstart = job.injector.slowstart();
     let threshold = if slowstart > 0.0 {
         median(&ctx.completed.lock()).map(|m| m.mul_f64(slowstart))
     } else {
@@ -507,7 +713,7 @@ where
         };
 
         let speculative = if launch_speculative {
-            ctx.speculative_launched.fetch_add(1, Ordering::Relaxed);
+            job.speculative_launched.fetch_add(1, Ordering::Relaxed);
             let r = run(task, attempt | SPECULATIVE_BIT);
             if r.is_ok() {
                 let _ = claimed.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
@@ -524,19 +730,19 @@ where
 
     let resolved = |winner: RaceWinner| {
         if speculative.is_some() {
-            ctx.sink.record(TraceEvent::SpeculationResolved {
-                job: ctx.job,
+            job.sink.record(TraceEvent::SpeculationResolved {
+                job: job.id,
                 phase: ctx.phase,
                 task,
                 attempt,
                 winner,
-                ts: ctx.sink.now_micros(),
+                ts: job.sink.now_micros(),
             });
         }
     };
     match claimed.load(Ordering::SeqCst) {
         1 => {
-            ctx.speculative_won.fetch_add(1, Ordering::Relaxed);
+            job.speculative_won.fetch_add(1, Ordering::Relaxed);
             resolved(RaceWinner::Speculative);
             speculative.expect("claimed by speculative")
         }
@@ -610,113 +816,44 @@ impl<K, V> MergedPartition<K, V> {
 }
 
 /// K-way merges the sorted spill runs of one partition, computing group
-/// boundaries on the fly (no second grouping pass).
+/// boundaries while unzipping the merged records (no second grouping
+/// pass).
 ///
 /// Every run is sorted by `(key, tag)` and the tags are globally unique,
-/// so the merged order — and therefore every reducer's value stream — is a
-/// pure function of the committed data, independent of the order in which
-/// map tasks committed their runs.
+/// so `(key, tag)` is a total order: the merged order — and therefore
+/// every reducer's value stream — is a pure function of the committed
+/// data, independent of the order in which map tasks committed their runs.
 ///
-/// The k-way merge is a *cascade* of two-way merges: adjacent run pairs
-/// merge until at most two remain, and a final pass writes the grouped
-/// output directly. Each two-way step peeks both runs' ends with
-/// [`last`](slice::last) and consumes with [`Vec::pop`] — exactly one
-/// record move per element per level, `⌈log₂ k⌉` levels in total. To keep
-/// `pop()` yielding the *next* record, the cascade alternates orientation:
-/// ascending runs merge (largest-first) into descending runs and vice
-/// versa, with no reversal pass in between. With zero or one runs the
-/// merge degenerates to a comparison-free unzip of the already-sorted
-/// data.
-fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, u64, V)>>) -> MergedPartition<K, V> {
-    runs.retain(|r| !r.is_empty());
+/// The merge is the standard library's stable sort over the runs laid end
+/// to end: it is run-adaptive — it finds the `k` presorted runs and merges
+/// them in `O(n log k)` comparisons, as a hand-written merge cascade would
+/// — so the engine carries no merge loop of its own. The other runs are
+/// appended into the first one's buffer rather than into a fresh
+/// concatenation, which keeps the partition's peak footprint at the
+/// records plus the sort's scratch. With zero or one non-empty runs
+/// nothing is compared at all.
+fn merge_sorted_runs<K: Ord, V>(runs: Vec<Vec<(K, u64, V)>>) -> MergedPartition<K, V> {
     let total: usize = runs.iter().map(Vec::len).sum();
+    let mut runs = runs.into_iter().filter(|r| !r.is_empty());
+    let mut records = runs.next().unwrap_or_default();
+    if records.len() < total {
+        records.reserve_exact(total - records.len());
+        for mut run in runs {
+            records.append(&mut run);
+        }
+        records.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    }
     let mut out = MergedPartition {
         groups: Vec::new(),
         values: Vec::with_capacity(total),
     };
-    let push = |out: &mut MergedPartition<K, V>, k: K, v: V| {
+    for (k, _, v) in records {
         if out.groups.last().is_none_or(|(g, _)| *g != k) {
             out.groups.push((k, out.values.len()));
         }
         out.values.push(v);
-    };
-    if runs.len() <= 1 {
-        for (k, _, v) in runs.pop().unwrap_or_default() {
-            push(&mut out, k, v);
-        }
-        return out;
-    }
-    // Cascade down to two runs, flipping orientation per level. Mapper
-    // runs arrive ascending.
-    let mut ascending = true;
-    while runs.len() > 2 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge_two(a, b, ascending)),
-                None => {
-                    // An unpaired run must flip orientation to match its
-                    // new level.
-                    let mut a = a;
-                    a.reverse();
-                    next.push(a);
-                }
-            }
-        }
-        runs = next;
-        ascending = !ascending;
-    }
-    // Final pass: a two-way merge over *descending* runs (pop = smallest
-    // remaining) emitting the grouped ascending output directly.
-    let mut b = runs.pop().expect("two runs");
-    let mut a = runs.pop().expect("two runs");
-    if ascending {
-        a.reverse();
-        b.reverse();
-    }
-    loop {
-        let take_a = match (a.last(), b.last()) {
-            (Some(p), Some(q)) => (&p.0, p.1) <= (&q.0, q.1),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let (k, _, v) = if take_a { a.pop() } else { b.pop() }.expect("peeked non-empty");
-        push(&mut out, k, v);
     }
     out
-}
-
-/// One cascade step: merges two same-orientation runs into one run of the
-/// *opposite* orientation, peeking at the poppable ends so every element
-/// moves exactly once. Tags are globally unique, so ties cannot occur and
-/// the merged order is independent of which run is `a`.
-fn merge_two<K: Ord, V>(
-    mut a: Vec<(K, u64, V)>,
-    mut b: Vec<(K, u64, V)>,
-    ascending: bool,
-) -> Vec<(K, u64, V)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    loop {
-        let take_a = match (a.last(), b.last()) {
-            // Ascending inputs pop largest-first (descending output);
-            // descending inputs pop smallest-first (ascending output).
-            (Some(p), Some(q)) => ((&p.0, p.1) <= (&q.0, q.1)) != ascending,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            // Popping the survivor's tail end-to-front preserves the
-            // output orientation.
-            (None, None) => return out,
-        };
-        let other_empty = if take_a { b.is_empty() } else { a.is_empty() };
-        let from = if take_a { &mut a } else { &mut b };
-        if other_empty {
-            out.extend(from.drain(..).rev());
-            return out;
-        }
-        out.push(from.pop().expect("peeked non-empty"));
-    }
 }
 
 impl Engine {
@@ -765,6 +902,12 @@ impl Engine {
     ///   for that key, in a deterministic order (input order within each
     ///   map task, map tasks in input order).
     ///
+    /// The job is three phases — map, shuffle, reduce — run by one task
+    /// driver that owns claiming, cancellation and slot accounting; map
+    /// and reduce tasks go through one retry loop and one attempt wrapper.
+    /// What differs per phase is only the task body below and what it
+    /// commits.
+    ///
     /// # Errors
     /// [`JobErrorKind::AttemptsExhausted`] if a task fails more than
     /// [`FaultPlan::max_attempts`] times (injected faults or user-code
@@ -774,7 +917,6 @@ impl Engine {
     /// [`JobErrorKind::Cancelled`] if the job's [`CancelToken`] trips
     /// (explicitly or by deadline) — detected at the next task boundary,
     /// never retried, all slots released.
-    #[allow(clippy::too_many_lines)]
     pub fn run<I, K, V, O, MF, PF, RF>(
         &self,
         spec: JobSpec<MF, PF, RF>,
@@ -795,7 +937,6 @@ impl Engine {
             map_fn,
             partition_fn,
             reduce_fn,
-            fault_plan,
             trace,
             priority,
             share,
@@ -803,38 +944,32 @@ impl Engine {
             collect,
             input_fingerprint,
         } = spec;
-        let name = name.as_str();
         assert!(num_partitions > 0, "a job needs at least one partition");
 
-        // A per-job fault plan overrides the engine's injector for task
-        // decisions (the DFS keeps the engine-wide injector); a per-job
-        // sink overrides the engine-wide one.
-        let job_injector = fault_plan.map(FaultInjector::new);
-        let injector = job_injector.as_ref().unwrap_or(&self.injector);
+        // A per-job sink overrides the engine-wide one.
         let sink = if trace.is_enabled() {
             &trace
         } else {
             &self.config.trace
         };
-
-        let job = self.job_seq.fetch_add(1, Ordering::Relaxed);
-        let max_attempts = injector.max_attempts();
+        let injector = &self.injector;
+        let id = self.job_seq.fetch_add(1, Ordering::Relaxed);
         let job_start = Instant::now();
         sink.record(TraceEvent::JobStart {
-            job,
-            name: name.to_string(),
+            job: id,
+            name: name.clone(),
             ts: sink.now_micros(),
         });
         let fail = |err: JobError| {
             sink.record(TraceEvent::JobEnd {
-                job,
+                job: id,
                 ts: sink.now_micros(),
                 error: Some(err.to_string()),
             });
-            Err(err)
+            err
         };
         let mut metrics = JobMetrics {
-            job_name: name.to_string(),
+            job_name: name.clone(),
             map_input_records: input.len() as u64,
             input_fingerprint,
             ..JobMetrics::default()
@@ -843,38 +978,25 @@ impl Engine {
         // Fair-share scheduling: every concurrently running task of this
         // job holds one slot of the shared pool; the guard unregisters the
         // job on every exit path.
-        let scheduler = &*self.scheduler;
-        let _registration = scheduler.register(job, priority, share);
-        let queue_wait_nanos = AtomicU64::new(0);
-        let slot_nanos = AtomicU64::new(0);
-        let cancel = &cancel;
-        let cancel_error = |phase: Phase, task: usize, attempts: u32| JobError {
-            job: name.to_string(),
-            phase,
-            task,
-            attempts,
-            kind: JobErrorKind::Cancelled {
-                deadline_exceeded: cancel.cancelled_by_deadline(),
-            },
+        let _registration = self.scheduler.register(id, priority, share);
+        let job = JobCtx {
+            name: &name,
+            id,
+            injector,
+            sink,
+            scheduler: &self.scheduler,
+            cancel: &cancel,
+            failure: Mutex::new(None),
+            abort: AtomicBool::new(false),
+            queue_wait_nanos: AtomicU64::new(0),
+            slot_nanos: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            speculative_launched: AtomicU64::new(0),
+            speculative_won: AtomicU64::new(0),
         };
         if cancel.is_cancelled() {
-            return fail(cancel_error(Phase::Map, 0, 0));
+            return Err(fail(job.cancelled(Phase::Map, 0, 0)));
         }
-
-        // Shared failure-tracking state for both phases.
-        let job_error: Mutex<Option<JobError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let fail_job = |err: JobError| {
-            job_error.lock().get_or_insert(err);
-            abort.store(true, Ordering::SeqCst);
-        };
-        let retries = AtomicU64::new(0);
-        let map_task_failures = AtomicU64::new(0);
-        let reduce_task_failures = AtomicU64::new(0);
-        let speculative_launched = AtomicU64::new(0);
-        let speculative_won = AtomicU64::new(0);
-        let map_completed: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
-        let reduce_completed: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
 
         // ---- Map phase -------------------------------------------------
         // The input is divided into chunks; each chunk is one map *task*,
@@ -890,236 +1012,104 @@ impl Engine {
         // only on the input, not on which worker claimed which chunk first
         // (and not on whether a task was retried) — reruns with equal
         // seeds see byte-identical value streams.
-        let map_start = Instant::now();
-        sink.record(TraceEvent::PhaseStart {
-            job,
-            phase: SpanPhase::Map,
-            ts: sink.now_micros(),
-        });
         let chunk_size = input.len().div_ceil(self.config.map_tasks * 4).max(1);
         let chunks: Vec<&[I]> = input.chunks(chunk_size).collect();
         let emitted = AtomicU64::new(0);
         let shuffled_bytes = AtomicU64::new(0);
         let sort_nanos = AtomicU64::new(0);
         let spill_runs = AtomicU64::new(0);
-        let corrupt_runs = AtomicU64::new(0);
         let partitions: Vec<Mutex<RunSet<K, V>>> = (0..num_partitions)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
 
-        let run_map_attempt =
-            |task: usize, attempt: u32| -> Result<MapCommit<K, V>, AttemptError> {
-                // Consulted at the task boundary, applied at completion: the
-                // attempt does its (discarded) work first, exercising the
-                // partial-output-isolation path.
-                let injected = injector.should_fail(Phase::Map, job, task, attempt);
-                let t0 = Instant::now();
-                let ts0 = sink.now_micros();
-                let chunk = chunks[task];
-                let mut buckets: Vec<Vec<(K, u64, V)>> =
-                    (0..num_partitions).map(|_| Vec::new()).collect();
-                let mut local_emitted = 0u64;
-                let mut local_bytes = 0u64;
+        let map = TaskCtx::new(&job, Phase::Map);
+        let run_map_attempt = |task: usize, attempt: u32| {
+            map.attempt(task, attempt, || {
+                let mut commit = MapCommit {
+                    buckets: (0..num_partitions).map(|_| Vec::new()).collect(),
+                    emitted: 0,
+                    bytes: 0,
+                    sort: Duration::ZERO,
+                };
                 let mut bad_partition: Option<usize> = None;
                 let base_tag = (task as u64) << 32;
-                let unwind = catch_unwind(AssertUnwindSafe(|| {
-                    let mut seq = 0u64;
-                    for record in chunk {
-                        map_fn(record, &mut |k: K, v: V| {
-                            if bad_partition.is_some() {
-                                return; // drain remaining emits of this record
-                            }
-                            let p = partition_fn(&k, num_partitions);
-                            if p >= num_partitions {
-                                bad_partition = Some(p);
-                                return;
-                            }
-                            local_emitted += 1;
-                            local_bytes += (k.size_bytes() + v.size_bytes()) as u64;
-                            debug_assert!(seq < u64::from(u32::MAX), "emit tag overflow");
-                            buckets[p].push((k, base_tag | seq, v));
-                            seq += 1;
-                        });
+                let mut seq = 0u64;
+                for record in chunks[task] {
+                    map_fn(record, &mut |k: K, v: V| {
                         if bad_partition.is_some() {
-                            break;
+                            return; // drain remaining emits of this record
                         }
-                    }
-                }));
-                let result = match unwind {
-                    Err(payload) => Err(AttemptError::Panic(panic_message(payload))),
-                    Ok(()) => {
-                        if let Some(partition) = bad_partition {
-                            Err(AttemptError::BadPartition { partition })
-                        } else if injected {
-                            Err(AttemptError::Injected)
-                        } else {
-                            // Mapper-side sorted spill: each bucket leaves
-                            // the attempt already in (key, tag) order, so
-                            // the shuffle only merges. The sort runs
-                            // inside the attempt — parallel across map
-                            // workers and counted in its work time.
-                            let st = Instant::now();
-                            for bucket in &mut buckets {
-                                // A bucket is appended in emit order, i.e.
-                                // already sorted by tag — a *stable* sort
-                                // on the key alone yields (key, tag) order
-                                // with key-only comparisons.
-                                bucket.sort_by(|a, b| a.0.cmp(&b.0));
-                            }
-                            let sort = st.elapsed();
-                            map_completed.lock().push(t0.elapsed());
-                            Ok(MapCommit {
-                                buckets,
-                                emitted: local_emitted,
-                                bytes: local_bytes,
-                                sort,
-                            })
+                        let p = partition_fn(&k, num_partitions);
+                        if p >= num_partitions {
+                            bad_partition = Some(p);
+                            return;
                         }
+                        commit.emitted += 1;
+                        commit.bytes += (k.size_bytes() + v.size_bytes()) as u64;
+                        debug_assert!(seq < u64::from(u32::MAX), "emit tag overflow");
+                        commit.buckets[p].push((k, base_tag | seq, v));
+                        seq += 1;
+                    });
+                    if let Some(partition) = bad_partition {
+                        return Err(AttemptError::BadPartition {
+                            partition,
+                            num_partitions,
+                        });
                     }
-                };
-                sink.record(TraceEvent::Attempt {
-                    job,
-                    phase: Phase::Map,
-                    task,
-                    attempt: attempt & !SPECULATIVE_BIT,
-                    speculative: attempt & SPECULATIVE_BIT != 0,
-                    start: ts0,
-                    end: sink.now_micros(),
-                    outcome: result
-                        .as_ref()
-                        .map_or_else(AttemptError::outcome, |_| AttemptOutcome::Succeeded),
-                });
-                result
-            };
-
-        let map_ctx = TaskCtx {
-            injector,
-            sink,
-            phase: Phase::Map,
-            job,
-            completed: &map_completed,
-            speculative_launched: &speculative_launched,
-            speculative_won: &speculative_won,
+                }
+                // Mapper-side sorted spill: each bucket leaves the attempt
+                // already in (key, tag) order, so the shuffle only merges.
+                // The sort runs inside the attempt — parallel across map
+                // workers and counted in its work time.
+                let st = Instant::now();
+                for bucket in &mut commit.buckets {
+                    // A bucket is appended in emit order, i.e. already
+                    // sorted by tag — a *stable* sort on the key alone
+                    // yields (key, tag) order with key-only comparisons.
+                    bucket.sort_by(|a, b| a.0.cmp(&b.0));
+                }
+                commit.sort = st.elapsed();
+                Ok(commit)
+            })
         };
-        let next_chunk = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.map_tasks {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let task = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if task >= chunks.len() {
-                        break;
-                    }
-                    // Cancellation is checked at every task claim (and
-                    // again once a contended slot is finally granted), so
-                    // a cancelled job stops within one task granularity.
-                    if cancel.is_cancelled() {
-                        fail_job(cancel_error(Phase::Map, task, 0));
-                        break;
-                    }
-                    let wait = scheduler.acquire(job);
-                    queue_wait_nanos.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-                    if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
-                        scheduler.release(job);
-                        if cancel.is_cancelled() {
-                            fail_job(cancel_error(Phase::Map, task, 0));
-                        }
-                        break;
-                    }
-                    let held = Instant::now();
-                    let mut attempt = 0u32;
-                    loop {
-                        let outcome =
-                            attempt_with_speculation(&map_ctx, task, attempt, &run_map_attempt);
-                        match outcome {
-                            Ok(commit) => {
-                                // Atomic commit: each non-empty sorted
-                                // bucket becomes one immutable run (moved,
-                                // never copied — no contended extend),
-                                // sealed under an integrity frame that the
-                                // shuffle verifies on open. Injected
-                                // corruption tampers the stored frame —
-                                // what a flipped byte looks like to a
-                                // reader checking a checksum.
-                                let mut runs = 0u64;
-                                for (p, bucket) in commit.buckets.into_iter().enumerate() {
-                                    if !bucket.is_empty() {
-                                        runs += 1;
-                                        let mut frame = RunFrame::seal(&bucket);
-                                        if injector.should_corrupt_run(job, task, p, 0) {
-                                            frame = frame.tamper();
-                                        }
-                                        partitions[p].lock().push(SpillRun {
-                                            task,
-                                            frame,
-                                            records: bucket,
-                                        });
-                                    }
-                                }
-                                spill_runs.fetch_add(runs, Ordering::Relaxed);
-                                // Counted at commit (not per attempt), so a
-                                // lost speculative race never double-counts.
-                                sort_nanos
-                                    .fetch_add(commit.sort.as_nanos() as u64, Ordering::Relaxed);
-                                emitted.fetch_add(commit.emitted, Ordering::Relaxed);
-                                shuffled_bytes.fetch_add(commit.bytes, Ordering::Relaxed);
-                                break;
+        metrics.map_wall = job
+            .run_phase(
+                SpanPhase::Map,
+                chunks.len(),
+                self.config.map_tasks,
+                |task| {
+                    let commit = map.run_task(task, &run_map_attempt)?;
+                    // Atomic commit: each non-empty sorted bucket becomes one
+                    // immutable run (moved, never copied — no contended
+                    // extend), sealed under an integrity frame that the
+                    // shuffle verifies on open. Injected corruption tampers
+                    // the stored frame — what a flipped byte looks like to a
+                    // reader checking a checksum.
+                    let mut runs = 0u64;
+                    for (p, bucket) in commit.buckets.into_iter().enumerate() {
+                        if !bucket.is_empty() {
+                            runs += 1;
+                            let mut frame = RunFrame::seal(&bucket);
+                            if injector.should_corrupt_run(id, task, p, 0) {
+                                frame = frame.tamper();
                             }
-                            Err(AttemptError::BadPartition { partition }) => {
-                                fail_job(JobError {
-                                    job: name.to_string(),
-                                    phase: Phase::Map,
-                                    task,
-                                    attempts: attempt + 1,
-                                    kind: JobErrorKind::BadPartitioner {
-                                        partition,
-                                        num_partitions,
-                                    },
-                                });
-                                break;
-                            }
-                            Err(e) => {
-                                map_task_failures.fetch_add(1, Ordering::Relaxed);
-                                attempt += 1;
-                                // A cancelled job is never retried: the
-                                // retry budget is for task faults, not for
-                                // work the caller no longer wants.
-                                if cancel.is_cancelled() {
-                                    fail_job(cancel_error(Phase::Map, task, attempt));
-                                    break;
-                                }
-                                if attempt >= max_attempts || abort.load(Ordering::SeqCst) {
-                                    fail_job(JobError {
-                                        job: name.to_string(),
-                                        phase: Phase::Map,
-                                        task,
-                                        attempts: attempt,
-                                        kind: JobErrorKind::AttemptsExhausted {
-                                            last_error: e.message(),
-                                        },
-                                    });
-                                    break;
-                                }
-                                retries.fetch_add(1, Ordering::Relaxed);
-                            }
+                            partitions[p].lock().push(SpillRun {
+                                task,
+                                frame,
+                                records: bucket,
+                            });
                         }
                     }
-                    slot_nanos.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    scheduler.release(job);
-                });
-            }
-        });
-        sink.record(TraceEvent::PhaseEnd {
-            job,
-            phase: SpanPhase::Map,
-            ts: sink.now_micros(),
-        });
-        if let Some(err) = job_error.lock().take() {
-            return fail(err);
-        }
-        metrics.map_wall = map_start.elapsed();
+                    // Counted at commit (not per attempt), so a lost
+                    // speculative race never double-counts.
+                    spill_runs.fetch_add(runs, Ordering::Relaxed);
+                    sort_nanos.fetch_add(commit.sort.as_nanos() as u64, Ordering::Relaxed);
+                    emitted.fetch_add(commit.emitted, Ordering::Relaxed);
+                    shuffled_bytes.fetch_add(commit.bytes, Ordering::Relaxed);
+                    Ok(())
+                },
+            )
+            .map_err(&fail)?;
         metrics.sort_wall = Duration::from_nanos(sort_nanos.load(Ordering::Relaxed));
         metrics.spill_runs = spill_runs.load(Ordering::Relaxed);
         metrics.map_output_records = emitted.load(Ordering::Relaxed);
@@ -1128,20 +1118,15 @@ impl Engine {
 
         // ---- Shuffle: k-way merge of the sorted runs -------------------
         // Each partition's committed runs are merged by (key, emit tag)
-        // into one contiguous buffer, computing group boundaries during
-        // the merge (no comparison sort, no second grouping pass). The tag
-        // tiebreak makes the merged order — and so the within-group value
-        // order — a pure function of the input (see the map-phase
+        // into one contiguous buffer, computing group boundaries while
+        // the merged records are laid out (no second grouping pass). The
+        // tag tiebreak makes the merged order — and so the within-group
+        // value order — a pure function of the input (see the map-phase
         // comment), whatever order the runs were committed in.
-        let shuffle_start = Instant::now();
-        sink.record(TraceEvent::PhaseStart {
-            job,
-            phase: SpanPhase::Shuffle,
-            ts: sink.now_micros(),
-        });
         let partition_store: Vec<RwLock<MergedPartition<K, V>>> = (0..num_partitions)
             .map(|_| RwLock::new(MergedPartition::empty()))
             .collect();
+        let corrupt_runs = AtomicU64::new(0);
         // Opens one committed run, verifying its integrity frame. A
         // mismatch means at-rest corruption, which the reader cannot
         // repair — the *producing* map task is re-executed (fresh fault
@@ -1165,7 +1150,7 @@ impl Engine {
                     corrupt_runs.fetch_add(1, Ordering::Relaxed);
                     let ts = sink.now_micros();
                     sink.record(TraceEvent::Attempt {
-                        job,
+                        job: id,
                         phase: Phase::Map,
                         task,
                         attempt: generation,
@@ -1176,21 +1161,16 @@ impl Engine {
                     });
                     loop {
                         generation += 1;
-                        if generation >= max_attempts {
-                            return Err(JobError {
-                                job: name.to_string(),
-                                phase: Phase::Map,
-                                task,
-                                attempts: generation,
-                                kind: JobErrorKind::AttemptsExhausted {
-                                    last_error: AttemptError::CorruptRun.message(),
-                                },
-                            });
+                        if generation >= injector.max_attempts() {
+                            let kind = JobErrorKind::AttemptsExhausted {
+                                last_error: AttemptError::CorruptRun.message(),
+                            };
+                            return Err(job.error(Phase::Map, task, generation, kind));
                         }
                         match run_map_attempt(task, REEXEC_BIT | generation) {
                             Ok(mut commit) => {
                                 let bucket = std::mem::take(&mut commit.buckets[partition]);
-                                if injector.should_corrupt_run(job, task, partition, generation) {
+                                if injector.should_corrupt_run(id, task, partition, generation) {
                                     // The replacement drew corruption too:
                                     // detect, charge, and go another round.
                                     break;
@@ -1201,8 +1181,8 @@ impl Engine {
                                 // The re-execution itself failed (injected
                                 // fault or panic): an ordinary task failure
                                 // consuming ordinary retry budget.
-                                map_task_failures.fetch_add(1, Ordering::Relaxed);
-                                retries.fetch_add(1, Ordering::Relaxed);
+                                map.failures.fetch_add(1, Ordering::Relaxed);
+                                job.retries.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                     }
@@ -1211,87 +1191,34 @@ impl Engine {
         let merge_nanos = AtomicU64::new(0);
         let group_counter = AtomicU64::new(0);
         let max_partition = AtomicU64::new(0);
-        let next_shuffle = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let next = &next_shuffle;
-            let partitions = &partitions;
-            let partition_store = &partition_store;
-            let merge_nanos = &merge_nanos;
-            let group_counter = &group_counter;
-            let max_partition = &max_partition;
-            let abort = &abort;
-            let fail_job = &fail_job;
-            let cancel_error = &cancel_error;
-            let queue_wait_nanos = &queue_wait_nanos;
-            let slot_nanos = &slot_nanos;
-            let recover_run = &recover_run;
-            for _ in 0..self.config.reduce_tasks {
-                scope.spawn(move || loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= partitions.len() {
-                        break;
-                    }
-                    if cancel.is_cancelled() {
-                        fail_job(cancel_error(Phase::Reduce, p, 0));
-                        break;
-                    }
-                    let wait = scheduler.acquire(job);
-                    queue_wait_nanos.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-                    if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
-                        scheduler.release(job);
-                        if cancel.is_cancelled() {
-                            fail_job(cancel_error(Phase::Reduce, p, 0));
-                        }
-                        break;
-                    }
+        // The shuffle can fail two ways: cancellation, or a corrupt run
+        // whose producer exhausted its re-execution budget — either
+        // surfaces before the reduce phase starts.
+        metrics.shuffle_wall = job
+            .run_phase(
+                SpanPhase::Shuffle,
+                num_partitions,
+                self.config.reduce_tasks,
+                |p| {
                     let runs = std::mem::take(&mut *partitions[p].lock());
                     let t0 = Instant::now();
                     // Every run's integrity frame is verified before the
                     // merge; corrupt runs are regenerated by their
                     // producing map task (or the job fails once the
                     // corruption-retry budget is spent).
-                    let mut verified = Vec::with_capacity(runs.len());
-                    let mut corrupt = None;
-                    for run in runs {
-                        match recover_run(run, p) {
-                            Ok(records) => verified.push(records),
-                            Err(err) => {
-                                corrupt = Some(err);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(err) = corrupt {
-                        fail_job(err);
-                        slot_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        scheduler.release(job);
-                        break;
-                    }
+                    let verified = runs
+                        .into_iter()
+                        .map(|run| recover_run(run, p))
+                        .collect::<Result<Vec<_>, _>>()?;
                     let merged = merge_sorted_runs(verified);
                     merge_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     max_partition.fetch_max(merged.values.len() as u64, Ordering::Relaxed);
                     group_counter.fetch_add(merged.groups.len() as u64, Ordering::Relaxed);
                     *partition_store[p].write() = merged;
-                    slot_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    scheduler.release(job);
-                });
-            }
-        });
-        sink.record(TraceEvent::PhaseEnd {
-            job,
-            phase: SpanPhase::Shuffle,
-            ts: sink.now_micros(),
-        });
-        // The shuffle can fail two ways: cancellation, or a corrupt run
-        // whose producer exhausted its re-execution budget — surface
-        // either before starting the reduce phase.
-        if let Some(err) = job_error.lock().take() {
-            return fail(err);
-        }
-        metrics.shuffle_wall = shuffle_start.elapsed();
+                    Ok(())
+                },
+            )
+            .map_err(&fail)?;
         metrics.corrupt_runs = corrupt_runs.load(Ordering::Relaxed);
         metrics.merge_wall = Duration::from_nanos(merge_nanos.load(Ordering::Relaxed));
         metrics.reduce_input_groups = group_counter.load(Ordering::Relaxed);
@@ -1304,166 +1231,53 @@ impl Engine {
         // replayed; every attempt borrows each group as a slice of the
         // same immutable buffer — nothing is cloned. The input is dropped
         // on commit.
-        let reduce_start = Instant::now();
-        sink.record(TraceEvent::PhaseStart {
-            job,
-            phase: SpanPhase::Reduce,
-            ts: sink.now_micros(),
-        });
         let output_slots: Vec<Mutex<Vec<O>>> = (0..num_partitions)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         let out_count = AtomicU64::new(0);
 
-        let run_reduce_attempt =
-            |task: usize, attempt: u32| -> Result<(Vec<O>, u64), AttemptError> {
-                let injected = injector.should_fail(Phase::Reduce, job, task, attempt);
-                let t0 = Instant::now();
-                let ts0 = sink.now_micros();
-                let guard = partition_store[task].read();
+        let reduce = TaskCtx::new(&job, Phase::Reduce);
+        let run_reduce_attempt = |task: usize, attempt: u32| {
+            reduce.attempt(task, attempt, || {
                 let mut outputs = Vec::new();
-                let mut local_out = 0u64;
-                let unwind = catch_unwind(AssertUnwindSafe(|| {
-                    guard.for_each_group(|key, values| {
-                        reduce_fn(key, values, &mut |o: O| {
-                            local_out += 1;
-                            outputs.push(o);
-                        });
-                    });
-                }));
-                let result = match unwind {
-                    Err(payload) => Err(AttemptError::Panic(panic_message(payload))),
-                    Ok(()) => {
-                        if injected {
-                            Err(AttemptError::Injected)
-                        } else {
-                            reduce_completed.lock().push(t0.elapsed());
-                            Ok((outputs, local_out))
-                        }
-                    }
-                };
-                sink.record(TraceEvent::Attempt {
-                    job,
-                    phase: Phase::Reduce,
-                    task,
-                    attempt: attempt & !SPECULATIVE_BIT,
-                    speculative: attempt & SPECULATIVE_BIT != 0,
-                    start: ts0,
-                    end: sink.now_micros(),
-                    outcome: result
-                        .as_ref()
-                        .map_or_else(AttemptError::outcome, |_| AttemptOutcome::Succeeded),
+                partition_store[task].read().for_each_group(|key, values| {
+                    reduce_fn(key, values, &mut |o: O| outputs.push(o));
                 });
-                result
-            };
-
-        let reduce_ctx = TaskCtx {
-            injector,
-            sink,
-            phase: Phase::Reduce,
-            job,
-            completed: &reduce_completed,
-            speculative_launched: &speculative_launched,
-            speculative_won: &speculative_won,
+                Ok(outputs)
+            })
         };
-        let next_reduce = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.reduce_tasks {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let task = next_reduce.fetch_add(1, Ordering::Relaxed);
-                    if task >= partition_store.len() {
-                        break;
-                    }
-                    if cancel.is_cancelled() {
-                        fail_job(cancel_error(Phase::Reduce, task, 0));
-                        break;
-                    }
-                    let wait = scheduler.acquire(job);
-                    queue_wait_nanos.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-                    if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
-                        scheduler.release(job);
-                        if cancel.is_cancelled() {
-                            fail_job(cancel_error(Phase::Reduce, task, 0));
-                        }
-                        break;
-                    }
-                    let held = Instant::now();
-                    let mut attempt = 0u32;
-                    loop {
-                        let outcome = attempt_with_speculation(
-                            &reduce_ctx,
-                            task,
-                            attempt,
-                            &run_reduce_attempt,
-                        );
-                        match outcome {
-                            Ok((outputs, local_out)) => {
-                                out_count.fetch_add(local_out, Ordering::Relaxed);
-                                *output_slots[task].lock() = outputs;
-                                // Commit: the task's input is no longer
-                                // needed for replay.
-                                *partition_store[task].write() = MergedPartition::empty();
-                                break;
-                            }
-                            Err(AttemptError::BadPartition { .. }) => {
-                                unreachable!("partitioner does not run in the reduce phase")
-                            }
-                            Err(e) => {
-                                reduce_task_failures.fetch_add(1, Ordering::Relaxed);
-                                attempt += 1;
-                                if cancel.is_cancelled() {
-                                    fail_job(cancel_error(Phase::Reduce, task, attempt));
-                                    break;
-                                }
-                                if attempt >= max_attempts || abort.load(Ordering::SeqCst) {
-                                    fail_job(JobError {
-                                        job: name.to_string(),
-                                        phase: Phase::Reduce,
-                                        task,
-                                        attempts: attempt,
-                                        kind: JobErrorKind::AttemptsExhausted {
-                                            last_error: e.message(),
-                                        },
-                                    });
-                                    break;
-                                }
-                                retries.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    slot_nanos.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    scheduler.release(job);
-                });
-            }
-        });
-        sink.record(TraceEvent::PhaseEnd {
-            job,
-            phase: SpanPhase::Reduce,
-            ts: sink.now_micros(),
-        });
-        if let Some(err) = job_error.lock().take() {
-            return fail(err);
-        }
-        metrics.reduce_wall = reduce_start.elapsed();
+        metrics.reduce_wall = job
+            .run_phase(
+                SpanPhase::Reduce,
+                num_partitions,
+                self.config.reduce_tasks,
+                |task| {
+                    let outputs = reduce.run_task(task, &run_reduce_attempt)?;
+                    out_count.fetch_add(outputs.len() as u64, Ordering::Relaxed);
+                    *output_slots[task].lock() = outputs;
+                    // Commit: the task's input is no longer needed for
+                    // replay.
+                    *partition_store[task].write() = MergedPartition::empty();
+                    Ok(())
+                },
+            )
+            .map_err(&fail)?;
         metrics.reduce_output_records = out_count.load(Ordering::Relaxed);
-        metrics.map_task_failures = map_task_failures.load(Ordering::Relaxed);
-        metrics.reduce_task_failures = reduce_task_failures.load(Ordering::Relaxed);
-        metrics.retries = retries.load(Ordering::Relaxed);
-        metrics.speculative_launched = speculative_launched.load(Ordering::Relaxed);
-        metrics.speculative_won = speculative_won.load(Ordering::Relaxed);
+        metrics.map_task_failures = map.failures.load(Ordering::Relaxed);
+        metrics.reduce_task_failures = reduce.failures.load(Ordering::Relaxed);
+        metrics.retries = job.retries.load(Ordering::Relaxed);
+        metrics.speculative_launched = job.speculative_launched.load(Ordering::Relaxed);
+        metrics.speculative_won = job.speculative_won.load(Ordering::Relaxed);
         metrics.total_wall = job_start.elapsed();
-        metrics.queue_wait = Duration::from_nanos(queue_wait_nanos.load(Ordering::Relaxed));
-        metrics.slot_wall = Duration::from_nanos(slot_nanos.load(Ordering::Relaxed));
+        metrics.queue_wait = Duration::from_nanos(job.queue_wait_nanos.load(Ordering::Relaxed));
+        metrics.slot_wall = Duration::from_nanos(job.slot_nanos.load(Ordering::Relaxed));
         sink.record(TraceEvent::Counters {
-            job,
+            job: id,
             ts: sink.now_micros(),
             metrics: Box::new(metrics.clone()),
         });
         sink.record(TraceEvent::JobEnd {
-            job,
+            job: id,
             ts: sink.now_micros(),
             error: None,
         });
@@ -1772,6 +1586,7 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("partition_fn returned 7 >= 2"));
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
     #[test]
@@ -1831,6 +1646,7 @@ mod tests {
             s.contains("reduce task 1") && s.contains("injected fault"),
             "{s}"
         );
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
     #[test]
@@ -1854,6 +1670,7 @@ mod tests {
         assert_eq!(err.phase, Phase::Reduce);
         assert_eq!(err.attempts, FaultPlan::DEFAULT_MAX_ATTEMPTS);
         assert!(err.to_string().contains("reducer exploded"), "{err}");
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
     #[allow(clippy::type_complexity)]
@@ -1937,28 +1754,6 @@ mod tests {
         assert_eq!(j.speculative_launched, 8);
     }
 
-    /// A per-job fault plan overrides the engine's.
-    #[test]
-    fn job_level_fault_plan_overrides_engine_plan() {
-        let e = engine(); // fault-free engine
-        let doomed = FaultPlan::none()
-            .with_forced(vec![ForcedFault {
-                phase: Phase::Map,
-                task: 0,
-                attempts: u32::MAX,
-            }])
-            .with_max_attempts(2);
-        let input: Vec<u32> = (0..10).collect();
-        let err = e
-            .run(identity_spec("overridden").fault_plan(doomed), &input)
-            .unwrap_err();
-        assert_eq!(err.phase, Phase::Map);
-        assert_eq!(err.attempts, 2);
-        // The engine itself is still fault-free.
-        let ok = e.run(identity_spec("clean"), &input).unwrap();
-        assert_eq!(ok.len(), 10);
-    }
-
     /// Injected spill corruption is detected when the shuffle opens the
     /// run and repaired by re-executing the producing map task: output
     /// and every logical counter are byte-identical to a clean run, and
@@ -2024,11 +1819,14 @@ mod tests {
         }
         // Failed jobs do not publish metrics.
         assert_eq!(e.report().num_jobs(), 0);
+        // The shuffle's own failure path returns its slot too.
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
     /// The k-way merge of sorted runs equals a global stable sort by
     /// (key, tag), with group boundaries exactly partitioning the values —
-    /// for zero, one and many runs, including empty ones.
+    /// for zero, one and many runs, including empty ones, and for runs
+    /// that arrive in any order.
     #[test]
     fn kway_merge_matches_global_sort() {
         let cases: Vec<Vec<Vec<(u32, u64, u32)>>> = vec![
@@ -2041,6 +1839,15 @@ mod tests {
                 vec![],
                 vec![(0, 8, 18), (1, 9, 19), (9, 10, 20)],
                 vec![(1, 2, 12)],
+            ],
+            // Runs committed out of task order (tags are `task << 32 | seq`),
+            // one key spread over every run: its values must come out in
+            // tag order whatever the arrival order.
+            vec![
+                vec![(5, 3 << 32, 30), (5, 3 << 32 | 1, 31), (7, 3 << 32 | 2, 32)],
+                vec![(5, 0, 0), (6, 1, 1)],
+                vec![(4, 2 << 32, 20), (5, 2 << 32 | 1, 21)],
+                vec![(5, 1 << 32, 10), (5, 1 << 32 | 1, 11), (5, 1 << 32 | 2, 12)],
             ],
         ];
         for runs in cases {
@@ -2189,6 +1996,61 @@ mod tests {
                 deadline_exceeded: false
             }
         );
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
+    }
+
+    /// A token tripped by the mapper on the last input record is seen by
+    /// no map claim (the phase has none left): the job fails at the
+    /// shuffle's first claim, before any reduce attempt, and the map
+    /// phase's slot is already back in the pool.
+    #[test]
+    fn cancel_after_the_last_map_claim_fails_at_the_shuffle() {
+        let sink = TraceSink::recording();
+        let e = Engine::new(EngineConfig {
+            map_tasks: 1,
+            reduce_tasks: 1,
+            ..EngineConfig::default()
+        });
+        let token = CancelToken::new();
+        let input: Vec<u32> = (0..40).collect();
+        let spec = JobSpec::new("late-cancel")
+            .reducers(4)
+            .cancel(token.clone())
+            .trace(sink.clone())
+            .map(|&x: &u32, emit| {
+                if x == 39 {
+                    token.cancel();
+                }
+                emit(x, x);
+            })
+            .partition(|&k: &u32, n| k as usize % n)
+            .reduce(|&k: &u32, _: &[u32], out: &mut dyn FnMut(u32)| out(k));
+        let err = e.run(spec, &input).unwrap_err();
+        assert_eq!(
+            err.kind,
+            JobErrorKind::Cancelled {
+                deadline_exceeded: false
+            }
+        );
+        assert_eq!((err.phase, err.task, err.attempts), (Phase::Reduce, 0, 0));
+        let events = sink.events();
+        let phases: Vec<SpanPhase> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::PhaseStart { phase, .. } => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(phases, vec![SpanPhase::Map, SpanPhase::Shuffle]);
+        let attempts: Vec<(Phase, AttemptOutcome)> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Attempt { phase, outcome, .. } => Some((*phase, *outcome)),
+                _ => None,
+            })
+            .collect();
+        // Every map task committed; nothing ran after the cancel.
+        assert_eq!(attempts, vec![(Phase::Map, AttemptOutcome::Succeeded); 4]);
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 

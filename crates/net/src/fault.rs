@@ -1,23 +1,13 @@
 //! Deterministic network-fault injection for the serving tier.
 //!
-//! Two adapters apply the decisions of a
-//! [`mwsj_mapreduce::NetFaultPlan`] — abrupt disconnects,
-//! torn frames, flipped bytes, mid-operation stalls and slow-loris
-//! reads — to a connection:
+//! [`FaultGate`] applies the decisions of a
+//! [`mwsj_mapreduce::NetFaultPlan`] — abrupt disconnects, torn frames,
+//! flipped bytes, mid-operation stalls and slow-loris reads — to one
+//! event-loop connection. It only *decides*: the connection state machine
+//! enacts the decision (deferring a stalled read via the timer wheel
+//! instead of sleeping, tearing its own buffers, latching death).
 //!
-//! * [`FaultyStream`] wraps a **blocking** socket and sleeps through
-//!   stalls in place (the original thread-per-connection adapter, still
-//!   used by blocking clients and tests).
-//! * [`FaultGate`] is the **nonblocking** counterpart for the event
-//!   loop: it only *decides* — the connection state machine enacts the
-//!   decision (deferring a stalled read via the timer wheel instead of
-//!   sleeping, tearing its own buffers, latching death).
-//!
-//! Both draw from the same (connection, operation) id scheme — reads
-//! and writes count in separate id spaces — so a pinned seed yields the
-//! same fault pattern for the same traffic shape regardless of which
-//! adapter carries it. Two deliberate asymmetries keep the injected
-//! chaos honest:
+//! Two deliberate choices keep the injected chaos honest:
 //!
 //! * **Byte corruption is inbound-only.** A flipped byte in a *request*
 //!   exercises the server's parse/validate error paths; a flipped byte
@@ -27,14 +17,9 @@
 //!   the chaos suite asserts.
 //! * **Decisions are per (connection, operation).** Connection ids come
 //!   from the accept sequence and operation ids from per-direction
-//!   counters, so a pinned seed yields the same fault pattern for the
-//!   same traffic shape, independent of thread scheduling.
-
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+//!   counters — reads and writes count in separate id spaces — so a
+//!   pinned seed yields the same fault pattern for the same traffic
+//!   shape, independent of thread scheduling.
 
 use mwsj_mapreduce::{NetFault, NetFaultPlan};
 
@@ -103,242 +88,9 @@ impl FaultGate {
     }
 }
 
-/// Per-connection fault state shared by the read and write halves.
-struct ConnFaults {
-    plan: Option<NetFaultPlan>,
-    conn: u64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    /// Latched once a disconnect or torn frame fires: every later
-    /// operation fails like a reset socket would.
-    dead: AtomicBool,
-}
-
-/// One direction of a fault-wrapped blocking connection
-/// ([`Read`] + [`Write`]).
-pub struct FaultyStream {
-    stream: TcpStream,
-    state: Arc<ConnFaults>,
-}
-
-impl FaultyStream {
-    /// Wraps a connection, returning independent read and write halves
-    /// that share one fault state. With `plan` `None` the wrapper is
-    /// transparent.
-    ///
-    /// # Errors
-    /// Propagates the socket clone failure.
-    pub fn pair(
-        stream: &TcpStream,
-        plan: Option<NetFaultPlan>,
-        conn: u64,
-    ) -> std::io::Result<(FaultyStream, FaultyStream)> {
-        let state = Arc::new(ConnFaults {
-            plan,
-            conn,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
-        });
-        Ok((
-            FaultyStream {
-                stream: stream.try_clone()?,
-                state: Arc::clone(&state),
-            },
-            FaultyStream {
-                stream: stream.try_clone()?,
-                state,
-            },
-        ))
-    }
-
-    /// Whether an injected disconnect or torn frame has killed the
-    /// connection.
-    #[must_use]
-    pub fn dead(&self) -> bool {
-        self.state.dead.load(Ordering::SeqCst)
-    }
-
-    fn kill(&self) -> std::io::Error {
-        self.state.dead.store(true, Ordering::SeqCst);
-        self.stream.shutdown(Shutdown::Both).ok();
-        std::io::Error::new(
-            std::io::ErrorKind::ConnectionReset,
-            "injected connection fault",
-        )
-    }
-
-    fn sleep_bounded(d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-impl Read for FaultyStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.dead() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                "connection killed by injected fault",
-            ));
-        }
-        let Some(plan) = self.state.plan.clone() else {
-            return self.stream.read(buf);
-        };
-        let op = READ_OP_BIT | self.state.reads.fetch_add(1, Ordering::Relaxed);
-        match plan.decide(self.state.conn, op) {
-            NetFault::None => self.stream.read(buf),
-            NetFault::Disconnect => Err(self.kill()),
-            NetFault::Stall(d) => {
-                Self::sleep_bounded(d);
-                self.stream.read(buf)
-            }
-            NetFault::SlowLoris(d) => {
-                // Trickle: one byte per injected delay.
-                Self::sleep_bounded(d);
-                let end = buf.len().min(1);
-                self.stream.read(&mut buf[..end])
-            }
-            NetFault::TornFrame => {
-                // Deliver a prefix of what arrived, then die.
-                let n = self.stream.read(buf)?;
-                let keep = plan.fault_point(self.state.conn, op, n);
-                self.kill();
-                Ok(keep)
-            }
-            NetFault::CorruptByte => {
-                // Inbound-only corruption: the request the server parses
-                // differs from what the client sent by one flipped bit
-                // pattern — never silently equal, never a different
-                // *valid* request that binds cleanly.
-                let n = self.stream.read(buf)?;
-                if n > 0 {
-                    buf[plan.fault_point(self.state.conn, op, n)] ^= 0x20;
-                }
-                Ok(n)
-            }
-        }
-    }
-}
-
-impl Write for FaultyStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.dead() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                "connection killed by injected fault",
-            ));
-        }
-        let Some(plan) = self.state.plan.clone() else {
-            return self.stream.write(buf);
-        };
-        let op = self.state.writes.fetch_add(1, Ordering::Relaxed);
-        match plan.decide(self.state.conn, op) {
-            // Outbound corruption is deliberately not applied (see the
-            // module docs): a corrupt response cannot be defended against
-            // server-side, so the injected fault degenerates to a clean
-            // write.
-            NetFault::None | NetFault::CorruptByte => self.stream.write(buf),
-            NetFault::Disconnect => Err(self.kill()),
-            NetFault::Stall(d) | NetFault::SlowLoris(d) => {
-                Self::sleep_bounded(d);
-                self.stream.write(buf)
-            }
-            NetFault::TornFrame => {
-                // A prefix reaches the peer, then the connection drops.
-                let cut = plan.fault_point(self.state.conn, op, buf.len());
-                if cut > 0 {
-                    self.stream.write_all(&buf[..cut]).ok();
-                    self.stream.flush().ok();
-                }
-                Err(self.kill())
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
-    use std::net::TcpListener;
-
-    /// Echo one line over a loopback socket pair through the wrapper.
-    fn echo_through(plan: Option<NetFaultPlan>, conn: u64, line: &str) -> std::io::Result<String> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"hello wrapper\n").unwrap();
-            s.shutdown(Shutdown::Write).ok();
-            let mut out = String::new();
-            s.read_to_string(&mut out).ok();
-            out
-        });
-        let (server, _) = listener.accept().unwrap();
-        let (read_half, mut write_half) = FaultyStream::pair(&server, plan, conn)?;
-        // Drop the original socket: the halves hold their own clones, and
-        // the client's EOF needs every server-side fd closed.
-        drop(server);
-        let mut reader = BufReader::new(read_half);
-        let mut got = String::new();
-        reader.read_line(&mut got)?;
-        write_half.write_all(line.as_bytes())?;
-        write_half.flush()?;
-        drop(write_half);
-        drop(reader);
-        client.join().unwrap();
-        Ok(got)
-    }
-
-    #[test]
-    fn transparent_without_a_plan() {
-        let got = echo_through(None, 0, "ok\n").unwrap();
-        assert_eq!(got, "hello wrapper\n");
-    }
-
-    #[test]
-    fn inert_plan_is_transparent() {
-        let got = echo_through(Some(NetFaultPlan::none()), 3, "ok\n").unwrap();
-        assert_eq!(got, "hello wrapper\n");
-    }
-
-    #[test]
-    fn full_disconnect_rate_kills_the_first_read() {
-        let plan = NetFaultPlan {
-            disconnect_rate: 1.0,
-            ..NetFaultPlan::none()
-        };
-        let err = echo_through(Some(plan), 1, "ok\n").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
-    }
-
-    #[test]
-    fn corrupt_byte_flips_exactly_one_inbound_byte() {
-        let plan = NetFaultPlan {
-            seed: 5,
-            corrupt_rate: 1.0,
-            ..NetFaultPlan::none()
-        };
-        let got = echo_through(Some(plan), 2, "ok\n").unwrap();
-        let want = "hello wrapper\n";
-        // Same length, exactly one byte differs, and it differs by the
-        // 0x20 flip. (The read may arrive in chunks; each chunk gets one
-        // flip, so allow >= 1.)
-        assert_eq!(got.len(), want.len());
-        let diffs = got
-            .bytes()
-            .zip(want.bytes())
-            .filter(|(a, b)| a != b)
-            .collect::<Vec<_>>();
-        assert!(!diffs.is_empty(), "corruption must have fired");
-        for (a, b) in diffs {
-            assert_eq!(a ^ b, 0x20);
-        }
-    }
 
     #[test]
     fn decisions_are_deterministic_per_connection() {
@@ -350,6 +102,10 @@ mod tests {
         }
     }
 
+    /// The gate's id scheme, pinned against the plan itself: reads draw
+    /// operation ids `READ_OP_BIT | n`, writes draw `n`, each direction
+    /// counting on its own, and both the decision and the fault position
+    /// are exactly the plan's for (connection, operation).
     #[test]
     fn gate_and_stream_draw_identical_decisions() {
         let plan = NetFaultPlan::chaos(77, 0.5);
@@ -358,11 +114,11 @@ mod tests {
             let (op, fault) = gate.next_read();
             assert_eq!(op, READ_OP_BIT | i);
             assert_eq!(fault, plan.decide(9, op));
-        }
-        for i in 0..16u64 {
+            assert_eq!(gate.fault_point(op, 100), plan.fault_point(9, op, 100));
             let (op, fault) = gate.next_write();
             assert_eq!(op, i);
             assert_eq!(fault, plan.decide(9, op));
+            assert_eq!(gate.fault_point(op, 100), plan.fault_point(9, op, 100));
         }
     }
 

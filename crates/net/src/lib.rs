@@ -17,10 +17,10 @@
 //!   that keeps pipelined responses in request order.
 //! * [`timer`] — a hashed timer wheel for idle eviction, injected-stall
 //!   resumption and slow-loris pacing.
-//! * [`fault`] — deterministic network-fault injection: the blocking
-//!   [`fault::FaultyStream`] adapter and the event-loop
-//!   [`fault::FaultGate`] decider, driven by the same
-//!   [`mwsj_mapreduce::NetFaultPlan`] decisions.
+//! * [`fault`] — deterministic network-fault injection: the
+//!   [`fault::FaultGate`] decider, which draws a
+//!   [`mwsj_mapreduce::NetFaultPlan`]'s decisions per (connection,
+//!   operation) for the connection state machine to enact.
 //!
 //! Everything here is transport-only: no JSON, no query semantics, no
 //! engine types — the server crate composes these into its service.
@@ -35,7 +35,7 @@ pub mod poll;
 pub mod timer;
 
 pub use conn::{Connection, FlushOutcome, ProtoError, ReadOutcome, Sequencer};
-pub use fault::{FaultGate, FaultyStream};
+pub use fault::FaultGate;
 pub use frame::{FrameError, WireMode, FRAME_HEADER, FRAME_MAGIC};
 pub use poll::{Event, Interest, Poller, Waker};
 pub use timer::TimerWheel;

@@ -10,7 +10,7 @@
 //! slow join never stalls the thousands of other connections the loop
 //! is holding.
 //!
-//! Lifecycle rules (matching the blocking server this replaces):
+//! Lifecycle rules:
 //!
 //! * A client that reaches EOF mid-run has its in-flight queries
 //!   cancelled; requests parsed *after* EOF run with a pre-cancelled
@@ -99,8 +99,9 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut next_token = FIRST_CONN;
     // The fault-plan connection index: increments per accepted
-    // connection, matching the blocking server's numbering so pinned
-    // chaos seeds exercise the same per-connection decision streams.
+    // connection (not the poller token, which skips the reserved ids), so
+    // a pinned chaos seed draws the same per-connection decision streams
+    // for the same accept order.
     let mut conn_seq = 0u64;
     let mut timers = TimerWheel::new(Duration::from_millis(10), 512, Instant::now());
     let mut events = Vec::new();
