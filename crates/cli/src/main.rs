@@ -24,11 +24,15 @@ mod args;
 use mwsj_server::source as data;
 
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use args::Args;
-use mwsj_core::mapreduce::{validate_json, EngineConfig, FaultPlan, TraceSink};
-use mwsj_core::{planner, Algorithm, Cluster, ClusterConfig, JoinRun};
+use mwsj_core::mapreduce::{json_escape, validate_json, EngineConfig, FaultPlan, TraceSink};
+use mwsj_core::partition::Grid;
+use mwsj_core::store::StoredDataset;
+use mwsj_core::{planner, Algorithm, Cluster, ClusterConfig, JoinRun, StoredRun};
 use mwsj_datagen::CaliforniaStats;
+use mwsj_geom::Rect;
 use mwsj_query::Query;
 
 fn main() -> ExitCode {
@@ -125,17 +129,16 @@ SERVE OPTIONS  (a concurrent query service; line-JSON or binary framing)
   --net-fault-seed N  seed for the deterministic network faults (default 0)
   --drain-deadline-ms N  on shutdown, let in-flight queries finish for up
                       to N ms before cancelling them (default 5000)
-  --shards N          shard stored map-side queries across N engine
-                      instances, each owning a disjoint seed-cell range;
-                      results stay byte-identical to --shards 1 (default 1)
-  --proto auto|line   wire protocol per connection: auto sniffs the first
-                      byte (0xB1 opens length-prefixed binary framing,
-                      `{` stays line JSON); line pins line JSON (default auto)
+  --shards N          scatter stored map-side queries across N threads,
+                      each seeding a disjoint cell range of the one mounted
+                      copy of every store; results stay byte-identical to
+                      --shards 1 (default 1)
+  The wire protocol is sniffed per connection from its first byte: 0xB1
+  opens length-prefixed binary framing, anything else is line JSON.
 
 QUERY OPTIONS  (submit to a running `mwsj serve`)
   --connect HOST:PORT server address (required)
-  --proto line|binary|auto  client wire protocol; auto probes for binary
-                      and falls back to line JSON (default line)
+  --proto line|binary client wire protocol (default line)
   --algorithm NAME    as in run (default auto)
   --count-only        count tuples without materializing them
   --deadline-ms N     cancel the run past this wall-clock budget
@@ -255,7 +258,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "net-fault-seed",
         "drain-deadline-ms",
         "shards",
-        "proto",
     ])?;
     if args.flag("no-cache") && args.get("cache-bytes")?.is_some() {
         return Err("--no-cache and --cache-bytes are mutually exclusive".into());
@@ -274,11 +276,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         grid: args.get_parsed_or("grid", 8u32)?,
         extent: args.get_parsed_or("extent", 100_000.0f64)?,
         shards: args.get_parsed_or("shards", 1u32)?.max(1),
-        proto: match args.get("proto")?.unwrap_or("auto") {
-            "auto" => mwsj_server::ProtoPolicy::Auto,
-            "line" => mwsj_server::ProtoPolicy::LineOnly,
-            other => return Err(format!("--proto must be `auto` or `line`, got `{other}`")),
-        },
         ..mwsj_server::ServerConfig::default()
     };
     let net_fault_rate: f64 = args.get_parsed_or("net-fault-rate", 0.0f64)?;
@@ -304,7 +301,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
-    use mwsj_core::mapreduce::json_escape;
     use mwsj_server::json::{self, Json};
 
     args.check_known(&[
@@ -324,12 +320,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let proto = match args.get("proto")?.unwrap_or("line") {
         "line" => mwsj_server::Proto::Line,
         "binary" => mwsj_server::Proto::Binary,
-        "auto" => mwsj_server::Proto::Auto,
-        other => {
-            return Err(format!(
-                "--proto must be `line`, `binary` or `auto`, got `{other}`"
-            ))
-        }
+        other => return Err(format!("--proto must be `line` or `binary`, got `{other}`")),
     };
     let client_config = mwsj_server::ClientConfig::default().with_proto(proto);
     let mut client = mwsj_server::Client::with_config(addr, client_config)
@@ -352,21 +343,10 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     // Validate the algorithm name client-side for a friendlier error.
     let algorithm = args.get("algorithm")?.unwrap_or("auto");
     algorithm.parse::<Algorithm>()?;
-    let mut bindings = Vec::new();
-    for spec in args.get_all("data") {
-        let (name, source) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("`{spec}` is not NAME=SOURCE"))?;
-        bindings.push(format!(
-            "\"{}\":\"{}\"",
-            json_escape(name),
-            json_escape(source)
-        ));
-    }
     let mut request = format!(
         "{{\"op\":\"query\",\"query\":\"{}\",\"data\":{{{}}},\"algorithm\":\"{algorithm}\"",
         json_escape(query),
-        bindings.join(",")
+        data_json(args)?
     );
     if args.flag("count-only") {
         request.push_str(",\"count_only\":true");
@@ -412,6 +392,108 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The `(NAME, SOURCE)` halves of every `--data` binding.
+fn data_bindings(args: &Args) -> Result<Vec<(&str, &str)>, String> {
+    args.get_all("data")
+        .iter()
+        .map(|spec| {
+            spec.split_once('=')
+                .ok_or_else(|| format!("`{spec}` is not NAME=SOURCE"))
+        })
+        .collect()
+}
+
+/// The `--data` bindings as the members of a request's `data` object.
+fn data_json(args: &Args) -> Result<String, String> {
+    let members: Vec<String> = data_bindings(args)?
+        .iter()
+        .map(|(name, source)| format!("\"{}\":\"{}\"", json_escape(name), json_escape(source)))
+        .collect();
+    Ok(members.join(","))
+}
+
+/// What `run` and `explain` join: one input per relation position.
+enum Bound {
+    /// In-memory relations — what any binding that is not a `store:PATH`
+    /// makes of all of them.
+    Memory(Vec<Vec<Rect>>),
+    /// Every binding a `store:PATH`: the opened, co-partitioned stores
+    /// and the wall their opens took (charged to the run's `open_wall`).
+    /// These run off the stores, shuffle-free under `auto`.
+    Stored(Vec<StoredDataset>, Duration),
+}
+
+/// The one binder behind `run` and `explain`: loads every `--data` source
+/// — stores in place when all are `store:PATH`, materialized otherwise —
+/// orders the inputs by relation position, and builds the cluster over
+/// the stores' own space and grid, or the datasets' bounding space and
+/// `--grid`.
+fn bind(args: &Args, query: &Query) -> Result<(Cluster, Bound), String> {
+    fn by_position<T>(
+        query: &Query,
+        sources: &[(&str, &str)],
+        load: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut by_name = std::collections::BTreeMap::new();
+        for (name, source) in sources {
+            by_name.insert(*name, load(source)?);
+        }
+        query
+            .relations()
+            .map(|pos| {
+                let name = query.name(pos);
+                by_name
+                    .remove(name)
+                    .ok_or_else(|| format!("no --data binding for relation `{name}`"))
+            })
+            .collect()
+    }
+
+    let sources = data_bindings(args)?;
+    let paths: Option<Vec<(&str, &str)>> = sources
+        .iter()
+        .map(|(name, source)| Some((*name, source.strip_prefix("store:")?)))
+        .collect();
+    let (grid, bound) = match paths.filter(|paths| !paths.is_empty()) {
+        Some(paths) => {
+            let t0 = Instant::now();
+            let stores = by_position(query, &paths, |path| {
+                StoredDataset::open(std::path::Path::new(path))
+                    .map_err(|e| format!("opening store `{path}`: {e}"))
+            })?;
+            let open_wall = t0.elapsed();
+            let grid = stores[0].grid().clone();
+            if stores.iter().any(|s| *s.grid() != grid) {
+                return Err(
+                    "stores were ingested on different grids; re-ingest with matching \
+                     --grid and --extent so they are co-partitioned"
+                        .into(),
+                );
+            }
+            (grid, Bound::Stored(stores, open_wall))
+        }
+        None => {
+            let datasets = by_position(query, &sources, data::load_source)?;
+            let slices: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
+            let (x_range, y_range) = data::bounding_space(&slices);
+            let side: u32 = args.get_parsed_or("grid", 8u32)?;
+            (
+                Grid::square(x_range, y_range, side),
+                Bound::Memory(datasets),
+            )
+        }
+    };
+    let cluster = Cluster::new(ClusterConfig {
+        x_range: grid.x_range(),
+        y_range: grid.y_range(),
+        grid_cols: grid.cols(),
+        grid_rows: grid.rows(),
+        num_reducers: None,
+        engine: parse_engine_config(args)?,
+    });
+    Ok((cluster, bound))
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     args.check_known(&[
         "query",
@@ -430,216 +512,78 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let query_text = args.require("query")?;
     let mut query = Query::parse(query_text).map_err(|e| format!("query: {e}"))?;
     let algorithm: Algorithm = args.get("algorithm")?.unwrap_or("auto").parse()?;
-    let grid: u32 = args.get_parsed_or("grid", 8u32)?;
-
-    // All-stored bindings run off the stores (shuffle-free under auto);
-    // the space and grid come from the stores themselves.
-    if let Some(bindings) = stored_bindings(args)? {
-        if args.get("grid")?.is_some() {
-            eprintln!("note      : --grid is ignored for stored runs (the stores' grid is used)");
-        }
-        return cmd_run_stored(args, &query, algorithm, &bindings);
-    }
-    if algorithm == Algorithm::MapSide {
-        return Err(
-            "the map-side join needs every --data binding to be a store:PATH dataset \
-             (see `mwsj ingest`)"
-                .into(),
-        );
-    }
-
-    // Bind datasets to relation positions by name.
-    let mut bindings = std::collections::BTreeMap::new();
-    for spec in args.get_all("data") {
-        let (name, rects) = data::parse_binding(spec)?;
-        bindings.insert(name, rects);
-    }
-    let mut datasets: Vec<&[mwsj_geom::Rect]> = Vec::new();
-    for pos in query.relations() {
-        let name = query.name(pos);
-        datasets.push(
-            bindings
-                .get(name)
-                .ok_or_else(|| format!("no --data binding for relation `{name}`"))?,
-        );
-    }
-
     let trace = parse_trace_args(args)?;
-    let (x_range, y_range) = data::bounding_space(&datasets);
-    let cluster = Cluster::new(ClusterConfig {
-        x_range,
-        y_range,
-        grid_cols: grid,
-        grid_rows: grid,
-        num_reducers: None,
-        engine: parse_engine_config(args)?,
-    });
+    let sink = trace
+        .as_ref()
+        .map_or_else(TraceSink::disabled, |t| t.sink.clone());
+    let (cluster, bound) = bind(args, &query)?;
 
-    if args.flag("plan") {
-        query = planner::optimize_cascade_order(&query, &datasets, planner::DEFAULT_SAMPLE, 7);
-        eprintln!("planned order: {query}");
-    }
-
-    let mut run = JoinRun::new(&query, &datasets)
-        .algorithm(algorithm)
-        .count_only(args.flag("count-only"));
-    if let Some(t) = &trace {
-        run = run.trace(t.sink.clone());
-    }
-    let t0 = std::time::Instant::now();
-    let output = cluster
-        .submit(&run)
-        .map_err(|e| format!("join failed: {e}"))?;
-    let wall = t0.elapsed();
-    finish_run(
-        args,
-        &query,
-        algorithm,
-        &output,
-        (x_range, y_range),
-        (grid, grid),
-        wall,
-        &trace,
-    )
-}
-
-/// Runs a query whose bindings are all `store:PATH` datasets: the cluster
-/// takes its space and grid from the stores, the join runs through
-/// [`Cluster::submit_stored`], and under `auto` the optimizer can pick
-/// the shuffle-free map-side join.
-fn cmd_run_stored(
-    args: &Args,
-    query: &Query,
-    algorithm: Algorithm,
-    bindings: &[(String, String)],
-) -> Result<(), String> {
-    use mwsj_core::store::StoredDataset;
-    use mwsj_core::StoredRun;
-
-    if args.flag("plan") {
-        return Err(
-            "--plan needs in-memory inputs; stored runs are ordered by the stored plan".into(),
-        );
-    }
-    let (by_name, open_wall) = open_stores(bindings)?;
-    let mut stores: Vec<&StoredDataset> = Vec::new();
-    for pos in query.relations() {
-        let name = query.name(pos);
-        stores.push(
-            by_name
-                .get(name)
-                .ok_or_else(|| format!("no --data binding for relation `{name}`"))?,
-        );
-    }
-    let grid = check_store_grids(&stores)?.clone();
-
-    let trace = parse_trace_args(args)?;
-    let cluster = Cluster::new(ClusterConfig {
-        x_range: grid.x_range(),
-        y_range: grid.y_range(),
-        grid_cols: grid.cols(),
-        grid_rows: grid.rows(),
-        num_reducers: None,
-        engine: parse_engine_config(args)?,
-    });
-    let mut run = StoredRun::new(query, &stores)
-        .algorithm(algorithm)
-        .count_only(args.flag("count-only"))
-        .open_wall(open_wall);
-    if let Some(t) = &trace {
-        run = run.trace(t.sink.clone());
-    }
-    let t0 = std::time::Instant::now();
-    let output = cluster
-        .submit_stored(&run)
-        .map_err(|e| format!("join failed: {e}"))?;
-    let wall = t0.elapsed();
-    eprintln!(
-        "stores    : {} relations, {} records, opened in {open_wall:?}",
-        stores.len(),
-        stores.iter().map(|s| s.record_count()).sum::<u64>()
-    );
-    finish_run(
-        args,
-        query,
-        algorithm,
-        &output,
-        (grid.x_range(), grid.y_range()),
-        (grid.cols(), grid.rows()),
-        wall,
-        &trace,
-    )
-}
-
-/// Opens every `NAME=PATH` stored binding, returning the stores by name
-/// and the total open wall (charged to the run's `open_wall`).
-fn open_stores(
-    bindings: &[(String, String)],
-) -> Result<
-    (
-        std::collections::BTreeMap<String, mwsj_core::store::StoredDataset>,
-        std::time::Duration,
-    ),
-    String,
-> {
-    let t0 = std::time::Instant::now();
-    let mut by_name = std::collections::BTreeMap::new();
-    for (name, path) in bindings {
-        let store = mwsj_core::store::StoredDataset::open(std::path::Path::new(path))
-            .map_err(|e| format!("opening store `{path}`: {e}"))?;
-        by_name.insert(name.clone(), store);
-    }
-    Ok((by_name, t0.elapsed()))
-}
-
-/// All stores in a run must be co-partitioned; returns their shared grid.
-fn check_store_grids<'a>(
-    stores: &[&'a mwsj_core::store::StoredDataset],
-) -> Result<&'a mwsj_core::partition::Grid, String> {
-    let first = stores
-        .first()
-        .ok_or("a stored run needs at least one --data binding")?;
-    for s in stores {
-        if s.grid() != first.grid() {
-            return Err(
-                "stores were ingested on different grids; re-ingest with matching \
-                 --grid and --extent so they are co-partitioned"
-                    .into(),
+    let (output, wall) = match &bound {
+        Bound::Stored(stores, open_wall) => {
+            if args.flag("plan") {
+                return Err(
+                    "--plan needs in-memory inputs; stored runs are ordered by the stored plan"
+                        .into(),
+                );
+            }
+            if args.get("grid")?.is_some() {
+                eprintln!(
+                    "note      : --grid is ignored for stored runs (the stores' grid is used)"
+                );
+            }
+            eprintln!(
+                "stores    : {} relations, {} records, opened in {open_wall:?}",
+                stores.len(),
+                stores.iter().map(|s| s.record_count()).sum::<u64>()
             );
+            let stores: Vec<&StoredDataset> = stores.iter().collect();
+            let run = StoredRun::new(&query, &stores)
+                .algorithm(algorithm)
+                .count_only(args.flag("count-only"))
+                .open_wall(*open_wall)
+                .trace(sink);
+            let t0 = Instant::now();
+            (cluster.submit_stored(&run), t0.elapsed())
         }
-    }
-    Ok(first.grid())
+        Bound::Memory(datasets) => {
+            if algorithm == Algorithm::MapSide {
+                return Err(
+                    "the map-side join needs every --data binding to be a store:PATH dataset \
+                     (see `mwsj ingest`)"
+                        .into(),
+                );
+            }
+            let datasets: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
+            if args.flag("plan") {
+                query =
+                    planner::optimize_cascade_order(&query, &datasets, planner::DEFAULT_SAMPLE, 7);
+                eprintln!("planned order: {query}");
+            }
+            let run = JoinRun::new(&query, &datasets)
+                .algorithm(algorithm)
+                .count_only(args.flag("count-only"))
+                .trace(sink);
+            let t0 = Instant::now();
+            (cluster.submit(&run), t0.elapsed())
+        }
+    };
+    let output = output.map_err(|e| format!("join failed: {e}"))?;
+    finish_run(args, &query, algorithm, &output, &cluster, wall, &trace)
 }
 
-/// The `(NAME, PATH)` pairs of the `--data` bindings when *every* binding
-/// is a `store:PATH` spec; `None` when any is not (or there are none).
-fn stored_bindings(args: &Args) -> Result<Option<Vec<(String, String)>>, String> {
-    let mut out = Vec::new();
-    for spec in args.get_all("data") {
-        let (name, source) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("`{spec}` is not NAME=SOURCE"))?;
-        match source.strip_prefix("store:") {
-            Some(path) => out.push((name.to_string(), path.to_string())),
-            None => return Ok(None),
-        }
-    }
-    Ok((!out.is_empty()).then_some(out))
-}
-
-/// Prints the run summary and writes `--out` — the shared tail of the
-/// in-memory and stored paths of `mwsj run`.
-#[allow(clippy::too_many_arguments)]
+/// Prints the run summary and writes `--out`.
 fn finish_run(
     args: &Args,
     query: &Query,
     requested: Algorithm,
     output: &mwsj_core::JoinOutput,
-    ((x0, x1), (y0, y1)): ((f64, f64), (f64, f64)),
-    (cols, rows): (u32, u32),
-    wall: std::time::Duration,
+    cluster: &Cluster,
+    wall: Duration,
     trace: &Option<TraceSpec>,
 ) -> Result<(), String> {
+    let grid = cluster.grid();
+    let ((x0, x1), (y0, y1)) = (grid.x_range(), grid.y_range());
+    let (cols, rows) = (grid.cols(), grid.rows());
     eprintln!("query     : {query}");
     if requested == Algorithm::Auto {
         eprintln!("algorithm : {} (picked by auto)", output.algorithm.name());
@@ -703,7 +647,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         return Err("--grid must be at least 1".into());
     }
     let rects = data::load_source(source)?;
-    let grid = mwsj_core::partition::Grid::square((0.0, extent), (0.0, extent), side);
+    let grid = Grid::square((0.0, extent), (0.0, extent), side);
     let t0 = std::time::Instant::now();
     mwsj_core::store::StoreBuilder::new(&grid)
         .write(&rects, std::path::Path::new(out))
@@ -724,29 +668,16 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
 /// With `--connect` the plan comes from a running server (its grid and
 /// extent); otherwise it is computed locally as `mwsj run` would.
 fn cmd_explain(args: &Args) -> Result<(), String> {
-    use mwsj_core::mapreduce::json_escape;
-
     args.check_known(&["query", "data", "grid", "connect"])?;
     let query_text = args.require("query")?;
 
     if let Some(addr) = args.get("connect")? {
         let mut client =
             mwsj_server::Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-        let mut bindings = Vec::new();
-        for spec in args.get_all("data") {
-            let (name, source) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("`{spec}` is not NAME=SOURCE"))?;
-            bindings.push(format!(
-                "\"{}\":\"{}\"",
-                json_escape(name),
-                json_escape(source)
-            ));
-        }
         let request = format!(
             "{{\"op\":\"explain\",\"query\":\"{}\",\"data\":{{{}}}}}",
             json_escape(query_text),
-            bindings.join(",")
+            data_json(args)?
         );
         let resp = client.request(&request).map_err(|e| e.to_string())?;
         println!("{resp}");
@@ -754,59 +685,17 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     }
 
     let query = Query::parse(query_text).map_err(|e| format!("query: {e}"))?;
-    let grid: u32 = args.get_parsed_or("grid", 8u32)?;
-
     // All-stored bindings are planned with the map-side candidate in
     // play, on the stores' own grid.
-    if let Some(stored) = stored_bindings(args)? {
-        let (by_name, _) = open_stores(&stored)?;
-        let mut stores: Vec<&mwsj_core::store::StoredDataset> = Vec::new();
-        for pos in query.relations() {
-            let name = query.name(pos);
-            stores.push(
-                by_name
-                    .get(name)
-                    .ok_or_else(|| format!("no --data binding for relation `{name}`"))?,
-            );
+    let plan = match bind(args, &query)? {
+        (cluster, Bound::Stored(stores, _)) => {
+            cluster.plan_stored(&query, &stores.iter().collect::<Vec<_>>())
         }
-        let g = check_store_grids(&stores)?.clone();
-        let cluster = Cluster::new(ClusterConfig {
-            x_range: g.x_range(),
-            y_range: g.y_range(),
-            grid_cols: g.cols(),
-            grid_rows: g.rows(),
-            num_reducers: None,
-            engine: EngineConfig::default(),
-        });
-        let plan = cluster.plan_stored(&query, &stores);
-        println!("{}", plan.to_json());
-        return Ok(());
-    }
-
-    let mut bindings = std::collections::BTreeMap::new();
-    for spec in args.get_all("data") {
-        let (name, rects) = data::parse_binding(spec)?;
-        bindings.insert(name, rects);
-    }
-    let mut datasets: Vec<&[mwsj_geom::Rect]> = Vec::new();
-    for pos in query.relations() {
-        let name = query.name(pos);
-        datasets.push(
-            bindings
-                .get(name)
-                .ok_or_else(|| format!("no --data binding for relation `{name}`"))?,
-        );
-    }
-    let (x_range, y_range) = data::bounding_space(&datasets);
-    let cluster = Cluster::new(ClusterConfig {
-        x_range,
-        y_range,
-        grid_cols: grid,
-        grid_rows: grid,
-        num_reducers: None,
-        engine: EngineConfig::default(),
-    });
-    let plan = cluster.plan(&query, &datasets);
+        (cluster, Bound::Memory(datasets)) => {
+            let datasets: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
+            cluster.plan(&query, &datasets)
+        }
+    };
     println!("{}", plan.to_json());
     Ok(())
 }

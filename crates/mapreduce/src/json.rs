@@ -1,9 +1,13 @@
-//! A minimal recursive-descent JSON reader for the wire protocol.
+//! The workspace's one JSON reader: a minimal recursive-descent parser
+//! into a value tree.
 //!
-//! The workspace's offline `serde` is a no-op shim and the trace layer's
-//! `validate_json` only validates, so the protocol parses its requests
-//! with this small value-tree reader. Writing stays hand-rolled (see
-//! [`mwsj_core::mapreduce::json_escape`]).
+//! The offline `serde` is a no-op shim, so the serving tier's wire
+//! protocol parses its requests with this reader and
+//! [`validate_json`](crate::validate_json) (the trace exporters' checker,
+//! `mwsj trace-check`) is this parser with the tree dropped. It reads
+//! input from outside the program, so it accepts exactly the JSON grammar
+//! — numbers, escapes and control bytes included — and bounds its own
+//! recursion. Writing stays hand-rolled (see [`json_escape`](crate::json_escape)).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,22 +174,39 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes a run of ASCII digits; whether there was at least one.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?` — what `f64::from_str`
+    /// accepts beyond that (`1.`, `-.5`, `1.e3`) is not JSON.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        let mut ok = self.digits();
+        if ok && self.peek() == Some(b'.') {
             self.pos += 1;
+            ok = self.digits();
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            ok = self.digits();
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        match text.parse() {
+            Ok(n) if ok => Ok(Json::Num(n)),
+            _ => Err(format!("bad number at byte {start}")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -213,6 +234,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
@@ -227,8 +249,11 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    out.push(self.bytes[self.pos]);
+                Some(c) if c < 0x20 => {
+                    return Err(format!("raw control byte in string at byte {}", self.pos));
+                }
+                Some(c) => {
+                    out.push(c);
                     self.pos += 1;
                 }
             }
@@ -320,12 +345,16 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,", "tru", "\"open", "{}x", "nan"] {
             assert!(parse(bad).is_err(), "`{bad}` must not parse");
         }
+        // What `f64::from_str` and `from_str_radix` would let through.
+        for bad in ["1.", "-.5", "1.e3", "1e", "-", "\"a\tb\"", "\"\\u+1ab\""] {
+            assert!(parse(bad).is_err(), "`{bad}` is not JSON");
+        }
     }
 
     #[test]
     fn roundtrips_escaped_output() {
         let nasty = "quote\" slash\\ nl\n tab\t";
-        let doc = format!("{{\"k\":\"{}\"}}", mwsj_core::mapreduce::json_escape(nasty));
+        let doc = format!("{{\"k\":\"{}\"}}", crate::json_escape(nasty));
         assert_eq!(parse(&doc).unwrap().get("k").unwrap().as_str(), Some(nasty));
     }
 
@@ -361,7 +390,7 @@ mod tests {
             let s = String::from_utf8_lossy(bytes);
             format!(
                 "{{\"a\":[{arr}],\"b\":{flag},\"s\":\"{}\",\"n\":null}}",
-                mwsj_core::mapreduce::json_escape(&s)
+                crate::json_escape(&s)
             )
         }
 

@@ -69,6 +69,7 @@
 mod dfs;
 mod engine;
 mod fault;
+pub mod json;
 mod metrics;
 mod record;
 mod schedule;

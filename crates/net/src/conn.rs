@@ -1,7 +1,7 @@
 //! Per-connection state machines for the event loop.
 //!
 //! A [`Connection`] owns one nonblocking socket plus its read and write
-//! buffers, its negotiated [`WireMode`], and a [`FaultGate`]. The event
+//! buffers, its sniffed [`WireMode`], and a [`FaultGate`]. The event
 //! loop drives it with three calls:
 //!
 //! * [`fill`](Connection::fill) — drain the socket into the read
@@ -136,16 +136,10 @@ impl Connection {
         &self.stream
     }
 
-    /// The negotiated wire mode, once the first byte has arrived.
+    /// The wire mode the first byte selected, once it has arrived.
     #[must_use]
     pub fn mode(&self) -> Option<WireMode> {
         self.mode
-    }
-
-    /// Pins the wire mode regardless of the first byte (line-only
-    /// policy).
-    pub fn force_mode(&mut self, mode: WireMode) {
-        self.mode = Some(mode);
     }
 
     /// Whether the connection has died.
@@ -165,12 +159,6 @@ impl Connection {
     #[must_use]
     pub fn last_activity(&self) -> Instant {
         self.last_activity
-    }
-
-    /// Bytes currently buffered inbound (oversize accounting).
-    #[must_use]
-    pub fn buffered_in(&self) -> usize {
-        self.inbuf.len()
     }
 
     /// Whether unflushed response bytes remain.
@@ -323,8 +311,8 @@ impl Connection {
     /// caller answers with `bad_request` and evicts.
     pub fn next_request(&mut self, max_request: usize) -> Result<Option<Vec<u8>>, ProtoError> {
         if self.mode == Some(WireMode::Binary) {
-            // Inter-frame whitespace is legal (negotiating clients tail
-            // their probe frame with a newline).
+            // Inter-frame whitespace is legal (a client may end each
+            // frame with a newline, as it would a line).
             let skip = frame::leading_whitespace(&self.inbuf);
             if skip > 0 {
                 self.inbuf.drain(..skip);

@@ -14,9 +14,7 @@
 //!
 //! A connection's mode is decided once, by its first byte, and both
 //! directions use it. Binary mode skips ASCII whitespace *between*
-//! frames so a negotiating client may tail its first frame with a
-//! newline (which makes the probe a complete — if garbled — line for a
-//! line-only server, yielding a fast typed error instead of a hang).
+//! frames, so a client may end a frame with a newline as it would a line.
 
 use std::fmt;
 

@@ -13,7 +13,7 @@
 //!   binary) and the length-prefixed binary frame codec with typed,
 //!   never-panicking decode errors.
 //! * [`conn`] — per-connection state machines (read/write buffering,
-//!   protocol negotiation, fault application) and the [`conn::Sequencer`]
+//!   protocol sniffing, fault application) and the [`conn::Sequencer`]
 //!   that keeps pipelined responses in request order.
 //! * [`timer`] — a hashed timer wheel for idle eviction, injected-stall
 //!   resumption and slow-loris pacing.

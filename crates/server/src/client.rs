@@ -2,31 +2,25 @@
 //!
 //! One TCP connection, one request out, one response back — over either
 //! line-delimited JSON (the default) or the length-prefixed binary
-//! framing (see [`mwsj_net::frame`]), selected by [`Proto`]. With
-//! [`Proto::Auto`] the first request doubles as the probe: it goes out
-//! as a binary frame tailed with a newline, and a server that answers
-//! in line JSON (one pinned to the line protocol) makes the client
-//! reconnect and resend on line JSON — every later request sticks with
-//! the negotiated mode. Retries, deadlines and hedging are all
-//! protocol-agnostic: [`Client::request_idempotent`] and
-//! [`Client::request_hedged`] ride on the same codec as
-//! [`Client::request`].
+//! framing (see [`mwsj_net::frame`]), selected by [`Proto`]. The server
+//! tells the two apart by the first byte of the connection, so there is
+//! nothing to negotiate: the client speaks the protocol it was configured
+//! with.
 //!
 //! Also here: explicit connect/read/write timeouts, typed errors
-//! ([`ClientError::TimedOut`] instead of a raw `WouldBlock`), opt-in
-//! deadline-aware retries with deterministic jittered exponential
-//! backoff ([`Client::request_idempotent`]), and an opt-in hedged second
-//! attempt for read-only requests ([`Client::request_hedged`]).
+//! ([`ClientError::TimedOut`] instead of a raw `WouldBlock`), and opt-in
+//! retries with deterministic jittered exponential backoff
+//! ([`Client::request_idempotent`]), riding on the same codec as
+//! [`Client::request`].
 //!
-//! Retries and hedging are **not** applied by [`Client::request`]: a
-//! query submission is only safely retryable when the caller knows it is
-//! idempotent (the protocol's queries are — results are deterministic
-//! and cached — but the choice stays with the caller).
+//! Retries are **not** applied by [`Client::request`]: a query submission
+//! is only safely retryable when the caller knows it is idempotent (the
+//! protocol's queries are — results are deterministic and cached — but
+//! the choice stays with the caller).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mwsj_net::frame::encode_frame;
 use mwsj_net::FRAME_MAGIC;
@@ -34,8 +28,7 @@ use mwsj_net::FRAME_MAGIC;
 /// Why a client call failed.
 #[derive(Debug)]
 pub enum ClientError {
-    /// A connect, read or write exceeded its configured timeout, or the
-    /// total request deadline expired mid-retry.
+    /// A connect, read or write exceeded its configured timeout.
     TimedOut(String),
     /// The server closed the connection before responding.
     Disconnected,
@@ -84,13 +77,8 @@ pub enum Proto {
     /// accepts it, so it is the default.
     #[default]
     Line,
-    /// Length-prefixed binary frames, unconditionally. Against a server
-    /// pinned to the line protocol this times out — prefer
-    /// [`Proto::Auto`] unless the fleet is known-binary.
+    /// Length-prefixed binary frames.
     Binary,
-    /// Negotiate: probe with a newline-tailed binary frame on the first
-    /// request and fall back to line JSON if the server answers in it.
-    Auto,
 }
 
 /// Client-side resilience knobs.
@@ -108,15 +96,9 @@ pub struct ClientConfig {
     /// Base backoff before the first retry; doubles per attempt, plus
     /// deterministic jitter in `[0, backoff/2)`.
     pub backoff: Duration,
-    /// Overall deadline across all attempts of one
-    /// [`Client::request_idempotent`] call (`None` = unbounded).
-    pub total_deadline: Option<Duration>,
-    /// If set, [`Client::request_hedged`] launches a second connection
-    /// after this delay and takes whichever response arrives first.
-    pub hedge: Option<Duration>,
     /// Seed for the jitter stream, so retry timing is reproducible.
     pub seed: u64,
-    /// The wire protocol to speak (or negotiate, with [`Proto::Auto`]).
+    /// The wire protocol to speak.
     pub proto: Proto,
 }
 
@@ -128,8 +110,6 @@ impl Default for ClientConfig {
             write_timeout: Duration::from_secs(5),
             retries: 0,
             backoff: Duration::from_millis(50),
-            total_deadline: None,
-            hedge: None,
             seed: 0,
             proto: Proto::default(),
         }
@@ -142,20 +122,6 @@ impl ClientConfig {
     pub fn with_retries(mut self, retries: u32, backoff: Duration) -> Self {
         self.retries = retries;
         self.backoff = backoff;
-        self
-    }
-
-    /// Sets the overall per-request deadline.
-    #[must_use]
-    pub fn with_total_deadline(mut self, deadline: Duration) -> Self {
-        self.total_deadline = Some(deadline);
-        self
-    }
-
-    /// Enables hedged reads with the given hedge delay.
-    #[must_use]
-    pub fn with_hedge(mut self, delay: Duration) -> Self {
-        self.hedge = Some(delay);
         self
     }
 
@@ -173,7 +139,7 @@ impl ClientConfig {
         self
     }
 
-    /// Selects the wire protocol (or [`Proto::Auto`] negotiation).
+    /// Selects the wire protocol.
     #[must_use]
     pub fn with_proto(mut self, proto: Proto) -> Self {
         self.proto = proto;
@@ -188,10 +154,6 @@ pub struct Client {
     config: ClientConfig,
     stream: TcpStream,
     reader: BufReader<TcpStream>,
-    /// The mode this connection speaks. [`Proto::Auto`] means "not yet
-    /// negotiated" — the first request settles it to `Line` or `Binary`,
-    /// and a reconnect resets it to the configured value.
-    mode: Proto,
     /// xorshift state for backoff jitter (derived from the seed).
     rng: u64,
 }
@@ -217,13 +179,11 @@ impl Client {
         if rng == 0 {
             rng = 1;
         }
-        let mode = config.proto;
         Ok(Client {
             addr: addr.to_string(),
             config,
             stream,
             reader,
-            mode,
             rng,
         })
     }
@@ -268,20 +228,18 @@ impl Client {
         Ok((stream, reader))
     }
 
-    /// Sends one request and reads one response, over whichever wire
-    /// mode this connection speaks (negotiating it first under
-    /// [`Proto::Auto`]). No retries: see [`Client::request_idempotent`]
-    /// for the retrying variant.
+    /// Sends one request and reads one response, over the configured wire
+    /// protocol. No retries: see [`Client::request_idempotent`] for the
+    /// retrying variant.
     ///
     /// # Errors
     /// [`ClientError::TimedOut`] when a read or write exceeds its
     /// timeout, [`ClientError::Disconnected`] on EOF before a complete
     /// response, otherwise the underlying I/O failure.
     pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        match self.mode {
+        match self.config.proto {
             Proto::Line => self.request_over_line(line),
-            Proto::Binary => self.request_over_binary(line, false),
-            Proto::Auto => self.negotiate(line),
+            Proto::Binary => self.request_over_binary(line),
         }
     }
 
@@ -312,14 +270,10 @@ impl Client {
         Ok(response.trim_end().to_string())
     }
 
-    /// The binary leg of the codec: one frame out (newline-tailed when
-    /// probing), one frame back.
-    fn request_over_binary(&mut self, line: &str, probe: bool) -> Result<String, ClientError> {
-        let mut wire = Vec::with_capacity(line.len() + 6);
+    /// The binary leg of the codec: one frame out, one frame back.
+    fn request_over_binary(&mut self, line: &str) -> Result<String, ClientError> {
+        let mut wire = Vec::with_capacity(line.len() + 5);
         encode_frame(line.trim_end().as_bytes(), &mut wire);
-        if probe {
-            wire.push(b'\n');
-        }
         self.stream
             .write_all(&wire)
             .map_err(|e| ClientError::from_io("write request", e))?;
@@ -336,12 +290,6 @@ impl Client {
                 format!("expected a binary frame, got first byte 0x{:02x}", magic[0]),
             )));
         }
-        self.read_frame_body()
-    }
-
-    /// Reads a frame's length prefix and payload (the magic byte has
-    /// already been consumed).
-    fn read_frame_body(&mut self) -> Result<String, ClientError> {
         let mut len_bytes = [0u8; 4];
         self.reader
             .read_exact(&mut len_bytes)
@@ -359,54 +307,17 @@ impl Client {
         })
     }
 
-    /// [`Proto::Auto`]'s first request: a newline-tailed binary frame.
-    /// A binary-capable server answers with a frame (its first byte the
-    /// magic) and the connection settles on binary; a line-pinned server
-    /// reads the probe as one garbled line and answers a line-JSON
-    /// error, so the client reconnects on line JSON and resends.
-    fn negotiate(&mut self, line: &str) -> Result<String, ClientError> {
-        let mut wire = Vec::with_capacity(line.len() + 7);
-        encode_frame(line.trim_end().as_bytes(), &mut wire);
-        wire.push(b'\n');
-        self.stream
-            .write_all(&wire)
-            .map_err(|e| ClientError::from_io("write request", e))?;
-        self.stream
-            .flush()
-            .map_err(|e| ClientError::from_io("write request", e))?;
-        let mut magic = [0u8; 1];
-        self.reader
-            .read_exact(&mut magic)
-            .map_err(|e| ClientError::from_io("read response", e))?;
-        if magic[0] == FRAME_MAGIC {
-            self.mode = Proto::Binary;
-            return self.read_frame_body();
-        }
-        // Line-JSON first byte: the server is pinned to the line
-        // protocol and just answered an error for the garbled probe.
-        // Drop this connection (discarding that error) and resend the
-        // request over a fresh line-mode connection.
-        let (stream, reader) = Client::open(&self.addr, &self.config)?;
-        self.stream = stream;
-        self.reader = reader;
-        self.mode = Proto::Line;
-        self.request_over_line(line)
-    }
-
     /// Sends an *idempotent* request, retrying with a fresh connection
     /// after each failure: up to [`ClientConfig::retries`] extra
-    /// attempts, jittered exponential backoff between them, the whole
-    /// call bounded by [`ClientConfig::total_deadline`].
+    /// attempts, jittered exponential backoff between them.
     ///
     /// Only use this for requests that are safe to re-execute (the
     /// protocol's queries and `stats` are; re-sending `shutdown` is
     /// harmless but pointless).
     ///
     /// # Errors
-    /// The last attempt's error, or [`ClientError::TimedOut`] once the
-    /// total deadline expires.
+    /// The last attempt's error.
     pub fn request_idempotent(&mut self, line: &str) -> Result<String, ClientError> {
-        let deadline = self.config.total_deadline.map(|d| Instant::now() + d);
         let mut attempt = 0u32;
         loop {
             let err = match self.request(line) {
@@ -425,71 +336,15 @@ impl Client {
             if half > 0 {
                 pause += Duration::from_nanos(self.next_rand() % half);
             }
-            if let Some(d) = deadline {
-                let now = Instant::now();
-                if now >= d {
-                    return Err(ClientError::TimedOut("total request deadline".to_string()));
-                }
-                pause = pause.min(d - now);
-            }
             std::thread::sleep(pause);
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(ClientError::TimedOut("total request deadline".to_string()));
-            }
             // The failed connection may be wedged; replace it. A failed
             // reconnect leaves the dead socket in place, so the next
-            // attempt fails fast and consumes the next retry. The fresh
-            // connection renegotiates from the configured protocol.
+            // attempt fails fast and consumes the next retry.
             if let Ok((stream, reader)) = Client::open(&self.addr, &self.config) {
                 self.stream = stream;
                 self.reader = reader;
-                self.mode = self.config.proto;
             }
         }
-    }
-
-    /// Sends a read-only request with a hedged second attempt: if
-    /// [`ClientConfig::hedge`] is set and the first connection has not
-    /// answered within the hedge delay, a second connection races it and
-    /// the first response wins. Without a hedge delay this is
-    /// [`Client::request_idempotent`].
-    ///
-    /// Both attempts run on *fresh* connections (this client's pipelined
-    /// connection state is left untouched), so hedging is safe to mix
-    /// with pipelined `request` calls.
-    ///
-    /// # Errors
-    /// The last attempt's error once every racer has failed.
-    pub fn request_hedged(&mut self, line: &str) -> Result<String, ClientError> {
-        let Some(hedge_delay) = self.config.hedge else {
-            return self.request_idempotent(line);
-        };
-        let (tx, rx) = mpsc::channel::<Result<String, ClientError>>();
-        let racers = 2usize;
-        for i in 0..racers {
-            let tx = tx.clone();
-            let addr = self.addr.clone();
-            let config = self.config.clone();
-            let line = line.to_string();
-            let delay = if i == 0 { Duration::ZERO } else { hedge_delay };
-            std::thread::spawn(move || {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                let result = Client::with_config(&addr, config).and_then(|mut c| c.request(&line));
-                tx.send(result).ok();
-            });
-        }
-        drop(tx);
-        let mut last = ClientError::Disconnected;
-        for _ in 0..racers {
-            match rx.recv() {
-                Ok(Ok(response)) => return Ok(response),
-                Ok(Err(e)) => last = e,
-                Err(_) => break,
-            }
-        }
-        Err(last)
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -535,67 +390,6 @@ mod tests {
         let mut client = Client::with_config(&addr, config).unwrap();
         let response = client.request("{\"op\":\"stats\"}").unwrap();
         assert_eq!(response, "{\"ok\":true}");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn auto_settles_on_binary_when_the_server_frames() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            // Two framed requests on one connection: the newline-tailed
-            // probe, then a plain frame once binary is settled.
-            for tail in [1usize, 0] {
-                let mut header = [0u8; 5];
-                s.read_exact(&mut header).unwrap();
-                assert_eq!(header[0], FRAME_MAGIC);
-                let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-                let mut payload = vec![0u8; len + tail];
-                s.read_exact(&mut payload).unwrap();
-                let mut out = Vec::new();
-                encode_frame(b"{\"ok\":true}", &mut out);
-                s.write_all(&out).unwrap();
-            }
-        });
-        let config = ClientConfig::default().with_proto(Proto::Auto);
-        let mut client = Client::with_config(&addr, config).unwrap();
-        assert_eq!(
-            client.request("{\"op\":\"stats\"}").unwrap(),
-            "{\"ok\":true}"
-        );
-        assert_eq!(client.mode, Proto::Binary);
-        assert_eq!(
-            client.request("{\"op\":\"stats\"}").unwrap(),
-            "{\"ok\":true}"
-        );
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn auto_falls_back_to_line_json() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            // First connection: a line-pinned server reads the garbled
-            // probe as one line and answers a line-JSON error.
-            let (mut s, _) = listener.accept().unwrap();
-            read_request_line(&s);
-            s.write_all(b"{\"ok\":false,\"error\":\"bad_request\"}\n")
-                .unwrap();
-            // Second connection: the client resends over line JSON.
-            let (mut s, _) = listener.accept().unwrap();
-            let line = read_request_line(&s);
-            assert_eq!(line.trim_end(), "{\"op\":\"stats\"}");
-            s.write_all(b"{\"ok\":true}\n").unwrap();
-        });
-        let config = ClientConfig::default().with_proto(Proto::Auto);
-        let mut client = Client::with_config(&addr, config).unwrap();
-        assert_eq!(
-            client.request("{\"op\":\"stats\"}").unwrap(),
-            "{\"ok\":true}"
-        );
-        assert_eq!(client.mode, Proto::Line);
         server.join().unwrap();
     }
 
@@ -675,57 +469,5 @@ mod tests {
         let response = client.request_idempotent("{\"op\":\"stats\"}").unwrap();
         assert_eq!(response, "{\"ok\":true}");
         server.join().unwrap();
-    }
-
-    #[test]
-    fn total_deadline_bounds_retries() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // Accept-and-drop forever, in the background.
-        std::thread::spawn(move || {
-            while let Ok((s, _)) = listener.accept() {
-                drop(s);
-            }
-        });
-        let config = ClientConfig::default()
-            .with_retries(u32::MAX, Duration::from_millis(20))
-            .with_total_deadline(Duration::from_millis(150))
-            .with_seed(3);
-        let started = Instant::now();
-        let mut client = Client::with_config(&addr, config).unwrap();
-        let err = client.request_idempotent("{\"op\":\"stats\"}").unwrap_err();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "deadline ignored"
-        );
-        match err {
-            ClientError::TimedOut(_) | ClientError::Disconnected | ClientError::Io(_) => {}
-        }
-    }
-
-    #[test]
-    fn hedged_read_prefers_the_fast_lane() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let mut first = true;
-            while let Ok((mut s, _)) = listener.accept() {
-                let slow = first;
-                first = false;
-                std::thread::spawn(move || {
-                    read_request_line(&s);
-                    if slow {
-                        std::thread::sleep(Duration::from_millis(300));
-                        s.write_all(b"{\"ok\":true,\"lane\":\"slow\"}\n").ok();
-                    } else {
-                        s.write_all(b"{\"ok\":true,\"lane\":\"fast\"}\n").ok();
-                    }
-                });
-            }
-        });
-        let config = ClientConfig::default().with_hedge(Duration::from_millis(30));
-        let mut client = Client::with_config(&addr, config).unwrap();
-        let response = client.request_hedged("{\"op\":\"stats\"}").unwrap();
-        assert_eq!(response, "{\"ok\":true,\"lane\":\"fast\"}");
     }
 }

@@ -41,7 +41,7 @@ use mwsj_net::{
 };
 
 use crate::protocol::{self, ErrorCode};
-use crate::{Inner, ProtoPolicy};
+use crate::Inner;
 
 /// Token of the listening socket.
 const LISTENER: u64 = 0;
@@ -258,12 +258,9 @@ fn accept_all(
             Ok((stream, _peer)) => {
                 let gate = FaultGate::new(inner.config.net_fault.clone(), *conn_seq);
                 *conn_seq += 1;
-                let Ok(mut conn) = Connection::new(stream, gate, now) else {
+                let Ok(conn) = Connection::new(stream, gate, now) else {
                     continue;
                 };
-                if inner.config.proto == ProtoPolicy::LineOnly {
-                    conn.force_mode(WireMode::Line);
-                }
                 let token = *next_token;
                 *next_token += 1;
                 if poller

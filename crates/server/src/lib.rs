@@ -4,7 +4,7 @@
 //! network service: a single-threaded readiness event loop (the
 //! `event` module, built on [`mwsj_net`]'s epoll-backed poller) holds every
 //! connection, speaking either the line-delimited JSON protocol (see
-//! [`protocol`]) or a length-prefixed binary framing negotiated by the
+//! [`protocol`]) or a length-prefixed binary framing, told apart by the
 //! first byte of each connection — with full request pipelining in both.
 //! Queries execute on worker threads against one shared engine whose
 //! fair-share slot scheduler arbitrates between them.
@@ -25,10 +25,10 @@
 //!   cancelled at the next task boundary, releasing its slots to the
 //!   other tenants; deadlines propagate into the engine the same way.
 //! * **Sharded serving** — with [`ServerConfig::shards`] > 1, stored
-//!   map-side queries scatter across N shards, each owning a
-//!   disjoint seed-cell range of the dataset, and the gathered result
-//!   is byte-identical to a single-node run (see
-//!   [`mwsj_core::shards`]).
+//!   map-side queries scatter across N shards — a shard is a thread
+//!   and a disjoint seed-cell range over the one mount of each store —
+//!   and the gathered result is byte-identical to a single-node run
+//!   (see [`mwsj_core::shards`]).
 //!
 //! ```text
 //! $ mwsj serve --addr 127.0.0.1:7878 --slots 8 --cache-bytes 16777216
@@ -42,7 +42,6 @@
 pub mod cache;
 pub mod client;
 mod event;
-pub mod json;
 mod plans;
 pub mod protocol;
 pub mod signal;
@@ -70,6 +69,7 @@ use plans::{PlanKey, PlanMemo};
 use protocol::{ErrorCode, ExplainRequest, QueryRequest, Request};
 
 pub use client::{Client, ClientConfig, ClientError, Proto};
+pub use mwsj_core::mapreduce::json;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -112,20 +112,6 @@ pub struct ServerConfig {
     /// disjoint seed-cell range and the front-end scatters/gathers.
     /// 1 (the default) serves single-node.
     pub shards: u32,
-    /// Per-connection wire-protocol negotiation policy.
-    pub proto: ProtoPolicy,
-}
-
-/// How the serving tier picks a wire protocol per connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProtoPolicy {
-    /// Sniff the first byte: [`mwsj_net::FRAME_MAGIC`] selects the
-    /// length-prefixed binary framing, anything else line JSON.
-    #[default]
-    Auto,
-    /// Always line JSON, regardless of the first byte — for fleets that
-    /// must pin the wire format.
-    LineOnly,
 }
 
 impl Default for ServerConfig {
@@ -145,7 +131,6 @@ impl Default for ServerConfig {
             drain_deadline: Duration::from_secs(5),
             brownout_window: Duration::from_secs(2),
             shards: 1,
-            proto: ProtoPolicy::Auto,
         }
     }
 }
@@ -231,13 +216,6 @@ impl ServerConfig {
         self.shards = shards.max(1);
         self
     }
-
-    /// Sets the wire-protocol negotiation policy.
-    #[must_use]
-    pub fn with_proto(mut self, proto: ProtoPolicy) -> Self {
-        self.proto = proto;
-        self
-    }
 }
 
 /// Monotonic service counters (all successful/failed request outcomes).
@@ -319,43 +297,44 @@ type LoadedDataset = (Arc<Vec<Rect>>, u64);
 /// to the first query that mounts it (see [`mwsj_core::StoredRun`]).
 type MountedStore = (Arc<StoredDataset>, Duration);
 
-/// The range-scoped shard mounts of one stored dataset: element `i` is
-/// the store opened with shard `i`'s seed-cell scope.
-type ShardMounts = Arc<Vec<Arc<StoredDataset>>>;
+/// One name's slot: empty until its first load succeeds. A load runs
+/// under the slot's lock, so clients racing to first-touch one name wait
+/// for the one load instead of each holding a copy of their own.
+type Slot<V> = Arc<parking_lot::Mutex<Option<V>>>;
 
-/// Loaded resources by name. The lock guards the map only, never a load:
-/// a request whose resources are all registered must not wait behind
+/// Loaded resources by name. The outer lock guards the map only, never a
+/// load: a request whose resources are all registered must not wait behind
 /// another request's first load of something else.
-struct Registry<V>(parking_lot::Mutex<HashMap<String, V>>);
+struct Registry<V>(parking_lot::Mutex<HashMap<String, Slot<V>>>);
 
 impl<V: Clone> Registry<V> {
     fn new() -> Self {
         Self(parking_lot::Mutex::new(HashMap::new()))
     }
 
-    fn get(&self, name: &str) -> Option<V> {
-        self.0.lock().get(name).cloned()
-    }
-
     /// The registered value, or the result of `load` registered under
-    /// `name`. Concurrent first loads of one name each run `load`; the
-    /// first to finish is registered and the others drop their copy — so
-    /// `n` clients first-touching one name transiently hold `n` copies.
+    /// `name`. `load` runs at most once at a time per name and, once it
+    /// has succeeded, never again; a failed load registers nothing, so the
+    /// next request for the name tries afresh.
     fn get_or_load(
         &self,
         name: &str,
         load: impl FnOnce() -> Result<V, String>,
     ) -> Result<V, String> {
-        if let Some(hit) = self.get(name) {
-            return Ok(hit);
+        let slot = {
+            let mut map = self.0.lock();
+            match map.get(name) {
+                Some(slot) => Arc::clone(slot),
+                None => Arc::clone(map.entry(name.to_string()).or_default()),
+            }
+        };
+        let mut slot = slot.lock();
+        if let Some(hit) = &*slot {
+            return Ok(hit.clone());
         }
         let loaded = load()?;
-        Ok(self
-            .0
-            .lock()
-            .entry(name.to_string())
-            .or_insert(loaded)
-            .clone())
+        *slot = Some(loaded.clone());
+        Ok(loaded)
     }
 }
 
@@ -377,8 +356,6 @@ struct Inner {
     /// Brownout lease: while `Instant::now()` is before this, cache
     /// misses are shed without queueing.
     brownout_until: parking_lot::Mutex<Option<Instant>>,
-    /// Range-scoped shard mounts of `store:` datasets, by path.
-    shard_mounts: Registry<ShardMounts>,
 }
 
 impl Inner {
@@ -436,30 +413,6 @@ impl Inner {
             Ok((Arc::new(stored), t0.elapsed()))
         })
     }
-
-    /// Mounts (or reuses) the per-shard range-scoped instances of a
-    /// stored dataset: the file is read once and opened `shards` times,
-    /// each open validating its own seed-cell scope (checksums still
-    /// cover every byte in every instance).
-    fn shard_stores(&self, path: &str) -> Result<ShardMounts, String> {
-        self.shard_mounts.get_or_load(path, || {
-            let bytes = std::fs::read(path)
-                .map_err(|e| format!("reading store `{path}` for shards: {e}"))?;
-            let ranges = mwsj_core::shards::seed_cell_ranges(
-                self.cluster.grid().num_cells(),
-                self.config.shards,
-            );
-            let mut scoped = Vec::with_capacity(ranges.len());
-            for range in ranges {
-                let store =
-                    StoredDataset::from_bytes_scoped(&bytes, range.clone()).map_err(|e| {
-                        format!("opening store `{path}` scoped to cells {range:?}: {e}")
-                    })?;
-                scoped.push(Arc::new(store));
-            }
-            Ok(Arc::new(scoped))
-        })
-    }
 }
 
 /// The TCP service. [`Server::bind`] it, then [`Server::run`] the accept
@@ -492,7 +445,6 @@ impl Server {
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
             brownout_until: parking_lot::Mutex::new(None),
-            shard_mounts: Registry::new(),
             cluster,
             config,
         });
@@ -566,9 +518,6 @@ enum Binding {
     /// the stores without materializing anything.
     Stored {
         stores: Vec<Arc<StoredDataset>>,
-        /// The `store:` paths behind `stores`; the scatter path re-mounts
-        /// these with per-shard seed-cell scopes.
-        paths: Vec<String>,
         /// Total open wall charged to this query.
         open_wall: Duration,
     },
@@ -617,22 +566,16 @@ fn bind_query(
     let mut binding = None;
     if specs.iter().all(|s| s.starts_with("store:")) {
         let mut stores = Vec::with_capacity(specs.len());
-        let mut paths = Vec::with_capacity(specs.len());
         let mut open_wall = Duration::ZERO;
         for spec in &specs {
             let path = spec.strip_prefix("store:").expect("checked above");
             let (store, opened_in) = inner.mounted_store(path)?;
             open_wall += opened_in;
             stores.push(store);
-            paths.push(path.to_string());
         }
         if stores.iter().all(|s| s.grid() == inner.cluster.grid()) {
             fingerprints.extend(stores.iter().map(|s| s.fingerprint()));
-            binding = Some(Binding::Stored {
-                stores,
-                paths,
-                open_wall,
-            });
+            binding = Some(Binding::Stored { stores, open_wall });
         }
     }
     let binding = match binding {
@@ -791,15 +734,11 @@ fn run(
     cancel: &CancelToken,
 ) -> std::thread::Result<Result<JoinOutput, JoinError>> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &bound.binding {
-        Binding::Stored { paths, .. }
-            if algorithm == Algorithm::MapSide && inner.config.shards > 1 =>
-        {
-            run_sharded(inner, &bound.canonical, q, paths, cancel)
-        }
-        Binding::Stored {
-            stores, open_wall, ..
-        } => {
+        Binding::Stored { stores, open_wall } => {
             let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
+            if algorithm == Algorithm::MapSide && inner.config.shards > 1 {
+                return run_sharded(inner, &bound.canonical, q, &refs, *open_wall, cancel);
+            }
             let run = StoredRun::new(&bound.canonical, &refs).open_wall(*open_wall);
             inner
                 .cluster
@@ -902,17 +841,19 @@ fn handle_query(inner: &Inner, q: &QueryRequest, cancel: &CancelToken) -> String
     render(inner, outcome, key, &bound, started)
 }
 
-/// Scatters a stored map-side query across the shards — each
-/// seeds only its own cell range off its range-scoped store mounts —
-/// and gathers the partials into the exact single-node [`JoinOutput`]
-/// (see [`mwsj_core::shards`]). Every partial runs on the one service
-/// cluster: a partial reads only its grid. The deadline is armed once
-/// here on the shared token; `submit_stored_partial` never arms its own.
+/// Scatters a stored map-side query across the shards — each a thread
+/// seeding only its own cell range off the binding's one mount of every
+/// store — and gathers the partials into the exact single-node
+/// [`JoinOutput`] (see [`mwsj_core::shards`]). Every partial runs on the
+/// one service cluster: a partial reads only its grid. The deadline is
+/// armed once here on the shared token; `submit_stored_partial` never
+/// arms its own.
 fn run_sharded(
     inner: &Inner,
     canonical: &Query,
     q: &QueryRequest,
-    store_paths: &[String],
+    stores: &[&StoredDataset],
+    open_wall: Duration,
     cancel: &CancelToken,
 ) -> Result<JoinOutput, JoinError> {
     use mwsj_core::shards::{self, GatherSpec, ShardPartial};
@@ -920,51 +861,35 @@ fn run_sharded(
     if let Some(ms) = q.deadline_ms {
         cancel.deadline_in(Duration::from_millis(ms));
     }
-    // Mount the per-shard scoped instances: `mounts[rel][shard]`.
-    let mounts: Vec<ShardMounts> = store_paths
-        .iter()
-        .map(|path| inner.shard_stores(path))
-        .collect::<Result<_, String>>()
-        .map_err(JoinError::InvalidInput)?;
     let ranges = shards::seed_cell_ranges(inner.cluster.grid().num_cells(), inner.config.shards);
-    let open_wall = store_paths
-        .iter()
-        .filter_map(|p| inner.stores.get(p).map(|(_, wall)| wall))
-        .sum();
+    let run = run_options(
+        StoredRun::new(canonical, stores),
+        q,
+        Algorithm::MapSide,
+        cancel,
+    );
 
     let t0 = Instant::now();
-    let mut partials: Vec<Result<ShardPartial, JoinError>> = Vec::new();
-    std::thread::scope(|scope| {
+    let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(shard, range)| {
-                let mounts = &mounts;
-                let range = range.clone();
-                scope.spawn(move || {
-                    let refs: Vec<&StoredDataset> =
-                        mounts.iter().map(|m| m[shard].as_ref()).collect();
-                    let run = StoredRun::new(canonical, &refs);
-                    inner.cluster.submit_stored_partial(
-                        &run_options(run, q, Algorithm::MapSide, cancel),
-                        range,
-                    )
-                })
+            .into_iter()
+            .map(|range| {
+                let run = &run;
+                scope.spawn(move || inner.cluster.submit_stored_partial(run, range))
             })
             .collect();
-        for h in handles {
-            partials.push(h.join().expect("shard worker panicked"));
-        }
-    });
-    let partials: Vec<ShardPartial> = partials.into_iter().collect::<Result<_, _>>()?;
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect::<Result<_, _>>()
+    })?;
 
-    let shard0: Vec<&StoredDataset> = mounts.iter().map(|m| m[0].as_ref()).collect();
     let spec = GatherSpec {
-        record_total: shard0.iter().map(|s| s.record_count()).sum(),
+        record_total: stores.iter().map(|s| s.record_count()).sum(),
         count_only: q.count_only,
         open_wall,
         join_wall: t0.elapsed(),
-        input_fingerprint: shards::combined_fingerprint(&shard0),
+        input_fingerprint: shards::combined_fingerprint(stores),
     };
     Ok(shards::gather(partials, &spec))
 }
@@ -1100,24 +1025,45 @@ mod tests {
             release_tx.send(()).unwrap();
             assert_eq!(hit, Ok(Ok(1)), "the hit on `a` waited behind `b`'s load");
         });
-        assert_eq!(registry.get("b"), Some(2));
+        assert_eq!(
+            registry.get_or_load("b", || unreachable!("`b` is registered")),
+            Ok(2)
+        );
     }
 
     #[test]
     fn racing_first_loads_register_one_copy() {
+        const CLIENTS: usize = 8;
         let registry: Registry<u32> = Registry::new();
-        // The second load finishes inside the first: the first then finds
-        // the name taken and drops its own copy.
-        let outer = registry.get_or_load("a", || {
-            assert_eq!(registry.get_or_load("a", || Ok(2)), Ok(2));
-            Ok(1)
+        let loads = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(CLIENTS);
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        registry.get_or_load("a", || {
+                            loads.fetch_add(1, Ordering::SeqCst);
+                            // Held open so the other clients arrive mid-load;
+                            // only a registry that let them load too needs it.
+                            std::thread::sleep(Duration::from_millis(50));
+                            Ok(7)
+                        })
+                    })
+                })
+                .collect();
+            for client in clients {
+                assert_eq!(client.join().unwrap(), Ok(7));
+            }
         });
-        assert_eq!(outer, Ok(2));
+        assert_eq!(loads.load(Ordering::SeqCst), 1, "one load per name");
+
+        // A failed load is not cached: the next request loads afresh.
         assert_eq!(
             registry.get_or_load("b", || Err("unreadable".to_string())),
             Err("unreadable".to_string())
         );
-        assert_eq!(registry.get("b"), None);
+        assert_eq!(registry.get_or_load("b", || Ok(2)), Ok(2));
     }
 
     #[test]
@@ -1150,16 +1096,16 @@ mod tests {
         remove(&stores);
     }
 
-    /// A shard re-mount that fails is the request's fault, not a job's:
-    /// the stores are mounted once for binding, again per shard scope.
+    /// A shard is a seed-cell range over the mount the binding already
+    /// holds: once a store is mounted, scattering reads no file again.
     #[test]
-    fn a_failed_shard_mount_is_a_bad_request() {
+    fn shards_scatter_over_the_one_mount() {
         let inner = Server::bind(ServerConfig::default().with_shards(2))
             .expect("bind")
             .inner;
         let stores = [ingest(&inner, "mount", A), ingest(&inner, "mount", B)];
         let data = [("A", stores[0].as_str()), ("B", stores[1].as_str())];
-        // A shuffle algorithm binds (and registers) the plain mounts only.
+        // A shuffle algorithm binds (and so mounts) the stores.
         let shuffled = ask(
             &inner,
             &request("query", "A ov B", &data, ",\"algorithm\":\"crep-l\""),
@@ -1170,11 +1116,14 @@ mod tests {
             &inner,
             &request("query", "A ov B", &data, ",\"algorithm\":\"map-side\""),
         );
-        assert!(
-            scattered.starts_with("{\"ok\":false,\"error\":\"bad_request\""),
-            "{scattered}"
-        );
-        assert!(scattered.contains("for shards"), "{scattered}");
+        assert!(scattered.starts_with("{\"ok\":true"), "{scattered}");
+        let tuple_count = |r: &str| {
+            let at = r.find("\"tuple_count\":").expect("tuple_count");
+            r[at..].split([',', '}']).next().unwrap().to_string()
+        };
+        assert_eq!(tuple_count(&scattered), tuple_count(&shuffled));
+        let stats = ask(&inner, "{\"op\":\"stats\"}");
+        assert!(stats.contains("\"shards\":2"), "{stats}");
     }
 
     #[test]

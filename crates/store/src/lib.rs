@@ -279,17 +279,6 @@ impl StoredDataset {
         Self::from_bytes(&fs::read(path)?)
     }
 
-    /// Reads and validates a stored dataset from `path`, restricting the
-    /// payload-permutation scan to `seed_cells` (see
-    /// [`StoredDataset::from_bytes_scoped`]).
-    ///
-    /// # Errors
-    /// Filesystem failures and every defect
-    /// [`StoredDataset::from_bytes_scoped`] detects.
-    pub fn open_scoped(path: &Path, seed_cells: std::ops::Range<u32>) -> Result<Self, StoreError> {
-        Self::from_bytes_scoped(&fs::read(path)?, seed_cells)
-    }
-
     /// Validates serialized bytes and takes ownership of the word arrays.
     ///
     /// # Errors
@@ -304,9 +293,11 @@ impl StoredDataset {
     /// Like [`StoredDataset::from_bytes`], but restricts the O(records)
     /// payload-permutation scan to the cells in `seed_cells`.
     ///
-    /// This is the open a shard engine uses: it seeds joins only from
-    /// its own cell range, so only those cells' payload ids need the
-    /// full uniqueness scan. Every other integrity property still holds
+    /// This is the open for a shard that holds a copy of its own: it seeds
+    /// joins only from its own cell range, so only those cells' payload
+    /// ids need the full uniqueness scan. (The serving tier's in-process
+    /// shards share one fully validated mount instead.) Every other
+    /// integrity property still holds
     /// globally — section checksums cover every byte, every cell tree
     /// is structurally validated (probes traverse all of them), and a
     /// contiguity check on the per-cell index ranges guarantees the

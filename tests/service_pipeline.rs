@@ -1,8 +1,8 @@
 //! Wire-level tests of the serving tier's event loop: request
 //! pipelining (many requests in flight on one connection, responses in
-//! request order), the negotiated binary framing, and the protocol
-//! edge cases — oversize frames, half-closed connections with a
-//! buffered remnant, and the line-only fallback.
+//! request order), the sniffed binary framing, and the protocol
+//! edge cases — oversize frames and half-closed connections with a
+//! buffered remnant.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -12,7 +12,7 @@ use std::time::Duration;
 use mwsj_net::frame::encode_frame;
 use mwsj_net::{FRAME_HEADER, FRAME_MAGIC};
 use mwsj_server::json::{self, Json};
-use mwsj_server::{Client, ClientConfig, Proto, ProtoPolicy, Server, ServerConfig};
+use mwsj_server::{Client, ClientConfig, Proto, Server, ServerConfig};
 
 const A: &str = "synthetic:n=800,seed=11,extent=5000,lmax=300";
 const B: &str = "synthetic:n=800,seed=12,extent=5000,lmax=300";
@@ -136,7 +136,7 @@ fn pipelined_binary_frames_answer_in_order() {
 }
 
 /// A binary-proto client and a line-proto client get identical logical
-/// results from one server, and `Proto::Auto` settles on binary.
+/// results from one server.
 #[test]
 fn binary_and_line_clients_agree() {
     let (addr, h) = start(ServerConfig::default());
@@ -150,14 +150,10 @@ fn binary_and_line_clients_agree() {
             .expect("binary connect");
     let bin_doc = json::parse(&bin_client.request(&line).expect("binary request")).expect("json");
 
-    let mut auto_client =
-        Client::with_config(&addr, ClientConfig::default().with_proto(Proto::Auto))
-            .expect("auto connect");
-    let auto_doc = json::parse(&auto_client.request(&line).expect("auto request")).expect("json");
-    // A second request on the settled connection still answers.
-    let again = json::parse(&auto_client.request(&line).expect("auto again")).expect("json");
+    // A second request on the same binary connection still answers.
+    let again = json::parse(&bin_client.request(&line).expect("binary again")).expect("json");
 
-    for doc in [&bin_doc, &auto_doc, &again] {
+    for doc in [&bin_doc, &again] {
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             doc.get("tuple_count").and_then(Json::as_f64),
@@ -169,27 +165,6 @@ fn binary_and_line_clients_agree() {
             line_doc.get("fingerprint").and_then(Json::as_str),
         );
     }
-    stop(&addr, h);
-}
-
-/// Against a server pinned to the line protocol, `Proto::Auto` falls
-/// back: the newline-tailed probe gets a line-JSON error, the client
-/// reconnects on line JSON, and the request still answers.
-#[test]
-fn auto_client_falls_back_against_a_line_only_server() {
-    let (addr, h) = start(ServerConfig::default().with_proto(ProtoPolicy::LineOnly));
-
-    let mut auto_client =
-        Client::with_config(&addr, ClientConfig::default().with_proto(Proto::Auto))
-            .expect("auto connect");
-    let doc = json::parse(
-        &auto_client
-            .request("{\"op\":\"stats\"}")
-            .expect("fallback request"),
-    )
-    .expect("json");
-    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
-    assert!(doc.get("queries").is_some());
     stop(&addr, h);
 }
 
