@@ -38,7 +38,7 @@
 //!   win and the optimizer would lose the paper's Table 2 rows.
 //!
 //! Weights are calibrated against this repo's in-process engine via the
-//! `opt` bench (`BENCH_opt.json`), not Hadoop: the acceptance bar is that
+//! `tables` bench's `opt` spec (`BENCH_opt.json`), not Hadoop: the acceptance bar is that
 //! `auto` lands within ~15% of the best manual choice on every Table 2
 //! row of *this* implementation.
 

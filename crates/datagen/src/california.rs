@@ -135,6 +135,10 @@ impl CaliforniaConfig {
                 // freeway segments; clip so the MBB fits.
                 let (l, b) = (l.min(x_hi), b.min(y_hi));
                 let x = cx.clamp(0.0, (x_hi - l).max(0.0));
+                // On a scaled (non-round) space `(x_hi - l) + l` can round an
+                // ulp past `x_hi`; only such a rectangle is shortened, so
+                // every dataset that fitted its space is bit-identical.
+                let l = if x + l > x_hi { x_hi - x } else { l };
                 let y = cy.clamp(b.min(y_hi), y_hi);
                 out.push(Rect::new(x, y, l, b));
                 // Walk to the next segment: end-to-end with small jitter.
@@ -259,6 +263,21 @@ mod tests {
     fn stays_inside_flattened_space() {
         let space = Rect::new(0.0, 100_000.0, 63_000.0, 100_000.0);
         assert!(dataset().iter().all(|r| space.contains_rect(r)));
+    }
+
+    /// A scaled space is not a round number, so a street clamped to the
+    /// right edge used to land `x + l` an ulp past it (the `tables` bench
+    /// at `MWSJ_SCALE=0.05` is this dataset).
+    #[test]
+    fn scaled_dataset_stays_inside_its_scaled_space() {
+        let cfg = CaliforniaConfig::scaled_to(100_000, 2013);
+        let space = Rect::new(0.0, cfg.y_extent(), cfg.x_extent(), cfg.y_extent());
+        let outside: Vec<Rect> = cfg
+            .generate()
+            .into_iter()
+            .filter(|r| !space.contains_rect(r))
+            .collect();
+        assert_eq!(outside, Vec::new());
     }
 
     #[test]

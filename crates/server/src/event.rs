@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -39,6 +39,7 @@ use mwsj_net::{
     Connection, FaultGate, FlushOutcome, Interest, Poller, ProtoError, ReadOutcome, Sequencer,
     TimerWheel, Waker, WireMode,
 };
+use parking_lot::Mutex;
 
 use crate::protocol::{self, ErrorCode};
 use crate::Inner;
@@ -170,10 +171,7 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
         }
 
         // Route finished responses through each connection's sequencer.
-        let batch: Vec<Completion> = {
-            let mut guard = completions.lock().expect("completions lock");
-            std::mem::take(&mut *guard)
-        };
+        let batch: Vec<Completion> = std::mem::take(&mut *completions.lock());
         for c in batch {
             let Some(cs) = conns.get_mut(&c.token) else {
                 continue;
@@ -239,6 +237,20 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
             }
         }
     }
+}
+
+/// The serving tier's one `catch_unwind`, at the dispatch site: a panic
+/// anywhere in a request's handling — bind, resolve, lookup, run, render —
+/// answers `join_failed` and counts in `errors`, so the completion is
+/// always pushed and the client never waits on a dead worker.
+fn answer_isolated(inner: &Inner, handler: impl FnOnce() -> String) -> String {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        crate::fail(
+            inner,
+            ErrorCode::JoinFailed,
+            "internal error: request handler panicked",
+        )
+    })
 }
 
 /// Accepts every pending connection (edge-free: loops to `WouldBlock`).
@@ -369,15 +381,13 @@ fn drive(
                 let completions = Arc::clone(completions);
                 let wake = wake.clone();
                 thread::spawn(move || {
-                    let response = crate::answer(&inner, &text, &cancel);
-                    completions
-                        .lock()
-                        .expect("completions lock")
-                        .push(Completion {
-                            token,
-                            req,
-                            response,
-                        });
+                    let response =
+                        answer_isolated(&inner, || crate::answer(&inner, &text, &cancel));
+                    completions.lock().push(Completion {
+                        token,
+                        req,
+                        response,
+                    });
                     wake.wake();
                 });
             }
@@ -444,5 +454,27 @@ fn drive(
     };
     if desired != cs.registered && poller.reregister(cs.conn.socket(), token, desired).is_ok() {
         cs.registered = desired;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+
+    #[test]
+    fn a_panicking_handler_answers_join_failed_and_counts_an_error() {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        };
+        let inner = Server::bind(config).expect("bind").inner;
+        let reply = answer_isolated(&inner, || panic!("boom"));
+        assert!(reply.contains("\"error\":\"join_failed\""), "{reply}");
+        assert!(reply.contains("internal error"), "{reply}");
+        assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 1);
+        let fine = answer_isolated(&inner, || "{\"ok\":true}".to_string());
+        assert_eq!(fine, "{\"ok\":true}");
+        assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 1);
     }
 }

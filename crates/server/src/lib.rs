@@ -724,16 +724,15 @@ fn run_options<'a, B>(
 
 /// Stage 5 — run: the join itself — sharded scatter/gather for stored
 /// map-side queries on a sharded service, otherwise the single-node
-/// paths. `catch_unwind` isolates the request: an engine panic answers
-/// `join_failed` instead of killing the service.
+/// paths.
 fn run(
     inner: &Inner,
     bound: &BoundQuery,
     q: &QueryRequest,
     algorithm: Algorithm,
     cancel: &CancelToken,
-) -> std::thread::Result<Result<JoinOutput, JoinError>> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &bound.binding {
+) -> Result<JoinOutput, JoinError> {
+    match &bound.binding {
         Binding::Stored { stores, open_wall } => {
             let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
             if algorithm == Algorithm::MapSide && inner.config.shards > 1 {
@@ -752,20 +751,20 @@ fn run(
                 .cluster
                 .submit(&run_options(run, q, algorithm, cancel))
         }
-    }))
+    }
 }
 
 /// Stage 6 — render: caches a finished run and renders it in the
 /// requester's relation order, or maps a failed one to its typed error.
 fn render(
     inner: &Inner,
-    outcome: std::thread::Result<Result<JoinOutput, JoinError>>,
+    outcome: Result<JoinOutput, JoinError>,
     key: CacheKey,
     bound: &BoundQuery,
     started: Instant,
 ) -> String {
     match outcome {
-        Ok(Ok(output)) => {
+        Ok(output) => {
             let value = CachedResult {
                 tuples: output.tuples,
                 tuple_count: output.tuple_count,
@@ -782,7 +781,7 @@ fn render(
                 started.elapsed(),
             )
         }
-        Ok(Err(JoinError::Job(e))) => {
+        Err(JoinError::Job(e)) => {
             if let JobErrorKind::Cancelled { deadline_exceeded } = e.kind {
                 inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                 let code = if deadline_exceeded {
@@ -795,13 +794,8 @@ fn render(
                 fail(inner, ErrorCode::JoinFailed, &e.to_string())
             }
         }
-        Ok(Err(JoinError::InvalidInput(msg))) => fail(inner, ErrorCode::BadRequest, &msg),
-        Ok(Err(e)) => fail(inner, ErrorCode::JoinFailed, &e.to_string()),
-        Err(_) => fail(
-            inner,
-            ErrorCode::JoinFailed,
-            "internal error: join worker panicked",
-        ),
+        Err(JoinError::InvalidInput(msg)) => fail(inner, ErrorCode::BadRequest, &msg),
+        Err(e) => fail(inner, ErrorCode::JoinFailed, &e.to_string()),
     }
 }
 

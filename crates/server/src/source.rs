@@ -16,17 +16,6 @@ use std::collections::BTreeMap;
 use mwsj_datagen::{io, CaliforniaConfig, SyntheticConfig};
 use mwsj_geom::Rect;
 
-/// Parses one `NAME=SOURCE` binding.
-///
-/// # Errors
-/// Describes the malformed binding or unreadable source.
-pub fn parse_binding(spec: &str) -> Result<(String, Vec<Rect>), String> {
-    let (name, source) = spec
-        .split_once('=')
-        .ok_or_else(|| format!("`{spec}` is not NAME=SOURCE"))?;
-    Ok((name.to_string(), load_source(source)?))
-}
-
 /// Loads a data source: `synthetic:...`, `california:...`, `store:...`
 /// or a CSV path. A `store:` source materializes the stored relation into
 /// memory — callers that can join stored datasets in place (the stored
@@ -34,7 +23,9 @@ pub fn parse_binding(spec: &str) -> Result<(String, Vec<Rect>), String> {
 /// only fall back to this loader for mixed bindings.
 ///
 /// # Errors
-/// Describes the bad parameter or unreadable file.
+/// Describes the bad parameter — unparsable, or outside what the
+/// generators accept (they sample `0..extent` and `0..lmax`, and an empty
+/// or non-finite range panics there) — or the unreadable file.
 pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
     if let Some(path) = source.strip_prefix("store:") {
         let stored = mwsj_core::store::StoredDataset::open(std::path::Path::new(path))
@@ -47,6 +38,18 @@ pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
         let extent = param_parsed(&p, "extent", 100_000.0f64)?;
         let lmax = param_parsed(&p, "lmax", 100.0f64)?;
         let bmax = param_parsed(&p, "bmax", lmax)?;
+        if !(extent.is_finite() && extent > 0.0) {
+            return Err(format!(
+                "extent={extent} invalid: must be finite and positive"
+            ));
+        }
+        for (key, side) in [("lmax", lmax), ("bmax", bmax)] {
+            if !(side.is_finite() && side >= 0.0) {
+                return Err(format!(
+                    "{key}={side} invalid: must be finite and non-negative"
+                ));
+            }
+        }
         let mut cfg = SyntheticConfig::paper_default(n, seed).with_max_sides(lmax, bmax);
         cfg.x_range = (0.0, extent);
         cfg.y_range = (0.0, extent);
@@ -55,6 +58,9 @@ pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
         let p = parse_params(params)?;
         let n = param_parsed(&p, "n", 20_000usize)?;
         let seed = param_parsed(&p, "seed", 2013u64)?;
+        if n == 0 {
+            return Err("n=0 invalid: a road dataset needs at least one rectangle".to_string());
+        }
         let scaled = !p.contains_key("full");
         let cfg = if scaled {
             CaliforniaConfig::scaled_to(n, seed)
@@ -139,16 +145,20 @@ mod tests {
     }
 
     #[test]
-    fn binding_parse() {
-        let (name, d) = parse_binding("R1=synthetic:n=10").unwrap();
-        assert_eq!(name, "R1");
-        assert_eq!(d.len(), 10);
-        assert!(parse_binding("no-equals-here").is_err());
-    }
-
-    #[test]
     fn bad_param_reports() {
         assert!(load_source("synthetic:n=abc").is_err());
+        for spec in [
+            "synthetic:n=10,extent=-5",
+            "synthetic:n=10,extent=0",
+            "synthetic:n=10,extent=nan",
+            "synthetic:n=10,extent=inf",
+            "synthetic:n=10,lmax=-1",
+            "synthetic:n=10,bmax=nan",
+            "california:n=0",
+        ] {
+            assert!(load_source(spec).is_err(), "{spec}");
+        }
+        assert_eq!(load_source("synthetic:n=10,lmax=0").unwrap().len(), 10);
     }
 
     #[test]

@@ -478,6 +478,41 @@ fn malformed_and_unsatisfiable_requests_get_typed_errors() {
     stop(&addr, h);
 }
 
+/// Dataset specs the generators cannot sample (an empty or non-finite
+/// range) used to panic the worker: the completion was never pushed and
+/// the client waited forever. They are rejected where they enter.
+#[test]
+fn unsampleable_dataset_specs_are_bad_requests_not_hangs() {
+    let (addr, h) = start(ServerConfig::default());
+    // The client's default 30 s read timeout is the hang detector.
+    let mut c = Client::connect(&addr).expect("connect");
+
+    let bad_specs = [
+        "synthetic:n=10,extent=-5",
+        "synthetic:n=10,lmax=-1",
+        "synthetic:n=10,extent=nan",
+        "california:n=0",
+    ];
+    for spec in bad_specs {
+        let doc = response(
+            &mut c,
+            &query_line("A ov B", &[("A", spec), ("B", "synthetic:n=10")], ""),
+        );
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{spec}"
+        );
+    }
+
+    let stats = response(&mut c, "{\"op\":\"stats\"}");
+    assert_eq!(stats.get("errors").and_then(Json::as_f64), Some(4.0));
+    let ok = response(&mut c, &query_line("A ov B", &[("A", A), ("B", B)], ""));
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+
+    stop(&addr, h);
+}
+
 #[test]
 fn shutdown_op_stops_the_server_cleanly() {
     let (addr, h) = start(ServerConfig::default());
