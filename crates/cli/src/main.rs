@@ -30,7 +30,7 @@ use args::Args;
 use mwsj_core::mapreduce::{json_escape, validate_json, EngineConfig, FaultPlan, TraceSink};
 use mwsj_core::partition::Grid;
 use mwsj_core::store::StoredDataset;
-use mwsj_core::{planner, Algorithm, Cluster, ClusterConfig, JoinRun, StoredRun};
+use mwsj_core::{optimizer, Algorithm, Cluster, ClusterConfig, JoinRun, StoredRun};
 use mwsj_datagen::CaliforniaStats;
 use mwsj_geom::Rect;
 use mwsj_query::Query;
@@ -555,8 +555,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             }
             let datasets: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
             if args.flag("plan") {
-                query =
-                    planner::optimize_cascade_order(&query, &datasets, planner::DEFAULT_SAMPLE, 7);
+                query = optimizer::cascade_order(&query, &datasets);
                 eprintln!("planned order: {query}");
             }
             let run = JoinRun::new(&query, &datasets)
@@ -731,8 +730,8 @@ fn cmd_ann(args: &Args) -> Result<(), String> {
     let (x_range, y_range) = data::bounding_space(&[&outer, &inner]);
     let mut engine = parse_engine_config(args)?;
     if let Some(t) = &trace {
-        // The ANN rounds run directly on the engine, so the sink attaches
-        // engine-wide rather than per run.
+        // The nearest-neighbor rounds run directly on the engine, so the
+        // sink attaches engine-wide rather than per run.
         engine = engine.with_trace(t.sink.clone());
     }
     let cluster = Cluster::new(ClusterConfig {
@@ -744,16 +743,10 @@ fn cmd_ann(args: &Args) -> Result<(), String> {
         engine,
     });
     let t0 = std::time::Instant::now();
-    let result: Vec<mwsj_core::ann::NearestNeighbor> = if k == 1 {
-        mwsj_core::ann::try_ann_join(&cluster, &outer, &inner)
-            .map_err(|e| format!("ann join failed: {e}"))?
-    } else {
+    let result: Vec<mwsj_core::ann::NearestNeighbor> =
         mwsj_core::ann::try_knn_join(&cluster, &outer, &inner, k)
-            .map_err(|e| format!("knn join failed: {e}"))?
-            .into_iter()
-            .flatten()
-            .collect()
-    };
+            .map_err(|e| format!("nearest-neighbor join failed: {e}"))?
+            .concat();
     eprintln!(
         "{} nearest neighbors in {:?} ({} jobs)",
         result.len(),

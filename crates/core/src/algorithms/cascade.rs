@@ -1,8 +1,13 @@
 //! The *2-way Cascade* baseline (§6.1).
 //!
 //! The multi-way query is evaluated as a sequence of 2-way joins, one
-//! map-reduce job per join condition, in the order the query lists them
-//! (the paper assumes the given order is the optimal one, §6.1 footnote).
+//! map-reduce job per join condition, in [`execution_order`]: the first
+//! listed condition, then repeatedly the first remaining condition that
+//! touches a relation already bound — the query's own order whenever every
+//! prefix of it is connected (the paper assumes the given order is the
+//! optimal one, §6.1 footnote; [`crate::optimizer::cascade_order`] finds a
+//! better one from samples). The optimizer prices the cascade by walking
+//! the same function, so its estimate describes the jobs that run.
 //! Each job joins the growing intermediate result with the next base
 //! relation using the 2-way blueprint of §5: the bound side is routed to
 //! every cell its (enlarged, for range predicates) anchor rectangle
@@ -17,12 +22,12 @@
 //! Hadoop would fold that predicate into the following job's reducer.
 
 use mwsj_geom::Rect;
-use mwsj_local::{GroupIndex, LocalRect};
+use mwsj_local::{multiway, GroupIndex, LocalRect};
 use mwsj_mapreduce::{Fnv64, RecordSize, StableHash};
 use mwsj_partition::CellId;
 use mwsj_query::{Predicate, Query, RelationId, Triple};
 
-use super::{normalize_tuples, AlgoCtx};
+use super::AlgoCtx;
 use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 
 /// A partially-joined tuple: one optional `(id, rect)` slot per relation
@@ -100,75 +105,111 @@ enum StageOut {
     Count(u64),
 }
 
+/// What one cascade stage does with its condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// The first stage: a job joining the condition's two base relations.
+    Base,
+    /// A job joining the intermediate result, anchored at the condition's
+    /// bound endpoint, with the base relation `new`.
+    Extend {
+        /// The endpoint the intermediate result already binds.
+        anchor: RelationId,
+        /// The endpoint this stage binds.
+        new: RelationId,
+    },
+    /// Both endpoints are bound already (cyclic queries only): the
+    /// condition filters the intermediate result in place, without a job.
+    Filter,
+}
+
+impl Stage {
+    /// What a condition would do as the next stage, given which relation
+    /// positions are `bound` ([`Stage::Base`] once something is bound: not
+    /// connected yet, so not runnable).
+    pub(crate) fn of(t: &Triple, bound: &[bool]) -> Stage {
+        match (bound[t.left.index()], bound[t.right.index()]) {
+            (false, false) => Stage::Base,
+            (true, false) => Stage::Extend {
+                anchor: t.left,
+                new: t.right,
+            },
+            (false, true) => Stage::Extend {
+                anchor: t.right,
+                new: t.left,
+            },
+            (true, true) => Stage::Filter,
+        }
+    }
+}
+
+/// The cascade's stages, in the order it runs them, each with the index of
+/// its condition in [`Query::triples`]: the first listed condition, then
+/// repeatedly the first remaining one with an endpoint already bound (a
+/// connected query graph guarantees one exists). Walked by [`run`] and by
+/// the optimizer's cascade cost, so the two cannot disagree.
+pub(crate) fn execution_order(query: &Query) -> Vec<(usize, Stage)> {
+    let triples = query.triples();
+    let mut bound = vec![false; query.num_relations()];
+    let mut remaining: Vec<usize> = (0..triples.len()).collect();
+    let mut order = Vec::with_capacity(remaining.len());
+    while !remaining.is_empty() {
+        let next = remaining
+            .iter()
+            .position(|&i| order.is_empty() || Stage::of(&triples[i], &bound) != Stage::Base)
+            .expect("connected query graph");
+        let i = remaining.remove(next);
+        order.push((i, Stage::of(&triples[i], &bound)));
+        bound[triples[i].left.index()] = true;
+        bound[triples[i].right.index()] = true;
+    }
+    order
+}
+
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
     relations: &[&[Rect]],
 ) -> Result<JoinOutput, JoinError> {
     let engine = ctx.engine;
-    let n = query.num_relations();
-    let mut bound = vec![false; n];
-    let mut remaining: Vec<Triple> = query.triples().to_vec();
+    let order = execution_order(query);
     let mut intermediate: Vec<Partial> = Vec::new();
-    let mut stage = 0usize;
     // In count-only mode the *final* stage only counts its output — every
     // earlier stage must still materialize (its result feeds the next job;
     // that materialization is precisely the cascade's cost).
     let mut counted_final: Option<u64> = None;
 
-    while !remaining.is_empty() {
-        // Pick the next join condition: the first one touching the bound
-        // set (any one for the first stage). Connectivity guarantees one
-        // exists.
-        let idx = if stage == 0 {
-            0
-        } else {
-            remaining
-                .iter()
-                .position(|t| bound[t.left.index()] || bound[t.right.index()])
-                .expect("connected query graph")
-        };
-        let triple = remaining.remove(idx);
-        let (l, r) = (triple.left, triple.right);
-        let last_stage = remaining.is_empty();
+    for (stage, &(idx, kind)) in order.iter().enumerate() {
+        let triple = query.triples()[idx];
+        let last_stage = stage + 1 == order.len();
         let counting = ctx.count_only && last_stage;
+        let name = format!("cascade-stage-{stage}");
 
-        let (result, count) = match (bound[l.index()], bound[r.index()]) {
-            (false, false) => {
-                debug_assert_eq!(stage, 0);
-                base_base_join(ctx, relations, n, triple, stage, counting)?
-            }
-            (true, false) => stage_join(
+        let (result, count) = match kind {
+            Stage::Base => base_base_join(
+                ctx,
+                relations,
+                query.num_relations(),
+                triple,
+                &name,
+                counting,
+            )?,
+            Stage::Extend { anchor, new } => stage_join(
                 ctx,
                 relations,
                 triple,
-                l,
-                r,
-                false,
+                anchor,
+                new,
                 &intermediate,
-                stage,
+                &name,
                 counting,
             )?,
-            (false, true) => stage_join(
-                ctx,
-                relations,
-                triple,
-                r,
-                l,
-                true,
-                &intermediate,
-                stage,
-                counting,
-            )?,
-            (true, true) => {
+            Stage::Filter => {
                 // Cycle-closing predicate: filter in place.
+                let (l, r) = (triple.left.index(), triple.right.index());
                 let kept: Vec<Partial> = intermediate
                     .into_iter()
-                    .filter(|p| {
-                        triple
-                            .predicate
-                            .eval(&p.rect(l.index()), &p.rect(r.index()))
-                    })
+                    .filter(|p| triple.predicate.eval(&p.rect(l), &p.rect(r)))
                     .collect();
                 let c = kept.len() as u64;
                 (if counting { Vec::new() } else { kept }, c)
@@ -178,17 +219,14 @@ pub(crate) fn run(
         if counting {
             counted_final = Some(count);
         }
-        bound[l.index()] = true;
-        bound[r.index()] = true;
 
         // Materialize the intermediate result between jobs, as a Hadoop
         // cascade must (§6.4).
-        if !remaining.is_empty() {
+        if !last_stage {
             intermediate = engine
                 .dfs
                 .materialize(&format!("cascade/stage-{stage}"), intermediate)?;
         }
-        stage += 1;
     }
 
     let tuples: Vec<Vec<u32>> = intermediate
@@ -203,7 +241,7 @@ pub(crate) fn run(
     let tuple_count = counted_final.unwrap_or(tuples.len() as u64);
 
     Ok(JoinOutput {
-        tuples: normalize_tuples(tuples),
+        tuples: multiway::normalized(tuples),
         tuple_count,
         // The cascade never replicates; its cost lives in the DFS and
         // shuffle counters of the report.
@@ -220,7 +258,7 @@ fn base_base_join(
     relations: &[&[Rect]],
     n: usize,
     triple: Triple,
-    stage: usize,
+    name: &str,
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let (l, r) = (triple.left, triple.right);
@@ -237,7 +275,7 @@ fn base_base_join(
     };
     run_pair_job(
         ctx,
-        &format!("cascade-stage-{stage}"),
+        name,
         &input,
         triple.predicate,
         l,
@@ -260,9 +298,8 @@ fn stage_join(
     triple: Triple,
     anchor_pos: RelationId,
     new_pos: RelationId,
-    anchor_is_right: bool,
     intermediate: &[Partial],
-    stage: usize,
+    name: &str,
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let mut input: Vec<Side> = intermediate
@@ -274,11 +311,11 @@ fn stage_join(
     }
     run_pair_job(
         ctx,
-        &format!("cascade-stage-{stage}"),
+        name,
         &input,
         triple.predicate,
         anchor_pos,
-        anchor_is_right,
+        anchor_pos == triple.right,
         |tr| panic!("unexpected base record for anchor relation {tr:?}"),
         new_pos,
         counting,
@@ -303,29 +340,18 @@ fn run_pair_job(
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let grid = ctx.grid;
     let d = predicate.distance();
-    let extent = grid.extent();
     let outputs: Vec<StageOut> = ctx.engine.run(
         ctx.spec(name)
             .map(|record: &Side, emit| match record {
                 Side::Tuple(p) => {
-                    let anchor = p.rect(anchor_pos.index());
-                    let enlarged = anchor
-                        .enlarge(d)
-                        .intersection(&extent)
-                        .expect("anchor inside the space");
-                    for cell in grid.split_cells(&enlarged) {
+                    for cell in grid.split_cells_enlarged(&p.rect(anchor_pos.index()), d) {
                         emit(cell.0, Side::Tuple(p.clone()));
                     }
                 }
                 Side::Base(tr) if tr.relation == anchor_pos => {
                     // Stage 0 anchor side: lift to a partial, route enlarged.
                     let p = lift(tr);
-                    let enlarged = tr
-                        .rect
-                        .enlarge(d)
-                        .intersection(&extent)
-                        .expect("rect inside the space");
-                    for cell in grid.split_cells(&enlarged) {
+                    for cell in grid.split_cells_enlarged(&tr.rect, d) {
                         emit(cell.0, Side::Tuple(p.clone()));
                     }
                 }

@@ -13,7 +13,7 @@ pub(crate) mod hypercube;
 pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
-use mwsj_local::{GroupIndex, JoinKernel};
+use mwsj_local::{multiway, GroupIndex, JoinKernel};
 use mwsj_mapreduce::{CancelToken, Engine, JobSpec, MetricsHub, MetricsReport, TraceSink, Unset};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Query, RelationId};
@@ -211,15 +211,6 @@ pub(crate) fn flatten_input(relations: &[&[Rect]]) -> Vec<TaggedRect> {
     out
 }
 
-/// Sorts and dedups output tuples into the canonical order. The duplicate
-/// avoidance rules make duplicates impossible; normalizing keeps the
-/// contract obvious and the comparison with the reference trivial.
-pub(crate) fn normalize_tuples(mut tuples: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-    tuples.sort();
-    tuples.dedup();
-    tuples
-}
-
 /// Which of the tuples its local join finds a reducer emits.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TupleFilter {
@@ -381,7 +372,7 @@ pub(crate) fn finish_tuples(raw: Vec<Vec<u32>>, count_only: bool) -> (Vec<Vec<u3
     if count_only {
         (Vec::new(), sum_count_records(&raw))
     } else {
-        let tuples = normalize_tuples(raw);
+        let tuples = multiway::normalized(raw);
         let count = tuples.len() as u64;
         (tuples, count)
     }

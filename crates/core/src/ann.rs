@@ -1,39 +1,46 @@
 //! Nearest-neighbor joins on the map-reduce framework — the
 //! nearest-neighbor processing the paper's §10 (and its related work, §3)
-//! name as the next query class for the grid approach: [`ann_join`] (each
-//! outer rectangle's single nearest inner rectangle) and its
-//! generalization [`knn_join`] (the k nearest).
+//! name as the next query class for the grid approach. There is one
+//! scheme, [`knn_join`], with `k` a parameter; the all-nearest-neighbor
+//! join [`ann_join`] is that scheme at `k = 1`, flattened.
 //!
-//! For every rectangle of the *outer* relation, find its nearest
-//! rectangle(s) in the *inner* relation (minimum closed
+//! For every rectangle of the *outer* relation, find its `k` nearest
+//! rectangles in the *inner* relation (minimum closed
 //! rectangle-to-rectangle distance; ties broken toward the smaller record
 //! id). The classic grid scheme:
 //!
 //! 1. **Candidate round.** The inner relation is *split*; outer rectangles
 //!    are *projected*. Each reducer answers every local outer rectangle
-//!    from its local R-tree, producing a correct **upper bound** on the
-//!    true NN distance (any local neighbor is at least as far as the true
-//!    one). Outer rectangles whose cell holds no inner rectangle fall back
-//!    to the space diagonal.
+//!    from its local R-tree; the distance of the k-th local neighbor is a
+//!    correct **upper bound** on the true k-th NN distance (any k local
+//!    neighbors are at least as far as the true ones). Outer rectangles
+//!    whose cell holds fewer than `k` inner rectangles fall back to the
+//!    space diagonal.
 //! 2. **Verification round.** Each outer rectangle is re-routed to every
-//!    cell within its upper bound (the enlarged-split transform of §5.3);
-//!    the inner relation is split again. Reducers emit their local best
-//!    per outer id, keyed by id, and a final aggregation keeps the global
-//!    minimum. Since the true NN lies within the upper bound of some cell
-//!    the rectangle reaches, the global minimum is exact.
+//!    cell within its upper bound ([`Grid::split_cells_enlarged`], the
+//!    enlarged split of §5.3); the inner relation is split again.
+//!    Reducers emit their local k best per outer id. Since the true
+//!    neighbors lie within the upper bound of some cell the rectangle
+//!    reaches, their union holds the exact answer.
+//! 3. **Aggregation round.** Keyed by outer id, a third job keeps the
+//!    global `k` best, mirroring how the Hadoop implementation would fold
+//!    results.
 //!
-//! The by-id aggregation runs as a third map-reduce job, mirroring how the
-//! Hadoop implementation would fold results.
+//! The jobs are ordinary hub-less engine jobs (`knn-round{1,2,3}-*`):
+//! they append to the engine's report and never reset it, so a
+//! nearest-neighbor join may share a cluster with running joins.
+//!
+//! [`Grid::split_cells_enlarged`]: mwsj_partition::Grid::split_cells_enlarged
 
 use mwsj_geom::{Coord, Rect};
 use mwsj_mapreduce::JobSpec;
+use mwsj_partition::CellId;
 use mwsj_rtree::{PackedRTree, RTree};
 
 use crate::{Cluster, JoinError};
 
-/// One ANN result: the outer record, its nearest inner record and their
-/// distance. Outer rectangles are always resolved when the inner relation
-/// is non-empty.
+/// One nearest-neighbor result: the outer record, one of its nearest inner
+/// records and their distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NearestNeighbor {
     /// Outer record id (index into the outer slice).
@@ -45,116 +52,125 @@ pub struct NearestNeighbor {
 }
 
 /// Computes the all-nearest-neighbor join of `outer` against `inner` on
-/// the cluster. Returns one entry per outer rectangle, sorted by outer id;
-/// empty when `inner` is empty.
+/// the cluster: [`knn_join`] at `k = 1`, flattened. Returns one entry per
+/// outer rectangle, sorted by outer id; empty when `inner` is empty.
 ///
 /// # Panics
 /// Panics if any rectangle lies outside the cluster space, or — under a
 /// fault plan — if a job fails outright (use [`try_ann_join`] to handle
-/// that case).
+/// both).
 #[must_use]
 pub fn ann_join(cluster: &Cluster, outer: &[Rect], inner: &[Rect]) -> Vec<NearestNeighbor> {
     try_ann_join(cluster, outer, inner).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`ann_join`], surfacing failed jobs as a [`JoinError`] instead of
-/// panicking.
+/// Like [`ann_join`], returning what it panics on as a [`JoinError`].
 ///
 /// # Errors
-/// [`JoinError::Job`] when a map-reduce job exhausts its attempt budget
-/// under a fault plan.
-///
-/// # Panics
-/// Panics if any rectangle lies outside the cluster space.
+/// As [`try_knn_join`].
 pub fn try_ann_join(
     cluster: &Cluster,
     outer: &[Rect],
     inner: &[Rect],
 ) -> Result<Vec<NearestNeighbor>, JoinError> {
+    Ok(try_knn_join(cluster, outer, inner, 1)?.concat())
+}
+
+/// Computes the k-nearest-neighbor join: for every outer rectangle, its
+/// `k` nearest inner rectangles (fewer when `|inner| < k`), each inner
+/// list sorted by `(distance, inner id)`.
+///
+/// # Panics
+/// Panics if any rectangle lies outside the cluster space or `k == 0`, or
+/// — under a fault plan — if a job fails outright (use [`try_knn_join`]
+/// to handle all three).
+#[must_use]
+pub fn knn_join(
+    cluster: &Cluster,
+    outer: &[Rect],
+    inner: &[Rect],
+    k: usize,
+) -> Vec<Vec<NearestNeighbor>> {
+    try_knn_join(cluster, outer, inner, k).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Like [`knn_join`], returning what it panics on as a [`JoinError`].
+///
+/// # Errors
+/// [`JoinError::InvalidInput`] on caller errors, found before any job
+/// starts: `k == 0`, or a rectangle of either side outside the cluster
+/// space. [`JoinError::Job`] when a map-reduce job exhausts its attempt
+/// budget under a fault plan.
+pub fn try_knn_join(
+    cluster: &Cluster,
+    outer: &[Rect],
+    inner: &[Rect],
+    k: usize,
+) -> Result<Vec<Vec<NearestNeighbor>>, JoinError> {
     let grid = cluster.grid();
     let engine = cluster.engine();
     let extent = grid.extent();
-    for r in outer.iter().chain(inner) {
-        assert!(
-            extent.contains_rect(r),
-            "rectangle outside the cluster space"
-        );
+    if k == 0 {
+        return Err(JoinError::InvalidInput("k must be positive".to_string()));
+    }
+    for (side, rects) in [("outer", outer), ("inner", inner)] {
+        if !rects.iter().all(|r| extent.contains_rect(r)) {
+            return Err(JoinError::InvalidInput(format!(
+                "{side} relation contains rectangles outside the cluster space"
+            )));
+        }
     }
     if inner.is_empty() || outer.is_empty() {
-        return Ok(Vec::new());
+        return Ok(vec![Vec::new(); outer.len()]);
     }
-    engine.reset_metrics();
-
     // The worst-possible NN distance: the space diagonal.
     let diag = extent.diagonal();
 
-    let mut input: Vec<Record> = Vec::with_capacity(outer.len() + inner.len());
-    input.extend(
-        outer
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::Outer(i as u32, *r)),
-    );
-    input.extend(
-        inner
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::Inner(i as u32, *r)),
-    );
+    let input: Vec<Record> = (outer.iter().enumerate())
+        .map(|(i, r)| Record::Outer(i as u32, *r))
+        .chain((inner.iter().enumerate()).map(|(i, r)| Record::Inner(i as u32, *r)))
+        .collect();
 
-    // ---- Round 1: local candidate bounds ------------------------------
+    // ---- Round 1: k-th-neighbor candidate bounds ----------------------
     let bounds: Vec<(u32, Coord)> = engine.run(
-        JobSpec::new("ann-round1-candidates")
+        JobSpec::new("knn-round1-candidates")
             .reducers(grid.num_cells() as usize)
             .map(|record: &Record, emit| match record {
-                Record::Outer(id, r) => emit(grid.cell_of(r).0, Record::Outer(*id, *r)),
-                Record::Inner(id, r) => {
-                    for cell in grid.split_cells(r) {
-                        emit(cell.0, Record::Inner(*id, *r));
-                    }
-                }
+                Record::Outer(_, r) => emit(grid.cell_of(r).0, *record),
+                Record::Inner(_, r) => emit_to(grid.split_cells(r), record, emit),
             })
-            .partition(|&k: &u32, _| k as usize)
+            .partition(|&cell: &u32, _| cell as usize)
             .reduce(|_: &u32, values: &[Record], out| {
                 let (outers, inners) = partition_records(values);
                 let tree = RTree::bulk_load(inners);
                 let tree = tree.view();
                 for (id, r) in outers {
-                    let ub = tree.nearest(&r).map_or(diag, |(_, _, d)| d);
+                    let knn = tree.k_nearest(&r, k);
+                    // A valid bound needs k local neighbors; otherwise the
+                    // true k-th neighbor may be anywhere.
+                    let ub = if knn.len() == k { knn[k - 1].2 } else { diag };
                     out((id, ub));
                 }
             }),
         &input,
     )?;
 
-    // ---- Round 2: verified local bests --------------------------------
-    let ub_of: Vec<Coord> = {
-        let mut v = vec![diag; outer.len()];
-        for &(id, ub) in &bounds {
-            v[id as usize] = ub;
-        }
-        v
-    };
+    // ---- Round 2: verified local k-best lists --------------------------
+    let mut ub_of = vec![diag; outer.len()];
+    for (id, ub) in bounds {
+        ub_of[id as usize] = ub;
+    }
     let locals: Vec<NearestNeighbor> = engine.run(
-        JobSpec::new("ann-round2-verify")
+        JobSpec::new("knn-round2-verify")
             .reducers(grid.num_cells() as usize)
-            .map(|record: &Record, emit| match record {
-                Record::Outer(id, r) => {
-                    let reach = r
-                        .enlarge(ub_of[*id as usize])
-                        .intersection(&extent)
-                        .expect("outer rectangle inside the space");
-                    for cell in grid.split_cells(&reach) {
-                        emit(cell.0, Record::Outer(*id, *r));
-                    }
-                }
-                Record::Inner(id, r) => {
-                    for cell in grid.split_cells(r) {
-                        emit(cell.0, Record::Inner(*id, *r));
-                    }
-                }
+            .map(|record: &Record, emit| {
+                let cells = match record {
+                    Record::Outer(id, r) => grid.split_cells_enlarged(r, ub_of[*id as usize]),
+                    Record::Inner(_, r) => grid.split_cells(r),
+                };
+                emit_to(cells, record, emit);
             })
-            .partition(|&k: &u32, _| k as usize)
+            .partition(|&cell: &u32, _| cell as usize)
             .reduce(|_: &u32, values: &[Record], out| {
                 let (outers, inners) = partition_records(values);
                 if inners.is_empty() {
@@ -162,26 +178,12 @@ pub fn try_ann_join(
                 }
                 let tree = RTree::bulk_load(inners);
                 let tree = tree.view();
-                for (id, r) in outers {
-                    if let Some((nn_rect, nn_id, d)) = tree.nearest(&r) {
-                        // Re-scan the ≤ d ball tracking (distance², id) so
-                        // distance ties resolve toward the smallest inner id —
-                        // the tree's own tie-break follows storage order, which
-                        // would make the global aggregation nondeterministic.
-                        // Seed with the nearest entry itself: `d` is a rounded
-                        // sqrt, so the ball query may exclude it.
-                        let mut best: (Coord, u32) = (nn_rect.distance_sq(&r), nn_id);
-                        tree.query_within(&r, d, |rect, nn| {
-                            let ds = rect.distance_sq(&r);
-                            if ds < best.0 || (ds == best.0 && nn < best.1) {
-                                best = (ds, nn);
-                            }
-                        });
-                        let (ds, nn) = best;
+                for (outer, r) in outers {
+                    for (distance_sq, inner) in local_k_best(tree, &r, k) {
                         out(NearestNeighbor {
-                            outer: id,
-                            inner: nn,
-                            distance: ds.sqrt(),
+                            outer,
+                            inner,
+                            distance: distance_sq.sqrt(),
                         });
                     }
                 }
@@ -189,38 +191,41 @@ pub fn try_ann_join(
         &input,
     )?;
 
-    // ---- Round 3: global minimum per outer id --------------------------
-    let mut result: Vec<NearestNeighbor> = engine.run(
-        JobSpec::new("ann-round3-aggregate")
-            .reducers(engine_partitions(outer.len()))
+    // ---- Round 3: global top-k per outer id ----------------------------
+    let merged: Vec<(u32, Vec<NearestNeighbor>)> = engine.run(
+        JobSpec::new("knn-round3-aggregate")
+            .reducers(outer.len().clamp(1, 64))
             .map(|nn: &NearestNeighbor, emit| emit(nn.outer, *nn))
-            .partition(|&k: &u32, n| k as usize % n)
-            .reduce(|_: &u32, candidates: &[NearestNeighbor], out| {
-                let best = candidates
-                    .iter()
-                    .min_by(|a, b| {
-                        a.distance
-                            .total_cmp(&b.distance)
-                            .then(a.inner.cmp(&b.inner))
-                    })
-                    .expect("at least one candidate per group");
-                out(*best);
+            .partition(|&oid: &u32, n| oid as usize % n)
+            .reduce(|&oid: &u32, candidates: &[NearestNeighbor], out| {
+                // The same inner can be reported by several reducers, always
+                // at the same distance: equal ids are adjacent after the sort.
+                let mut candidates = candidates.to_vec();
+                candidates.sort_unstable_by(nearer_then_smaller_id);
+                candidates.dedup_by_key(|nn| nn.inner);
+                candidates.truncate(k);
+                out((oid, candidates));
             }),
         &locals,
     )?;
-    result.sort_by_key(|nn| nn.outer);
-    debug_assert_eq!(result.len(), outer.len(), "every outer rectangle resolves");
+    let mut result = vec![Vec::new(); outer.len()];
+    for (oid, list) in merged {
+        result[oid as usize] = list;
+    }
     Ok(result)
+}
+
+/// The result order: nearest first, ties toward the smaller inner id.
+fn nearer_then_smaller_id(a: &NearestNeighbor, b: &NearestNeighbor) -> std::cmp::Ordering {
+    a.distance
+        .total_cmp(&b.distance)
+        .then(a.inner.cmp(&b.inner))
 }
 
 impl mwsj_mapreduce::RecordSize for NearestNeighbor {
     fn size_bytes(&self) -> usize {
         4 + 4 + 8
     }
-}
-
-fn engine_partitions(n: usize) -> usize {
-    n.clamp(1, 64)
 }
 
 /// A round-1/2 shuffle record: an outer or inner rectangle with its id.
@@ -233,6 +238,13 @@ enum Record {
 impl mwsj_mapreduce::RecordSize for Record {
     fn size_bytes(&self) -> usize {
         1 + 4 + 32
+    }
+}
+
+/// Emits one copy of `record` to every cell of `cells`.
+fn emit_to(cells: Vec<CellId>, record: &Record, emit: &mut dyn FnMut(u32, Record)) {
+    for cell in cells {
+        emit(cell.0, *record);
     }
 }
 
@@ -252,176 +264,6 @@ fn partition_records(values: &[Record]) -> (OuterList, InnerList) {
         }
     }
     (outers, inners)
-}
-
-/// Computes the k-nearest-neighbor join: for every outer rectangle, its
-/// `k` nearest inner rectangles (fewer when `|inner| < k`), each inner
-/// list sorted by `(distance, inner id)`. `k = 1` degenerates to
-/// [`ann_join`]. Same three-round scheme, with the round-1 bound taken at
-/// the k-th local neighbor.
-///
-/// # Panics
-/// Panics if any rectangle lies outside the cluster space or `k == 0`, or
-/// — under a fault plan — if a job fails outright (use [`try_knn_join`]).
-#[must_use]
-pub fn knn_join(
-    cluster: &Cluster,
-    outer: &[Rect],
-    inner: &[Rect],
-    k: usize,
-) -> Vec<Vec<NearestNeighbor>> {
-    try_knn_join(cluster, outer, inner, k).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`knn_join`], surfacing failed jobs as a [`JoinError`] instead of
-/// panicking.
-///
-/// # Errors
-/// [`JoinError::Job`] when a map-reduce job exhausts its attempt budget
-/// under a fault plan.
-///
-/// # Panics
-/// Panics if any rectangle lies outside the cluster space or `k == 0`.
-pub fn try_knn_join(
-    cluster: &Cluster,
-    outer: &[Rect],
-    inner: &[Rect],
-    k: usize,
-) -> Result<Vec<Vec<NearestNeighbor>>, JoinError> {
-    assert!(k > 0, "k must be positive");
-    let grid = cluster.grid();
-    let engine = cluster.engine();
-    let extent = grid.extent();
-    for r in outer.iter().chain(inner) {
-        assert!(
-            extent.contains_rect(r),
-            "rectangle outside the cluster space"
-        );
-    }
-    if inner.is_empty() || outer.is_empty() {
-        return Ok(vec![Vec::new(); outer.len()]);
-    }
-    engine.reset_metrics();
-    let diag = extent.diagonal();
-
-    let mut input: Vec<Record> = Vec::with_capacity(outer.len() + inner.len());
-    input.extend(
-        outer
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::Outer(i as u32, *r)),
-    );
-    input.extend(
-        inner
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::Inner(i as u32, *r)),
-    );
-
-    // ---- Round 1: k-th-neighbor candidate bounds ----------------------
-    let bounds: Vec<(u32, Coord)> = engine.run(
-        JobSpec::new("knn-round1-candidates")
-            .reducers(grid.num_cells() as usize)
-            .map(|record: &Record, emit| match record {
-                Record::Outer(id, r) => emit(grid.cell_of(r).0, Record::Outer(*id, *r)),
-                Record::Inner(id, r) => {
-                    for cell in grid.split_cells(r) {
-                        emit(cell.0, Record::Inner(*id, *r));
-                    }
-                }
-            })
-            .partition(|&kk: &u32, _| kk as usize)
-            .reduce(|_: &u32, values: &[Record], out| {
-                let (outers, inners) = partition_records(values);
-                let tree = RTree::bulk_load(inners);
-                let tree = tree.view();
-                for (id, r) in outers {
-                    let knn = tree.k_nearest(&r, k);
-                    // A valid bound needs k local neighbors; otherwise the
-                    // true k-th neighbor may be anywhere.
-                    let ub = if knn.len() == k { knn[k - 1].2 } else { diag };
-                    out((id, ub));
-                }
-            }),
-        &input,
-    )?;
-
-    // ---- Round 2: local k-best lists -----------------------------------
-    let ub_of: Vec<Coord> = {
-        let mut v = vec![diag; outer.len()];
-        for &(id, ub) in &bounds {
-            v[id as usize] = ub;
-        }
-        v
-    };
-    let locals: Vec<NearestNeighbor> = engine.run(
-        JobSpec::new("knn-round2-verify")
-            .reducers(grid.num_cells() as usize)
-            .map(|record: &Record, emit| match record {
-                Record::Outer(id, r) => {
-                    let reach = r
-                        .enlarge(ub_of[*id as usize])
-                        .intersection(&extent)
-                        .expect("outer rectangle inside the space");
-                    for cell in grid.split_cells(&reach) {
-                        emit(cell.0, Record::Outer(*id, *r));
-                    }
-                }
-                Record::Inner(id, r) => {
-                    for cell in grid.split_cells(r) {
-                        emit(cell.0, Record::Inner(*id, *r));
-                    }
-                }
-            })
-            .partition(|&kk: &u32, _| kk as usize)
-            .reduce(|_: &u32, values: &[Record], out| {
-                let (outers, inners) = partition_records(values);
-                if inners.is_empty() {
-                    return;
-                }
-                let tree = RTree::bulk_load(inners);
-                let tree = tree.view();
-                for (id, r) in outers {
-                    for nn in local_k_best(tree, &r, k) {
-                        out(NearestNeighbor {
-                            outer: id,
-                            inner: nn.1,
-                            distance: nn.0.sqrt(),
-                        });
-                    }
-                }
-            }),
-        &input,
-    )?;
-
-    // ---- Round 3: global top-k per outer id ----------------------------
-    let merged: Vec<(u32, Vec<NearestNeighbor>)> = engine.run(
-        JobSpec::new("knn-round3-aggregate")
-            .reducers(engine_partitions(outer.len()))
-            .map(|nn: &NearestNeighbor, emit| emit(nn.outer, *nn))
-            .partition(|&kk: &u32, n| kk as usize % n)
-            .reduce(|&oid: &u32, candidates: &[NearestNeighbor], out| {
-                // The same inner can be reported by several reducers.
-                let mut candidates = candidates.to_vec();
-                candidates.sort_unstable_by(|a, b| {
-                    a.distance
-                        .total_cmp(&b.distance)
-                        .then(a.inner.cmp(&b.inner))
-                });
-                candidates.dedup_by_key(|nn| nn.inner);
-                // Deduping by id after the (distance, id) sort can reorder
-                // only equal-id entries (same distance); re-sort is
-                // unnecessary.
-                candidates.truncate(k);
-                out((oid, candidates));
-            }),
-        &locals,
-    )?;
-    let mut result = vec![Vec::new(); outer.len()];
-    for (oid, list) in merged {
-        result[oid as usize] = list;
-    }
-    Ok(result)
 }
 
 /// The local top-k by `(distance², inner id)`: exact even under the
@@ -447,7 +289,8 @@ fn local_k_best(tree: PackedRTree<'_>, r: &Rect, k: usize) -> Vec<(Coord, u32)> 
     cands
 }
 
-/// Reference kNN implementation: brute-force scan.
+/// Reference kNN implementation: brute-force scan (every distance, sorted,
+/// cut at `k`). Exact, O(|outer|·|inner| log |inner|).
 #[must_use]
 pub fn knn_brute_force(outer: &[Rect], inner: &[Rect], k: usize) -> Vec<Vec<NearestNeighbor>> {
     outer
@@ -463,38 +306,16 @@ pub fn knn_brute_force(outer: &[Rect], inner: &[Rect], k: usize) -> Vec<Vec<Near
                     distance: o.distance(r),
                 })
                 .collect();
-            all.sort_unstable_by(|a, b| {
-                a.distance
-                    .total_cmp(&b.distance)
-                    .then(a.inner.cmp(&b.inner))
-            });
+            all.sort_unstable_by(nearer_then_smaller_id);
             all.truncate(k);
             all
         })
         .collect()
 }
 
-/// Reference implementation: brute-force scan. Exact, O(|outer|·|inner|).
+/// Reference all-nearest-neighbor implementation: [`knn_brute_force`] at
+/// `k = 1`, flattened.
 #[must_use]
 pub fn ann_brute_force(outer: &[Rect], inner: &[Rect]) -> Vec<NearestNeighbor> {
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    outer
-        .iter()
-        .enumerate()
-        .map(|(oid, o)| {
-            let (iid, d) = inner
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, o.distance(r)))
-                .min_by(|(i1, d1), (i2, d2)| d1.total_cmp(d2).then(i1.cmp(i2)))
-                .expect("non-empty inner");
-            NearestNeighbor {
-                outer: oid as u32,
-                inner: iid,
-                distance: d,
-            }
-        })
-        .collect()
+    knn_brute_force(outer, inner, 1).concat()
 }

@@ -21,6 +21,13 @@
 //! * [`Algorithm::Auto`] (the default) — the [`optimizer`] picks among
 //!   the above from sampled dataset statistics.
 //!
+//! Beside them: [`ann`], the nearest-neighbor join §10 names as future
+//! work (one kNN scheme; the all-nearest-neighbor join is its `k = 1`);
+//! [`optimizer::cascade_order`], the opt-in condition order for the
+//! cascade; [`refine`], the refinement step over polygon payloads;
+//! [`mod@reference`], the in-memory oracle; and [`shards`], the scatter/gather
+//! of a map-side join.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -48,7 +55,6 @@ pub mod ann;
 mod cluster;
 mod error;
 pub mod optimizer;
-pub mod planner;
 mod record;
 pub mod reference;
 pub mod refine;

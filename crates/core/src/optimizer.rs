@@ -1,13 +1,19 @@
 //! The cost-based algorithm optimizer behind [`Algorithm::Auto`].
 //!
 //! The paper fixes the algorithm per experiment; ROADMAP item 1 asks the
-//! system to *choose*. This module generalises the cascade-only
-//! [`crate::planner`]: from cheap, seeded samples of the bound datasets it
-//! estimates — per candidate algorithm — the records communicated, the
-//! records materialized on the DFS, the number of map-reduce rounds and
-//! the local join work, combines them into one scalar cost, and picks the
-//! cheapest plan. For the hypercube it also derives the share vector; the
-//! spatial algorithms inherit the cluster's reducer grid.
+//! system to *choose*. From cheap, seeded samples of the bound datasets
+//! this module estimates — per candidate algorithm — the records
+//! communicated, the records materialized on the DFS, the number of
+//! map-reduce rounds and the local join work, combines them into one
+//! scalar cost, and picks the cheapest plan. For the hypercube it also
+//! derives the share vector; the spatial algorithms inherit the cluster's
+//! reducer grid.
+//!
+//! The same samples order the 2-way cascade's conditions
+//! ([`cascade_order`], §6.1's "optimal order" footnote). That is opt-in:
+//! [`plan`] prices the cascade over the stages it runs for the query as
+//! written (both walk `cascade::execution_order`) and never reorders, so a
+//! pinned `cascade` and an `auto` that chose it run the same jobs.
 //!
 //! Everything is a pure function of `(query, relations, grid, reducers)`:
 //! sampling uses a fixed seed, shares are enumerated deterministically,
@@ -54,16 +60,14 @@ use rand::{seq::SliceRandom, SeedableRng};
 
 use crate::algorithms::controlled_replicate::limited_reach;
 use crate::algorithms::hypercube::derive_shares;
-use crate::algorithms::{max_diagonal, Algorithm};
-use crate::planner::{estimate_selectivity, sample_relations};
+use crate::algorithms::{cascade, max_diagonal, Algorithm};
 
 /// Fixed sampling seed: planner decisions must be a pure function of the
 /// inputs (golden-pinnable, cache-key safe), never of run-to-run entropy.
 const PLAN_SEED: u64 = 0xC0_57;
 
-/// Sample size per relation. Larger than the cascade reorderer's
-/// [`crate::planner::DEFAULT_SAMPLE`]: the optimizer compares *algorithms*,
-/// and the cascade's cost hinges on pairwise selectivities estimated from
+/// Sample size per relation. The optimizer compares *algorithms*, and the
+/// cascade's cost hinges on pairwise selectivities estimated from
 /// `sample²` pairs — at Table 2 densities a 200-rect sample expects only a
 /// handful of matches, and that Poisson noise is enough to flip the
 /// cascade/C-Rep-L decision. 600 rects per relation keeps sampling cheap
@@ -121,33 +125,64 @@ fn cached(key: Vec<u64>, build: impl FnOnce() -> Vec<Vec<Rect>>) -> Arc<Vec<Vec<
         .clone()
 }
 
+/// The one sampler: a seeded uniform sample without replacement of up to
+/// [`PLAN_SAMPLE`] rectangles from each relation, read by position through
+/// `len` and `nth`. One RNG runs across the relations.
+fn sample_relations<R>(
+    relations: &[R],
+    len: impl Fn(&R) -> usize,
+    nth: impl Fn(&R, usize) -> Rect,
+) -> Vec<Vec<Rect>> {
+    let mut rng = StdRng::seed_from_u64(PLAN_SEED);
+    relations
+        .iter()
+        .map(|rel| {
+            let mut idx: Vec<usize> = (0..len(rel)).collect();
+            idx.shuffle(&mut rng);
+            idx.truncate(PLAN_SAMPLE);
+            idx.into_iter().map(|i| nth(rel, i)).collect()
+        })
+        .collect()
+}
+
 fn cached_samples(relations: &[&[Rect]]) -> Arc<Vec<Vec<Rect>>> {
     let mut key = Vec::with_capacity(relations.len() + 1);
     key.push(SAMPLES_IN_MEMORY);
     key.extend(relations.iter().map(|r| dataset_fingerprint(r)));
-    cached(key, || sample_relations(relations, PLAN_SAMPLE, PLAN_SEED))
+    cached(key, || {
+        sample_relations(relations, |r| r.len(), |r, i| r[i])
+    })
 }
 
-/// Like [`cached_samples`] over stored datasets: a seeded uniform sample
-/// without replacement, drawn by *storage* position so no relation is
-/// ever materialized. One shared RNG across relations, mirroring
-/// [`sample_relations`].
+/// Like [`cached_samples`] over stored datasets, drawn by *storage*
+/// position so no relation is ever materialized.
 fn cached_stored_samples(stores: &[&StoredDataset]) -> Arc<Vec<Vec<Rect>>> {
     let mut key = Vec::with_capacity(stores.len() + 1);
     key.push(SAMPLES_STORED);
     key.extend(stores.iter().map(|s| s.fingerprint()));
     cached(key, || {
-        let mut rng = StdRng::seed_from_u64(PLAN_SEED);
-        stores
-            .iter()
-            .map(|s| {
-                let mut idx: Vec<usize> = (0..s.record_count() as usize).collect();
-                idx.shuffle(&mut rng);
-                idx.truncate(PLAN_SAMPLE);
-                idx.into_iter().map(|i| s.nth_rect(i)).collect()
-            })
-            .collect()
+        let len = |s: &&StoredDataset| s.record_count() as usize;
+        sample_relations(stores, len, |s, i| s.nth_rect(i))
     })
+}
+
+/// Estimates the selectivity of one triple on samples of its two
+/// relations: the fraction of sampled pairs satisfying the predicate.
+fn estimate_selectivity(t: &Triple, samples: &[Vec<Rect>]) -> f64 {
+    let left = &samples[t.left.index()];
+    let right = &samples[t.right.index()];
+    if left.is_empty() || right.is_empty() {
+        return 0.0;
+    }
+    let mut hits = 0usize;
+    for a in left {
+        for b in right {
+            if t.predicate.eval(a, b) {
+                hits += 1;
+            }
+        }
+    }
+    hits as f64 / (left.len() * right.len()) as f64
 }
 
 /// The estimated cost breakdown of one candidate algorithm.
@@ -332,50 +367,39 @@ fn relation_stats(
         .collect()
 }
 
-/// Estimated communication and DFS volume of the 2-way cascade in the
-/// query's (unreordered) condition order, from the sampled selectivity
-/// of each triple: each stage shuffles the previous intermediate plus
-/// the newly-bound base relation and materializes its output on the DFS
-/// for the next.
+/// Estimated communication and DFS volume of the 2-way cascade over the
+/// stages it runs ([`cascade::execution_order`] — the query is never
+/// reordered here), from the sampled selectivity of each triple: each
+/// stage shuffles the previous intermediate plus the newly-bound base
+/// relation and materializes its output on the DFS for the next.
 fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> CandidateCost {
     let triples = query.triples();
-    let mut bound = vec![false; query.num_relations()];
     let mut comm = 0.0;
     let mut dfs = 0.0;
     let mut intermediate = 0.0;
-    for (stage, (t, &sel)) in triples.iter().zip(selectivities).enumerate() {
-        let (l, r) = (t.left.index(), t.right.index());
-        let nl = sizes[l];
-        let nr = sizes[r];
-        if stage == 0 {
-            comm += nl + nr;
-            intermediate = sel * nl * nr;
-        } else {
-            let new = match (bound[l], bound[r]) {
-                (true, true) => None,
-                (true, false) => Some(nr),
-                (false, true) => Some(nl),
-                // A disconnected prefix never executes (the cascade
-                // requires connectivity); cost it like a fresh pair.
-                (false, false) => Some(nl + nr),
-            };
-            match new {
-                Some(n_new) => {
-                    comm += intermediate + n_new;
-                    intermediate *= sel * n_new;
-                }
-                None => {
-                    // A filter only shrinks the intermediate.
-                    comm += intermediate;
-                    intermediate *= sel.min(1.0);
-                }
+    for (i, stage) in cascade::execution_order(query) {
+        let sel = selectivities[i];
+        match stage {
+            cascade::Stage::Base => {
+                let (l, r) = (triples[i].left.index(), triples[i].right.index());
+                comm += sizes[l] + sizes[r];
+                intermediate = sel * sizes[l] * sizes[r];
             }
-            // The previous stage's output made a DFS round-trip to reach
-            // this stage.
-            dfs += intermediate;
+            // Every later stage also charges the DFS round-trip that
+            // carries an intermediate result between two stages.
+            cascade::Stage::Extend { new, .. } => {
+                let n_new = sizes[new.index()];
+                comm += intermediate + n_new;
+                intermediate *= sel * n_new;
+                dfs += intermediate;
+            }
+            cascade::Stage::Filter => {
+                // A filter only shrinks the intermediate.
+                comm += intermediate;
+                intermediate *= sel.min(1.0);
+                dfs += intermediate;
+            }
         }
-        bound[l] = true;
-        bound[r] = true;
     }
     CandidateCost::new(
         Algorithm::TwoWayCascade,
@@ -384,6 +408,79 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
         dfs,
         0.0,
     )
+}
+
+/// Returns the query with its conditions reordered for the 2-way cascade
+/// (§6.1's footnote assumes "the optimal order" without saying how to find
+/// it): a sampling-based greedy order that keeps the estimated
+/// intermediate result small — start with the condition of smallest
+/// estimated output, then repeatedly append the connected condition whose
+/// estimated growth factor is smallest, so every prefix stays connected
+/// and the cascade executes the conditions exactly as listed.
+///
+/// `relations[i]` is the dataset bound to position `i`; selectivities are
+/// estimated on the samples [`plan`] draws (and caches) for the same
+/// datasets. Reordering conjuncts never changes the result, only the
+/// cascade's intermediate sizes; position numbering is preserved.
+///
+/// ```
+/// use mwsj_core::optimizer::cascade_order;
+/// use mwsj_geom::Rect;
+/// use mwsj_query::Query;
+///
+/// let q = Query::parse("A ov B and B ov C").unwrap();
+/// let a = vec![Rect::new(0.0, 10.0, 5.0, 5.0)];
+/// let b = vec![Rect::new(4.0, 10.0, 5.0, 5.0)];
+/// let c = vec![Rect::new(8.0, 10.0, 5.0, 5.0)];
+/// let planned = cascade_order(&q, &[&a, &b, &c]);
+/// assert_eq!(planned.triples().len(), q.triples().len());
+/// ```
+#[must_use]
+pub fn cascade_order(query: &Query, relations: &[&[Rect]]) -> Query {
+    assert_eq!(relations.len(), query.num_relations());
+    let samples = cached_samples(relations);
+    let size = |r: mwsj_query::RelationId| relations[r.index()].len() as f64;
+    let mut remaining: Vec<(Triple, f64)> = query
+        .triples()
+        .iter()
+        .map(|t| (*t, estimate_selectivity(t, &samples)))
+        .collect();
+
+    let mut ordered: Vec<Triple> = Vec::with_capacity(remaining.len());
+    let mut bound = vec![false; query.num_relations()];
+    while !remaining.is_empty() {
+        // The growth a condition multiplies the intermediate by: its
+        // standalone output for the first, 0 for a both-bound filter (it
+        // can only shrink), else selectivity × the new relation's size.
+        let growth = |(t, sel): &(Triple, f64)| match cascade::Stage::of(t, &bound) {
+            cascade::Stage::Base if ordered.is_empty() => sel * size(t.left) * size(t.right),
+            // Not connected to the bound set yet.
+            cascade::Stage::Base => f64::INFINITY,
+            cascade::Stage::Extend { new, .. } => sel * size(new),
+            cascade::Stage::Filter => 0.0,
+        };
+        let pick = (0..remaining.len())
+            .min_by(|&i, &j| growth(&remaining[i]).total_cmp(&growth(&remaining[j])))
+            .expect("non-empty");
+        let (t, _) = remaining.remove(pick);
+        bound[t.left.index()] = true;
+        bound[t.right.index()] = true;
+        ordered.push(t);
+    }
+
+    // Rebuild the query with the conditions in the new order. Declaring
+    // every relation first pins the original position numbering, so the
+    // caller's positional dataset bindings stay valid.
+    let mut builder = Query::builder();
+    for r in query.relations() {
+        builder = builder.declare(query.name(r));
+    }
+    for t in &ordered {
+        builder = builder.condition(t.predicate, query.name(t.left), query.name(t.right));
+    }
+    builder
+        .build()
+        .expect("reordering a valid query keeps it valid")
 }
 
 /// Total unfiltered candidate pairs at the hypercube reducers: a pair of
@@ -633,6 +730,118 @@ mod tests {
             .candidates
             .iter()
             .all(|c| c.algorithm != Algorithm::MapSide));
+    }
+
+    /// The cascade row of a plan.
+    fn cascade_row(p: &Plan) -> String {
+        let row = p
+            .candidates
+            .iter()
+            .find(|c| c.algorithm == Algorithm::TwoWayCascade);
+        format!("{:?}", row.expect("the cascade is always costed"))
+    }
+
+    #[test]
+    fn cascade_row_prices_the_stages_that_run() {
+        use crate::{Cluster, ClusterConfig, JoinRun};
+        let grid = grid8();
+        let rels: Vec<Vec<Rect>> = (1..=5).map(|seed| relation(300, seed, 60.0)).collect();
+        let cluster = Cluster::new(ClusterConfig::for_space((0.0, 1000.0), (0.0, 1000.0), 8));
+        // Each spelling lists a condition before anything binds its
+        // endpoints; the cascade defers it, so the spelling is priced (and
+        // run) as the one next to it, written in executed order. Same
+        // first-mention order within a pair: same positions, same samples.
+        for (written, executed) in [
+            // The chain of ISSUE 22's measurement.
+            (
+                "A ov B and C ov D and B ov C",
+                "A ov B and B ov C and C ov D",
+            ),
+            // A star on B whose arm B-C-D is written outer pair first.
+            (
+                "A ov B and C ov D and B ov C and B ov E",
+                "A ov B and B ov C and C ov D and B ov E",
+            ),
+            // A cycle: the closing condition is a filter, not a job.
+            (
+                "A ov B and C ov D and B ov C and D ov A",
+                "A ov B and B ov C and C ov D and D ov A",
+            ),
+        ] {
+            let (written, executed) = (
+                Query::parse(written).unwrap(),
+                Query::parse(executed).unwrap(),
+            );
+            let n = written.num_relations();
+            let inputs: Vec<&[Rect]> = rels[..n].iter().map(Vec::as_slice).collect();
+            let stages = cascade::execution_order(&written);
+            let executed_triples: Vec<_> =
+                stages.iter().map(|&(i, _)| written.triples()[i]).collect();
+            assert_eq!(executed_triples, executed.triples(), "{written}");
+            assert_eq!(
+                cascade_row(&plan(&written, &inputs, &grid, 64)),
+                cascade_row(&plan(&executed, &inputs, &grid, 64)),
+                "{written}"
+            );
+            // The walk `cascade_cost` prices is the one `cascade::run`
+            // submits: one `cascade-stage-N` job per non-filter stage.
+            let priced: Vec<String> = (stages.iter().enumerate())
+                .filter(|(_, (_, kind))| *kind != cascade::Stage::Filter)
+                .map(|(stage, _)| format!("cascade-stage-{stage}"))
+                .collect();
+            let run = JoinRun::new(&written, &inputs)
+                .algorithm(Algorithm::TwoWayCascade)
+                .counting();
+            let report = cluster.submit(&run).unwrap().report;
+            let submitted: Vec<&str> = report.jobs.iter().map(|j| j.job_name.as_str()).collect();
+            assert_eq!(submitted, priced, "{written}");
+        }
+    }
+
+    #[test]
+    fn cascade_order_is_deterministic_connected_and_keeps_positions() {
+        use crate::reference;
+        let q = Query::parse("A ov B and B ra(30) C and C ov D and D ov A").unwrap();
+        let rels: Vec<Vec<Rect>> = (1..=4).map(|seed| relation(60, seed, 40.0)).collect();
+        let inputs: Vec<&[Rect]> = rels.iter().map(Vec::as_slice).collect();
+        let planned = cascade_order(&q, &inputs);
+        assert_eq!(planned.to_string(), cascade_order(&q, &inputs).to_string());
+        assert_eq!(planned.triples().len(), q.triples().len());
+        // Same relation names in the same positions, so the caller's
+        // positional bindings stay valid and the result is the same.
+        for r in q.relations() {
+            assert_eq!(planned.name(r), q.name(r));
+        }
+        assert_eq!(
+            reference::in_memory_join(&planned, &inputs),
+            reference::in_memory_join(&q, &inputs)
+        );
+        // Every prefix is connected: the cascade runs the planned
+        // conditions exactly as listed.
+        let listed: Vec<usize> = (0..planned.triples().len()).collect();
+        let executed: Vec<usize> = cascade::execution_order(&planned)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        assert_eq!(executed, listed, "planned order: {planned}");
+    }
+
+    #[test]
+    fn cascade_order_starts_with_the_most_selective_condition() {
+        // B-C barely joins (tiny rectangles in a far corner); A-B joins a
+        // lot (big rectangles). The order must start with B-C — also when
+        // a relation is smaller than the sample.
+        let a = relation(80, 11, 120.0);
+        let b = relation(80, 12, 120.0);
+        let c = vec![Rect::new(0.5, 1.0, 0.2, 0.2); 80];
+        let q = Query::parse("A ov B and B ov C").unwrap();
+        let planned = cascade_order(&q, &[&a, &b, &c]);
+        let first = planned.triples()[0];
+        assert_eq!(
+            (planned.name(first.left), planned.name(first.right)),
+            ("B", "C"),
+            "planned order: {planned}"
+        );
     }
 
     #[test]

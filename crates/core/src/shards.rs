@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use mwsj_mapreduce::{JobMetrics, MetricsReport};
 
-use crate::algorithms::{normalize_tuples, Algorithm};
+use crate::algorithms::Algorithm;
 use crate::{JoinOutput, ReplicationStats};
 
 /// Splits `num_cells` grid cells into at most `shards` disjoint,
@@ -130,7 +130,7 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
     let tuples = if spec.count_only {
         Vec::new()
     } else {
-        normalize_tuples(tuples)
+        mwsj_local::multiway::normalized(tuples)
     };
     JoinOutput {
         algorithm: Algorithm::MapSide,

@@ -223,7 +223,7 @@ pub fn brute_force_join(query: &Query, relations: &[Vec<LocalRect>]) -> Vec<Vec<
     out
 }
 
-/// Normalizes result tuples for comparison in tests.
+/// Sorts and dedups result tuples: the canonical order of every join output.
 #[must_use]
 pub fn normalized(mut tuples: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     tuples.sort();

@@ -262,13 +262,6 @@ impl Dfs {
     pub fn transient_read_failures(&self) -> u64 {
         self.transient_read_failures.load(Ordering::Relaxed)
     }
-
-    /// Resets the byte and failure counters (between experiments).
-    pub fn reset_counters(&self) {
-        self.read_bytes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.transient_read_failures.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -293,8 +286,6 @@ mod tests {
         let _ = dfs.read::<u64>("nums").unwrap();
         let _ = dfs.read::<u64>("nums").unwrap();
         assert_eq!(dfs.read_bytes(), 48);
-        dfs.reset_counters();
-        assert_eq!(dfs.write_bytes(), 0);
     }
 
     #[test]

@@ -1292,8 +1292,8 @@ impl Engine {
             .collect())
     }
 
-    /// Snapshot of all job metrics plus DFS counters since construction (or
-    /// the last [`Engine::reset_metrics`]). Jobs that delivered their
+    /// Snapshot of all job metrics plus DFS counters since construction;
+    /// nothing resets them under a shared engine. Jobs that delivered their
     /// metrics to a [`MetricsHub`] (via [`JobSpec::collect_into`]) are not
     /// listed here — concurrent submitters read their own hubs instead.
     #[must_use]
@@ -1304,12 +1304,6 @@ impl Engine {
             dfs_write_bytes: self.dfs.write_bytes(),
             dfs_transient_read_failures: self.dfs.transient_read_failures(),
         }
-    }
-
-    /// Clears accumulated job metrics and DFS counters.
-    pub fn reset_metrics(&self) {
-        self.metrics.lock().clear();
-        self.dfs.reset_counters();
     }
 }
 
@@ -1541,26 +1535,6 @@ mod tests {
         assert_eq!(report.num_jobs(), 2);
         assert_eq!(report.dfs_write_bytes, 40);
         assert_eq!(report.dfs_read_bytes, 40);
-    }
-
-    #[test]
-    fn reset_metrics_clears_everything() {
-        let e = engine();
-        let input = vec![1u32];
-        let _ = e
-            .run(
-                JobSpec::new("j")
-                    .map(|&x: &u32, emit| emit(x, x))
-                    .partition(|_: &u32, _| 0)
-                    .reduce(|&k: &u32, _: &[u32], out| out(k)),
-                &input,
-            )
-            .unwrap();
-        e.dfs.write("d", vec![1u8]);
-        e.reset_metrics();
-        let r = e.report();
-        assert_eq!(r.num_jobs(), 0);
-        assert_eq!(r.dfs_write_bytes, 0);
     }
 
     #[test]

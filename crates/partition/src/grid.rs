@@ -282,6 +282,21 @@ impl Grid {
         out
     }
 
+    /// The **enlarged split** of §5.3: all cells overlapped by the rectangle
+    /// enlarged by `d` on every side, clipped to the space — the 2-way
+    /// range-join routing, and the reach of a nearest-neighbour bound.
+    ///
+    /// # Panics
+    /// Panics when the rectangle lies outside the space.
+    #[must_use]
+    pub fn split_cells_enlarged(&self, r: &Rect, d: Coord) -> Vec<CellId> {
+        let reach = r
+            .enlarge(d)
+            .intersection(&self.extent())
+            .expect("rectangle inside the space");
+        self.split_cells(&reach)
+    }
+
     /// All cells in the 4th quadrant w.r.t. the rectangle (the **replicate**
     /// target set with function `f1`, §4): cells with `col ≥ col(c_u)` and
     /// `row ≥ row(c_u)` where `c_u` is the rectangle's cell.

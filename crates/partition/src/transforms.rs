@@ -49,11 +49,7 @@ impl Transform {
             Transform::Split => grid.split_cells(r),
             Transform::ReplicateF1 => grid.fourth_quadrant_cells(r),
             Transform::ReplicateF2 { d } => grid.fourth_quadrant_cells_within(r, d),
-            Transform::SplitEnlarged { d } => {
-                let enlarged = r.enlarge(d);
-                // Clamp to the grid extent: enlargement may leave the space.
-                grid.split_cells(&clamp_to(&enlarged, &grid.extent()))
-            }
+            Transform::SplitEnlarged { d } => grid.split_cells_enlarged(r, d),
         }
     }
 
@@ -70,14 +66,6 @@ impl Transform {
             emit((cell, value.clone()));
         }
     }
-}
-
-/// Clamps a rectangle to an extent (non-empty intersection assumed: every
-/// data rectangle lies inside the space, so its enlargement always intersects
-/// the extent).
-fn clamp_to(r: &Rect, extent: &Rect) -> Rect {
-    r.intersection(extent)
-        .expect("enlarged rectangle must intersect the space extent")
 }
 
 #[cfg(test)]

@@ -10,9 +10,6 @@
 //! costs one validation scan and no per-entry allocation, and a join over
 //! stored trees walks exactly the code a join over freshly built ones does.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use mwsj_geom::{Coord, Rect};
 
 use crate::RTree;
@@ -75,35 +72,6 @@ fn node_range(word: u64) -> (u32, u32) {
 pub struct PackedRTree<'a> {
     entries: &'a [u64],
     nodes: &'a [u64],
-}
-
-/// Best-first queue item of [`PackedRTree::nearest`]: a min-heap on the
-/// distance, insertion order breaking ties deterministically.
-struct Nearer {
-    dist: Coord,
-    seq: u64,
-    node: u32,
-}
-
-impl PartialEq for Nearer {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Nearer {}
-impl PartialOrd for Nearer {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Nearer {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for a min-heap; distances are finite by construction.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 impl<'a> PackedRTree<'a> {
@@ -280,51 +248,19 @@ impl<'a> PackedRTree<'a> {
     }
 
     /// Returns the entry nearest to the probe rectangle (smallest closed
-    /// rectangle-to-rectangle distance), with its distance. Ties resolve to
-    /// the entry earliest in storage order. Best-first branch-and-bound
-    /// over node MBR distances.
+    /// rectangle-to-rectangle distance), with its distance: the first of
+    /// [`PackedRTree::k_nearest`] at `k = 1`, so ties resolve to the entry
+    /// earliest in storage order.
     #[must_use]
     pub fn nearest(&self, probe: &Rect) -> Option<(Rect, u32, Coord)> {
-        let root = self.root()?;
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(Nearer {
-            dist: self.node_mbr(root).distance(probe),
-            seq,
-            node: root,
-        });
-        let mut best: Option<(u32, Coord)> = None;
-        while let Some(item) = heap.pop() {
-            if best.is_some_and(|(_, best_d)| item.dist > best_d) {
-                break; // every remaining node is farther
-            }
-            let (children, is_leaf) = self.node_children(item.node);
-            for c in children {
-                if is_leaf {
-                    let d = self.entry(c as usize).0.distance(probe);
-                    if best.is_none_or(|(be, bd)| d < bd || (d == bd && c < be)) {
-                        best = Some((c, d));
-                    }
-                } else {
-                    seq += 1;
-                    heap.push(Nearer {
-                        dist: self.node_mbr(c).distance(probe),
-                        seq,
-                        node: c,
-                    });
-                }
-            }
-        }
-        best.map(|(e, d)| {
-            let (rect, payload) = self.entry(e as usize);
-            (rect, payload, d)
-        })
+        self.k_nearest(probe, 1).into_iter().next()
     }
 
     /// Returns the `k` entries nearest to the probe (by closed rectangle
     /// distance, ties toward earlier storage order), sorted nearest-first.
-    /// Fewer than `k` when the tree is smaller. Branch-and-bound: nodes
-    /// farther than the current k-th best are never opened.
+    /// Fewer than `k` when the tree is smaller. Branch-and-bound, nearer
+    /// child first: nodes farther than the current k-th best are never
+    /// opened.
     #[must_use]
     pub fn k_nearest(&self, probe: &Rect, k: usize) -> Vec<(Rect, u32, Coord)> {
         let Some(root) = self.root().filter(|_| k > 0) else {
@@ -340,14 +276,15 @@ impl<'a> PackedRTree<'a> {
                 continue;
             }
             let (children, is_leaf) = self.node_children(node);
+            if !is_leaf {
+                // Nearer children on top: popped first, they tighten the
+                // bound before the farther ones are looked at.
+                let first = stack.len();
+                stack.extend(children.map(|c| (self.node_mbr(c).distance(probe), c)));
+                stack[first..].sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+                continue;
+            }
             for c in children {
-                if !is_leaf {
-                    let d = self.node_mbr(c).distance(probe);
-                    if best.len() < k || d <= best[k - 1].0 {
-                        stack.push((d, c));
-                    }
-                    continue;
-                }
                 let cand = (self.entry(c as usize).0.distance(probe), c);
                 if best.len() == k && cand >= best[k - 1] {
                     continue;

@@ -16,6 +16,12 @@ use std::collections::BTreeMap;
 use mwsj_datagen::{io, CaliforniaConfig, SyntheticConfig};
 use mwsj_geom::Rect;
 
+/// The most rectangles a generator spec (`synthetic:n=`, `california:n=`)
+/// may ask for: twice the paper's largest relation (5 M rectangles), which
+/// bounds what one spec allocates — on a server worker, from a line any
+/// client may send — at 10 M × 32 B = 320 MB.
+const MAX_GENERATED_RECTS: usize = 10_000_000;
+
 /// Loads a data source: `synthetic:...`, `california:...`, `store:...`
 /// or a CSV path. A `store:` source materializes the stored relation into
 /// memory — callers that can join stored datasets in place (the stored
@@ -25,7 +31,8 @@ use mwsj_geom::Rect;
 /// # Errors
 /// Describes the bad parameter — unparsable, or outside what the
 /// generators accept (they sample `0..extent` and `0..lmax`, and an empty
-/// or non-finite range panics there) — or the unreadable file.
+/// or non-finite range panics there; `n` sizes their buffer, so it is
+/// bounded at 10 M rectangles, 320 MB) — or the unreadable file.
 pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
     if let Some(path) = source.strip_prefix("store:") {
         let stored = mwsj_core::store::StoredDataset::open(std::path::Path::new(path))
@@ -33,7 +40,7 @@ pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
         Ok(stored.materialize())
     } else if let Some(params) = source.strip_prefix("synthetic:") {
         let p = parse_params(params)?;
-        let n = param_parsed(&p, "n", 10_000usize)?;
+        let n = bounded_n(param_parsed(&p, "n", 10_000usize)?)?;
         let seed = param_parsed(&p, "seed", 42u64)?;
         let extent = param_parsed(&p, "extent", 100_000.0f64)?;
         let lmax = param_parsed(&p, "lmax", 100.0f64)?;
@@ -56,7 +63,7 @@ pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
         Ok(cfg.generate())
     } else if let Some(params) = source.strip_prefix("california:") {
         let p = parse_params(params)?;
-        let n = param_parsed(&p, "n", 20_000usize)?;
+        let n = bounded_n(param_parsed(&p, "n", 20_000usize)?)?;
         let seed = param_parsed(&p, "seed", 2013u64)?;
         if n == 0 {
             return Err("n=0 invalid: a road dataset needs at least one rectangle".to_string());
@@ -71,6 +78,15 @@ pub fn load_source(source: &str) -> Result<Vec<Rect>, String> {
     } else {
         io::load_rects(source).map_err(|e| format!("reading `{source}`: {e}"))
     }
+}
+
+fn bounded_n(n: usize) -> Result<usize, String> {
+    if n > MAX_GENERATED_RECTS {
+        return Err(format!(
+            "n={n} invalid: a generated dataset holds at most {MAX_GENERATED_RECTS} rectangles"
+        ));
+    }
+    Ok(n)
 }
 
 fn parse_params(s: &str) -> Result<BTreeMap<String, String>, String> {
@@ -155,6 +171,8 @@ mod tests {
             "synthetic:n=10,lmax=-1",
             "synthetic:n=10,bmax=nan",
             "california:n=0",
+            "synthetic:n=100000000000",
+            "california:n=100000000000",
         ] {
             assert!(load_source(spec).is_err(), "{spec}");
         }

@@ -1,5 +1,6 @@
-//! The all-nearest-neighbor join (§10 future work): the distributed
-//! three-round ANN must match the brute-force reference exactly, including
+//! The nearest-neighbor joins (§10 future work): the distributed
+//! three-round kNN join — and the all-nearest-neighbor join, which is that
+//! join at k = 1 — must match the brute-force reference exactly, including
 //! ties, empty cells and clustered data.
 
 use mwsj_core::ann::{ann_brute_force, ann_join};
@@ -136,12 +137,12 @@ fn runs_three_jobs() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
     fn prop_ann_equals_brute_force(
         n_outer in 1usize..60,
         n_inner in 1usize..60,
-        seed in 0u64..1_000,
+        seed in 0u64..4_000,
         side in 1u32..6,
     ) {
         let outer = relation(n_outer, seed);
@@ -155,7 +156,8 @@ proptest! {
 
 mod knn {
     use super::*;
-    use mwsj_core::ann::{knn_brute_force, knn_join};
+    use mwsj_core::ann::{knn_brute_force, knn_join, try_knn_join};
+    use mwsj_core::JoinError;
 
     #[test]
     fn matches_brute_force_random() {
@@ -181,18 +183,67 @@ mod knn {
         assert!(got.iter().all(|l| l.len() == 5));
     }
 
+    /// The all-nearest-neighbor join is the kNN join at k = 1, flattened —
+    /// also where the lists are short or empty.
     #[test]
     fn k_one_equals_ann() {
-        use mwsj_core::ann::ann_join;
         let outer = relation(100, 25);
-        let inner = relation(100, 26);
         let cl = cluster(8);
-        let knn = knn_join(&cl, &outer, &inner, 1);
-        let ann = ann_join(&cl, &outer, &inner);
-        for (list, nn) in knn.iter().zip(&ann) {
-            assert_eq!(list.len(), 1);
-            assert_eq!(&list[0], nn);
+        for inner in [relation(100, 26), relation(1, 29), Vec::new()] {
+            let knn = knn_join(&cl, &outer, &inner, 1);
+            assert_eq!(knn.len(), outer.len());
+            assert_eq!(knn.concat(), ann_join(&cl, &outer, &inner));
+            assert_eq!(
+                knn_brute_force(&outer, &inner, 1).concat(),
+                ann_brute_force(&outer, &inner)
+            );
         }
+        // |inner| < k: every list is the whole inner relation, nearest
+        // first, and its head is the all-nearest-neighbor answer.
+        let inner = relation(3, 30);
+        let knn = knn_join(&cl, &outer, &inner, 5);
+        assert!(knn.iter().all(|list| list.len() == 3));
+        let heads: Vec<_> = knn.iter().map(|list| list[0]).collect();
+        assert_eq!(heads, ann_join(&cl, &outer, &inner));
+    }
+
+    #[track_caller]
+    fn assert_invalid<T: std::fmt::Debug>(result: Result<T, JoinError>, want: &str) {
+        match result {
+            Err(JoinError::InvalidInput(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected InvalidInput({want}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn caller_errors_are_invalid_input_naming_the_side() {
+        let cl = cluster(4);
+        let ok = relation(10, 31);
+        let outside = vec![ok[0], Rect::new(990.0, 500.0, 20.0, 5.0)];
+        assert_invalid(try_knn_join(&cl, &ok, &ok, 0), "k must be positive");
+        assert_invalid(try_knn_join(&cl, &outside, &ok, 2), "outer relation");
+        assert_invalid(try_knn_join(&cl, &ok, &outside, 2), "inner relation");
+        assert_invalid(
+            mwsj_core::ann::try_ann_join(&cl, &ok, &outside),
+            "outside the cluster space",
+        );
+        // Nothing ran: caller errors are found before any job starts.
+        assert_eq!(cl.engine().report().num_jobs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn knn_join_panics_on_zero_k() {
+        let r = relation(10, 32);
+        let _ = knn_join(&cluster(4), &r, &r, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "inner relation contains rectangles outside the cluster space")]
+    fn knn_join_panics_on_out_of_space_rectangles() {
+        let r = relation(10, 33);
+        let outside = vec![Rect::new(-5.0, 500.0, 20.0, 5.0)];
+        let _ = knn_join(&cluster(4), &r, &outside, 1);
     }
 
     #[test]
@@ -207,13 +258,13 @@ mod knn {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
         fn prop_knn_equals_brute_force(
             n_outer in 1usize..40,
             n_inner in 1usize..40,
             k in 1usize..6,
-            seed in 0u64..500,
+            seed in 0u64..2_000,
         ) {
             let outer = relation(n_outer, seed);
             let inner = relation(n_inner, seed.wrapping_add(9));

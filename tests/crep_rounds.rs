@@ -26,8 +26,11 @@
 //!
 //! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
-//! runs on one cluster could read each other's.
+//! runs on one cluster could read each other's; and the nearest-neighbor
+//! joins used to reset the cluster's shared DFS byte counters, so a
+//! cascade running beside one reported less traffic than it moved.
 
+use mwsj_core::ann::try_knn_join;
 use mwsj_core::shards::{self, GatherSpec};
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
@@ -35,6 +38,7 @@ use mwsj_geom::Rect;
 use mwsj_query::Query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const EXTENT: f64 = 1000.0;
@@ -421,4 +425,54 @@ fn concurrent_runs_on_one_cluster_equal_their_solo_results() {
         0,
         "a finished run left its stream on the DFS"
     );
+
+    // One cascade at a time — the only run moving DFS bytes — with
+    // nearest-neighbor joins starting beside it on every other thread
+    // until it reports: they are ordinary jobs on the shared engine, so
+    // the cascade's DFS traffic reads exactly as in its solo run.
+    let slices: Vec<&[Rect]> = inputs[0].iter().map(Vec::as_slice).collect();
+    let cascade = JoinRun::new(&query, &slices).algorithm(Algorithm::TwoWayCascade);
+    let solo = cluster(4).submit(&cascade).unwrap().report;
+    assert!(solo.dfs_write_bytes > 0);
+    let reported = AtomicBool::new(false);
+    let wrong: Vec<String> = std::thread::scope(|s| {
+        let neighbors: Vec<_> = (1..THREADS)
+            .map(|t| {
+                let (cl, barrier, reported, inputs) = (&cl, &barrier, &reported, &inputs[t]);
+                s.spawn(move || {
+                    for _ in 0..RUNS {
+                        barrier.wait();
+                        while !reported.load(Ordering::Acquire) {
+                            let _ = try_knn_join(cl, &inputs[0], &inputs[1], 2);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        let mut wrong = Vec::new();
+        for run in 0..RUNS {
+            reported.store(false, Ordering::Release);
+            barrier.wait();
+            let got = cl.submit(&cascade).map(|out| out.report);
+            reported.store(true, Ordering::Release);
+            barrier.wait();
+            match got {
+                Ok(r)
+                    if (r.dfs_read_bytes, r.dfs_write_bytes)
+                        == (solo.dfs_read_bytes, solo.dfs_write_bytes) => {}
+                Ok(r) => wrong.push(format!(
+                    "run {run}: {} B read, {} B written beside nearest-neighbor joins; \
+                     solo {} and {}",
+                    r.dfs_read_bytes, r.dfs_write_bytes, solo.dfs_read_bytes, solo.dfs_write_bytes
+                )),
+                Err(e) => wrong.push(format!("run {run}: {e}")),
+            }
+        }
+        for h in neighbors {
+            h.join().expect("neighbor thread");
+        }
+        wrong
+    });
+    assert!(wrong.is_empty(), "{wrong:?}");
 }

@@ -216,7 +216,7 @@ fn modeled_time_exceeds_compute_time() {
 
 #[test]
 fn planned_cascade_shrinks_intermediates_on_skewed_selectivity() {
-    use mwsj_core::planner::optimize_cascade_order;
+    use mwsj_core::optimizer::cascade_order;
     // A-B joins heavily (big rectangles); B-C barely joins. The naive
     // order (A⋈B first) materializes a big intermediate; the planned order
     // starts with B⋈C and writes far less to the DFS.
@@ -240,7 +240,7 @@ fn planned_cascade_shrinks_intermediates_on_skewed_selectivity() {
         })
         .collect();
     let q = Query::parse("A ov B and B ov C").unwrap();
-    let planned = optimize_cascade_order(&q, &[&a, &b, &c], 150, 7);
+    let planned = cascade_order(&q, &[&a, &b, &c]);
     // The planned first condition is the selective one.
     assert_eq!(q.name(planned.triples()[0].right), "C");
 
@@ -253,6 +253,12 @@ fn planned_cascade_shrinks_intermediates_on_skewed_selectivity() {
         "planned {} vs naive {} DFS bytes",
         smart.report.dfs_write_bytes,
         naive.report.dfs_write_bytes
+    );
+    assert!(
+        smart.report.total_intermediate_records() < naive.report.total_intermediate_records(),
+        "planned {} vs naive {} shuffled records",
+        smart.report.total_intermediate_records(),
+        naive.report.total_intermediate_records()
     );
 }
 
