@@ -52,26 +52,36 @@
 //! # The C-Rep-L bound
 //!
 //! §7.9/§8 bound the distance between *joined rectangles* along join-graph
-//! paths (`replication_bounds`). The designated cell, however, combines
-//! the x of the rightmost and the y of the lowermost member, so its
-//! distance from a member `m` is at most `√2 ×` the member-to-member
-//! bound (each axis gap is bounded by a distance to one member). We
-//! therefore replicate to `√2 × replication_bounds(...)` — the paper does
-//! not spell this factor out, but without it boundary configurations lose
-//! tuples (our property tests find them).
+//! paths (`replication_bounds`): a marked member `m` of an output tuple is
+//! within `B` of every other member. That bound holds **per axis**, and
+//! per axis is all the routing needs:
 //!
-//! That is a statement about real numbers, and the routing compares
-//! computed ones. With a range distance of exactly one cell width on a
-//! grid whose cell width is not a binary fraction, a designated cell sits
-//! *at* the bound; a bound one ulp low put `bound × √2` under the cell's
-//! computed distance and the tuple was lost
-//! (`tests/crep_l_bound_counterexample.rs`). `replication_bounds` now
-//! yields a one-hop bound exactly, and [`limited_reach`] widens the
-//! distance by a few ulps of itself and of the largest grid coordinate
-//! (cell corners are computed as `x0 + col × width`). What the bound
-//! guarantees is one-sided: every cell within the real-number bound is
-//! reached. A cell a rounding error beyond it may be reached too, which
-//! costs one shuffled record and no correctness — round 2's
+//! 1. The designated cell is `cell_of_point(x*, y*)` with `x*` the largest
+//!    start x and `y*` the smallest top y over the tuple's members
+//!    (`mwsj_local::dedup::multiway_tuple_cell_of`).
+//! 2. `m` is a member, so `m.min_x ≤ x*` and `y* ≤ m.max_y`.
+//! 3. `x*` is the left edge of a member within `B` of `m`, and a gap on
+//!    one axis never exceeds the distance: `x* ≤ m.max_x + B`. Likewise
+//!    `y*` is the top edge of a member within `B`: `m.min_y − B ≤ y*`.
+//! 4. `col_of_x` and `row_of_y` are monotone (a subtraction, a division by
+//!    a positive constant, a floor and a clamp), in computed arithmetic
+//!    as over the reals.
+//! 5. Hence the designated cell lies in the index span of `m` stretched
+//!    right and down by `B` — [`Grid::fourth_quadrant_cells_within`], the
+//!    *split* of that stretched rectangle. No distance is computed, and no
+//!    cell corner (`x0 + col × width`, which parts from the routing
+//!    division by an ulp on non-dyadic grids) is consulted.
+//!
+//! Step 3 is a statement about real numbers, and `m.max_x + B` is a
+//! computed sum of a computed path cost; with a range distance of exactly
+//! one cell width a designated cell sits *at* the bound on both axes
+//! (`tests/crep_l_bound_counterexample.rs`, where a bound one ulp low lost
+//! the tuple). `replication_bounds` yields a one-hop bound exactly, and
+//! [`limited_reach`] widens the bound by a few ulps of itself and of the
+//! largest grid coordinate, which covers the rounding of that sum. What
+//! the bound guarantees is one-sided: every cell within the real-number
+//! bound is reached. A cell a rounding error beyond it may be reached
+//! too, which costs one shuffled record and no correctness — round 2's
 //! designated-cell filter decides what is emitted.
 
 use mwsj_geom::Rect;
@@ -86,11 +96,11 @@ use super::{
 use crate::record::group_by_relation;
 use crate::{JoinError, JoinOutput, TaggedRect};
 
-/// The C-Rep-L replication distance per relation position: the join-graph
-/// bound for rectangles of diagonal at most `d_max`, times the `√2` of the
-/// designated cell, widened so that rounding cannot reject a cell at
-/// exactly that distance (module docs). The one definition both the
-/// routing and the optimizer's pricing of it use.
+/// The C-Rep-L replication reach per relation position, on each axis: the
+/// join-graph bound for rectangles of diagonal at most `d_max`, widened so
+/// that rounding cannot stop short of a cell at exactly that gap (module
+/// docs). The one definition both the routing and the optimizer's pricing
+/// of it use.
 pub(crate) fn limited_reach(query: &Query, d_max: f64, grid: &Grid) -> Vec<f64> {
     const ULPS: f64 = 8.0 * f64::EPSILON;
     let (x0, xn) = grid.x_range();
@@ -101,7 +111,7 @@ pub(crate) fn limited_reach(query: &Query, d_max: f64, grid: &Grid) -> Vec<f64> 
         .fold(0.0, f64::max);
     replication_bounds(query, d_max)
         .into_iter()
-        .map(|b| b * std::f64::consts::SQRT_2 * (1.0 + ULPS) + largest_coordinate * ULPS)
+        .map(|b| b * (1.0 + ULPS) + largest_coordinate * ULPS)
         .collect()
 }
 
@@ -212,17 +222,18 @@ mod tests {
     fn limited_reach_covers_the_cell_at_exactly_the_bound() {
         // tests/crep_l_bound_counterexample.rs at the routing level: `b`
         // is one cell width from cell 8 on each axis, the range is one
-        // cell width, so cell 8 sits at √2 × the middle relation's bound.
+        // cell width, so cell 8 sits at exactly the middle relation's
+        // bound on both axes.
         let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 3);
         let cell = 1000.0 / 3.0;
         let query = Query::parse(&format!("A ra({cell}) B and B ra({cell}) C")).unwrap();
-        let reach = limited_reach(&query, 1000.0 * std::f64::consts::SQRT_2, &grid);
+        let reach = limited_reach(&query, 1000.0_f64.hypot(1000.0), &grid);
         let b = Rect::from_bounds(cell / 2.0, 2.0 * cell, cell, 1000.0).unwrap();
         assert!(grid
             .fourth_quadrant_cells_within(&b, reach[1])
             .contains(&CellId(8)));
-        // The widening is slack for rounding, not more reach.
-        let exact = cell * std::f64::consts::SQRT_2;
-        assert!(reach[1] > exact && reach[1] < exact * (1.0 + 1e-12));
+        // The reach is the paper's bound; the widening is slack for
+        // rounding, not more reach.
+        assert!(reach[1] > cell && reach[1] < cell * (1.0 + 1e-12));
     }
 }

@@ -19,7 +19,10 @@
 //! sampling uses a fixed seed, shares are enumerated deterministically,
 //! and cost arithmetic avoids platform-dependent operations — so planner
 //! decisions can be pinned in golden tests and cache keys can rely on the
-//! same query always resolving to the same concrete algorithm.
+//! same query always resolving to the same concrete algorithm. The module
+//! holds no state: every call draws its samples again, and a caller that
+//! plans the same datasets over and over memoizes the *plan* (the server's
+//! plan memo does).
 //!
 //! # Cost model
 //!
@@ -48,13 +51,10 @@
 //! `auto` lands within ~15% of the best manual choice on every Table 2
 //! row of *this* implementation.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use mwsj_geom::Rect;
 use mwsj_partition::Grid;
 use mwsj_query::{Query, Triple};
-use mwsj_store::{dataset_fingerprint, StoredDataset};
+use mwsj_store::StoredDataset;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -83,48 +83,6 @@ const DFS_WEIGHT: f64 = 3.0;
 /// Cost per unfiltered candidate pair at a hypercube reducer.
 const PAIR_WEIGHT: f64 = 0.02;
 
-/// Entries kept in the planning-sample cache before it is cleared. Plans
-/// are cheap relative to joins; the cache only needs to absorb the common
-/// case of the same datasets being planned over and over (a server
-/// answering repeated `auto`/`explain` calls), not act as a real LRU.
-const SAMPLE_CACHE_CAP: usize = 64;
-
-/// Tag words separating the two sampling procedures in the cache key:
-/// in-memory relations sample by input order, stored datasets by storage
-/// (leaf-pack) order, so identical data yields different (equally valid)
-/// samples on the two paths and the entries must not alias.
-const SAMPLES_IN_MEMORY: u64 = 0;
-const SAMPLES_STORED: u64 = 1;
-
-/// Process-wide cache of the seeded 600-rect planning samples, keyed by
-/// the ordered per-relation dataset fingerprints. Sampling shuffles an
-/// index vector per relation (O(n) work per plan); a server resolving
-/// `auto` or answering `explain` for the same bound datasets repeats that
-/// on every call without this. Caching the *sampled output* keyed by
-/// content fingerprints is bit-transparent: same datasets, same samples,
-/// same plan — the golden planner pins cannot observe the cache.
-type SampleCache = Mutex<HashMap<Vec<u64>, Arc<Vec<Vec<Rect>>>>>;
-
-fn sample_cache() -> &'static SampleCache {
-    static CACHE: OnceLock<SampleCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn cached(key: Vec<u64>, build: impl FnOnce() -> Vec<Vec<Rect>>) -> Arc<Vec<Vec<Rect>>> {
-    if let Some(hit) = sample_cache().lock().expect("sample cache").get(&key) {
-        return Arc::clone(hit);
-    }
-    let samples = Arc::new(build());
-    let mut cache = sample_cache().lock().expect("sample cache");
-    if cache.len() >= SAMPLE_CACHE_CAP {
-        cache.clear();
-    }
-    cache
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&samples))
-        .clone()
-}
-
 /// The one sampler: a seeded uniform sample without replacement of up to
 /// [`PLAN_SAMPLE`] rectangles from each relation, read by position through
 /// `len` and `nth`. One RNG runs across the relations.
@@ -143,27 +101,6 @@ fn sample_relations<R>(
             idx.into_iter().map(|i| nth(rel, i)).collect()
         })
         .collect()
-}
-
-fn cached_samples(relations: &[&[Rect]]) -> Arc<Vec<Vec<Rect>>> {
-    let mut key = Vec::with_capacity(relations.len() + 1);
-    key.push(SAMPLES_IN_MEMORY);
-    key.extend(relations.iter().map(|r| dataset_fingerprint(r)));
-    cached(key, || {
-        sample_relations(relations, |r| r.len(), |r, i| r[i])
-    })
-}
-
-/// Like [`cached_samples`] over stored datasets, drawn by *storage*
-/// position so no relation is ever materialized.
-fn cached_stored_samples(stores: &[&StoredDataset]) -> Arc<Vec<Vec<Rect>>> {
-    let mut key = Vec::with_capacity(stores.len() + 1);
-    key.push(SAMPLES_STORED);
-    key.extend(stores.iter().map(|s| s.fingerprint()));
-    cached(key, || {
-        let len = |s: &&StoredDataset| s.record_count() as usize;
-        sample_relations(stores, len, |s, i| s.nth_rect(i))
-    })
 }
 
 /// Estimates the selectivity of one triple on samples of its two
@@ -419,9 +356,9 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 /// and the cascade executes the conditions exactly as listed.
 ///
 /// `relations[i]` is the dataset bound to position `i`; selectivities are
-/// estimated on the samples [`plan`] draws (and caches) for the same
-/// datasets. Reordering conjuncts never changes the result, only the
-/// cascade's intermediate sizes; position numbering is preserved.
+/// estimated on the samples [`plan`] draws for the same datasets.
+/// Reordering conjuncts never changes the result, only the cascade's
+/// intermediate sizes; position numbering is preserved.
 ///
 /// ```
 /// use mwsj_core::optimizer::cascade_order;
@@ -438,7 +375,7 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 #[must_use]
 pub fn cascade_order(query: &Query, relations: &[&[Rect]]) -> Query {
     assert_eq!(relations.len(), query.num_relations());
-    let samples = cached_samples(relations);
+    let samples = sample_relations(relations, |r| r.len(), |r, i| r[i]);
     let size = |r: mwsj_query::RelationId| relations[r.index()].len() as f64;
     let mut remaining: Vec<(Triple, f64)> = query
         .triples()
@@ -504,7 +441,7 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
 #[must_use]
 pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) -> Plan {
     assert_eq!(relations.len(), query.num_relations());
-    let samples = cached_samples(relations);
+    let samples = sample_relations(relations, |r| r.len(), |r, i| r[i]);
     let sizes: Vec<f64> = relations.iter().map(|r| r.len() as f64).collect();
     plan_from_stats(
         query,
@@ -530,7 +467,9 @@ pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) ->
 #[must_use]
 pub fn plan_stored(query: &Query, stores: &[&StoredDataset], grid: &Grid, reducers: u32) -> Plan {
     assert_eq!(stores.len(), query.num_relations());
-    let samples = cached_stored_samples(stores);
+    // Drawn by *storage* position, so no relation is ever materialized.
+    let len = |s: &&StoredDataset| s.record_count() as usize;
+    let samples = sample_relations(stores, len, |s, i| s.nth_rect(i));
     let sizes: Vec<f64> = stores.iter().map(|s| s.record_count() as f64).collect();
     let max_diag = stores
         .iter()
@@ -670,6 +609,13 @@ mod tests {
         let p2 = plan(&q, &[&a, &b, &c], &grid, 64);
         assert_eq!(p1.algorithm, p2.algorithm);
         assert_eq!(p1.to_json(), p2.to_json());
+        // A plan is a function of its own inputs only: other datasets
+        // planned in between — the same rectangles in other positions, a
+        // relation of the same length — leave no trace in the next one.
+        let d = relation(300, 4, 30.0);
+        assert_ne!(plan(&q, &[&c, &b, &a], &grid, 64).to_json(), p1.to_json());
+        assert_ne!(plan(&q, &[&a, &b, &d], &grid, 64).to_json(), p1.to_json());
+        assert_eq!(plan(&q, &[&a, &b, &c], &grid, 64).to_json(), p1.to_json());
         assert_ne!(p1.algorithm, Algorithm::Auto);
         assert_eq!(p1.candidates.len(), Algorithm::ALL.len());
     }
@@ -702,7 +648,7 @@ mod tests {
         let p = plan_stored(&q, &refs, &grid, 64);
         assert_eq!(p.candidates.len(), Algorithm::ALL.len() + 1);
         assert_eq!(p.algorithm, Algorithm::MapSide, "plan: {}", p.to_json());
-        // Deterministic (second call is also the cache-hit path).
+        // Deterministic.
         assert_eq!(p.to_json(), plan_stored(&q, &refs, &grid, 64).to_json());
         // Each triple's selectivity is estimated once and feeds both the
         // cascade and map-side terms; the plan is, byte for byte, what
@@ -713,7 +659,7 @@ mod tests {
                 r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
                 r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":168.0,"cost":2003.4},"#,
                 r#"{"algorithm":"cascade","jobs":2,"comm_records":985.0,"dfs_records":23.5,"local_pairs":0.0,"cost":5055.6},"#,
-                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1542.0,"dfs_records":162.0,"local_pairs":0.0,"cost":6028.0},"#,
+                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1500.0,"dfs_records":162.0,"local_pairs":0.0,"cost":5986.0},"#,
                 r#"{"algorithm":"crep","jobs":2,"comm_records":4770.0,"dfs_records":162.0,"local_pairs":0.0,"cost":9256.0},"#,
                 r#"{"algorithm":"allrep","jobs":1,"comm_records":19229.0,"dfs_records":0.0,"local_pairs":0.0,"cost":21229.0},"#,
                 r#"{"algorithm":"hypercube","jobs":1,"comm_records":14400.0,"dfs_records":0.0,"local_pairs":720000.0,"cost":30800.0}]}"#,

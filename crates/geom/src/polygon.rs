@@ -47,7 +47,7 @@ impl Polygon {
             min_y = min_y.min(v.y);
             max_y = max_y.max(v.y);
         }
-        Rect::new(min_x, max_y, max_x - min_x, max_y - min_y)
+        Rect::from_bounds(min_x, min_y, max_x, max_y).expect("a polygon has finite vertices")
     }
 
     /// Point-in-polygon test (even-odd rule; boundary points count as

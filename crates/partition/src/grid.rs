@@ -93,9 +93,7 @@ impl Grid {
     }
 
     /// The exact `(x0, xn)` range the grid was constructed with — the
-    /// round-trip accessor for serializing grid geometry ([`Grid::extent`]
-    /// re-derives corners through rectangle arithmetic, which need not be
-    /// bit-exact).
+    /// round-trip accessor for serializing grid geometry.
     #[must_use]
     pub fn x_range(&self) -> (Coord, Coord) {
         (self.x0, self.xn)
@@ -107,10 +105,12 @@ impl Grid {
         (self.y0, self.yn)
     }
 
-    /// The full space extent as a rectangle.
+    /// The full space extent as a rectangle, corner for corner the range
+    /// ends the grid was constructed with: a rectangle lying on an edge of
+    /// the space is inside it whatever the origin.
     #[must_use]
     pub fn extent(&self) -> Rect {
-        Rect::new(self.x0, self.yn, self.xn - self.x0, self.yn - self.y0)
+        Rect::from_bounds(self.x0, self.y0, self.xn, self.yn).expect("a finite, non-empty space")
     }
 
     /// Cell id for `(col, row)` indices.
@@ -299,47 +299,24 @@ impl Grid {
 
     /// All cells in the 4th quadrant w.r.t. the rectangle (the **replicate**
     /// target set with function `f1`, §4): cells with `col ≥ col(c_u)` and
-    /// `row ≥ row(c_u)` where `c_u` is the rectangle's cell.
+    /// `row ≥ row(c_u)` where `c_u` is the rectangle's cell — the split of
+    /// the rectangle stretched to the right and bottom edges of the space.
     #[must_use]
     pub fn fourth_quadrant_cells(&self, r: &Rect) -> Vec<CellId> {
-        let cu = self.cell_of(r);
-        let (col0, row0) = (self.col_of(cu), self.row_of(cu));
-        let mut out = Vec::with_capacity(((self.cols - col0) * (self.rows - row0)) as usize);
-        for row in row0..self.rows {
-            for col in col0..self.cols {
-                out.push(self.cell_at(col, row));
-            }
-        }
-        out
+        let corner = Point::new(self.xn, self.y0);
+        self.split_cells(&Rect::from_corners(r.start_point(), corner))
     }
 
-    /// Replicate target set with function `f2` (§4): 4th-quadrant cells
-    /// within distance `d` of the rectangle.
+    /// Replicate target set with function `f2` (§4): the 4th-quadrant cells
+    /// whose region is within a gap of `d` of the rectangle **on each
+    /// axis** — the split of the rectangle stretched by `d` to the right
+    /// and by `d` downward (clipped to the space, like every split). For
+    /// equal `d` this is a superset of the cells within Euclidean distance
+    /// `d`.
     #[must_use]
     pub fn fourth_quadrant_cells_within(&self, r: &Rect, d: Coord) -> Vec<CellId> {
-        let cu = self.cell_of(r);
-        let (col0, row0) = (self.col_of(cu), self.row_of(cu));
-        let mut out = Vec::new();
-        for row in row0..self.rows {
-            // Once an entire row is beyond distance d we can stop: row
-            // distance grows monotonically going down.
-            let mut row_hit = false;
-            for col in col0..self.cols {
-                let cell = self.cell_at(col, row);
-                if self.cell_distance(cell, r) <= d {
-                    out.push(cell);
-                    row_hit = true;
-                } else if row_hit {
-                    // Distance grows monotonically moving right past the
-                    // rectangle; no further cell in this row qualifies.
-                    break;
-                }
-            }
-            if !row_hit && row > self.row_of_y(r.min_y().clamp(self.y0, self.yn)) {
-                break;
-            }
-        }
-        out
+        let corner = Point::new(r.max_x() + d, r.min_y() - d);
+        self.split_cells(&Rect::from_corners(r.start_point(), corner))
     }
 }
 
@@ -501,7 +478,8 @@ mod tests {
     #[test]
     fn replicate_f2_limits_distance() {
         // Figure 2(c): replicate with f2 returns cells 6, 7, 10, 11 for a
-        // suitable d — 4th-quadrant cells within distance d of r1.
+        // suitable d — 4th-quadrant cells within a gap of d of r1 on each
+        // axis.
         let g = fig2_grid();
         let r1 = Rect::new(3.0, 5.5, 2.0, 1.0);
         let d = 0.6; // reaches one cell right/down but not further
@@ -521,6 +499,86 @@ mod tests {
         let r = Rect::new(2.5, 5.5, 1.0, 1.0);
         assert!(!g.other_cell_within(&r, c6, 0.4));
         assert!(g.other_cell_within(&r, c6, 0.5));
+    }
+
+    /// The grid shapes of the generated routing suites, over extents whose
+    /// cell widths are not binary fractions; two do not start at 0.
+    fn routing_grids() -> [Grid; 3] {
+        [
+            Grid::square((0.0, 1000.0), (0.0, 1000.0), 3),
+            Grid::new((100.1, 1100.1), (-50.3, 949.7), 7, 5),
+            Grid::square((3.3, 1003.4), (-949.1, 134.2), 8),
+        ]
+    }
+
+    #[test]
+    fn fourth_quadrant_cells_equal_the_recorded_quadrant_walk() {
+        // The hashes were recorded from a walk over `col ≥ col(cell_of(r))`,
+        // `row ≥ row(cell_of(r))`, which the split of the stretched `r`
+        // replaced: every rectangle on each grid's half-cell lattice, and
+        // the same nudged off it.
+        let fnv = |h: u64, v: u32| (h ^ u64::from(v)).wrapping_mul(0x0100_0000_01b3);
+        let mut hashes = Vec::new();
+        for g in routing_grids() {
+            let ((x0, xn), (y0, yn)) = (g.x_range(), g.y_range());
+            let lattice = |lo: Coord, hi: Coord, cells: u32, nudge: Coord| {
+                let half = (hi - lo) / Coord::from(cells) / 2.0;
+                (0..=2 * cells)
+                    .map(|k| (lo + (Coord::from(k) + nudge) * half).min(hi))
+                    .collect::<Vec<_>>()
+            };
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for nudge in [0.0, 0.37] {
+                let (xs, ys) = (
+                    lattice(x0, xn, g.cols(), nudge),
+                    lattice(y0, yn, g.rows(), nudge),
+                );
+                for (i, &left) in xs.iter().enumerate() {
+                    for &right in &xs[i..] {
+                        for (j, &bottom) in ys.iter().enumerate() {
+                            for &top in &ys[j..] {
+                                let r = Rect::from_bounds(left, bottom, right, top).unwrap();
+                                let f1 = g.fourth_quadrant_cells(&r);
+                                h = fnv(h, f1.len() as u32);
+                                h = f1.iter().fold(h, |h, c| fnv(h, c.0));
+                            }
+                        }
+                    }
+                }
+            }
+            hashes.push(h);
+        }
+        assert_eq!(
+            hashes,
+            [
+                0xae5e_bb69_9cf6_7494,
+                0xa3ee_9e56_45c4_1303,
+                0x39f5_f46c_17fd_68bf
+            ],
+            "{hashes:#x?}"
+        );
+    }
+
+    #[test]
+    fn extent_is_the_constructed_range_whatever_the_origin() {
+        // Re-derived as `x0 + (xn - x0)` and `yn - (yn - y0)`, both ends
+        // of this range round to the inside of the space.
+        let (lo, hi) = (-949.1, 134.2);
+        let g = Grid::new((lo, hi), (lo, hi), 7, 5);
+        let e = g.extent();
+        assert_eq!((e.min_x(), e.max_x()), g.x_range());
+        assert_eq!((e.min_y(), e.max_y()), g.y_range());
+        for (min_x, min_y, max_x, max_y) in [
+            (lo, -10.0, lo, 10.0),
+            (hi, -10.0, hi, 10.0),
+            (-10.0, lo, 10.0, lo),
+            (-10.0, hi, 10.0, hi),
+            (lo, lo, hi, hi),
+        ] {
+            let on_the_edge = Rect::from_bounds(min_x, min_y, max_x, max_y).unwrap();
+            assert!(e.contains_rect(&on_the_edge), "{on_the_edge:?}");
+            assert!(!g.split_cells(&on_the_edge).is_empty());
+        }
     }
 
     fn arb_rect_in(extent: Coord) -> impl Strategy<Value = Rect> {
@@ -608,19 +666,72 @@ mod tests {
             prop_assert!(g.rect_overlaps_cell(&degenerate, cell));
         }
 
+        /// `f2(r, d)` is every cell of `f1(r)` whose region lies within a
+        /// gap of `d` of `r` on each axis, decided by the membership
+        /// predicate on the stretched rectangle; `d = 0` is the split, a
+        /// `d` across the space is `f1`.
         #[test]
-        fn prop_f2_subset_of_f1_and_distance_bound(r in arb_rect_in(100.0), d in 0.0..50.0f64) {
-            let g = Grid::square((0.0, 100.0), (0.0, 100.0), 8);
+        fn prop_f2_subset_of_f1_and_distance_bound(
+            which in 0usize..3,
+            lattice in (0u32..1000, 0u32..1000, 0u32..1000, 0u32..1000),
+            free in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+            d_half_cells in 0u32..8,
+            d_free in 0.0..1.0f64,
+        ) {
+            let g = &routing_grids()[which];
+            let ((x0, xn), (y0, yn)) = (g.x_range(), g.y_range());
+            // An edge sits on the half-cell lattice three times in four.
+            let edge = |k: u32, f: f64, lo: Coord, hi: Coord, cells: u32| {
+                let half = (hi - lo) / Coord::from(cells) / 2.0;
+                let at = match k % 4 {
+                    0 => lo + f * (hi - lo),
+                    _ => lo + Coord::from((k / 4) % (2 * cells + 1)) * half,
+                };
+                at.clamp(lo, hi)
+            };
+            let xa = edge(lattice.0, free.0, x0, xn, g.cols());
+            let xb = edge(lattice.1, free.1, x0, xn, g.cols());
+            let ya = edge(lattice.2, free.2, y0, yn, g.rows());
+            let yb = edge(lattice.3, free.3, y0, yn, g.rows());
+            let r = Rect::from_bounds(xa.min(xb), ya.min(yb), xa.max(xb), ya.max(yb)).unwrap();
+            // The gap: a whole number of half cell widths, or anything.
+            let d = if d_half_cells > 0 {
+                Coord::from(d_half_cells) * (xn - x0) / Coord::from(g.cols()) / 2.0
+            } else {
+                d_free * (xn - x0)
+            };
+
             let f1 = g.fourth_quadrant_cells(&r);
             let f2 = g.fourth_quadrant_cells_within(&r, d);
-            for c in &f2 {
-                prop_assert!(f1.contains(c));
-                prop_assert!(g.cell_distance(*c, &r) <= d);
-            }
-            // And every f1 cell within d is in f2 (no false pruning).
-            for c in &f1 {
-                if g.cell_distance(*c, &r) <= d {
-                    prop_assert!(f2.contains(c));
+            let stretched = Rect::from_bounds(
+                r.min_x(),
+                (r.min_y() - d).max(y0),
+                (r.max_x() + d).min(xn),
+                r.max_y(),
+            )
+            .unwrap();
+            let expect: Vec<CellId> = f1
+                .iter()
+                .copied()
+                .filter(|&c| g.splits_onto(&stretched, c))
+                .collect();
+            prop_assert_eq!(&f2, &expect);
+            prop_assert_eq!(g.fourth_quadrant_cells_within(&r, 0.0), g.split_cells(&r));
+            prop_assert_eq!(&g.fourth_quadrant_cells_within(&r, Coord::INFINITY), &f1);
+            let across = (xn - x0) + (yn - y0);
+            prop_assert_eq!(&g.fourth_quadrant_cells_within(&r, across), &f1);
+
+            // What the index span means in coordinates, away from the one
+            // ulp by which cell corners part from the routing division.
+            let tol = 1e-9 * across;
+            for &c in &f1 {
+                let corner = g.cell_rect(c);
+                let gap_x = (corner.min_x() - r.max_x()).max(0.0);
+                let gap_y = (r.min_y() - corner.max_y()).max(0.0);
+                if f2.contains(&c) {
+                    prop_assert!(gap_x <= d + tol && gap_y <= d + tol, "{c:?} beyond {d}");
+                } else {
+                    prop_assert!(gap_x > d - tol || gap_y > d - tol, "{c:?} within {d}");
                 }
             }
         }

@@ -16,8 +16,8 @@ pub type KvPair<V> = (CellId, V);
 /// * `Split` — every cell sharing a point with the rectangle;
 /// * `ReplicateF1` — every cell in the 4th quadrant w.r.t. the rectangle
 ///   (function `f1`);
-/// * `ReplicateF2 { d }` — 4th-quadrant cells within distance `d` (function
-///   `f2`, used by *C-Rep-L*);
+/// * `ReplicateF2 { d }` — 4th-quadrant cells within a gap of `d` of the
+///   rectangle on each axis (function `f2`, used by *C-Rep-L*);
 /// * `SplitEnlarged { d }` — every cell overlapping the rectangle enlarged by
 ///   `d` units (the 2-way range-join routing of §5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,9 +28,11 @@ pub enum Transform {
     Split,
     /// Send to every 4th-quadrant cell (replication function `f1`).
     ReplicateF1,
-    /// Send to every 4th-quadrant cell within distance `d` (function `f2`).
+    /// Send to every 4th-quadrant cell whose region is within a gap of `d`
+    /// of the rectangle on each axis (function `f2`): the split of the
+    /// rectangle stretched by `d` to the right and downward.
     ReplicateF2 {
-        /// Maximum replication distance.
+        /// Maximum gap, on each axis, between the rectangle and a cell.
         d: Coord,
     },
     /// Send to every cell overlapping the rectangle enlarged by `d`.

@@ -4,7 +4,7 @@
 //! query, datasets, grid, reducers)`, and one server fixes the grid and
 //! the reducers, so `(canonical query text, per-position dataset
 //! fingerprints, stored-or-in-memory)` names a plan completely. Planning
-//! costs time proportional to the datasets (a fingerprint pass, a
+//! costs time proportional to the datasets (an index shuffle, a
 //! diagonal scan, sample-pair tests); a request that has been planned
 //! before — every result-cache hit, every repeated `explain` — reads the
 //! plan back from here. Because the planner is deterministic the memo
@@ -17,9 +17,8 @@ use std::sync::Arc;
 use mwsj_core::optimizer::Plan;
 use parking_lot::Mutex;
 
-/// Plans kept before the memo is cleared (the policy of the optimizer's
-/// own sample cache: plans are cheap next to joins, so absorbing the
-/// repeats matters and recency order does not).
+/// Plans kept before the memo is cleared: plans are cheap next to joins,
+/// so absorbing the repeats matters and recency order does not.
 const PLAN_MEMO_CAP: usize = 1024;
 
 /// Everything a plan depends on that one server does not fix.

@@ -203,4 +203,26 @@ mod tests {
         assert!(x0 <= 5.0 && x1 >= 110.0);
         assert!(y0 <= 16.0 && y1 >= 80.0);
     }
+
+    #[test]
+    fn bounding_space_admits_the_rectangles_on_its_low_edge() {
+        use mwsj_core::{reference, Cluster, ClusterConfig, JoinRun};
+        // What `mwsj run` does with default-extent sources: the space
+        // starts at the smallest coordinate present, not at 0. For these
+        // seeds an extent re-derived as `yn - (yn - y0)` rounded above
+        // the rectangle that defines `y0`, and the run was rejected.
+        let query = mwsj_core::query::Query::parse("A ov B").unwrap();
+        for seed in [3, 6, 7, 8, 9] {
+            let a = load_source(&format!("synthetic:n=500,seed={seed}")).unwrap();
+            let b = load_source(&format!("synthetic:n=500,seed={}", seed + 100)).unwrap();
+            let relations: [&[Rect]; 2] = [&a, &b];
+            let (x_range, y_range) = bounding_space(&relations);
+            let cluster = Cluster::new(ClusterConfig::for_space(x_range, y_range, 8));
+            let counted = cluster
+                .submit(&JoinRun::new(&query, &relations).counting())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let expected = reference::in_memory_join(&query, &relations);
+            assert_eq!(counted.tuple_count, expected.len() as u64, "seed {seed}");
+        }
+    }
 }

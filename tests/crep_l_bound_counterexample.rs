@@ -7,12 +7,13 @@
 //! rectangles are enough. `b` is homed in cell 0 of the 3×3 grid; the
 //! tuple's designated cell combines the x of `a` and the y of `c`, which
 //! puts it in cell 8, whose corner is `c` away from `b` on each axis: at
-//! exactly `√2 × c`, the C-Rep-L replication distance of the middle
-//! relation of a chain. The bound was computed as `(c + d_max) − d_max`,
-//! one ulp under `c`, and the routing compared the cell's computed
-//! distance (471.40452079103164) against `bound × √2` (471.4045207910316)
-//! with no slack for the rounding on either side. `b` never reached cell
-//! 8, and no other reducer saw all three.
+//! exactly the C-Rep-L replication bound of the middle relation of a
+//! chain, on both axes at once. The bound was computed as
+//! `(c + d_max) − d_max`, one ulp under `c`, and the routing — then a
+//! Euclidean test of the cell's computed distance (471.40452079103164)
+//! against `bound × √2` (471.4045207910316) — had no slack for the
+//! rounding on either side. `b` never reached cell 8, and no other
+//! reducer saw all three.
 
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinRun};
 use mwsj_geom::Rect;

@@ -116,6 +116,62 @@ fn queries(cell: f64) -> Vec<(usize, Query)> {
     ]
 }
 
+/// Runs `query` over `relations` under all five shuffle algorithms and the
+/// map-side join over stores built from the same rectangles, tuples and
+/// count-only, against the in-memory reference, whose tuples it returns.
+/// C-Rep-L's join round comes back too.
+fn check_every_algorithm(
+    cl: &Cluster,
+    query: &Query,
+    relations: &[Vec<Rect>],
+    what: &str,
+) -> Vec<Vec<u32>> {
+    let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+    let expected = reference::in_memory_join(query, &slices);
+    let check = |what: String, got: JoinOutput, counted: JoinOutput| {
+        assert!(
+            got.tuples == expected,
+            "{what}: {} tuples, the reference has {}",
+            got.tuples.len(),
+            expected.len()
+        );
+        assert_eq!(
+            counted.tuple_count,
+            expected.len() as u64,
+            "{what}: a tuple was counted twice or not at all"
+        );
+    };
+    for alg in Algorithm::ALL {
+        let what = format!("{} on {what}", alg.name());
+        let run = JoinRun::new(query, &slices).algorithm(alg);
+        let got = cl.submit(&run).expect("fault-free run");
+        if matches!(
+            alg,
+            Algorithm::ControlledReplicate | Algorithm::ControlledReplicateLimit
+        ) {
+            assert_eq!(got.report.num_jobs(), 2, "{what}: two rounds always");
+        }
+        let counted = cl.submit(&run.counting()).expect("fault-free run");
+        check(what, got, counted);
+    }
+    let builder = StoreBuilder::new(cl.grid());
+    let stores: Vec<StoredDataset> = relations
+        .iter()
+        .map(|rel| {
+            let bytes = builder.build(rel).expect("in-extent rectangles");
+            StoredDataset::from_bytes(&bytes).expect("a store just built")
+        })
+        .collect();
+    let stores: Vec<&StoredDataset> = stores.iter().collect();
+    let run = StoredRun::new(query, &stores).algorithm(Algorithm::MapSide);
+    check(
+        format!("map-side on {what}"),
+        cl.submit_stored(&run).expect("fault-free run"),
+        cl.submit_stored(&run.counting()).expect("fault-free run"),
+    );
+    expected
+}
+
 #[test]
 fn every_algorithm_emits_each_reference_tuple_exactly_once() {
     let mut cases = 0u32;
@@ -139,49 +195,8 @@ fn every_algorithm_emits_each_reference_tuple_exactly_once() {
                 let relations: Vec<Vec<Rect>> = (0..*arity)
                     .map(|_| adversarial_relation(&mut rng, n, side))
                     .collect();
-                let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
-                let expected = reference::in_memory_join(query, &slices);
-                let check = |what: String, got: JoinOutput, counted: JoinOutput| {
-                    assert!(
-                        got.tuples == expected,
-                        "{what}: {} tuples, the reference has {}",
-                        got.tuples.len(),
-                        expected.len()
-                    );
-                    assert_eq!(
-                        counted.tuple_count,
-                        expected.len() as u64,
-                        "{what}: a tuple was counted twice or not at all"
-                    );
-                };
-                for alg in Algorithm::ALL {
-                    let what = format!("{} on side {side}, shape {shape}, seed {seed}", alg.name());
-                    let run = JoinRun::new(query, &slices).algorithm(alg);
-                    let got = cl.submit(&run).expect("fault-free run");
-                    if matches!(
-                        alg,
-                        Algorithm::ControlledReplicate | Algorithm::ControlledReplicateLimit
-                    ) {
-                        assert_eq!(got.report.num_jobs(), 2, "{what}: two rounds always");
-                    }
-                    let counted = cl.submit(&run.counting()).expect("fault-free run");
-                    check(what, got, counted);
-                }
-                let builder = StoreBuilder::new(cl.grid());
-                let stores: Vec<StoredDataset> = relations
-                    .iter()
-                    .map(|rel| {
-                        let bytes = builder.build(rel).expect("in-extent rectangles");
-                        StoredDataset::from_bytes(&bytes).expect("a store just built")
-                    })
-                    .collect();
-                let stores: Vec<&StoredDataset> = stores.iter().collect();
-                let run = StoredRun::new(query, &stores).algorithm(Algorithm::MapSide);
-                check(
-                    format!("map-side on side {side}, shape {shape}, seed {seed}"),
-                    cl.submit_stored(&run).expect("fault-free run"),
-                    cl.submit_stored(&run.counting()).expect("fault-free run"),
-                );
+                let what = format!("side {side}, shape {shape}, seed {seed}");
+                let expected = check_every_algorithm(&cl, query, &relations, &what);
                 cases += 1;
                 reference_tuples += expected.len() as u64;
             }
@@ -192,6 +207,104 @@ fn every_algorithm_emits_each_reference_tuple_exactly_once() {
         reference_tuples > 100 * u64::from(cases),
         "{reference_tuples} reference tuples over {cases} cases"
     );
+}
+
+/// The corner C-Rep-L's bound is about, once for every home cell it fits
+/// on a `cols × rows` grid: a rectangle `b`, a vertical segment `a` one
+/// range distance (a cell width) to its right and a horizontal segment
+/// `c` one range distance below it. The tuple's designated point takes
+/// its x from `a` and its y from `c`, so it lies on a column and a row
+/// boundary at `b`'s replication bound on both axes at once, in a cell
+/// `b` is not split onto. Where the lattice puts a gap a rounding error
+/// over the range, the edge moves one float at a time until the pair
+/// joins as computed.
+fn bound_corners(cols: u32, rows: u32) -> Vec<[Rect; 3]> {
+    let (cw, ch) = (EXTENT / f64::from(cols), EXTENT / f64::from(rows));
+    let mut out = Vec::new();
+    for i in 0..cols - 1 {
+        for t in 1..rows {
+            // Coordinates on the half-cell lattice, as the generator
+            // draws them.
+            let at = |k: u32, cell: f64| (f64::from(k) * (cell / 2.0)).min(EXTENT);
+            let (left, right) = (at(2 * i + 1, cw), at(2 * i + 2, cw));
+            let mut x_star = at(2 * i + 4, cw);
+            while x_star - right > cw {
+                x_star = x_star.next_down();
+            }
+            let y_star = at(2 * t, ch);
+            let mut bottom = y_star + cw;
+            while bottom - y_star > cw {
+                bottom = bottom.next_down();
+            }
+            let top = (bottom + ch / 2.0).min(EXTENT);
+            let Some(b) = Rect::from_bounds(left, bottom, right, top) else {
+                continue; // no room above the boundary
+            };
+            let a = Rect::from_bounds(x_star, bottom, x_star, top).expect("a segment");
+            let c = Rect::from_bounds(left, y_star, right, y_star).expect("a segment");
+            out.push([a, b, c]);
+        }
+    }
+    out
+}
+
+#[test]
+fn a_designated_cell_at_the_bound_on_both_axes_is_reached() {
+    for (g, (cols, rows)) in [(3u32, 3u32), (7, 5)].into_iter().enumerate() {
+        let cl = Cluster::new(ClusterConfig {
+            grid_cols: cols,
+            grid_rows: rows,
+            ..ClusterConfig::for_space((0.0, EXTENT), (0.0, EXTENT), 1)
+        });
+        let cell = EXTENT / f64::from(cols);
+        let corners = bound_corners(cols, rows);
+        assert!(
+            corners.len() >= 2,
+            "{cols}×{rows}: {} corners",
+            corners.len()
+        );
+        // `b` is the middle of a chain, a vertex of a cycle (its segments
+        // are √2 cells apart) and the centre of a hybrid star whose third
+        // leaf is `b` again: its bound is one cell width in each.
+        let shapes = [
+            format!("A ra({cell}) B and B ra({cell}) C"),
+            format!(
+                "A ra({cell}) B and B ra({cell}) C and C ra({}) A",
+                2.0 * cell
+            ),
+            format!("A ra({cell}) B and B ra({cell}) C and B ov D"),
+        ];
+        for (shape, text) in shapes.iter().enumerate() {
+            let query = Query::parse(text).unwrap_or_else(|e| panic!("{text}: {e:?}"));
+            let arity = query.num_relations();
+            let seed = 23_000 + g as u64 * 10 + shape as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let background = if arity > 3 { 10 } else { 20 };
+            let mut relations: Vec<Vec<Rect>> = (0..arity)
+                .map(|_| adversarial_on(&mut rng, background, (EXTENT, cols), (EXTENT, rows), 4))
+                .collect();
+            for [a, b, c] in &corners {
+                for (rel, r) in relations.iter_mut().zip([a, b, c, b]) {
+                    rel.push(*r);
+                }
+            }
+            let what = format!("`{text}` on {cols}×{rows}, seed {seed}");
+            let expected = check_every_algorithm(&cl, &query, &relations, &what);
+            for k in background as u32..(background + corners.len()) as u32 {
+                assert!(expected.contains(&vec![k; arity]), "{what}: corner {k}");
+            }
+            // No corner tuple has `b` on its designated cell: they are
+            // round 2's to find, through the bounded replication.
+            let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+            let run = JoinRun::new(&query, &slices).algorithm(Algorithm::ControlledReplicateLimit);
+            let round2 = &cl.submit(&run).expect("fault-free run").report.jobs[1];
+            assert!(
+                round2.reduce_output_records >= corners.len() as u64,
+                "{what}: round 2 emitted {} tuples",
+                round2.reduce_output_records
+            );
+        }
+    }
 }
 
 /// An uneven grid over `[0, width] × [0, 1000]`, the stores of `relations`
