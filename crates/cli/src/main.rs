@@ -121,8 +121,8 @@ SERVE OPTIONS  (a concurrent query service; line-JSON or binary framing)
   --no-cache          disable the result cache (same as --cache-bytes 0)
   --grid N            reducer grid side (default 8)
   --extent E          service space is [0, E]^2 (default 100000)
-  --max-inflight N    concurrent joins before queueing (default 4)
-  --max-queue N       queued joins before shedding `overloaded` (default 16)
+  --max-inflight N    worker threads: requests running before queueing (default 4)
+  --max-queue N       queued requests before shedding `overloaded` (default 16)
   --net-fault-rate P  inject each network fault kind (torn frame, stall,
                       disconnect, corrupt byte, slow loris) into every
                       connection with probability P per I/O op (default 0)

@@ -8,6 +8,12 @@
 //! those trees and joins it with the reducers' own [`JoinKernel`], one
 //! logical task per cell, no engine job at all.
 //!
+//! A run registers with the cluster's [`SlotScheduler`] like any engine
+//! job and a seed cell holds one slot while it runs, so shuffle and
+//! map-side joins share one bound on concurrent tasks. The caller is the
+//! first worker and starts a helper per *other* slot free at that moment:
+//! a lone run gets the pool, a run beside others brings no thread.
+//!
 //! # One gathered group per seed cell
 //!
 //! The join picks one *start* relation (the smallest). A cell's group
@@ -44,7 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mwsj_geom::{Coord, Rect};
 use mwsj_local::dedup::multiway_tuple_cell_of;
 use mwsj_local::{GroupIndex, JoinKernel, LocalRect};
-use mwsj_mapreduce::{JobError, JobErrorKind, Phase};
+use mwsj_mapreduce::{JobError, JobErrorKind, Phase, SlotScheduler};
 use mwsj_query::{JoinPlan, Query, RelationId};
 use mwsj_rtree::PackedRTree;
 use mwsj_store::StoredDataset;
@@ -59,7 +65,8 @@ use crate::JoinError;
 /// which rectangles participate, so disjoint seed ranges partition the
 /// output exactly. [`crate::shards::gather`] finalizes one or several
 /// of these partials into a [`crate::JoinOutput`]. Of the context it
-/// reads only the grid, `count_only` and the cancel token.
+/// reads only the grid, `count_only`, the cancel token and, for its
+/// slots, the engine's scheduler with the run's priority and share.
 pub(crate) fn execute(
     ctx: &AlgoCtx<'_>,
     query: &Query,
@@ -150,9 +157,10 @@ pub(crate) fn execute(
     let cells: Vec<usize> = (0..num_cells)
         .filter(|&c| in_scope(c) && !forests[start][c].is_empty())
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map_or(4, std::num::NonZeroUsize::get)
-        .min(cells.len().max(1));
+    let scheduler = ctx.engine.scheduler();
+    let job = ctx.engine.next_job_id();
+    let _registration = scheduler.register(job, ctx.priority, ctx.share);
+    let workers = scheduler.available().min(cells.len()).max(1);
 
     // One worker's share of the cell queue: its tuples and its tally by
     // designated cell. The group's vectors are reused from cell to cell.
@@ -168,6 +176,8 @@ pub(crate) fn execute(
             if ctx.cancel.is_cancelled() {
                 break;
             }
+            scheduler.acquire(job);
+            let _slot = HeldSlot(scheduler, job);
             relations.iter_mut().for_each(Vec::clear);
             relations[start].extend(forests[start][cell].iter());
             for step in &plan.steps()[1..] {
@@ -220,4 +230,13 @@ pub(crate) fn execute(
         }));
     }
     Ok(ShardPartial { tuples, tally })
+}
+
+/// The slot one seed cell holds, returned on every path out of the cell.
+struct HeldSlot<'a>(&'a SlotScheduler, u64);
+
+impl Drop for HeldSlot<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1);
+    }
 }

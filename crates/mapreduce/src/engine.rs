@@ -15,14 +15,15 @@ use crate::{Dfs, JobError, JobMetrics, MetricsReport, RecordSize, RunFrame};
 /// an optional fault-injection plan and an engine-wide [`TraceSink`].
 ///
 /// The paper's cluster runs 16 cores with 64 reduce *slots*; here
-/// `reduce_tasks` is the number of worker threads executing reducers, while
-/// the number of logical reducers (partitions) is chosen per job — the join
-/// algorithms use one partition per grid cell.
+/// `reduce_tasks` is the number of workers executing reducers (the thread
+/// that submits a job is the first of them), while the number of logical
+/// reducers (partitions) is chosen per job — the join algorithms use one
+/// partition per grid cell.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for the map phase.
+    /// Workers of the map phase, *including the submitting thread*.
     pub map_tasks: usize,
-    /// Worker threads for the reduce phase.
+    /// Workers of the shuffle and reduce phases, the submitter included.
     pub reduce_tasks: usize,
     /// Faults to inject into every job (`None` runs fault-free). See
     /// [`FaultPlan`].
@@ -444,9 +445,10 @@ impl JobCtx<'_> {
     }
 
     /// Runs one phase of the job — the only place tasks are claimed and
-    /// slots are held. `workers` scoped threads claim tasks `0..tasks` in
-    /// order and run `body` on each while holding one slot of the shared
-    /// pool; the first `Err` (or a tripped [`CancelToken`]) fails the job
+    /// slots are held. `workers` threads — the caller and `workers - 1`
+    /// scoped helpers — claim tasks `0..tasks` in order and run `body` on
+    /// each while holding one slot of the shared pool; the first `Err` (or
+    /// a tripped [`CancelToken`]) fails the job
     /// and stops every worker at its next claim. Every acquired slot is
     /// released on every path, and time spent queueing for and holding
     /// slots is charged to the job. Returns the phase's wall time, or the
@@ -471,42 +473,51 @@ impl JobCtx<'_> {
             SpanPhase::Shuffle | SpanPhase::Reduce => Phase::Reduce,
         };
         let next_task = AtomicUsize::new(0);
+        let claim = || loop {
+            if self.abort.load(Ordering::SeqCst) {
+                break;
+            }
+            let task = next_task.fetch_add(1, Ordering::Relaxed);
+            if task >= tasks {
+                break;
+            }
+            // Cancellation is checked at every task claim (and again once
+            // a contended slot is finally granted), so a cancelled job
+            // stops within one task granularity.
+            if self.cancel.is_cancelled() {
+                self.fail(self.cancelled(phase, task, 0));
+                break;
+            }
+            let wait = self.scheduler.acquire(self.id);
+            self.queue_wait_nanos
+                .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+            let outcome = if self.cancel.is_cancelled() {
+                Err(self.cancelled(phase, task, 0))
+            } else if self.abort.load(Ordering::SeqCst) {
+                Ok(()) // another task already failed the job
+            } else {
+                let held = Instant::now();
+                let outcome = body(task);
+                self.slot_nanos
+                    .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                outcome
+            };
+            self.scheduler.release(self.id);
+            if let Err(err) = outcome {
+                self.fail(err);
+            }
+        };
+        // The submitting thread is the first worker, so only the helpers
+        // are spawned: none for one worker, never more threads than slots.
+        // They are joined here because the scope only waits for them to
+        // finish, not to be gone, before the next phase spawns its own.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if self.abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let task = next_task.fetch_add(1, Ordering::Relaxed);
-                    if task >= tasks {
-                        break;
-                    }
-                    // Cancellation is checked at every task claim (and
-                    // again once a contended slot is finally granted), so
-                    // a cancelled job stops within one task granularity.
-                    if self.cancel.is_cancelled() {
-                        self.fail(self.cancelled(phase, task, 0));
-                        break;
-                    }
-                    let wait = self.scheduler.acquire(self.id);
-                    self.queue_wait_nanos
-                        .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-                    let outcome = if self.cancel.is_cancelled() {
-                        Err(self.cancelled(phase, task, 0))
-                    } else if self.abort.load(Ordering::SeqCst) {
-                        Ok(()) // another task already failed the job
-                    } else {
-                        let held = Instant::now();
-                        let outcome = body(task);
-                        self.slot_nanos
-                            .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        outcome
-                    };
-                    self.scheduler.release(self.id);
-                    if let Err(err) = outcome {
-                        self.fail(err);
-                    }
-                });
+            let helpers: Vec<_> = (1..workers.min(self.scheduler.slots()))
+                .map(|_| scope.spawn(claim))
+                .collect();
+            claim();
+            for helper in helpers {
+                let _ = helper.join(); // the scope re-raises a helper's panic
             }
         });
         self.sink.record(TraceEvent::PhaseEnd {
@@ -888,6 +899,13 @@ impl Engine {
         &self.scheduler
     }
 
+    /// Takes the next id of the job sequence, the key a job registers
+    /// with the [`SlotScheduler`] under — for a run that holds slots
+    /// without being an [`Engine::run`] job (the map-side join).
+    pub fn next_job_id(&self) -> u64 {
+        self.job_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Runs the job described by `spec` over `input`, returning the
     /// reducer outputs (in partition order, deterministic order within
     /// each partition).
@@ -953,7 +971,7 @@ impl Engine {
             &self.config.trace
         };
         let injector = &self.injector;
-        let id = self.job_seq.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_job_id();
         let job_start = Instant::now();
         sink.record(TraceEvent::JobStart {
             job: id,
@@ -2070,5 +2088,37 @@ mod tests {
             j.slot_wall > Duration::ZERO,
             "tasks must be metered while holding slots"
         );
+    }
+
+    /// The thread that submits is the first worker: a one-worker job
+    /// spawns nothing, so every map and reduce call runs on the caller.
+    #[test]
+    fn a_one_worker_job_runs_every_task_on_the_submitting_thread() {
+        let e = Engine::new(EngineConfig {
+            map_tasks: 1,
+            reduce_tasks: 1,
+            ..EngineConfig::default()
+        });
+        let seen = Mutex::new(std::collections::HashSet::new());
+        let here = || {
+            seen.lock().insert(std::thread::current().id());
+        };
+        let input: Vec<u32> = (0..200).collect();
+        let spec = JobSpec::new("solo")
+            .reducers(4)
+            .map(|&x: &u32, emit| {
+                here();
+                emit(x, x);
+            })
+            .partition(|&k: &u32, n| k as usize % n)
+            .reduce(|&k: &u32, _: &[u32], out| {
+                here();
+                out(k);
+            });
+        assert_eq!(e.run(spec, &input).unwrap().len(), 200);
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), 1, "{seen:?}");
+        assert!(seen.contains(&std::thread::current().id()));
+        assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 }

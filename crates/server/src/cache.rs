@@ -104,6 +104,16 @@ impl ResultCache {
 
     /// Looks up a result, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedResult>> {
+        self.lookup(key, true)
+    }
+
+    /// [`ResultCache::get`] for a caller that hands a miss on to someone
+    /// who will look again: a hit is a hit, absence is not counted.
+    pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedResult>> {
+        self.lookup(key, false)
+    }
+
+    fn lookup(&self, key: &CacheKey, count_miss: bool) -> Option<Arc<CachedResult>> {
         let mut s = self.state.lock();
         s.tick += 1;
         let tick = s.tick;
@@ -115,7 +125,7 @@ impl ResultCache {
                 Some(v)
             }
             None => {
-                s.misses += 1;
+                s.misses += u64::from(count_miss);
                 None
             }
         }

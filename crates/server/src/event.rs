@@ -4,10 +4,12 @@
 //! reports socket readiness, [`Connection`] state machines buffer and
 //! frame both directions, a [`TimerWheel`] paces idle eviction and
 //! injected-fault resumption, and a [`Sequencer`] per connection keeps
-//! pipelined responses in request order. Query execution itself still
-//! runs on worker threads — one per in-flight request — which report
-//! back through a completion queue and a cross-thread [`Waker`], so a
-//! slow join never stalls the thousands of other connections the loop
+//! pipelined responses in request order. The loop thread is the first
+//! to try each request — it answers what costs no load, no plan and no
+//! join (`crate::answer`) — and the rest runs on its fixed worker pool
+//! ([`crate::pool`]; the loop itself creates no thread), whose workers
+//! report back through a completion queue and a cross-thread [`Waker`], so
+//! a slow join never stalls the thousands of other connections the loop
 //! is holding.
 //!
 //! Lifecycle rules:
@@ -17,6 +19,9 @@
 //!   token, so cheap operations (`stats`, cache hits) still answer but
 //!   joins report `cancelled` instead of burning slots for a
 //!   half-closed peer.
+//! * A request that needs a worker when all are busy and the queue
+//!   behind them is full is answered `overloaded` on the spot, in its
+//!   place in the pipeline: a flood creates no thread and parks none.
 //! * Oversized or malformed requests get a typed `bad_request` response
 //!   — sequenced after any earlier pipelined responses — and the
 //!   connection closes once it flushes.
@@ -30,17 +35,17 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use mwsj_core::mapreduce::CancelToken;
 use mwsj_net::poll::waker;
 use mwsj_net::{
     Connection, FaultGate, FlushOutcome, Interest, Poller, ProtoError, ReadOutcome, Sequencer,
-    TimerWheel, Waker, WireMode,
+    TimerWheel, WireMode,
 };
 use parking_lot::Mutex;
 
+use crate::pool::Pool;
 use crate::protocol::{self, ErrorCode};
 use crate::Inner;
 
@@ -61,7 +66,7 @@ const TICK: Duration = Duration::from_millis(25);
 const DRAIN_BACKSTOP: Duration = Duration::from_secs(30);
 
 /// A worker's finished response, routed back to its connection.
-struct Completion {
+pub(crate) struct Completion {
     token: u64,
     req: u64,
     response: String,
@@ -86,6 +91,14 @@ impl ConnState {
     fn drained(&self) -> bool {
         self.inflight.is_empty() && self.seq.drained() && !self.conn.wants_write()
     }
+
+    /// Settles request `req` and queues whatever that releases, in
+    /// request order, for writing.
+    fn complete(&mut self, req: u64, response: String, now: Instant) {
+        for payload in self.seq.complete(req, response.into_bytes()) {
+            self.conn.enqueue_response(&payload, now);
+        }
+    }
 }
 
 /// Runs the event loop until shutdown completes. See module docs.
@@ -96,7 +109,14 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
     poller.register(listener, LISTENER, Interest::READ)?;
     poller.register(&wake_rx, WAKER, Interest::READ)?;
 
-    let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
+    let completions: Arc<Mutex<Vec<(usize, Completion)>>> = Arc::default();
+    // The workers, joined when this function returns, however it does.
+    let delivered = Arc::clone(&completions);
+    let deliver = move |worker, done| {
+        delivered.lock().push((worker, done));
+        wake.wake();
+    };
+    let mut pool = Pool::start(inner.config.max_inflight, inner.config.max_queue, deliver);
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut next_token = FIRST_CONN;
     // The fault-plan connection index: increments per accepted
@@ -171,27 +191,26 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
         }
 
         // Route finished responses through each connection's sequencer.
-        let batch: Vec<Completion> = std::mem::take(&mut *completions.lock());
-        for c in batch {
+        let batch = std::mem::take(&mut *completions.lock());
+        for (worker, c) in batch {
+            pool.finished(worker);
             let Some(cs) = conns.get_mut(&c.token) else {
                 continue;
             };
             cs.inflight.remove(&c.req);
-            for payload in cs.seq.complete(c.req, c.response.into_bytes()) {
-                cs.conn.enqueue_response(&payload, now);
-            }
+            cs.complete(c.req, c.response, now);
             if !dirty.contains(&c.token) {
                 dirty.push(c.token);
             }
         }
+        inner.publish_load(&pool);
 
         for token in dirty.drain(..) {
             if let Some(cs) = conns.get_mut(&token) {
                 drive(
                     inner,
                     &poller,
-                    &completions,
-                    &wake,
+                    &mut pool,
                     cs,
                     &mut timers,
                     token,
@@ -240,16 +259,16 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
 }
 
 /// The serving tier's one `catch_unwind`, at the dispatch site: a panic
-/// anywhere in a request's handling — bind, resolve, lookup, run, render —
-/// answers `join_failed` and counts in `errors`, so the completion is
-/// always pushed and the client never waits on a dead worker.
-fn answer_isolated(inner: &Inner, handler: impl FnOnce() -> String) -> String {
+/// anywhere in a request's handling — bind, resolve, lookup, run, render,
+/// on the loop thread or a worker — answers `join_failed` and counts in
+/// `errors`: the request is settled and the thread survives.
+fn answer_isolated(inner: &Inner, handler: impl FnOnce() -> Option<String>) -> Option<String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
-        crate::fail(
+        Some(crate::fail(
             inner,
             ErrorCode::JoinFailed,
             "internal error: request handler panicked",
-        )
+        ))
     })
 }
 
@@ -326,14 +345,13 @@ fn idle_check(
     }
 }
 
-/// Drives one connection: read, parse and dispatch pipelined requests,
-/// flush pending responses, and resync poller interest.
+/// Drives one connection: read, parse and answer or dispatch pipelined
+/// requests, flush pending responses, and resync poller interest.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     inner: &Arc<Inner>,
     poller: &Poller,
-    completions: &Arc<Mutex<Vec<Completion>>>,
-    wake: &Waker,
+    pool: &mut Pool<Completion>,
     cs: &mut ConnState,
     timers: &mut TimerWheel,
     token: u64,
@@ -365,10 +383,11 @@ fn drive(
     while !cs.closing && !draining {
         match cs.conn.next_request(inner.config.max_request_line) {
             Ok(Some(payload)) => {
-                let text = String::from_utf8_lossy(&payload).into_owned();
+                let text = String::from_utf8_lossy(&payload);
                 if text.trim().is_empty() {
                     continue;
                 }
+                let request = protocol::parse_request(&text);
                 let req = cs.seq.assign();
                 let cancel = CancelToken::new();
                 if cs.conn.peer_eof() {
@@ -376,20 +395,32 @@ fn drive(
                     // never start a join for a half-closed peer.
                     cancel.cancel();
                 }
-                cs.inflight.insert(req, cancel.clone());
-                let inner = Arc::clone(inner);
-                let completions = Arc::clone(completions);
-                let wake = wake.clone();
-                thread::spawn(move || {
-                    let response =
-                        answer_isolated(&inner, || crate::answer(&inner, &text, &cancel));
-                    completions.lock().push(Completion {
-                        token,
-                        req,
-                        response,
+                // This thread is the first to try; what it cannot answer
+                // is a worker's job — or shed, here and now.
+                let asked = || crate::answer(inner, &request, None);
+                let settled = if let Some(response) = answer_isolated(inner, asked) {
+                    inner.stats.answered_inline.fetch_add(1, Ordering::Relaxed);
+                    Some(response)
+                } else {
+                    let (shared, fired) = (Arc::clone(inner), cancel.clone());
+                    let job = Box::new(move || {
+                        let asked = || crate::answer(&shared, &request, Some(&fired));
+                        let response =
+                            answer_isolated(&shared, asked).expect("a worker always answers");
+                        Completion {
+                            token,
+                            req,
+                            response,
+                        }
                     });
-                    wake.wake();
-                });
+                    crate::admit(inner, pool, job).err()
+                };
+                match settled {
+                    Some(response) => cs.complete(req, response, now),
+                    None => {
+                        cs.inflight.insert(req, cancel);
+                    }
+                }
             }
             Ok(None) => break,
             Err(err) => {
@@ -412,9 +443,7 @@ fn drive(
                 }
                 let response = protocol::error_response(ErrorCode::BadRequest, message);
                 let req = cs.seq.assign();
-                for payload in cs.seq.complete(req, response.into_bytes()) {
-                    cs.conn.enqueue_response(&payload, now);
-                }
+                cs.complete(req, response, now);
                 cs.closing = true;
             }
         }
@@ -469,12 +498,13 @@ mod tests {
             ..ServerConfig::default()
         };
         let inner = Server::bind(config).expect("bind").inner;
-        let reply = answer_isolated(&inner, || panic!("boom"));
+        let reply = answer_isolated(&inner, || panic!("boom")).expect("a panic is answered");
         assert!(reply.contains("\"error\":\"join_failed\""), "{reply}");
         assert!(reply.contains("internal error"), "{reply}");
         assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 1);
-        let fine = answer_isolated(&inner, || "{\"ok\":true}".to_string());
-        assert_eq!(fine, "{\"ok\":true}");
+        let fine = answer_isolated(&inner, || Some("{\"ok\":true}".to_string()));
+        assert_eq!(fine.as_deref(), Some("{\"ok\":true}"));
+        assert_eq!(answer_isolated(&inner, || None), None);
         assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 1);
     }
 }

@@ -6,16 +6,25 @@
 //! connection, speaking either the line-delimited JSON protocol (see
 //! [`protocol`]) or a length-prefixed binary framing, told apart by the
 //! first byte of each connection — with full request pipelining in both.
-//! Queries execute on worker threads against one shared engine whose
-//! fair-share slot scheduler arbitrates between them.
+//!
+//! One threading rule runs from the socket to the reducer: *the thread
+//! that submits is the first worker, and nothing spawns per unit of
+//! work*. The loop thread answers what needs no load, no plan and no join
+//! — `stats`, malformed requests, sheds, and a request whose datasets are
+//! registered, whose plan is memoized and whose result is cached (it
+//! copies those bytes to the socket anyway). The rest are jobs for the
+//! [`ServerConfig::max_inflight`] threads of the `pool` module, each the
+//! first worker of every engine phase and map-side cell queue under it,
+//! on one shared engine whose fair-share slot scheduler arbitrates.
 //!
 //! The service adds layers the paper's batch experiments do not need
 //! but any deployment does:
 //!
-//! * **Admission control** — at most `max_inflight` joins execute at
-//!   once with a bounded wait queue behind them; beyond that, requests
-//!   are shed with a typed `overloaded` error instead of collapsing the
-//!   engine under unbounded concurrency.
+//! * **Admission control** — the worker pool *is* the admission queue:
+//!   `max_inflight` workers with at most `max_queue` requests waiting
+//!   behind them. The loop thread sheds what does not fit with a typed
+//!   `overloaded` error at dispatch — no thread is created or parked for
+//!   a request that will be refused.
 //! * **A result cache** — keyed by the *canonical* query form
 //!   ([`mwsj_query::Query::canonical`]) and the
 //!   [`DatasetFingerprint`](mwsj_core::mapreduce::DatasetFingerprint)s
@@ -43,6 +52,7 @@ pub mod cache;
 pub mod client;
 mod event;
 mod plans;
+mod pool;
 pub mod protocol;
 pub mod signal;
 pub mod source;
@@ -50,7 +60,7 @@ pub mod source;
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mwsj_core::mapreduce::{
@@ -80,9 +90,10 @@ pub struct ServerConfig {
     pub slots: usize,
     /// Result-cache byte budget (0 disables caching).
     pub cache_bytes: usize,
-    /// Joins executing concurrently before requests queue.
+    /// Worker threads: requests executing concurrently (beside what the
+    /// loop thread answers itself) before requests queue.
     pub max_inflight: usize,
-    /// Requests waiting behind the in-flight limit before shedding.
+    /// Requests waiting for a worker before shedding.
     pub max_queue: usize,
     /// Reducer grid side (the paper's 8×8 default).
     pub grid: u32,
@@ -236,58 +247,11 @@ struct ServiceStats {
     evicted: AtomicU64,
     /// Other failed requests (bad requests, failed joins).
     errors: AtomicU64,
-}
-
-/// Counting semaphore bounding concurrent joins, with a bounded queue.
-struct Admission {
-    max_inflight: usize,
-    max_queue: usize,
-    /// `(active, waiting)`.
-    state: StdMutex<(usize, usize)>,
-    cv: Condvar,
-}
-
-impl Admission {
-    fn new(max_inflight: usize, max_queue: usize) -> Self {
-        Self {
-            max_inflight: max_inflight.max(1),
-            max_queue,
-            state: StdMutex::new((0, 0)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a join slot is free, or sheds when the queue is full.
-    fn admit(&self) -> Result<AdmitGuard<'_>, String> {
-        let mut s = self.state.lock().expect("admission lock");
-        if s.0 < self.max_inflight {
-            s.0 += 1;
-            return Ok(AdmitGuard(self));
-        }
-        if s.1 >= self.max_queue {
-            return Err(format!(
-                "service at capacity: {} joins running, {} queued",
-                s.0, s.1
-            ));
-        }
-        s.1 += 1;
-        while s.0 >= self.max_inflight {
-            s = self.cv.wait(s).expect("admission lock");
-        }
-        s.1 -= 1;
-        s.0 += 1;
-        Ok(AdmitGuard(self))
-    }
-}
-
-struct AdmitGuard<'a>(&'a Admission);
-
-impl Drop for AdmitGuard<'_> {
-    fn drop(&mut self) {
-        let mut s = self.0.state.lock().expect("admission lock");
-        s.0 -= 1;
-        self.0.cv.notify_one();
-    }
+    /// Requests the loop thread answered itself, sheds aside.
+    answered_inline: AtomicU64,
+    /// Busy workers and queued requests, as the loop thread last saw its
+    /// pool (gauges, not counters).
+    pool_load: (AtomicU64, AtomicU64),
 }
 
 /// A loaded dataset paired with its DFS fingerprint.
@@ -336,6 +300,15 @@ impl<V: Clone> Registry<V> {
         *slot = Some(loaded.clone());
         Ok(loaded)
     }
+
+    /// The registered value, if it can be read without waiting — all the
+    /// loop thread may ask: a name mid-load holds its slot's lock and
+    /// reads as absent.
+    fn peek(&self, name: &str) -> Option<V> {
+        let slot = Arc::clone(self.0.lock().get(name)?);
+        let registered = slot.try_lock()?.clone();
+        registered
+    }
 }
 
 struct Inner {
@@ -350,11 +323,10 @@ struct Inner {
     /// and record sections, not a materialized `Vec<Rect>` — stored
     /// queries join straight off these.
     stores: Registry<MountedStore>,
-    admission: Admission,
     stats: ServiceStats,
     stop: AtomicBool,
-    /// Brownout lease: while `Instant::now()` is before this, cache
-    /// misses are shed without queueing.
+    /// Brownout lease: while `Instant::now()` is before this, whatever
+    /// the loop thread cannot answer itself is shed without queueing.
     brownout_until: parking_lot::Mutex<Option<Instant>>,
 }
 
@@ -367,6 +339,16 @@ impl Inner {
         self.brownout_until
             .lock()
             .is_some_and(|until| Instant::now() < until)
+    }
+
+    /// Publishes the pool's load for the `stats` op.
+    fn publish_load(&self, pool: &pool::Pool<event::Completion>) {
+        let (busy, queued) = pool.load();
+        self.stats.pool_load.0.store(busy as u64, Ordering::Relaxed);
+        self.stats
+            .pool_load
+            .1
+            .store(queued as u64, Ordering::Relaxed);
     }
 
     /// Extends the brownout lease after an overload event.
@@ -431,6 +413,11 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        // A config written as a struct literal skips `with_admission`'s clamp.
+        let config = ServerConfig {
+            max_inflight: config.max_inflight.max(1),
+            ..config
+        };
         let space = (0.0, config.extent);
         let mut engine = EngineConfig::default().with_slots(config.slots);
         engine.fault_plan = config.engine_faults.clone();
@@ -441,7 +428,6 @@ impl Server {
             plans: PlanMemo::default(),
             datasets: Registry::new(),
             stores: Registry::new(),
-            admission: Admission::new(config.max_inflight, config.max_queue),
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
             brownout_until: parking_lot::Mutex::new(None),
@@ -474,20 +460,26 @@ impl Server {
     }
 }
 
-/// Handles one request payload, returning the one-line JSON response.
-/// The event loop dispatches this on a worker thread with a cancel
-/// token it can fire if the client disconnects or the drain deadline
-/// passes mid-run.
-fn answer(inner: &Inner, line: &str, cancel: &CancelToken) -> String {
-    match protocol::parse_request(line) {
-        Err(msg) => fail(inner, ErrorCode::BadRequest, &msg),
-        Ok(Request::Stats) => stats_response(inner),
+/// Answers one parsed request with its one-line JSON response. A worker
+/// brings the cancel token the loop fires if the client disconnects or the
+/// drain deadline passes mid-run, and always answers. The loop thread asks
+/// first, with no `worker` token: it only peeks — no load, no plan, no
+/// join, no lock it could wait on — and at the first miss gives the
+/// request up (`None`) to a worker, who runs this same path from the top.
+fn answer(
+    inner: &Inner,
+    request: &Result<Request, String>,
+    worker: Option<&CancelToken>,
+) -> Option<String> {
+    match request {
+        Err(msg) => Some(fail(inner, ErrorCode::BadRequest, msg)),
+        Ok(Request::Stats) => Some(stats_response(inner)),
         Ok(Request::Shutdown) => {
             inner.stop.store(true, Ordering::SeqCst);
-            "{\"ok\":true,\"stopping\":true}".to_string()
+            Some("{\"ok\":true,\"stopping\":true}".to_string())
         }
-        Ok(Request::Query(q)) => handle_query(inner, &q, cancel),
-        Ok(Request::Explain(e)) => handle_explain(inner, &e),
+        Ok(Request::Query(q)) => handle_query(inner, q, worker),
+        Ok(Request::Explain(e)) => handle_explain(inner, e, worker.is_none()),
     }
 }
 
@@ -527,15 +519,20 @@ enum Binding {
 // bind → resolve → lookup → admit → run → render.
 // A result-cache hit leaves after lookup, so everything it pays — parse,
 // bind, the plan memo, the cache get, the response render — is
-// proportional to the request and the reply, never to the datasets.
+// proportional to the request and the reply, never to the datasets; the
+// loop thread runs those three stages itself, as peeks. `admit` is its
+// step between that attempt and a worker's run of the whole path.
 
 /// Stage 1 — bind: parses a query and binds a dataset to every canonical
 /// relation position. Shared by the `query` and `explain` operations.
+/// With `peek`, binds only what is registered already: `Ok(None)` when a
+/// dataset would have to be loaded or a store mounted.
 fn bind_query(
     inner: &Inner,
     query_text: &str,
     data: &[(String, String)],
-) -> Result<BoundQuery, String> {
+    peek: bool,
+) -> Result<Option<BoundQuery>, String> {
     let query = Query::parse(query_text).map_err(|e| format!("bad query: {e}"))?;
     let canonical = query.canonical();
     let requested_names: Vec<&str> = query.relations().map(|r| query.name(r)).collect();
@@ -569,7 +566,14 @@ fn bind_query(
         let mut open_wall = Duration::ZERO;
         for spec in &specs {
             let path = spec.strip_prefix("store:").expect("checked above");
-            let (store, opened_in) = inner.mounted_store(path)?;
+            let mounted = if peek {
+                inner.stores.peek(path)
+            } else {
+                Some(inner.mounted_store(path)?)
+            };
+            let Some((store, opened_in)) = mounted else {
+                return Ok(None);
+            };
             open_wall += opened_in;
             stores.push(store);
         }
@@ -583,7 +587,14 @@ fn bind_query(
         None => {
             let mut datasets = Vec::with_capacity(specs.len());
             for spec in &specs {
-                let (rects, fp) = inner.dataset(spec)?;
+                let loaded = if peek {
+                    inner.datasets.peek(spec)
+                } else {
+                    Some(inner.dataset(spec)?)
+                };
+                let Some((rects, fp)) = loaded else {
+                    return Ok(None);
+                };
                 datasets.push(rects);
                 fingerprints.push(fp);
             }
@@ -600,26 +611,30 @@ fn bind_query(
                 .expect("canonicalization preserves relation names")
         })
         .collect();
-    Ok(BoundQuery {
+    Ok(Some(BoundQuery {
         canonical,
         binding,
         fingerprints,
         combined_fingerprint,
         perm,
-    })
+    }))
 }
 
 /// The costed plan of a bound query, through the plan memo. A miss plans
-/// exactly as [`Cluster::plan`] / [`Cluster::plan_stored`] do; the plan is
-/// a pure function of the memo key (see [`plans`]), so a hit returns the
-/// same bytes without touching the datasets.
-fn plan_for(inner: &Inner, bound: &BoundQuery) -> Arc<Plan> {
+/// exactly as [`Cluster::plan`] / [`Cluster::plan_stored`] do — or, with
+/// `peek`, is `None`; the plan is a pure function of the memo key (see
+/// [`plans`]), so a hit returns the same bytes without touching the
+/// datasets.
+fn plan_for(inner: &Inner, bound: &BoundQuery, peek: bool) -> Option<Arc<Plan>> {
     let key = PlanKey {
         query: bound.canonical.to_string(),
         fingerprints: bound.fingerprints.clone(),
         stored: matches!(bound.binding, Binding::Stored { .. }),
     };
-    inner.plans.get_or_plan(key, || match &bound.binding {
+    if peek {
+        return inner.plans.peek(&key);
+    }
+    Some(inner.plans.get_or_plan(key, || match &bound.binding {
         Binding::Stored { stores, .. } => {
             let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
             inner.cluster.plan_stored(&bound.canonical, &refs)
@@ -628,20 +643,21 @@ fn plan_for(inner: &Inner, bound: &BoundQuery) -> Arc<Plan> {
             let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
             inner.cluster.plan(&bound.canonical, &refs)
         }
-    })
+    }))
 }
 
 /// Answers an `explain` request: binds the datasets and returns the
 /// costed plan without executing anything.
-fn handle_explain(inner: &Inner, e: &ExplainRequest) -> String {
-    match bind_query(inner, &e.query, &e.data) {
-        Ok(bound) => format!(
-            "{{\"ok\":true,\"plan\":{},\"fingerprint\":\"{:016x}\"}}",
-            plan_for(inner, &bound).to_json(),
-            bound.combined_fingerprint
-        ),
-        Err(msg) => fail(inner, ErrorCode::BadRequest, &msg),
-    }
+fn handle_explain(inner: &Inner, e: &ExplainRequest, peek: bool) -> Option<String> {
+    let bound = match bind_query(inner, &e.query, &e.data, peek).transpose()? {
+        Ok(bound) => bound,
+        Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, &msg)),
+    };
+    Some(format!(
+        "{{\"ok\":true,\"plan\":{},\"fingerprint\":\"{:016x}\"}}",
+        plan_for(inner, &bound, peek)?.to_json(),
+        bound.combined_fingerprint
+    ))
 }
 
 /// Stage 2 — resolve: the concrete algorithm the request runs under.
@@ -649,29 +665,36 @@ fn handle_explain(inner: &Inner, e: &ExplainRequest) -> String {
 /// formed: the key must never contain `"auto"`, so an auto query and its
 /// manually-pinned twin share one cache entry. The plan is deterministic,
 /// so resolving here and pinning the run keeps the key and the execution
-/// consistent. A pinned request never plans.
+/// consistent. A pinned request never plans; `None` is a peek that would
+/// have had to.
 fn resolve(
     inner: &Inner,
     bound: &BoundQuery,
     requested: Algorithm,
-) -> Result<Algorithm, &'static str> {
+    peek: bool,
+) -> Option<Result<Algorithm, &'static str>> {
     let algorithm = if requested == Algorithm::Auto {
-        plan_for(inner, bound).algorithm
+        plan_for(inner, bound, peek)?.algorithm
     } else {
         requested
     };
     if algorithm == Algorithm::MapSide && matches!(bound.binding, Binding::Memory(_)) {
-        return Err(
+        return Some(Err(
             "the map-side join needs every binding to be a `store:PATH` dataset \
              co-partitioned with the service grid",
-        );
+        ));
     }
-    Ok(algorithm)
+    Some(Ok(algorithm))
 }
 
-/// Stage 3 — lookup: a result-cache hit, counted as a served query.
-fn lookup(inner: &Inner, key: &CacheKey) -> Option<Arc<CachedResult>> {
-    let hit = inner.cache.get(key)?;
+/// Stage 3 — lookup: a result-cache hit, counted as a served query. A
+/// peek that finds nothing leaves the miss for the worker to count.
+fn lookup(inner: &Inner, key: &CacheKey, peek: bool) -> Option<Arc<CachedResult>> {
+    let hit = if peek {
+        inner.cache.peek(key)
+    } else {
+        inner.cache.get(key)
+    }?;
     inner.stats.queries.fetch_add(1, Ordering::Relaxed);
     inner
         .stats
@@ -680,12 +703,17 @@ fn lookup(inner: &Inner, key: &CacheKey) -> Option<Arc<CachedResult>> {
     Some(hit)
 }
 
-/// Stage 4 — admit: a join slot for a cache miss, or the `overloaded`
-/// response that sheds it.
-fn admit(inner: &Inner) -> Result<AdmitGuard<'_>, String> {
-    // Brownout: while the overload lease is live, misses are shed
-    // immediately rather than queueing behind a saturated engine (cache
-    // hits never get here and still serve).
+/// Stage 4 — admit, on the loop thread: a worker (or a place in the queue
+/// behind them) for a request the loop could not answer itself, or the
+/// `overloaded` response that sheds it.
+fn admit(
+    inner: &Inner,
+    pool: &mut pool::Pool<event::Completion>,
+    job: pool::Job<event::Completion>,
+) -> Result<(), String> {
+    // Brownout: while the overload lease is live, work for the pool is
+    // shed immediately rather than queued behind a saturated engine
+    // (cache hits never get here and still serve).
     if inner.brownout_active() {
         inner.stats.shed.fetch_add(1, Ordering::Relaxed);
         inner.stats.brownout_sheds.fetch_add(1, Ordering::Relaxed);
@@ -695,11 +723,15 @@ fn admit(inner: &Inner) -> Result<AdmitGuard<'_>, String> {
             "service in brownout: cache misses are shed while overloaded",
         ));
     }
-    inner.admission.admit().map_err(|msg| {
+    let admitted = pool.submit(job).map_err(|_| {
         inner.stats.shed.fetch_add(1, Ordering::Relaxed);
         inner.note_overload();
+        let (busy, queued) = pool.load();
+        let msg = format!("service at capacity: {busy} requests running, {queued} queued");
         protocol::error_response(ErrorCode::Overloaded, &msg)
-    })
+    });
+    inner.publish_load(pool);
+    admitted
 }
 
 /// The request's run options — the same whatever the run is bound to, and
@@ -799,18 +831,18 @@ fn render(
     }
 }
 
-/// Executes a query request end to end on the calling (worker) thread.
-/// The event loop owns `cancel`: it fires on client disconnect and at
-/// the drain deadline, and the run reports a typed `cancelled` error.
-fn handle_query(inner: &Inner, q: &QueryRequest, cancel: &CancelToken) -> String {
+/// Executes a query request on the calling thread: end to end on a
+/// worker, up to the first miss on the loop thread (see [`answer`]).
+fn handle_query(inner: &Inner, q: &QueryRequest, worker: Option<&CancelToken>) -> Option<String> {
     let started = Instant::now();
-    let bound = match bind_query(inner, &q.query, &q.data) {
+    let peek = worker.is_none();
+    let bound = match bind_query(inner, &q.query, &q.data, peek).transpose()? {
         Ok(bound) => bound,
-        Err(msg) => return fail(inner, ErrorCode::BadRequest, &msg),
+        Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, &msg)),
     };
-    let algorithm = match resolve(inner, &bound, q.algorithm) {
+    let algorithm = match resolve(inner, &bound, q.algorithm, peek)? {
         Ok(algorithm) => algorithm,
-        Err(msg) => return fail(inner, ErrorCode::BadRequest, msg),
+        Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, msg)),
     };
     let key = CacheKey {
         query: bound.canonical.to_string(),
@@ -818,26 +850,23 @@ fn handle_query(inner: &Inner, q: &QueryRequest, cancel: &CancelToken) -> String
         algorithm: algorithm.to_string(),
         count_only: q.count_only,
     };
-    if let Some(hit) = lookup(inner, &key) {
-        return protocol::query_response(
+    if let Some(hit) = lookup(inner, &key, peek) {
+        return Some(protocol::query_response(
             true,
             &hit,
             &bound.perm,
             bound.combined_fingerprint,
             started.elapsed(),
-        );
+        ));
     }
-    let _slot = match admit(inner) {
-        Ok(slot) => slot,
-        Err(overloaded) => return overloaded,
-    };
-    let outcome = run(inner, &bound, q, algorithm, cancel);
-    render(inner, outcome, key, &bound, started)
+    let outcome = run(inner, &bound, q, algorithm, worker?);
+    Some(render(inner, outcome, key, &bound, started))
 }
 
-/// Scatters a stored map-side query across the shards — each a thread
-/// seeding only its own cell range off the binding's one mount of every
-/// store — and gathers the partials into the exact single-node
+/// Scatters a stored map-side query across the shards — the calling
+/// thread takes the first, each other a thread of its own, seeding only
+/// its own cell range off the binding's one mount of every store — and
+/// gathers the partials into the exact single-node
 /// [`JoinOutput`] (see [`mwsj_core::shards`]). Every partial runs on the
 /// one service cluster: a partial reads only its grid. The deadline is
 /// armed once here on the shared token; `submit_stored_partial` never
@@ -864,17 +893,19 @@ fn run_sharded(
     );
 
     let t0 = Instant::now();
+    let partial = |range| inner.cluster.submit_stored_partial(&run, range);
     let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
+        let mut ranges = ranges.into_iter();
+        let first = ranges.next().expect("at least one seed-cell range");
         let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let run = &run;
-                scope.spawn(move || inner.cluster.submit_stored_partial(run, range))
-            })
+            .map(|range| scope.spawn(move || partial(range)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
+        std::iter::once(partial(first))
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked")),
+            )
             .collect::<Result<_, _>>()
     })?;
 
@@ -920,7 +951,7 @@ fn stats_response(inner: &Inner) -> String {
     let p = inner.plans.stats();
     let sched = inner.cluster.engine().scheduler();
     format!(
-        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"shards\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}}}",
+        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"shards\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"workers\":{},\"busy\":{},\"queued\":{},\"answered_inline\":{}}}",
         inner.stats.queries.load(Ordering::Relaxed),
         inner.stats.served_from_cache.load(Ordering::Relaxed),
         inner.stats.cancelled.load(Ordering::Relaxed),
@@ -940,6 +971,10 @@ fn stats_response(inner: &Inner) -> String {
         p.hits,
         p.misses,
         p.entries,
+        inner.config.max_inflight,
+        inner.stats.pool_load.0.load(Ordering::Relaxed),
+        inner.stats.pool_load.1.load(Ordering::Relaxed),
+        inner.stats.answered_inline.load(Ordering::Relaxed),
     )
 }
 
@@ -956,8 +991,16 @@ mod tests {
         Server::bind(ServerConfig::default()).expect("bind").inner
     }
 
+    /// The reply a worker gives.
     fn ask(inner: &Inner, line: &str) -> String {
-        answer(inner, line, &CancelToken::new())
+        let worker = CancelToken::new();
+        answer(inner, &protocol::parse_request(line), Some(&worker))
+            .expect("a worker always answers")
+    }
+
+    /// The reply the loop thread gives, if it can.
+    fn peek(inner: &Inner, line: &str) -> Option<String> {
+        answer(inner, &protocol::parse_request(line), None)
     }
 
     fn request(op: &str, query: &str, data: &[(&str, &str)], extra: &str) -> String {
@@ -1060,6 +1103,68 @@ mod tests {
         assert_eq!(registry.get_or_load("b", || Ok(2)), Ok(2));
     }
 
+    /// The loop thread's attempt: a request over registered names whose
+    /// plan is memoized and whose result is cached is answered while other
+    /// names are mid-load; anything else is handed on without waiting for
+    /// a load and without counting the miss the worker will count.
+    #[test]
+    fn the_loop_answers_hits_beside_running_loads_and_counts_no_miss_twice() {
+        let inner = service();
+        let ab = [("A", A), ("B", B)];
+        let hit = request("query", "A ov B", &ab, "");
+        assert_eq!(peek(&inner, &hit), None, "nothing is registered yet");
+        assert!(ask(&inner, &hit).contains("\"cached\":false"));
+        let counted = |inner: &Inner| {
+            let (plans, cache) = (inner.plans.stats(), inner.cache.stats());
+            (plans.hits, plans.misses, cache.hits, cache.misses)
+        };
+        assert_eq!(counted(&inner), (0, 1, 0, 1));
+
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (peeked_tx, peeked_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let inner = &inner;
+            scope.spawn(move || {
+                inner.datasets.get_or_load(C, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Err("released".to_string())
+                })
+            });
+            // `C`'s load is now running and stays running until released.
+            started_rx.recv().unwrap();
+            scope.spawn(move || {
+                let bc = [("B", B), ("C", C)];
+                let unplanned = request("explain", "A ov B", &[("A", B), ("B", A)], "");
+                let peeks = [
+                    peek(inner, &hit),
+                    peek(inner, &request("explain", "A ov B", &ab, "")),
+                    peek(inner, &request("query", "B ov C", &bc, "")),
+                    peek(
+                        inner,
+                        &request("query", "A ov B", &ab, ",\"count_only\":true"),
+                    ),
+                    peek(inner, &unplanned),
+                ];
+                peeked_tx.send(peeks).unwrap();
+            });
+            // A peek that waited for `C` would hang here; the timeout only
+            // turns that hang into a failure.
+            let peeks = peeked_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).unwrap();
+            let [hit, explained, mid_load, uncached, unplanned] =
+                peeks.expect("a peek waited behind `C`'s load");
+            assert!(hit.expect("a cached result").contains("\"cached\":true"));
+            assert!(explained.expect("a memoized plan").contains("\"plan\":"));
+            assert_eq!([mid_load, uncached, unplanned], [None, None, None]);
+        });
+        // Three plan-memo hits (two answers and the uncached query's
+        // resolve), one cache hit, and not one miss more.
+        assert_eq!(counted(&inner), (3, 1, 1, 1));
+        assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn synthetic_fingerprint_is_the_dfs_recipe_and_the_stored_twin_shares_the_entry() {
         let inner = service();
@@ -1135,8 +1240,10 @@ mod tests {
             &inner,
             q2,
             &abc.map(|(n, s)| (n.to_string(), s.to_string())),
+            true,
         )
-        .expect("bind");
+        .expect("bind")
+        .expect("every dataset is registered");
         let Binding::Memory(datasets) = &bound.binding else {
             panic!("synthetic specs bind in memory");
         };
@@ -1178,7 +1285,7 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (3, 3, 3));
         let stats = ask(&inner, "{\"op\":\"stats\"}");
         assert!(
-            stats.ends_with(",\"plans\":{\"hits\":3,\"misses\":3,\"entries\":3}}"),
+            stats.contains(",\"plans\":{\"hits\":3,\"misses\":3,\"entries\":3},\"workers\":4,"),
             "{stats}"
         );
     }

@@ -78,6 +78,15 @@ impl PlanMemo {
         Arc::clone(s.map.entry(key).or_insert(planned))
     }
 
+    /// The memoized plan for `key`, if there is one: a hit counts as a
+    /// hit, absence counts nothing — whoever plans it counts the miss.
+    pub fn peek(&self, key: &PlanKey) -> Option<Arc<Plan>> {
+        let mut s = self.0.lock();
+        let hit = Arc::clone(s.map.get(key)?);
+        s.hits += 1;
+        Some(hit)
+    }
+
     /// Current statistics.
     pub fn stats(&self) -> PlanStats {
         let s = self.0.lock();

@@ -35,6 +35,16 @@ impl<T: ?Sized> Mutex<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Acquires the mutex if that needs no waiting; `None` while another
+    /// thread holds it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Returns a mutable reference to the underlying data (no locking;
     /// exclusive access is guaranteed by `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
@@ -100,6 +110,15 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert_eq!(m.try_lock().map(|g| *g), Some(1));
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! gets non-square and non-dyadic grids over a 3:1 extent, bodies several
 //! cells long, and every start relation a query shape offers — and, cut
 //! into shards that do not divide the cell count, must gather to the
-//! single-node output field for field.
+//! single-node output field for field — and, started beside a job that
+//! holds every slot but one, must return the lone run's output on its
+//! caller alone.
 //!
 //! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
@@ -31,6 +33,7 @@
 //! cascade running beside one reported less traffic than it moved.
 
 use mwsj_core::ann::try_knn_join;
+use mwsj_core::mapreduce::EngineConfig;
 use mwsj_core::shards::{self, GatherSpec};
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
@@ -403,6 +406,17 @@ fn map_side_gathers_every_tuple_on_uneven_grids_from_every_start() {
     assert!(reference_tuples > 100_000, "{reference_tuples} tuples");
 }
 
+/// Everything of a map-side output but the wall-clock fields, which the
+/// gatherer stamps.
+fn logical(mut out: JoinOutput) -> String {
+    for job in &mut out.report.jobs {
+        job.reduce_wall = Duration::ZERO;
+        job.total_wall = Duration::ZERO;
+        job.index_open_wall = Duration::ZERO;
+    }
+    format!("{out:?}")
+}
+
 #[test]
 fn sharded_map_side_gathers_to_the_single_node_output_for_any_shard_count() {
     let query = Query::parse("A ov B and B ra(125) C").unwrap();
@@ -414,15 +428,6 @@ fn sharded_map_side_gathers_to_the_single_node_output_for_any_shard_count() {
     );
     let whole = case.open();
     let whole: Vec<&StoredDataset> = whole.iter().collect();
-    // Everything but the wall-clock fields, which the gatherer stamps.
-    let logical = |mut out: JoinOutput| {
-        for job in &mut out.report.jobs {
-            job.reduce_wall = Duration::ZERO;
-            job.total_wall = Duration::ZERO;
-            job.index_open_wall = Duration::ZERO;
-        }
-        format!("{out:?}")
-    };
     for count_only in [false, true] {
         let single = StoredRun::new(&query, &whole)
             .algorithm(Algorithm::MapSide)
@@ -460,6 +465,58 @@ fn sharded_map_side_gathers_to_the_single_node_output_for_any_shard_count() {
                 "{shard_count} shards, count_only = {count_only}"
             );
         }
+    }
+}
+
+/// A map-side run holds a slot per seed cell and brings a helper only for
+/// a slot that is free when it starts. Beside a job holding every slot but
+/// one it runs on its caller alone, and returns what the lone, two-worker
+/// run returns: tuples, tally and every logical counter.
+#[test]
+fn map_side_beside_a_saturating_job_equals_the_lone_run() {
+    let query = Query::parse("A ov B and B ra(125) C").unwrap();
+    let case = StoredCase::generate(
+        &mut StdRng::seed_from_u64(65),
+        &query,
+        &[60, 80, 80],
+        (8, 8, EXTENT),
+    );
+    let stores = case.open();
+    let stores: Vec<&StoredDataset> = stores.iter().collect();
+    // The case's grid under a pool of two slots, whatever the machine.
+    let cl = Cluster::new(ClusterConfig {
+        grid_cols: 8,
+        grid_rows: 8,
+        engine: EngineConfig::default().with_slots(2),
+        ..ClusterConfig::for_space((0.0, EXTENT), (0.0, EXTENT), 1)
+    });
+    let scheduler = cl.engine().scheduler();
+    let both = |run: &StoredRun<'_>| {
+        let out = cl.submit_stored(run).expect("fault-free run");
+        let mut partial = cl
+            .submit_stored_partial(run, 0..64)
+            .expect("fault-free run");
+        partial.tuples.sort_unstable();
+        (logical(out), partial.tuples, partial.tally)
+    };
+    for count_only in [false, true] {
+        let run = StoredRun::new(&query, &stores)
+            .algorithm(Algorithm::MapSide)
+            .count_only(count_only);
+        let lone = both(&run);
+        let blocker = scheduler.register(u64::MAX, 0, 1);
+        scheduler.acquire(u64::MAX);
+        assert_eq!(scheduler.available(), 1);
+        let beside = both(&run);
+        scheduler.release(u64::MAX);
+        drop(blocker);
+        assert!(beside == lone, "count_only = {count_only}");
+        assert_eq!(
+            lone.1.len(),
+            if count_only { 0 } else { case.expected.len() }
+        );
+        assert_eq!(lone.2.iter().sum::<u64>(), case.expected.len() as u64);
+        assert_eq!(scheduler.available(), 2);
     }
 }
 

@@ -352,3 +352,83 @@ fn concurrent_runs_share_one_cluster_safely() {
         }
     });
 }
+
+/// `eight_concurrent_clients_get_solo_counters` below the server: eight
+/// callers submit at once to one cluster with two slots. Every caller is
+/// the first worker of its own jobs, so all eight make progress on two
+/// slots, and each reads the tuples and logical counters of its solo run.
+#[test]
+fn eight_concurrent_submitters_on_two_slots_get_their_solo_counters() {
+    use mwsj_core::mapreduce::{EngineConfig, JobMetrics};
+    use mwsj_core::JoinRun;
+
+    let two_slots = || {
+        let engine = EngineConfig {
+            map_tasks: 4,
+            reduce_tasks: 4,
+            ..EngineConfig::default().with_slots(2)
+        };
+        Cluster::new(
+            ClusterConfig::for_space((0.0, 5_000.0), (0.0, 5_000.0), 4).with_engine(engine),
+        )
+    };
+    let q = Query::parse("A ov B").unwrap();
+    let inputs: Vec<[Vec<Rect>; 2]> = (0..8u64)
+        .map(|i| {
+            [100 + 2 * i, 101 + 2 * i].map(|seed| {
+                let mut config = SyntheticConfig::paper_default(400, seed);
+                (config.x_range, config.y_range) = ((0.0, 5_000.0), (0.0, 5_000.0));
+                (config.l_range, config.b_range) = ((0.0, 250.0), (0.0, 250.0));
+                config.generate()
+            })
+        })
+        .collect();
+    let logical = |jobs: &[JobMetrics]| -> Vec<[u64; 7]> {
+        jobs.iter()
+            .map(|j| {
+                [
+                    j.map_input_records,
+                    j.map_output_records,
+                    j.shuffle_bytes,
+                    j.reduce_input_groups,
+                    j.reduce_input_records,
+                    j.reduce_output_records,
+                    j.spill_runs,
+                ]
+            })
+            .collect()
+    };
+    let submit = |cl: &Cluster, [a, b]: &[Vec<Rect>; 2]| {
+        let relations: [&[Rect]; 2] = [a, b];
+        let run = JoinRun::new(&q, &relations).algorithm(Algorithm::ControlledReplicate);
+        let out = cl.submit(&run).expect("fault-free run");
+        (out.tuples, logical(&out.report.jobs))
+    };
+    let solo: Vec<_> = inputs
+        .iter()
+        .map(|rels| submit(&two_slots(), rels))
+        .collect();
+    assert!(solo.iter().all(|(tuples, _)| !tuples.is_empty()));
+
+    let shared = two_slots();
+    let barrier = std::sync::Barrier::new(inputs.len());
+    let concurrent: Vec<_> = std::thread::scope(|s| {
+        let callers: Vec<_> = inputs
+            .iter()
+            .map(|rels| {
+                let (shared, barrier, submit) = (&shared, &barrier, &submit);
+                s.spawn(move || {
+                    barrier.wait();
+                    submit(shared, rels)
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller thread"))
+            .collect()
+    });
+    assert_eq!(concurrent, solo);
+    let scheduler = shared.engine().scheduler();
+    assert_eq!((scheduler.slots(), scheduler.available()), (2, 2));
+}
