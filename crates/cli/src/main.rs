@@ -630,9 +630,9 @@ fn finish_run(
     Ok(())
 }
 
-/// Partitions and indexes a dataset into an on-disk store (see
-/// `mwsj_core::store`): rectangles are homed to grid cells, each cell
-/// gets an STR-packed R-tree, and every section is checksummed.
+/// Partitions a dataset into an on-disk store (see `mwsj_core::store`):
+/// rectangles are homed to grid cells, each cell is one run sorted by
+/// `min_x`, and every section is checksummed.
 fn cmd_ingest(args: &Args) -> Result<(), String> {
     args.check_known(&["source", "out", "grid", "extent"])?;
     let source = args.require("source")?;

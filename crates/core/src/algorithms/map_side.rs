@@ -3,10 +3,10 @@
 //! When every relation was ingested with the *same* grid the cluster
 //! partitions on, the expensive half of every shuffle algorithm — map,
 //! sort, shuffle, merge — is already done and sitting on disk: each cell
-//! holds an STR-packed R-tree over exactly the rectangles homed there.
-//! This module turns each grid cell into one reducer group straight from
-//! those trees and joins it with the reducers' own [`JoinKernel`], one
-//! logical task per cell, no engine job at all.
+//! holds exactly the rectangles homed there, as one run in ascending
+//! `min_x`. This module turns each grid cell into one reducer group
+//! straight from those runs and joins it with the reducers' own
+//! [`JoinKernel`], one logical task per cell, no engine job at all.
 //!
 //! A run registers with the cluster's [`SlotScheduler`] like any engine
 //! job and a seed cell holds one slot while it runs, so shuffle and
@@ -20,12 +20,14 @@
 //! holds the start rectangles homed there and, for each later step of the
 //! start relation's [`JoinPlan`] — bind `w` from `from` at distance `d` —
 //! every stored rectangle of `w` within `d` of the MBR of the `from`
-//! rectangles gathered so far: one window query per candidate cell tree
-//! (each tree's root MBR prunes a cell in one comparison) instead of one
-//! walk per rectangle. The window over-approximates — whatever lies within
-//! `d` of a `from` rectangle lies within `d` of their MBR — so by
-//! induction along the plan the group holds every member of every tuple
-//! seeded in the cell, and the kernel's swept pair lists
+//! rectangles gathered so far: one window per candidate cell (its stored
+//! extent prunes the cell in one comparison, a binary search cuts its run
+//! at the window's x-reach, and [`Rect::bounds_within`] accepts each record
+//! before the cut) instead of one probe per rectangle. The window
+//! over-approximates — whatever lies within `d` of a `from` rectangle
+//! lies within `d` of their MBR — so by induction along the plan the
+//! group holds every member of every tuple seeded in the cell, and the
+//! kernel's swept pair lists
 //! ([`GroupIndex::pairs`], a forward semi-join from the seeds) decide the
 //! exact pairs.
 //!
@@ -33,11 +35,12 @@
 //!
 //! The shuffle algorithms replicate rectangles so every candidate tuple
 //! *meets* somewhere, then keep one copy via the designated-cell rule.
-//! Stored datasets need neither: each rectangle is stored exactly once at
-//! its home cell, so a group's start relation is the cell's alone and no
-//! rectangle enters a group twice. Every output tuple contains exactly one
-//! start-relation member, which is homed at exactly one cell — so every
-//! tuple is enumerated exactly once globally, with no duplicate filtering.
+//! Stored datasets need neither: each rectangle is stored exactly once, at
+//! its home cell (the store's opener checks both), so a group's start
+//! relation is the cell's alone and no rectangle enters a group twice.
+//! Every output tuple contains exactly one start-relation member, which is
+//! homed at exactly one cell — so every tuple is enumerated exactly once
+//! globally, with no duplicate filtering.
 //!
 //! The designated-cell rule still matters for *accounting*: tuples are
 //! attributed to their §6.2 duplicate-avoidance cell, so the per-cell
@@ -49,10 +52,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mwsj_geom::{Coord, Rect};
 use mwsj_local::dedup::multiway_tuple_cell_of;
+use mwsj_local::index::reach;
 use mwsj_local::{GroupIndex, JoinKernel, LocalRect};
 use mwsj_mapreduce::{JobError, JobErrorKind, Phase, SlotScheduler};
+use mwsj_partition::CellId;
 use mwsj_query::{JoinPlan, Query, RelationId};
-use mwsj_rtree::PackedRTree;
 use mwsj_store::StoredDataset;
 
 use super::{tuple_ids, AlgoCtx};
@@ -60,10 +64,10 @@ use crate::shards::ShardPartial;
 use crate::JoinError;
 
 /// Runs the map-side join, seeding only from cells in `seed_range`
-/// (`None` seeds from every cell). Gathering always reads the whole
-/// forest — the scope restricts which tuples are *enumerated*, not
-/// which rectangles participate, so disjoint seed ranges partition the
-/// output exactly. [`crate::shards::gather`] finalizes one or several
+/// (`None` seeds from every cell). Gathering always reads every cell —
+/// the scope restricts which tuples are *enumerated*, not which
+/// rectangles participate, so disjoint seed ranges partition the output
+/// exactly. [`crate::shards::gather`] finalizes one or several
 /// of these partials into a [`crate::JoinOutput`]. Of the context it
 /// reads only the grid, `count_only`, the cancel token and, for its
 /// slots, the engine's scheduler with the run's priority and share.
@@ -88,32 +92,17 @@ pub(crate) fn execute(
         .expect("queries bind at least one relation");
     let plan = JoinPlan::compile(query, RelationId(start as u16));
 
-    // Validate every cell tree once up front; gathers borrow these views.
-    let forests: Vec<Vec<PackedRTree<'_>>> = stores
-        .iter()
-        .map(|s| grid.cells().map(|c| s.cell_tree(c)).collect())
-        .collect();
-
-    // Per-relation root MBRs, `None` for empty cells: a gather checks
-    // these first, so most trees in the candidate cell span are rejected
-    // without a traversal call at all.
-    let mbrs: Vec<Vec<Option<Rect>>> = forests
-        .iter()
-        .map(|trees| trees.iter().map(PackedRTree::root_mbr).collect())
-        .collect();
-
     // Per-relation reach: a stored rectangle's body extends right by at
     // most `max_l` and down by at most `max_b` from its home (start)
-    // point, and no rectangle is longer or taller than its tree's root
-    // MBR — a bound read off the cells, not the records (it is a one-sided
+    // point, and no rectangle is longer or taller than its cell's extent —
+    // a bound read off the cells, not the records (it is a one-sided
     // filter, so a bound serves as well as the maximum). A gather
-    // therefore only needs the cell trees whose cells can contain the home
-    // point of a qualifying rectangle — a handful of cells instead of the
-    // whole forest.
-    let reach: Vec<(Coord, Coord)> = mbrs
+    // therefore only needs the cells that can contain the home point of a
+    // qualifying rectangle — a handful instead of the whole grid.
+    let extent_reach: Vec<(Coord, Coord)> = stores
         .iter()
-        .map(|cells| {
-            let extents = cells.iter().flatten();
+        .map(|s| {
+            let extents = grid.cells().filter_map(|c| s.cell_extent(c));
             extents.fold((0.0, 0.0), |(l, b), e| (e.l().max(l), e.b().max(b)))
         })
         .collect();
@@ -125,10 +114,15 @@ pub(crate) fn execute(
     // `window`. Home points of such rectangles lie in the window grown by
     // `d`, plus the relation's reach to the left/top (bodies extend
     // right/down from the home point). The span is widened by one cell to
-    // absorb floating-point rounding; each tree's root MBR exactly
-    // re-filters.
-    let gather = |w: usize, window: &Rect, d: Coord, stack: &mut Vec<u32>, out: &mut Vec<_>| {
-        let (max_l, max_b) = reach[w];
+    // absorb floating-point rounding; each cell's extent exactly
+    // re-filters. A run is cut where `min_x` passes the window's x-reach,
+    // widened like the reducer sweep's (a one-sided cut: the exact test
+    // decides every record before it). A cell's stored extent (`None` when
+    // empty) is checked first, so most cells in the span are rejected
+    // without reading their runs.
+    let gather = |w: usize, window: &Rect, d: Coord, out: &mut Vec<LocalRect>| {
+        let (max_l, max_b) = extent_reach[w];
+        let (limit, d_sq) = (reach(window.max_x(), d), d * d);
         let c0 = grid
             .col_of_x((window.min_x() - d - max_l).clamp(x0, xn))
             .saturating_sub(1);
@@ -139,10 +133,13 @@ pub(crate) fn execute(
         let r1 = (grid.row_of_y((window.min_y() - d).clamp(y0, yn)) + 1).min(rows - 1);
         for row in r0..=r1 {
             for col in c0..=c1 {
-                let idx = (row * cols + col) as usize;
-                if mbrs[w][idx].is_some_and(|m| m.within_distance(window, d)) {
-                    forests[w][idx]
-                        .query_within_scratch(window, d, stack, |r, id| out.push((r, id)));
+                let cell = CellId(row * cols + col);
+                let extent = stores[w].cell_extent(cell);
+                if extent.is_some_and(|m| m.within_distance(window, d)) {
+                    let (rects, ids) = stores[w].cell(cell);
+                    let cut = rects.partition_point(|r| r.min_x() <= limit);
+                    let near = rects[..cut].iter().copied().zip(ids.iter().copied());
+                    out.extend(near.filter(|(r, _)| window.bounds_within(r.bounds(), d_sq)));
                 }
             }
         }
@@ -155,7 +152,7 @@ pub(crate) fn execute(
             .is_none_or(|r| (c as u64) >= u64::from(r.start) && (c as u64) < u64::from(r.end))
     };
     let cells: Vec<usize> = (0..num_cells)
-        .filter(|&c| in_scope(c) && !forests[start][c].is_empty())
+        .filter(|&c| in_scope(c) && stores[start].cell_extent(CellId(c as u32)).is_some())
         .collect();
     let scheduler = ctx.engine.scheduler();
     let job = ctx.engine.next_job_id();
@@ -168,7 +165,6 @@ pub(crate) fn execute(
     let work = || {
         let mut out: Vec<Vec<u32>> = Vec::new();
         let mut tally: Vec<u64> = vec![0; num_cells];
-        let mut stack: Vec<u32> = Vec::new();
         let mut relations: Vec<Vec<LocalRect>> = vec![Vec::new(); stores.len()];
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -179,7 +175,8 @@ pub(crate) fn execute(
             scheduler.acquire(job);
             let _slot = HeldSlot(scheduler, job);
             relations.iter_mut().for_each(Vec::clear);
-            relations[start].extend(forests[start][cell].iter());
+            let (rects, ids) = stores[start].cell(CellId(cell as u32));
+            relations[start].extend(rects.iter().copied().zip(ids.iter().copied()));
             for step in &plan.steps()[1..] {
                 let edge = step.probe.as_ref().expect("non-root steps have a probe");
                 let (from, w) = (edge.from.index(), step.relation.index());
@@ -189,7 +186,7 @@ pub(crate) fn execute(
                     break;
                 };
                 let d = edge.predicate.distance();
-                gather(w, &window, d, &mut stack, &mut relations[w]);
+                gather(w, &window, d, &mut relations[w]);
             }
             kernel.execute_on(&GroupIndex::new(&relations), |tuple| {
                 let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));

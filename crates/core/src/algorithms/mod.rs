@@ -121,7 +121,7 @@ pub enum Algorithm {
     Hypercube,
     /// Shuffle-free join over *stored* datasets: when every relation is
     /// pre-partitioned on the cluster grid by `mwsj ingest`, the join runs
-    /// the local kernel directly over the per-cell stored R-trees — no
+    /// the local kernel directly over the per-cell stored runs — no
     /// map, sort, shuffle or merge phase at all. Only executable through
     /// [`Cluster::submit_stored`](crate::Cluster::submit_stored); it is
     /// not in [`Algorithm::ALL`] because it needs stored inputs.

@@ -203,7 +203,7 @@ impl Cluster {
     /// Submits a join run over stored datasets.
     ///
     /// When the resolved algorithm is [`Algorithm::MapSide`], the join
-    /// runs directly over the per-cell stored R-trees — no map, sort,
+    /// runs directly over the per-cell stored runs — no map, sort,
     /// shuffle or merge phase, and the relations are never materialized in
     /// memory. Any other algorithm materializes the stored relations and
     /// runs exactly as under [`Cluster::submit`], so outputs and logical

@@ -96,7 +96,7 @@ pub type JoinRun<'a> = Run<'a, &'a [Rect]>;
 /// The default algorithm is [`Algorithm::Auto`]; on co-partitioned stores
 /// the optimizer's stored plan usually resolves it to
 /// [`Algorithm::MapSide`], the shuffle-free join over the per-cell stored
-/// R-trees. Pinning a shuffle algorithm instead materializes the stored
+/// runs. Pinning a shuffle algorithm instead materializes the stored
 /// relations and runs it unchanged — outputs are byte-identical either
 /// way (trace, priority and share only matter to that fallback's engine
 /// jobs). The combined input fingerprint is derived from the stores'

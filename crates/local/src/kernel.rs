@@ -23,7 +23,7 @@
 //!   arena: entries carry their *position* in the relation while inside
 //!   the search and are mapped back to record ids on emit. A group is
 //!   whatever the caller wrapped: a reducer's key group, or the group the
-//!   map-side join gathers per seed cell from its stored per-cell trees.
+//!   map-side join gathers per seed cell from its stored per-cell runs.
 //! * **Thread-local scratch.** Arena, frames and reach bitmaps live in one
 //!   scratch struct per worker thread, reused across groups: after the
 //!   first group on a thread, the search itself allocates nothing (the

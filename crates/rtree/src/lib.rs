@@ -11,8 +11,7 @@
 //! so STR bulk loading gives near-optimal packing with no insert machinery.
 //! There is one layout — two `u64` word arrays, [`packed`] — and one
 //! implementation of each query, on the borrowed [`PackedRTree`]: an
-//! [`RTree`] owns the words bulk load wrote, a mounted store lends the
-//! words it read, and both are probed by the same code.
+//! [`RTree`] owns the words bulk load wrote and is probed through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

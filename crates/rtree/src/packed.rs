@@ -4,11 +4,10 @@
 //! leaf-packed entries, one for the nodes: entries in leaf-pack order, each
 //! level's nodes contiguous, children before parents, the root last.
 //! [`crate::RTree`] owns the arrays STR bulk load writes;
-//! [`PackedRTree`] borrows them, from an [`crate::RTree`] or from a
-//! mounted store file, and answers every query in place: coordinates are
-//! read back with `f64::from_bits` on the fly, so opening a stored dataset
-//! costs one validation scan and no per-entry allocation, and a join over
-//! stored trees walks exactly the code a join over freshly built ones does.
+//! [`PackedRTree`] borrows them and answers every query in place:
+//! coordinates are read back with `f64::from_bits` on the fly.
+//! [`PackedRTree::new`] validates words from elsewhere before borrowing
+//! them.
 
 use mwsj_geom::{Coord, Rect};
 

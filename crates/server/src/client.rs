@@ -267,7 +267,8 @@ impl Client {
         if n == 0 || !response.ends_with('\n') {
             return Err(ClientError::Disconnected);
         }
-        Ok(response.trim_end().to_string())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 
     /// The binary leg of the codec: one frame out, one frame back.

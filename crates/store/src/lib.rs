@@ -1,12 +1,13 @@
 //! Persistent cell-partitioned dataset store.
 //!
 //! `mwsj ingest` pre-partitions a relation by the same uniform grid the
-//! cluster joins on and serializes one STR-packed R-tree per cell in the
-//! exact leaf-pack word layout of [`mwsj_rtree::PackedRTree`]. Opening a
-//! stored dataset is a single `fs::read` plus one validation scan — no
-//! per-rectangle parsing, no tree rebuilding — which is what makes the
-//! shuffle-free map-side join pay: the "index build" cost moves to ingest
-//! time and query time only pays for traversal.
+//! cluster joins on and writes each cell as one run of rectangles in
+//! ascending `min_x` — the order the reducer kernel sweeps a group in.
+//! Opening a stored dataset is a single `fs::read` plus one scan that
+//! decodes and validates every record; afterwards a cell is two borrowed
+//! slices and a gather from it is a binary search for its x-reach, which
+//! is what makes the shuffle-free map-side join pay: the partitioning cost
+//! moves to ingest time.
 //!
 //! # File layout
 //!
@@ -18,11 +19,15 @@
 //! [frame] META    magic, version, fingerprint, record_count,
 //!                 x0, xn, y0, yn (f64 bits), cols, rows, num_cells,
 //!                 then per cell: entry_start, entry_count,
-//!                                node_start, node_count,
 //!                                extent min_x, min_y, max_x, max_y (bits)
-//! [frame] ENTRIES concatenated per-cell packed entry words (5 per entry)
-//! [frame] NODES   concatenated per-cell packed node words (6 per node)
+//! [frame] ENTRIES min_x, min_y, max_x, max_y (bits) per record, cell by
+//!                 cell, each cell's run in ascending min_x (ties by id)
+//! [frame] IDS     the records' u32 input-order ids in ENTRIES order,
+//!                 two per word (low half first), padding zero
 //! ```
+//!
+//! A store of `n` records over `cells` cells is `8 × (6 + 11 + 6·cells +
+//! 4n + ⌈n/2⌉)` bytes.
 //!
 //! The grid ranges are the *constructor* values (via [`Grid::x_range`] /
 //! [`Grid::y_range`]), so the grid round-trips bit-exactly. The
@@ -39,25 +44,24 @@
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 use mwsj_geom::Rect;
 use mwsj_mapreduce::Fnv64;
 use mwsj_partition::{CellId, Grid};
-use mwsj_rtree::packed::{ENTRY_WORDS, NODE_WORDS};
-use mwsj_rtree::{PackedRTree, RTree};
 
 /// `"MWSJSTOR"` in ASCII, read as a big-endian integer.
 pub const MAGIC: u64 = 0x4D57_534A_5354_4F52;
 
 /// Current (and only) format version.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// Fixed META words before the per-cell table.
 const META_HEADER_WORDS: usize = 11;
 
-/// META words per cell: index ranges plus the cell extent.
-const META_CELL_WORDS: usize = 8;
+/// META words per cell: the entry range plus the cell extent.
+const META_CELL_WORDS: usize = 6;
 
 /// Why a store could not be written or opened.
 #[derive(Debug)]
@@ -114,19 +118,21 @@ pub fn dataset_fingerprint(rects: &[Rect]) -> u64 {
     h.finish()
 }
 
-fn frame_checksum(words: &[u64]) -> u64 {
+/// FNV-64 over the payload's word count and then its little-endian words.
+fn frame_checksum(section: &[u8]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(words.len() as u64);
-    for &w in words {
-        h.write_u64(w);
-    }
+    h.write_u64((section.len() / 8) as u64);
+    h.write(section);
     h.finish()
 }
 
-fn push_framed(out: &mut Vec<u64>, section: &[u64]) {
-    out.push(section.len() as u64);
-    out.push(frame_checksum(section));
-    out.extend_from_slice(section);
+fn push_framed(out: &mut Vec<u8>, section: &[u64]) {
+    let start = out.len() + 16;
+    out.extend((section.len() as u64).to_le_bytes());
+    out.extend([0; 8]);
+    out.extend(section.iter().flat_map(|w| w.to_le_bytes()));
+    let checksum = frame_checksum(&out[start..]);
+    out[start - 8..start].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Serializes relations into the store format, cell-partitioned by a grid.
@@ -146,8 +152,8 @@ impl<'a> StoreBuilder<'a> {
     /// Builds the serialized store for one relation.
     ///
     /// Each rectangle is homed at exactly one cell (the cell of its start
-    /// point), assigned its input-order index as payload, and indexed in a
-    /// per-cell STR bulk-loaded R-tree.
+    /// point) and keeps its input-order index as its id; each cell's run is
+    /// sorted by `min_x`, ties by id.
     ///
     /// # Errors
     /// Rejects relations larger than `u32::MAX` records or containing a
@@ -155,7 +161,7 @@ impl<'a> StoreBuilder<'a> {
     pub fn build(&self, rects: &[Rect]) -> Result<Vec<u8>, StoreError> {
         if rects.len() > u32::MAX as usize {
             return Err(StoreError::Ingest(format!(
-                "{} records exceed the u32 payload space",
+                "{} records exceed the u32 id space",
                 rects.len()
             )));
         }
@@ -183,33 +189,27 @@ impl<'a> StoreBuilder<'a> {
         meta.push(u64::from(self.grid.rows()));
         meta.push(num_cells as u64);
 
-        let mut entry_words: Vec<u64> = Vec::with_capacity(rects.len() * ENTRY_WORDS);
-        let mut node_words: Vec<u64> = Vec::new();
-        for members in per_cell {
-            let extent = members
-                .iter()
-                .map(|(r, _)| *r)
+        let mut entries: Vec<u64> = Vec::with_capacity(rects.len() * 4);
+        let mut ids = vec![0u64; rects.len().div_ceil(2)];
+        let mut at = 0usize;
+        for mut run in per_cell {
+            // Pushed in input order, so the stable sort breaks ties by id.
+            run.sort_by(|a, b| a.0.min_x().total_cmp(&b.0.min_x()));
+            let extent = (run.iter().map(|(r, _)| *r))
                 .reduce(|a, b| a.union(&b))
                 .unwrap_or(Rect::new(0.0, 0.0, 0.0, 0.0));
-            let tree = RTree::bulk_load(members);
-            let (entries, nodes) = tree.words();
-            meta.push((entry_words.len() / ENTRY_WORDS) as u64);
-            meta.push((entries.len() / ENTRY_WORDS) as u64);
-            meta.push((node_words.len() / NODE_WORDS) as u64);
-            meta.push((nodes.len() / NODE_WORDS) as u64);
+            meta.extend([at as u64, run.len() as u64]);
             meta.extend(extent.bounds().map(f64::to_bits));
-            entry_words.extend_from_slice(entries);
-            node_words.extend_from_slice(nodes);
+            for (r, id) in run {
+                entries.extend(r.bounds().map(f64::to_bits));
+                ids[at / 2] |= u64::from(id) << (32 * (at % 2));
+                at += 1;
+            }
         }
 
-        let mut words = Vec::with_capacity(6 + meta.len() + entry_words.len() + node_words.len());
-        push_framed(&mut words, &meta);
-        push_framed(&mut words, &entry_words);
-        push_framed(&mut words, &node_words);
-
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        let mut bytes = Vec::with_capacity(8 * (6 + meta.len() + entries.len() + ids.len()));
+        for section in [&meta, &entries, &ids] {
+            push_framed(&mut bytes, section);
         }
         Ok(bytes)
     }
@@ -224,13 +224,10 @@ impl<'a> StoreBuilder<'a> {
     }
 }
 
-/// Per-cell index ranges, in entry/node units within the global arrays.
-#[derive(Debug, Clone, Copy)]
+/// One cell: its run's range in the record arrays, and its extent.
+#[derive(Debug)]
 struct CellMeta {
-    entry_start: usize,
-    entry_count: usize,
-    node_start: usize,
-    node_count: usize,
+    entries: Range<usize>,
     extent: Rect,
 }
 
@@ -241,11 +238,10 @@ struct CellMeta {
 #[derive(Debug)]
 pub struct StoredDataset {
     fingerprint: u64,
-    record_count: u64,
     grid: Grid,
     cells: Vec<CellMeta>,
-    entries: Vec<u64>,
-    nodes: Vec<u64>,
+    rects: Vec<Rect>,
+    ids: Vec<u32>,
 }
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
@@ -253,16 +249,17 @@ fn corrupt(msg: impl Into<String>) -> StoreError {
 }
 
 /// Splits `words` at a section frame, verifying length and checksum.
-fn take_section<'a>(words: &mut &'a [u64], what: &str) -> Result<&'a [u64], StoreError> {
-    let [len, checksum, rest @ ..] = words else {
+fn take_section<'a>(words: &mut &'a [[u8; 8]], what: &str) -> Result<&'a [[u8; 8]], StoreError> {
+    let [len, checksum, rest @ ..] = *words else {
         return Err(corrupt(format!("truncated before the {what} frame")));
     };
-    let len = usize::try_from(*len)
+    let len = u64::from_le_bytes(*len);
+    let len = usize::try_from(len)
         .ok()
         .filter(|&n| n <= rest.len())
         .ok_or_else(|| corrupt(format!("{what} frame length {len} exceeds the file")))?;
     let (section, rest) = rest.split_at(len);
-    if frame_checksum(section) != *checksum {
+    if frame_checksum(section.as_flattened()) != u64::from_le_bytes(*checksum) {
         return Err(corrupt(format!("{what} section failed its checksum")));
     }
     *words = rest;
@@ -279,67 +276,56 @@ impl StoredDataset {
         Self::from_bytes(&fs::read(path)?)
     }
 
-    /// Validates serialized bytes and takes ownership of the word arrays.
+    /// Validates serialized bytes and decodes the records.
     ///
     /// # Errors
-    /// Rejects bad magic/version, truncated or checksum-failing sections,
-    /// inconsistent grid geometry, out-of-bounds cell ranges, payloads that
-    /// are not a permutation of `0..record_count`, and any per-cell tree
-    /// that [`PackedRTree::new`] rejects.
+    /// Rejects bad magic or any version but [`VERSION`], truncated or
+    /// checksum-failing sections, inconsistent grid geometry, cell ranges
+    /// that do not tile the records, non-finite or inverted rectangles, a
+    /// run out of `min_x` order, a record outside its cell's extent or
+    /// homed at another cell, ids that are not a permutation of
+    /// `0..record_count`, and non-zero id padding.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         Self::from_bytes_impl(bytes, None)
     }
 
-    /// Like [`StoredDataset::from_bytes`], but restricts the O(records)
-    /// payload-permutation scan to the cells in `seed_cells`.
+    /// Like [`StoredDataset::from_bytes`], but restricts the id-uniqueness
+    /// scan to the cells in `seed_cells`.
     ///
     /// This is the open for a shard that holds a copy of its own: it seeds
-    /// joins only from its own cell range, so only those cells' payload
-    /// ids need the full uniqueness scan. (The serving tier's in-process
-    /// shards share one fully validated mount instead.) Every other
-    /// integrity property still holds
-    /// globally — section checksums cover every byte, every cell tree
-    /// is structurally validated (probes traverse all of them), and a
-    /// contiguity check on the per-cell index ranges guarantees the
-    /// cells tile the entry/node arrays without gaps or overlap.
-    /// Out-of-scope payload *ids* are trusted (they are still
-    /// checksummed, just not cross-checked for global uniqueness), so
-    /// prefer [`StoredDataset::from_bytes`] when the open is not
-    /// range-scoped.
+    /// joins only from its own cell range, so only those cells' ids need
+    /// the uniqueness scan. (The serving tier's in-process shards share one
+    /// fully validated mount instead.) Every other check still holds
+    /// globally — section checksums cover every byte, and every record is
+    /// decoded and checked against its cell (gathers read every cell).
+    /// Out-of-scope ids are range-checked but not cross-checked for
+    /// uniqueness, so prefer [`StoredDataset::from_bytes`] when the open is
+    /// not range-scoped.
     ///
     /// # Errors
-    /// Everything [`StoredDataset::from_bytes`] rejects (minus
-    /// out-of-scope payload defects), plus a `seed_cells` range that
-    /// does not lie within the grid.
-    pub fn from_bytes_scoped(
-        bytes: &[u8],
-        seed_cells: std::ops::Range<u32>,
-    ) -> Result<Self, StoreError> {
+    /// Everything [`StoredDataset::from_bytes`] rejects (minus duplicate
+    /// ids out of scope), plus a `seed_cells` range that does not lie
+    /// within the grid.
+    pub fn from_bytes_scoped(bytes: &[u8], seed_cells: Range<u32>) -> Result<Self, StoreError> {
         Self::from_bytes_impl(bytes, Some(seed_cells))
     }
 
-    fn from_bytes_impl(
-        bytes: &[u8],
-        scope: Option<std::ops::Range<u32>>,
-    ) -> Result<Self, StoreError> {
-        if !bytes.len().is_multiple_of(8) {
+    fn from_bytes_impl(bytes: &[u8], scope: Option<Range<u32>>) -> Result<Self, StoreError> {
+        let (mut rest, tail) = bytes.as_chunks::<8>();
+        if !tail.is_empty() {
             return Err(corrupt(format!(
                 "file size {} is not a whole number of words",
                 bytes.len()
             )));
         }
-        let words: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
-        let mut rest = words.as_slice();
         let meta = take_section(&mut rest, "META")?;
-        let entries = take_section(&mut rest, "ENTRIES")?.to_vec();
-        let nodes = take_section(&mut rest, "NODES")?.to_vec();
+        let entries = take_section(&mut rest, "ENTRIES")?;
+        let id_words = take_section(&mut rest, "IDS")?;
         if !rest.is_empty() {
             return Err(corrupt(format!("{} trailing words", rest.len())));
         }
 
+        let meta: Vec<u64> = meta.iter().map(|w| u64::from_le_bytes(*w)).collect();
         if meta.len() < META_HEADER_WORDS {
             return Err(corrupt("META header is truncated"));
         }
@@ -350,7 +336,6 @@ impl StoredDataset {
             return Err(corrupt(format!("unsupported format version {}", meta[1])));
         }
         let fingerprint = meta[2];
-        let record_count = meta[3];
         let x0 = f64::from_bits(meta[4]);
         let xn = f64::from_bits(meta[5]);
         let y0 = f64::from_bits(meta[6]);
@@ -389,90 +374,107 @@ impl StoredDataset {
             }
         }
 
-        let total_entries = entries.len() / ENTRY_WORDS;
-        let total_nodes = nodes.len() / NODE_WORDS;
+        // Sizes first, so a length defect never allocates from a bad count.
+        let n = usize::try_from(meta[3])
+            .ok()
+            .filter(|&n| n.checked_mul(4) == Some(entries.len()))
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "{} ENTRIES words for {} records",
+                    entries.len(),
+                    meta[3]
+                ))
+            })?;
+        if id_words.len() != n.div_ceil(2) {
+            return Err(corrupt(format!(
+                "{} IDS words for {n} records",
+                id_words.len()
+            )));
+        }
+        let (corners, _) = entries.as_chunks::<4>();
+        let rects: Vec<Rect> = (corners.iter().enumerate())
+            .map(|(i, c)| {
+                let [min_x, min_y, max_x, max_y] = c.map(|w| f64::from_bits(u64::from_le_bytes(w)));
+                Rect::from_bounds(min_x, min_y, max_x, max_y)
+                    .ok_or_else(|| corrupt(format!("record {i}: non-finite or inverted rectangle")))
+            })
+            .collect::<Result<_, _>>()?;
+        let mut ids: Vec<u32> = (id_words.iter())
+            .flat_map(|w| {
+                let w = u64::from_le_bytes(*w);
+                [w as u32, (w >> 32) as u32]
+            })
+            .collect();
+        if ids.len() > n && ids.pop() != Some(0) {
+            return Err(corrupt("id padding is not zero"));
+        }
+        if let Some(i) = ids.iter().position(|&id| id as usize >= n) {
+            return Err(corrupt(format!(
+                "record {i}: id {} is out of range",
+                ids[i]
+            )));
+        }
+
+        // The runs must tile the records back to back, which is what lets a
+        // scoped open skip the uniqueness scan out of scope without giving
+        // up coverage or disjointness.
         let mut cells = Vec::with_capacity(num_cells);
-        let mut seen = vec![false; total_entries];
-        // Running offsets for the contiguity check: the builder lays the
-        // cells' entry/node ranges out back to back, so the ranges must
-        // tile the arrays exactly — which is what lets a scoped open
-        // skip the per-payload scan for out-of-scope cells without
-        // giving up coverage or disjointness.
-        let mut next_entry = 0usize;
-        let mut next_node = 0usize;
-        let as_range = |start: u64, count: u64, total: usize, what: &str, c: usize| {
-            let start = usize::try_from(start).map_err(|_| corrupt("range overflow"))?;
-            let count = usize::try_from(count).map_err(|_| corrupt("range overflow"))?;
-            if start.checked_add(count).is_none_or(|end| end > total) {
+        let mut seen = vec![false; n];
+        let mut next = 0usize;
+        for (c, at) in meta[META_HEADER_WORDS..]
+            .chunks_exact(META_CELL_WORDS)
+            .enumerate()
+        {
+            if at[0] != next as u64 || at[1] > (n - next) as u64 {
                 return Err(corrupt(format!(
-                    "cell {c}: {what} range {start}+{count} exceeds {total}"
+                    "cell {c}: entry range {}+{} does not continue at {next} within {n}",
+                    at[0], at[1]
                 )));
             }
-            Ok((start, count))
-        };
-        for c in 0..num_cells {
-            let base = META_HEADER_WORDS + c * META_CELL_WORDS;
-            let (entry_start, entry_count) =
-                as_range(meta[base], meta[base + 1], total_entries, "entry", c)?;
-            let (node_start, node_count) =
-                as_range(meta[base + 2], meta[base + 3], total_nodes, "node", c)?;
-            let extent = Rect::from_bounds(
-                f64::from_bits(meta[base + 4]),
-                f64::from_bits(meta[base + 5]),
-                f64::from_bits(meta[base + 6]),
-                f64::from_bits(meta[base + 7]),
-            )
-            .ok_or_else(|| corrupt(format!("cell {c}: non-finite or inverted extent")))?;
-            let cell = CellMeta {
-                entry_start,
-                entry_count,
-                node_start,
-                node_count,
-                extent,
-            };
-            if entry_start != next_entry || node_start != next_node {
+            let entries = next..next + at[1] as usize;
+            next = entries.end;
+            let [min_x, min_y, max_x, max_y] = [2, 3, 4, 5].map(|k| f64::from_bits(at[k]));
+            let extent = Rect::from_bounds(min_x, min_y, max_x, max_y)
+                .ok_or_else(|| corrupt(format!("cell {c}: non-finite or inverted extent")))?;
+            let run = &rects[entries.clone()];
+            if !run.is_empty() && !grid.extent().contains_rect(&extent) {
+                return Err(corrupt(format!("cell {c}: extent lies outside the grid")));
+            }
+            // Inside the extent, hence inside the grid: `cell_of` is defined.
+            if let Some(k) = run.iter().position(|r| !extent.contains_rect(r)) {
                 return Err(corrupt(format!(
-                    "cell {c}: index ranges are not laid out contiguously"
+                    "cell {c}: record {} lies outside the cell extent",
+                    entries.start + k
                 )));
             }
-            next_entry += entry_count;
-            next_node += node_count;
-            // Validates word structure, node kinds, ranges and rectangles.
-            let tree = cell_tree_of(&entries, &nodes, &cell)
-                .map_err(|e| corrupt(format!("cell {c}: {e}")))?;
-            let in_scope = scope
-                .as_ref()
-                .is_none_or(|r| (c as u64) >= u64::from(r.start) && (c as u64) < u64::from(r.end));
+            if run.windows(2).any(|p| p[0].min_x() > p[1].min_x()) {
+                return Err(corrupt(format!("cell {c}: run is not in ascending min_x")));
+            }
+            if let Some(k) = run.iter().position(|r| grid.cell_of(r).0 as usize != c) {
+                return Err(corrupt(format!(
+                    "cell {c}: record {} is homed at another cell",
+                    entries.start + k
+                )));
+            }
+            let in_scope = scope.as_ref().is_none_or(|r| r.contains(&(c as u32)));
             if in_scope {
-                for (_, id) in tree.iter() {
-                    let id = id as usize;
-                    if id as u64 >= record_count || seen[id] {
-                        return Err(corrupt(format!(
-                            "cell {c}: payload {id} is out of range or duplicated"
-                        )));
+                for &id in &ids[entries.clone()] {
+                    if std::mem::replace(&mut seen[id as usize], true) {
+                        return Err(corrupt(format!("cell {c}: id {id} is duplicated")));
                     }
-                    seen[id] = true;
                 }
             }
-            cells.push(cell);
+            cells.push(CellMeta { entries, extent });
         }
-        if next_entry != total_entries || next_node != total_nodes {
-            return Err(corrupt(
-                "cell index ranges do not cover the entry/node arrays",
-            ));
-        }
-        if total_entries as u64 != record_count {
-            return Err(corrupt(format!(
-                "{total_entries} indexed entries for {record_count} records"
-            )));
+        if next != n {
+            return Err(corrupt(format!("cell ranges cover {next} of {n} records")));
         }
         Ok(Self {
             fingerprint,
-            record_count,
             grid,
             cells,
-            entries,
-            nodes,
+            rects,
+            ids,
         })
     }
 
@@ -485,7 +487,7 @@ impl StoredDataset {
     /// Number of records in the relation.
     #[must_use]
     pub fn record_count(&self) -> u64 {
-        self.record_count
+        self.rects.len() as u64
     }
 
     /// The partitioning grid, reconstructed bit-exactly.
@@ -494,47 +496,42 @@ impl StoredDataset {
         &self.grid
     }
 
-    /// The packed R-tree over the records homed at `cell`.
+    /// The records homed at `cell` in ascending `min_x`, and their
+    /// input-order ids.
     ///
     /// # Panics
     /// Panics when `cell` is out of range for the grid.
     #[must_use]
-    pub fn cell_tree(&self, cell: CellId) -> PackedRTree<'_> {
-        let meta = &self.cells[cell.0 as usize];
-        cell_tree_of(&self.entries, &self.nodes, meta).expect("validated at open")
+    pub fn cell(&self, cell: CellId) -> (&[Rect], &[u32]) {
+        let entries = &self.cells[cell.0 as usize].entries;
+        (&self.rects[entries.clone()], &self.ids[entries.clone()])
     }
 
     /// The union extent of the records homed at `cell`; `None` when the
     /// cell is empty.
+    ///
+    /// # Panics
+    /// Panics when `cell` is out of range for the grid.
     #[must_use]
     pub fn cell_extent(&self, cell: CellId) -> Option<Rect> {
         let meta = &self.cells[cell.0 as usize];
-        (meta.entry_count > 0).then_some(meta.extent)
+        (!meta.entries.is_empty()).then_some(meta.extent)
     }
 
-    /// The rectangle of global entry `i` in storage (leaf-pack) order —
-    /// O(1) random access for sampling without materializing.
+    /// The rectangle at storage position `i` (cell by cell, each run in
+    /// `min_x` order) — O(1) random access for sampling without
+    /// materializing.
     ///
     /// # Panics
     /// Panics when `i` is out of bounds.
     #[must_use]
     pub fn nth_rect(&self, i: usize) -> Rect {
-        let base = i * ENTRY_WORDS;
-        Rect::from_bounds(
-            f64::from_bits(self.entries[base]),
-            f64::from_bits(self.entries[base + 1]),
-            f64::from_bits(self.entries[base + 2]),
-            f64::from_bits(self.entries[base + 3]),
-        )
-        .expect("validated at open")
+        self.rects[i]
     }
 
     /// Iterates over every `(rect, input_order_id)` in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (Rect, u32)> + '_ {
-        (0..self.record_count as usize).map(|i| {
-            let base = i * ENTRY_WORDS;
-            (self.nth_rect(i), self.entries[base + 4] as u32)
-        })
+        self.rects.iter().copied().zip(self.ids.iter().copied())
     }
 
     /// Reconstructs the relation in original input order — the fallback
@@ -542,25 +539,12 @@ impl StoredDataset {
     /// are bit-exact to the ingested rectangles.
     #[must_use]
     pub fn materialize(&self) -> Vec<Rect> {
-        let mut out = vec![Rect::new(0.0, 0.0, 0.0, 0.0); self.record_count as usize];
-        for cell in &self.cells {
-            let tree = cell_tree_of(&self.entries, &self.nodes, cell).expect("validated at open");
-            for (rect, id) in tree.iter() {
-                out[id as usize] = rect;
-            }
+        let mut out = vec![Rect::new(0.0, 0.0, 0.0, 0.0); self.rects.len()];
+        for (rect, id) in self.iter() {
+            out[id as usize] = rect;
         }
         out
     }
-}
-
-fn cell_tree_of<'a>(
-    entries: &'a [u64],
-    nodes: &'a [u64],
-    cell: &CellMeta,
-) -> Result<PackedRTree<'a>, String> {
-    let e = cell.entry_start * ENTRY_WORDS..(cell.entry_start + cell.entry_count) * ENTRY_WORDS;
-    let n = cell.node_start * NODE_WORDS..(cell.node_start + cell.node_count) * NODE_WORDS;
-    PackedRTree::new(&entries[e], &nodes[n])
 }
 
 #[cfg(test)]
@@ -602,21 +586,30 @@ mod tests {
     #[test]
     fn cells_partition_the_relation_by_home_cell() {
         let grid = grid();
-        let rects = random_rects(300, 11);
-        let bytes = StoreBuilder::new(&grid).build(&rects).unwrap();
-        let store = StoredDataset::from_bytes(&bytes).unwrap();
-        let mut total = 0;
-        for cell in grid.cells() {
-            let tree = store.cell_tree(cell);
-            total += tree.len();
-            for (rect, id) in tree.iter() {
-                assert_eq!(grid.cell_of(&rect), cell);
-                assert_eq!(rects[id as usize], rect);
-                let extent = store.cell_extent(cell).unwrap();
-                assert!(extent.contains_rect(&rect));
+        for n in [300, 301] {
+            let rects = random_rects(n, 11);
+            let bytes = StoreBuilder::new(&grid).build(&rects).unwrap();
+            // Three frames, the header, six words a cell, four a record and
+            // half a word of id: no tree, no widened id.
+            let words = 6 + 11 + 6 * grid.num_cells() as usize + 4 * n + n.div_ceil(2);
+            assert_eq!(bytes.len(), 8 * words);
+            let store = StoredDataset::from_bytes(&bytes).unwrap();
+            let mut total = 0;
+            for cell in grid.cells() {
+                let (run, ids) = store.cell(cell);
+                total += run.len();
+                assert_eq!(run.len(), ids.len());
+                for (rect, id) in run.iter().zip(ids) {
+                    assert_eq!(grid.cell_of(rect), cell);
+                    assert_eq!(rects[*id as usize], *rect);
+                    let extent = store.cell_extent(cell).unwrap();
+                    assert!(extent.contains_rect(rect));
+                }
+                let keys: Vec<_> = run.iter().map(Rect::min_x).zip(ids).collect();
+                assert!(keys.windows(2).all(|p| p[0] < p[1]), "{cell:?} unsorted");
             }
+            assert_eq!(total, rects.len());
         }
-        assert_eq!(total, rects.len());
     }
 
     #[test]
@@ -627,7 +620,7 @@ mod tests {
         assert_eq!(store.record_count(), 0);
         assert!(store.materialize().is_empty());
         for cell in grid.cells() {
-            assert!(store.cell_tree(cell).is_empty());
+            assert!(store.cell(cell).0.is_empty());
             assert_eq!(store.cell_extent(cell), None);
         }
     }
@@ -687,11 +680,13 @@ mod tests {
             assert_eq!(scoped.record_count(), full.record_count());
             assert_eq!(scoped.grid(), full.grid());
             for cell in grid.cells() {
-                // Every cell tree — in scope or not — is identical to
-                // the full open's view; probes traverse all of them.
-                let a: Vec<_> = scoped.cell_tree(cell).iter().collect();
-                let b: Vec<_> = full.cell_tree(cell).iter().collect();
-                assert_eq!(a, b, "cell {cell:?} under scope {range:?}");
+                // Every cell — in scope or not — is identical to the full
+                // open's view; gathers read all of them.
+                assert_eq!(
+                    scoped.cell(cell),
+                    full.cell(cell),
+                    "cell {cell:?} under scope {range:?}"
+                );
             }
         }
     }
@@ -704,7 +699,7 @@ mod tests {
         // Corrupt a byte deep in the ENTRIES section: even when the
         // damaged cell is outside the scope, the section checksum fires.
         let mut bad = bytes.clone();
-        let at = bad.len() - 64;
+        let at = bad.len() - 8 * 80;
         bad[at] ^= 0x01;
         assert!(StoredDataset::from_bytes_scoped(&bad, 0..1).is_err());
     }
@@ -751,5 +746,167 @@ mod tests {
                 "flipped bit {bit} of word {w} went undetected"
             );
         }
+    }
+
+    /// A store image's three sections as words.
+    fn sections(bytes: &[u8]) -> [Vec<u64>; 3] {
+        let words: Vec<u64> = (bytes.as_chunks::<8>().0.iter())
+            .map(|w| u64::from_le_bytes(*w))
+            .collect();
+        let mut rest = &words[..];
+        [(); 3].map(|()| {
+            let (section, tail) = rest[2..].split_at(rest[0] as usize);
+            rest = tail;
+            section.to_vec()
+        })
+    }
+
+    /// Frames `sections` with fresh checksums, so only a structural check
+    /// can reject the image.
+    fn seal(sections: &[Vec<u64>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for section in sections {
+            push_framed(&mut out, section);
+        }
+        out
+    }
+
+    /// Asserts the image is rejected as corrupt, naming `why`.
+    fn rejected(bytes: &[u8], why: &str) {
+        match StoredDataset::from_bytes(bytes) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains(why), "{msg:?}, not {why:?}"),
+            other => panic!("expected a corrupt store ({why}), got {other:?}"),
+        }
+    }
+
+    /// The first cell whose run has two records of distinct `min_x`.
+    fn cell_with_distinct_run(store: &StoredDataset) -> (usize, usize) {
+        (0..store.cells.len())
+            .find_map(|c| {
+                let run = store.cell(CellId(c as u32)).0;
+                let k = run.windows(2).position(|p| p[0].min_x() < p[1].min_x())?;
+                Some((c, store.cells[c].entries.start + k))
+            })
+            .expect("a run with two distinct min_x")
+    }
+
+    #[test]
+    fn resealed_structural_defects_are_rejected() {
+        let grid = grid();
+        let n = 201;
+        let bytes = StoreBuilder::new(&grid).build(&random_rects(n, 5)).unwrap();
+        let store = StoredDataset::from_bytes(&bytes).unwrap();
+        let [meta, entries, ids] = sections(&bytes);
+        assert_eq!(seal(&[meta.clone(), entries.clone(), ids.clone()]), bytes);
+        let cell_word = |c: usize, k: usize| META_HEADER_WORDS + c * META_CELL_WORDS + k;
+
+        // A VERSION 1 file: this image under the old version word, and
+        // the exact V1 image of an empty relation (eight META words a
+        // cell, then empty ENTRIES and NODES).
+        let mut v1 = meta.clone();
+        v1[1] = 1;
+        rejected(
+            &seal(&[v1, entries.clone(), ids.clone()]),
+            "unsupported format version 1",
+        );
+        let mut empty_v1 = meta[..META_HEADER_WORDS].to_vec();
+        (empty_v1[1], empty_v1[2], empty_v1[3]) = (1, dataset_fingerprint(&[]), 0);
+        empty_v1.resize(META_HEADER_WORDS + 8 * grid.num_cells() as usize, 0);
+        rejected(
+            &seal(&[empty_v1, Vec::new(), Vec::new()]),
+            "unsupported format version 1",
+        );
+
+        // One trailing word.
+        let mut long = bytes.clone();
+        long.extend([0; 8]);
+        rejected(&long, "1 trailing words");
+
+        // Truncation at every section boundary: before and after each
+        // frame header.
+        let mut at = 0;
+        for (section, what) in [(&meta, "META"), (&entries, "ENTRIES"), (&ids, "IDS")] {
+            rejected(&bytes[..at], &format!("truncated before the {what} frame"));
+            rejected(&bytes[..at + 16], &format!("{what} frame length"));
+            at += 8 * (2 + section.len());
+        }
+
+        // An unsorted run: two records of one cell swapped, ids with them.
+        let (c, i) = cell_with_distinct_run(&store);
+        let mut swapped = entries.clone();
+        for k in 0..4 {
+            swapped.swap(4 * i + k, 4 * i + 4 + k);
+        }
+        let mut swapped_ids = ids.clone();
+        let id = |w: &[u64], i: usize| (w[i / 2] >> (32 * (i % 2))) as u32;
+        let (a, b) = (id(&ids, i), id(&ids, i + 1));
+        for (pos, value) in [(i, b), (i + 1, a)] {
+            let shift = 32 * (pos % 2);
+            swapped_ids[pos / 2] &= !(0xFFFF_FFFF << shift);
+            swapped_ids[pos / 2] |= u64::from(value) << shift;
+        }
+        rejected(
+            &seal(&[meta.clone(), swapped, swapped_ids]),
+            &format!("cell {c}: run is not in ascending min_x"),
+        );
+
+        // A rectangle outside its cell's extent: the extent's right edge
+        // pulled in by one float, so the record that defines it sticks out.
+        let c = (0..store.cells.len())
+            .find(|&c| {
+                store
+                    .cell_extent(CellId(c as u32))
+                    .is_some_and(|e| e.l() > 0.0)
+            })
+            .expect("a cell with extent");
+        let mut narrow = meta.clone();
+        narrow[cell_word(c, 4)] = f64::from_bits(narrow[cell_word(c, 4)])
+            .next_down()
+            .to_bits();
+        rejected(
+            &seal(&[narrow, entries.clone(), ids.clone()]),
+            "lies outside the cell extent",
+        );
+
+        // A rectangle filed under the wrong home cell: the last record of
+        // a cell moved to the front of its right neighbour's run, whose
+        // extent grows to the whole grid (so only the home check is left;
+        // its `min_x` is below the neighbour's, so the run stays sorted).
+        let c = (0..store.cells.len())
+            .find(|&c| {
+                (c + 1) % grid.cols() as usize != 0
+                    && !store.cells[c].entries.is_empty()
+                    && !store.cells[c + 1].entries.is_empty()
+            })
+            .expect("two non-empty neighbours");
+        let mut moved = meta.clone();
+        moved[cell_word(c, 1)] -= 1;
+        moved[cell_word(c + 1, 0)] -= 1;
+        moved[cell_word(c + 1, 1)] += 1;
+        for (k, bound) in grid.extent().bounds().into_iter().enumerate() {
+            moved[cell_word(c + 1, 2 + k)] = bound.to_bits();
+        }
+        rejected(
+            &seal(&[moved, entries.clone(), ids.clone()]),
+            &format!(
+                "cell {}: record {} is homed at another cell",
+                c + 1,
+                store.cells[c].entries.end - 1
+            ),
+        );
+
+        // Non-zero id padding: `n` is odd, so the last word has a free half.
+        assert_eq!(n % 2, 1);
+        let mut padded = ids.clone();
+        *padded.last_mut().unwrap() |= 1 << 32;
+        rejected(
+            &seal(&[meta.clone(), entries.clone(), padded]),
+            "id padding is not zero",
+        );
+
+        // A duplicated id: the second record takes the first one's.
+        let mut duplicated = ids.clone();
+        duplicated[0] = (duplicated[0] & 0xFFFF_FFFF) * 0x1_0000_0001;
+        rejected(&seal(&[meta, entries, duplicated]), "is duplicated");
     }
 }

@@ -17,14 +17,16 @@
 //! join and its index are shared by all of them.
 //!
 //! The map-side join builds a reducer group per seed cell out of the
-//! stored per-cell trees, choosing the trees to read by its own index
+//! stored per-cell runs, choosing the cells to read by its own index
 //! arithmetic (a window's cell span, widened by the relation's reach); it
 //! gets non-square and non-dyadic grids over a 3:1 extent, bodies several
 //! cells long, and every start relation a query shape offers — and, cut
 //! into shards that do not divide the cell count, must gather to the
 //! single-node output field for field — and, started beside a job that
 //! holds every slot but one, must return the lone run's output on its
-//! caller alone.
+//! caller alone. Its stores mix in records that start exactly on cell
+//! boundaries and on the right and top extent edges, where the store
+//! decides a home cell, and it is checked against the brute-force oracle.
 //!
 //! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
@@ -33,7 +35,9 @@
 //! cascade running beside one reported less traffic than it moved.
 
 use mwsj_core::ann::try_knn_join;
+use mwsj_core::local::{multiway, LocalRect};
 use mwsj_core::mapreduce::EngineConfig;
+use mwsj_core::partition::Grid;
 use mwsj_core::shards::{self, GatherSpec};
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
@@ -311,7 +315,7 @@ fn a_designated_cell_at_the_bound_on_both_axes_is_reached() {
 }
 
 /// An uneven grid over `[0, width] × [0, 1000]`, the stores of `relations`
-/// built on it, and what the reference says they join to.
+/// built on it, and what the brute-force oracle says they join to.
 struct StoredCase {
     cluster: Cluster,
     bytes: Vec<Vec<u8>>,
@@ -320,7 +324,8 @@ struct StoredCase {
 
 impl StoredCase {
     /// Relations of the given sizes, bodies up to four cells long, each
-    /// with one more rectangle covering the whole extent.
+    /// with twelve more [`edge_homed`] rectangles, the first covering the
+    /// whole extent.
     fn generate(rng: &mut StdRng, query: &Query, sizes: &[usize], grid: (u32, u32, f64)) -> Self {
         let (cols, rows, width) = grid;
         let cluster = Cluster::new(ClusterConfig {
@@ -331,17 +336,19 @@ impl StoredCase {
         let relations: Vec<Vec<Rect>> = (sizes.iter())
             .map(|&n| {
                 let mut rel = adversarial_on(rng, n, (width, cols), (EXTENT, rows), 8);
-                rel.push(Rect::from_bounds(0.0, 0.0, width, EXTENT).expect("the whole extent"));
+                rel.extend(edge_homed(rng, cluster.grid(), 12));
                 rel
             })
             .collect();
-        let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+        let local: Vec<Vec<LocalRect>> = (relations.iter())
+            .map(|rel| rel.iter().copied().zip(0..).collect())
+            .collect();
         let builder = StoreBuilder::new(cluster.grid());
         Self {
             bytes: (relations.iter())
                 .map(|rel| builder.build(rel).expect("in-extent rectangles"))
                 .collect(),
-            expected: reference::in_memory_join(query, &slices),
+            expected: multiway::normalized(multiway::brute_force_join(query, &local)),
             cluster,
         }
     }
@@ -466,6 +473,44 @@ fn sharded_map_side_gathers_to_the_single_node_output_for_any_shard_count() {
             );
         }
     }
+}
+
+/// `n` rectangles for a store on `grid` whose start points sit where the
+/// store's home cell is decided: on an interior column or row boundary —
+/// as the grid computes it or as the lattice product — or on the right or
+/// top edge of the extent. One in three is a point; the first covers the
+/// whole extent.
+fn edge_homed(rng: &mut StdRng, grid: &Grid, n: usize) -> Vec<Rect> {
+    let ((x0, xn), (y0, yn)) = (grid.x_range(), grid.y_range());
+    let (cols, rows) = (grid.cols(), grid.rows());
+    let (cw, ch) = ((xn - x0) / f64::from(cols), (yn - y0) / f64::from(rows));
+    let mut out = vec![grid.extent()];
+    while out.len() < n {
+        // Column `k`'s left boundary; `k = cols` is the right edge.
+        let k = rng.random_range(1..=cols);
+        let x = match (k == cols, rng.random_range(0..2)) {
+            (true, _) => xn,
+            (false, 0) => grid.cell_rect(grid.cell_at(k, 0)).min_x(),
+            (false, _) => x0 + f64::from(k) * cw,
+        };
+        // Row `k`'s top boundary; `k = 0` is the top edge.
+        let k = rng.random_range(0..rows);
+        let y = match (k == 0, rng.random_range(0..2)) {
+            (true, _) => yn,
+            (false, 0) => grid.cell_rect(grid.cell_at(0, k)).max_y(),
+            (false, _) => yn - f64::from(k) * ch,
+        };
+        let (l, b) = match rng.random_range(0..3) {
+            0 => (0.0, 0.0),
+            _ => (
+                rng.random_range(0.0..2.0 * cw),
+                rng.random_range(0.0..2.0 * ch),
+            ),
+        };
+        let r = Rect::from_bounds(x, (y - b).max(y0), (x + l).min(xn), y);
+        out.push(r.expect("in-extent bounds"));
+    }
+    out
 }
 
 /// A map-side run holds a slot per seed cell and brings a helper only for
