@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use args::Args;
 use mwsj_core::mapreduce::{json_escape, validate_json, EngineConfig, FaultPlan, TraceSink};
 use mwsj_core::partition::Grid;
-use mwsj_core::store::StoredDataset;
-use mwsj_core::{optimizer, Algorithm, Cluster, ClusterConfig, JoinRun, StoredRun};
+use mwsj_core::store::{StoreBuilder, StoredDataset};
+use mwsj_core::{optimizer, Algorithm, Cluster, ClusterConfig, StoredRun};
 use mwsj_datagen::CaliforniaStats;
 use mwsj_geom::Rect;
 use mwsj_query::Query;
@@ -90,15 +90,16 @@ SOURCES
   file.csv                                  CSV rows: x,y,l,b
   synthetic:n=10000,seed=1,extent=100000,lmax=100[,bmax=..]
   california:n=20000,seed=2013[,full]
-  store:file.store                          `mwsj ingest` output; when every
-                  binding is a store on the same grid, `run` and `serve`
-                  join shuffle-free off the per-cell indexes (map-side)
+  store:file.store                          `mwsj ingest` output
+  `run`, `explain` and `serve` bind every source as a store on one grid
+  (stores on that grid as they are), so map-side joins any of them
 
 RUN OPTIONS
   --algorithm auto|cascade|allrep|crep|crep-l|hypercube|map-side
                   (default auto: the cost-based optimizer picks;
-                  `mwsj explain` shows why; map-side needs store: inputs)
-  --grid N        reducer grid side, N x N cells (default 8)
+                  `mwsj explain` shows why)
+  --grid N        reducer grid side, N x N cells (default 8; stores that are
+                  every binding keep their own grid)
   --count-only    count result tuples without materializing them
   --plan          reorder the cascade's joins by sampled selectivity
   --out FILE      write result tuples as CSV ids
@@ -129,10 +130,10 @@ SERVE OPTIONS  (a concurrent query service; line-JSON or binary framing)
   --net-fault-seed N  seed for the deterministic network faults (default 0)
   --drain-deadline-ms N  on shutdown, let in-flight queries finish for up
                       to N ms before cancelling them (default 5000)
-  --shards N          scatter stored map-side queries across N threads,
-                      each seeding a disjoint cell range of the one mounted
-                      copy of every store; results stay byte-identical to
-                      --shards 1 (default 1)
+  --shards N          scatter map-side queries across N threads, each
+                      seeding a disjoint cell range of the one registered
+                      store of every dataset; results stay byte-identical
+                      to --shards 1 (default 1)
   The wire protocol is sniffed per connection from its first byte: 0xB1
   opens length-prefixed binary framing, anything else is line JSON.
 
@@ -412,23 +413,13 @@ fn data_json(args: &Args) -> Result<String, String> {
     Ok(members.join(","))
 }
 
-/// What `run` and `explain` join: one input per relation position.
-enum Bound {
-    /// In-memory relations — what any binding that is not a `store:PATH`
-    /// makes of all of them.
-    Memory(Vec<Vec<Rect>>),
-    /// Every binding a `store:PATH`: the opened, co-partitioned stores
-    /// and the wall their opens took (charged to the run's `open_wall`).
-    /// These run off the stores, shuffle-free under `auto`.
-    Stored(Vec<StoredDataset>, Duration),
-}
-
-/// The one binder behind `run` and `explain`: loads every `--data` source
-/// — stores in place when all are `store:PATH`, materialized otherwise —
-/// orders the inputs by relation position, and builds the cluster over
-/// the stores' own space and grid, or the datasets' bounding space and
-/// `--grid`.
-fn bind(args: &Args, query: &Query) -> Result<(Cluster, Bound), String> {
+/// The one binder behind `run` and `explain`: one store per relation
+/// position, co-partitioned on one grid, and the wall their opens or
+/// builds took (charged to the run's `open_wall`). When every `--data`
+/// source is a `store:PATH` they are opened in place and their own grid is
+/// the cluster's; otherwise every source is loaded (a store materialized)
+/// and built into a store on the datasets' bounding space and `--grid`.
+fn bind(args: &Args, query: &Query) -> Result<(Cluster, Vec<StoredDataset>, Duration), String> {
     fn by_position<T>(
         query: &Query,
         sources: &[(&str, &str)],
@@ -454,7 +445,7 @@ fn bind(args: &Args, query: &Query) -> Result<(Cluster, Bound), String> {
         .iter()
         .map(|(name, source)| Some((*name, source.strip_prefix("store:")?)))
         .collect();
-    let (grid, bound) = match paths.filter(|paths| !paths.is_empty()) {
+    let (stores, open_wall) = match paths.filter(|paths| !paths.is_empty()) {
         Some(paths) => {
             let t0 = Instant::now();
             let stores = by_position(query, &paths, |path| {
@@ -462,27 +453,33 @@ fn bind(args: &Args, query: &Query) -> Result<(Cluster, Bound), String> {
                     .map_err(|e| format!("opening store `{path}`: {e}"))
             })?;
             let open_wall = t0.elapsed();
-            let grid = stores[0].grid().clone();
-            if stores.iter().any(|s| *s.grid() != grid) {
+            if stores.iter().any(|s| s.grid() != stores[0].grid()) {
                 return Err(
                     "stores were ingested on different grids; re-ingest with matching \
                      --grid and --extent so they are co-partitioned"
                         .into(),
                 );
             }
-            (grid, Bound::Stored(stores, open_wall))
+            if args.get("grid")?.is_some() {
+                eprintln!("note      : --grid is ignored for stores (their own grid is used)");
+            }
+            (stores, open_wall)
         }
         None => {
             let datasets = by_position(query, &sources, data::load_source)?;
             let slices: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
             let (x_range, y_range) = data::bounding_space(&slices);
-            let side: u32 = args.get_parsed_or("grid", 8u32)?;
-            (
-                Grid::square(x_range, y_range, side),
-                Bound::Memory(datasets),
-            )
+            let grid = Grid::square(x_range, y_range, args.get_parsed_or("grid", 8u32)?);
+            let t0 = Instant::now();
+            let builder = StoreBuilder::new(&grid);
+            let stores = (datasets.iter())
+                .map(|rects| StoredDataset::from_bytes(&builder.build(rects)?))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| e.to_string())?;
+            (stores, t0.elapsed())
         }
     };
+    let grid = stores[0].grid();
     let cluster = Cluster::new(ClusterConfig {
         x_range: grid.x_range(),
         y_range: grid.y_range(),
@@ -491,7 +488,7 @@ fn bind(args: &Args, query: &Query) -> Result<(Cluster, Bound), String> {
         num_reducers: None,
         engine: parse_engine_config(args)?,
     });
-    Ok((cluster, bound))
+    Ok((cluster, stores, open_wall))
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -516,56 +513,27 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let sink = trace
         .as_ref()
         .map_or_else(TraceSink::disabled, |t| t.sink.clone());
-    let (cluster, bound) = bind(args, &query)?;
-
-    let (output, wall) = match &bound {
-        Bound::Stored(stores, open_wall) => {
-            if args.flag("plan") {
-                return Err(
-                    "--plan needs in-memory inputs; stored runs are ordered by the stored plan"
-                        .into(),
-                );
-            }
-            if args.get("grid")?.is_some() {
-                eprintln!(
-                    "note      : --grid is ignored for stored runs (the stores' grid is used)"
-                );
-            }
-            eprintln!(
-                "stores    : {} relations, {} records, opened in {open_wall:?}",
-                stores.len(),
-                stores.iter().map(|s| s.record_count()).sum::<u64>()
-            );
-            let stores: Vec<&StoredDataset> = stores.iter().collect();
-            let run = StoredRun::new(&query, &stores)
-                .algorithm(algorithm)
-                .count_only(args.flag("count-only"))
-                .open_wall(*open_wall)
-                .trace(sink);
-            let t0 = Instant::now();
-            (cluster.submit_stored(&run), t0.elapsed())
-        }
-        Bound::Memory(datasets) => {
-            if algorithm == Algorithm::MapSide {
-                return Err(
-                    "the map-side join needs every --data binding to be a store:PATH dataset \
-                     (see `mwsj ingest`)"
-                        .into(),
-                );
-            }
-            let datasets: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
-            if args.flag("plan") {
-                query = optimizer::cascade_order(&query, &datasets);
-                eprintln!("planned order: {query}");
-            }
-            let run = JoinRun::new(&query, &datasets)
-                .algorithm(algorithm)
-                .count_only(args.flag("count-only"))
-                .trace(sink);
-            let t0 = Instant::now();
-            (cluster.submit(&run), t0.elapsed())
-        }
-    };
+    let (cluster, stores, open_wall) = bind(args, &query)?;
+    eprintln!(
+        "stores    : {} relations, {} records, opened in {open_wall:?}",
+        stores.len(),
+        stores.iter().map(|s| s.record_count()).sum::<u64>()
+    );
+    if args.flag("plan") {
+        let relations: Vec<Vec<Rect>> = stores.iter().map(StoredDataset::materialize).collect();
+        let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+        query = optimizer::cascade_order(&query, &slices);
+        eprintln!("planned order: {query}");
+    }
+    let stores: Vec<&StoredDataset> = stores.iter().collect();
+    let run = StoredRun::new(&query, &stores)
+        .algorithm(algorithm)
+        .count_only(args.flag("count-only"))
+        .open_wall(open_wall)
+        .trace(sink);
+    let t0 = Instant::now();
+    let output = cluster.submit_stored(&run);
+    let wall = t0.elapsed();
     let output = output.map_err(|e| format!("join failed: {e}"))?;
     finish_run(args, &query, algorithm, &output, &cluster, wall, &trace)
 }
@@ -684,17 +652,8 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     }
 
     let query = Query::parse(query_text).map_err(|e| format!("query: {e}"))?;
-    // All-stored bindings are planned with the map-side candidate in
-    // play, on the stores' own grid.
-    let plan = match bind(args, &query)? {
-        (cluster, Bound::Stored(stores, _)) => {
-            cluster.plan_stored(&query, &stores.iter().collect::<Vec<_>>())
-        }
-        (cluster, Bound::Memory(datasets)) => {
-            let datasets: Vec<&[Rect]> = datasets.iter().map(Vec::as_slice).collect();
-            cluster.plan(&query, &datasets)
-        }
-    };
+    let (cluster, stores, _) = bind(args, &query)?;
+    let plan = cluster.plan_stored(&query, &stores.iter().collect::<Vec<_>>());
     println!("{}", plan.to_json());
     Ok(())
 }

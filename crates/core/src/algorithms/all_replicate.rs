@@ -13,16 +13,16 @@
 
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob, TupleFilter};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
-    relations: &[&[mwsj_geom::Rect]],
+    inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
     let grid = ctx.grid;
-    let input = flatten_input(relations);
+    let input = flatten_input(inputs);
     let job = JoinJob {
         name: "all-replicate",
         algorithm: Algorithm::AllReplicate,

@@ -27,7 +27,7 @@ use mwsj_mapreduce::{Fnv64, RecordSize, StableHash};
 use mwsj_partition::CellId;
 use mwsj_query::{Predicate, Query, RelationId, Triple};
 
-use super::AlgoCtx;
+use super::{AlgoCtx, Inputs};
 use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 
 /// A partially-joined tuple: one optional `(id, rect)` slot per relation
@@ -169,7 +169,7 @@ pub(crate) fn execution_order(query: &Query) -> Vec<(usize, Stage)> {
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
-    relations: &[&[Rect]],
+    inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
     let engine = ctx.engine;
     let order = execution_order(query);
@@ -186,17 +186,12 @@ pub(crate) fn run(
         let name = format!("cascade-stage-{stage}");
 
         let (result, count) = match kind {
-            Stage::Base => base_base_join(
-                ctx,
-                relations,
-                query.num_relations(),
-                triple,
-                &name,
-                counting,
-            )?,
+            Stage::Base => {
+                base_base_join(ctx, inputs, query.num_relations(), triple, &name, counting)?
+            }
             Stage::Extend { anchor, new } => stage_join(
                 ctx,
-                relations,
+                inputs,
                 triple,
                 anchor,
                 new,
@@ -251,24 +246,25 @@ pub(crate) fn run(
     })
 }
 
+/// The base records of relation `pos`, as a stage's input.
+fn base_records(inputs: Inputs<'_>, pos: RelationId) -> impl Iterator<Item = Side> + '_ {
+    (inputs.records(pos.index())).map(move |(rect, id)| Side::Base(TaggedRect::new(pos, id, rect)))
+}
+
 /// Stage 0: join two base relations (§5.2/§5.3). The left side is routed
 /// by its enlarged rectangle, the right side is split.
 fn base_base_join(
     ctx: &AlgoCtx<'_>,
-    relations: &[&[Rect]],
+    inputs: Inputs<'_>,
     n: usize,
     triple: Triple,
     name: &str,
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let (l, r) = (triple.left, triple.right);
-    let mut input: Vec<Side> = Vec::new();
-    for (id, rect) in relations[l.index()].iter().enumerate() {
-        input.push(Side::Base(TaggedRect::new(l, id as u32, *rect)));
-    }
-    for (id, rect) in relations[r.index()].iter().enumerate() {
-        input.push(Side::Base(TaggedRect::new(r, id as u32, *rect)));
-    }
+    let input: Vec<Side> = base_records(inputs, l)
+        .chain(base_records(inputs, r))
+        .collect();
 
     let empty = Partial {
         slots: vec![None; n],
@@ -294,7 +290,7 @@ fn base_base_join(
 #[allow(clippy::too_many_arguments)]
 fn stage_join(
     ctx: &AlgoCtx<'_>,
-    relations: &[&[Rect]],
+    inputs: Inputs<'_>,
     triple: Triple,
     anchor_pos: RelationId,
     new_pos: RelationId,
@@ -306,9 +302,7 @@ fn stage_join(
         .iter()
         .map(|p| Side::Tuple(p.clone()))
         .collect();
-    for (id, rect) in relations[new_pos.index()].iter().enumerate() {
-        input.push(Side::Base(TaggedRect::new(new_pos, id as u32, *rect)));
-    }
+    input.extend(base_records(inputs, new_pos));
     run_pair_job(
         ctx,
         name,

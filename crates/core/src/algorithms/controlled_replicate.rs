@@ -84,14 +84,12 @@
 //! too, which costs one shuffled record and no correctness — round 2's
 //! designated-cell filter decides what is emitted.
 
-use mwsj_geom::Rect;
 use mwsj_local::{marking, GroupIndex, JoinKernel};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{replication_bounds, Query, RelationId};
 
 use super::{
-    flatten_input, join_group, max_diagonal, replicate_join, AlgoCtx, Algorithm, JoinJob,
-    TupleFilter,
+    flatten_input, join_group, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter,
 };
 use crate::record::group_by_relation;
 use crate::{JoinError, JoinOutput, TaggedRect};
@@ -126,12 +124,12 @@ enum Round1 {
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
-    relations: &[&[Rect]],
+    inputs: Inputs<'_>,
     limit: bool,
 ) -> Result<JoinOutput, JoinError> {
     let engine = ctx.engine;
     let grid = ctx.grid;
-    let input = flatten_input(relations);
+    let input = flatten_input(inputs);
     let n = query.num_relations();
     let kernel = JoinKernel::new(query);
 
@@ -188,8 +186,7 @@ pub(crate) fn run(
     // retries surface as a `JoinError::Dfs`.
     let marked = engine.dfs.materialize("c-rep/marked", marked)?;
 
-    let bounds: Option<Vec<f64>> =
-        limit.then(|| limited_reach(query, max_diagonal(relations), grid));
+    let bounds: Option<Vec<f64>> = limit.then(|| limited_reach(query, inputs.max_diagonal(), grid));
 
     // ---- Round 2: replicate the marked, join across cells ------------
     let (name, algorithm) = if limit {
@@ -217,6 +214,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwsj_geom::Rect;
 
     #[test]
     fn limited_reach_covers_the_cell_at_exactly_the_bound() {

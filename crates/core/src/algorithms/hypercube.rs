@@ -29,7 +29,7 @@
 use mwsj_mapreduce::Fnv64;
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, JoinJob, TupleFilter};
+use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 /// Derives the share vector `s` for relation cardinalities `sizes` and a
@@ -120,10 +120,10 @@ fn own_coordinate(tr: &TaggedRect, share: u32) -> u32 {
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
     query: &Query,
-    relations: &[&[mwsj_geom::Rect]],
+    inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
-    let input = flatten_input(relations);
-    let sizes: Vec<u64> = relations.iter().map(|r| r.len() as u64).collect();
+    let input = flatten_input(inputs);
+    let sizes: Vec<u64> = (0..inputs.len()).map(|p| inputs.size(p) as u64).collect();
     // The same derivation the optimizer's plan reports, so an auto run
     // and its pinned twin are byte-identical.
     let shares = derive_shares(&sizes, ctx.num_reducers);

@@ -13,10 +13,11 @@ pub(crate) mod hypercube;
 pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
-use mwsj_local::{multiway, GroupIndex, JoinKernel};
+use mwsj_local::{multiway, GroupIndex, JoinKernel, LocalRect};
 use mwsj_mapreduce::{CancelToken, Engine, JobSpec, MetricsHub, MetricsReport, TraceSink, Unset};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Query, RelationId};
+use mwsj_store::StoredDataset;
 use serde::{Deserialize, Serialize};
 
 use crate::record::group_by_relation;
@@ -47,8 +48,8 @@ pub(crate) struct AlgoCtx<'a> {
     pub priority: i32,
     /// Slot-scheduler fair-share weight of this run's jobs.
     pub share: u32,
-    /// Combined fingerprint of the datasets bound to the query positions
-    /// (0 when the caller did not supply one).
+    /// Combined fingerprint of the stores bound to the query positions
+    /// (0 for in-memory slices, which carry none).
     pub input_fingerprint: u64,
     /// DFS counters (read bytes, write bytes, transient failures) at
     /// submit time; [`AlgoCtx::report`] subtracts them so a run's report
@@ -120,7 +121,8 @@ pub enum Algorithm {
     /// distance `d`.
     Hypercube,
     /// Shuffle-free join over *stored* datasets: when every relation is
-    /// pre-partitioned on the cluster grid by `mwsj ingest`, the join runs
+    /// pre-partitioned on the cluster grid (by `mwsj ingest`, or by the
+    /// server and the CLI, which bind every dataset as a store), the join runs
     /// the local kernel directly over the per-cell stored runs — no
     /// map, sort, shuffle or merge phase at all. Only executable through
     /// [`Cluster::submit_stored`](crate::Cluster::submit_stored); it is
@@ -199,14 +201,75 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// Flattens positional datasets into the tagged-rectangle records the map
-/// phase consumes.
-pub(crate) fn flatten_input(relations: &[&[Rect]]) -> Vec<TaggedRect> {
-    let mut out = Vec::with_capacity(relations.iter().map(|r| r.len()).sum());
-    for (pos, rel) in relations.iter().enumerate() {
-        for (id, rect) in rel.iter().enumerate() {
-            out.push(TaggedRect::new(RelationId(pos as u16), id as u32, *rect));
+/// What a run binds to the query's relation positions, read as
+/// `(rect, id)` records with `id` the record's index in its relation's
+/// input order: an in-memory slice by enumeration, a store in storage
+/// order (cell by cell, each run by `min_x`) with the ids it keeps. Every
+/// shuffle algorithm routes a record by its rectangle and names it by its
+/// id, so both orders shuffle the same pairs to the same reducers; only
+/// where map chunks end can differ.
+#[derive(Clone, Copy)]
+pub(crate) enum Inputs<'a> {
+    /// In-memory relations.
+    Memory(&'a [&'a [Rect]]),
+    /// Opened stored datasets.
+    Stored(&'a [&'a StoredDataset]),
+}
+
+impl<'a> Inputs<'a> {
+    /// Relation positions bound.
+    pub fn len(self) -> usize {
+        match self {
+            Inputs::Memory(relations) => relations.len(),
+            Inputs::Stored(stores) => stores.len(),
         }
+    }
+
+    /// Records bound to position `pos`.
+    pub fn size(self, pos: usize) -> usize {
+        match self {
+            Inputs::Memory(relations) => relations[pos].len(),
+            Inputs::Stored(stores) => stores[pos].record_count() as usize,
+        }
+    }
+
+    /// The records bound to position `pos`.
+    pub fn records(self, pos: usize) -> impl Iterator<Item = LocalRect> + 'a {
+        let (memory, stored) = match self {
+            Inputs::Memory(relations) => (Some(relations[pos].iter().copied().zip(0..)), None),
+            Inputs::Stored(stores) => (None, Some(stores[pos].iter())),
+        };
+        memory
+            .into_iter()
+            .flatten()
+            .chain(stored.into_iter().flatten())
+    }
+
+    /// The rectangle of the `i`-th record of position `pos`.
+    pub fn nth(self, pos: usize, i: usize) -> Rect {
+        match self {
+            Inputs::Memory(relations) => relations[pos][i],
+            Inputs::Stored(stores) => stores[pos].nth_rect(i),
+        }
+    }
+
+    /// The largest rectangle diagonal across all inputs — the `d_max`
+    /// dataset statistic the C-Rep-L bounds assume known (§7.9).
+    pub fn max_diagonal(self) -> f64 {
+        (0..self.len())
+            .flat_map(|pos| self.records(pos))
+            .map(|(r, _)| r.diagonal())
+            .fold(0.0, f64::max)
+    }
+}
+
+/// Flattens positional inputs into the tagged-rectangle records the map
+/// phase consumes.
+pub(crate) fn flatten_input(inputs: Inputs<'_>) -> Vec<TaggedRect> {
+    let mut out = Vec::with_capacity((0..inputs.len()).map(|pos| inputs.size(pos)).sum());
+    for pos in 0..inputs.len() {
+        let relation = RelationId(pos as u16);
+        out.extend((inputs.records(pos)).map(|(rect, id)| TaggedRect::new(relation, id, rect)));
     }
     out
 }
@@ -378,16 +441,6 @@ pub(crate) fn finish_tuples(raw: Vec<Vec<u32>>, count_only: bool) -> (Vec<Vec<u3
     }
 }
 
-/// The largest rectangle diagonal across all inputs — the `d_max` dataset
-/// statistic the C-Rep-L bounds assume known (§7.9).
-pub(crate) fn max_diagonal(relations: &[&[Rect]]) -> f64 {
-    relations
-        .iter()
-        .flat_map(|rel| rel.iter())
-        .map(Rect::diagonal)
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,18 +449,29 @@ mod tests {
     fn flatten_tags_positions_and_ids() {
         let a = vec![Rect::new(0.0, 1.0, 1.0, 1.0)];
         let b = vec![Rect::new(2.0, 1.0, 1.0, 1.0), Rect::new(3.0, 1.0, 1.0, 1.0)];
-        let flat = flatten_input(&[&a, &b]);
+        let flat = flatten_input(Inputs::Memory(&[&a, &b]));
         assert_eq!(flat.len(), 3);
         assert_eq!(flat[0].relation, RelationId(0));
         assert_eq!(flat[2].relation, RelationId(1));
         assert_eq!(flat[2].id, 1);
+
+        // A store yields the same records in storage order, ids kept.
+        let grid = Grid::square((0.0, 10.0), (0.0, 10.0), 2);
+        let builder = mwsj_store::StoreBuilder::new(&grid);
+        let stores: Vec<StoredDataset> = [&a, &b]
+            .map(|rel| StoredDataset::from_bytes(&builder.build(rel).unwrap()).unwrap())
+            .into();
+        let stores: Vec<&StoredDataset> = stores.iter().collect();
+        let mut stored = flatten_input(Inputs::Stored(&stores));
+        stored.sort_by_key(|tr| (tr.relation.0, tr.id));
+        assert_eq!(stored, flat);
     }
 
     #[test]
     fn max_diagonal_over_relations() {
         let a = vec![Rect::new(0.0, 10.0, 3.0, 4.0)];
         let b = vec![Rect::new(0.0, 10.0, 6.0, 8.0)];
-        assert_eq!(max_diagonal(&[&a, &b]), 10.0);
+        assert_eq!(Inputs::Memory(&[&a, &b]).max_diagonal(), 10.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mwsj_partition::Grid;
 use mwsj_query::Query;
 use mwsj_store::StoredDataset;
 
-use crate::algorithms::{self, AlgoCtx, Algorithm};
+use crate::algorithms::{self, AlgoCtx, Algorithm, Inputs};
 use crate::optimizer::{self, Plan};
 use crate::run_config::Run;
 use crate::shards::{self, GatherSpec, ShardPartial};
@@ -204,15 +204,15 @@ impl Cluster {
     ///
     /// When the resolved algorithm is [`Algorithm::MapSide`], the join
     /// runs directly over the per-cell stored runs — no map, sort,
-    /// shuffle or merge phase, and the relations are never materialized in
-    /// memory. Any other algorithm materializes the stored relations and
-    /// runs exactly as under [`Cluster::submit`], so outputs and logical
-    /// counters are byte-identical across both paths.
+    /// shuffle or merge phase. Any other algorithm reads the stores' runs
+    /// as its map input, record by record in storage order, and runs
+    /// exactly as under [`Cluster::submit`]: tuples and every logical
+    /// counter but `spill_runs` (map chunks end elsewhere) are
+    /// byte-identical across both paths. The relations are never
+    /// materialized in memory.
     ///
     /// The combined input fingerprint is derived from the stores' recorded
-    /// fingerprints exactly as [`Cluster::submit`] callers derive it from
-    /// in-memory datasets ([`crate::combine_fingerprints`]), so result-cache
-    /// keys are unaffected by where the data lives.
+    /// fingerprints ([`crate::combine_fingerprints`]).
     ///
     /// # Errors
     /// Like [`Cluster::submit`]; the map-side path can only fail by
@@ -262,7 +262,7 @@ impl Cluster {
             pinned => pinned,
         };
         let fingerprint = match inputs {
-            Inputs::Memory(_) => run.input_fingerprint,
+            Inputs::Memory(_) => 0,
             Inputs::Stored(stores) => shards::combined_fingerprint(stores),
         };
         let ctx = self.ctx(run, fingerprint);
@@ -282,28 +282,18 @@ impl Cluster {
             return Ok(shards::gather(vec![partial], &spec));
         }
 
-        // Every other algorithm shuffles in-memory relations; stored
-        // inputs are materialized first.
-        let materialized: Vec<Vec<Rect>>;
-        let slices: Vec<&[Rect]>;
-        let relations = match inputs {
-            Inputs::Memory(relations) => relations,
-            Inputs::Stored(stores) => {
-                materialized = stores.iter().map(|s| s.materialize()).collect();
-                slices = materialized.iter().map(Vec::as_slice).collect();
-                &slices
-            }
-        };
+        // Every other algorithm shuffles, reading either kind of input
+        // record by record.
         match algorithm {
-            Algorithm::TwoWayCascade => algorithms::cascade::run(&ctx, run.query, relations),
-            Algorithm::AllReplicate => algorithms::all_replicate::run(&ctx, run.query, relations),
+            Algorithm::TwoWayCascade => algorithms::cascade::run(&ctx, run.query, inputs),
+            Algorithm::AllReplicate => algorithms::all_replicate::run(&ctx, run.query, inputs),
             Algorithm::ControlledReplicate => {
-                algorithms::controlled_replicate::run(&ctx, run.query, relations, false)
+                algorithms::controlled_replicate::run(&ctx, run.query, inputs, false)
             }
             Algorithm::ControlledReplicateLimit => {
-                algorithms::controlled_replicate::run(&ctx, run.query, relations, true)
+                algorithms::controlled_replicate::run(&ctx, run.query, inputs, true)
             }
-            Algorithm::Hypercube => algorithms::hypercube::run(&ctx, run.query, relations),
+            Algorithm::Hypercube => algorithms::hypercube::run(&ctx, run.query, inputs),
             Algorithm::MapSide => Err(JoinError::InvalidInput(
                 "the map-side join needs stored datasets; use Cluster::submit_stored".to_string(),
             )),
@@ -346,12 +336,7 @@ impl Cluster {
 
     /// The optimizer's plan for validated inputs.
     fn plan_inputs(&self, query: &Query, inputs: Inputs<'_>) -> Plan {
-        match inputs {
-            Inputs::Memory(relations) => self.plan(query, relations),
-            Inputs::Stored(stores) => {
-                optimizer::plan_stored(query, stores, &self.grid, self.num_reducers)
-            }
-        }
+        optimizer::plan_inputs(query, inputs, &self.grid, self.num_reducers)
     }
 
     /// The algorithm context of one run: the cluster's engine and grid
@@ -375,15 +360,6 @@ impl Cluster {
             ),
         }
     }
-}
-
-/// What a run binds to the query's relation positions.
-#[derive(Clone, Copy)]
-enum Inputs<'a> {
-    /// In-memory relations.
-    Memory(&'a [&'a [Rect]]),
-    /// Opened stored datasets.
-    Stored(&'a [&'a StoredDataset]),
 }
 
 #[cfg(test)]

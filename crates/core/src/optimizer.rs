@@ -54,13 +54,12 @@
 use mwsj_geom::Rect;
 use mwsj_partition::Grid;
 use mwsj_query::{Query, Triple};
-use mwsj_store::StoredDataset;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
 use crate::algorithms::controlled_replicate::limited_reach;
 use crate::algorithms::hypercube::derive_shares;
-use crate::algorithms::{cascade, max_diagonal, Algorithm};
+use crate::algorithms::{cascade, Algorithm, Inputs};
 
 /// Fixed sampling seed: planner decisions must be a pure function of the
 /// inputs (golden-pinnable, cache-key safe), never of run-to-run entropy.
@@ -84,21 +83,17 @@ const DFS_WEIGHT: f64 = 3.0;
 const PAIR_WEIGHT: f64 = 0.02;
 
 /// The one sampler: a seeded uniform sample without replacement of up to
-/// [`PLAN_SAMPLE`] rectangles from each relation, read by position through
-/// `len` and `nth`. One RNG runs across the relations.
-fn sample_relations<R>(
-    relations: &[R],
-    len: impl Fn(&R) -> usize,
-    nth: impl Fn(&R, usize) -> Rect,
-) -> Vec<Vec<Rect>> {
+/// [`PLAN_SAMPLE`] rectangles from each relation, read by record position
+/// (a store's is its storage order, so nothing is materialized). One RNG
+/// runs across the relations.
+fn sample_relations(inputs: Inputs<'_>) -> Vec<Vec<Rect>> {
     let mut rng = StdRng::seed_from_u64(PLAN_SEED);
-    relations
-        .iter()
-        .map(|rel| {
-            let mut idx: Vec<usize> = (0..len(rel)).collect();
+    (0..inputs.len())
+        .map(|pos| {
+            let mut idx: Vec<usize> = (0..inputs.size(pos)).collect();
             idx.shuffle(&mut rng);
             idx.truncate(PLAN_SAMPLE);
-            idx.into_iter().map(|i| nth(rel, i)).collect()
+            idx.into_iter().map(|i| inputs.nth(pos, i)).collect()
         })
         .collect()
 }
@@ -375,7 +370,7 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 #[must_use]
 pub fn cascade_order(query: &Query, relations: &[&[Rect]]) -> Query {
     assert_eq!(relations.len(), query.num_relations());
-    let samples = sample_relations(relations, |r| r.len(), |r, i| r[i]);
+    let samples = sample_relations(Inputs::Memory(relations));
     let size = |r: mwsj_query::RelationId| relations[r.index()].len() as f64;
     let mut remaining: Vec<(Triple, f64)> = query
         .triples()
@@ -440,59 +435,23 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
 /// Deterministic: same inputs, same plan (see the module docs).
 #[must_use]
 pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) -> Plan {
-    assert_eq!(relations.len(), query.num_relations());
-    let samples = sample_relations(relations, |r| r.len(), |r, i| r[i]);
-    let sizes: Vec<f64> = relations.iter().map(|r| r.len() as f64).collect();
-    plan_from_stats(
-        query,
-        &sizes,
-        &samples,
-        max_diagonal(relations),
-        grid,
-        reducers,
-        false,
-    )
+    plan_inputs(query, Inputs::Memory(relations), grid, reducers)
 }
 
-/// Builds the costed plan for a query over *stored* datasets: the five
-/// shuffle candidates of [`plan`], costed from storage-order samples
-/// (nothing is materialized), plus the shuffle-free
-/// [`Algorithm::MapSide`] as a sixth candidate. Map-side moves zero
-/// records — the inputs are already partitioned and indexed on disk — so
-/// its cost is one round of overhead plus the estimated matched pairs the
-/// local kernels touch, and it wins whenever the datasets are stored
-/// co-partitioned (which is the only situation this entry point serves).
-///
-/// Deterministic like [`plan`]: same stores, same plan.
-#[must_use]
-pub fn plan_stored(query: &Query, stores: &[&StoredDataset], grid: &Grid, reducers: u32) -> Plan {
-    assert_eq!(stores.len(), query.num_relations());
-    // Drawn by *storage* position, so no relation is ever materialized.
-    let len = |s: &&StoredDataset| s.record_count() as usize;
-    let samples = sample_relations(stores, len, |s, i| s.nth_rect(i));
-    let sizes: Vec<f64> = stores.iter().map(|s| s.record_count() as f64).collect();
-    let max_diag = stores
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|(r, _)| r.diagonal())
-        .fold(0.0, f64::max);
-    plan_from_stats(query, &sizes, &samples, max_diag, grid, reducers, true)
-}
-
-/// The shared candidate costing behind [`plan`] and [`plan_stored`]:
-/// everything downstream of the dataset statistics (sizes, samples, the
-/// `d_max` diagonal) is identical on the two paths.
-fn plan_from_stats(
-    query: &Query,
-    sizes: &[f64],
-    samples: &[Vec<Rect>],
-    max_diag: f64,
-    grid: &Grid,
-    reducers: u32,
-    stored: bool,
-) -> Plan {
+/// [`plan`] over whatever a run binds. Over *stored* datasets the five
+/// shuffle candidates are costed from storage-order samples (nothing is
+/// materialized), and the shuffle-free [`Algorithm::MapSide`] is a sixth
+/// candidate. Map-side moves zero records — the inputs are already
+/// partitioned on the grid — so its cost is one round of overhead plus the
+/// estimated matched pairs the local kernels touch.
+pub(crate) fn plan_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid, reducers: u32) -> Plan {
+    assert_eq!(inputs.len(), query.num_relations());
+    let samples = &sample_relations(inputs);
+    let sizes: &[f64] = &(0..inputs.len())
+        .map(|pos| inputs.size(pos) as f64)
+        .collect::<Vec<_>>();
     let d = query.max_range_distance();
-    let bounds = limited_reach(query, max_diag, grid);
+    let bounds = limited_reach(query, inputs.max_diagonal(), grid);
     let stats = relation_stats(sizes, samples, grid, &bounds, d);
 
     // All-Replicate: one round, every rectangle shuffled q4-fold.
@@ -546,7 +505,7 @@ fn plan_from_stats(
         ),
         CandidateCost::new(Algorithm::Hypercube, 1, hyper_comm, 0.0, pairs),
     ];
-    if stored {
+    if let Inputs::Stored(_) = inputs {
         // Map-side over stored co-partitioned inputs: zero communication,
         // zero DFS traffic, one round of driving overhead, and local work
         // proportional to the matched pairs the kernels enumerate.
@@ -575,6 +534,7 @@ fn plan_from_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwsj_store::StoredDataset;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -645,11 +605,12 @@ mod tests {
             })
             .collect();
         let refs: Vec<&StoredDataset> = stores.iter().collect();
-        let p = plan_stored(&q, &refs, &grid, 64);
+        let p = plan_inputs(&q, Inputs::Stored(&refs), &grid, 64);
         assert_eq!(p.candidates.len(), Algorithm::ALL.len() + 1);
         assert_eq!(p.algorithm, Algorithm::MapSide, "plan: {}", p.to_json());
         // Deterministic.
-        assert_eq!(p.to_json(), plan_stored(&q, &refs, &grid, 64).to_json());
+        let again = plan_inputs(&q, Inputs::Stored(&refs), &grid, 64);
+        assert_eq!(p.to_json(), again.to_json());
         // Each triple's selectivity is estimated once and feeds both the
         // cascade and map-side terms; the plan is, byte for byte, what
         // estimating it per term produced.

@@ -47,9 +47,6 @@ pub struct Run<'a, B> {
     /// Fair-share weight: equal-priority runs receive slots proportionally
     /// to their share (clamped to at least 1 by the engine).
     pub share: u32,
-    /// See [`JoinRun::input_fingerprint`]; stored runs derive theirs from
-    /// the stores' recorded fingerprints.
-    pub(crate) input_fingerprint: u64,
     /// See [`StoredRun::open_wall`]; in-memory runs open nothing.
     pub(crate) open_wall: Duration,
 }
@@ -96,11 +93,10 @@ pub type JoinRun<'a> = Run<'a, &'a [Rect]>;
 /// The default algorithm is [`Algorithm::Auto`]; on co-partitioned stores
 /// the optimizer's stored plan usually resolves it to
 /// [`Algorithm::MapSide`], the shuffle-free join over the per-cell stored
-/// runs. Pinning a shuffle algorithm instead materializes the stored
-/// relations and runs it unchanged — outputs are byte-identical either
-/// way (trace, priority and share only matter to that fallback's engine
-/// jobs). The combined input fingerprint is derived from the stores'
-/// recorded fingerprints, so no fingerprint option exists here.
+/// runs. Pinning a shuffle algorithm instead feeds the stores' runs to its
+/// map phase — the tuples are the same either way (trace, priority and
+/// share only matter to the engine jobs of a shuffle). The combined input
+/// fingerprint is derived from the stores' recorded fingerprints.
 pub type StoredRun<'a> = Run<'a, &'a StoredDataset>;
 
 impl<'a, B> Run<'a, B> {
@@ -118,7 +114,6 @@ impl<'a, B> Run<'a, B> {
             deadline: None,
             priority: 0,
             share: 1,
-            input_fingerprint: 0,
             open_wall: Duration::ZERO,
         }
     }
@@ -182,17 +177,6 @@ impl<'a, B> Run<'a, B> {
     }
 }
 
-impl JoinRun<'_> {
-    /// Records the combined stable fingerprint of the bound datasets,
-    /// surfaced in every job's metrics (0 when unknown; the engine does
-    /// not interpret it). Result caches use it to detect stale entries.
-    #[must_use]
-    pub fn input_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.input_fingerprint = fingerprint;
-        self
-    }
-}
-
 impl StoredRun<'_> {
     /// Records the wall time the caller spent opening (reading +
     /// validating) the stores for this run, reported as the map-side
@@ -209,9 +193,8 @@ impl StoredRun<'_> {
 
 /// Combines per-position dataset fingerprints into the one input
 /// fingerprint of a run: the binding count, then each fingerprint in
-/// position order. The single recipe behind [`JoinRun::input_fingerprint`]
-/// values, stored runs and result-cache keys, so none of them depends on
-/// where the data lives.
+/// position order. The single recipe behind stored runs, shard gathers
+/// and result-cache keys.
 #[must_use]
 pub fn combine_fingerprints(fingerprints: &[u64]) -> u64 {
     let mut h = Fnv64::new();
@@ -232,7 +215,7 @@ mod tests {
             assert_eq!(run.algorithm, Algorithm::Auto);
             assert!(!run.count_only && run.deadline.is_none());
             assert_eq!((run.priority, run.share), (0, 1));
-            assert_eq!((run.input_fingerprint, run.open_wall), (0, Duration::ZERO));
+            assert_eq!(run.open_wall, Duration::ZERO);
             let run = run
                 .algorithm(Algorithm::Hypercube)
                 .counting()
@@ -249,12 +232,6 @@ mod tests {
         let stored: [&StoredDataset; 0] = [];
         check(JoinRun::new(&query, &memory));
         check(StoredRun::new(&query, &stored));
-        assert_eq!(
-            JoinRun::new(&query, &memory)
-                .input_fingerprint(9)
-                .input_fingerprint,
-            9
-        );
         assert_eq!(
             StoredRun::new(&query, &stored)
                 .open_wall(Duration::from_millis(4))

@@ -33,11 +33,17 @@
 //! * **Cancellation** — a client that disconnects mid-query has its run
 //!   cancelled at the next task boundary, releasing its slots to the
 //!   other tenants; deadlines propagate into the engine the same way.
-//! * **Sharded serving** — with [`ServerConfig::shards`] > 1, stored
-//!   map-side queries scatter across N shards — a shard is a thread
-//!   and a disjoint seed-cell range over the one mount of each store —
-//!   and the gathered result is byte-identical to a single-node run
-//!   (see [`mwsj_core::shards`]).
+//! * **Sharded serving** — with [`ServerConfig::shards`] > 1, map-side
+//!   queries scatter across N shards — a shard is a thread and a
+//!   disjoint seed-cell range over the one registered store of each
+//!   dataset — and the gathered result is byte-identical to a
+//!   single-node run (see [`mwsj_core::shards`]).
+//!
+//! Every dataset a request binds is registered once, by spec, as a store
+//! on the service grid: a `store:PATH` ingested on that grid is mounted as
+//! it lies, anything else is built into one when first bound. So there is
+//! one binding kind from the socket to the map input, and map-side serves
+//! every query.
 //!
 //! ```text
 //! $ mwsj serve --addr 127.0.0.1:7878 --slots 8 --cache-bytes 16777216
@@ -67,11 +73,8 @@ use mwsj_core::mapreduce::{
     json_escape, CancelToken, EngineConfig, FaultPlan, JobErrorKind, JobMetrics, NetFaultPlan,
 };
 use mwsj_core::optimizer::Plan;
-use mwsj_core::store::StoredDataset;
-use mwsj_core::{
-    Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, JoinRun, Run, StoredRun,
-};
-use mwsj_geom::Rect;
+use mwsj_core::store::{StoreBuilder, StoredDataset};
+use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, StoredRun};
 use mwsj_query::Query;
 
 use cache::{CacheKey, CachedResult, ResultCache};
@@ -119,7 +122,7 @@ pub struct ServerConfig {
     /// immediately instead of queueing — bounding tail latency while
     /// overloaded.
     pub brownout_window: Duration,
-    /// Shards for stored map-side queries: each shard owns a
+    /// Shards for map-side queries: each shard owns a
     /// disjoint seed-cell range and the front-end scatters/gathers.
     /// 1 (the default) serves single-node.
     pub shards: u32,
@@ -221,7 +224,7 @@ impl ServerConfig {
         self
     }
 
-    /// Shards stored map-side queries across `shards` seed-cell ranges.
+    /// Shards map-side queries across `shards` seed-cell ranges.
     #[must_use]
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
@@ -254,13 +257,6 @@ struct ServiceStats {
     pool_load: (AtomicU64, AtomicU64),
 }
 
-/// A loaded dataset paired with its DFS fingerprint.
-type LoadedDataset = (Arc<Vec<Rect>>, u64);
-
-/// A mounted stored dataset paired with how long its open took — charged
-/// to the first query that mounts it (see [`mwsj_core::StoredRun`]).
-type MountedStore = (Arc<StoredDataset>, Duration);
-
 /// One name's slot: empty until its first load succeeds. A load runs
 /// under the slot's lock, so clients racing to first-touch one name wait
 /// for the one load instead of each holding a copy of their own.
@@ -277,14 +273,15 @@ impl<V: Clone> Registry<V> {
     }
 
     /// The registered value, or the result of `load` registered under
-    /// `name`. `load` runs at most once at a time per name and, once it
-    /// has succeeded, never again; a failed load registers nothing, so the
-    /// next request for the name tries afresh.
+    /// `name`, and whether this call ran the load. `load` runs at most
+    /// once at a time per name and, once it has succeeded, never again; a
+    /// failed load registers nothing, so the next request for the name
+    /// tries afresh.
     fn get_or_load(
         &self,
         name: &str,
         load: impl FnOnce() -> Result<V, String>,
-    ) -> Result<V, String> {
+    ) -> Result<(V, bool), String> {
         let slot = {
             let mut map = self.0.lock();
             match map.get(name) {
@@ -294,11 +291,11 @@ impl<V: Clone> Registry<V> {
         };
         let mut slot = slot.lock();
         if let Some(hit) = &*slot {
-            return Ok(hit.clone());
+            return Ok((hit.clone(), false));
         }
         let loaded = load()?;
         *slot = Some(loaded.clone());
-        Ok(loaded)
+        Ok((loaded, true))
     }
 
     /// The registered value, if it can be read without waiting — all the
@@ -315,14 +312,11 @@ struct Inner {
     config: ServerConfig,
     cluster: Cluster,
     cache: ResultCache,
-    /// Costed plans by `(canonical query, fingerprints, stored)`.
+    /// Costed plans by `(canonical query, fingerprints)`.
     plans: PlanMemo,
-    /// Loaded datasets by source spec, with their DFS fingerprints.
-    datasets: Registry<LoadedDataset>,
-    /// Mounted `store:` datasets by path. Mounting holds the cell index
-    /// and record sections, not a materialized `Vec<Rect>` — stored
-    /// queries join straight off these.
-    stores: Registry<MountedStore>,
+    /// Every bound dataset by source spec, as a store on the service grid:
+    /// each query joins straight off these.
+    datasets: Registry<Arc<StoredDataset>>,
     stats: ServiceStats,
     stop: AtomicBool,
     /// Brownout lease: while `Instant::now()` is before this, whatever
@@ -356,44 +350,37 @@ impl Inner {
         *self.brownout_until.lock() = Some(Instant::now() + self.config.brownout_window);
     }
 
-    /// Loads (or reuses) a dataset with its DFS-recipe fingerprint
-    /// ([`mwsj_core::store::dataset_fingerprint`] — what `Dfs::write` of
-    /// the records would report, without keeping a second copy of them).
-    fn dataset(&self, spec: &str) -> Result<LoadedDataset, String> {
-        self.datasets.get_or_load(spec, || {
-            let rects = source::load_source(spec)?;
-            let extent = self.config.extent;
-            if let Some(bad) = rects.iter().find(|r| {
-                !(r.min_x() >= 0.0
-                    && r.max_x() <= extent
-                    && r.min_y() >= 0.0
-                    && r.max_y() <= extent)
-            }) {
-                return Err(format!(
-                    "dataset `{spec}` does not fit the service space [0, {extent}]^2 \
-                     (rectangle spans x [{}, {}], y [{}, {}])",
-                    bad.min_x(),
-                    bad.max_x(),
-                    bad.min_y(),
-                    bad.max_y()
-                ));
+    /// The store a spec binds, loaded on first use, and the wall the load
+    /// took — zero unless this call ran it, so a load is charged to the one
+    /// query that paid for it (see [`mwsj_core::StoredRun::open_wall`]).
+    /// A `store:PATH` on the service grid is mounted as it lies; any other
+    /// spec, a store on another grid included, is loaded once and built
+    /// into a store on the service grid, whose builder rejects a rectangle
+    /// outside the service space. Every store carries the DFS-recipe
+    /// fingerprint of its input-order records
+    /// ([`mwsj_core::store::dataset_fingerprint`]), so every spec of the
+    /// same data shares plans and cache entries.
+    fn dataset(&self, spec: &str) -> Result<(Arc<StoredDataset>, Duration), String> {
+        let t0 = Instant::now();
+        let (store, loaded) = self.datasets.get_or_load(spec, || {
+            let grid = self.cluster.grid();
+            if let Some(path) = spec.strip_prefix("store:") {
+                let stored = StoredDataset::open(std::path::Path::new(path))
+                    .map_err(|e| format!("opening store `{path}`: {e}"))?;
+                if stored.grid() == grid {
+                    return Ok(Arc::new(stored));
+                }
             }
-            let fp = mwsj_core::store::dataset_fingerprint(&rects);
-            Ok((Arc::new(rects), fp))
-        })
-    }
-
-    /// Mounts (or reuses) a stored dataset for a `store:PATH` spec. The
-    /// store's ingest fingerprint follows the same recipe as the
-    /// fingerprint in [`Inner::dataset`], so a stored binding and its
-    /// materialized twin share cache entries.
-    fn mounted_store(&self, path: &str) -> Result<MountedStore, String> {
-        self.stores.get_or_load(path, || {
-            let t0 = Instant::now();
-            let stored = StoredDataset::open(std::path::Path::new(path))
-                .map_err(|e| format!("opening store `{path}`: {e}"))?;
-            Ok((Arc::new(stored), t0.elapsed()))
-        })
+            let bytes = StoreBuilder::new(grid)
+                .build(&source::load_source(spec)?)
+                .map_err(|e| {
+                    let extent = self.config.extent;
+                    format!("dataset `{spec}` does not fit the service space [0, {extent}]^2: {e}")
+                })?;
+            let built = StoredDataset::from_bytes(&bytes).map_err(|e| e.to_string())?;
+            Ok(Arc::new(built))
+        })?;
+        Ok((store, if loaded { t0.elapsed() } else { Duration::ZERO }))
     }
 }
 
@@ -427,7 +414,6 @@ impl Server {
             cache: ResultCache::new(config.cache_bytes),
             plans: PlanMemo::default(),
             datasets: Registry::new(),
-            stores: Registry::new(),
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
             brownout_until: parking_lot::Mutex::new(None),
@@ -489,30 +475,24 @@ fn fail(inner: &Inner, code: ErrorCode, msg: &str) -> String {
     protocol::error_response(code, msg)
 }
 
-/// A parsed and bound query: the canonical form, the datasets bound to
-/// its canonical relation positions, their fingerprints, and the
+/// A parsed and bound query: the canonical form, the stores bound to its
+/// canonical relation positions, their fingerprints, and the
 /// requester-order permutation.
 struct BoundQuery {
     canonical: Query,
-    binding: Binding,
+    stores: Vec<Arc<StoredDataset>>,
+    /// The wall of the loads this bind ran, charged to this query.
+    open_wall: Duration,
     fingerprints: Vec<u64>,
     combined_fingerprint: u64,
     /// Requester position i reads canonical position perm[i].
     perm: Vec<usize>,
 }
 
-/// What a query's relation positions are bound to, in canonical order.
-enum Binding {
-    /// In-memory relations.
-    Memory(Vec<Arc<Vec<Rect>>>),
-    /// Mounted stores — bound when *every* spec is a `store:PATH` whose
-    /// grid matches the service grid. Such queries run shuffle-free off
-    /// the stores without materializing anything.
-    Stored {
-        stores: Vec<Arc<StoredDataset>>,
-        /// Total open wall charged to this query.
-        open_wall: Duration,
-    },
+impl BoundQuery {
+    fn refs(&self) -> Vec<&StoredDataset> {
+        self.stores.iter().map(Arc::as_ref).collect()
+    }
 }
 
 // The query path is six stages, one function each:
@@ -526,7 +506,7 @@ enum Binding {
 /// Stage 1 — bind: parses a query and binds a dataset to every canonical
 /// relation position. Shared by the `query` and `explain` operations.
 /// With `peek`, binds only what is registered already: `Ok(None)` when a
-/// dataset would have to be loaded or a store mounted.
+/// dataset would have to be loaded.
 fn bind_query(
     inner: &Inner,
     query_text: &str,
@@ -556,51 +536,21 @@ fn bind_query(
         specs.push(spec);
     }
 
-    // The shuffle-free path: every binding is a stored dataset that is
-    // co-partitioned with the service grid. Mount them all; fall back to
-    // materializing if any store was ingested on a different grid.
-    let mut fingerprints: Vec<u64> = Vec::with_capacity(specs.len());
-    let mut binding = None;
-    if specs.iter().all(|s| s.starts_with("store:")) {
-        let mut stores = Vec::with_capacity(specs.len());
-        let mut open_wall = Duration::ZERO;
-        for spec in &specs {
-            let path = spec.strip_prefix("store:").expect("checked above");
-            let mounted = if peek {
-                inner.stores.peek(path)
-            } else {
-                Some(inner.mounted_store(path)?)
-            };
-            let Some((store, opened_in)) = mounted else {
+    let mut stores = Vec::with_capacity(specs.len());
+    let mut open_wall = Duration::ZERO;
+    for spec in specs {
+        let (store, opened_in) = if peek {
+            let Some(store) = inner.datasets.peek(spec) else {
                 return Ok(None);
             };
-            open_wall += opened_in;
-            stores.push(store);
-        }
-        if stores.iter().all(|s| s.grid() == inner.cluster.grid()) {
-            fingerprints.extend(stores.iter().map(|s| s.fingerprint()));
-            binding = Some(Binding::Stored { stores, open_wall });
-        }
+            (store, Duration::ZERO)
+        } else {
+            inner.dataset(spec)?
+        };
+        open_wall += opened_in;
+        stores.push(store);
     }
-    let binding = match binding {
-        Some(stored) => stored,
-        None => {
-            let mut datasets = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                let loaded = if peek {
-                    inner.datasets.peek(spec)
-                } else {
-                    Some(inner.dataset(spec)?)
-                };
-                let Some((rects, fp)) = loaded else {
-                    return Ok(None);
-                };
-                datasets.push(rects);
-                fingerprints.push(fp);
-            }
-            Binding::Memory(datasets)
-        }
-    };
+    let fingerprints: Vec<u64> = stores.iter().map(|s| s.fingerprint()).collect();
     let combined_fingerprint = mwsj_core::combine_fingerprints(&fingerprints);
     let perm: Vec<usize> = requested_names
         .iter()
@@ -613,7 +563,8 @@ fn bind_query(
         .collect();
     Ok(Some(BoundQuery {
         canonical,
-        binding,
+        stores,
+        open_wall,
         fingerprints,
         combined_fingerprint,
         perm,
@@ -621,28 +572,19 @@ fn bind_query(
 }
 
 /// The costed plan of a bound query, through the plan memo. A miss plans
-/// exactly as [`Cluster::plan`] / [`Cluster::plan_stored`] do — or, with
-/// `peek`, is `None`; the plan is a pure function of the memo key (see
-/// [`plans`]), so a hit returns the same bytes without touching the
-/// datasets.
+/// exactly as [`Cluster::plan_stored`] does — or, with `peek`, is `None`;
+/// the plan is a pure function of the memo key (see [`plans`]), so a hit
+/// returns the same bytes without touching the datasets.
 fn plan_for(inner: &Inner, bound: &BoundQuery, peek: bool) -> Option<Arc<Plan>> {
     let key = PlanKey {
         query: bound.canonical.to_string(),
         fingerprints: bound.fingerprints.clone(),
-        stored: matches!(bound.binding, Binding::Stored { .. }),
     };
     if peek {
         return inner.plans.peek(&key);
     }
-    Some(inner.plans.get_or_plan(key, || match &bound.binding {
-        Binding::Stored { stores, .. } => {
-            let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
-            inner.cluster.plan_stored(&bound.canonical, &refs)
-        }
-        Binding::Memory(datasets) => {
-            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
-            inner.cluster.plan(&bound.canonical, &refs)
-        }
+    Some(inner.plans.get_or_plan(key, || {
+        inner.cluster.plan_stored(&bound.canonical, &bound.refs())
     }))
 }
 
@@ -672,19 +614,11 @@ fn resolve(
     bound: &BoundQuery,
     requested: Algorithm,
     peek: bool,
-) -> Option<Result<Algorithm, &'static str>> {
-    let algorithm = if requested == Algorithm::Auto {
-        plan_for(inner, bound, peek)?.algorithm
-    } else {
-        requested
-    };
-    if algorithm == Algorithm::MapSide && matches!(bound.binding, Binding::Memory(_)) {
-        return Some(Err(
-            "the map-side join needs every binding to be a `store:PATH` dataset \
-             co-partitioned with the service grid",
-        ));
+) -> Option<Algorithm> {
+    match requested {
+        Algorithm::Auto => Some(plan_for(inner, bound, peek)?.algorithm),
+        pinned => Some(pinned),
     }
-    Some(Ok(algorithm))
 }
 
 /// Stage 3 — lookup: a result-cache hit, counted as a served query. A
@@ -734,14 +668,14 @@ fn admit(
     admitted
 }
 
-/// The request's run options — the same whatever the run is bound to, and
-/// for every shard of a scattered run.
-fn run_options<'a, B>(
-    run: Run<'a, B>,
+/// The request's run options — the same for a single-node run and for
+/// every shard of a scattered one.
+fn run_options<'a>(
+    run: StoredRun<'a>,
     q: &QueryRequest,
     algorithm: Algorithm,
     cancel: &CancelToken,
-) -> Run<'a, B> {
+) -> StoredRun<'a> {
     let run = run
         .algorithm(algorithm)
         .count_only(q.count_only)
@@ -754,9 +688,8 @@ fn run_options<'a, B>(
     }
 }
 
-/// Stage 5 — run: the join itself — sharded scatter/gather for stored
-/// map-side queries on a sharded service, otherwise the single-node
-/// paths.
+/// Stage 5 — run: the join itself — sharded scatter/gather for map-side
+/// queries on a sharded service, otherwise the single-node path.
 fn run(
     inner: &Inner,
     bound: &BoundQuery,
@@ -764,26 +697,14 @@ fn run(
     algorithm: Algorithm,
     cancel: &CancelToken,
 ) -> Result<JoinOutput, JoinError> {
-    match &bound.binding {
-        Binding::Stored { stores, open_wall } => {
-            let refs: Vec<&StoredDataset> = stores.iter().map(Arc::as_ref).collect();
-            if algorithm == Algorithm::MapSide && inner.config.shards > 1 {
-                return run_sharded(inner, &bound.canonical, q, &refs, *open_wall, cancel);
-            }
-            let run = StoredRun::new(&bound.canonical, &refs).open_wall(*open_wall);
-            inner
-                .cluster
-                .submit_stored(&run_options(run, q, algorithm, cancel))
-        }
-        Binding::Memory(datasets) => {
-            let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
-            let run =
-                JoinRun::new(&bound.canonical, &refs).input_fingerprint(bound.combined_fingerprint);
-            inner
-                .cluster
-                .submit(&run_options(run, q, algorithm, cancel))
-        }
+    let refs = bound.refs();
+    if algorithm == Algorithm::MapSide && inner.config.shards > 1 {
+        return run_sharded(inner, &bound.canonical, q, &refs, bound.open_wall, cancel);
     }
+    let run = StoredRun::new(&bound.canonical, &refs).open_wall(bound.open_wall);
+    inner
+        .cluster
+        .submit_stored(&run_options(run, q, algorithm, cancel))
 }
 
 /// Stage 6 — render: caches a finished run and renders it in the
@@ -840,10 +761,7 @@ fn handle_query(inner: &Inner, q: &QueryRequest, worker: Option<&CancelToken>) -
         Ok(bound) => bound,
         Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, &msg)),
     };
-    let algorithm = match resolve(inner, &bound, q.algorithm, peek)? {
-        Ok(algorithm) => algorithm,
-        Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, msg)),
-    };
+    let algorithm = resolve(inner, &bound, q.algorithm, peek)?;
     let key = CacheKey {
         query: bound.canonical.to_string(),
         fingerprints: bound.fingerprints.clone(),
@@ -863,9 +781,9 @@ fn handle_query(inner: &Inner, q: &QueryRequest, worker: Option<&CancelToken>) -
     Some(render(inner, outcome, key, &bound, started))
 }
 
-/// Scatters a stored map-side query across the shards — the calling
-/// thread takes the first, each other a thread of its own, seeding only
-/// its own cell range off the binding's one mount of every store — and
+/// Scatters a map-side query across the shards — the calling thread
+/// takes the first, each other a thread of its own, seeding only its own
+/// cell range off the one registered store of every binding — and
 /// gathers the partials into the exact single-node
 /// [`JoinOutput`] (see [`mwsj_core::shards`]). Every partial runs on the
 /// one service cluster: a partial reads only its grid. The deadline is
@@ -1060,11 +978,15 @@ mod tests {
             // turns that hang into a failure.
             let hit = hit_rx.recv_timeout(Duration::from_secs(30));
             release_tx.send(()).unwrap();
-            assert_eq!(hit, Ok(Ok(1)), "the hit on `a` waited behind `b`'s load");
+            assert_eq!(
+                hit,
+                Ok(Ok((1, false))),
+                "the hit on `a` waited behind `b`'s load"
+            );
         });
         assert_eq!(
             registry.get_or_load("b", || unreachable!("`b` is registered")),
-            Ok(2)
+            Ok((2, false))
         );
     }
 
@@ -1089,9 +1011,14 @@ mod tests {
                     })
                 })
                 .collect();
+            // Every client gets the value; the one that loaded it says so.
+            let mut loaded = 0;
             for client in clients {
-                assert_eq!(client.join().unwrap(), Ok(7));
+                let (value, this_call_loaded) = client.join().unwrap().unwrap();
+                assert_eq!(value, 7);
+                loaded += usize::from(this_call_loaded);
             }
+            assert_eq!(loaded, 1);
         });
         assert_eq!(loads.load(Ordering::SeqCst), 1, "one load per name");
 
@@ -1100,7 +1027,33 @@ mod tests {
             registry.get_or_load("b", || Err("unreadable".to_string())),
             Err("unreadable".to_string())
         );
-        assert_eq!(registry.get_or_load("b", || Ok(2)), Ok(2));
+        assert_eq!(registry.get_or_load("b", || Ok(2)), Ok((2, true)));
+    }
+
+    /// A load's wall is charged to the query whose bind ran it, and to no
+    /// other: a second bind of the same spec — a worker's or a peek —
+    /// carries zero, as does the second position of a self-join.
+    #[test]
+    fn an_open_wall_is_charged_to_the_bind_that_loaded() {
+        let inner = service();
+        let stores = [ingest(&inner, "charge", A)];
+        for spec in [A, stores[0].as_str()] {
+            let data = [
+                ("A".to_string(), spec.to_string()),
+                ("B".to_string(), spec.to_string()),
+            ];
+            let bind = |peek| {
+                bind_query(&inner, "A ov B", &data, peek)
+                    .expect("bind")
+                    .map(|b| b.open_wall)
+            };
+            assert_eq!(bind(true), None, "{spec}: nothing is registered yet");
+            let first = bind(false).expect("a worker binds");
+            assert!(first > Duration::ZERO, "{spec}: the load took no time");
+            assert_eq!(bind(false), Some(Duration::ZERO), "{spec}");
+            assert_eq!(bind(true), Some(Duration::ZERO), "{spec}");
+        }
+        remove(&stores);
     }
 
     /// The loop thread's attempt: a request over registered names whose
@@ -1168,12 +1121,14 @@ mod tests {
     #[test]
     fn synthetic_fingerprint_is_the_dfs_recipe_and_the_stored_twin_shares_the_entry() {
         let inner = service();
-        let (rects, fp) = inner.dataset(A).expect("load");
+        let (store, _) = inner.dataset(A).expect("load");
         let dfs = &inner.cluster.engine().dfs;
-        let records: Vec<(f64, f64, f64, f64)> =
-            rects.iter().map(|r| (r.x(), r.y(), r.l(), r.b())).collect();
+        let records: Vec<(f64, f64, f64, f64)> = (source::load_source(A).expect("load").iter())
+            .map(|r| (r.x(), r.y(), r.l(), r.b()))
+            .collect();
         dfs.write("recipe", records);
-        assert_eq!(fp, dfs.fingerprint("recipe").expect("written").0);
+        let recipe = dfs.fingerprint("recipe").expect("written").0;
+        assert_eq!(store.fingerprint(), recipe);
 
         let stores = [ingest(&inner, "twin", A), ingest(&inner, "twin", B)];
         let pinned = ",\"algorithm\":\"crep-l\"";
@@ -1244,11 +1199,9 @@ mod tests {
         )
         .expect("bind")
         .expect("every dataset is registered");
-        let Binding::Memory(datasets) = &bound.binding else {
-            panic!("synthetic specs bind in memory");
-        };
-        let refs: Vec<&[Rect]> = datasets.iter().map(|d| d.as_slice()).collect();
-        let fresh = inner.cluster.plan(&bound.canonical, &refs).to_json();
+        let fresh = (inner.cluster)
+            .plan_stored(&bound.canonical, &bound.refs())
+            .to_json();
         assert!(warm.contains(&fresh), "{warm} vs {fresh}");
 
         // An `auto` query over the same binding resolves from the memo,
@@ -1290,32 +1243,41 @@ mod tests {
         );
     }
 
+    /// Every binding is a store on the service grid, so a generator spec
+    /// and the store ingested from it are one dataset: one plan, one
+    /// cached result, one reply.
     #[test]
-    fn stored_and_in_memory_plans_of_the_same_data_do_not_alias() {
+    fn a_spec_and_the_store_ingested_from_it_share_one_plan_and_one_result() {
         let inner = service();
         let stores = [ingest(&inner, "alias", A), ingest(&inner, "alias", B)];
-        let memory = ask(
-            &inner,
-            &request("explain", "A ov B", &[("A", A), ("B", B)], ""),
+        let spec_data = [("A", A), ("B", B)];
+        let store_data = [("A", stores[0].as_str()), ("B", stores[1].as_str())];
+        let explained = [&spec_data, &store_data]
+            .map(|data| ask(&inner, &request("explain", "A ov B", data, "")));
+        assert_eq!(explained[0], explained[1]);
+        assert!(
+            explained[0].contains("\"algorithm\":\"map-side\""),
+            "{}",
+            explained[0]
         );
-        let stored = ask(
-            &inner,
-            &request(
-                "explain",
-                "A ov B",
-                &[("A", &stores[0]), ("B", &stores[1])],
-                "",
-            ),
-        );
-        // Same data, so the same combined fingerprint …
-        let fingerprint =
-            |r: &str| r[r.find("\"fingerprint\"").expect("fingerprint")..].to_string();
-        assert_eq!(fingerprint(&memory), fingerprint(&stored));
-        // … but map-side is only a stored candidate.
-        assert!(stored.contains("\"algorithm\":\"map-side\""), "{stored}");
-        assert!(!memory.contains("map-side"), "{memory}");
         let s = inner.plans.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+
+        let answered = [&spec_data, &store_data]
+            .map(|data| ask(&inner, &request("query", "A ov B", data, "")));
+        assert!(answered[0].contains("\"cached\":false"), "{}", answered[0]);
+        assert!(answered[1].contains("\"cached\":true"), "{}", answered[1]);
+        let logical = |reply: &str| {
+            let reply = reply.replacen("\"cached\":false", "", 1);
+            let reply = reply.replacen("\"cached\":true", "", 1);
+            let at = reply.find(",\"wall_ms\":").expect("wall_ms");
+            let end = at + reply[at + 1..].find(',').expect("a field after wall_ms") + 1;
+            format!("{}{}", &reply[..at], &reply[end..])
+        };
+        assert_eq!(logical(&answered[0]), logical(&answered[1]));
+        let (cache, plans) = (inner.cache.stats(), inner.plans.stats());
+        assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
+        assert_eq!((plans.misses, plans.entries), (1, 1));
         remove(&stores);
     }
 }

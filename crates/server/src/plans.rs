@@ -2,8 +2,10 @@
 //!
 //! [`mwsj_core::optimizer`] plans are a pure function of `(canonical
 //! query, datasets, grid, reducers)`, and one server fixes the grid and
-//! the reducers, so `(canonical query text, per-position dataset
-//! fingerprints, stored-or-in-memory)` names a plan completely. Planning
+//! the reducers and binds every dataset as a store on that grid, so
+//! `(canonical query text, per-position dataset fingerprints)` names a
+//! plan completely — a `store:` spec and the spec it was ingested from
+//! share one entry. Planning
 //! costs time proportional to the datasets (an index shuffle, a
 //! diagonal scan, sample-pair tests); a request that has been planned
 //! before — every result-cache hit, every repeated `explain` — reads the
@@ -28,10 +30,6 @@ pub(crate) struct PlanKey {
     pub query: String,
     /// Dataset fingerprints in canonical position order.
     pub fingerprints: Vec<u64>,
-    /// Whether the bindings are mounted stores: the stored plan samples
-    /// in storage order and costs map-side as a sixth candidate, so the
-    /// same data plans differently on the two paths.
-    pub stored: bool,
 }
 
 /// Point-in-time memo statistics (the `plans` block of the `stats` op).
@@ -107,7 +105,6 @@ mod tests {
         PlanKey {
             query: "A ov B".to_string(),
             fingerprints: vec![i as u64, 7],
-            stored: false,
         }
     }
 
@@ -137,13 +134,11 @@ mod tests {
         memo.get_or_plan(key(1), plan);
         let mut other_query = key(1);
         other_query.query = "A ov B and B ov C".to_string();
-        let mut stored = key(1);
-        stored.stored = true;
-        for k in [other_query, key(2), stored] {
+        for k in [other_query, key(2)] {
             memo.get_or_plan(k, plan);
         }
         let s = memo.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 4, 4));
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
     }
 
     #[test]

@@ -23,10 +23,10 @@ use mwsj_geom::Rect;
 const MAX_GENERATED_RECTS: usize = 10_000_000;
 
 /// Loads a data source: `synthetic:...`, `california:...`, `store:...`
-/// or a CSV path. A `store:` source materializes the stored relation into
-/// memory — callers that can join stored datasets in place (the stored
-/// query paths in the server and CLI) should open the store directly and
-/// only fall back to this loader for mixed bindings.
+/// or a CSV path, as rectangles in input order. A `store:` source is
+/// materialized: the server and the CLI open a store on the grid they join
+/// on in place, and read one ingested on another grid through here to
+/// build it anew on theirs.
 ///
 /// # Errors
 /// Describes the bad parameter — unparsable, or outside what the

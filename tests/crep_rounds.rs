@@ -26,7 +26,9 @@
 //! holds every slot but one, must return the lone run's output on its
 //! caller alone. Its stores mix in records that start exactly on cell
 //! boundaries and on the right and top extent edges, where the store
-//! decides a home cell, and it is checked against the brute-force oracle.
+//! decides a home cell, and it is checked against the brute-force oracle —
+//! and so are all five shuffle algorithms pinned over the same stores,
+//! whose map phase reads the stored runs in storage order.
 //!
 //! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
@@ -391,21 +393,28 @@ fn map_side_gathers_every_tuple_on_uneven_grids_from_every_start() {
                     StoredCase::generate(&mut StdRng::seed_from_u64(seed), &query, sizes, grid);
                 let stores = case.open();
                 let stores: Vec<&StoredDataset> = stores.iter().collect();
-                let run = StoredRun::new(&query, &stores).algorithm(Algorithm::MapSide);
-                let got = case.cluster.submit_stored(&run).expect("fault-free run");
-                let counted = case.cluster.submit_stored(&run.counting());
-                let what = format!("`{text}` {sizes:?} on grid {grid:?}, seed {seed}");
-                assert!(
-                    got.tuples == case.expected,
-                    "{what}: {} tuples, the reference has {}",
-                    got.tuples.len(),
-                    case.expected.len()
-                );
-                assert_eq!(
-                    counted.expect("fault-free run").tuple_count,
-                    case.expected.len() as u64,
-                    "{what}: a tuple was counted twice or not at all"
-                );
+                // The shuffle algorithms read the same stores' runs as
+                // their map input.
+                for alg in Algorithm::ALL.into_iter().chain([Algorithm::MapSide]) {
+                    let run = StoredRun::new(&query, &stores).algorithm(alg);
+                    let got = case.cluster.submit_stored(&run).expect("fault-free run");
+                    let counted = case.cluster.submit_stored(&run.counting());
+                    let what = format!(
+                        "{} over `{text}` {sizes:?} on grid {grid:?}, seed {seed}",
+                        alg.name()
+                    );
+                    assert!(
+                        got.tuples == case.expected,
+                        "{what}: {} tuples, the reference has {}",
+                        got.tuples.len(),
+                        case.expected.len()
+                    );
+                    assert_eq!(
+                        counted.expect("fault-free run").tuple_count,
+                        case.expected.len() as u64,
+                        "{what}: a tuple was counted twice or not at all"
+                    );
+                }
                 reference_tuples += case.expected.len() as u64;
             }
         }

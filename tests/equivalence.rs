@@ -426,8 +426,8 @@ fn map_side_matches_shuffle_algorithms_and_golden_counters() {
     assert_eq!(j.reduce_input_groups, 31);
     assert_eq!(j.reduce_output_records, 152);
 
-    // A pinned shuffle algorithm over the same stores materializes and
-    // reproduces its golden counters exactly (byte-identical fallback).
+    // A pinned shuffle algorithm over the same stores reads their runs as
+    // its map input and reproduces its golden counters exactly.
     let all_rep = cl
         .submit_stored(&StoredRun::new(&q, &refs).algorithm(Algorithm::AllReplicate))
         .unwrap();

@@ -419,7 +419,7 @@ fn saturated_service_sheds_with_a_typed_error() {
     let occupant_thread = thread::spawn(move || {
         // Bounded by the deadline, so the test always terminates.
         occupant
-            .request(&heavy_line(",\"deadline_ms\":4000"))
+            .request(&heavy_line(",\"algorithm\":\"crep\",\"deadline_ms\":4000"))
             .expect("occupant response")
     });
     thread::sleep(Duration::from_millis(300)); // occupant now holds the only join slot

@@ -279,7 +279,7 @@ fn brownout_serves_cache_hits_and_sheds_misses_fast() {
         let addr = addr.clone();
         move || {
             let mut c = Client::connect(&addr).expect("occupant connect");
-            c.request(&heavy_line(",\"deadline_ms\":8000"))
+            c.request(&heavy_line(",\"algorithm\":\"crep\",\"deadline_ms\":8000"))
                 .expect("occupant response")
         }
     });
@@ -370,8 +370,9 @@ fn sigterm_drains_in_flight_requests_to_completion() {
 /// deadline is cancelled through the engine's token and the client gets a
 /// typed `cancelled` response — not a hung connection.
 ///
-/// The join is held, not assumed slow: every task attempt of the server's
-/// engine straggles, sleeping out at least a tenth of `straggler_delay`
+/// The join is held, not assumed slow: it is pinned to a shuffle
+/// algorithm, and every task attempt of the server's engine straggles,
+/// sleeping out at least a tenth of `straggler_delay`
 /// (`FaultInjector::straggler_delay`) — 600 ms, past the 400 ms + 100 ms
 /// at which the deadline fires — and an attempt is only over when that
 /// sleep is. However fast joins get, this one outlives the deadline.
@@ -392,7 +393,7 @@ fn short_drain_deadline_cancels_stragglers_with_typed_errors() {
         let addr = addr.clone();
         move || {
             let mut c = Client::connect(&addr).expect("connect");
-            let line = query_line("A ov B", &[("A", A), ("B", B)], "");
+            let line = query_line("A ov B", &[("A", A), ("B", B)], ",\"algorithm\":\"crep\"");
             c.request(&line).expect("straggler response")
         }
     });

@@ -1,8 +1,8 @@
 //! Sharded-serving equivalence: a server running `--shards N` must
-//! answer stored map-side queries byte-identically to a single-node
-//! server over the same stores — same tuples, same logical counters,
-//! same fingerprint — including count-only runs, longer chains, and
-//! under injected network chaos.
+//! answer map-side queries byte-identically to a single-node server over
+//! the same data — same tuples, same logical counters, same fingerprint —
+//! including count-only runs, longer chains, generator-spec bindings,
+//! and under injected network chaos.
 
 use std::path::PathBuf;
 use std::thread;
@@ -177,6 +177,31 @@ fn three_relation_chain_shards_identically() {
     for p in [store_a, store_b, store_c] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// Every binding is a store on the service grid, so map-side serves
+/// generator specs too — and scatters them like `store:` bindings.
+#[test]
+fn synthetic_bindings_shard_identically() {
+    let data: Vec<(&str, String)> = vec![
+        ("A", A.to_string()),
+        ("B", B.to_string()),
+        ("C", C.to_string()),
+    ];
+    let (single_addr, single_h) = start(ServerConfig::default());
+    let (sharded_addr, sharded_h) = start(ServerConfig::default().with_shards(3));
+
+    for extra in ["", ",\"count_only\":true"] {
+        let extra = format!(",\"algorithm\":\"map-side\"{extra}");
+        assert_identical(
+            &single_addr,
+            &sharded_addr,
+            &query_line("A ov B and B within 150 of C", &data, &extra),
+        );
+    }
+
+    stop(&single_addr, single_h);
+    stop(&sharded_addr, sharded_h);
 }
 
 /// Sharded serving under injected network chaos: survivors (responses
