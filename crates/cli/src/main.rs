@@ -130,10 +130,6 @@ SERVE OPTIONS  (a concurrent query service; line-JSON or binary framing)
   --net-fault-seed N  seed for the deterministic network faults (default 0)
   --drain-deadline-ms N  on shutdown, let in-flight queries finish for up
                       to N ms before cancelling them (default 5000)
-  --shards N          scatter map-side queries across N threads, each
-                      seeding a disjoint cell range of the one registered
-                      store of every dataset; results stay byte-identical
-                      to --shards 1 (default 1)
   The wire protocol is sniffed per connection from its first byte: 0xB1
   opens length-prefixed binary framing, anything else is line JSON.
 
@@ -258,7 +254,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "net-fault-rate",
         "net-fault-seed",
         "drain-deadline-ms",
-        "shards",
     ])?;
     if args.flag("no-cache") && args.get("cache-bytes")?.is_some() {
         return Err("--no-cache and --cache-bytes are mutually exclusive".into());
@@ -276,7 +271,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_queue: args.get_parsed_or("max-queue", 16usize)?,
         grid: args.get_parsed_or("grid", 8u32)?,
         extent: args.get_parsed_or("extent", 100_000.0f64)?,
-        shards: args.get_parsed_or("shards", 1u32)?.max(1),
         ..mwsj_server::ServerConfig::default()
     };
     let net_fault_rate: f64 = args.get_parsed_or("net-fault-rate", 0.0f64)?;

@@ -223,15 +223,15 @@ impl Cluster {
         self.execute(run, Inputs::Stored(run.inputs))
     }
 
-    /// Runs one shard's slice of a map-side join over stored datasets:
+    /// Runs one seed-cell range of a map-side join over stored datasets:
     /// seeds only from start-relation rectangles homed in `seed_cells`,
     /// gathers from every cell, and returns the raw tuples and per-cell tally
     /// for [`shards::gather`] to merge.
     ///
     /// Unlike [`Cluster::submit_stored`] this never arms a deadline on
-    /// the run's cancel token — the scatter caller owns the token and
-    /// arms it once across all shards. The algorithm is always
-    /// [`Algorithm::MapSide`]; `run.algorithm` is ignored.
+    /// the run's cancel token: a caller that splits one join into several
+    /// ranges arms the shared token once for all of them. The algorithm
+    /// is always [`Algorithm::MapSide`]; `run.algorithm` is ignored.
     ///
     /// # Errors
     /// By cancellation or deadline on the shared token;

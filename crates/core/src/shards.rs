@@ -1,10 +1,12 @@
-//! Cell-range planning and counter gathering for sharded serving.
+//! Cell-range planning and counter gathering for a map-side join.
 //!
-//! The serving tier can split a stored-dataset map-side join across N
-//! shards: each shard owns a disjoint, contiguous range of grid
-//! cells and enumerates exactly the tuples whose *start-relation seed*
-//! is homed in its range (its groups are still gathered from every cell
-//! tree, so no shard needs another shard's data to finish its slice).
+//! A stored-dataset map-side join splits across N shards: each shard
+//! owns a disjoint, contiguous range of grid cells and enumerates
+//! exactly the tuples whose *start-relation seed* is homed in its range
+//! (its groups are still gathered from every cell, so no shard needs
+//! another shard's data to finish its slice). A single-node run is the
+//! gather of one full-range partial ([`crate::Cluster::submit_stored`]);
+//! the split is the gather an out-of-process scatter would use.
 //! Because the map-side join already attributes every tuple to its §6.2
 //! designated cell for accounting, the per-cell tallies of the shards
 //! are disjoint and sum element-wise — gathering reconstructs the
@@ -23,7 +25,7 @@
 //! `index_open_wall`) are physical rather than logical; the gatherer
 //! stamps them from its own clock, and the service's counter JSON
 //! never includes them — which is what "sharded results are
-//! byte-identical to single-node" means and what the shard smoke gate
+//! byte-identical to single-node" means and what `tests/crep_rounds.rs`
 //! asserts.
 
 use std::ops::Range;

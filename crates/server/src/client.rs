@@ -1,4 +1,4 @@
-//! A resilient blocking client for both wire protocols.
+//! A blocking client for both wire protocols.
 //!
 //! One TCP connection, one request out, one response back — over either
 //! line-delimited JSON (the default) or the length-prefixed binary
@@ -7,16 +7,10 @@
 //! nothing to negotiate: the client speaks the protocol it was configured
 //! with.
 //!
-//! Also here: explicit connect/read/write timeouts, typed errors
-//! ([`ClientError::TimedOut`] instead of a raw `WouldBlock`), and opt-in
-//! retries with deterministic jittered exponential backoff
-//! ([`Client::request_idempotent`]), riding on the same codec as
-//! [`Client::request`].
-//!
-//! Retries are **not** applied by [`Client::request`]: a query submission
-//! is only safely retryable when the caller knows it is idempotent (the
-//! protocol's queries are — results are deterministic and cached — but
-//! the choice stays with the caller).
+//! Also here: explicit connect/read/write timeouts and typed errors
+//! ([`ClientError::TimedOut`] instead of a raw `WouldBlock`). The client
+//! never retries: a caller that wants another attempt opens a fresh
+//! connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -81,7 +75,7 @@ pub enum Proto {
     Binary,
 }
 
-/// Client-side resilience knobs.
+/// Client connection settings.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// TCP connect timeout.
@@ -90,14 +84,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Per-write timeout while sending a request line.
     pub write_timeout: Duration,
-    /// Extra attempts [`Client::request_idempotent`] makes after the
-    /// first failure (0 = no retries).
-    pub retries: u32,
-    /// Base backoff before the first retry; doubles per attempt, plus
-    /// deterministic jitter in `[0, backoff/2)`.
-    pub backoff: Duration,
-    /// Seed for the jitter stream, so retry timing is reproducible.
-    pub seed: u64,
     /// The wire protocol to speak.
     pub proto: Proto,
 }
@@ -108,34 +94,16 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
-            retries: 0,
-            backoff: Duration::from_millis(50),
-            seed: 0,
             proto: Proto::default(),
         }
     }
 }
 
 impl ClientConfig {
-    /// Sets the retry budget and base backoff.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32, backoff: Duration) -> Self {
-        self.retries = retries;
-        self.backoff = backoff;
-        self
-    }
-
     /// Sets the read timeout.
     #[must_use]
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Seeds the deterministic jitter stream.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -150,12 +118,9 @@ impl ClientConfig {
 /// A connected protocol client.
 #[derive(Debug)]
 pub struct Client {
-    addr: String,
-    config: ClientConfig,
+    proto: Proto,
     stream: TcpStream,
     reader: BufReader<TcpStream>,
-    /// xorshift state for backoff jitter (derived from the seed).
-    rng: u64,
 }
 
 impl Client {
@@ -168,31 +133,12 @@ impl Client {
         Client::with_config(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit resilience settings.
+    /// Connects with explicit timeouts and wire protocol.
     ///
     /// # Errors
     /// [`ClientError::TimedOut`] on connect timeout, otherwise the
     /// underlying I/O failure.
     pub fn with_config(addr: &str, config: ClientConfig) -> Result<Client, ClientError> {
-        let (stream, reader) = Client::open(addr, &config)?;
-        let mut rng = config.seed ^ 0x9E37_79B9_7F4A_7C15;
-        if rng == 0 {
-            rng = 1;
-        }
-        Ok(Client {
-            addr: addr.to_string(),
-            config,
-            stream,
-            reader,
-            rng,
-        })
-    }
-
-    /// Opens one fresh connection per the config's timeouts.
-    fn open(
-        addr: &str,
-        config: &ClientConfig,
-    ) -> Result<(TcpStream, BufReader<TcpStream>), ClientError> {
         let resolved = addr
             .to_socket_addrs()
             .map_err(|e| ClientError::from_io("resolve", e))?;
@@ -225,19 +171,22 @@ impl Client {
             .set_write_timeout(Some(config.write_timeout))
             .map_err(ClientError::Io)?;
         let reader = BufReader::new(stream.try_clone().map_err(ClientError::Io)?);
-        Ok((stream, reader))
+        Ok(Client {
+            proto: config.proto,
+            stream,
+            reader,
+        })
     }
 
     /// Sends one request and reads one response, over the configured wire
-    /// protocol. No retries: see [`Client::request_idempotent`] for the
-    /// retrying variant.
+    /// protocol.
     ///
     /// # Errors
     /// [`ClientError::TimedOut`] when a read or write exceeds its
     /// timeout, [`ClientError::Disconnected`] on EOF before a complete
     /// response, otherwise the underlying I/O failure.
     pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        match self.config.proto {
+        match self.proto {
             Proto::Line => self.request_over_line(line),
             Proto::Binary => self.request_over_binary(line),
         }
@@ -306,55 +255,6 @@ impl Client {
                 "binary response payload is not UTF-8",
             ))
         })
-    }
-
-    /// Sends an *idempotent* request, retrying with a fresh connection
-    /// after each failure: up to [`ClientConfig::retries`] extra
-    /// attempts, jittered exponential backoff between them.
-    ///
-    /// Only use this for requests that are safe to re-execute (the
-    /// protocol's queries and `stats` are; re-sending `shutdown` is
-    /// harmless but pointless).
-    ///
-    /// # Errors
-    /// The last attempt's error.
-    pub fn request_idempotent(&mut self, line: &str) -> Result<String, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let err = match self.request(line) {
-                Ok(response) => return Ok(response),
-                Err(e) => e,
-            };
-            attempt += 1;
-            if attempt > self.config.retries {
-                return Err(err);
-            }
-            let mut pause = self
-                .config
-                .backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16));
-            let half = (pause / 2).as_nanos() as u64;
-            if half > 0 {
-                pause += Duration::from_nanos(self.next_rand() % half);
-            }
-            std::thread::sleep(pause);
-            // The failed connection may be wedged; replace it. A failed
-            // reconnect leaves the dead socket in place, so the next
-            // attempt fails fast and consumes the next retry.
-            if let Ok((stream, reader)) = Client::open(&self.addr, &self.config) {
-                self.stream = stream;
-                self.reader = reader;
-            }
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
     }
 }
 
@@ -449,26 +349,5 @@ mod tests {
         let err = client.request("{\"op\":\"stats\"}").unwrap_err();
         assert!(matches!(err, ClientError::TimedOut(_)), "got {err:?}");
         silent.join().unwrap();
-    }
-
-    #[test]
-    fn idempotent_retry_reconnects_after_disconnect() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            // First connection: slam the door. Second: answer.
-            let (s, _) = listener.accept().unwrap();
-            drop(s);
-            let (mut s, _) = listener.accept().unwrap();
-            read_request_line(&s);
-            s.write_all(b"{\"ok\":true}\n").unwrap();
-        });
-        let config = ClientConfig::default()
-            .with_retries(2, Duration::from_millis(5))
-            .with_seed(7);
-        let mut client = Client::with_config(&addr, config).unwrap();
-        let response = client.request_idempotent("{\"op\":\"stats\"}").unwrap();
-        assert_eq!(response, "{\"ok\":true}");
-        server.join().unwrap();
     }
 }

@@ -33,11 +33,6 @@
 //! * **Cancellation** — a client that disconnects mid-query has its run
 //!   cancelled at the next task boundary, releasing its slots to the
 //!   other tenants; deadlines propagate into the engine the same way.
-//! * **Sharded serving** — with [`ServerConfig::shards`] > 1, map-side
-//!   queries scatter across N shards — a shard is a thread and a
-//!   disjoint seed-cell range over the one registered store of each
-//!   dataset — and the gathered result is byte-identical to a
-//!   single-node run (see [`mwsj_core::shards`]).
 //!
 //! Every dataset a request binds is registered once, by spec, as a store
 //! on the service grid: a `store:PATH` ingested on that grid is mounted as
@@ -122,10 +117,6 @@ pub struct ServerConfig {
     /// immediately instead of queueing — bounding tail latency while
     /// overloaded.
     pub brownout_window: Duration,
-    /// Shards for map-side queries: each shard owns a
-    /// disjoint seed-cell range and the front-end scatters/gathers.
-    /// 1 (the default) serves single-node.
-    pub shards: u32,
 }
 
 impl Default for ServerConfig {
@@ -144,7 +135,6 @@ impl Default for ServerConfig {
             max_request_line: 1 << 20,
             drain_deadline: Duration::from_secs(5),
             brownout_window: Duration::from_secs(2),
-            shards: 1,
         }
     }
 }
@@ -221,13 +211,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_max_request_line(mut self, bytes: usize) -> Self {
         self.max_request_line = bytes.max(64);
-        self
-    }
-
-    /// Shards map-side queries across `shards` seed-cell ranges.
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -668,28 +651,8 @@ fn admit(
     admitted
 }
 
-/// The request's run options — the same for a single-node run and for
-/// every shard of a scattered one.
-fn run_options<'a>(
-    run: StoredRun<'a>,
-    q: &QueryRequest,
-    algorithm: Algorithm,
-    cancel: &CancelToken,
-) -> StoredRun<'a> {
-    let run = run
-        .algorithm(algorithm)
-        .count_only(q.count_only)
-        .cancel(cancel.clone())
-        .priority(q.priority)
-        .share(q.share);
-    match q.deadline_ms {
-        Some(ms) => run.deadline(Duration::from_millis(ms)),
-        None => run,
-    }
-}
-
-/// Stage 5 — run: the join itself — sharded scatter/gather for map-side
-/// queries on a sharded service, otherwise the single-node path.
+/// Stage 5 — run: the join itself, one [`Cluster::submit_stored`] run on
+/// the calling worker.
 fn run(
     inner: &Inner,
     bound: &BoundQuery,
@@ -698,13 +661,18 @@ fn run(
     cancel: &CancelToken,
 ) -> Result<JoinOutput, JoinError> {
     let refs = bound.refs();
-    if algorithm == Algorithm::MapSide && inner.config.shards > 1 {
-        return run_sharded(inner, &bound.canonical, q, &refs, bound.open_wall, cancel);
-    }
-    let run = StoredRun::new(&bound.canonical, &refs).open_wall(bound.open_wall);
-    inner
-        .cluster
-        .submit_stored(&run_options(run, q, algorithm, cancel))
+    let run = StoredRun::new(&bound.canonical, &refs)
+        .open_wall(bound.open_wall)
+        .algorithm(algorithm)
+        .count_only(q.count_only)
+        .cancel(cancel.clone())
+        .priority(q.priority)
+        .share(q.share);
+    let run = match q.deadline_ms {
+        Some(ms) => run.deadline(Duration::from_millis(ms)),
+        None => run,
+    };
+    inner.cluster.submit_stored(&run)
 }
 
 /// Stage 6 — render: caches a finished run and renders it in the
@@ -781,62 +749,6 @@ fn handle_query(inner: &Inner, q: &QueryRequest, worker: Option<&CancelToken>) -
     Some(render(inner, outcome, key, &bound, started))
 }
 
-/// Scatters a map-side query across the shards — the calling thread
-/// takes the first, each other a thread of its own, seeding only its own
-/// cell range off the one registered store of every binding — and
-/// gathers the partials into the exact single-node
-/// [`JoinOutput`] (see [`mwsj_core::shards`]). Every partial runs on the
-/// one service cluster: a partial reads only its grid. The deadline is
-/// armed once here on the shared token; `submit_stored_partial` never
-/// arms its own.
-fn run_sharded(
-    inner: &Inner,
-    canonical: &Query,
-    q: &QueryRequest,
-    stores: &[&StoredDataset],
-    open_wall: Duration,
-    cancel: &CancelToken,
-) -> Result<JoinOutput, JoinError> {
-    use mwsj_core::shards::{self, GatherSpec, ShardPartial};
-
-    if let Some(ms) = q.deadline_ms {
-        cancel.deadline_in(Duration::from_millis(ms));
-    }
-    let ranges = shards::seed_cell_ranges(inner.cluster.grid().num_cells(), inner.config.shards);
-    let run = run_options(
-        StoredRun::new(canonical, stores),
-        q,
-        Algorithm::MapSide,
-        cancel,
-    );
-
-    let t0 = Instant::now();
-    let partial = |range| inner.cluster.submit_stored_partial(&run, range);
-    let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
-        let mut ranges = ranges.into_iter();
-        let first = ranges.next().expect("at least one seed-cell range");
-        let handles: Vec<_> = ranges
-            .map(|range| scope.spawn(move || partial(range)))
-            .collect();
-        std::iter::once(partial(first))
-            .chain(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked")),
-            )
-            .collect::<Result<_, _>>()
-    })?;
-
-    let spec = GatherSpec {
-        record_total: stores.iter().map(|s| s.record_count()).sum(),
-        count_only: q.count_only,
-        open_wall,
-        join_wall: t0.elapsed(),
-        input_fingerprint: shards::combined_fingerprint(stores),
-    };
-    Ok(shards::gather(partials, &spec))
-}
-
 /// The logical (concurrency-invariant) per-job counters of a run.
 fn counters_json(jobs: &[JobMetrics]) -> String {
     let mut out = String::from("[");
@@ -869,7 +781,7 @@ fn stats_response(inner: &Inner) -> String {
     let p = inner.plans.stats();
     let sched = inner.cluster.engine().scheduler();
     format!(
-        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"shards\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"workers\":{},\"busy\":{},\"queued\":{},\"answered_inline\":{}}}",
+        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"workers\":{},\"busy\":{},\"queued\":{},\"answered_inline\":{}}}",
         inner.stats.queries.load(Ordering::Relaxed),
         inner.stats.served_from_cache.load(Ordering::Relaxed),
         inner.stats.cancelled.load(Ordering::Relaxed),
@@ -877,7 +789,6 @@ fn stats_response(inner: &Inner) -> String {
         inner.stats.brownout_sheds.load(Ordering::Relaxed),
         inner.stats.evicted.load(Ordering::Relaxed),
         inner.stats.errors.load(Ordering::Relaxed),
-        inner.config.shards,
         inner.brownout_active(),
         c.hits,
         c.misses,
@@ -1150,36 +1061,6 @@ mod tests {
         remove(&stores);
     }
 
-    /// A shard is a seed-cell range over the mount the binding already
-    /// holds: once a store is mounted, scattering reads no file again.
-    #[test]
-    fn shards_scatter_over_the_one_mount() {
-        let inner = Server::bind(ServerConfig::default().with_shards(2))
-            .expect("bind")
-            .inner;
-        let stores = [ingest(&inner, "mount", A), ingest(&inner, "mount", B)];
-        let data = [("A", stores[0].as_str()), ("B", stores[1].as_str())];
-        // A shuffle algorithm binds (and so mounts) the stores.
-        let shuffled = ask(
-            &inner,
-            &request("query", "A ov B", &data, ",\"algorithm\":\"crep-l\""),
-        );
-        assert!(shuffled.contains("\"ok\":true"), "{shuffled}");
-        remove(&stores);
-        let scattered = ask(
-            &inner,
-            &request("query", "A ov B", &data, ",\"algorithm\":\"map-side\""),
-        );
-        assert!(scattered.starts_with("{\"ok\":true"), "{scattered}");
-        let tuple_count = |r: &str| {
-            let at = r.find("\"tuple_count\":").expect("tuple_count");
-            r[at..].split([',', '}']).next().unwrap().to_string()
-        };
-        assert_eq!(tuple_count(&scattered), tuple_count(&shuffled));
-        let stats = ask(&inner, "{\"op\":\"stats\"}");
-        assert!(stats.contains("\"shards\":2"), "{stats}");
-    }
-
     #[test]
     fn explain_is_memoized_and_byte_identical_to_a_fresh_plan() {
         let inner = service();
@@ -1262,6 +1143,8 @@ mod tests {
         );
         let s = inner.plans.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // The stores are registered now; no bind reads their files again.
+        remove(&stores);
 
         let answered = [&spec_data, &store_data]
             .map(|data| ask(&inner, &request("query", "A ov B", data, "")));
@@ -1278,6 +1161,5 @@ mod tests {
         let (cache, plans) = (inner.cache.stats(), inner.plans.stats());
         assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
         assert_eq!((plans.misses, plans.entries), (1, 1));
-        remove(&stores);
     }
 }

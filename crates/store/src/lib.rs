@@ -294,8 +294,7 @@ impl StoredDataset {
     ///
     /// This is the open for a shard that holds a copy of its own: it seeds
     /// joins only from its own cell range, so only those cells' ids need
-    /// the uniqueness scan. (The serving tier's in-process shards share one
-    /// fully validated mount instead.) Every other check still holds
+    /// the uniqueness scan. Every other check still holds
     /// globally — section checksums cover every byte, and every record is
     /// decoded and checked against its cell (gathers read every cell).
     /// Out-of-scope ids are range-checked but not cross-checked for

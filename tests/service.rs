@@ -7,6 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use mwsj_core::partition::Grid;
+use mwsj_core::store::StoreBuilder;
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinRun};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
@@ -128,8 +130,54 @@ fn served_query_is_byte_identical_to_direct_submit() {
         flipped.get("counters").expect("counters"),
         "a cache hit replays the original run's counters"
     );
-
     stop(&addr, h);
+
+    // Pinned map-side, over the generator specs and over `store:` files
+    // ingested from them, tuples and count-only. Nothing is cached: a
+    // store shares its spec's fingerprint, so a cache would replay the
+    // spec's reply instead of running over the store.
+    let grid = Grid::square((0.0, EXTENT), (0.0, EXTENT), 8);
+    let stores: Vec<String> = [A, B, C]
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let path = std::env::temp_dir().join(format!(
+                "mwsj-service-{}-direct-{i}.store",
+                std::process::id()
+            ));
+            let rects = load_source(spec).expect("load");
+            StoreBuilder::new(&grid)
+                .write(&rects, &path)
+                .expect("ingest");
+            format!("store:{}", path.display())
+        })
+        .collect();
+    let (addr, h) = start(ServerConfig::default().with_cache_bytes(0));
+    let mut c = Client::connect(&addr).expect("connect");
+    let q = "A ov B and B within 150 of C";
+    let (want, want_count) = direct(q, &[A, B, C], Algorithm::ControlledReplicate);
+    assert!(want_count > 0, "test query must produce tuples");
+    for specs in [[A, B, C], [&*stores[0], &*stores[1], &*stores[2]]] {
+        let data = [("A", specs[0]), ("B", specs[1]), ("C", specs[2])];
+        for count_only in [false, true] {
+            let extra = format!(",\"algorithm\":\"map-side\",\"count_only\":{count_only}");
+            let doc = response(&mut c, &query_line(q, &data, &extra));
+            assert_eq!(
+                doc.get("algorithm").and_then(Json::as_str),
+                Some("map-side")
+            );
+            assert_eq!(
+                doc.get("tuple_count").and_then(Json::as_f64),
+                Some(want_count as f64)
+            );
+            let want = if count_only { &[][..] } else { &want[..] };
+            assert_eq!(tuples_of(&doc), want, "{specs:?}, count_only {count_only}");
+        }
+    }
+    stop(&addr, h);
+    for store in &stores {
+        std::fs::remove_file(store.strip_prefix("store:").expect("a store spec")).ok();
+    }
 }
 
 #[test]

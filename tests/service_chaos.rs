@@ -18,7 +18,7 @@ use mwsj_geom::Rect;
 use mwsj_query::Query;
 use mwsj_server::json::{self, Json};
 use mwsj_server::source::load_source;
-use mwsj_server::{signal, Client, ClientConfig, Server, ServerConfig};
+use mwsj_server::{signal, Client, Server, ServerConfig};
 
 /// The space every test server uses (the `ServerConfig` default).
 const EXTENT: f64 = 100_000.0;
@@ -47,7 +47,7 @@ fn start(config: ServerConfig) -> (String, thread::JoinHandle<()>) {
 fn stop_resilient(addr: &str, handle: thread::JoinHandle<()>) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while !handle.is_finished() {
-        if let Ok(mut c) = Client::with_config(addr, client_config(0)) {
+        if let Ok(mut c) = Client::connect(addr) {
             let _ = c.request("{\"op\":\"shutdown\"}");
         }
         assert!(Instant::now() < deadline, "server did not stop");
@@ -56,12 +56,21 @@ fn stop_resilient(addr: &str, handle: thread::JoinHandle<()>) {
     handle.join().expect("server thread");
 }
 
-/// Short client timeouts so an injected stall or disconnect surfaces as a
-/// typed error in bounded time instead of hanging the test.
-fn client_config(seed: u64) -> ClientConfig {
-    ClientConfig::default()
-        .with_read_timeout(Duration::from_secs(30))
-        .with_seed(seed)
+/// Retrieves `stats` through injected faults: keeps asking on fresh
+/// connections until an intact `ok` reply arrives.
+fn stats_resilient(addr: &str) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let reply = Client::connect(addr)
+            .and_then(|mut c| c.request("{\"op\":\"stats\"}"))
+            .ok()
+            .and_then(|text| json::parse(&text).ok());
+        if let Some(stats) = reply.filter(|s| s.get("ok").and_then(Json::as_bool) == Some(true)) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "no intact stats reply");
+        thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn query_line(query: &str, data: &[(&str, &str)], extra: &str) -> String {
@@ -114,19 +123,6 @@ const A: &str = "synthetic:n=800,seed=11,extent=5000,lmax=300";
 const B: &str = "synthetic:n=800,seed=12,extent=5000,lmax=300";
 const C: &str = "synthetic:n=800,seed=13,extent=5000,lmax=300";
 
-/// Retrieves `stats` through injected faults (retrying client).
-fn stats_resilient(addr: &str) -> Json {
-    let mut c = Client::with_config(
-        addr,
-        client_config(99).with_retries(8, Duration::from_millis(20)),
-    )
-    .expect("stats connect");
-    let text = c
-        .request_idempotent("{\"op\":\"stats\"}")
-        .expect("stats response");
-    json::parse(&text).expect("stats json")
-}
-
 /// The tentpole assertion: under a pinned network-fault seed, concurrent
 /// clients either become casualties (typed error, timeout, dead
 /// connection) or *survivors* — and every survivor's response is
@@ -169,9 +165,8 @@ fn chaos_survivors_get_byte_identical_results_and_no_slots_leak() {
             scope.spawn(move || {
                 // Each attempt uses a fresh connection: a torn frame or
                 // injected disconnect kills the old one for good.
-                for attempt in 0..6u64 {
-                    let seed = client_id as u64 * 16 + attempt;
-                    let Ok(mut c) = Client::with_config(&addr, client_config(seed)) else {
+                for _ in 0..6 {
+                    let Ok(mut c) = Client::connect(&addr) else {
                         continue;
                     };
                     let Ok(text) = c.request(&line) else {
