@@ -59,7 +59,7 @@ use mwsj_partition::CellId;
 use mwsj_query::{JoinPlan, Query, RelationId};
 use mwsj_store::StoredDataset;
 
-use super::{tuple_ids, AlgoCtx};
+use super::AlgoCtx;
 use crate::shards::ShardPartial;
 use crate::JoinError;
 
@@ -159,11 +159,12 @@ pub(crate) fn execute(
     let _registration = scheduler.register(job, ctx.priority, ctx.share);
     let workers = scheduler.available().min(cells.len()).max(1);
 
-    // One worker's share of the cell queue: its tuples and its tally by
-    // designated cell. The group's vectors are reused from cell to cell.
+    // One worker's share of the cell queue: its tuples' ids, row-major in
+    // one buffer, and its tally by designated cell. The group's vectors are
+    // reused from cell to cell.
     let next = AtomicUsize::new(0);
     let work = || {
-        let mut out: Vec<Vec<u32>> = Vec::new();
+        let mut out: Vec<u32> = Vec::new();
         let mut tally: Vec<u64> = vec![0; num_cells];
         let mut relations: Vec<Vec<LocalRect>> = vec![Vec::new(); stores.len()];
         loop {
@@ -192,7 +193,7 @@ pub(crate) fn execute(
                 let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));
                 tally[dc.0 as usize] += 1;
                 if !count_only {
-                    out.push(tuple_ids(tuple));
+                    out.extend(tuple.iter().map(|&(_, id)| id));
                 }
             });
         }
@@ -200,19 +201,19 @@ pub(crate) fn execute(
     };
     // The caller takes a share too: `workers - 1` threads are spawned, and
     // a worker that panicked is resumed with its own payload.
-    let (tuples, tally) = std::thread::scope(|scope| {
+    let (ids, tally) = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let (mut tuples, mut tally) = work();
+        let (mut ids, mut tally) = work();
         for handle in spawned {
             let (out, t) = handle
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            tuples.extend(out);
+            ids.extend(out);
             for (total, part) in tally.iter_mut().zip(t) {
                 *total += part;
             }
         }
-        (tuples, tally)
+        (ids, tally)
     });
 
     if ctx.cancel.is_cancelled() {
@@ -226,7 +227,11 @@ pub(crate) fn execute(
             },
         }));
     }
-    Ok(ShardPartial { tuples, tally })
+    Ok(ShardPartial {
+        ids,
+        arity: stores.len(),
+        tally,
+    })
 }
 
 /// The slot one seed cell holds, returned on every path out of the cell.

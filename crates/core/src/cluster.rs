@@ -225,8 +225,9 @@ impl Cluster {
 
     /// Runs one seed-cell range of a map-side join over stored datasets:
     /// seeds only from start-relation rectangles homed in `seed_cells`,
-    /// gathers from every cell, and returns the raw tuples and per-cell tally
-    /// for [`shards::gather`] to merge.
+    /// gathers from every cell, and returns the unsorted tuples as one
+    /// row-major id buffer plus the per-cell tally, for [`shards::gather`]
+    /// to merge.
     ///
     /// Unlike [`Cluster::submit_stored`] this never arms a deadline on
     /// the run's cancel token: a caller that splits one join into several

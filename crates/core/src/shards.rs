@@ -18,8 +18,11 @@
 //!   cell's tuples all come from the one shard owning their seeds, so
 //!   the sum preserves per-cell maxima);
 //! * `tuple_count` / `reduce_output_records` — tally sums;
-//! * tuples — the concatenation, normalized exactly like the
-//!   single-node run (disjoint seeding makes this a pure merge).
+//! * tuples — the partials' flat id buffers concatenated, sorted once
+//!   by row and deduplicated, and built into one `Vec` per tuple only
+//!   then: the order and contents [`mwsj_local::multiway::normalized`]
+//!   gives every other join output (disjoint seeding makes the dedup a
+//!   no-op).
 //!
 //! Only wall-clock fields (`reduce_wall`, `total_wall`,
 //! `index_open_wall`) are physical rather than logical; the gatherer
@@ -74,8 +77,11 @@ pub fn combined_fingerprint(stores: &[&mwsj_store::StoredDataset]) -> u64 {
 /// cell range and the per-designated-cell tally they produced.
 #[derive(Debug, Default)]
 pub struct ShardPartial {
-    /// Unnormalized output tuples (empty in count-only mode).
-    pub tuples: Vec<Vec<u32>>,
+    /// Unnormalized output tuples, row-major: row `r` is
+    /// `ids[r * arity..(r + 1) * arity]` (empty in count-only mode).
+    pub ids: Vec<u32>,
+    /// Ids per tuple: the query's relation count.
+    pub arity: usize,
     /// Per-designated-cell tuple counts, length `num_cells`.
     pub tally: Vec<u64>,
 }
@@ -102,17 +108,19 @@ pub struct GatherSpec {
 #[must_use]
 pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
     let num_cells = partials.iter().map(|p| p.tally.len()).max().unwrap_or(0);
+    let arity = partials.iter().map(|p| p.arity).max().unwrap_or(0);
     let mut tally = vec![0u64; num_cells];
-    let mut tuples: Vec<Vec<u32>> = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
     for p in partials {
+        debug_assert!(p.ids.is_empty() || p.arity == arity, "one run, one arity");
         for (total, part) in tally.iter_mut().zip(p.tally) {
             *total += part;
         }
         // A single partial (the single-node run) keeps its buffer.
-        if tuples.is_empty() {
-            tuples = p.tuples;
+        if ids.is_empty() {
+            ids = p.ids;
         } else {
-            tuples.extend(p.tuples);
+            ids.extend(p.ids);
         }
     }
     let tuple_count: u64 = tally.iter().sum();
@@ -129,14 +137,9 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
         input_fingerprint: spec.input_fingerprint,
         ..JobMetrics::default()
     };
-    let tuples = if spec.count_only {
-        Vec::new()
-    } else {
-        mwsj_local::multiway::normalized(tuples)
-    };
     JoinOutput {
         algorithm: Algorithm::MapSide,
-        tuples,
+        tuples: sorted_rows(&ids, arity),
         tuple_count,
         stats: ReplicationStats::default(),
         report: MetricsReport {
@@ -146,6 +149,23 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
             dfs_transient_read_failures: 0,
         },
     }
+}
+
+/// The distinct rows of the row-major buffer `ids` in ascending order,
+/// one `Vec` of capacity `arity` each: what
+/// [`mwsj_local::multiway::normalized`] returns for the same rows, from
+/// one sort of `u32` row indices and one allocation per distinct tuple.
+fn sorted_rows(ids: &[u32], arity: usize) -> Vec<Vec<u32>> {
+    if ids.is_empty() {
+        return Vec::new();
+    }
+    debug_assert_eq!(ids.len() % arity, 0, "whole rows only");
+    let rows = u32::try_from(ids.len() / arity).expect("fewer than 2^32 tuples in one result");
+    let row = |r: u32| &ids[r as usize * arity..(r as usize + 1) * arity];
+    let mut order: Vec<u32> = (0..rows).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    order.into_iter().map(|r| row(r).to_vec()).collect()
 }
 
 #[cfg(test)]
@@ -182,11 +202,13 @@ mod tests {
     fn gather_sums_tallies_and_normalizes_tuples() {
         let partials = vec![
             ShardPartial {
-                tuples: vec![vec![2, 0], vec![1, 1]],
+                ids: vec![2, 0, 1, 1],
+                arity: 2,
                 tally: vec![1, 1, 0, 0],
             },
             ShardPartial {
-                tuples: vec![vec![0, 0]],
+                ids: vec![0, 0],
+                arity: 2,
                 tally: vec![0, 0, 1, 0],
             },
         ];
@@ -290,7 +312,8 @@ mod tests {
     #[test]
     fn count_only_gather_reports_groups_not_tuples() {
         let partials = vec![ShardPartial {
-            tuples: Vec::new(),
+            ids: Vec::new(),
+            arity: 2,
             tally: vec![4, 0, 2, 0],
         }];
         let spec = GatherSpec {
@@ -304,5 +327,51 @@ mod tests {
         assert_eq!(out.tuple_count, 6);
         assert!(out.tuples.is_empty());
         assert_eq!(out.report.jobs[0].reduce_output_records, 2);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Gathering flat partials returns what `normalized` returns
+            /// for the same rows as one `Vec` each — duplicates within and
+            /// across partials, empty and count-only partials included —
+            /// and every row it builds holds exactly `arity` ids.
+            #[test]
+            fn flat_gather_equals_normalized_rows(
+                arity in 1usize..6,
+                partials in proptest::collection::vec(
+                    (proptest::collection::vec(0u32..3, 0..40), proptest::bool::ANY),
+                    0..5,
+                ),
+            ) {
+                let mut rows = Vec::new();
+                let partials: Vec<ShardPartial> = partials
+                    .into_iter()
+                    .map(|(mut ids, count_only)| {
+                        if count_only {
+                            ids.clear();
+                        }
+                        ids.truncate(ids.len() / arity * arity);
+                        rows.extend(ids.chunks(arity).map(<[u32]>::to_vec));
+                        let tally = vec![(ids.len() / arity) as u64];
+                        ShardPartial { ids, arity, tally }
+                    })
+                    .collect();
+                let spec = GatherSpec {
+                    record_total: 0,
+                    count_only: false,
+                    open_wall: Duration::ZERO,
+                    join_wall: Duration::ZERO,
+                    input_fingerprint: 0,
+                };
+                let out = gather(partials, &spec);
+                prop_assert!(out.tuples.iter().all(|t| t.capacity() == arity));
+                prop_assert_eq!(out.tuples, mwsj_local::multiway::normalized(rows));
+            }
+        }
     }
 }

@@ -365,16 +365,30 @@ impl Connection {
         }
     }
 
-    /// Queues one response payload in the connection's wire mode.
-    pub fn enqueue_response(&mut self, payload: &[u8], now: Instant) {
+    /// Queues one response payload in the connection's wire mode. A line
+    /// reply with nothing queued ahead of it becomes the write buffer
+    /// itself, newline appended, without a copy; a frame is copied once,
+    /// behind its header.
+    pub fn enqueue_response(&mut self, mut payload: Vec<u8>, now: Instant) {
         match self.mode.unwrap_or(WireMode::Line) {
+            WireMode::Line if self.outbuf.is_empty() => {
+                payload.push(b'\n');
+                self.outbuf = payload;
+            }
             WireMode::Line => {
-                self.outbuf.extend_from_slice(payload);
+                self.outbuf.extend_from_slice(&payload);
                 self.outbuf.push(b'\n');
             }
-            WireMode::Binary => frame::encode_frame(payload, &mut self.outbuf),
+            WireMode::Binary => frame::encode_frame(&payload, &mut self.outbuf),
         }
         self.last_activity = now;
+    }
+
+    /// Drops the drained write buffer: a connection holds no reply's
+    /// memory between replies.
+    fn release_output(&mut self) {
+        self.outbuf = Vec::new();
+        self.outpos = 0;
     }
 
     /// One raw write attempt; advances the flushed prefix.
@@ -388,8 +402,7 @@ impl Connection {
                 self.outpos += n;
                 self.last_activity = now;
                 if self.outpos == self.outbuf.len() {
-                    self.outbuf.clear();
-                    self.outpos = 0;
+                    self.release_output();
                     FlushOutcome::Flushed
                 } else {
                     FlushOutcome::Blocked
@@ -415,8 +428,7 @@ impl Connection {
             return FlushOutcome::Dead;
         }
         if self.outpos >= self.outbuf.len() {
-            self.outbuf.clear();
-            self.outpos = 0;
+            self.release_output();
             return FlushOutcome::Flushed;
         }
         // A deferred write resumes first: one attempt, no new draw.
@@ -433,8 +445,7 @@ impl Connection {
         }
         loop {
             if self.outpos >= self.outbuf.len() {
-                self.outbuf.clear();
-                self.outpos = 0;
+                self.release_output();
                 return FlushOutcome::Flushed;
             }
             let (op, fault) = self.faults.next_write();
@@ -666,39 +677,85 @@ mod tests {
         }
     }
 
+    /// A connection in `mode` (sniffed from one request, as a server sees
+    /// it) and its peer, which reads with a timeout.
+    fn connected(mode: WireMode) -> (TcpStream, Connection) {
+        let (mut a, b) = pair();
+        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut request = b"{}\n".to_vec();
+        if mode == WireMode::Binary {
+            request.clear();
+            frame::encode_frame(b"{}", &mut request);
+        }
+        a.write_all(&request).expect("write");
+        settle(&mut conn);
+        conn.next_request(64).expect("ok").expect("request");
+        assert_eq!(conn.mode(), Some(mode));
+        a.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        (a, conn)
+    }
+
+    /// Flushes everything queued while the peer reads `len` bytes.
+    fn flush_to_peer(peer: &mut TcpStream, conn: &mut Connection, len: usize) -> Vec<u8> {
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut got = vec![0u8; len];
+                peer.read_exact(&mut got).expect("read");
+                got
+            });
+            loop {
+                match conn.flush(Instant::now()) {
+                    FlushOutcome::Flushed => break,
+                    FlushOutcome::Blocked => std::thread::yield_now(),
+                    other => panic!("flush: {other:?}"),
+                }
+            }
+            reader.join().expect("reader")
+        })
+    }
+
+    /// Two pipelined replies — the first adopted as the write buffer in
+    /// line mode, the second appended behind it — reach the peer whole
+    /// and in order, framed per mode.
     #[test]
     fn responses_are_framed_per_mode() {
-        let now = Instant::now();
-        // Line mode.
-        let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), now).expect("conn");
-        a.write_all(b"{}\n").expect("write");
-        settle(&mut conn);
-        conn.next_request(64).expect("ok").expect("line");
-        conn.enqueue_response(b"{\"ok\":true}", now);
-        assert_eq!(conn.flush(now), FlushOutcome::Flushed);
-        let mut got = [0u8; 12];
-        a.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        a.read_exact(&mut got).expect("read");
-        assert_eq!(&got, b"{\"ok\":true}\n");
+        let first = vec![b'a'; 70_000];
+        let second = b"{\"ok\":true}".to_vec();
+        for mode in [WireMode::Line, WireMode::Binary] {
+            let (mut a, mut conn) = connected(mode);
+            conn.enqueue_response(first.clone(), Instant::now());
+            conn.enqueue_response(second.clone(), Instant::now());
+            let mut want = Vec::new();
+            for reply in [&first, &second] {
+                if mode == WireMode::Binary {
+                    want.push(FRAME_MAGIC);
+                    want.extend_from_slice(&(reply.len() as u32).to_le_bytes());
+                }
+                want.extend_from_slice(reply);
+                if mode == WireMode::Line {
+                    want.push(b'\n');
+                }
+            }
+            assert_eq!(
+                flush_to_peer(&mut a, &mut conn, want.len()),
+                want,
+                "{mode:?}"
+            );
+            assert_eq!(conn.outbuf.capacity(), 0, "{mode:?}");
+        }
+    }
 
-        // Binary mode.
-        let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), now).expect("conn");
-        let mut wire = Vec::new();
-        frame::encode_frame(b"{}", &mut wire);
-        a.write_all(&wire).expect("write");
-        settle(&mut conn);
-        conn.next_request(64).expect("ok").expect("frame");
-        conn.enqueue_response(b"{\"ok\":true}", now);
-        assert_eq!(conn.flush(now), FlushOutcome::Flushed);
-        let mut got = vec![0u8; frame::FRAME_HEADER + 11];
-        a.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        a.read_exact(&mut got).expect("read");
-        let (range, _) = frame::decode_frame(&got, 64).expect("frame");
-        assert_eq!(&got[range], b"{\"ok\":true}");
+    #[test]
+    fn a_flushed_reply_leaves_no_output_buffer() {
+        let (mut a, mut conn) = connected(WireMode::Line);
+        let reply = vec![b'7'; 1 << 20];
+        conn.enqueue_response(reply.clone(), Instant::now());
+        let got = flush_to_peer(&mut a, &mut conn, reply.len() + 1);
+        assert_eq!(&got[..reply.len()], &reply[..]);
+        assert_eq!(got[reply.len()], b'\n');
+        assert!(!conn.wants_write());
+        assert_eq!(conn.outbuf.capacity(), 0, "the drained buffer is dropped");
     }
 
     #[test]

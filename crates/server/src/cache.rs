@@ -98,7 +98,7 @@ impl ResultCache {
 
     fn cost(key: &CacheKey, value: &CachedResult) -> usize {
         let key_bytes = key.query.len() + key.fingerprints.len() * 8 + key.algorithm.len();
-        let tuple_bytes: usize = value.tuples.iter().map(|t| t.len() * 4 + 24).sum();
+        let tuple_bytes: usize = value.tuples.iter().map(tuple_cost).sum();
         key_bytes + tuple_bytes + value.counters.len() + value.algorithm.len() + 64
     }
 
@@ -191,9 +191,38 @@ impl ResultCache {
     }
 }
 
+/// What one cached tuple holds: its `Vec` header plus the heap block of
+/// its ids. The block is glibc malloc's chunk for the request — the
+/// `capacity × 4` bytes asked for plus an 8-byte size header, rounded up
+/// to 16 bytes, and never below the 32-byte minimum chunk — so an arity-3
+/// tuple costs 24 + 32 = 56 bytes, not the 36 its ids and header add to.
+fn tuple_cost(tuple: &Vec<u32>) -> usize {
+    let ids = tuple.capacity() * std::mem::size_of::<u32>();
+    std::mem::size_of::<Vec<u32>>() + (ids + 8).next_multiple_of(16).max(32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_tuple_is_charged_its_header_and_malloc_chunk() {
+        // What an entry's tuples add to its charge.
+        let charge = |tuples: Vec<Vec<u32>>| {
+            let value = CachedResult {
+                tuples,
+                ..result(0)
+            };
+            ResultCache::cost(&key("q", 1), &value) - ResultCache::cost(&key("q", 1), &result(0))
+        };
+        for arity in 1..=8u32 {
+            let tuples: Vec<Vec<u32>> = (0..10).map(|i| (i..i + arity).collect()).collect();
+            let floor: usize = tuples.iter().map(|t| 24 + t.capacity() * 4 + 8).sum();
+            assert!(charge(tuples) >= floor, "arity {arity}");
+        }
+        assert_eq!(charge(vec![vec![1, 2, 3]]), 24 + 32);
+        assert_eq!(charge(vec![vec![0; 7]]), 24 + 48);
+    }
 
     fn key(q: &str, fp: u64) -> CacheKey {
         CacheKey {

@@ -96,7 +96,7 @@ impl ConnState {
     /// request order, for writing.
     fn complete(&mut self, req: u64, response: String, now: Instant) {
         for payload in self.seq.complete(req, response.into_bytes()) {
-            self.conn.enqueue_response(&payload, now);
+            self.conn.enqueue_response(payload, now);
         }
     }
 }
