@@ -297,6 +297,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn cmd_query(args: &Args) -> Result<(), String> {
     use mwsj_server::json::{self, Json};
+    use std::io::Write as _;
 
     args.check_known(&[
         "connect",
@@ -374,15 +375,31 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         eprintln!("fingerprint: {fp}");
     }
     // Tuples go to stdout as deterministic CSV, one per line.
-    for tuple in doc.get("tuples").and_then(Json::as_arr).unwrap_or(&[]) {
-        let ids: Vec<String> = tuple
+    let tuples = doc.get("tuples").and_then(Json::as_arr).unwrap_or(&[]);
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    write_csv(&mut out, tuples)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing tuples: {e}"))
+}
+
+/// Writes each tuple of a reply as one CSV line of its ids.
+fn write_csv(
+    out: &mut impl std::io::Write,
+    tuples: &[mwsj_server::json::Json],
+) -> std::io::Result<()> {
+    for tuple in tuples {
+        let ids = tuple
             .as_arr()
             .unwrap_or(&[])
             .iter()
-            .filter_map(Json::as_f64)
-            .map(|v| format!("{v}"))
-            .collect();
-        println!("{}", ids.join(","));
+            .filter_map(|id| id.as_f64());
+        for (i, id) in ids.enumerate() {
+            if i > 0 {
+                out.write_all(b",")?;
+            }
+            write!(out, "{id}")?;
+        }
+        out.write_all(b"\n")?;
     }
     Ok(())
 }

@@ -8,6 +8,13 @@
 //! input from outside the program, so it accepts exactly the JSON grammar
 //! — numbers, escapes and control bytes included — and bounds its own
 //! recursion. Writing stays hand-rolled (see [`json_escape`](crate::json_escape)).
+//!
+//! The tree keeps only what it parsed, because a query reply can hold
+//! ~100 k tuples: a value is 24 bytes, and a string, an array or an
+//! object is one exact-size allocation. A string is copied once from the
+//! input. A container's elements go onto one of two scratch stacks the
+//! parser keeps for the whole document, and closing it moves its run off
+//! the stack into its own slice, so no container carries growth slack.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,11 +26,11 @@ pub enum Json {
     /// Any number (integers included; the protocol range fits in `f64`).
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Box<str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Box<[Json]>),
     /// An object, as key-value pairs in document order.
-    Obj(Vec<(String, Json)>),
+    Obj(Box<[(String, Json)]>),
 }
 
 impl Json {
@@ -94,9 +101,13 @@ pub const MAX_DEPTH: usize = 64;
 /// depth error for documents nested beyond [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        values: Vec::new(),
+        pairs: Vec::new(),
+        scratch: String::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -108,10 +119,29 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, bounded by [`MAX_DEPTH`].
     depth: usize,
+    /// The elements parsed so far of every open array, innermost last.
+    values: Vec<Json>,
+    /// The members parsed so far of every open object, innermost last.
+    pairs: Vec<(String, Json)>,
+    /// Where a string with escapes is decoded before its one copy.
+    scratch: String,
+}
+
+/// Moves the run `stack[base..]` into one exact-size slice. A run that is
+/// the whole stack takes the stack's buffer instead (one shrink in place,
+/// no copy), so a document's one large array is never copied; the stack
+/// regrows if an enclosing container needs it again.
+fn take_run<T>(stack: &mut Vec<T>, base: usize) -> Box<[T]> {
+    if base == 0 {
+        std::mem::take(stack).into_boxed_slice()
+    } else {
+        stack.drain(base..).collect()
+    }
 }
 
 impl Parser<'_> {
@@ -156,7 +186,7 @@ impl Parser<'_> {
                 self.depth -= 1;
                 out
             }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -202,86 +232,127 @@ impl Parser<'_> {
             }
             ok = self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match text.parse() {
+        match self.text[start..self.pos].parse() {
             Ok(n) if ok => Ok(Json::Num(n)),
             _ => Err(format!("bad number at byte {start}")),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Skips bytes a string holds as they are: all but `"`, `\` and
+    /// control bytes. Each stop byte is ASCII, so `pos` stays on a
+    /// character boundary of `text`.
+    fn skip_plain(&mut self) {
+        while self
+            .peek()
+            .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// Reads a string: the input's own bytes when it has no escapes,
+    /// else `scratch` with the escapes decoded. The caller copies the
+    /// text once, at its exact size.
+    fn string(&mut self) -> Result<&str, String> {
         self.expect(b'"')?;
-        let mut out = Vec::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(&self.text[start..self.pos - 1]);
+        }
+        self.scratch.clear();
+        self.scratch.push_str(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return String::from_utf8(out).map_err(|_| "invalid UTF-8".into());
+                    return Ok(&self.scratch);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push(b'"'),
-                        Some(b'\\') => out.push(b'\\'),
-                        Some(b'/') => out.push(b'/'),
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b't') => out.push(b'\t'),
-                        Some(b'r') => out.push(b'\r'),
-                        Some(b'b') => out.push(0x08),
-                        Some(b'f') => out.push(0x0c),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs are not needed by the protocol;
-                            // lone surrogates map to the replacement char.
-                            let c = char::from_u32(hex).unwrap_or('\u{fffd}');
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    self.scratch.push(c);
                 }
                 Some(c) if c < 0x20 => {
                     return Err(format!("raw control byte in string at byte {}", self.pos));
                 }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += 1;
+                Some(_) => {
+                    let run = self.pos;
+                    self.skip_plain();
+                    self.scratch.push_str(&self.text[run..self.pos]);
                 }
             }
         }
     }
 
+    /// Decodes the escape whose letter is at `pos` and steps past it.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => return self.unicode_escape(),
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// `uXXXX`, with `pos` at the `u`. A high surrogate followed by an
+    /// escaped low one is one character (UTF-16's pair); any other
+    /// surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self
+            .hex4(self.pos + 1)
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 5;
+        if (0xD800..=0xDBFF).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 2) {
+                self.pos += 6;
+                let c = 0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(c).unwrap_or('\u{fffd}'));
+            }
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits at `at`, if there are four.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
+    }
+
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
+        let base = self.pairs.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Box::default()));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.to_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            self.pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(take_run(&mut self.pairs, base)));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -290,21 +361,22 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let base = self.values.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Box::default()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let value = self.value()?;
+            self.values.push(value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(take_run(&mut self.values, base)));
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
@@ -374,6 +446,128 @@ mod tests {
         assert!(parse(&hostile_obj).is_err());
     }
 
+    #[test]
+    fn a_value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Json>(), 24);
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_one_character() {
+        let v = parse(r#""\ud83d\ude00 \uD83D\uDE00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600} \u{1f600}"));
+    }
+
+    #[test]
+    fn a_lone_surrogate_is_the_replacement_character() {
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""a\udfffb""#, "a\u{fffd}b"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_mismatched_surrogate_is_the_replacement_character() {
+        for (text, want) in [
+            // High then high: the second may still pair with what follows.
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+        // What follows a high surrogate is still held to the grammar.
+        for bad in [r#""\ud83d\uzzzz""#, r#""\ud83d\ude0""#, r#""\ud83d\q""#] {
+            assert!(parse(bad).is_err(), "`{bad}` must not parse");
+        }
+    }
+
+    fn arr<const N: usize>(items: [Json; N]) -> Json {
+        Json::Arr(items.into())
+    }
+
+    fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+        Json::Obj(pairs.map(|(k, v)| (k.to_owned(), v)).into())
+    }
+
+    #[test]
+    fn containers_take_their_runs_in_stack_order() {
+        let n = Json::Num;
+        let cases = [
+            // The first row takes the whole stack; the outer array regrows it.
+            ("[[1],[2,3]]", arr([arr([n(1.0)]), arr([n(2.0), n(3.0)])])),
+            (
+                r#"{"a":[1],"b":[2,3]}"#,
+                obj([("a", arr([n(1.0)])), ("b", arr([n(2.0), n(3.0)]))]),
+            ),
+            (
+                r#"{"o":[[],[[1],{}],[2]],"p":{"q":[{"r":[3]}]}}"#,
+                obj([
+                    (
+                        "o",
+                        arr([arr([]), arr([arr([n(1.0)]), obj([])]), arr([n(2.0)])]),
+                    ),
+                    ("p", obj([("q", arr([obj([("r", arr([n(3.0)]))])]))])),
+                ]),
+            ),
+            ("[]", arr([])),
+            ("{}", obj([])),
+            (" [ {} , [ ] ] ", arr([obj([]), arr([])])),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap(), want, "{text}");
+        }
+    }
+
+    /// Test-only writer. Keys go through `json_escape`; a string value's
+    /// non-ASCII characters are written as `\u` escapes (a surrogate pair
+    /// above U+FFFF), so a round trip covers both string paths.
+    fn write(v: &Json, out: &mut String) {
+        use std::fmt::Write as _;
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => write!(out, "{x}").unwrap(),
+            Json::Str(s) => {
+                out.push('"');
+                for c in crate::json_escape(s).chars() {
+                    if c.is_ascii() {
+                        out.push(c);
+                    } else {
+                        for unit in c.encode_utf16(&mut [0; 2]) {
+                            write!(out, "\\u{unit:04x}").unwrap();
+                        }
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, item)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write!(out, "\"{}\":", crate::json_escape(k)).unwrap();
+                    write(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
     mod props {
         use super::super::*;
         use proptest::prelude::*;
@@ -431,6 +625,53 @@ mod tests {
                 let cut = cut % text.len(); // strict prefix
                 let prefix: String = text.chars().take(cut).collect();
                 prop_assert!(parse(&prefix).is_err());
+            }
+        }
+
+        /// Characters that take each string path: plain ASCII, escaped
+        /// ASCII, and UTF-8 of two, three and four bytes.
+        const ALPHABET: [char; 8] = ['a', '"', '\\', '\n', '\u{1}', 'é', '€', '😀'];
+
+        /// Up to four characters drawn from the bits of `code`.
+        fn text(code: u32) -> String {
+            (0..(code >> 8) % 5)
+                .map(|i| ALPHABET[(code >> (12 + 3 * i)) as usize & 7])
+                .collect()
+        }
+
+        /// A tree with containers nested at most `depth` deep, each node
+        /// drawn from the next code (leaves once the codes run out). Half
+        /// the nodes are containers of 0–4 members, so a fifth of those
+        /// are empty and arrays of arrays, sibling arrays in one object
+        /// and arrays in arrays in objects all occur.
+        fn tree(codes: &mut impl Iterator<Item = u32>, depth: u32) -> Json {
+            let code = codes.next().unwrap_or(0);
+            let len = (code >> 4) % 5;
+            match code % 8 {
+                0 => Json::Null,
+                1 => Json::Bool(code & 0x10 != 0),
+                2 => Json::Str(text(code).into()),
+                4 | 5 if depth > 0 => Json::Arr((0..len).map(|_| tree(codes, depth - 1)).collect()),
+                6 | 7 if depth > 0 => Json::Obj(
+                    (0..len)
+                        .map(|_| (text(codes.next().unwrap_or(0)), tree(codes, depth - 1)))
+                        .collect(),
+                ),
+                // Integers and eighths, both signs.
+                _ => Json::Num(f64::from(code as i32 >> 9) / 8.0),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn written_trees_parse_back_equal(codes in proptest::collection::vec(0u32..u32::MAX, 1..64)) {
+                let want = tree(&mut codes.into_iter(), 4);
+                let mut text = String::new();
+                super::write(&want, &mut text);
+                let got = parse(&text);
+                prop_assert_eq!(got, Ok(want), "{}", text);
             }
         }
     }
