@@ -23,7 +23,7 @@
 
 use mwsj_geom::Rect;
 use mwsj_local::{multiway, GroupIndex, LocalRect};
-use mwsj_mapreduce::{Fnv64, RecordSize, StableHash};
+use mwsj_mapreduce::RecordSize;
 use mwsj_partition::CellId;
 use mwsj_query::{Predicate, Query, RelationId, Triple};
 
@@ -54,27 +54,6 @@ impl RecordSize for Partial {
     fn size_bytes(&self) -> usize {
         // One presence byte per slot; bound slots carry id + 4 corners.
         self.slots.iter().map(|s| 1 + s.map_or(0, |_| 4 + 32)).sum()
-    }
-}
-
-// Intermediate cascade results are materialized on the DFS, so they need a
-// fingerprint encoding; mirror the presence-byte layout of `size_bytes`.
-impl StableHash for Partial {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.slots.len() as u64);
-        for s in &self.slots {
-            match s {
-                None => h.write(&[0]),
-                Some((id, rect)) => {
-                    h.write(&[1]);
-                    id.stable_hash(h);
-                    h.write_u64(rect.min_x().to_bits());
-                    h.write_u64(rect.min_y().to_bits());
-                    h.write_u64(rect.max_x().to_bits());
-                    h.write_u64(rect.max_y().to_bits());
-                }
-            }
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 use mwsj_geom::Rect;
-use mwsj_mapreduce::{Fnv64, RecordSize, StableHash};
+use mwsj_mapreduce::RecordSize;
 use mwsj_query::RelationId;
 use serde::{Deserialize, Serialize};
 
@@ -28,19 +28,6 @@ impl RecordSize for TaggedRect {
     fn size_bytes(&self) -> usize {
         // relation tag (2) + id (4) + four f64 corners (32).
         2 + 4 + 32
-    }
-}
-
-// Manual impl (the orphan rule bars one on `Rect` itself): hash exactly
-// the fields the encoded record carries, coordinates as IEEE bit patterns.
-impl StableHash for TaggedRect {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        self.relation.0.stable_hash(h);
-        self.id.stable_hash(h);
-        h.write_u64(self.rect.min_x().to_bits());
-        h.write_u64(self.rect.min_y().to_bits());
-        h.write_u64(self.rect.max_x().to_bits());
-        h.write_u64(self.rect.max_y().to_bits());
     }
 }
 

@@ -291,8 +291,8 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
         self
     }
 
-    /// Attaches the input dataset's stable fingerprint
-    /// ([`DatasetFingerprint`](crate::DatasetFingerprint)`.0`), surfaced
+    /// Attaches the input datasets' stable fingerprint (the submitter's
+    /// own, e.g. a hash of each dataset's content hash), surfaced
     /// verbatim in [`JobMetrics::input_fingerprint`] and the trace counters.
     #[must_use]
     pub fn input_fingerprint(mut self, fingerprint: u64) -> Self {
@@ -313,9 +313,8 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
 /// the logical counters are byte-identical with or without faults. Tasks
 /// are retried up to [`FaultPlan::max_attempts`] times; attempts flagged
 /// as stragglers by the [`FaultInjector`] race a speculative duplicate
-/// attempt (paced by [`FaultPlan::speculative_slowstart`]), first
-/// successful completion wins. A task that exhausts its attempts fails the
-/// job with a [`JobError`] naming the phase and task.
+/// attempt, first successful completion wins. A task that exhausts its
+/// attempts fails the job with a [`JobError`] naming the phase and task.
 ///
 /// # Observability
 ///
@@ -390,16 +389,6 @@ const SPECULATIVE_BIT: u32 = 1 << 31;
 /// this bit, so the replacement attempt draws fresh fault decisions
 /// instead of replaying the (successful) original's.
 const REEXEC_BIT: u32 = 1 << 30;
-
-/// Median of the committed task durations seen so far (None when empty).
-fn median(durations: &[Duration]) -> Option<Duration> {
-    if durations.is_empty() {
-        return None;
-    }
-    let mut sorted = durations.to_vec();
-    sorted.sort_unstable();
-    Some(sorted[sorted.len() / 2])
-}
 
 /// Per-job state shared by every task of every phase: the job's identity,
 /// its fault, trace, scheduling and cancellation handles, its first
@@ -533,15 +522,10 @@ impl JobCtx<'_> {
 }
 
 /// Per-phase context shared by every task of a phase that runs user code
-/// (map, reduce): its failure counter and the committed-duration samples
-/// that drive slow-start pacing.
+/// (map, reduce): its job and its failure counter.
 struct TaskCtx<'a> {
     job: &'a JobCtx<'a>,
     phase: Phase,
-    /// Durations of committed attempts in this phase (work time only — the
-    /// injected straggler sleep happens outside the attempt body), feeding
-    /// the median for slow-start pacing.
-    completed: Mutex<Vec<Duration>>,
     failures: AtomicU64,
 }
 
@@ -550,15 +534,13 @@ impl<'a> TaskCtx<'a> {
         Self {
             job,
             phase,
-            completed: Mutex::new(Vec::new()),
             failures: AtomicU64::new(0),
         }
     }
 
     /// Runs one attempt of `task`: `body` is the user code, executed under
     /// `catch_unwind` and writing only attempt-local buffers, so whatever
-    /// a failed attempt produced is simply dropped. A successful attempt's
-    /// work time is sampled for slow-start pacing; every attempt leaves
+    /// a failed attempt produced is simply dropped. Every attempt leaves
     /// one [`TraceEvent::Attempt`].
     fn attempt<T>(
         &self,
@@ -571,16 +553,12 @@ impl<'a> TaskCtx<'a> {
         // attempt does its (discarded) work first, exercising the
         // partial-output-isolation path.
         let injected = job.injector.should_fail(self.phase, job.id, task, attempt);
-        let t0 = Instant::now();
         let start = sink.now_micros();
         let result = match catch_unwind(AssertUnwindSafe(body)) {
             Err(payload) => Err(AttemptError::Panic(panic_message(payload))),
             Ok(Ok(_)) if injected => Err(AttemptError::Injected),
             Ok(done) => done,
         };
-        if result.is_ok() {
-            self.completed.lock().push(t0.elapsed());
-        }
         sink.record(TraceEvent::Attempt {
             job: job.id,
             phase: self.phase,
@@ -645,14 +623,8 @@ impl<'a> TaskCtx<'a> {
 /// Runs one task attempt, racing a speculative duplicate when the
 /// injector flags the attempt as a straggler. First successful completion
 /// wins; the loser's output is discarded. `run` must be pure up to its
-/// commit (it is: attempts write only attempt-local buffers).
-///
-/// With a non-zero [`FaultPlan::speculative_slowstart`] the duplicate is
-/// *paced*: it launches only after the straggling primary has been running
-/// longer than `slowstart × median committed task time` — mirroring
-/// Hadoop, which speculates only on tasks well behind their peers. With a
-/// multiplier of zero, or before any task of the phase has committed
-/// (no median), the duplicate launches immediately.
+/// commit (it is: attempts write only attempt-local buffers). The
+/// duplicate launches as soon as the primary is flagged.
 fn attempt_with_speculation<T, F>(
     ctx: &TaskCtx<'_>,
     task: usize,
@@ -670,106 +642,55 @@ where
     else {
         return run(task, attempt);
     };
-    let slowstart = job.injector.slowstart();
-    let threshold = if slowstart > 0.0 {
-        median(&ctx.completed.lock()).map(|m| m.mul_f64(slowstart))
-    } else {
-        None
-    };
 
     // 0 = unclaimed, 1 = speculative committed, 2 = primary committed.
     let claimed = AtomicU8::new(0);
-    // Signals the primary attempt's completion to the pacing wait below.
-    let primary_done = (std::sync::Mutex::new(false), std::sync::Condvar::new());
     let (speculative, primary) = std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
             // The primary attempt straggles: it sleeps out its injected
             // delay and only executes if a speculative copy has not
             // finished yet.
             std::thread::sleep(delay);
-            let result = if claimed.load(Ordering::SeqCst) == 0 {
-                let r = run(task, attempt);
-                if r.is_ok() {
-                    let _ = claimed.compare_exchange(0, 2, Ordering::SeqCst, Ordering::SeqCst);
-                }
-                Some(r)
-            } else {
-                None
-            };
-            *primary_done.0.lock().expect("primary_done poisoned") = true;
-            primary_done.1.notify_all();
-            result
-        });
-
-        // Slow-start pacing: give the straggler its head start before
-        // committing a duplicate's worth of work.
-        let launch_speculative = match threshold {
-            None => true,
-            Some(limit) => {
-                let (lock, condvar) = &primary_done;
-                let deadline = Instant::now() + limit;
-                let mut done = lock.lock().expect("primary_done poisoned");
-                while !*done {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _timeout) = condvar
-                        .wait_timeout(done, deadline - now)
-                        .expect("primary_done poisoned");
-                    done = guard;
-                }
-                !*done
+            if claimed.load(Ordering::SeqCst) != 0 {
+                return None;
             }
-        };
-
-        let speculative = if launch_speculative {
-            job.speculative_launched.fetch_add(1, Ordering::Relaxed);
-            let r = run(task, attempt | SPECULATIVE_BIT);
+            let r = run(task, attempt);
             if r.is_ok() {
-                let _ = claimed.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
+                let _ = claimed.compare_exchange(0, 2, Ordering::SeqCst, Ordering::SeqCst);
             }
             Some(r)
-        } else {
-            None
-        };
+        });
+
+        job.speculative_launched.fetch_add(1, Ordering::Relaxed);
+        let speculative = run(task, attempt | SPECULATIVE_BIT);
+        if speculative.is_ok() {
+            let _ = claimed.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
+        }
         let primary = handle.join().unwrap_or(Some(Err(AttemptError::Panic(
             "primary attempt died".into(),
         ))));
         (speculative, primary)
     });
 
-    let resolved = |winner: RaceWinner| {
-        if speculative.is_some() {
-            job.sink.record(TraceEvent::SpeculationResolved {
-                job: job.id,
-                phase: ctx.phase,
-                task,
-                attempt,
-                winner,
-                ts: job.sink.now_micros(),
-            });
-        }
-    };
-    match claimed.load(Ordering::SeqCst) {
+    let (winner, result) = match claimed.load(Ordering::SeqCst) {
         1 => {
             job.speculative_won.fetch_add(1, Ordering::Relaxed);
-            resolved(RaceWinner::Speculative);
-            speculative.expect("claimed by speculative")
+            (RaceWinner::Speculative, speculative)
         }
-        2 => {
-            resolved(RaceWinner::Primary);
-            primary.expect("claimed by primary")
-        }
+        2 => (RaceWinner::Primary, primary.expect("claimed by primary")),
         // Neither copy succeeded: surface the primary's error when it ran
         // (its attempt id is the one the retry loop reasons about).
-        _ => {
-            resolved(RaceWinner::Neither);
-            primary
-                .or(speculative)
-                .expect("at least one copy of the attempt ran")
-        }
-    }
+        _ => (RaceWinner::Neither, primary.unwrap_or(speculative)),
+    };
+    job.sink.record(TraceEvent::SpeculationResolved {
+        job: job.id,
+        phase: ctx.phase,
+        task,
+        attempt,
+        winner,
+        ts: job.sink.now_micros(),
+    });
+    result
 }
 
 /// One committed map attempt: per-partition *sorted runs* of
@@ -1532,8 +1453,7 @@ mod tests {
                 &input,
             )
             .unwrap();
-        e.dfs.write("intermediate", stage1);
-        let stage2_input = e.dfs.read::<u32>("intermediate").unwrap();
+        let stage2_input = e.dfs.materialize("intermediate", stage1).unwrap();
         let out: Vec<u32> = e
             .run(
                 JobSpec::new("stage2")
@@ -1697,40 +1617,10 @@ mod tests {
         assert_eq!(j.reduce_output_records, 200);
     }
 
-    /// With single-threaded phases and a huge slow-start multiplier, only
-    /// the *first* task of each phase (no median yet) launches a
-    /// speculative duplicate: every later straggler finishes well inside
-    /// `multiplier × median` and the duplicate is never launched.
+    /// Every flagged straggler races a duplicate immediately.
     #[test]
-    fn slowstart_paces_speculation_to_the_median() {
-        let mut plan = FaultPlan::chaos(13, 0.0, 1.0).with_slowstart(10_000.0);
-        plan.straggler_delay = std::time::Duration::from_micros(100);
-        let e = Engine::new(EngineConfig {
-            map_tasks: 1,
-            reduce_tasks: 1,
-            fault_plan: Some(plan),
-            ..EngineConfig::default()
-        });
-        let input: Vec<u32> = (0..400).collect();
-        let mut out = e.run(identity_spec("paced"), &input).unwrap();
-        out.sort_unstable();
-        assert_eq!(out, (0..400).collect::<Vec<_>>());
-        let j = &e.report().jobs[0];
-        // One map chunk per task with map_tasks = 1 gives 4 chunks; reduce
-        // has 4 partitions. Exactly one speculative launch per phase.
-        assert_eq!(
-            j.speculative_launched, 2,
-            "slow-start must gate all but the first (median-less) straggler per phase"
-        );
-        assert_eq!(j.map_output_records, 400);
-        assert_eq!(j.reduce_output_records, 400);
-    }
-
-    /// A zero multiplier (the default) preserves the old behavior: every
-    /// flagged straggler races a duplicate immediately.
-    #[test]
-    fn zero_slowstart_speculates_immediately() {
-        let mut plan = FaultPlan::chaos(13, 0.0, 1.0).with_slowstart(0.0);
+    fn every_straggler_races_a_duplicate() {
+        let mut plan = FaultPlan::chaos(13, 0.0, 1.0);
         plan.straggler_delay = std::time::Duration::from_micros(100);
         let e = Engine::new(EngineConfig {
             map_tasks: 1,

@@ -74,14 +74,6 @@ pub struct FaultPlan {
     /// *producing* map task, bounded by [`FaultPlan::max_attempts`]
     /// re-executions per run.
     pub spill_corruption_rate: f64,
-    /// Slow-start pacing for speculative execution, as a multiple of the
-    /// median committed task time in the same phase: a duplicate attempt
-    /// is launched only once a straggling task has run longer than
-    /// `speculative_slowstart × median` (Hadoop launches speculation only
-    /// for tasks well behind their peers). `0.0` (the default) launches
-    /// the duplicate immediately, as does any straggler that flags before
-    /// a median exists (the first task of a phase).
-    pub speculative_slowstart: f64,
     /// Maximum attempts per task before the job fails with a
     /// [`JobError`](crate::JobError).
     pub max_attempts: u32,
@@ -104,7 +96,6 @@ impl FaultPlan {
             straggler_delay: Duration::from_millis(4),
             dfs_read_failure_rate: 0.0,
             spill_corruption_rate: 0.0,
-            speculative_slowstart: 0.0,
             max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
             forced: Vec::new(),
         }
@@ -148,18 +139,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the speculative slow-start multiplier (see
-    /// [`FaultPlan::speculative_slowstart`]).
-    #[must_use]
-    pub fn with_slowstart(mut self, multiplier: f64) -> Self {
-        assert!(
-            multiplier >= 0.0 && multiplier.is_finite(),
-            "speculative_slowstart must be finite and non-negative, got {multiplier}"
-        );
-        self.speculative_slowstart = multiplier;
-        self
-    }
-
     /// Panics unless every rate is a probability and the attempt budget
     /// is positive. Builders call this; call it directly after filling
     /// fields by hand.
@@ -177,11 +156,6 @@ impl FaultPlan {
             );
         }
         assert!(self.max_attempts > 0, "a task needs at least one attempt");
-        assert!(
-            self.speculative_slowstart >= 0.0 && self.speculative_slowstart.is_finite(),
-            "speculative_slowstart must be finite and non-negative, got {}",
-            self.speculative_slowstart
-        );
     }
 }
 
@@ -232,13 +206,6 @@ impl FaultInjector {
         self.plan
             .as_ref()
             .map_or(FaultPlan::DEFAULT_MAX_ATTEMPTS, |p| p.max_attempts)
-    }
-
-    /// The plan's speculative slow-start multiplier (0.0 — immediate
-    /// speculation — when no plan is set).
-    #[must_use]
-    pub fn slowstart(&self) -> f64 {
-        self.plan.as_ref().map_or(0.0, |p| p.speculative_slowstart)
     }
 
     /// Whether any fault can ever fire (used to skip bookkeeping on the

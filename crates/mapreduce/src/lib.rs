@@ -10,8 +10,9 @@
 //!   *Controlled-Replicate* is engineered to minimize),
 //! * **shuffle bytes** (via the [`RecordSize`] trait),
 //! * **DFS read/write bytes** (the read/write amplification that makes
-//!   *2-way Cascade* slow — each chained job re-reads and re-writes its
-//!   growing intermediate result through [`Dfs`]),
+//!   *2-way Cascade* slow — its growing intermediate result is written
+//!   and read back between every two chained jobs by
+//!   [`Dfs::materialize`], the DFS's one call),
 //! * per-phase and end-to-end wall time.
 //!
 //! The engine is deliberately faithful to the map-reduce execution model:
@@ -75,13 +76,13 @@ mod record;
 mod schedule;
 mod trace;
 
-pub use dfs::{DatasetFingerprint, Dfs, DfsError};
+pub use dfs::{Dfs, DfsError};
 pub use engine::{Engine, EngineConfig, JobSpec, Unset};
 pub use fault::{
     FaultInjector, FaultPlan, ForcedFault, JobError, JobErrorKind, NetFault, NetFaultPlan, Phase,
 };
 pub use metrics::{CostModel, JobMetrics, MetricsHub, MetricsReport};
-pub use record::{Fnv64, RecordSize, RunFrame, StableHash};
+pub use record::{Fnv64, RecordSize, RunFrame};
 pub use schedule::{CancelToken, JobRegistration, SlotScheduler};
 pub use trace::{
     json_escape, validate_json, AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink,

@@ -114,8 +114,8 @@ pub struct JobMetrics {
     /// join over stored datasets reports its store-open cost here so the
     /// "shuffle-free" wall time still accounts for everything it did.
     pub index_open_wall: Duration,
-    /// Stable fingerprint of the job's input dataset
-    /// ([`DatasetFingerprint`](crate::DatasetFingerprint)), carried through
+    /// Stable fingerprint of the job's input datasets, as the submitter
+    /// computed it, carried through
     /// from [`JobSpec::input_fingerprint`](crate::JobSpec::input_fingerprint);
     /// `0` when the submitter attached none.
     pub input_fingerprint: u64,

@@ -82,12 +82,12 @@ impl<T: RecordSize, const N: usize> RecordSize for [T; N] {
     }
 }
 
-/// Incremental [FNV-1a] 64-bit hasher for [`StableHash`].
+/// Incremental [FNV-1a] 64-bit hasher for integrity frames and dataset
+/// fingerprints.
 ///
-/// Chosen over `std::hash::Hasher` because dataset fingerprints must be
-/// *stable*: reproducible across processes, platforms and releases, so
-/// that a result cache keyed on them stays valid. `DefaultHasher` makes no
-/// such promise.
+/// Chosen over `std::hash::Hasher` because fingerprints must be *stable*:
+/// reproducible across processes, platforms and releases, so that a result
+/// cache keyed on them stays valid. `DefaultHasher` makes no such promise.
 ///
 /// [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 #[derive(Debug, Clone)]
@@ -129,8 +129,9 @@ impl Default for Fnv64 {
     }
 }
 
-/// The integrity frame sealed over one committed spill run or one stored
-/// DFS dataset: a record-count length header plus an FNV-64 checksum.
+/// The integrity frame sealed over one committed spill run or one
+/// materialized DFS stream: a record-count length header plus an FNV-64
+/// checksum.
 ///
 /// The engine never serializes payloads (everything stays in memory), so
 /// the checksum covers what a compact binary frame would expose without a
@@ -179,132 +180,6 @@ impl RunFrame {
     pub fn tamper(mut self) -> Self {
         self.checksum ^= 1;
         self
-    }
-}
-
-/// A platform- and process-stable content hash, fed into [`Fnv64`].
-///
-/// Implemented for every record type the DFS stores; `Dfs::write` folds
-/// each record into a per-dataset
-/// [`DatasetFingerprint`](crate::DatasetFingerprint). Floats hash their IEEE
-/// bit patterns (`to_bits`), so `-0.0` and `0.0` fingerprint differently —
-/// fingerprints track *bytes*, not numeric equivalence classes.
-pub trait StableHash {
-    /// Folds this record into the hasher.
-    fn stable_hash(&self, h: &mut Fnv64);
-}
-
-macro_rules! impl_stable_int {
-    ($($t:ty),*) => {
-        $(impl StableHash for $t {
-            #[allow(clippy::cast_sign_loss, clippy::cast_lossless)]
-            fn stable_hash(&self, h: &mut Fnv64) {
-                h.write_u64(*self as u64);
-            }
-        })*
-    };
-}
-
-impl_stable_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl StableHash for f64 {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.to_bits());
-    }
-}
-
-impl StableHash for f32 {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(u64::from(self.to_bits()));
-    }
-}
-
-impl StableHash for bool {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write(&[u8::from(*self)]);
-    }
-}
-
-impl StableHash for char {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(u64::from(*self));
-    }
-}
-
-impl StableHash for String {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.len() as u64);
-        h.write(self.as_bytes());
-    }
-}
-
-impl StableHash for &str {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.len() as u64);
-        h.write(self.as_bytes());
-    }
-}
-
-impl StableHash for () {
-    fn stable_hash(&self, _h: &mut Fnv64) {}
-}
-
-impl<T: StableHash> StableHash for Option<T> {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        match self {
-            None => h.write(&[0]),
-            Some(v) => {
-                h.write(&[1]);
-                v.stable_hash(h);
-            }
-        }
-    }
-}
-
-impl<T: StableHash> StableHash for Vec<T> {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.len() as u64);
-        for v in self {
-            v.stable_hash(h);
-        }
-    }
-}
-
-impl<T: StableHash> StableHash for Box<T> {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        self.as_ref().stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash> StableHash for (A, B) {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash, C: StableHash> StableHash for (A, B, C) {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-        self.2.stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash, C: StableHash, D: StableHash> StableHash for (A, B, C, D) {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-        self.2.stable_hash(h);
-        self.3.stable_hash(h);
-    }
-}
-
-impl<T: StableHash, const N: usize> StableHash for [T; N] {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        for v in self {
-            v.stable_hash(h);
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! the same join differently (`"B ov A"` vs `"A overlaps B"`, reordered
 //! conjuncts, duplicated predicates) share one entry, while any change to
 //! the underlying data (a different seed, one perturbed rectangle)
-//! changes a [`DatasetFingerprint`](mwsj_core::mapreduce::DatasetFingerprint)
+//! changes a dataset fingerprint ([`mwsj_core::store::dataset_fingerprint`])
 //! and misses cleanly.
 
 use std::collections::HashMap;

@@ -27,8 +27,8 @@
 //!   a request that will be refused.
 //! * **A result cache** — keyed by the *canonical* query form
 //!   ([`mwsj_query::Query::canonical`]) and the
-//!   [`DatasetFingerprint`](mwsj_core::mapreduce::DatasetFingerprint)s
-//!   of the bound datasets, so differently-spelled equivalent queries
+//!   fingerprints ([`mwsj_core::store::dataset_fingerprint`]) of the
+//!   bound datasets, so differently-spelled equivalent queries
 //!   share entries and any data change misses cleanly (see [`cache`]).
 //! * **Cancellation** — a client that disconnects mid-query has its run
 //!   cancelled at the next task boundary, releasing its slots to the
@@ -1030,16 +1030,11 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_fingerprint_is_the_dfs_recipe_and_the_stored_twin_shares_the_entry() {
+    fn synthetic_fingerprint_is_pinned_and_the_stored_twin_shares_the_entry() {
         let inner = service();
         let (store, _) = inner.dataset(A).expect("load");
-        let dfs = &inner.cluster.engine().dfs;
-        let records: Vec<(f64, f64, f64, f64)> = (source::load_source(A).expect("load").iter())
-            .map(|r| (r.x(), r.y(), r.l(), r.b()))
-            .collect();
-        dfs.write("recipe", records);
-        let recipe = dfs.fingerprint("recipe").expect("written").0;
-        assert_eq!(store.fingerprint(), recipe);
+        // Every reply's `"fingerprint"` and every cache key derive from it.
+        assert_eq!(store.fingerprint(), 0x9ff1_de65_df7c_228d);
 
         let stores = [ingest(&inner, "twin", A), ingest(&inner, "twin", B)];
         let pinned = ",\"algorithm\":\"crep-l\"";

@@ -31,12 +31,8 @@
 //!
 //! The grid ranges are the *constructor* values (via [`Grid::x_range`] /
 //! [`Grid::y_range`]), so the grid round-trips bit-exactly. The
-//! fingerprint is computed over the `(x, y, l, b)` quadruples of the input
-//! rectangles in input order with the same [`StableHash`] recipe the
-//! server's DFS uses, so a stored dataset and the equivalent in-memory
-//! dataset share a cache key.
-//!
-//! [`StableHash`]: mwsj_mapreduce::StableHash
+//! fingerprint is [`dataset_fingerprint`] of the input rectangles, the one
+//! content hash every binding is keyed by.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,11 +96,14 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The DFS-compatible fingerprint of a relation: FNV-64 over the record
-/// count followed by each rectangle's `(x, y, l, b)` quadruple as IEEE
-/// bit patterns, in input order. Byte-identical to what
-/// `Dfs::write("…", vec![(x, y, l, b), …])` computes, so the server's
-/// result-cache key does not change when a dataset moves into the store.
+/// The content fingerprint of a relation: FNV-64 over the record count as
+/// a little-endian `u64`, then each rectangle's `x`, `y`, `l` and `b` as
+/// the little-endian `u64`s of their IEEE bit patterns, in input order.
+/// Floats hash their bits, so `-0.0` and `0.0` fingerprint differently:
+/// the fingerprint tracks bytes, not numeric equality. A store carries the
+/// fingerprint of the relation it was built from, so the server's
+/// result-cache key is the same whether a binding was ingested or built
+/// from a source spec.
 #[must_use]
 pub fn dataset_fingerprint(rects: &[Rect]) -> u64 {
     let mut h = Fnv64::new();
@@ -637,7 +636,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn prop_round_trip_matches_the_dfs_recipe(
+        fn prop_round_trip_preserves_records_and_fingerprint(
             raw in proptest::collection::vec(
                 (0.0..950.0f64, 50.0..1000.0f64, 0.0..50.0f64, 0.0..50.0f64),
                 0..120,
@@ -651,19 +650,41 @@ mod tests {
             let bytes = StoreBuilder::new(&grid).build(&rects).unwrap();
             let store = StoredDataset::from_bytes(&bytes).unwrap();
 
-            // Ingest -> open preserves the records bit-for-bit...
+            // Ingest -> open preserves the records bit-for-bit.
             prop_assert_eq!(store.record_count(), rects.len() as u64);
             prop_assert_eq!(store.materialize(), rects.clone());
-
-            // ...and the fingerprint is exactly what `Dfs::write` seals
-            // for the materialized twin, so the server's result-cache key
-            // does not depend on whether a binding came from the store.
-            let dfs = mwsj_mapreduce::Dfs::new();
-            let records: Vec<(f64, f64, f64, f64)> =
-                rects.iter().map(|r| (r.x(), r.y(), r.l(), r.b())).collect();
-            dfs.write("r", records);
-            prop_assert_eq!(store.fingerprint(), dfs.fingerprint("r").unwrap().0);
+            prop_assert_eq!(store.fingerprint(), dataset_fingerprint(&rects));
         }
+    }
+
+    /// The recipe is every result-cache key's dataset half: a change here
+    /// silently invalidates every cached answer and every pinned reply.
+    #[test]
+    fn dataset_fingerprint_recipe_is_pinned() {
+        assert_eq!(dataset_fingerprint(&[]), 0xa8c7_f832_281a_39c5);
+        let rects = [
+            Rect::new(0.0, 10.0, 2.0, 3.0),
+            Rect::new(100.5, 200.25, 7.0, 0.5),
+            Rect::new(999.0, 1000.0, 1.0, 1.0),
+        ];
+        assert_eq!(dataset_fingerprint(&rects), 0x3779_21bc_d179_4187);
+    }
+
+    #[test]
+    fn same_seed_regeneration_fingerprints_identically() {
+        assert_eq!(
+            dataset_fingerprint(&random_rects(500, 42)),
+            dataset_fingerprint(&random_rects(500, 42))
+        );
+    }
+
+    #[test]
+    fn one_rect_perturbation_changes_fingerprint() {
+        let base = random_rects(500, 42);
+        let mut perturbed = base.clone();
+        let r = perturbed[250];
+        perturbed[250] = Rect::new(r.x() + 1e-9, r.y(), r.l(), r.b());
+        assert_ne!(dataset_fingerprint(&base), dataset_fingerprint(&perturbed));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! fail — and then with a structured [`JoinError`], not a process abort.
 
 use mwsj_core::mapreduce::{
-    CancelToken, FaultInjector, FaultPlan, ForcedFault, JobErrorKind, Phase, TraceSink,
+    CancelToken, DfsError, FaultInjector, FaultPlan, ForcedFault, JobErrorKind, Phase, TraceSink,
 };
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinError, JoinRun};
 use mwsj_geom::Rect;
@@ -416,6 +416,69 @@ fn corrupt_spill_runs_repair_to_byte_identical_counters() {
     }
     let repaired: u64 = faulty.report.jobs.iter().map(|j| j.corrupt_runs).sum();
     assert!(repaired > 0, "corruption plan injected nothing");
+}
+
+/// The DFS fault schedule is pinned: every materialized stream draws its
+/// transient-read decisions from the DFS-wide read sequence, so on a fixed
+/// input and seed the failure count of each run — and the bytes charged —
+/// are constants. A change to the sequence numbering or the decision hash
+/// moves them; the tuples never move.
+#[test]
+fn dfs_fault_schedule_is_pinned() {
+    let q = Query::builder()
+        .overlap("R1", "R2")
+        .range("R2", "R3", 1000.0)
+        .range("R3", "R4", 1000.0)
+        .build()
+        .unwrap();
+    let rels: Vec<Vec<Rect>> = (0..4).map(|i| synthetic(4_000, 191 + i)).collect();
+    let refs: Vec<&[Rect]> = rels.iter().map(Vec::as_slice).collect();
+
+    // Per run on one cluster (the read sequence carries over between runs):
+    // (transient read failures, DFS read bytes, DFS write bytes).
+    let pinned = [
+        (
+            Algorithm::TwoWayCascade,
+            [(1, 2_968, 2_968), (1, 2_968, 2_968), (0, 2_968, 2_968)],
+        ),
+        (
+            Algorithm::ControlledReplicateLimit,
+            [
+                (1, 89_338, 89_338),
+                (0, 89_338, 89_338),
+                (0, 89_338, 89_338),
+            ],
+        ),
+    ];
+    for (alg, expected) in pinned {
+        let clean = cluster_with(None).run(&q, &refs, alg);
+        assert_eq!(clean.tuples.len(), 12);
+        let cl = cluster_with(Some(FaultPlan::chaos(29, 0.3, 0.0).with_max_attempts(16)));
+        for (run, want) in expected.into_iter().enumerate() {
+            let out = cl.run(&q, &refs, alg);
+            assert_eq!(out.tuples, clean.tuples, "{} run {run}", alg.name());
+            let r = &out.report;
+            let got = (
+                r.dfs_transient_read_failures,
+                r.dfs_read_bytes,
+                r.dfs_write_bytes,
+            );
+            assert_eq!(got, want, "{} run {run}", alg.name());
+        }
+    }
+
+    // A stream whose every read fails surfaces as a DFS error naming it.
+    let mut plan = FaultPlan::none();
+    plan.dfs_read_failure_rate = 1.0;
+    for (alg, label) in [
+        (Algorithm::TwoWayCascade, "cascade/stage-0"),
+        (Algorithm::ControlledReplicateLimit, "c-rep/marked"),
+    ] {
+        let err = cluster_with(Some(plan.clone()))
+            .submit(&JoinRun::new(&q, &refs).algorithm(alg))
+            .unwrap_err();
+        assert_eq!(err, JoinError::Dfs(DfsError::Unavailable(label.into())));
+    }
 }
 
 /// Speculative execution races duplicate attempts for straggling tasks and

@@ -650,11 +650,6 @@ fn concurrent_runs_on_one_cluster_equal_their_solo_results() {
             .collect()
     });
     assert!(wrong.is_empty(), "{wrong:?}");
-    assert_eq!(
-        cl.engine().dfs.dataset_count(),
-        0,
-        "a finished run left its stream on the DFS"
-    );
 
     // One cascade at a time — the only run moving DFS bytes — with
     // nearest-neighbor joins starting beside it on every other thread
