@@ -3,7 +3,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, FaultPlan, JobErrorKind, Phase};
 use crate::metrics::MetricsHub;
@@ -210,12 +210,13 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
     }
 
     /// Sets the reducer: called once per distinct key with every value for
-    /// that key in a deterministic order (input order within each map task,
-    /// map tasks in input order), emitting outputs through `out`.
+    /// that key in a deterministic order (emit order within each map task,
+    /// map tasks in task order — i.e. input order), emitting outputs
+    /// through `out`.
     ///
-    /// The values arrive as a borrowed slice of the merged shuffle buffer —
-    /// the engine never clones them, and a retried or speculative attempt
-    /// re-reads the same immutable slice.
+    /// The values arrive as a borrowed slice of the partition the reduce
+    /// task merged — the engine never clones them, and a retried or
+    /// speculative attempt re-reads the same immutable slice.
     #[must_use]
     pub fn reduce<K, V, O, F>(self, reduce_fn: F) -> JobSpec<MF, PF, F>
     where
@@ -694,50 +695,45 @@ where
 }
 
 /// One committed map attempt: per-partition *sorted runs* of
-/// `(key, sequence-tag, value)` plus the attempt's counter deltas. Each
-/// non-empty bucket is already sorted by `(key, tag)` — the mapper-side
-/// sorted spill of a real deployment — and `sort` is the time that
-/// sorting took inside the attempt.
+/// `(key, value)` plus the attempt's counter deltas. Each non-empty
+/// bucket is already sorted by key, equal keys in emit order — the
+/// mapper-side sorted spill of a real deployment — and `sort` is the
+/// time that sorting took inside the attempt.
 struct MapCommit<K, V> {
-    buckets: Vec<Vec<(K, u64, V)>>,
+    buckets: Vec<Vec<(K, V)>>,
     emitted: u64,
     bytes: u64,
     sort: Duration,
 }
 
-/// One committed spill run: a sorted `(key, tag, value)` run sealed under
-/// a [`RunFrame`] integrity frame at commit, verified when the shuffle
-/// opens it. `task` names the producing map task — the unit re-executed
-/// if verification fails (the reader cannot repair at-rest corruption;
-/// only the producer can regenerate the data).
+/// One committed spill run: a sorted `(key, value)` run sealed under a
+/// [`RunFrame`] integrity frame at commit, verified by the shuffle.
+/// `task` names the producing map task: the shuffle orders a partition's
+/// runs by it, and it is the unit re-executed if verification fails (the
+/// reader cannot repair at-rest corruption; only the producer can
+/// regenerate the data).
 struct SpillRun<K, V> {
     task: usize,
     frame: RunFrame,
-    records: Vec<(K, u64, V)>,
+    records: Vec<(K, V)>,
 }
 
 /// The sorted spill runs committed to one partition: one framed run per
-/// successful map attempt that routed anything here.
+/// map task that routed anything here — in commit order after the map
+/// phase, in task order and verified after the shuffle.
 type RunSet<K, V> = Vec<SpillRun<K, V>>;
 
-/// A shuffled partition after the k-way merge: the distinct keys with the
+/// One partition as its reduce task merged it: the distinct keys with the
 /// start offset of each key's value range, plus every value laid out
-/// contiguously in merged `(key, tag)` order. Group `i` owns
+/// contiguously in merged `(key, task, emit)` order. Group `i` owns
 /// `values[groups[i].1 .. groups[i + 1].1]` (through the end for the last
-/// group), so reducers borrow slices instead of cloning per attempt.
+/// group), so attempts borrow slices instead of cloning.
 struct MergedPartition<K, V> {
     groups: Vec<(K, usize)>,
     values: Vec<V>,
 }
 
 impl<K, V> MergedPartition<K, V> {
-    fn empty() -> Self {
-        Self {
-            groups: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Calls `f(key, group-values)` once per group, in key order.
     fn for_each_group(&self, mut f: impl FnMut(&K, &[V])) {
         for (i, (key, start)) in self.groups.iter().enumerate() {
@@ -747,24 +743,23 @@ impl<K, V> MergedPartition<K, V> {
     }
 }
 
-/// K-way merges the sorted spill runs of one partition, computing group
-/// boundaries while unzipping the merged records (no second grouping
-/// pass).
+/// K-way merges the sorted spill runs of one partition, given in
+/// producing-task order, computing group boundaries while unzipping the
+/// merged records (no second grouping pass).
 ///
-/// Every run is sorted by `(key, tag)` and the tags are globally unique,
-/// so `(key, tag)` is a total order: the merged order — and therefore
-/// every reducer's value stream — is a pure function of the committed
-/// data, independent of the order in which map tasks committed their runs.
+/// Every run is sorted by key with equal keys in emit order, so a stable
+/// sort on the key alone over the runs laid end to end in task order
+/// yields `(key, task, emit)` order: the merged order — and therefore
+/// every reducer's value stream — is a pure function of the input.
 ///
-/// The merge is the standard library's stable sort over the runs laid end
-/// to end: it is run-adaptive — it finds the `k` presorted runs and merges
-/// them in `O(n log k)` comparisons, as a hand-written merge cascade would
-/// — so the engine carries no merge loop of its own. The other runs are
-/// appended into the first one's buffer rather than into a fresh
-/// concatenation, which keeps the partition's peak footprint at the
-/// records plus the sort's scratch. With zero or one non-empty runs
-/// nothing is compared at all.
-fn merge_sorted_runs<K: Ord, V>(runs: Vec<Vec<(K, u64, V)>>) -> MergedPartition<K, V> {
+/// The merge is the standard library's stable sort: it is run-adaptive —
+/// it finds the `k` presorted runs and merges them in `O(n log k)`
+/// comparisons, as a hand-written merge cascade would — so the engine
+/// carries no merge loop of its own. The other runs are appended into the
+/// first one's buffer rather than into a fresh concatenation, which keeps
+/// the partition's peak footprint at the records plus the sort's scratch.
+/// With zero or one non-empty runs nothing is compared at all.
+fn merge_sorted_runs<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> MergedPartition<K, V> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut runs = runs.into_iter().filter(|r| !r.is_empty());
     let mut records = runs.next().unwrap_or_default();
@@ -773,13 +768,13 @@ fn merge_sorted_runs<K: Ord, V>(runs: Vec<Vec<(K, u64, V)>>) -> MergedPartition<
         for mut run in runs {
             records.append(&mut run);
         }
-        records.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        records.sort_by(|a, b| a.0.cmp(&b.0));
     }
     let mut out = MergedPartition {
         groups: Vec::new(),
         values: Vec::with_capacity(total),
     };
-    for (k, _, v) in records {
+    for (k, v) in records {
         if out.groups.last().is_none_or(|(g, _)| *g != k) {
             out.groups.push((k, out.values.len()));
         }
@@ -841,11 +836,11 @@ impl Engine {
     ///   for that key, in a deterministic order (input order within each
     ///   map task, map tasks in input order).
     ///
-    /// The job is three phases — map, shuffle, reduce — run by one task
+    /// The job is three phases — map (sorted runs), shuffle (each
+    /// partition's runs put in task order and verified), reduce (each task
+    /// merges its partition, then runs its attempts) — driven by one task
     /// driver that owns claiming, cancellation and slot accounting; map
     /// and reduce tasks go through one retry loop and one attempt wrapper.
-    /// What differs per phase is only the task body below and what it
-    /// commits.
     ///
     /// # Errors
     /// [`JobErrorKind::AttemptsExhausted`] if a task fails more than
@@ -941,16 +936,16 @@ impl Engine {
         // The input is divided into chunks; each chunk is one map *task*,
         // executed as one or more attempts. An attempt fills attempt-local
         // buckets (the mapper-side spill files of a real deployment),
-        // sorts each bucket by (key, tag) — the mapper-side sorted spill,
+        // sorts each bucket by key — the mapper-side sorted spill,
         // parallel across map workers — and commits the sorted buckets as
         // immutable *runs*, together with its counter deltas, only on
         // success. Logical metrics count committed work, not attempts.
         //
-        // Every emitted pair carries a (task, emit-sequence) tag used as a
-        // sort tiebreak in the shuffle: reducer value order then depends
-        // only on the input, not on which worker claimed which chunk first
-        // (and not on whether a task was retried) — reruns with equal
-        // seeds see byte-identical value streams.
+        // Each run remembers its producing task and the shuffle orders
+        // each partition's runs by it, so reducer value
+        // order depends only on the input, not on which worker claimed
+        // which chunk first (and not on whether a task was retried) —
+        // reruns with equal seeds see byte-identical value streams.
         let chunk_size = input.len().div_ceil(self.config.map_tasks * 4).max(1);
         let chunks: Vec<&[I]> = input.chunks(chunk_size).collect();
         let emitted = AtomicU64::new(0);
@@ -971,8 +966,6 @@ impl Engine {
                     sort: Duration::ZERO,
                 };
                 let mut bad_partition: Option<usize> = None;
-                let base_tag = (task as u64) << 32;
-                let mut seq = 0u64;
                 for record in chunks[task] {
                     map_fn(record, &mut |k: K, v: V| {
                         if bad_partition.is_some() {
@@ -985,9 +978,7 @@ impl Engine {
                         }
                         commit.emitted += 1;
                         commit.bytes += (k.size_bytes() + v.size_bytes()) as u64;
-                        debug_assert!(seq < u64::from(u32::MAX), "emit tag overflow");
-                        commit.buckets[p].push((k, base_tag | seq, v));
-                        seq += 1;
+                        commit.buckets[p].push((k, v));
                     });
                     if let Some(partition) = bad_partition {
                         return Err(AttemptError::BadPartition {
@@ -996,15 +987,13 @@ impl Engine {
                         });
                     }
                 }
-                // Mapper-side sorted spill: each bucket leaves the attempt
-                // already in (key, tag) order, so the shuffle only merges.
-                // The sort runs inside the attempt — parallel across map
+                // Mapper-side sorted spill: a bucket is appended in emit
+                // order, so a *stable* sort on the key leaves it in
+                // (key, emit) order and the reduce task only merges. The
+                // sort runs inside the attempt — parallel across map
                 // workers and counted in its work time.
                 let st = Instant::now();
                 for bucket in &mut commit.buckets {
-                    // A bucket is appended in emit order, i.e. already
-                    // sorted by tag — a *stable* sort on the key alone
-                    // yields (key, tag) order with key-only comparisons.
                     bucket.sort_by(|a, b| a.0.cmp(&b.0));
                 }
                 commit.sort = st.elapsed();
@@ -1021,7 +1010,7 @@ impl Engine {
                     // Atomic commit: each non-empty sorted bucket becomes one
                     // immutable run (moved, never copied — no contended
                     // extend), sealed under an integrity frame that the
-                    // shuffle verifies on open. Injected corruption tampers
+                    // shuffle verifies. Injected corruption tampers
                     // the stored frame — what a flipped byte looks like to a
                     // reader checking a checksum.
                     let mut runs = 0u64;
@@ -1055,81 +1044,68 @@ impl Engine {
         metrics.reduce_input_records = metrics.map_output_records;
         metrics.shuffle_bytes = shuffled_bytes.load(Ordering::Relaxed);
 
-        // ---- Shuffle: k-way merge of the sorted runs -------------------
-        // Each partition's committed runs are merged by (key, emit tag)
-        // into one contiguous buffer, computing group boundaries while
-        // the merged records are laid out (no second grouping pass). The
-        // tag tiebreak makes the merged order — and so the within-group
-        // value order — a pure function of the input (see the map-phase
-        // comment), whatever order the runs were committed in.
-        let partition_store: Vec<RwLock<MergedPartition<K, V>>> = (0..num_partitions)
-            .map(|_| RwLock::new(MergedPartition::empty()))
-            .collect();
+        // ---- Shuffle: the runs in task order, verified ------------------
+        // The work that must finish before any reducer runs: each
+        // partition's runs are put in producing-task order (commit order
+        // is a race) — retries, speculative duplicates and re-executions
+        // all commit under their task's index, so this order is a pure
+        // function of the input — and every run's integrity frame is
+        // checked. A mismatch means at-rest corruption, which the reader
+        // cannot repair — the *producing* map task is re-executed (fresh
+        // fault and corruption draws per generation) and only this
+        // partition's bucket of the fresh commit replaces the run. Logical
+        // counters (emitted pairs, shuffle bytes, spill runs, sort time)
+        // were charged when the original attempt committed and are never
+        // re-charged, so recovery leaves the job's counter surface
+        // byte-identical to a clean run; only the fault-bookkeeping
+        // counters move. Re-executions share the task's retry budget, so a
+        // pathological corruption rate fails the job deterministically
+        // instead of looping forever.
         let corrupt_runs = AtomicU64::new(0);
-        // Opens one committed run, verifying its integrity frame. A
-        // mismatch means at-rest corruption, which the reader cannot
-        // repair — the *producing* map task is re-executed (fresh fault
-        // and corruption draws per generation) and only this partition's
-        // bucket of the fresh commit is kept. Logical counters (emitted
-        // pairs, shuffle bytes, spill runs, sort time) were charged when
-        // the original attempt committed and are never re-charged, so
-        // recovery leaves the job's counter surface byte-identical to a
-        // clean run; only the fault-bookkeeping counters move.
-        // Re-executions share the task's retry budget, so a pathological
-        // corruption rate fails the job deterministically instead of
-        // looping forever.
-        let recover_run =
-            |run: SpillRun<K, V>, partition: usize| -> Result<Vec<(K, u64, V)>, JobError> {
-                if run.frame.verify(&run.records) {
-                    return Ok(run.records);
-                }
-                let task = run.task;
-                let mut generation = 0u32;
+        let regenerate = |task: usize, partition: usize| -> Result<Vec<(K, V)>, JobError> {
+            let mut generation = 0u32;
+            loop {
+                corrupt_runs.fetch_add(1, Ordering::Relaxed);
+                let ts = sink.now_micros();
+                sink.record(TraceEvent::Attempt {
+                    job: id,
+                    phase: Phase::Map,
+                    task,
+                    attempt: generation,
+                    speculative: false,
+                    start: ts,
+                    end: ts,
+                    outcome: AttemptOutcome::CorruptRun,
+                });
                 loop {
-                    corrupt_runs.fetch_add(1, Ordering::Relaxed);
-                    let ts = sink.now_micros();
-                    sink.record(TraceEvent::Attempt {
-                        job: id,
-                        phase: Phase::Map,
-                        task,
-                        attempt: generation,
-                        speculative: false,
-                        start: ts,
-                        end: ts,
-                        outcome: AttemptOutcome::CorruptRun,
-                    });
-                    loop {
-                        generation += 1;
-                        if generation >= injector.max_attempts() {
-                            let kind = JobErrorKind::AttemptsExhausted {
-                                last_error: AttemptError::CorruptRun.message(),
-                            };
-                            return Err(job.error(Phase::Map, task, generation, kind));
+                    generation += 1;
+                    if generation >= injector.max_attempts() {
+                        let kind = JobErrorKind::AttemptsExhausted {
+                            last_error: AttemptError::CorruptRun.message(),
+                        };
+                        return Err(job.error(Phase::Map, task, generation, kind));
+                    }
+                    match run_map_attempt(task, REEXEC_BIT | generation) {
+                        Ok(mut commit) => {
+                            let bucket = std::mem::take(&mut commit.buckets[partition]);
+                            if injector.should_corrupt_run(id, task, partition, generation) {
+                                // The replacement drew corruption too:
+                                // detect, charge, and go another round.
+                                break;
+                            }
+                            return Ok(bucket);
                         }
-                        match run_map_attempt(task, REEXEC_BIT | generation) {
-                            Ok(mut commit) => {
-                                let bucket = std::mem::take(&mut commit.buckets[partition]);
-                                if injector.should_corrupt_run(id, task, partition, generation) {
-                                    // The replacement drew corruption too:
-                                    // detect, charge, and go another round.
-                                    break;
-                                }
-                                return Ok(bucket);
-                            }
-                            Err(_) => {
-                                // The re-execution itself failed (injected
-                                // fault or panic): an ordinary task failure
-                                // consuming ordinary retry budget.
-                                map.failures.fetch_add(1, Ordering::Relaxed);
-                                job.retries.fetch_add(1, Ordering::Relaxed);
-                            }
+                        Err(_) => {
+                            // The re-execution itself failed (injected
+                            // fault or panic): an ordinary task failure
+                            // consuming ordinary retry budget.
+                            map.failures.fetch_add(1, Ordering::Relaxed);
+                            job.retries.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
-            };
-        let merge_nanos = AtomicU64::new(0);
-        let group_counter = AtomicU64::new(0);
-        let max_partition = AtomicU64::new(0);
+            }
+        };
         // The shuffle can fail two ways: cancellation, or a corrupt run
         // whose producer exhausted its re-execution budget — either
         // surfaces before the reduce phase starts.
@@ -1139,68 +1115,65 @@ impl Engine {
                 num_partitions,
                 self.config.reduce_tasks,
                 |p| {
-                    let runs = std::mem::take(&mut *partitions[p].lock());
-                    let t0 = Instant::now();
-                    // Every run's integrity frame is verified before the
-                    // merge; corrupt runs are regenerated by their
-                    // producing map task (or the job fails once the
-                    // corruption-retry budget is spent).
-                    let verified = runs
-                        .into_iter()
-                        .map(|run| recover_run(run, p))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let merged = merge_sorted_runs(verified);
-                    merge_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    max_partition.fetch_max(merged.values.len() as u64, Ordering::Relaxed);
-                    group_counter.fetch_add(merged.groups.len() as u64, Ordering::Relaxed);
-                    *partition_store[p].write() = merged;
+                    let mut runs = partitions[p].lock();
+                    runs.sort_by_key(|r| r.task);
+                    for run in runs.iter_mut() {
+                        if !run.frame.verify(&run.records) {
+                            run.records = regenerate(run.task, p)?;
+                        }
+                    }
                     Ok(())
                 },
             )
             .map_err(&fail)?;
         metrics.corrupt_runs = corrupt_runs.load(Ordering::Relaxed);
-        metrics.merge_wall = Duration::from_nanos(merge_nanos.load(Ordering::Relaxed));
-        metrics.reduce_input_groups = group_counter.load(Ordering::Relaxed);
-        metrics.max_partition_records = max_partition.load(Ordering::Relaxed);
 
         // ---- Reduce phase ----------------------------------------------
-        // Each partition is one reduce task. The merged partition stays in
-        // place (behind an RwLock so a speculative duplicate can read it
-        // concurrently) until the task commits, so a failed attempt can be
-        // replayed; every attempt borrows each group as a slice of the
-        // same immutable buffer — nothing is cloned. The input is dropped
-        // on commit.
+        // Each partition is one reduce task. The task merges its verified
+        // runs once, outside its attempts — so at most `reduce_tasks`
+        // merged partitions exist at a time — and every attempt, a retry
+        // or a speculative duplicate, borrows each group as a slice of
+        // that one immutable buffer: nothing is cloned. The merge is
+        // dropped when the task commits.
         let output_slots: Vec<Mutex<Vec<O>>> = (0..num_partitions)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         let out_count = AtomicU64::new(0);
-
+        let merge_nanos = AtomicU64::new(0);
+        let group_counter = AtomicU64::new(0);
+        let max_partition = AtomicU64::new(0);
         let reduce = TaskCtx::new(&job, Phase::Reduce);
-        let run_reduce_attempt = |task: usize, attempt: u32| {
-            reduce.attempt(task, attempt, || {
-                let mut outputs = Vec::new();
-                partition_store[task].read().for_each_group(|key, values| {
-                    reduce_fn(key, values, &mut |o: O| outputs.push(o));
-                });
-                Ok(outputs)
-            })
-        };
         metrics.reduce_wall = job
             .run_phase(
                 SpanPhase::Reduce,
                 num_partitions,
                 self.config.reduce_tasks,
                 |task| {
-                    let outputs = reduce.run_task(task, &run_reduce_attempt)?;
+                    let runs = std::mem::take(&mut *partitions[task].lock());
+                    let t0 = Instant::now();
+                    let merged = merge_sorted_runs(runs.into_iter().map(|r| r.records).collect());
+                    merge_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    max_partition.fetch_max(merged.values.len() as u64, Ordering::Relaxed);
+                    group_counter.fetch_add(merged.groups.len() as u64, Ordering::Relaxed);
+                    let run_attempt = |task: usize, attempt: u32| {
+                        reduce.attempt(task, attempt, || {
+                            let mut outputs = Vec::new();
+                            merged.for_each_group(|key, values| {
+                                reduce_fn(key, values, &mut |o: O| outputs.push(o));
+                            });
+                            Ok(outputs)
+                        })
+                    };
+                    let outputs = reduce.run_task(task, &run_attempt)?;
                     out_count.fetch_add(outputs.len() as u64, Ordering::Relaxed);
                     *output_slots[task].lock() = outputs;
-                    // Commit: the task's input is no longer needed for
-                    // replay.
-                    *partition_store[task].write() = MergedPartition::empty();
                     Ok(())
                 },
             )
             .map_err(&fail)?;
+        metrics.merge_wall = Duration::from_nanos(merge_nanos.load(Ordering::Relaxed));
+        metrics.reduce_input_groups = group_counter.load(Ordering::Relaxed);
+        metrics.max_partition_records = max_partition.load(Ordering::Relaxed);
         metrics.reduce_output_records = out_count.load(Ordering::Relaxed);
         metrics.map_task_failures = map.failures.load(Ordering::Relaxed);
         metrics.reduce_task_failures = reduce.failures.load(Ordering::Relaxed);
@@ -1384,9 +1357,8 @@ mod tests {
 
     #[test]
     fn reducer_value_order_deterministic_across_runs() {
-        // The (task, emit-sequence) shuffle tiebreak: the value stream of
-        // each key group is a pure function of the input, not of racy
-        // chunk-claim order.
+        // Runs merged in task order: the value stream of each key group is
+        // a pure function of the input, not of racy chunk-claim order.
         let runs: Vec<Vec<(u32, Vec<u32>)>> = (0..8)
             .map(|_| {
                 let e = engine();
@@ -1636,7 +1608,7 @@ mod tests {
         assert_eq!(j.speculative_launched, 8);
     }
 
-    /// Injected spill corruption is detected when the shuffle opens the
+    /// Injected spill corruption is detected when the shuffle verifies the
     /// run and repaired by re-executing the producing map task: output
     /// and every logical counter are byte-identical to a clean run, and
     /// only the `corrupt_runs` bookkeeping moves.
@@ -1705,44 +1677,43 @@ mod tests {
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
-    /// The k-way merge of sorted runs equals a global stable sort by
-    /// (key, tag), with group boundaries exactly partitioning the values —
-    /// for zero, one and many runs, including empty ones, and for runs
-    /// that arrive in any order.
+    /// Runs given in task order as `(key, value)` merge to a stable
+    /// key-only sort of their concatenation — equal keys keep task order,
+    /// then emit order — with group boundaries exactly partitioning that
+    /// sequence: for zero, one and many runs, including empty ones.
     #[test]
     fn kway_merge_matches_global_sort() {
-        let cases: Vec<Vec<Vec<(u32, u64, u32)>>> = vec![
+        let cases: Vec<Vec<Vec<(u32, u32)>>> = vec![
             vec![],
             vec![vec![]],
-            vec![vec![(1, 0, 10), (1, 1, 11), (2, 2, 12)]],
+            vec![vec![(1, 10), (1, 11), (2, 12)]],
             vec![
-                vec![(1, 4, 14), (3, 5, 15)],
-                vec![(1, 0, 10), (2, 1, 11)],
+                vec![(1, 10), (2, 11)],
+                vec![(1, 12)],
                 vec![],
-                vec![(0, 8, 18), (1, 9, 19), (9, 10, 20)],
-                vec![(1, 2, 12)],
+                vec![(1, 14), (3, 15)],
+                vec![(0, 18), (1, 19), (9, 20)],
             ],
-            // Runs committed out of task order (tags are `task << 32 | seq`),
-            // one key spread over every run: its values must come out in
-            // tag order whatever the arrival order.
+            // One key spread over every run: its values must come out in
+            // task order, emit order within a task.
             vec![
-                vec![(5, 3 << 32, 30), (5, 3 << 32 | 1, 31), (7, 3 << 32 | 2, 32)],
-                vec![(5, 0, 0), (6, 1, 1)],
-                vec![(4, 2 << 32, 20), (5, 2 << 32 | 1, 21)],
-                vec![(5, 1 << 32, 10), (5, 1 << 32 | 1, 11), (5, 1 << 32 | 2, 12)],
+                vec![(5, 0), (6, 1)],
+                vec![(5, 10), (5, 11), (5, 12)],
+                vec![(4, 20), (5, 21)],
+                vec![(5, 30), (5, 31), (7, 32)],
             ],
         ];
         for runs in cases {
-            let mut flat: Vec<(u32, u64, u32)> = runs.iter().flatten().copied().collect();
-            flat.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut flat: Vec<(u32, u32)> = runs.iter().flatten().copied().collect();
+            flat.sort_by_key(|&(k, _)| k); // stable: equal keys keep run order
             let merged = merge_sorted_runs(runs);
             assert_eq!(
                 merged.values,
-                flat.iter().map(|t| t.2).collect::<Vec<_>>(),
-                "merged value stream must equal the globally sorted stream"
+                flat.iter().map(|t| t.1).collect::<Vec<_>>(),
+                "merged value stream must equal the stable key-only sort"
             );
             let mut expect_groups: Vec<(u32, usize)> = Vec::new();
-            for (i, (k, _, _)) in flat.iter().enumerate() {
+            for (i, (k, _)) in flat.iter().enumerate() {
                 if expect_groups.last().is_none_or(|(g, _)| g != k) {
                     expect_groups.push((*k, i));
                 }

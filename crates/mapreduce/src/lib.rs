@@ -20,9 +20,9 @@
 //! pairs with equal keys meet at a single reducer, and reducers process
 //! keys in sorted order. As in Hadoop, sorting happens mapper-side: each
 //! map task commits its output as per-partition *sorted runs*, the
-//! shuffle k-way-merges them, and reducers borrow each key's values as a
-//! slice of the merged buffer — the data path from map emit to reduce is
-//! zero-copy.
+//! shuffle verifies them in task order, each reduce task k-way-merges its
+//! own, and reducers borrow each key's values as a slice of the merged
+//! buffer — the data path from map emit to reduce is zero-copy.
 //!
 //! It is also faithful to map-reduce's *failure* model: every map chunk
 //! and reduce partition runs as a retryable task attempt whose output

@@ -15,7 +15,7 @@
 //! job (one per Engine::run)
 //! ├── phase: map
 //! │   └── task attempt (chunk × attempt, speculative duplicates tagged)
-//! ├── phase: shuffle          (merge of sorted runs; no task attempts)
+//! ├── phase: shuffle          (runs ordered and verified; no attempts)
 //! ├── phase: reduce
 //! │   └── task attempt (partition × attempt)
 //! └── counters                (snapshot of the job's JobMetrics)
@@ -52,12 +52,12 @@ use crate::fault::Phase;
 use crate::JobMetrics;
 
 /// A span phase: the engine's two task phases plus the shuffle barrier
-/// between them (which sorts and groups but runs no retryable tasks).
+/// between them (which verifies the runs but runs no retryable tasks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanPhase {
     /// The map phase (input chunks → intermediate pairs).
     Map,
-    /// The shuffle: per-partition k-way merge of the mapper-sorted runs.
+    /// The shuffle: each partition's runs put in task order and verified.
     Shuffle,
     /// The reduce phase (one task per partition).
     Reduce,
@@ -95,8 +95,8 @@ pub enum AttemptOutcome {
     Panicked,
     /// The partitioner routed a key out of range (fails the job).
     BadPartition,
-    /// A committed spill run failed integrity verification when the
-    /// shuffle opened it; the producing map task is re-executed.
+    /// A committed spill run failed integrity verification in the
+    /// shuffle; the producing map task is re-executed.
     CorruptRun,
 }
 

@@ -9,7 +9,8 @@
 //! fail — and then with a structured [`JoinError`], not a process abort.
 
 use mwsj_core::mapreduce::{
-    CancelToken, DfsError, FaultInjector, FaultPlan, ForcedFault, JobErrorKind, Phase, TraceSink,
+    AttemptOutcome, CancelToken, DfsError, FaultInjector, FaultPlan, ForcedFault, JobErrorKind,
+    Phase, TraceEvent, TraceSink,
 };
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig, JoinError, JoinRun};
 use mwsj_geom::Rect;
@@ -373,8 +374,8 @@ fn cancel_mid_run_under_faults_releases_slots_and_leaves_survivors_exact() {
     }
 }
 
-/// Checksummed spills: a corrupt committed run is detected on shuffle
-/// open and repaired by re-executing the *producing* map attempt. The
+/// Checksummed spills: a corrupt committed run is detected by the shuffle
+/// and repaired by re-executing the *producing* map attempt. The
 /// repair must be invisible — identical tuples and byte-identical
 /// logical counters (including `spill_runs` and the input fingerprint,
 /// charged only at original commit) — while the `corrupt_runs` counter
@@ -416,6 +417,78 @@ fn corrupt_spill_runs_repair_to_byte_identical_counters() {
     }
     let repaired: u64 = faulty.report.jobs.iter().map(|j| j.corrupt_runs).sum();
     assert!(repaired > 0, "corruption plan injected nothing");
+}
+
+/// Repair comes before reduction: the shuffle verifies every run before
+/// any reducer starts, so under a corruption plan each job's `corrupt-run`
+/// events all precede its first reduce attempt. The counters the reduce
+/// task charges once per task, never per attempt — `reduce_input_groups`
+/// and `max_partition_records` — equal the clean run's although reduce
+/// attempts are retried and raced.
+#[test]
+fn corrupt_runs_are_repaired_before_any_reduce_attempt() {
+    let q = chain_query();
+    let r1 = synthetic(2_000, 161);
+    let r2 = synthetic(2_000, 162);
+    let r3 = synthetic(2_000, 163);
+
+    let clean = cluster_with(None).run(&q, &[&r1, &r2, &r3], Algorithm::ControlledReplicate);
+    let mut plan = FaultPlan::chaos(23, 0.1, 0.05)
+        .with_corruption(0.05)
+        .with_max_attempts(8);
+    plan.straggler_delay = std::time::Duration::from_millis(1);
+    let trace = TraceSink::recording();
+    let faulty = cluster_with(Some(plan))
+        .submit(
+            &JoinRun::new(&q, &[&r1, &r2, &r3])
+                .algorithm(Algorithm::ControlledReplicate)
+                .trace(trace.clone()),
+        )
+        .expect("an eight-attempt budget survives the plan");
+    assert_eq!(faulty.tuples, clean.tuples);
+
+    let mut reducing = std::collections::HashSet::new();
+    let mut repaired = 0;
+    for event in trace.events() {
+        if let TraceEvent::Attempt {
+            job,
+            phase,
+            outcome,
+            ..
+        } = event
+        {
+            if outcome == AttemptOutcome::CorruptRun {
+                assert!(
+                    !reducing.contains(&job),
+                    "job {job} repaired after reducing"
+                );
+                repaired += 1;
+            } else if phase == Phase::Reduce {
+                reducing.insert(job);
+            }
+        }
+    }
+    assert!(repaired > 0, "corruption plan injected nothing");
+    let reduce_failures: u64 = faulty
+        .report
+        .jobs
+        .iter()
+        .map(|j| j.reduce_task_failures)
+        .sum();
+    assert!(reduce_failures > 0, "no reduce attempt was retried");
+    assert_eq!(clean.report.num_jobs(), faulty.report.num_jobs());
+    for (c, f) in clean.report.jobs.iter().zip(&faulty.report.jobs) {
+        assert_eq!(
+            c.reduce_input_groups, f.reduce_input_groups,
+            "{}",
+            c.job_name
+        );
+        assert_eq!(
+            c.max_partition_records, f.max_partition_records,
+            "{}",
+            c.job_name
+        );
+    }
 }
 
 /// The DFS fault schedule is pinned: every materialized stream draws its

@@ -8,6 +8,8 @@
 //! the same order with byte-identical value streams, and the logical
 //! counters (`kv` pairs, shuffle bytes, groups) must not move.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use mwsj_mapreduce::{Engine, EngineConfig, FaultPlan, JobMetrics, JobSpec};
 use proptest::prelude::*;
 
@@ -104,9 +106,9 @@ fn logical(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
 }
 
 /// The merged shuffle equals the single-threaded reference for every
-/// combination of seed, reducer count and map parallelism — the (task,
-/// emit-sequence) tag order coincides with global input order whatever the
-/// chunking, so even the *value streams* are chunking-invariant.
+/// combination of seed, reducer count and map parallelism — runs merged in
+/// task order put equal keys in global input order whatever the chunking,
+/// so even the *value streams* are chunking-invariant.
 #[test]
 fn matches_single_threaded_reference_across_configs() {
     for seed in [1u64, 42, 1234] {
@@ -156,6 +158,49 @@ fn chaos_runs_commit_identical_shuffles() {
         assert!(
             faulty_m.retries > 0 || faulty_m.speculative_launched > 0,
             "fault seed {fault_seed} injected nothing"
+        );
+    }
+}
+
+/// Commit order is not merge order: with two map workers, map task 0 is
+/// held at its first record until the last record has been mapped. The
+/// other worker claims tasks 1, 2, … in turn and commits each before its
+/// next claim, so task 0's runs reach every partition after those of tasks
+/// 1 to k − 2 — and every group's value stream must still equal the
+/// reference, which only the shuffle's task-order step guarantees.
+#[test]
+fn first_task_committing_late_still_merges_in_task_order() {
+    let input = synth(2_000, 5);
+    let (first, last) = (input[0], input[input.len() - 1]);
+    for reducers in [3usize, 8] {
+        let last_mapped = AtomicBool::new(false);
+        let e = Engine::new(EngineConfig {
+            map_tasks: 2,
+            reduce_tasks: 2,
+            ..EngineConfig::default()
+        });
+        let got = e
+            .run(
+                JobSpec::new("late-first-task")
+                    .reducers(reducers)
+                    .map(|x: &u64, emit| {
+                        while *x == first && !last_mapped.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        map_pairs(x, emit);
+                        if *x == last {
+                            last_mapped.store(true, Ordering::SeqCst);
+                        }
+                    })
+                    .partition(route)
+                    .reduce(|&k: &u64, vs: &[u64], out| out((k, vs.to_vec()))),
+                &input,
+            )
+            .expect("fault-free");
+        assert_eq!(
+            got,
+            reference_shuffle(&input, reducers),
+            "{reducers} reducers"
         );
     }
 }
