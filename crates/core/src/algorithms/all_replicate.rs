@@ -13,8 +13,8 @@
 
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
-use crate::{JoinError, JoinOutput, TaggedRect};
+use super::{replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
+use crate::{JoinError, JoinOutput};
 
 pub(crate) fn run(
     ctx: &AlgoCtx<'_>,
@@ -22,16 +22,16 @@ pub(crate) fn run(
     inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
     let grid = ctx.grid;
-    let input = flatten_input(inputs);
     let job = JoinJob {
         name: "all-replicate",
         algorithm: Algorithm::AllReplicate,
         filter: TupleFilter::Designated,
         earlier: Vec::new(),
     };
-    replicate_join(ctx, query, job, &input, |tr: &TaggedRect, emit| {
+    replicate_join(ctx, query, job, &inputs.indices(), |&i: &u32, emit| {
+        let tr = inputs.get(i);
         for cell in grid.fourth_quadrant_cells(&tr.rect) {
-            emit(cell.0, *tr);
+            emit(cell.0, tr);
         }
     })
 }

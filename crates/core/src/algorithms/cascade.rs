@@ -57,9 +57,8 @@ impl RecordSize for Partial {
     }
 }
 
-/// One record of a cascade stage's input: either an intermediate tuple or
+/// One shuffled record of a cascade stage: either an intermediate tuple or
 /// a base rectangle of the relation being joined in.
-#[derive(Debug, Clone)]
 enum Side {
     Tuple(Partial),
     Base(TaggedRect),
@@ -72,6 +71,14 @@ impl RecordSize for Side {
             Side::Base(tr) => tr.size_bytes(),
         }
     }
+}
+
+/// One record of a cascade stage's input, read where it lives: a tuple of
+/// the previous stage's result, borrowed, or a base record of the bound
+/// inputs. The mapper clones a tuple only into the [`Side`]s it emits.
+enum SideRef<'a> {
+    Tuple(&'a Partial),
+    Base(TaggedRect),
 }
 
 /// One output record of a cascade stage. In count-only mode the final
@@ -225,11 +232,6 @@ pub(crate) fn run(
     })
 }
 
-/// The base records of relation `pos`, as a stage's input.
-fn base_records(inputs: Inputs<'_>, pos: RelationId) -> impl Iterator<Item = Side> + '_ {
-    (inputs.records(pos.index())).map(move |(rect, id)| Side::Base(TaggedRect::new(pos, id, rect)))
-}
-
 /// Stage 0: join two base relations (§5.2/§5.3). The left side is routed
 /// by its enlarged rectangle, the right side is split.
 fn base_base_join(
@@ -241,9 +243,14 @@ fn base_base_join(
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let (l, r) = (triple.left, triple.right);
-    let input: Vec<Side> = base_records(inputs, l)
-        .chain(base_records(inputs, r))
-        .collect();
+    let left = inputs.size(l.index());
+    // The left relation's records, then the right's.
+    let read = |i: usize| {
+        SideRef::Base(match i.checked_sub(left) {
+            None => inputs.record(l.index(), i),
+            Some(i) => inputs.record(r.index(), i),
+        })
+    };
 
     let empty = Partial {
         slots: vec![None; n],
@@ -251,7 +258,8 @@ fn base_base_join(
     run_pair_job(
         ctx,
         name,
-        &input,
+        left + inputs.size(r.index()),
+        read,
         triple.predicate,
         l,
         false,
@@ -277,15 +285,16 @@ fn stage_join(
     name: &str,
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
-    let mut input: Vec<Side> = intermediate
-        .iter()
-        .map(|p| Side::Tuple(p.clone()))
-        .collect();
-    input.extend(base_records(inputs, new_pos));
+    // The intermediate tuples, then the new relation's records.
+    let read = |i: usize| match intermediate.get(i) {
+        Some(p) => SideRef::Tuple(p),
+        None => SideRef::Base(inputs.record(new_pos.index(), i - intermediate.len())),
+    };
     run_pair_job(
         ctx,
         name,
-        &input,
+        intermediate.len() + inputs.size(new_pos.index()),
+        read,
         triple.predicate,
         anchor_pos,
         anchor_pos == triple.right,
@@ -298,12 +307,15 @@ fn stage_join(
 /// The shared 2-way job: anchor-side records (intermediate tuples, or base
 /// rectangles lifted by `lift`) are routed by their enlarged anchor
 /// rectangle; `new_pos` base rectangles are split. Each reducer pairs them
-/// with an R-tree probe and keeps a pair only at its designated cell.
+/// with an R-tree probe and keeps a pair only at its designated cell. The
+/// map input is the indices `0..records`; `read` yields the record behind
+/// each.
 #[allow(clippy::too_many_arguments)]
-fn run_pair_job(
+fn run_pair_job<'a>(
     ctx: &AlgoCtx<'_>,
     name: &str,
-    input: &[Side],
+    records: usize,
+    read: impl Fn(usize) -> SideRef<'a> + Sync,
     predicate: Predicate,
     anchor_pos: RelationId,
     anchor_is_right: bool,
@@ -315,22 +327,22 @@ fn run_pair_job(
     let d = predicate.distance();
     let outputs: Vec<StageOut> = ctx.engine.run(
         ctx.spec(name)
-            .map(|record: &Side, emit| match record {
-                Side::Tuple(p) => {
+            .map(|&i: &u32, emit| match read(i as usize) {
+                SideRef::Tuple(p) => {
                     for cell in grid.split_cells_enlarged(&p.rect(anchor_pos.index()), d) {
                         emit(cell.0, Side::Tuple(p.clone()));
                     }
                 }
-                Side::Base(tr) if tr.relation == anchor_pos => {
+                SideRef::Base(tr) if tr.relation == anchor_pos => {
                     // Stage 0 anchor side: lift to a partial, route enlarged.
-                    let p = lift(tr);
+                    let p = lift(&tr);
                     for cell in grid.split_cells_enlarged(&tr.rect, d) {
                         emit(cell.0, Side::Tuple(p.clone()));
                     }
                 }
-                Side::Base(tr) => {
+                SideRef::Base(tr) => {
                     for cell in grid.split_cells(&tr.rect) {
-                        emit(cell.0, Side::Base(*tr));
+                        emit(cell.0, Side::Base(tr));
                     }
                 }
             })
@@ -382,7 +394,8 @@ fn run_pair_job(
                     out(StageOut::Count(found));
                 }
             }),
-        input,
+        &(0..u32::try_from(records).expect("a stage maps at most u32::MAX records"))
+            .collect::<Vec<u32>>(),
     )?;
 
     let mut partials = Vec::with_capacity(outputs.len());

@@ -88,9 +88,7 @@ use mwsj_local::{marking, GroupIndex, JoinKernel};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{replication_bounds, Query, RelationId};
 
-use super::{
-    flatten_input, join_group, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter,
-};
+use super::{join_group, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
 use crate::record::group_by_relation;
 use crate::{JoinError, JoinOutput, TaggedRect};
 
@@ -129,16 +127,18 @@ pub(crate) fn run(
 ) -> Result<JoinOutput, JoinError> {
     let engine = ctx.engine;
     let grid = ctx.grid;
-    let input = flatten_input(inputs);
     let n = query.num_relations();
     let kernel = JoinKernel::new(query);
 
     // ---- Round 1: split everything; mark and join per cell -----------
+    // The map reads the bound relations in place; its index vector is
+    // dropped with the job, before round 2.
     let round1: Vec<Round1> = engine.run(
         ctx.spec("c-rep-round1-mark")
-            .map(|tr: &TaggedRect, emit| {
+            .map(|&i: &u32, emit| {
+                let tr = inputs.get(i);
                 for cell in grid.split_cells(&tr.rect) {
-                    emit(cell.0, *tr);
+                    emit(cell.0, tr);
                 }
             })
             .partition(|&k: &u32, p| k as usize % p)
@@ -170,7 +170,7 @@ pub(crate) fn run(
                     &mut |record| out(Round1::Joined(record)),
                 );
             }),
-        &input,
+        &inputs.indices(),
     )?;
     let mut marked = Vec::new();
     let mut joined = Vec::new();

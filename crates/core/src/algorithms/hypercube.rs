@@ -29,7 +29,7 @@
 use mwsj_mapreduce::Fnv64;
 use mwsj_query::Query;
 
-use super::{flatten_input, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
+use super::{replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 /// Derives the share vector `s` for relation cardinalities `sizes` and a
@@ -122,7 +122,6 @@ pub(crate) fn run(
     query: &Query,
     inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
-    let input = flatten_input(inputs);
     let sizes: Vec<u64> = (0..inputs.len()).map(|p| inputs.size(p) as u64).collect();
     // The same derivation the optimizer's plan reports, so an auto run
     // and its pinned twin are byte-identical.
@@ -137,38 +136,35 @@ pub(crate) fn run(
         filter: TupleFilter::All,
         earlier: Vec::new(),
     };
-    replicate_join(ctx, query, job, &input, |tr: &TaggedRect, emit| {
-        // Fix this rectangle's own dimension, spin an odometer over
-        // every other dimension: one emit per hypercube cell whose
-        // dim-i coordinate matches the rectangle's hash.
-        let i = tr.relation.index();
-        let own = own_coordinate(tr, shares[i]);
-        let mut coords = vec![0u32; shares.len()];
-        coords[i] = own;
-        loop {
-            let key: u32 = coords
-                .iter()
-                .zip(strides.iter())
-                .map(|(&c, &st)| c * st)
-                .sum();
-            emit(key, *tr);
-            // Advance the odometer, skipping the fixed dimension.
-            let mut dim = shares.len();
-            loop {
-                if dim == 0 {
-                    return;
-                }
-                dim -= 1;
-                if dim == i {
-                    continue;
-                }
-                coords[dim] += 1;
-                if coords[dim] < shares[dim] {
-                    break;
-                }
-                coords[dim] = 0;
-            }
+    replicate_join(ctx, query, job, &inputs.indices(), |&i: &u32, emit| {
+        let tr = inputs.get(i);
+        let own = tr.relation.index();
+        let coordinate = own_coordinate(&tr, shares[own]);
+        for key in replica_keys(&shares, &strides, own, coordinate) {
+            emit(key, tr);
         }
+    })
+}
+
+/// The reduce keys of every hypercube cell whose dimension-`own`
+/// coordinate is `coordinate`: a counter over the other dimensions'
+/// combinations, decoded in mixed radix with the last dimension fastest —
+/// the order an odometer over them would visit, without its coordinate
+/// vector.
+fn replica_keys<'a>(
+    shares: &'a [u32],
+    strides: &'a [u32],
+    own: usize,
+    coordinate: u32,
+) -> impl Iterator<Item = u32> + 'a {
+    let combinations: u32 = shares.iter().product::<u32>() / shares[own];
+    (0..combinations).map(move |mut rest| {
+        let mut key = coordinate * strides[own];
+        for dim in (0..shares.len()).rev().filter(|&dim| dim != own) {
+            key += rest % shares[dim] * strides[dim];
+            rest /= shares[dim];
+        }
+        key
     })
 }
 
@@ -201,5 +197,19 @@ mod tests {
     fn strides_are_row_major() {
         assert_eq!(strides(&[4, 4, 4]), vec![16, 4, 1]);
         assert_eq!(strides(&[2, 8]), vec![8, 1]);
+    }
+
+    #[test]
+    fn replica_keys_fix_one_dimension_last_fastest() {
+        // Shares (2, 3, 2), strides (6, 2, 1); a rectangle of dimension 1
+        // at coordinate 2 reaches cells (c0, 2, c2), c2 fastest.
+        let shares = [2, 3, 2];
+        let keys: Vec<u32> = replica_keys(&shares, &strides(&shares), 1, 2).collect();
+        assert_eq!(keys, vec![4, 5, 10, 11]);
+        // One share per dimension: every record goes to cell 0 alone.
+        assert_eq!(
+            replica_keys(&[1, 1], &[1, 1], 0, 0).collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 }

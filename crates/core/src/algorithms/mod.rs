@@ -201,13 +201,19 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// What a run binds to the query's relation positions, read as
-/// `(rect, id)` records with `id` the record's index in its relation's
-/// input order: an in-memory slice by enumeration, a store in storage
-/// order (cell by cell, each run by `min_x`) with the ids it keeps. Every
-/// shuffle algorithm routes a record by its rectangle and names it by its
-/// id, so both orders shuffle the same pairs to the same reducers; only
-/// where map chunks end can differ.
+/// What a run binds to the query's relation positions: an in-memory
+/// slice, whose record `i` is `relations[pos][i]` with id `i`, or a store,
+/// whose record `i` is its `i`-th in storage order (cell by cell, each run
+/// by `min_x`) with the id it keeps.
+///
+/// A shuffle job maps over record *indices* into the positional
+/// concatenation — position 0's records, then position 1's, … — and reads
+/// each record in place with [`Inputs::get`], as a Hadoop record reader
+/// reads its split: the map input costs 4 bytes a record, and no tagged
+/// copy of the relations is made. Every shuffle algorithm routes a record
+/// by its rectangle and names it by its id, so both kinds of binding
+/// shuffle the same pairs to the same reducers; only where map chunks end
+/// can differ.
 #[derive(Clone, Copy)]
 pub(crate) enum Inputs<'a> {
     /// In-memory relations.
@@ -216,7 +222,7 @@ pub(crate) enum Inputs<'a> {
     Stored(&'a [&'a StoredDataset]),
 }
 
-impl<'a> Inputs<'a> {
+impl Inputs<'_> {
     /// Relation positions bound.
     pub fn len(self) -> usize {
         match self {
@@ -233,45 +239,47 @@ impl<'a> Inputs<'a> {
         }
     }
 
-    /// The records bound to position `pos`.
-    pub fn records(self, pos: usize) -> impl Iterator<Item = LocalRect> + 'a {
-        let (memory, stored) = match self {
-            Inputs::Memory(relations) => (Some(relations[pos].iter().copied().zip(0..)), None),
-            Inputs::Stored(stores) => (None, Some(stores[pos].iter())),
-        };
-        memory
-            .into_iter()
-            .flatten()
-            .chain(stored.into_iter().flatten())
+    /// Records bound across all positions.
+    pub fn total(self) -> usize {
+        (0..self.len()).map(|pos| self.size(pos)).sum()
     }
 
-    /// The rectangle of the `i`-th record of position `pos`.
-    pub fn nth(self, pos: usize, i: usize) -> Rect {
-        match self {
-            Inputs::Memory(relations) => relations[pos][i],
-            Inputs::Stored(stores) => stores[pos].nth_rect(i),
+    /// The `i`-th record of position `pos`, tagged with the position.
+    pub fn record(self, pos: usize, i: usize) -> TaggedRect {
+        let (rect, id) = match self {
+            Inputs::Memory(relations) => (relations[pos][i], i as u32),
+            Inputs::Stored(stores) => stores[pos].nth(i),
+        };
+        TaggedRect::new(RelationId(pos as u16), id, rect)
+    }
+
+    /// The record at index `i` of the positional concatenation.
+    pub fn get(self, i: u32) -> TaggedRect {
+        let mut i = i as usize;
+        for pos in 0..self.len() {
+            let size = self.size(pos);
+            if i < size {
+                return self.record(pos, i);
+            }
+            i -= size;
         }
+        panic!("record index past the bound inputs")
+    }
+
+    /// A shuffle job's map input: one index per bound record, in
+    /// concatenation order. `Cluster::validate` bounds the total by
+    /// `u32::MAX`.
+    pub fn indices(self) -> Vec<u32> {
+        (0..self.total() as u32).collect()
     }
 
     /// The largest rectangle diagonal across all inputs — the `d_max`
     /// dataset statistic the C-Rep-L bounds assume known (§7.9).
     pub fn max_diagonal(self) -> f64 {
         (0..self.len())
-            .flat_map(|pos| self.records(pos))
-            .map(|(r, _)| r.diagonal())
+            .flat_map(|pos| (0..self.size(pos)).map(move |i| self.record(pos, i).rect.diagonal()))
             .fold(0.0, f64::max)
     }
-}
-
-/// Flattens positional inputs into the tagged-rectangle records the map
-/// phase consumes.
-pub(crate) fn flatten_input(inputs: Inputs<'_>) -> Vec<TaggedRect> {
-    let mut out = Vec::with_capacity((0..inputs.len()).map(|pos| inputs.size(pos)).sum());
-    for pos in 0..inputs.len() {
-        let relation = RelationId(pos as u16);
-        out.extend((inputs.records(pos)).map(|(rect, id)| TaggedRect::new(relation, id, rect)));
-    }
-    out
 }
 
 /// Which of the tuples its local join finds a reducer emits.
@@ -356,8 +364,13 @@ pub(crate) struct JoinJob {
 /// hash onto the physical reducers, and every reducer group runs the
 /// compiled local join over whatever arrived. The algorithms differ only
 /// in `route` — their mapping schema — and in the [`JoinJob`] description.
-/// Every input record counts as *replicated* in the stats: no caller
-/// routes a record by projection.
+///
+/// `input` is what the map phase walks, and `route` reads the record
+/// behind each element: the one-round algorithms pass [`Inputs::indices`]
+/// and read the bound relations in place with [`Inputs::get`]; C-Rep's
+/// round 2 passes the marked stream its round 1 materialized. Every input
+/// record counts as *replicated* in the stats: no caller routes a record
+/// by projection.
 pub(crate) fn replicate_join<I: Sync>(
     ctx: &AlgoCtx<'_>,
     query: &Query,
@@ -402,7 +415,7 @@ pub(crate) fn replicate_join<I: Sync>(
 /// the output record itself (only built for tuples that passed the
 /// reducer's filter), so this is the one allocation the materialized
 /// path keeps.
-pub(crate) fn tuple_ids(tuple: &[mwsj_local::LocalRect]) -> Vec<u32> {
+pub(crate) fn tuple_ids(tuple: &[LocalRect]) -> Vec<u32> {
     tuple.iter().map(|&(_, id)| id).collect()
 }
 
@@ -445,26 +458,44 @@ pub(crate) fn finish_tuples(raw: Vec<Vec<u32>>, count_only: bool) -> (Vec<Vec<u3
 mod tests {
     use super::*;
 
-    #[test]
-    fn flatten_tags_positions_and_ids() {
-        let a = vec![Rect::new(0.0, 1.0, 1.0, 1.0)];
-        let b = vec![Rect::new(2.0, 1.0, 1.0, 1.0), Rect::new(3.0, 1.0, 1.0, 1.0)];
-        let flat = flatten_input(Inputs::Memory(&[&a, &b]));
-        assert_eq!(flat.len(), 3);
-        assert_eq!(flat[0].relation, RelationId(0));
-        assert_eq!(flat[2].relation, RelationId(1));
-        assert_eq!(flat[2].id, 1);
+    /// Every record [`Inputs::get`] reads, in map-input order.
+    fn walk(inputs: Inputs<'_>) -> Vec<TaggedRect> {
+        inputs
+            .indices()
+            .into_iter()
+            .map(|i| inputs.get(i))
+            .collect()
+    }
 
-        // A store yields the same records in storage order, ids kept.
+    #[test]
+    fn get_reads_positions_in_order_and_stores_in_storage_order() {
+        let a = vec![Rect::new(0.0, 1.0, 1.0, 1.0)];
+        // One cell, so a store keeps `b` by `min_x`: record 1 first.
+        let b = vec![Rect::new(3.0, 1.0, 1.0, 1.0), Rect::new(2.0, 1.0, 1.0, 1.0)];
+        let (r0, r1) = (RelationId(0), RelationId(1));
+        assert_eq!(
+            walk(Inputs::Memory(&[&a, &b])),
+            [
+                TaggedRect::new(r0, 0, a[0]),
+                TaggedRect::new(r1, 0, b[0]),
+                TaggedRect::new(r1, 1, b[1]),
+            ]
+        );
+
         let grid = Grid::square((0.0, 10.0), (0.0, 10.0), 2);
         let builder = mwsj_store::StoreBuilder::new(&grid);
         let stores: Vec<StoredDataset> = [&a, &b]
             .map(|rel| StoredDataset::from_bytes(&builder.build(rel).unwrap()).unwrap())
             .into();
         let stores: Vec<&StoredDataset> = stores.iter().collect();
-        let mut stored = flatten_input(Inputs::Stored(&stores));
-        stored.sort_by_key(|tr| (tr.relation.0, tr.id));
-        assert_eq!(stored, flat);
+        assert_eq!(
+            walk(Inputs::Stored(&stores)),
+            [
+                TaggedRect::new(r0, 0, a[0]),
+                TaggedRect::new(r1, 1, b[1]),
+                TaggedRect::new(r1, 0, b[0]),
+            ]
+        );
     }
 
     #[test]

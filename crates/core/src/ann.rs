@@ -98,9 +98,10 @@ pub fn knn_join(
 ///
 /// # Errors
 /// [`JoinError::InvalidInput`] on caller errors, found before any job
-/// starts: `k == 0`, or a rectangle of either side outside the cluster
-/// space. [`JoinError::Job`] when a map-reduce job exhausts its attempt
-/// budget under a fault plan.
+/// starts: `k == 0`, a rectangle of either side outside the cluster
+/// space, or more than `u32::MAX` records on the two sides together.
+/// [`JoinError::Job`] when a map-reduce job exhausts its attempt budget
+/// under a fault plan.
 pub fn try_knn_join(
     cluster: &Cluster,
     outer: &[Rect],
@@ -120,24 +121,35 @@ pub fn try_knn_join(
             )));
         }
     }
+    // Rounds 1–2 map a `u32` index per record.
+    if outer.len() + inner.len() > u32::MAX as usize {
+        return Err(JoinError::InvalidInput(format!(
+            "{} records bound; a join reads at most {}",
+            outer.len() + inner.len(),
+            u32::MAX
+        )));
+    }
     if inner.is_empty() || outer.is_empty() {
         return Ok(vec![Vec::new(); outer.len()]);
     }
     // The worst-possible NN distance: the space diagonal.
     let diag = extent.diagonal();
 
-    let input: Vec<Record> = (outer.iter().enumerate())
-        .map(|(i, r)| Record::Outer(i as u32, *r))
-        .chain((inner.iter().enumerate()).map(|(i, r)| Record::Inner(i as u32, *r)))
-        .collect();
+    // Rounds 1–2 map over record indices, the outer records then the
+    // inner ones, and read each record in place.
+    let input: Vec<u32> = (0..(outer.len() + inner.len()) as u32).collect();
+    let read = |i: u32| match (i as usize).checked_sub(outer.len()) {
+        None => Record::Outer(i, outer[i as usize]),
+        Some(j) => Record::Inner(j as u32, inner[j]),
+    };
 
     // ---- Round 1: k-th-neighbor candidate bounds ----------------------
     let bounds: Vec<(u32, Coord)> = engine.run(
         JobSpec::new("knn-round1-candidates")
             .reducers(grid.num_cells() as usize)
-            .map(|record: &Record, emit| match record {
-                Record::Outer(_, r) => emit(grid.cell_of(r).0, *record),
-                Record::Inner(_, r) => emit_to(grid.split_cells(r), record, emit),
+            .map(|&i: &u32, emit| match read(i) {
+                record @ Record::Outer(_, r) => emit(grid.cell_of(&r).0, record),
+                record @ Record::Inner(_, r) => emit_to(grid.split_cells(&r), record, emit),
             })
             .partition(|&cell: &u32, _| cell as usize)
             .reduce(|_: &u32, values: &[Record], out| {
@@ -163,10 +175,11 @@ pub fn try_knn_join(
     let locals: Vec<NearestNeighbor> = engine.run(
         JobSpec::new("knn-round2-verify")
             .reducers(grid.num_cells() as usize)
-            .map(|record: &Record, emit| {
+            .map(|&i: &u32, emit| {
+                let record = read(i);
                 let cells = match record {
-                    Record::Outer(id, r) => grid.split_cells_enlarged(r, ub_of[*id as usize]),
-                    Record::Inner(_, r) => grid.split_cells(r),
+                    Record::Outer(id, r) => grid.split_cells_enlarged(&r, ub_of[id as usize]),
+                    Record::Inner(_, r) => grid.split_cells(&r),
                 };
                 emit_to(cells, record, emit);
             })
@@ -242,9 +255,9 @@ impl mwsj_mapreduce::RecordSize for Record {
 }
 
 /// Emits one copy of `record` to every cell of `cells`.
-fn emit_to(cells: Vec<CellId>, record: &Record, emit: &mut dyn FnMut(u32, Record)) {
+fn emit_to(cells: Vec<CellId>, record: Record, emit: &mut dyn FnMut(u32, Record)) {
     for cell in cells {
-        emit(cell.0, *record);
+        emit(cell.0, record);
     }
 }
 

@@ -175,8 +175,9 @@ impl Cluster {
     /// [`JoinError::Job`] when a map-reduce job fails;
     /// [`JoinError::Dfs`] when an intermediate dataset stays unreadable;
     /// [`JoinError::InvalidInput`] on caller errors — dataset count not
-    /// matching the query, rectangles outside the space, or
-    /// [`Algorithm::MapSide`] (which needs stored inputs).
+    /// matching the query, rectangles outside the space, more than
+    /// `u32::MAX` records across the datasets, or [`Algorithm::MapSide`]
+    /// (which needs stored inputs).
     pub fn submit(&self, run: &JoinRun<'_>) -> Result<JoinOutput, JoinError> {
         self.execute(run, Inputs::Memory(run.inputs))
     }
@@ -331,6 +332,14 @@ impl Cluster {
                     }
                 }
             }
+        }
+        // A shuffle job's map input is one `u32` index per bound record.
+        if inputs.total() > u32::MAX as usize {
+            return invalid(format!(
+                "{} records bound; a run reads at most {}",
+                inputs.total(),
+                u32::MAX
+            ));
         }
         Ok(())
     }

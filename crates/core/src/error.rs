@@ -20,7 +20,8 @@ pub enum JoinError {
     /// The run itself is malformed — a caller error, found before any job
     /// starts: binding count not matching the query's relation positions,
     /// a rectangle outside the cluster space, a store ingested on another
-    /// grid, [`Algorithm::MapSide`](crate::Algorithm::MapSide) over
+    /// grid, more than `u32::MAX` records bound in all,
+    /// [`Algorithm::MapSide`](crate::Algorithm::MapSide) over
     /// in-memory bindings, or a nearest-neighbor join asked for `k = 0`.
     InvalidInput(String),
 }

@@ -93,7 +93,9 @@ fn sample_relations(inputs: Inputs<'_>) -> Vec<Vec<Rect>> {
             let mut idx: Vec<usize> = (0..inputs.size(pos)).collect();
             idx.shuffle(&mut rng);
             idx.truncate(PLAN_SAMPLE);
-            idx.into_iter().map(|i| inputs.nth(pos, i)).collect()
+            idx.into_iter()
+                .map(|i| inputs.record(pos, i).rect)
+                .collect()
         })
         .collect()
 }

@@ -516,15 +516,15 @@ impl StoredDataset {
         (!meta.entries.is_empty()).then_some(meta.extent)
     }
 
-    /// The rectangle at storage position `i` (cell by cell, each run in
-    /// `min_x` order) — O(1) random access for sampling without
-    /// materializing.
+    /// The `(rect, input_order_id)` at storage position `i` (cell by
+    /// cell, each run in `min_x` order) — O(1) random access, for sampling
+    /// and for a map phase that reads the store in place.
     ///
     /// # Panics
     /// Panics when `i` is out of bounds.
     #[must_use]
-    pub fn nth_rect(&self, i: usize) -> Rect {
-        self.rects[i]
+    pub fn nth(&self, i: usize) -> (Rect, u32) {
+        (self.rects[i], self.ids[i])
     }
 
     /// Iterates over every `(rect, input_order_id)` in storage order.
