@@ -307,9 +307,9 @@ fn stage_join(
 /// The shared 2-way job: anchor-side records (intermediate tuples, or base
 /// rectangles lifted by `lift`) are routed by their enlarged anchor
 /// rectangle; `new_pos` base rectangles are split. Each reducer pairs them
-/// with an R-tree probe and keeps a pair only at its designated cell. The
-/// map input is the indices `0..records`; `read` yields the record behind
-/// each.
+/// with one `GroupIndex::pairs` sweep and keeps a pair only at its
+/// designated cell. The map input is the indices `0..records`; `read`
+/// yields the record behind each.
 #[allow(clippy::too_many_arguments)]
 fn run_pair_job<'a>(
     ctx: &AlgoCtx<'_>,

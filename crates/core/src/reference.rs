@@ -8,8 +8,9 @@
 //! result.
 //!
 //! Deliberately runs the *naive* recursive matcher, not the precompiled
-//! kernel the distributed reducers use: the oracle and the implementation
-//! under test share no execution path beyond the R-tree.
+//! kernel the distributed reducers use: the matcher walks an R-tree per
+//! relation where the kernel sweeps pair lists, so the oracle and the
+//! implementation under test share only the `Rect::bounds_within` test.
 
 use mwsj_geom::Rect;
 use mwsj_local::multiway;

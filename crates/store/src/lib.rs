@@ -389,22 +389,25 @@ impl StoredDataset {
                 id_words.len()
             )));
         }
+        // The two arrays the dataset keeps are reserved once at the checked
+        // count and never grow: an opened store holds 36 B a record.
         let (corners, _) = entries.as_chunks::<4>();
-        let rects: Vec<Rect> = (corners.iter().enumerate())
-            .map(|(i, c)| {
-                let [min_x, min_y, max_x, max_y] = c.map(|w| f64::from_bits(u64::from_le_bytes(w)));
-                Rect::from_bounds(min_x, min_y, max_x, max_y)
-                    .ok_or_else(|| corrupt(format!("record {i}: non-finite or inverted rectangle")))
-            })
-            .collect::<Result<_, _>>()?;
-        let mut ids: Vec<u32> = (id_words.iter())
-            .flat_map(|w| {
-                let w = u64::from_le_bytes(*w);
-                [w as u32, (w >> 32) as u32]
-            })
-            .collect();
-        if ids.len() > n && ids.pop() != Some(0) {
-            return Err(corrupt("id padding is not zero"));
+        let mut rects = Vec::with_capacity(n);
+        for (i, c) in corners.iter().enumerate() {
+            let [min_x, min_y, max_x, max_y] = c.map(|w| f64::from_bits(u64::from_le_bytes(w)));
+            let rect = Rect::from_bounds(min_x, min_y, max_x, max_y)
+                .ok_or_else(|| corrupt(format!("record {i}: non-finite or inverted rectangle")))?;
+            rects.push(rect);
+        }
+        let mut ids = Vec::with_capacity(n);
+        for w in id_words {
+            let w = u64::from_le_bytes(*w);
+            ids.push(w as u32);
+            if ids.len() < n {
+                ids.push((w >> 32) as u32);
+            } else if w >> 32 != 0 {
+                return Err(corrupt("id padding is not zero"));
+            }
         }
         if let Some(i) = ids.iter().position(|&id| id as usize >= n) {
             return Err(corrupt(format!(

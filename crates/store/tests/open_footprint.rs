@@ -1,0 +1,117 @@
+//! What an opened store costs the heap. A counting global allocator sees
+//! every request this test binary makes, so the binary holds this one
+//! test and measures only across each open.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use mwsj_geom::Rect;
+use mwsj_partition::Grid;
+use mwsj_store::{StoreBuilder, StoredDataset};
+
+/// `System`, counting live and peak requested bytes.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn granted(size: usize) {
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method passes its arguments to `System` unchanged and
+// returns what `System` returned; the counters only observe.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            granted(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            granted(new_size);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `n` small rectangles spread over the grid by a fixed LCG.
+fn rects(n: usize) -> Vec<Rect> {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|_| Rect::new(next() * 990.0, 10.0 + next() * 990.0, 10.0, 10.0))
+        .collect()
+}
+
+/// Live bytes still held after `open` returns and the peak during it,
+/// both relative to the live bytes before it.
+fn measure(open: impl FnOnce() -> StoredDataset, n: usize) -> (usize, usize) {
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let store = open();
+    let held = LIVE.load(Relaxed) - base;
+    let peak = PEAK.load(Relaxed) - base;
+    assert_eq!(store.record_count(), n as u64);
+    drop(store);
+    (held, peak)
+}
+
+#[test]
+fn an_opened_store_holds_its_records_and_no_growth_slack() {
+    let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 8);
+    let cells = grid.num_cells() as usize;
+    let meta_words = 11 + 6 * cells;
+    let path =
+        std::env::temp_dir().join(format!("mwsj-open-footprint-{}.store", std::process::id()));
+    for n in [0, 1, 20_000, 32_769] {
+        let bytes = StoreBuilder::new(&grid).build(&rects(n)).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        // What the dataset keeps: one `Rect` and one `u32` id a record,
+        // and a cell table; no capacity beyond the count META declares.
+        let held_bound = n * (size_of::<Rect>() + 4) + cells * 64 + 1024;
+        // While it opens: the file, what it keeps, the id-uniqueness
+        // scan's byte a record and the decoded META words.
+        let peak_bound = bytes.len() + held_bound + n + 8 * meta_words;
+        for name in ["open", "from_bytes", "from_bytes_scoped"] {
+            let open = || match name {
+                "open" => StoredDataset::open(&path),
+                "from_bytes" => StoredDataset::from_bytes(&bytes),
+                _ => StoredDataset::from_bytes_scoped(&bytes, 0..cells as u32 / 2),
+            };
+            let (held, peak) = measure(|| open().unwrap(), n);
+            assert!(
+                held <= held_bound,
+                "{name}, n = {n}: holds {held} B, bound {held_bound} B"
+            );
+            assert!(
+                peak <= peak_bound,
+                "{name}, n = {n}: peak {peak} B while opening, bound {peak_bound} B"
+            );
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
