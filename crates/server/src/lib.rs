@@ -337,29 +337,33 @@ impl Inner {
     /// took — zero unless this call ran it, so a load is charged to the one
     /// query that paid for it (see [`mwsj_core::StoredRun::open_wall`]).
     /// A `store:PATH` on the service grid is mounted as it lies; any other
-    /// spec, a store on another grid included, is loaded once and built
-    /// into a store on the service grid, whose builder rejects a rectangle
-    /// outside the service space. Every store carries the DFS-recipe
-    /// fingerprint of its input-order records
-    /// ([`mwsj_core::store::dataset_fingerprint`]), so every spec of the
-    /// same data shares plans and cache entries.
+    /// spec is loaded once — a store on another grid is materialized from
+    /// the one open that read it — and built into a store on the service
+    /// grid, whose builder rejects a rectangle outside the service space.
+    /// Every store carries the DFS-recipe fingerprint of its input-order
+    /// records ([`mwsj_core::store::dataset_fingerprint`]), so every spec
+    /// of the same data shares plans and cache entries.
     fn dataset(&self, spec: &str) -> Result<(Arc<StoredDataset>, Duration), String> {
         let t0 = Instant::now();
         let (store, loaded) = self.datasets.get_or_load(spec, || {
             let grid = self.cluster.grid();
-            if let Some(path) = spec.strip_prefix("store:") {
-                let stored = StoredDataset::open(std::path::Path::new(path))
-                    .map_err(|e| format!("opening store `{path}`: {e}"))?;
-                if stored.grid() == grid {
-                    return Ok(Arc::new(stored));
+            let rects = match spec.strip_prefix("store:") {
+                Some(path) => {
+                    let stored = StoredDataset::open(std::path::Path::new(path))
+                        .map_err(|e| format!("opening store `{path}`: {e}"))?;
+                    if stored.grid() == grid {
+                        return Ok(Arc::new(stored));
+                    }
+                    stored.materialize()
                 }
-            }
-            let bytes = StoreBuilder::new(grid)
-                .build(&source::load_source(spec)?)
-                .map_err(|e| {
-                    let extent = self.config.extent;
-                    format!("dataset `{spec}` does not fit the service space [0, {extent}]^2: {e}")
-                })?;
+                None => source::load_source(spec)?,
+            };
+            let bytes = StoreBuilder::new(grid).build(&rects).map_err(|e| {
+                let extent = self.config.extent;
+                format!("dataset `{spec}` does not fit the service space [0, {extent}]^2: {e}")
+            })?;
+            // The input records go before the decode makes their copy.
+            drop(rects);
             let built = StoredDataset::from_bytes(&bytes).map_err(|e| e.to_string())?;
             Ok(Arc::new(built))
         })?;

@@ -24,9 +24,10 @@ const MAX_GENERATED_RECTS: usize = 10_000_000;
 
 /// Loads a data source: `synthetic:...`, `california:...`, `store:...`
 /// or a CSV path, as rectangles in input order. A `store:` source is
-/// materialized: the server and the CLI open a store on the grid they join
-/// on in place, and read one ingested on another grid through here to
-/// build it anew on theirs.
+/// materialized, for a caller that rebuilds it on a grid of its own (the
+/// CLI, when stores are bound beside other sources). The server opens a
+/// `store:` binding itself and materializes one on another grid from that
+/// same open.
 ///
 /// # Errors
 /// Describes the bad parameter — unparsable, or outside what the

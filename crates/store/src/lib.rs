@@ -3,17 +3,19 @@
 //! `mwsj ingest` pre-partitions a relation by the same uniform grid the
 //! cluster joins on and writes each cell as one run of rectangles in
 //! ascending `min_x` — the order the reducer kernel sweeps a group in.
-//! Opening a stored dataset is a single `fs::read` plus one scan that
-//! decodes and validates every record; afterwards a cell is two borrowed
-//! slices and a gather from it is a binary search for its x-reach, which
-//! is what makes the shuffle-free map-side join pay: the partitioning cost
-//! moves to ingest time.
+//! Opening a stored dataset is one streaming pass: the file is read front
+//! to back through a fixed buffer of at most 64 KiB, and each section is
+//! checksummed and decoded as its bytes pass, so an open never holds a
+//! file-sized image. Afterwards a cell is two borrowed slices and a gather
+//! from it is a binary search for its x-reach, which is what makes the
+//! shuffle-free map-side join pay: the partitioning cost moves to ingest
+//! time.
 //!
 //! # File layout
 //!
 //! Everything is little-endian `u64` words. Three sections, each preceded
-//! by a `RunFrame`-style frame of two words — `len` (payload words) and an
-//! FNV-64 checksum over `len` followed by every payload word:
+//! by a `RunFrame`-style frame of two words — `len` (payload words) and a
+//! word-wise checksum seeded with `len` (see [`VERSION`]):
 //!
 //! ```text
 //! [frame] META    magic, version, fingerprint, record_count,
@@ -39,7 +41,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::ops::Range;
 use std::path::Path;
 
@@ -50,14 +52,28 @@ use mwsj_partition::{CellId, Grid};
 /// `"MWSJSTOR"` in ASCII, read as a big-endian integer.
 pub const MAGIC: u64 = 0x4D57_534A_5354_4F52;
 
-/// Current (and only) format version.
-pub const VERSION: u64 = 2;
+/// Current (and only) format version. VERSION 3 checksums a frame word by
+/// word; VERSION 2, the same layout under a byte-wise FNV-64, is refused.
+pub const VERSION: u64 = 3;
 
 /// Fixed META words before the per-cell table.
 const META_HEADER_WORDS: usize = 11;
 
 /// META words per cell: the entry range plus the cell extent.
 const META_CELL_WORDS: usize = 6;
+
+/// `open`'s read buffer, unless the file is smaller: 2 048 records'
+/// corners.
+const BUFFER_BYTES: usize = 64 * 1024;
+
+/// Bytes of one ENTRIES record, the unit a section is decoded in.
+const RECORD_BYTES: usize = 32;
+
+/// The frame checksum's state before its word count is mixed in.
+const FRAME_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// The frame checksum's multiplier; odd, so multiplying is a bijection.
+const FRAME_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Why a store could not be written or opened.
 #[derive(Debug)]
@@ -117,21 +133,37 @@ pub fn dataset_fingerprint(rects: &[Rect]) -> u64 {
     h.finish()
 }
 
-/// FNV-64 over the payload's word count and then its little-endian words.
-fn frame_checksum(section: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64((section.len() / 8) as u64);
-    h.write(section);
-    h.finish()
+/// A frame's checksum, fed the payload's word count and then each payload
+/// word. A word costs one xor, one multiply by an odd constant and one
+/// xor-shift, each a bijection of the state, so changing any one word
+/// changes the sum.
+struct FrameHash(u64);
+
+impl FrameHash {
+    fn new(words: usize) -> Self {
+        let mut h = Self(FRAME_SEED);
+        h.word(words as u64);
+        h
+    }
+
+    fn word(&mut self, w: u64) {
+        let h = (self.0 ^ w).wrapping_mul(FRAME_MUL);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+fn frame_checksum(section: &[u64]) -> u64 {
+    let mut h = FrameHash::new(section.len());
+    for &w in section {
+        h.word(w);
+    }
+    h.0
 }
 
 fn push_framed(out: &mut Vec<u8>, section: &[u64]) {
-    let start = out.len() + 16;
     out.extend((section.len() as u64).to_le_bytes());
-    out.extend([0; 8]);
+    out.extend(frame_checksum(section).to_le_bytes());
     out.extend(section.iter().flat_map(|w| w.to_le_bytes()));
-    let checksum = frame_checksum(&out[start..]);
-    out[start - 8..start].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Serializes relations into the store format, cell-partitioned by a grid.
@@ -247,32 +279,104 @@ fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
 }
 
-/// Splits `words` at a section frame, verifying length and checksum.
-fn take_section<'a>(words: &mut &'a [[u8; 8]], what: &str) -> Result<&'a [[u8; 8]], StoreError> {
-    let [len, checksum, rest @ ..] = *words else {
-        return Err(corrupt(format!("truncated before the {what} frame")));
-    };
-    let len = u64::from_le_bytes(*len);
-    let len = usize::try_from(len)
-        .ok()
-        .filter(|&n| n <= rest.len())
-        .ok_or_else(|| corrupt(format!("{what} frame length {len} exceeds the file")))?;
-    let (section, rest) = rest.split_at(len);
-    if frame_checksum(section.as_flattened()) != u64::from_le_bytes(*checksum) {
-        return Err(corrupt(format!("{what} section failed its checksum")));
+/// A section's frame: its name, payload length in words and recorded
+/// checksum.
+struct Frame {
+    what: &'static str,
+    len: usize,
+    checksum: u64,
+}
+
+impl Frame {
+    fn verify(&self, sum: u64) -> Result<(), StoreError> {
+        if sum == self.checksum {
+            Ok(())
+        } else {
+            Err(corrupt(format!(
+                "{} section failed its checksum",
+                self.what
+            )))
+        }
     }
-    *words = rest;
-    Ok(section)
+}
+
+/// A store image read front to back, each payload in place in the
+/// reader's buffer.
+struct Stream<R> {
+    src: R,
+    /// Words of the image not yet read.
+    left: u64,
+}
+
+impl<R: BufRead> Stream<R> {
+    /// Reads the next frame header; its length is checked against the
+    /// words the image has left, so nothing is sized from a length larger
+    /// than the image.
+    fn frame(&mut self, what: &'static str) -> Result<Frame, StoreError> {
+        if self.left < 2 {
+            return Err(corrupt(format!("truncated before the {what} frame")));
+        }
+        let mut header = [[0; 8]; 2];
+        self.src.read_exact(header.as_flattened_mut())?;
+        self.left -= 2;
+        let [len, checksum] = header.map(u64::from_le_bytes);
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|&n| n as u64 <= self.left)
+            .ok_or_else(|| corrupt(format!("{what} frame length {len} exceeds the file")))?;
+        Ok(Frame {
+            what,
+            len,
+            checksum,
+        })
+    }
+
+    /// Streams `frame`'s payload through `each` in runs of whole records
+    /// (the last may be shorter) and returns its checksum as read.
+    fn payload(&mut self, frame: &Frame, mut each: impl FnMut(&[[u8; 8]])) -> io::Result<u64> {
+        let mut hash = FrameHash::new(frame.len);
+        let mut feed = |bytes: &[u8]| {
+            let (words, _) = bytes.as_chunks::<8>();
+            for w in words {
+                hash.word(u64::from_le_bytes(*w));
+            }
+            each(words);
+        };
+        let mut left = 8 * frame.len;
+        while left > 0 {
+            let buffered = self.src.fill_buf()?;
+            let whole = buffered.len().min(left) / RECORD_BYTES * RECORD_BYTES;
+            if whole > 0 {
+                feed(&buffered[..whole]);
+                self.src.consume(whole);
+                left -= whole;
+            } else {
+                // A record split across two fills of the buffer, or the
+                // payload's last words.
+                let mut record = [0; RECORD_BYTES];
+                let part = &mut record[..left.min(RECORD_BYTES)];
+                self.src.read_exact(part)?;
+                feed(part);
+                left -= part.len();
+            }
+        }
+        self.left -= frame.len as u64;
+        Ok(hash.0)
+    }
 }
 
 impl StoredDataset {
-    /// Reads and validates a stored dataset from `path`.
+    /// Reads and validates a stored dataset from `path` in one streaming
+    /// pass (see [`StoredDataset::from_bytes`]).
     ///
     /// # Errors
     /// Filesystem failures and every defect [`StoredDataset::from_bytes`]
-    /// detects.
+    /// detects, with the same message.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::from_bytes(&fs::read(path)?)
+        let file = fs::File::open(path)?;
+        let size = file.metadata()?.len();
+        let capacity = usize::try_from(size).map_or(BUFFER_BYTES, |s| s.min(BUFFER_BYTES));
+        Self::decode(BufReader::with_capacity(capacity, file), size, None)
     }
 
     /// Validates serialized bytes and decodes the records.
@@ -285,7 +389,7 @@ impl StoredDataset {
     /// homed at another cell, ids that are not a permutation of
     /// `0..record_count`, and non-zero id padding.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_bytes_impl(bytes, None)
+        Self::decode(bytes, bytes.len() as u64, None)
     }
 
     /// Like [`StoredDataset::from_bytes`], but restricts the id-uniqueness
@@ -305,33 +409,93 @@ impl StoredDataset {
     /// ids out of scope), plus a `seed_cells` range that does not lie
     /// within the grid.
     pub fn from_bytes_scoped(bytes: &[u8], seed_cells: Range<u32>) -> Result<Self, StoreError> {
-        Self::from_bytes_impl(bytes, Some(seed_cells))
+        Self::decode(bytes, bytes.len() as u64, Some(seed_cells))
     }
 
-    fn from_bytes_impl(bytes: &[u8], scope: Option<Range<u32>>) -> Result<Self, StoreError> {
-        let (mut rest, tail) = bytes.as_chunks::<8>();
-        if !tail.is_empty() {
+    /// The one decoder: reads a `size`-byte image from `src` once, hashing
+    /// and decoding each section as it passes through `src`'s buffer — a
+    /// byte slice is its own, so the slice openers copy nothing.
+    ///
+    /// The checks report in a fixed order — the file size; each frame's
+    /// truncation, length and checksum in file order, with the magic and
+    /// version checked before META's checksum; trailing words; the META
+    /// structure; the lengths; then the records and the cell table — so a
+    /// defect found while streaming a record is held until every earlier
+    /// check has passed.
+    fn decode(src: impl BufRead, size: u64, scope: Option<Range<u32>>) -> Result<Self, StoreError> {
+        if !size.is_multiple_of(8) {
             return Err(corrupt(format!(
-                "file size {} is not a whole number of words",
-                bytes.len()
+                "file size {size} is not a whole number of words"
             )));
         }
-        let meta = take_section(&mut rest, "META")?;
-        let entries = take_section(&mut rest, "ENTRIES")?;
-        let id_words = take_section(&mut rest, "IDS")?;
-        if !rest.is_empty() {
-            return Err(corrupt(format!("{} trailing words", rest.len())));
+        let mut stream = Stream {
+            src,
+            left: size / 8,
+        };
+
+        let meta_frame = stream.frame("META")?;
+        let mut meta = Vec::with_capacity(meta_frame.len);
+        let sum = stream.payload(&meta_frame, |block| {
+            meta.extend(block.iter().map(|w| u64::from_le_bytes(*w)));
+        })?;
+        // Before the checksum, so a store of another version is named as
+        // such instead of failing a checksum it was never sealed with.
+        if let [magic, version, ..] = meta[..] {
+            if magic != MAGIC {
+                return Err(corrupt("bad magic: not a dataset store"));
+            }
+            if version != VERSION {
+                return Err(corrupt(format!("unsupported format version {version}")));
+            }
+        }
+        meta_frame.verify(sum)?;
+
+        // The record arrays are reserved from the ENTRIES length, which
+        // `frame` checked against the image; a valid store declares that
+        // many records in META, so they end at exactly that count.
+        let entries = stream.frame("ENTRIES")?;
+        let cap = entries.len / 4;
+        let mut rects = Vec::with_capacity(cap);
+        let mut bad_rect = None;
+        let sum = stream.payload(&entries, |block| {
+            for c in block.as_chunks::<4>().0 {
+                if bad_rect.is_some() {
+                    return;
+                }
+                let [min_x, min_y, max_x, max_y] = c.map(|w| f64::from_bits(u64::from_le_bytes(w)));
+                match Rect::from_bounds(min_x, min_y, max_x, max_y) {
+                    Some(rect) => rects.push(rect),
+                    None => bad_rect = Some(rects.len()),
+                }
+            }
+        })?;
+        entries.verify(sum)?;
+
+        let id_words = stream.frame("IDS")?;
+        let mut ids = Vec::with_capacity(cap);
+        let (mut bad_padding, mut bad_id) = (false, None);
+        let sum = stream.payload(&id_words, |block| {
+            for w in block {
+                let w = u64::from_le_bytes(*w);
+                for id in [w as u32, (w >> 32) as u32] {
+                    if ids.len() == cap {
+                        bad_padding |= id != 0;
+                        continue;
+                    }
+                    if id as usize >= cap && bad_id.is_none() {
+                        bad_id = Some((ids.len(), id));
+                    }
+                    ids.push(id);
+                }
+            }
+        })?;
+        id_words.verify(sum)?;
+        if stream.left != 0 {
+            return Err(corrupt(format!("{} trailing words", stream.left)));
         }
 
-        let meta: Vec<u64> = meta.iter().map(|w| u64::from_le_bytes(*w)).collect();
         if meta.len() < META_HEADER_WORDS {
             return Err(corrupt("META header is truncated"));
-        }
-        if meta[0] != MAGIC {
-            return Err(corrupt("bad magic: not a dataset store"));
-        }
-        if meta[1] != VERSION {
-            return Err(corrupt(format!("unsupported format version {}", meta[1])));
         }
         let fingerprint = meta[2];
         let x0 = f64::from_bits(meta[4]);
@@ -372,49 +536,33 @@ impl StoredDataset {
             }
         }
 
-        // Sizes first, so a length defect never allocates from a bad count.
         let n = usize::try_from(meta[3])
             .ok()
-            .filter(|&n| n.checked_mul(4) == Some(entries.len()))
+            .filter(|&n| n.checked_mul(4) == Some(entries.len))
             .ok_or_else(|| {
                 corrupt(format!(
                     "{} ENTRIES words for {} records",
-                    entries.len(),
-                    meta[3]
+                    entries.len, meta[3]
                 ))
             })?;
-        if id_words.len() != n.div_ceil(2) {
+        if id_words.len != n.div_ceil(2) {
             return Err(corrupt(format!(
                 "{} IDS words for {n} records",
-                id_words.len()
+                id_words.len
             )));
         }
-        // The two arrays the dataset keeps are reserved once at the checked
-        // count and never grow: an opened store holds 36 B a record.
-        let (corners, _) = entries.as_chunks::<4>();
-        let mut rects = Vec::with_capacity(n);
-        for (i, c) in corners.iter().enumerate() {
-            let [min_x, min_y, max_x, max_y] = c.map(|w| f64::from_bits(u64::from_le_bytes(w)));
-            let rect = Rect::from_bounds(min_x, min_y, max_x, max_y)
-                .ok_or_else(|| corrupt(format!("record {i}: non-finite or inverted rectangle")))?;
-            rects.push(rect);
-        }
-        let mut ids = Vec::with_capacity(n);
-        for w in id_words {
-            let w = u64::from_le_bytes(*w);
-            ids.push(w as u32);
-            if ids.len() < n {
-                ids.push((w >> 32) as u32);
-            } else if w >> 32 != 0 {
-                return Err(corrupt("id padding is not zero"));
-            }
-        }
-        if let Some(i) = ids.iter().position(|&id| id as usize >= n) {
+        if let Some(i) = bad_rect {
             return Err(corrupt(format!(
-                "record {i}: id {} is out of range",
-                ids[i]
+                "record {i}: non-finite or inverted rectangle"
             )));
         }
+        if bad_padding {
+            return Err(corrupt("id padding is not zero"));
+        }
+        if let Some((i, id)) = bad_id {
+            return Err(corrupt(format!("record {i}: id {id} is out of range")));
+        }
+        debug_assert_eq!((rects.len(), ids.len()), (n, n));
 
         // The runs must tile the records back to back, which is what lets a
         // scoped open skip the uniqueness scan out of scope without giving
@@ -738,25 +886,64 @@ mod tests {
         assert!(StoredDataset::from_bytes_scoped(&bytes, num_cells..num_cells).is_ok());
     }
 
+    /// A file named for one test, removed when dropped: the image `open`
+    /// streams, so every corrupt image is judged by both openers.
+    struct ScratchFile(std::path::PathBuf);
+
+    impl ScratchFile {
+        fn new(test: &str) -> Self {
+            let name = format!("mwsj-store-{}-{test}.store", std::process::id());
+            Self(std::env::temp_dir().join(name))
+        }
+
+        /// The message `from_bytes` rejects `bytes` with, after checking
+        /// that `open` on a file of the same bytes rejects it with the
+        /// same one.
+        fn corrupt_message(&self, bytes: &[u8]) -> String {
+            fs::write(&self.0, bytes).unwrap();
+            match (
+                StoredDataset::from_bytes(bytes),
+                StoredDataset::open(&self.0),
+            ) {
+                (Err(StoreError::Corrupt(sliced)), Err(StoreError::Corrupt(streamed))) => {
+                    assert_eq!(sliced, streamed, "from_bytes and open disagree");
+                    sliced
+                }
+                other => panic!("expected a corrupt store from both openers, got {other:?}"),
+            }
+        }
+
+        /// Asserts the image is rejected as corrupt, naming `why`.
+        fn rejected(&self, bytes: &[u8], why: &str) {
+            let msg = self.corrupt_message(bytes);
+            assert!(msg.contains(why), "{msg:?}, not {why:?}");
+        }
+    }
+
+    impl Drop for ScratchFile {
+        fn drop(&mut self) {
+            fs::remove_file(&self.0).ok();
+        }
+    }
+
     #[test]
     fn every_corrupted_word_is_detected() {
         let grid = grid();
         let rects = random_rects(200, 3);
         let bytes = StoreBuilder::new(&grid).build(&rects).unwrap();
         assert!(StoredDataset::from_bytes(&bytes).is_ok());
+        let file = ScratchFile::new("every-word");
 
         // Truncations at every section boundary.
         for cut in [0, 8, 80, bytes.len() / 2, bytes.len() - 8] {
-            assert!(
-                StoredDataset::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut}"
-            );
+            file.corrupt_message(&bytes[..cut]);
         }
         // Odd byte length.
-        assert!(StoredDataset::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+        file.rejected(&bytes[..bytes.len() - 3], "not a whole number of words");
 
         // Flip one bit in every word: either a frame checksum fires or
-        // (for the frame words themselves) structural validation does.
+        // (for the frame words and the magic and version) structural
+        // validation does.
         let words = bytes.len() / 8;
         let mut rng = StdRng::seed_from_u64(99);
         for w in 0..words {
@@ -764,11 +951,72 @@ mod tests {
             let bit = rng.random_range(0..64u32);
             let byte = w * 8 + (bit / 8) as usize;
             bad[byte] ^= 1 << (bit % 8);
-            assert!(
-                StoredDataset::from_bytes(&bad).is_err(),
-                "flipped bit {bit} of word {w} went undetected"
-            );
+            file.corrupt_message(&bad);
         }
+    }
+
+    /// A file several times `open`'s buffer, so records straddle its
+    /// refills: the streamed open equals the in-memory one, and a defect
+    /// anywhere is named alike.
+    #[test]
+    fn open_streams_a_file_larger_than_its_buffer() {
+        let grid = grid();
+        let rects = random_rects(5_000, 37);
+        let bytes = StoreBuilder::new(&grid).build(&rects).unwrap();
+        assert!(bytes.len() > 2 * BUFFER_BYTES);
+        let file = ScratchFile::new("large");
+        fs::write(&file.0, &bytes).unwrap();
+        let streamed = StoredDataset::open(&file.0).unwrap();
+        assert!(streamed
+            .iter()
+            .eq(StoredDataset::from_bytes(&bytes).unwrap().iter()));
+        assert_eq!(streamed.materialize(), rects);
+
+        let words = bytes.len() / 8;
+        for w in [words / 3, words / 2, words - 1] {
+            let mut bad = bytes.clone();
+            bad[8 * w] ^= 1;
+            file.corrupt_message(&bad);
+        }
+        let [meta, mut entries, ids] = sections(&bytes);
+        entries[4 * 4_321 + 3] = f64::NAN.to_bits();
+        file.rejected(
+            &seal(&[meta, entries, ids]),
+            "record 4321: non-finite or inverted rectangle",
+        );
+    }
+
+    /// VERSION 3's frame checksum: a change here fails every store on
+    /// disk, so it is a format version of its own.
+    #[test]
+    fn frame_checksum_is_pinned() {
+        assert_eq!(frame_checksum(&[]), 0xf7e2_7bea_df41_96a5);
+        assert_eq!(frame_checksum(&[MAGIC, 3]), 0x53bb_a78a_552d_c59a);
+        assert_eq!(frame_checksum(&[0, 1, u64::MAX]), 0x9a94_5739_0852_9076);
+    }
+
+    /// A real VERSION 2 store: this layout, sealed with the byte-wise
+    /// FNV-64 over each frame's word count and payload that it used.
+    #[test]
+    fn a_version_2_store_is_refused_by_its_version() {
+        let grid = grid();
+        let bytes = StoreBuilder::new(&grid)
+            .build(&random_rects(50, 31))
+            .unwrap();
+        let mut v2 = sections(&bytes);
+        v2[0][1] = 2;
+        let mut image = Vec::new();
+        for section in &v2 {
+            let mut fnv = Fnv64::new();
+            fnv.write_u64(section.len() as u64);
+            for &w in section {
+                fnv.write_u64(w);
+            }
+            image.extend((section.len() as u64).to_le_bytes());
+            image.extend(fnv.finish().to_le_bytes());
+            image.extend(section.iter().flat_map(|w| w.to_le_bytes()));
+        }
+        ScratchFile::new("version-2").rejected(&image, "unsupported format version 2");
     }
 
     /// A store image's three sections as words.
@@ -794,14 +1042,6 @@ mod tests {
         out
     }
 
-    /// Asserts the image is rejected as corrupt, naming `why`.
-    fn rejected(bytes: &[u8], why: &str) {
-        match StoredDataset::from_bytes(bytes) {
-            Err(StoreError::Corrupt(msg)) => assert!(msg.contains(why), "{msg:?}, not {why:?}"),
-            other => panic!("expected a corrupt store ({why}), got {other:?}"),
-        }
-    }
-
     /// The first cell whose run has two records of distinct `min_x`.
     fn cell_with_distinct_run(store: &StoredDataset) -> (usize, usize) {
         (0..store.cells.len())
@@ -822,20 +1062,21 @@ mod tests {
         let [meta, entries, ids] = sections(&bytes);
         assert_eq!(seal(&[meta.clone(), entries.clone(), ids.clone()]), bytes);
         let cell_word = |c: usize, k: usize| META_HEADER_WORDS + c * META_CELL_WORDS + k;
+        let file = ScratchFile::new("resealed");
 
         // A VERSION 1 file: this image under the old version word, and
         // the exact V1 image of an empty relation (eight META words a
         // cell, then empty ENTRIES and NODES).
         let mut v1 = meta.clone();
         v1[1] = 1;
-        rejected(
+        file.rejected(
             &seal(&[v1, entries.clone(), ids.clone()]),
             "unsupported format version 1",
         );
         let mut empty_v1 = meta[..META_HEADER_WORDS].to_vec();
         (empty_v1[1], empty_v1[2], empty_v1[3]) = (1, dataset_fingerprint(&[]), 0);
         empty_v1.resize(META_HEADER_WORDS + 8 * grid.num_cells() as usize, 0);
-        rejected(
+        file.rejected(
             &seal(&[empty_v1, Vec::new(), Vec::new()]),
             "unsupported format version 1",
         );
@@ -843,14 +1084,63 @@ mod tests {
         // One trailing word.
         let mut long = bytes.clone();
         long.extend([0; 8]);
-        rejected(&long, "1 trailing words");
+        file.rejected(&long, "1 trailing words");
+
+        // Wrong magic, and a META too short for its header.
+        let mut magic = meta.clone();
+        magic[0] ^= 1;
+        file.rejected(&seal(&[magic, entries.clone(), ids.clone()]), "bad magic");
+        file.rejected(
+            &seal(&[meta[..5].to_vec(), entries.clone(), ids.clone()]),
+            "META header is truncated",
+        );
+
+        // Lengths that disagree with the declared count: one record more
+        // in META, one id word too many.
+        let mut more = meta.clone();
+        more[3] += 1;
+        file.rejected(
+            &seal(&[more, entries.clone(), ids.clone()]),
+            &format!("{} ENTRIES words for {} records", 4 * n, n + 1),
+        );
+        let mut long_ids = ids.clone();
+        long_ids.push(0);
+        file.rejected(
+            &seal(&[meta.clone(), entries.clone(), long_ids]),
+            &format!("{} IDS words for {n} records", n.div_ceil(2) + 1),
+        );
+
+        // Record defects found while streaming, reported after every
+        // structural check: a NaN corner, then an id out of range, which
+        // non-zero padding outranks.
+        let mut nan = entries.clone();
+        nan[4 * 7 + 2] = f64::NAN.to_bits();
+        file.rejected(
+            &seal(&[meta.clone(), nan.clone(), ids.clone()]),
+            "record 7: non-finite or inverted rectangle",
+        );
+        let mut out_of_range = ids.clone();
+        out_of_range[1] |= (n as u64) << 32;
+        file.rejected(
+            &seal(&[meta.clone(), entries.clone(), out_of_range.clone()]),
+            &format!("record 3: id {} is out of range", ids[1] >> 32 | n as u64),
+        );
+        *out_of_range.last_mut().unwrap() |= 1 << 32;
+        file.rejected(
+            &seal(&[meta.clone(), entries.clone(), out_of_range.clone()]),
+            "id padding is not zero",
+        );
+        file.rejected(
+            &seal(&[meta.clone(), nan, out_of_range]),
+            "record 7: non-finite",
+        );
 
         // Truncation at every section boundary: before and after each
         // frame header.
         let mut at = 0;
         for (section, what) in [(&meta, "META"), (&entries, "ENTRIES"), (&ids, "IDS")] {
-            rejected(&bytes[..at], &format!("truncated before the {what} frame"));
-            rejected(&bytes[..at + 16], &format!("{what} frame length"));
+            file.rejected(&bytes[..at], &format!("truncated before the {what} frame"));
+            file.rejected(&bytes[..at + 16], &format!("{what} frame length"));
             at += 8 * (2 + section.len());
         }
 
@@ -868,7 +1158,7 @@ mod tests {
             swapped_ids[pos / 2] &= !(0xFFFF_FFFF << shift);
             swapped_ids[pos / 2] |= u64::from(value) << shift;
         }
-        rejected(
+        file.rejected(
             &seal(&[meta.clone(), swapped, swapped_ids]),
             &format!("cell {c}: run is not in ascending min_x"),
         );
@@ -886,7 +1176,7 @@ mod tests {
         narrow[cell_word(c, 4)] = f64::from_bits(narrow[cell_word(c, 4)])
             .next_down()
             .to_bits();
-        rejected(
+        file.rejected(
             &seal(&[narrow, entries.clone(), ids.clone()]),
             "lies outside the cell extent",
         );
@@ -909,7 +1199,7 @@ mod tests {
         for (k, bound) in grid.extent().bounds().into_iter().enumerate() {
             moved[cell_word(c + 1, 2 + k)] = bound.to_bits();
         }
-        rejected(
+        file.rejected(
             &seal(&[moved, entries.clone(), ids.clone()]),
             &format!(
                 "cell {}: record {} is homed at another cell",
@@ -922,7 +1212,7 @@ mod tests {
         assert_eq!(n % 2, 1);
         let mut padded = ids.clone();
         *padded.last_mut().unwrap() |= 1 << 32;
-        rejected(
+        file.rejected(
             &seal(&[meta.clone(), entries.clone(), padded]),
             "id padding is not zero",
         );
@@ -930,6 +1220,6 @@ mod tests {
         // A duplicated id: the second record takes the first one's.
         let mut duplicated = ids.clone();
         duplicated[0] = (duplicated[0] & 0xFFFF_FFFF) * 0x1_0000_0001;
-        rejected(&seal(&[meta, entries, duplicated]), "is duplicated");
+        file.rejected(&seal(&[meta, entries, duplicated]), "is duplicated");
     }
 }

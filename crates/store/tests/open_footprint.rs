@@ -93,9 +93,12 @@ fn an_opened_store_holds_its_records_and_no_growth_slack() {
         // What the dataset keeps: one `Rect` and one `u32` id a record,
         // and a cell table; no capacity beyond the count META declares.
         let held_bound = n * (size_of::<Rect>() + 4) + cells * 64 + 1024;
-        // While it opens: the file, what it keeps, the id-uniqueness
-        // scan's byte a record and the decoded META words.
-        let peak_bound = bytes.len() + held_bound + n + 8 * meta_words;
+        // While it opens: what it keeps, the read buffer (64 KiB, or the
+        // file when smaller), the id-uniqueness scan's byte a record and
+        // the decoded META words. Never the file: `open` streams it, and
+        // the slice openers read the caller's bytes in place.
+        let buffer = bytes.len().min(64 * 1024);
+        let peak_bound = held_bound + buffer + n + 8 * meta_words;
         for name in ["open", "from_bytes", "from_bytes_scoped"] {
             let open = || match name {
                 "open" => StoredDataset::open(&path),

@@ -180,6 +180,62 @@ fn served_query_is_byte_identical_to_direct_submit() {
     }
 }
 
+/// A `store:` file ingested on another grid of the service space is
+/// rebuilt on the service grid from the open that read it, and answers as
+/// its spec does: the same tuples and the same dataset fingerprint.
+#[test]
+fn a_store_on_another_grid_answers_as_its_spec() {
+    let grid = Grid::square((0.0, EXTENT), (0.0, EXTENT), 5);
+    let stores: Vec<String> = [A, B]
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let path = std::env::temp_dir().join(format!(
+                "mwsj-service-{}-regrid-{i}.store",
+                std::process::id()
+            ));
+            StoreBuilder::new(&grid)
+                .write(&load_source(spec).expect("load"), &path)
+                .expect("ingest");
+            format!("store:{}", path.display())
+        })
+        .collect();
+    // No cache: the store shares its spec's fingerprint, so a cache would
+    // replay the spec's reply instead of running over the rebuilt store.
+    let (addr, h) = start(ServerConfig::default().with_cache_bytes(0));
+    let mut c = Client::connect(&addr).expect("connect");
+    let (want, want_count) = direct("A ov B", &[A, B], Algorithm::ControlledReplicate);
+    assert!(want_count > 0, "test query must produce tuples");
+    let replies: Vec<Json> = [[A, B], [&*stores[0], &*stores[1]]]
+        .iter()
+        .map(|specs| {
+            let data = [("A", specs[0]), ("B", specs[1])];
+            let doc = response(
+                &mut c,
+                &query_line("A ov B", &data, ",\"algorithm\":\"map-side\""),
+            );
+            assert_eq!(
+                doc.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{specs:?}"
+            );
+            assert_eq!(tuples_of(&doc), want, "{specs:?}");
+            doc
+        })
+        .collect();
+    let fingerprint = |doc: &Json| {
+        doc.get("fingerprint")
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    };
+    assert!(fingerprint(&replies[0]).is_some());
+    assert_eq!(fingerprint(&replies[1]), fingerprint(&replies[0]));
+    stop(&addr, h);
+    for store in &stores {
+        std::fs::remove_file(store.strip_prefix("store:").expect("a store spec")).ok();
+    }
+}
+
 #[test]
 fn repeated_query_hits_the_cache_and_counts_in_stats() {
     let (addr, h) = start(ServerConfig::default());
