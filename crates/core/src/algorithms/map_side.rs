@@ -6,13 +6,15 @@
 //! holds exactly the rectangles homed there, as one run in ascending
 //! `min_x`. This module turns each grid cell into one reducer group
 //! straight from those runs and joins it with the reducers' own
-//! [`JoinKernel`], one logical task per cell, no engine job at all.
+//! [`JoinKernel`], one task per seed cell.
 //!
-//! A run registers with the cluster's [`SlotScheduler`] like any engine
-//! job and a seed cell holds one slot while it runs, so shuffle and
-//! map-side joins share one bound on concurrent tasks. The caller is the
-//! first worker and starts a helper per *other* slot free at that moment:
-//! a lone run gets the pool, a run beside others brings no thread.
+//! The cells are the tasks of one map-only engine job, `map-side`
+//! ([`Engine::run_tasks`](mwsj_mapreduce::Engine::run_tasks)): a cell holds
+//! a slot of the engine's shared pool, so shuffle and map-side joins share
+//! one bound on concurrent tasks, and a lone run gets the pool while a run
+//! beside others brings no thread. Each worker fills a [`ShardPartial`] of
+//! its own; the driver returns them to be merged. A cell is not an
+//! attempt: nothing is injected into it or retried.
 //!
 //! # One gathered group per seed cell
 //!
@@ -48,13 +50,10 @@
 //! mean for the shuffle algorithms and the equivalence goldens can pin
 //! them byte-for-byte.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mwsj_geom::{Coord, Rect};
 use mwsj_local::dedup::multiway_tuple_cell_of;
 use mwsj_local::index::reach;
 use mwsj_local::{GroupIndex, JoinKernel, LocalRect};
-use mwsj_mapreduce::{JobError, JobErrorKind, Phase, SlotScheduler};
 use mwsj_partition::CellId;
 use mwsj_query::{JoinPlan, Query, RelationId};
 use mwsj_store::StoredDataset;
@@ -69,8 +68,8 @@ use crate::JoinError;
 /// rectangles participate, so disjoint seed ranges partition the output
 /// exactly. [`crate::shards::gather`] finalizes one or several
 /// of these partials into a [`crate::JoinOutput`]. Of the context it
-/// reads only the grid, `count_only`, the cancel token and, for its
-/// slots, the engine's scheduler with the run's priority and share.
+/// reads the grid, `count_only` and, for its job, the engine and the
+/// run's trace sink, cancel token, priority and share.
 pub(crate) fn execute(
     ctx: &AlgoCtx<'_>,
     query: &Query,
@@ -78,7 +77,6 @@ pub(crate) fn execute(
     seed_range: Option<std::ops::Range<u32>>,
 ) -> Result<ShardPartial, JoinError> {
     let grid = ctx.grid;
-    let num_cells = grid.num_cells() as usize;
     let count_only = ctx.count_only;
 
     // The start relation: smallest cardinality, first on a tie. Every
@@ -146,99 +144,44 @@ pub(crate) fn execute(
     };
 
     let kernel = JoinKernel::new(query);
-    let in_scope = |c: usize| {
-        seed_range
-            .as_ref()
-            .is_none_or(|r| (c as u64) >= u64::from(r.start) && (c as u64) < u64::from(r.end))
-    };
-    let cells: Vec<usize> = (0..num_cells)
-        .filter(|&c| in_scope(c) && stores[start].cell_extent(CellId(c as u32)).is_some())
+    let cells: Vec<u32> = (0..grid.num_cells())
+        .filter(|c| seed_range.as_ref().is_none_or(|r| r.contains(c)))
+        .filter(|&c| stores[start].cell_extent(CellId(c)).is_some())
         .collect();
-    let scheduler = ctx.engine.scheduler();
-    let job = ctx.engine.next_job_id();
-    let _registration = scheduler.register(job, ctx.priority, ctx.share);
-    let workers = scheduler.available().min(cells.len()).max(1);
-
     // One worker's share of the cell queue: its tuples' ids, row-major in
-    // one buffer, and its tally by designated cell. The group's vectors are
-    // reused from cell to cell.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut out: Vec<u32> = Vec::new();
-        let mut tally: Vec<u64> = vec![0; num_cells];
-        let mut relations: Vec<Vec<LocalRect>> = vec![Vec::new(); stores.len()];
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&cell) = cells.get(i) else { break };
-            if ctx.cancel.is_cancelled() {
-                break;
-            }
-            scheduler.acquire(job);
-            let _slot = HeldSlot(scheduler, job);
-            relations.iter_mut().for_each(Vec::clear);
-            let (rects, ids) = stores[start].cell(CellId(cell as u32));
-            relations[start].extend(rects.iter().copied().zip(ids.iter().copied()));
-            for step in &plan.steps()[1..] {
-                let edge = step.probe.as_ref().expect("non-root steps have a probe");
-                let (from, w) = (edge.from.index(), step.relation.index());
-                let bound = relations[from].iter().map(|(r, _)| *r);
-                // Nothing to bind from: the cell has no tuple.
-                let Some(window) = bound.reduce(|a, b| a.union(&b)) else {
-                    break;
-                };
-                let d = edge.predicate.distance();
-                gather(w, &window, d, &mut relations[w]);
-            }
-            kernel.execute_on(&GroupIndex::new(&relations), |tuple| {
-                let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));
-                tally[dc.0 as usize] += 1;
-                if !count_only {
-                    out.extend(tuple.iter().map(|&(_, id)| id));
-                }
-            });
-        }
-        (out, tally)
-    };
-    // The caller takes a share too: `workers - 1` threads are spawned, and
-    // a worker that panicked is resumed with its own payload.
-    let (ids, tally) = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let (mut ids, mut tally) = work();
-        for handle in spawned {
-            let (out, t) = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            ids.extend(out);
-            for (total, part) in tally.iter_mut().zip(t) {
-                *total += part;
-            }
-        }
-        (ids, tally)
-    });
-
-    if ctx.cancel.is_cancelled() {
-        return Err(JoinError::Job(JobError {
-            job: "map-side".to_string(),
-            phase: Phase::Reduce,
-            task: 0,
-            attempts: 1,
-            kind: JobErrorKind::Cancelled {
-                deadline_exceeded: ctx.cancel.cancelled_by_deadline(),
-            },
-        }));
-    }
-    Ok(ShardPartial {
-        ids,
+    // one buffer, and its tally by designated cell. The group's vectors
+    // live for one cell and die on the worker's thread: kept in the state
+    // the driver hands to the caller, they raised the peak RSS.
+    let init = || ShardPartial {
+        ids: Vec::new(),
         arity: stores.len(),
-        tally,
-    })
-}
-
-/// The slot one seed cell holds, returned on every path out of the cell.
-struct HeldSlot<'a>(&'a SlotScheduler, u64);
-
-impl Drop for HeldSlot<'_> {
-    fn drop(&mut self) {
-        self.0.release(self.1);
-    }
+        tally: vec![0; grid.num_cells() as usize],
+    };
+    let join_cell = |out: &mut ShardPartial, i: usize| {
+        let mut relations: Vec<Vec<LocalRect>> = vec![Vec::new(); stores.len()];
+        let (rects, ids) = stores[start].cell(CellId(cells[i]));
+        relations[start].extend(rects.iter().copied().zip(ids.iter().copied()));
+        for step in &plan.steps()[1..] {
+            let edge = step.probe.as_ref().expect("non-root steps have a probe");
+            let (from, w) = (edge.from.index(), step.relation.index());
+            let bound = relations[from].iter().map(|(r, _)| *r);
+            // Nothing to bind from: the cell has no tuple.
+            let Some(window) = bound.reduce(|a, b| a.union(&b)) else {
+                break;
+            };
+            let d = edge.predicate.distance();
+            gather(w, &window, d, &mut relations[w]);
+        }
+        kernel.execute_on(&GroupIndex::new(&relations), |tuple| {
+            let dc = multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r));
+            out.tally[dc.0 as usize] += 1;
+            if !count_only {
+                out.ids.extend(tuple.iter().map(|&(_, id)| id));
+            }
+        });
+    };
+    let workers = ctx
+        .engine
+        .run_tasks(ctx.spec("map-side"), cells.len(), init, join_cell)?;
+    Ok(ShardPartial::merge(workers))
 }

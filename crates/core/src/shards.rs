@@ -86,6 +86,31 @@ pub struct ShardPartial {
     pub tally: Vec<u64>,
 }
 
+impl ShardPartial {
+    /// Folds `partials` into one: tallies summed cell by cell, id buffers
+    /// appended in order (the first non-empty buffer is kept, so a lone
+    /// partial is never copied).
+    pub(crate) fn merge(partials: impl IntoIterator<Item = ShardPartial>) -> ShardPartial {
+        let mut merged = ShardPartial::default();
+        for p in partials {
+            debug_assert!(
+                p.ids.is_empty() || merged.ids.is_empty() || p.arity == merged.arity,
+                "one run, one arity"
+            );
+            merged.arity = merged.arity.max(p.arity);
+            let tally = &mut merged.tally;
+            tally.resize(tally.len().max(p.tally.len()), 0);
+            tally.iter_mut().zip(p.tally).for_each(|(t, c)| *t += c);
+            if merged.ids.is_empty() {
+                merged.ids = p.ids;
+            } else {
+                merged.ids.extend(p.ids);
+            }
+        }
+        merged
+    }
+}
+
 /// The run-level context [`gather`] needs to reconstruct the exact
 /// single-node [`JobMetrics`].
 #[derive(Debug, Clone)]
@@ -107,22 +132,7 @@ pub struct GatherSpec {
 /// byte-identical; wall-clock fields stamped from `spec`).
 #[must_use]
 pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
-    let num_cells = partials.iter().map(|p| p.tally.len()).max().unwrap_or(0);
-    let arity = partials.iter().map(|p| p.arity).max().unwrap_or(0);
-    let mut tally = vec![0u64; num_cells];
-    let mut ids: Vec<u32> = Vec::new();
-    for p in partials {
-        debug_assert!(p.ids.is_empty() || p.arity == arity, "one run, one arity");
-        for (total, part) in tally.iter_mut().zip(p.tally) {
-            *total += part;
-        }
-        // A single partial (the single-node run) keeps its buffer.
-        if ids.is_empty() {
-            ids = p.ids;
-        } else {
-            ids.extend(p.ids);
-        }
-    }
+    let ShardPartial { ids, arity, tally } = ShardPartial::merge(partials);
     let tuple_count: u64 = tally.iter().sum();
     let groups = tally.iter().filter(|&&t| t > 0).count() as u64;
     let metrics = JobMetrics {

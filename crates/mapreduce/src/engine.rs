@@ -1,4 +1,4 @@
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, FaultPlan, JobErrorKind, Phase};
 use crate::metrics::MetricsHub;
-use crate::schedule::{CancelToken, SlotScheduler};
+use crate::schedule::{CancelToken, JobRegistration, SlotScheduler};
 use crate::trace::{AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink};
 use crate::{Dfs, JobError, JobMetrics, MetricsReport, RecordSize, RunFrame};
 
@@ -393,7 +393,8 @@ const REEXEC_BIT: u32 = 1 << 30;
 
 /// Per-job state shared by every task of every phase: the job's identity,
 /// its fault, trace, scheduling and cancellation handles, its first
-/// failure, and the counters that belong to no single phase.
+/// failure, and the counters that belong to no single phase. The job is
+/// registered with the slot scheduler for as long as this lives.
 struct JobCtx<'a> {
     name: &'a str,
     id: u64,
@@ -401,6 +402,7 @@ struct JobCtx<'a> {
     sink: &'a TraceSink,
     scheduler: &'a SlotScheduler,
     cancel: &'a CancelToken,
+    _registration: JobRegistration<'a>,
     /// The first failure wins; `abort` stops every worker at its next
     /// task claim.
     failure: Mutex<Option<JobError>>,
@@ -434,22 +436,32 @@ impl JobCtx<'_> {
         self.abort.store(true, Ordering::SeqCst);
     }
 
+    /// Records the job's end, with `error` when it failed.
+    fn end(&self, error: Option<&JobError>) {
+        self.sink.record(TraceEvent::JobEnd {
+            job: self.id,
+            ts: self.sink.now_micros(),
+            error: error.map(ToString::to_string),
+        });
+    }
+
     /// Runs one phase of the job — the only place tasks are claimed and
-    /// slots are held. `workers` threads — the caller and `workers - 1`
-    /// scoped helpers — claim tasks `0..tasks` in order and run `body` on
-    /// each while holding one slot of the shared pool; the first `Err` (or
-    /// a tripped [`CancelToken`]) fails the job
-    /// and stops every worker at its next claim. Every acquired slot is
-    /// released on every path, and time spent queueing for and holding
-    /// slots is charged to the job. Returns the phase's wall time, or the
-    /// job's failure.
-    fn run_phase(
+    /// slots are held. The caller and `workers - 1` scoped helpers (never
+    /// more threads than slots) each build a state with `init`, claim
+    /// tasks `0..tasks` in order and run `body(&mut state, task)` on each,
+    /// holding a slot; the first `Err`, a tripped [`CancelToken`] or a
+    /// panic stops every worker at its next claim. Every slot is returned,
+    /// then a panic reaches the caller. Queue and slot time is charged to
+    /// the job. Returns the phase's wall time and each worker's state,
+    /// the caller's first.
+    fn run_phase<S: Send>(
         &self,
         span: SpanPhase,
         tasks: usize,
         workers: usize,
-        body: impl Fn(usize) -> Result<(), JobError> + Sync,
-    ) -> Result<Duration, JobError> {
+        init: impl Fn() -> S + Sync,
+        body: impl Fn(&mut S, usize) -> Result<(), JobError> + Sync,
+    ) -> Result<(Duration, Vec<S>), JobError> {
         let start = Instant::now();
         self.sink.record(TraceEvent::PhaseStart {
             job: self.id,
@@ -463,52 +475,47 @@ impl JobCtx<'_> {
             SpanPhase::Shuffle | SpanPhase::Reduce => Phase::Reduce,
         };
         let next_task = AtomicUsize::new(0);
-        let claim = || loop {
-            if self.abort.load(Ordering::SeqCst) {
-                break;
+        let claim = || {
+            let mut state = init();
+            while !self.abort.load(Ordering::SeqCst) {
+                let task = next_task.fetch_add(1, Ordering::Relaxed);
+                if task >= tasks {
+                    break;
+                }
+                // Cancellation is checked at every task claim (and again
+                // once a contended slot is finally granted), so a
+                // cancelled job stops within one task granularity.
+                if self.cancel.is_cancelled() {
+                    self.fail(self.cancelled(phase, task, 0));
+                    break;
+                }
+                let wait = self.scheduler.acquire(self.id);
+                let _slot = HeldSlot(self, Instant::now());
+                self.queue_wait_nanos
+                    .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+                if self.cancel.is_cancelled() {
+                    self.fail(self.cancelled(phase, task, 0));
+                } else if !self.abort.load(Ordering::SeqCst) {
+                    if let Err(err) = body(&mut state, task) {
+                        self.fail(err);
+                    }
+                }
             }
-            let task = next_task.fetch_add(1, Ordering::Relaxed);
-            if task >= tasks {
-                break;
-            }
-            // Cancellation is checked at every task claim (and again once
-            // a contended slot is finally granted), so a cancelled job
-            // stops within one task granularity.
-            if self.cancel.is_cancelled() {
-                self.fail(self.cancelled(phase, task, 0));
-                break;
-            }
-            let wait = self.scheduler.acquire(self.id);
-            self.queue_wait_nanos
-                .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-            let outcome = if self.cancel.is_cancelled() {
-                Err(self.cancelled(phase, task, 0))
-            } else if self.abort.load(Ordering::SeqCst) {
-                Ok(()) // another task already failed the job
-            } else {
-                let held = Instant::now();
-                let outcome = body(task);
-                self.slot_nanos
-                    .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                outcome
-            };
-            self.scheduler.release(self.id);
-            if let Err(err) = outcome {
-                self.fail(err);
-            }
+            state
         };
-        // The submitting thread is the first worker, so only the helpers
-        // are spawned: none for one worker, never more threads than slots.
-        // They are joined here because the scope only waits for them to
-        // finish, not to be gone, before the next phase spawns its own.
-        std::thread::scope(|scope| {
+        // The caller is the first worker, so only helpers are spawned. They
+        // are joined by hand — the scope waits for them to finish, not to be
+        // gone, before the next phase spawns its own — and a helper's panic
+        // is resumed here, after the scope has joined the rest.
+        let states = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..workers.min(self.scheduler.slots()))
                 .map(|_| scope.spawn(claim))
                 .collect();
-            claim();
+            let mut states = vec![claim()];
             for helper in helpers {
-                let _ = helper.join(); // the scope re-raises a helper's panic
+                states.push(helper.join().unwrap_or_else(|p| resume_unwind(p)));
             }
+            states
         });
         self.sink.record(TraceEvent::PhaseEnd {
             job: self.id,
@@ -517,8 +524,24 @@ impl JobCtx<'_> {
         });
         match self.failure.lock().take() {
             Some(err) => Err(err),
-            None => Ok(start.elapsed()),
+            None => Ok((start.elapsed(), states)),
         }
+    }
+}
+
+/// A slot held since the instant, returned and charged on every path out
+/// of its task; a task that panics also aborts its job.
+struct HeldSlot<'a>(&'a JobCtx<'a>, Instant);
+
+impl Drop for HeldSlot<'_> {
+    fn drop(&mut self) {
+        let job = self.0;
+        if std::thread::panicking() {
+            job.abort.store(true, Ordering::SeqCst);
+        }
+        job.slot_nanos
+            .fetch_add(self.1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        job.scheduler.release(job.id);
     }
 }
 
@@ -815,11 +838,72 @@ impl Engine {
         &self.scheduler
     }
 
-    /// Takes the next id of the job sequence, the key a job registers
-    /// with the [`SlotScheduler`] under — for a run that holds slots
-    /// without being an [`Engine::run`] job (the map-side join).
-    pub fn next_job_id(&self) -> u64 {
-        self.job_seq.fetch_add(1, Ordering::Relaxed)
+    /// Starts the job `spec` describes: takes its id, registers it with the
+    /// [`SlotScheduler`] while the context lives and records its start in
+    /// the spec's sink (the engine-wide one when the spec's is disabled).
+    fn start_job<'a, MF, PF, RF>(&'a self, spec: &'a JobSpec<MF, PF, RF>) -> JobCtx<'a> {
+        let sink = if spec.trace.is_enabled() {
+            &spec.trace
+        } else {
+            &self.config.trace
+        };
+        let id = self.job_seq.fetch_add(1, Ordering::Relaxed);
+        sink.record(TraceEvent::JobStart {
+            job: id,
+            name: spec.name.clone(),
+            ts: sink.now_micros(),
+        });
+        JobCtx {
+            name: &spec.name,
+            id,
+            injector: &self.injector,
+            sink,
+            scheduler: &self.scheduler,
+            cancel: &spec.cancel,
+            _registration: self.scheduler.register(id, spec.priority, spec.share),
+            failure: Mutex::new(None),
+            abort: AtomicBool::new(false),
+            queue_wait_nanos: AtomicU64::new(0),
+            slot_nanos: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            speculative_launched: AtomicU64::new(0),
+            speculative_won: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `tasks` independent tasks as one map-only job — the spec's
+    /// name, trace sink, scheduling weights and cancel token apply — and
+    /// returns every worker's state, the caller's first. The caller is the
+    /// first worker and starts a helper per *other* slot free at that
+    /// moment, never more workers than tasks: a lone job takes the pool, a
+    /// job beside others brings no thread. Each worker builds its state
+    /// with `init` and runs `body(&mut state, task)` on each task it
+    /// claims, holding one slot. A task is not an attempt: nothing is
+    /// injected or retried. A panic in `body` returns every slot, then
+    /// reaches the caller.
+    ///
+    /// # Errors
+    /// [`JobErrorKind::Cancelled`] if the spec's [`CancelToken`] has
+    /// tripped before this returns.
+    pub fn run_tasks<S: Send>(
+        &self,
+        spec: JobSpec,
+        tasks: usize,
+        init: impl Fn() -> S + Sync,
+        body: impl Fn(&mut S, usize) + Sync,
+    ) -> Result<Vec<S>, JobError> {
+        let job = self.start_job(&spec);
+        let workers = self.scheduler.available().min(tasks).max(1);
+        let body = |state: &mut S, task| {
+            body(state, task);
+            Ok(())
+        };
+        let result = match job.run_phase(SpanPhase::Map, tasks, workers, init, body) {
+            Ok(_) if spec.cancel.is_cancelled() => Err(job.cancelled(Phase::Map, 0, 0)),
+            run => run.map(|(_, states)| states),
+        };
+        job.end(result.as_ref().err());
+        result
     }
 
     /// Runs the job described by `spec` over `input`, returning the
@@ -851,6 +935,13 @@ impl Engine {
     /// [`JobErrorKind::Cancelled`] if the job's [`CancelToken`] trips
     /// (explicitly or by deadline) — detected at the next task boundary,
     /// never retried, all slots released.
+    ///
+    /// # Panics
+    /// If the spec has zero reducers. A panic in user code inside an
+    /// attempt fails only that attempt (above); one outside any attempt —
+    /// in a key's `Ord` while a reduce task merges its partition, say —
+    /// stops the job's other workers at their next claim, and once every
+    /// slot is returned the panic reaches the submitter.
     pub fn run<I, K, V, O, MF, PF, RF>(
         &self,
         spec: JobSpec<MF, PF, RF>,
@@ -865,70 +956,23 @@ impl Engine {
         PF: Fn(&K, usize) -> usize + Sync,
         RF: Fn(&K, &[V], &mut dyn FnMut(O)) + Sync,
     {
-        let JobSpec {
-            name,
-            reducers: num_partitions,
-            map_fn,
-            partition_fn,
-            reduce_fn,
-            trace,
-            priority,
-            share,
-            cancel,
-            collect,
-            input_fingerprint,
-        } = spec;
+        let num_partitions = spec.reducers;
         assert!(num_partitions > 0, "a job needs at least one partition");
 
-        // A per-job sink overrides the engine-wide one.
-        let sink = if trace.is_enabled() {
-            &trace
-        } else {
-            &self.config.trace
-        };
-        let injector = &self.injector;
-        let id = self.next_job_id();
+        let job = self.start_job(&spec);
+        let (injector, sink, id) = (job.injector, job.sink, job.id);
         let job_start = Instant::now();
-        sink.record(TraceEvent::JobStart {
-            job: id,
-            name: name.clone(),
-            ts: sink.now_micros(),
-        });
         let fail = |err: JobError| {
-            sink.record(TraceEvent::JobEnd {
-                job: id,
-                ts: sink.now_micros(),
-                error: Some(err.to_string()),
-            });
+            job.end(Some(&err));
             err
         };
         let mut metrics = JobMetrics {
-            job_name: name.clone(),
+            job_name: spec.name.clone(),
             map_input_records: input.len() as u64,
-            input_fingerprint,
+            input_fingerprint: spec.input_fingerprint,
             ..JobMetrics::default()
         };
-
-        // Fair-share scheduling: every concurrently running task of this
-        // job holds one slot of the shared pool; the guard unregisters the
-        // job on every exit path.
-        let _registration = self.scheduler.register(id, priority, share);
-        let job = JobCtx {
-            name: &name,
-            id,
-            injector,
-            sink,
-            scheduler: &self.scheduler,
-            cancel: &cancel,
-            failure: Mutex::new(None),
-            abort: AtomicBool::new(false),
-            queue_wait_nanos: AtomicU64::new(0),
-            slot_nanos: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            speculative_launched: AtomicU64::new(0),
-            speculative_won: AtomicU64::new(0),
-        };
-        if cancel.is_cancelled() {
+        if spec.cancel.is_cancelled() {
             return Err(fail(job.cancelled(Phase::Map, 0, 0)));
         }
 
@@ -967,11 +1011,11 @@ impl Engine {
                 };
                 let mut bad_partition: Option<usize> = None;
                 for record in chunks[task] {
-                    map_fn(record, &mut |k: K, v: V| {
+                    (spec.map_fn)(record, &mut |k: K, v: V| {
                         if bad_partition.is_some() {
                             return; // drain remaining emits of this record
                         }
-                        let p = partition_fn(&k, num_partitions);
+                        let p = (spec.partition_fn)(&k, num_partitions);
                         if p >= num_partitions {
                             bad_partition = Some(p);
                             return;
@@ -1000,12 +1044,13 @@ impl Engine {
                 Ok(commit)
             })
         };
-        metrics.map_wall = job
+        (metrics.map_wall, _) = job
             .run_phase(
                 SpanPhase::Map,
                 chunks.len(),
                 self.config.map_tasks,
-                |task| {
+                || (),
+                |(), task| {
                     let commit = map.run_task(task, &run_map_attempt)?;
                     // Atomic commit: each non-empty sorted bucket becomes one
                     // immutable run (moved, never copied — no contended
@@ -1109,12 +1154,13 @@ impl Engine {
         // The shuffle can fail two ways: cancellation, or a corrupt run
         // whose producer exhausted its re-execution budget — either
         // surfaces before the reduce phase starts.
-        metrics.shuffle_wall = job
+        (metrics.shuffle_wall, _) = job
             .run_phase(
                 SpanPhase::Shuffle,
                 num_partitions,
                 self.config.reduce_tasks,
-                |p| {
+                || (),
+                |(), p| {
                     let mut runs = partitions[p].lock();
                     runs.sort_by_key(|r| r.task);
                     for run in runs.iter_mut() {
@@ -1143,12 +1189,13 @@ impl Engine {
         let group_counter = AtomicU64::new(0);
         let max_partition = AtomicU64::new(0);
         let reduce = TaskCtx::new(&job, Phase::Reduce);
-        metrics.reduce_wall = job
+        (metrics.reduce_wall, _) = job
             .run_phase(
                 SpanPhase::Reduce,
                 num_partitions,
                 self.config.reduce_tasks,
-                |task| {
+                || (),
+                |(), task| {
                     let runs = std::mem::take(&mut *partitions[task].lock());
                     let t0 = Instant::now();
                     let merged = merge_sorted_runs(runs.into_iter().map(|r| r.records).collect());
@@ -1159,7 +1206,7 @@ impl Engine {
                         reduce.attempt(task, attempt, || {
                             let mut outputs = Vec::new();
                             merged.for_each_group(|key, values| {
-                                reduce_fn(key, values, &mut |o: O| outputs.push(o));
+                                (spec.reduce_fn)(key, values, &mut |o: O| outputs.push(o));
                             });
                             Ok(outputs)
                         })
@@ -1188,12 +1235,8 @@ impl Engine {
             ts: sink.now_micros(),
             metrics: Box::new(metrics.clone()),
         });
-        sink.record(TraceEvent::JobEnd {
-            job: id,
-            ts: sink.now_micros(),
-            error: None,
-        });
-        match &collect {
+        job.end(None);
+        match &spec.collect {
             Some(hub) => hub.push(metrics),
             None => self.metrics.lock().push(metrics),
         }

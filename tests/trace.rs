@@ -10,7 +10,8 @@
 use mwsj_core::mapreduce::{
     validate_json, FaultPlan, ForcedFault, JobMetrics, Phase, SpanPhase, TraceEvent, TraceSink,
 };
-use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun};
+use mwsj_core::store::{StoreBuilder, StoredDataset};
+use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
 use mwsj_geom::Rect;
 use mwsj_query::Query;
 
@@ -203,6 +204,56 @@ fn span_of(events: &[TraceEvent], jobid: u64, phase: Option<SpanPhase>) -> (u64,
         }
         _ => panic!("job {jobid} {phase:?}: unmatched span"),
     }
+}
+
+#[test]
+fn a_map_side_run_records_one_job_span_holding_one_phase_span() {
+    // Distance conditions: overlaps alone are too rare in this space.
+    let q = Query::parse("R1 within 1000 of R2 and R2 within 1000 of R3").unwrap();
+    let cluster = cluster_with(None);
+    let builder = StoreBuilder::new(cluster.grid());
+    let stores: Vec<StoredDataset> = [81, 82, 83]
+        .iter()
+        .map(|&seed| {
+            let bytes = builder.build(&synthetic(1_500, seed)).expect("build");
+            StoredDataset::from_bytes(&bytes).expect("open")
+        })
+        .collect();
+    let stores: Vec<&StoredDataset> = stores.iter().collect();
+    let run = |trace: TraceSink| {
+        let run = StoredRun::new(&q, &stores).algorithm(Algorithm::MapSide);
+        cluster
+            .submit_stored(&run.trace(trace))
+            .expect("map-side run")
+    };
+    let sink = TraceSink::recording();
+    let traced = run(sink.clone());
+    assert!(!traced.tuples.is_empty());
+    assert_eq!(traced.tuples, run(TraceSink::disabled()).tuples);
+
+    let events = sink.events();
+    let jobs: Vec<(u64, &str)> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::JobStart { job, name, .. } => Some((*job, name.as_str())),
+            _ => None,
+        })
+        .collect();
+    let [(job, "map-side")] = jobs[..] else {
+        panic!("want one map-side job, got {jobs:?}");
+    };
+    let phases = events
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::PhaseStart { .. }))
+        .count();
+    assert_eq!(phases, 1);
+    let job_span = span_of(&events, job, None);
+    let phase_span = span_of(&events, job, Some(SpanPhase::Map));
+    assert!(job_span.0 <= phase_span.0 && phase_span.1 <= job_span.1);
+    assert!(events
+        .iter()
+        .any(|ev| matches!(ev, TraceEvent::JobEnd { error: None, .. })));
+    validate_json(&sink.to_chrome_trace()).expect("chrome trace must be well-formed JSON");
 }
 
 #[test]
