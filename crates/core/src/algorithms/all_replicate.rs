@@ -28,10 +28,10 @@ pub(crate) fn run(
         filter: TupleFilter::Designated,
         earlier: Vec::new(),
     };
-    replicate_join(ctx, query, job, &inputs.indices(), |&i: &u32, emit| {
-        let tr = inputs.get(i);
+    let read = |i| inputs.get(i);
+    replicate_join(ctx, query, job, inputs.total(), read, |tr, emit| {
         for cell in grid.fourth_quadrant_cells(&tr.rect) {
-            emit(cell.0, tr);
+            emit(cell.0);
         }
     })
 }

@@ -28,6 +28,7 @@ use mwsj_partition::CellId;
 use mwsj_query::{Predicate, Query, RelationId, Triple};
 
 use super::{AlgoCtx, Inputs};
+use crate::record::InputRef;
 use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 
 /// A partially-joined tuple: one optional `(id, rect)` slot per relation
@@ -57,28 +58,51 @@ impl RecordSize for Partial {
     }
 }
 
-/// One shuffled record of a cascade stage: either an intermediate tuple or
-/// a base rectangle of the relation being joined in.
-enum Side {
-    Tuple(Partial),
-    Base(TaggedRect),
-}
-
-impl RecordSize for Side {
-    fn size_bytes(&self) -> usize {
-        1 + match self {
-            Side::Tuple(p) => p.size_bytes(),
-            Side::Base(tr) => tr.size_bytes(),
-        }
-    }
-}
-
-/// One record of a cascade stage's input, read where it lives: a tuple of
-/// the previous stage's result, borrowed, or a base record of the bound
-/// inputs. The mapper clones a tuple only into the [`Side`]s it emits.
+/// One record of a cascade stage's input, read where it lives: on the
+/// anchor side a tuple of the previous stage's result, borrowed, or at
+/// stage 0 a base record of the anchor relation with the query's relation
+/// count; on the other side a base record of the relation being joined
+/// in. A stage shuffles the record's index, charged [`SideRef::bytes`].
 enum SideRef<'a> {
     Tuple(&'a Partial),
+    Anchor(TaggedRect, usize),
     Base(TaggedRect),
+}
+
+impl SideRef<'_> {
+    /// What shipping the record costs: a side tag byte, then the tuple —
+    /// a stage-0 anchor as the one-slot tuple it binds — or the base record.
+    fn bytes(&self) -> u32 {
+        let body = match self {
+            SideRef::Tuple(p) => p.size_bytes(),
+            SideRef::Anchor(_, n) => n + 4 + 32,
+            SideRef::Base(tr) => tr.size_bytes(),
+        };
+        (1 + body) as u32
+    }
+
+    /// The rectangle at `pos`: the anchor of a tuple, or the record's own.
+    fn rect(&self, pos: usize) -> Rect {
+        match self {
+            SideRef::Tuple(p) => p.rect(pos),
+            SideRef::Anchor(tr, _) | SideRef::Base(tr) => tr.rect,
+        }
+    }
+
+    /// The anchor-side record as a tuple with `(id, rect)` bound at `pos`
+    /// too: a stage-0 anchor is lifted only here, for an output.
+    fn bind(&self, pos: usize, id: u32, rect: Rect) -> Partial {
+        match *self {
+            SideRef::Tuple(p) => p.bind(pos, id, rect),
+            SideRef::Anchor(tr, n) => {
+                let mut slots = vec![None; n];
+                slots[tr.relation.index()] = Some((tr.id, tr.rect));
+                slots[pos] = Some((id, rect));
+                Partial { slots }
+            }
+            SideRef::Base(tr) => unreachable!("a base record binds no tuple: {tr:?}"),
+        }
+    }
 }
 
 /// One output record of a cascade stage. In count-only mode the final
@@ -172,9 +196,7 @@ pub(crate) fn run(
         let name = format!("cascade-stage-{stage}");
 
         let (result, count) = match kind {
-            Stage::Base => {
-                base_base_join(ctx, inputs, query.num_relations(), triple, &name, counting)?
-            }
+            Stage::Base => base_base_join(ctx, inputs, triple, &name, counting)?,
             Stage::Extend { anchor, new } => stage_join(
                 ctx,
                 inputs,
@@ -237,7 +259,6 @@ pub(crate) fn run(
 fn base_base_join(
     ctx: &AlgoCtx<'_>,
     inputs: Inputs<'_>,
-    n: usize,
     triple: Triple,
     name: &str,
     counting: bool,
@@ -245,15 +266,9 @@ fn base_base_join(
     let (l, r) = (triple.left, triple.right);
     let left = inputs.size(l.index());
     // The left relation's records, then the right's.
-    let read = |i: usize| {
-        SideRef::Base(match i.checked_sub(left) {
-            None => inputs.record(l.index(), i),
-            Some(i) => inputs.record(r.index(), i),
-        })
-    };
-
-    let empty = Partial {
-        slots: vec![None; n],
+    let read = |i: u32| match (i as usize).checked_sub(left) {
+        None => SideRef::Anchor(inputs.record(l.index(), i as usize), inputs.len()),
+        Some(i) => SideRef::Base(inputs.record(r.index(), i)),
     };
     run_pair_job(
         ctx,
@@ -263,10 +278,6 @@ fn base_base_join(
         triple.predicate,
         l,
         false,
-        move |tr| {
-            // Anchor side: wrap the base rectangle as a fresh partial.
-            empty.bind(l.index(), tr.id, tr.rect)
-        },
         r,
         counting,
     )
@@ -286,9 +297,9 @@ fn stage_join(
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     // The intermediate tuples, then the new relation's records.
-    let read = |i: usize| match intermediate.get(i) {
+    let read = |i: u32| match intermediate.get(i as usize) {
         Some(p) => SideRef::Tuple(p),
-        None => SideRef::Base(inputs.record(new_pos.index(), i - intermediate.len())),
+        None => SideRef::Base(inputs.record(new_pos.index(), i as usize - intermediate.len())),
     };
     run_pair_job(
         ctx,
@@ -298,68 +309,58 @@ fn stage_join(
         triple.predicate,
         anchor_pos,
         anchor_pos == triple.right,
-        |tr| panic!("unexpected base record for anchor relation {tr:?}"),
         new_pos,
         counting,
     )
 }
 
-/// The shared 2-way job: anchor-side records (intermediate tuples, or base
-/// rectangles lifted by `lift`) are routed by their enlarged anchor
-/// rectangle; `new_pos` base rectangles are split. Each reducer pairs them
-/// with one `GroupIndex::pairs` sweep and keeps a pair only at its
-/// designated cell. The map input is the indices `0..records`; `read`
-/// yields the record behind each.
+/// The shared 2-way job: anchor-side records are routed by their enlarged
+/// anchor rectangle, `new_pos` base rectangles are split. Each reducer
+/// pairs them with one `GroupIndex::pairs` sweep and keeps a pair only at
+/// its designated cell.
+/// The map input, and what the reducers receive, is the indices
+/// `0..records`; `read` yields the record behind each.
 #[allow(clippy::too_many_arguments)]
 fn run_pair_job<'a>(
     ctx: &AlgoCtx<'_>,
     name: &str,
     records: usize,
-    read: impl Fn(usize) -> SideRef<'a> + Sync,
+    read: impl Fn(u32) -> SideRef<'a> + Sync,
     predicate: Predicate,
     anchor_pos: RelationId,
     anchor_is_right: bool,
-    lift: impl Fn(&TaggedRect) -> Partial + Sync,
     new_pos: RelationId,
     counting: bool,
 ) -> Result<(Vec<Partial>, u64), JoinError> {
     let grid = ctx.grid;
     let d = predicate.distance();
+    let anchor = anchor_pos.index();
     let outputs: Vec<StageOut> = ctx.engine.run(
         ctx.spec(name)
-            .map(|&i: &u32, emit| match read(i as usize) {
-                SideRef::Tuple(p) => {
-                    for cell in grid.split_cells_enlarged(&p.rect(anchor_pos.index()), d) {
-                        emit(cell.0, Side::Tuple(p.clone()));
-                    }
-                }
-                SideRef::Base(tr) if tr.relation == anchor_pos => {
-                    // Stage 0 anchor side: lift to a partial, route enlarged.
-                    let p = lift(&tr);
-                    for cell in grid.split_cells_enlarged(&tr.rect, d) {
-                        emit(cell.0, Side::Tuple(p.clone()));
-                    }
-                }
-                SideRef::Base(tr) => {
-                    for cell in grid.split_cells(&tr.rect) {
-                        emit(cell.0, Side::Base(tr));
-                    }
+            .map(|&index: &u32, emit| {
+                let record = read(index);
+                let cells = match record {
+                    SideRef::Base(tr) => grid.split_cells(&tr.rect),
+                    _ => grid.split_cells_enlarged(&record.rect(anchor), d),
+                };
+                let charge = record.bytes();
+                for cell in cells {
+                    emit(cell.0, InputRef { index, charge });
                 }
             })
             .partition(|&k: &u32, p| k as usize % p)
-            .reduce(|&cell: &u32, values: &[Side], out| {
-                // Borrow the partial tuples straight out of the shuffle
-                // slice; only the anchors and the (small) base pairs are
-                // copied out, as the two sides of a one-edge group.
-                let mut tuples: Vec<&Partial> = Vec::new();
+            .reduce(|&cell: &u32, values: &[InputRef<u32>], out| {
+                // Anchors stay where they live, bound into a tuple only for
+                // an output; the sides of the one-edge group are copied out.
+                let mut anchors: Vec<u32> = Vec::new();
                 let mut sides: [Vec<LocalRect>; 2] = Default::default();
                 for v in values {
-                    match v {
-                        Side::Tuple(p) => {
-                            sides[0].push((p.rect(anchor_pos.index()), 0));
-                            tuples.push(p);
+                    match read(v.index) {
+                        SideRef::Base(tr) => sides[1].push((tr.rect, tr.id)),
+                        record => {
+                            sides[0].push((record.rect(anchor), 0));
+                            anchors.push(v.index);
                         }
-                        Side::Base(tr) => sides[1].push((tr.rect, tr.id)),
                     }
                 }
                 if sides.iter().any(Vec::is_empty) {
@@ -367,25 +368,26 @@ fn run_pair_job<'a>(
                 }
                 let pairs = GroupIndex::new(&sides).pairs(0, 1, d, None);
                 let mut found = 0u64;
-                for (i, (p, &(anchor, _))) in tuples.iter().zip(&sides[0]).enumerate() {
+                for (i, (&index, &(anchor_rect, _))) in anchors.iter().zip(&sides[0]).enumerate() {
                     for &j in pairs.from(0, 1).row(i) {
                         let (rect, id) = sides[1][j as usize];
                         // The pair list equals the predicate for Overlap
                         // and Range; asymmetric predicates (Contains) need the
                         // exact oriented check on top.
-                        if !predicate.eval_oriented(&anchor, &rect, anchor_is_right) {
+                        if !predicate.eval_oriented(&anchor_rect, &rect, anchor_is_right) {
                             continue;
                         }
                         // Designated cell (§5.3): the start of the overlap
                         // between the enlarged anchor and the partner.
                         let designated =
-                            mwsj_local::dedup::range_pair_cell(grid, &anchor, &rect, d)
+                            mwsj_local::dedup::range_pair_cell(grid, &anchor_rect, &rect, d)
                                 .expect("within distance implies enlarged overlap");
                         if designated == CellId(cell) {
                             if counting {
                                 found += 1;
                             } else {
-                                out(StageOut::Tuple(p.bind(new_pos.index(), id, rect)));
+                                let tuple = read(index).bind(new_pos.index(), id, rect);
+                                out(StageOut::Tuple(tuple));
                             }
                         }
                     }

@@ -89,7 +89,7 @@ use mwsj_partition::{CellId, Grid};
 use mwsj_query::{replication_bounds, Query, RelationId};
 
 use super::{join_group, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, TupleFilter};
-use crate::record::group_by_relation;
+use crate::record::{group_by_relation, InputRef};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
 /// The C-Rep-L replication reach per relation position, on each axis: the
@@ -131,19 +131,18 @@ pub(crate) fn run(
     let kernel = JoinKernel::new(query);
 
     // ---- Round 1: split everything; mark and join per cell -----------
-    // The map reads the bound relations in place; its index vector is
-    // dropped with the job, before round 2.
+    // The map and the reducers read the bound relations in place; the
+    // index vector is dropped with the job, before round 2.
     let round1: Vec<Round1> = engine.run(
         ctx.spec("c-rep-round1-mark")
             .map(|&i: &u32, emit| {
-                let tr = inputs.get(i);
-                for cell in grid.split_cells(&tr.rect) {
-                    emit(cell.0, tr);
+                for cell in grid.split_cells(&inputs.get(i).rect) {
+                    emit(cell.0, InputRef::fixed(i));
                 }
             })
             .partition(|&k: &u32, p| k as usize % p)
-            .reduce(|&cell: &u32, values: &[TaggedRect], out| {
-                let rels = group_by_relation(n, values.iter().copied());
+            .reduce(|&cell: &u32, values: &[InputRef], out| {
+                let rels = group_by_relation(n, values.iter().map(|v| inputs.get(v.index)));
                 // One sweep per edge serves the marking and the join below.
                 let group = GroupIndex::new(&rels);
                 let flags = marking::mark_indexed(query, grid, CellId(cell), &group);
@@ -200,13 +199,14 @@ pub(crate) fn run(
         filter: TupleFilter::DesignatedCrossCell,
         earlier: joined,
     };
-    replicate_join(ctx, query, job, &marked, |tr: &TaggedRect, emit| {
+    let read = |i: u32| marked[i as usize];
+    replicate_join(ctx, query, job, marked.len(), read, |tr, emit| {
         let targets = match &bounds {
             Some(b) => grid.fourth_quadrant_cells_within(&tr.rect, b[tr.relation.index()]),
             None => grid.fourth_quadrant_cells(&tr.rect),
         };
         for cell in targets {
-            emit(cell.0, *tr);
+            emit(cell.0);
         }
     })
 }

@@ -136,13 +136,11 @@ pub(crate) fn run(
         filter: TupleFilter::All,
         earlier: Vec::new(),
     };
-    replicate_join(ctx, query, job, &inputs.indices(), |&i: &u32, emit| {
-        let tr = inputs.get(i);
+    let read = |i| inputs.get(i);
+    replicate_join(ctx, query, job, inputs.total(), read, |tr, emit| {
         let own = tr.relation.index();
-        let coordinate = own_coordinate(&tr, shares[own]);
-        for key in replica_keys(&shares, &strides, own, coordinate) {
-            emit(key, tr);
-        }
+        let coordinate = own_coordinate(tr, shares[own]);
+        replica_keys(&shares, &strides, own, coordinate).for_each(emit);
     })
 }
 

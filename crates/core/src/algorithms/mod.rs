@@ -20,7 +20,7 @@ use mwsj_query::{Query, RelationId};
 use mwsj_store::StoredDataset;
 use serde::{Deserialize, Serialize};
 
-use crate::record::group_by_relation;
+use crate::record::{group_by_relation, InputRef};
 use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 
 /// Everything an algorithm needs from the cluster plus the per-run
@@ -365,18 +365,20 @@ pub(crate) struct JoinJob {
 /// compiled local join over whatever arrived. The algorithms differ only
 /// in `route` — their mapping schema — and in the [`JoinJob`] description.
 ///
-/// `input` is what the map phase walks, and `route` reads the record
-/// behind each element: the one-round algorithms pass [`Inputs::indices`]
-/// and read the bound relations in place with [`Inputs::get`]; C-Rep's
-/// round 2 passes the marked stream its round 1 materialized. Every input
-/// record counts as *replicated* in the stats: no caller routes a record
-/// by projection.
-pub(crate) fn replicate_join<I: Sync>(
+/// The map walks the indices `0..records` and `read` yields the record
+/// behind each: the one-round algorithms read the bound relations in
+/// place with [`Inputs::get`]; C-Rep's round 2 reads the marked stream its
+/// round 1 materialized. `route` only names the keys; each pair carries
+/// the record's index, which the reducer reads again. Every input record
+/// counts as *replicated* in the stats: no caller routes a record by
+/// projection.
+pub(crate) fn replicate_join(
     ctx: &AlgoCtx<'_>,
     query: &Query,
     job: JoinJob,
-    input: &[I],
-    route: impl Fn(&I, &mut dyn FnMut(u32, TaggedRect)) + Sync,
+    records: usize,
+    read: impl Fn(u32) -> TaggedRect + Sync,
+    route: impl Fn(&TaggedRect, &mut dyn FnMut(u32)) + Sync,
 ) -> Result<JoinOutput, JoinError> {
     let n = query.num_relations();
     // Compile the local-join kernel once; the reduce closure shares it
@@ -385,20 +387,20 @@ pub(crate) fn replicate_join<I: Sync>(
 
     let mut raw: Vec<Vec<u32>> = ctx.engine.run(
         ctx.spec(job.name)
-            .map(route)
+            .map(|&i: &u32, emit| route(&read(i), &mut |key| emit(key, InputRef::fixed(i))))
             .partition(|&k: &u32, p| k as usize % p)
-            .reduce(|&key: &u32, values: &[TaggedRect], out| {
-                let rels = group_by_relation(n, values.iter().copied());
+            .reduce(|&key: &u32, values: &[InputRef], out| {
+                let rels = group_by_relation(n, values.iter().map(|v| read(v.index)));
                 join_group(ctx, &kernel, job.filter, key, &GroupIndex::new(&rels), out);
             }),
-        input,
+        &(0..records as u32).collect::<Vec<u32>>(),
     )?;
     raw.extend(job.earlier);
 
     let report = ctx.report();
     let join = report.jobs.last().expect("the join job just ran");
     let stats = ReplicationStats {
-        rectangles_replicated: input.len() as u64,
+        rectangles_replicated: records as u64,
         rectangles_after_replication: join.map_output_records,
     };
     let (tuples, tuple_count) = finish_tuples(raw, ctx.count_only);

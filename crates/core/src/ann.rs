@@ -37,6 +37,7 @@ use mwsj_mapreduce::JobSpec;
 use mwsj_partition::CellId;
 use mwsj_rtree::{PackedRTree, RTree};
 
+use crate::record::{Fixed, InputRef};
 use crate::{Cluster, JoinError};
 
 /// One nearest-neighbor result: the outer record, one of its nearest inner
@@ -136,7 +137,8 @@ pub fn try_knn_join(
     let diag = extent.diagonal();
 
     // Rounds 1–2 map over record indices, the outer records then the
-    // inner ones, and read each record in place.
+    // inner ones, and read each record in place: the map, and the reducer
+    // through the index it shuffles.
     let input: Vec<u32> = (0..(outer.len() + inner.len()) as u32).collect();
     let read = |i: u32| match (i as usize).checked_sub(outer.len()) {
         None => Record::Outer(i, outer[i as usize]),
@@ -148,12 +150,12 @@ pub fn try_knn_join(
         JobSpec::new("knn-round1-candidates")
             .reducers(grid.num_cells() as usize)
             .map(|&i: &u32, emit| match read(i) {
-                record @ Record::Outer(_, r) => emit(grid.cell_of(&r).0, record),
-                record @ Record::Inner(_, r) => emit_to(grid.split_cells(&r), record, emit),
+                Record::Outer(_, r) => emit(grid.cell_of(&r).0, InputRef::fixed(i)),
+                Record::Inner(_, r) => emit_to(grid.split_cells(&r), i, emit),
             })
             .partition(|&cell: &u32, _| cell as usize)
-            .reduce(|_: &u32, values: &[Record], out| {
-                let (outers, inners) = partition_records(values);
+            .reduce(|_: &u32, values: &[RecordRef], out| {
+                let (outers, inners) = partition_records(values.iter().map(|v| read(v.index)));
                 let tree = RTree::bulk_load(inners);
                 let tree = tree.view();
                 for (id, r) in outers {
@@ -176,16 +178,15 @@ pub fn try_knn_join(
         JobSpec::new("knn-round2-verify")
             .reducers(grid.num_cells() as usize)
             .map(|&i: &u32, emit| {
-                let record = read(i);
-                let cells = match record {
+                let cells = match read(i) {
                     Record::Outer(id, r) => grid.split_cells_enlarged(&r, ub_of[id as usize]),
                     Record::Inner(_, r) => grid.split_cells(&r),
                 };
-                emit_to(cells, record, emit);
+                emit_to(cells, i, emit);
             })
             .partition(|&cell: &u32, _| cell as usize)
-            .reduce(|_: &u32, values: &[Record], out| {
-                let (outers, inners) = partition_records(values);
+            .reduce(|_: &u32, values: &[RecordRef], out| {
+                let (outers, inners) = partition_records(values.iter().map(|v| read(v.index)));
                 if inners.is_empty() {
                     return;
                 }
@@ -241,23 +242,21 @@ impl mwsj_mapreduce::RecordSize for NearestNeighbor {
     }
 }
 
-/// A round-1/2 shuffle record: an outer or inner rectangle with its id.
+/// A round-1/2 input record: an outer or inner rectangle with its id.
 #[derive(Clone, Copy)]
 enum Record {
     Outer(u32, Rect),
     Inner(u32, Rect),
 }
 
-impl mwsj_mapreduce::RecordSize for Record {
-    fn size_bytes(&self) -> usize {
-        1 + 4 + 32
-    }
-}
+/// A round-1/2 shuffle value: the index of a [`Record`], charged its side
+/// tag (1), id (4) and four corners (32).
+type RecordRef = InputRef<Fixed<{ 1 + 4 + 32 }>>;
 
-/// Emits one copy of `record` to every cell of `cells`.
-fn emit_to(cells: Vec<CellId>, record: Record, emit: &mut dyn FnMut(u32, Record)) {
+/// Emits a reference to input record `i` to every cell of `cells`.
+fn emit_to(cells: Vec<CellId>, i: u32, emit: &mut dyn FnMut(u32, RecordRef)) {
     for cell in cells {
-        emit(cell.0, record);
+        emit(cell.0, InputRef::fixed(i));
     }
 }
 
@@ -267,10 +266,10 @@ type OuterList = Vec<(u32, Rect)>;
 type InnerList = Vec<(Rect, u32)>;
 
 /// Splits reducer input into `(outer, inner)` lists.
-fn partition_records(values: &[Record]) -> (OuterList, InnerList) {
+fn partition_records(values: impl Iterator<Item = Record>) -> (OuterList, InnerList) {
     let mut outers = Vec::new();
     let mut inners = Vec::new();
-    for &v in values {
+    for v in values {
         match v {
             Record::Outer(id, r) => outers.push((id, r)),
             Record::Inner(id, r) => inners.push((r, id)),

@@ -24,10 +24,44 @@ impl TaggedRect {
     }
 }
 
+/// A [`TaggedRect`]'s encoded size: relation tag (2), id (4), four f64 corners (32).
+pub(crate) const TAGGED_RECT_BYTES: usize = 2 + 4 + 32;
+
 impl RecordSize for TaggedRect {
     fn size_bytes(&self) -> usize {
-        // relation tag (2) + id (4) + four f64 corners (32).
-        2 + 4 + 32
+        TAGGED_RECT_BYTES
+    }
+}
+
+/// A shuffled value naming record `index` of its job's immutable input,
+/// which the reducer reads there, charged the encoded size of that record:
+/// `N` for a [`Fixed<N>`] charge, which takes no space, or the `u32` it
+/// carries. The default names a [`TaggedRect`].
+pub(crate) struct InputRef<C = Fixed<TAGGED_RECT_BYTES>> {
+    pub index: u32,
+    pub charge: C,
+}
+
+/// The charge of a record type whose every record encodes to `N` bytes.
+pub(crate) struct Fixed<const N: usize>;
+
+impl<const N: usize> InputRef<Fixed<N>> {
+    /// Names input record `index`, charged `N` bytes.
+    pub fn fixed(index: u32) -> Self {
+        let charge = Fixed;
+        Self { index, charge }
+    }
+}
+
+impl<const N: usize> RecordSize for InputRef<Fixed<N>> {
+    fn size_bytes(&self) -> usize {
+        N
+    }
+}
+
+impl RecordSize for InputRef<u32> {
+    fn size_bytes(&self) -> usize {
+        self.charge as usize
     }
 }
 
@@ -53,6 +87,10 @@ mod tests {
     fn size_is_stable() {
         let tr = TaggedRect::new(RelationId(1), 7, Rect::new(0.0, 1.0, 2.0, 1.0));
         assert_eq!(tr.size_bytes(), 38);
+        let named: InputRef = InputRef::fixed(7);
+        assert_eq!(named.size_bytes(), tr.size_bytes());
+        // A buffered pair is a key and an index.
+        assert_eq!(std::mem::size_of::<(u32, InputRef)>(), 8);
     }
 
     #[test]

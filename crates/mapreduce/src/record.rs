@@ -4,6 +4,11 @@
 /// memory), but the paper's communication-cost arguments are about bytes on
 /// the wire and on HDFS, so every key, value and stored record reports the
 /// size it *would* occupy in a compact binary encoding.
+///
+/// A shuffled value may be a reference into its job's immutable input —
+/// an index the reducer resolves against the same input — rather than a
+/// copy of a record. It reports the encoded size of the record it names,
+/// so shuffle bytes and run frames are those of shipping that record.
 pub trait RecordSize {
     /// The record's encoded size in bytes.
     fn size_bytes(&self) -> usize;

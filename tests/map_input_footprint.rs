@@ -106,10 +106,6 @@ fn stores(grid: &Grid, relations: &[Vec<Rect>]) -> Vec<StoredDataset> {
 /// allocation stays below a tagged copy of the input — over a whole run,
 /// and over what a run allocates before its first map task (a run whose
 /// token is cancelled up front, which its first job refuses to start).
-///
-/// All-Rep is held to the second bound only: the bottom-right cell lies in
-/// the 4th quadrant of every rectangle (§6.1), so its reduce task receives
-/// every record, and holding them is that reducer's input, not a copy.
 #[test]
 fn no_shuffle_algorithm_copies_its_input() {
     let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
@@ -148,7 +144,7 @@ fn no_shuffle_algorithm_copies_its_input() {
 
             let (out, _, largest) = measure(|| run(&CancelToken::new()));
             assert!(out.unwrap().tuple_count > 0, "{algorithm} over {binding}");
-            if largest >= copy && algorithm != Algorithm::AllReplicate {
+            if largest >= copy {
                 copies.push(format!(
                     "{algorithm} over {binding}: {largest} B in the run"
                 ));
