@@ -717,12 +717,7 @@ fn cmd_ann(args: &Args) -> Result<(), String> {
         mwsj_core::ann::try_knn_join(&cluster, &outer, &inner, k)
             .map_err(|e| format!("nearest-neighbor join failed: {e}"))?
             .concat();
-    eprintln!(
-        "{} nearest neighbors in {:?} ({} jobs)",
-        result.len(),
-        t0.elapsed(),
-        cluster.engine().report().num_jobs()
-    );
+    eprintln!("{} nearest neighbors in {:?}", result.len(), t0.elapsed());
     if let Some(t) = &trace {
         t.write()?;
     }

@@ -181,7 +181,6 @@ pub(crate) fn run(
     query: &Query,
     inputs: Inputs<'_>,
 ) -> Result<JoinOutput, JoinError> {
-    let engine = ctx.engine;
     let order = execution_order(query);
     let mut intermediate: Vec<Partial> = Vec::new();
     // In count-only mode the *final* stage only counts its output — every
@@ -226,9 +225,7 @@ pub(crate) fn run(
         // Materialize the intermediate result between jobs, as a Hadoop
         // cascade must (§6.4).
         if !last_stage {
-            intermediate = engine
-                .dfs
-                .materialize(&format!("cascade/stage-{stage}"), intermediate)?;
+            intermediate = ctx.materialize(&format!("cascade/stage-{stage}"), intermediate)?;
         }
     }
 
@@ -335,7 +332,7 @@ fn run_pair_job<'a>(
     let grid = ctx.grid;
     let d = predicate.distance();
     let anchor = anchor_pos.index();
-    let outputs: Vec<StageOut> = ctx.engine.run(
+    let outputs: Vec<StageOut> = ctx.run(
         ctx.spec(name)
             .map(|&index: &u32, emit| {
                 let record = read(index);

@@ -125,7 +125,6 @@ pub(crate) fn run(
     inputs: Inputs<'_>,
     limit: bool,
 ) -> Result<JoinOutput, JoinError> {
-    let engine = ctx.engine;
     let grid = ctx.grid;
     let n = query.num_relations();
     let kernel = JoinKernel::new(query);
@@ -133,7 +132,7 @@ pub(crate) fn run(
     // ---- Round 1: split everything; mark and join per cell -----------
     // The map and the reducers read the bound relations in place; the
     // index vector is dropped with the job, before round 2.
-    let round1: Vec<Round1> = engine.run(
+    let round1: Vec<Round1> = ctx.run(
         ctx.spec("c-rep-round1-mark")
             .map(|&i: &u32, emit| {
                 for cell in grid.split_cells(&inputs.get(i).rect) {
@@ -183,7 +182,7 @@ pub(crate) fn run(
     // Materialize the marked stream between jobs, as Hadoop does. Under
     // fault injection the read-back may hit transient failures; exhausted
     // retries surface as a `JoinError::Dfs`.
-    let marked = engine.dfs.materialize("c-rep/marked", marked)?;
+    let marked = ctx.materialize("c-rep/marked", marked)?;
 
     let bounds: Option<Vec<f64>> = limit.then(|| limited_reach(query, inputs.max_diagonal(), grid));
 

@@ -14,10 +14,13 @@ pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
 use mwsj_local::{multiway, GroupIndex, JoinKernel, LocalRect};
-use mwsj_mapreduce::{CancelToken, Engine, JobSpec, MetricsHub, MetricsReport, TraceSink, Unset};
+use mwsj_mapreduce::{
+    CancelToken, DfsError, Engine, JobError, JobSpec, MetricsReport, RecordSize, TraceSink, Unset,
+};
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Query, RelationId};
 use mwsj_store::StoredDataset;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::record::{group_by_relation, InputRef};
@@ -40,10 +43,11 @@ pub(crate) struct AlgoCtx<'a> {
     pub trace: &'a TraceSink,
     /// Cooperative cancellation token threaded into every job of the run.
     pub cancel: CancelToken,
-    /// Per-run metrics hub: this run's jobs deliver their metrics here
-    /// instead of the engine-global vector, so concurrent runs on a shared
-    /// cluster read exactly their own jobs.
-    pub hub: MetricsHub,
+    /// This run's metrics: [`AlgoCtx::run`] appends each job's,
+    /// [`AlgoCtx::materialize`] charges the DFS counters; nothing else
+    /// writes it, so concurrent runs on a shared cluster each read exactly
+    /// their own.
+    pub metrics: Mutex<MetricsReport>,
     /// Slot-scheduler priority of this run's jobs.
     pub priority: i32,
     /// Slot-scheduler fair-share weight of this run's jobs.
@@ -51,46 +55,58 @@ pub(crate) struct AlgoCtx<'a> {
     /// Combined fingerprint of the stores bound to the query positions
     /// (0 for in-memory slices, which carry none).
     pub input_fingerprint: u64,
-    /// DFS counters (read bytes, write bytes, transient failures) at
-    /// submit time; [`AlgoCtx::report`] subtracts them so a run's report
-    /// covers its own DFS traffic without resetting shared engine state.
-    pub dfs_base: (u64, u64, u64),
 }
 
 impl AlgoCtx<'_> {
     /// A [`JobSpec`] pre-wired with this run's reducer count, trace sink,
-    /// cancellation token, metrics hub, scheduling parameters and input
-    /// fingerprint — every job an algorithm submits starts from this.
+    /// cancellation token, scheduling parameters and input fingerprint —
+    /// every job an algorithm submits starts from this.
     pub fn spec(&self, name: impl Into<String>) -> JobSpec<Unset, Unset, Unset> {
         JobSpec::new(name)
             .reducers(self.num_reducers as usize)
             .trace(self.trace.clone())
             .cancel(self.cancel.clone())
-            .collect_into(self.hub.clone())
             .priority(self.priority)
             .share(self.share)
             .input_fingerprint(self.input_fingerprint)
     }
 
-    /// This run's metrics report: the hub's jobs plus the DFS counter
-    /// deltas since submit. Exact for a solo run; under concurrent runs
-    /// the DFS deltas are approximate (the byte counters are shared), but
-    /// each run's per-job metrics are exactly its own.
+    /// Runs one job of this run on the engine, appending its metrics to
+    /// the run's report.
+    pub fn run<I, K, V, O, MF, PF, RF>(
+        &self,
+        spec: JobSpec<MF, PF, RF>,
+        input: &[I],
+    ) -> Result<Vec<O>, JobError>
+    where
+        I: Sync,
+        K: Ord + Send + Sync + RecordSize,
+        V: Send + Sync + RecordSize,
+        O: Send,
+        MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+        PF: Fn(&K, usize) -> usize + Sync,
+        RF: Fn(&K, &[V], &mut dyn FnMut(O)) + Sync,
+    {
+        let (output, metrics) = self.engine.run(spec, input)?;
+        self.metrics.lock().jobs.push(metrics);
+        Ok(output)
+    }
+
+    /// Materializes a stream between two jobs of this run on the DFS,
+    /// charging its traffic to the run's report.
+    pub fn materialize<T: RecordSize>(
+        &self,
+        label: &str,
+        data: Vec<T>,
+    ) -> Result<Vec<T>, DfsError> {
+        self.engine
+            .dfs
+            .materialize(label, data, &mut self.metrics.lock())
+    }
+
+    /// This run's metrics report so far.
     pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            jobs: self.hub.snapshot(),
-            dfs_read_bytes: self.engine.dfs.read_bytes().saturating_sub(self.dfs_base.0),
-            dfs_write_bytes: self
-                .engine
-                .dfs
-                .write_bytes()
-                .saturating_sub(self.dfs_base.1),
-            dfs_transient_read_failures: self
-                .engine
-                .dfs
-                .transient_read_failures()
-                .saturating_sub(self.dfs_base.2),
-        }
+        self.metrics.lock().clone()
     }
 }
 
@@ -385,7 +401,7 @@ pub(crate) fn replicate_join(
     // across every reducer group (per-thread scratch inside).
     let kernel = JoinKernel::new(query);
 
-    let mut raw: Vec<Vec<u32>> = ctx.engine.run(
+    let mut raw: Vec<Vec<u32>> = ctx.run(
         ctx.spec(job.name)
             .map(|&i: &u32, emit| route(&read(i), &mut |key| emit(key, InputRef::fixed(i))))
             .partition(|&k: &u32, p| k as usize % p)

@@ -26,9 +26,11 @@
 //!    global `k` best, mirroring how the Hadoop implementation would fold
 //!    results.
 //!
-//! The jobs are ordinary hub-less engine jobs (`knn-round{1,2,3}-*`):
-//! they append to the engine's report and never reset it, so a
-//! nearest-neighbor join may share a cluster with running joins.
+//! The jobs are ordinary engine jobs (`knn-round{1,2,3}-*`), traced into
+//! the engine's sink. The join returns only its neighbors and drops the
+//! jobs' metrics; the engine keeps none either, so a nearest-neighbor join
+//! may share a long-lived cluster with running joins and leaves nothing
+//! behind.
 //!
 //! [`Grid::split_cells_enlarged`]: mwsj_partition::Grid::split_cells_enlarged
 
@@ -146,7 +148,7 @@ pub fn try_knn_join(
     };
 
     // ---- Round 1: k-th-neighbor candidate bounds ----------------------
-    let bounds: Vec<(u32, Coord)> = engine.run(
+    let (bounds, _) = engine.run(
         JobSpec::new("knn-round1-candidates")
             .reducers(grid.num_cells() as usize)
             .map(|&i: &u32, emit| match read(i) {
@@ -174,7 +176,7 @@ pub fn try_knn_join(
     for (id, ub) in bounds {
         ub_of[id as usize] = ub;
     }
-    let locals: Vec<NearestNeighbor> = engine.run(
+    let (locals, _) = engine.run(
         JobSpec::new("knn-round2-verify")
             .reducers(grid.num_cells() as usize)
             .map(|&i: &u32, emit| {
@@ -206,7 +208,7 @@ pub fn try_knn_join(
     )?;
 
     // ---- Round 3: global top-k per outer id ----------------------------
-    let merged: Vec<(u32, Vec<NearestNeighbor>)> = engine.run(
+    let (merged, _) = engine.run(
         JobSpec::new("knn-round3-aggregate")
             .reducers(outer.len().clamp(1, 64))
             .map(|nn: &NearestNeighbor, emit| emit(nn.outer, *nn))

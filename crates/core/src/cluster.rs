@@ -1,7 +1,7 @@
 use std::time::Instant;
 
 use mwsj_geom::{Coord, Rect};
-use mwsj_mapreduce::{Engine, EngineConfig, TraceSink};
+use mwsj_mapreduce::{Engine, EngineConfig};
 use mwsj_partition::Grid;
 use mwsj_query::Query;
 use mwsj_store::StoredDataset;
@@ -69,15 +69,6 @@ impl ClusterConfig {
         self.engine = engine;
         self
     }
-
-    /// Attaches a trace sink to the engine: every job of every run on this
-    /// cluster records spans into it. An enabled per-run sink
-    /// ([`JoinRun::trace`]) takes precedence for that run's jobs.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceSink) -> Self {
-        self.engine = self.engine.with_trace(trace);
-        self
-    }
 }
 
 /// A simulated map-reduce cluster: the engine plus the grid partitioning
@@ -134,9 +125,9 @@ impl Cluster {
     ///
     /// `relations[i]` is the dataset bound to query position `i`; a
     /// self-join binds the same slice to several positions. Output ids are
-    /// indices into these slices. Each run's jobs deliver their metrics to
-    /// a run-private hub, so [`JoinOutput::report`] covers exactly this
-    /// run's jobs even when runs share the cluster concurrently.
+    /// indices into these slices. Each run collects its own jobs' metrics
+    /// and DFS traffic, so [`JoinOutput::report`] covers exactly this run
+    /// even when runs share the cluster concurrently.
     ///
     /// # Panics
     /// Panics on any [`JoinError`]: the number of datasets does not match
@@ -164,7 +155,8 @@ impl Cluster {
 
     /// Submits a fully-described join run over in-memory datasets. The
     /// [`JoinRun`] carries the query, the datasets, the algorithm and the
-    /// run options (count-only mode, a per-run [`TraceSink`]).
+    /// run options (count-only mode, a per-run
+    /// [`TraceSink`](mwsj_mapreduce::TraceSink)).
     ///
     /// Failed runs surface as a [`JoinError`] instead of panicking: a task
     /// that exhausts its attempt budget under a fault plan (or an
@@ -359,15 +351,10 @@ impl Cluster {
             count_only: run.count_only,
             trace: &run.trace,
             cancel: run.cancel.clone(),
-            hub: mwsj_mapreduce::MetricsHub::new(),
+            metrics: parking_lot::Mutex::default(),
             priority: run.priority,
             share: run.share,
             input_fingerprint,
-            dfs_base: (
-                self.engine.dfs.read_bytes(),
-                self.engine.dfs.write_bytes(),
-                self.engine.dfs.transient_read_failures(),
-            ),
         }
     }
 }

@@ -2,7 +2,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fault::FaultInjector;
 use crate::record::RunFrame;
-use crate::RecordSize;
+use crate::{MetricsReport, RecordSize};
 
 /// Errors from [`Dfs::materialize`]; each names the stream's label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,26 +33,24 @@ impl std::fmt::Display for DfsError {
 
 impl std::error::Error for DfsError {}
 
-/// An in-memory stand-in for HDFS with byte accounting.
+/// An in-memory stand-in for HDFS.
 ///
 /// Chained jobs (the *2-way Cascade* baseline, C-Rep's marked stream)
 /// persist each intermediate result here and re-read it as the next job's
-/// input; the read/write counters expose the amplification the paper
-/// blames for Cascade's poor performance (§6.4: "a huge reading and
-/// writing cost").
+/// input; each call charges its bytes to the calling run's
+/// [`MetricsReport`], exposing the amplification the paper blames for
+/// Cascade's poor performance (§6.4: "a huge reading and writing cost").
 ///
 /// Under a fault plan reads can hit *transient* failures: the failure is
 /// counted, the read retried in place (a fresh replica in a real
-/// deployment), and only a successful read is charged to the read
-/// counter. A read whose every retry fails returns
-/// [`DfsError::Unavailable`].
+/// deployment), and only a successful read is charged as read bytes. A
+/// read whose every retry fails returns [`DfsError::Unavailable`]. The
+/// DFS itself holds only its injector and the read sequence that numbers
+/// every read for it.
 #[derive(Default)]
 pub struct Dfs {
-    read_bytes: AtomicU64,
-    write_bytes: AtomicU64,
     injector: FaultInjector,
     read_seq: AtomicU64,
-    transient_read_failures: AtomicU64,
 }
 
 impl Dfs {
@@ -73,11 +71,12 @@ impl Dfs {
     }
 
     /// Materializes a stream between two jobs of one run, as Hadoop does:
-    /// charges the records' encoded size to the write counter and seals an
-    /// integrity frame ([`RunFrame`]: record-count length header + FNV-64
-    /// checksum), then reads the stream back — through the transient-fault
-    /// path, numbered by a DFS-wide read sequence, and the frame check —
-    /// charging the read counter, and hands the records back.
+    /// charges the records' encoded size to `report`'s write bytes and
+    /// seals an integrity frame ([`RunFrame`]: record-count length header +
+    /// FNV-64 checksum), then reads the stream back — through the
+    /// transient-fault path, numbered by a DFS-wide read sequence, and the
+    /// frame check — charging `report`'s read bytes and transient read
+    /// failures, and hands the records back.
     ///
     /// A frame mismatch (at-rest corruption) surfaces as
     /// [`DfsError::Corrupt`]; unlike transient read failures it is not
@@ -88,15 +87,16 @@ impl Dfs {
         &self,
         label: &str,
         data: Vec<T>,
+        report: &mut MetricsReport,
     ) -> Result<Vec<T>, DfsError> {
         let bytes: u64 = data.iter().map(|r| r.size_bytes() as u64).sum();
         let frame = RunFrame::seal(&data);
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
+        report.dfs_write_bytes += bytes;
 
         let seq = self.read_seq.fetch_add(1, Ordering::Relaxed);
         let mut attempt = 0u32;
         while self.injector.should_fail_dfs_read(seq, attempt) {
-            self.transient_read_failures.fetch_add(1, Ordering::Relaxed);
+            report.dfs_transient_read_failures += 1;
             attempt += 1;
             if attempt >= self.injector.max_attempts() {
                 return Err(DfsError::Unavailable(label.to_string()));
@@ -105,26 +105,8 @@ impl Dfs {
         if !frame.verify(&data) {
             return Err(DfsError::Corrupt(label.to_string()));
         }
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
+        report.dfs_read_bytes += bytes;
         Ok(data)
-    }
-
-    /// Total bytes read so far.
-    #[must_use]
-    pub fn read_bytes(&self) -> u64 {
-        self.read_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written so far.
-    #[must_use]
-    pub fn write_bytes(&self) -> u64 {
-        self.write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Transient read failures injected (and retried) so far.
-    #[must_use]
-    pub fn transient_read_failures(&self) -> u64 {
-        self.transient_read_failures.load(Ordering::Relaxed)
     }
 }
 
@@ -136,10 +118,13 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let dfs = Dfs::new();
-        let back = dfs.materialize("nums", vec![1u64, 2, 3]).unwrap(); // 24 bytes
+        let mut report = MetricsReport::default();
+        let back = dfs
+            .materialize("nums", vec![1u64, 2, 3], &mut report)
+            .unwrap(); // 24 bytes
         assert_eq!(back, vec![1, 2, 3]);
-        assert_eq!((dfs.write_bytes(), dfs.read_bytes()), (24, 24));
-        assert_eq!(dfs.transient_read_failures(), 0);
+        assert_eq!((report.dfs_write_bytes, report.dfs_read_bytes), (24, 24));
+        assert_eq!(report.dfs_transient_read_failures, 0);
     }
 
     #[test]
@@ -150,17 +135,19 @@ mod tests {
         // Enough retries that no read plausibly exhausts them (0.5^16).
         plan.max_attempts = 16;
         let dfs = Dfs::with_faults(FaultInjector::new(plan));
+        let mut report = MetricsReport::default();
         for _ in 0..50 {
             // Every read eventually succeeds (failures are transient) and
             // returns the right data.
             assert_eq!(
-                dfs.materialize("nums", vec![1u64, 2, 3]).unwrap(),
+                dfs.materialize("nums", vec![1u64, 2, 3], &mut report)
+                    .unwrap(),
                 vec![1, 2, 3]
             );
         }
-        assert!(dfs.transient_read_failures() > 0);
+        assert!(report.dfs_transient_read_failures > 0);
         // Only successful reads are charged: exactly 50 × 24 bytes.
-        assert_eq!(dfs.read_bytes(), 50 * 24);
+        assert_eq!(report.dfs_read_bytes, 50 * 24);
     }
 
     #[test]
@@ -168,14 +155,16 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.dfs_read_failure_rate = 1.0;
         let dfs = Dfs::with_faults(FaultInjector::new(plan));
+        let mut report = MetricsReport::default();
         assert_eq!(
-            dfs.materialize("nums", vec![1u64]).unwrap_err(),
+            dfs.materialize("nums", vec![1u64], &mut report)
+                .unwrap_err(),
             DfsError::Unavailable("nums".into())
         );
         // The write was charged, the failed read was not.
-        assert_eq!((dfs.write_bytes(), dfs.read_bytes()), (8, 0));
+        assert_eq!((report.dfs_write_bytes, report.dfs_read_bytes), (8, 0));
         assert_eq!(
-            dfs.transient_read_failures(),
+            report.dfs_transient_read_failures,
             u64::from(FaultPlan::DEFAULT_MAX_ATTEMPTS)
         );
     }

@@ -6,10 +6,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, FaultPlan, JobErrorKind, Phase};
-use crate::metrics::MetricsHub;
 use crate::schedule::{CancelToken, JobRegistration, SlotScheduler};
 use crate::trace::{AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink};
-use crate::{Dfs, JobError, JobMetrics, MetricsReport, RecordSize, RunFrame};
+use crate::{Dfs, JobError, JobMetrics, RecordSize, RunFrame};
 
 /// Engine configuration: degrees of parallelism for the two phases, plus
 /// an optional fault-injection plan and an engine-wide [`TraceSink`].
@@ -91,7 +90,7 @@ pub struct Unset;
 ///
 /// let engine = Engine::new(EngineConfig::default());
 /// let words = vec!["a b", "b c", "c b"];
-/// let mut counts = engine
+/// let (mut counts, _metrics) = engine
 ///     .run(
 ///         JobSpec::new("word-count")
 ///             .reducers(4)
@@ -129,7 +128,6 @@ pub struct JobSpec<MF = Unset, PF = Unset, RF = Unset> {
     priority: i32,
     share: u32,
     cancel: CancelToken,
-    collect: Option<MetricsHub>,
     input_fingerprint: u64,
 }
 
@@ -149,7 +147,6 @@ impl JobSpec {
             priority: 0,
             share: 1,
             cancel: CancelToken::new(),
-            collect: None,
             input_fingerprint: 0,
         }
     }
@@ -181,7 +178,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             priority: self.priority,
             share: self.share,
             cancel: self.cancel,
-            collect: self.collect,
             input_fingerprint: self.input_fingerprint,
         }
     }
@@ -204,7 +200,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             priority: self.priority,
             share: self.share,
             cancel: self.cancel,
-            collect: self.collect,
             input_fingerprint: self.input_fingerprint,
         }
     }
@@ -232,7 +227,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
             priority: self.priority,
             share: self.share,
             cancel: self.cancel,
-            collect: self.collect,
             input_fingerprint: self.input_fingerprint,
         }
     }
@@ -282,16 +276,6 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
         self
     }
 
-    /// Delivers this job's final [`JobMetrics`] to the given hub *instead
-    /// of* the engine-global metrics vector — the per-run collection
-    /// channel for concurrent submitters (and it keeps a long-lived
-    /// service from accumulating unbounded job history).
-    #[must_use]
-    pub fn collect_into(mut self, hub: MetricsHub) -> Self {
-        self.collect = Some(hub);
-        self
-    }
-
     /// Attaches the input datasets' stable fingerprint (the submitter's
     /// own, e.g. a hash of each dataset's content hash), surfaced
     /// verbatim in [`JobMetrics::input_fingerprint`] and the trace counters.
@@ -302,8 +286,9 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
     }
 }
 
-/// The map-reduce engine: runs jobs, owns the [`Dfs`], accumulates
-/// [`JobMetrics`].
+/// The map-reduce engine: runs jobs and owns the [`Dfs`]. Each job's
+/// [`JobMetrics`] go back to its submitter with its output; the engine
+/// keeps no per-run history.
 ///
 /// # Fault tolerance
 ///
@@ -328,7 +313,6 @@ pub struct Engine {
     config: EngineConfig,
     /// The distributed file system shared by chained jobs.
     pub dfs: Dfs,
-    metrics: Mutex<Vec<JobMetrics>>,
     injector: FaultInjector,
     job_seq: AtomicU64,
     scheduler: Arc<SlotScheduler>,
@@ -822,7 +806,6 @@ impl Engine {
         };
         Self {
             dfs: Dfs::with_faults(injector.clone()),
-            metrics: Mutex::new(Vec::new()),
             injector,
             job_seq: AtomicU64::new(0),
             scheduler: Arc::new(SlotScheduler::new(slots)),
@@ -908,7 +891,8 @@ impl Engine {
 
     /// Runs the job described by `spec` over `input`, returning the
     /// reducer outputs (in partition order, deterministic order within
-    /// each partition).
+    /// each partition) and the job's [`JobMetrics`]. A failed job returns
+    /// no metrics.
     ///
     /// * the spec's *mapper* is called once per input record; `emit(k, v)`
     ///   produces an intermediate pair;
@@ -946,7 +930,7 @@ impl Engine {
         &self,
         spec: JobSpec<MF, PF, RF>,
         input: &[I],
-    ) -> Result<Vec<O>, JobError>
+    ) -> Result<(Vec<O>, JobMetrics), JobError>
     where
         I: Sync,
         K: Ord + Send + Sync + RecordSize,
@@ -1236,29 +1220,12 @@ impl Engine {
             metrics: Box::new(metrics.clone()),
         });
         job.end(None);
-        match &spec.collect {
-            Some(hub) => hub.push(metrics),
-            None => self.metrics.lock().push(metrics),
-        }
 
-        Ok(output_slots
+        let output = output_slots
             .into_iter()
             .flat_map(parking_lot::Mutex::into_inner)
-            .collect())
-    }
-
-    /// Snapshot of all job metrics plus DFS counters since construction;
-    /// nothing resets them under a shared engine. Jobs that delivered their
-    /// metrics to a [`MetricsHub`] (via [`JobSpec::collect_into`]) are not
-    /// listed here — concurrent submitters read their own hubs instead.
-    #[must_use]
-    pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            jobs: self.metrics.lock().clone(),
-            dfs_read_bytes: self.dfs.read_bytes(),
-            dfs_write_bytes: self.dfs.write_bytes(),
-            dfs_transient_read_failures: self.dfs.transient_read_failures(),
-        }
+            .collect();
+        Ok((output, metrics))
     }
 }
 
@@ -1266,6 +1233,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::fault::ForcedFault;
+    use crate::MetricsReport;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -1288,7 +1256,7 @@ mod tests {
     fn word_count() {
         let e = engine();
         let input = vec!["a b a", "c b", "a"];
-        let mut out = e
+        let (mut out, _) = e
             .run(
                 JobSpec::new("wc")
                     .reducers(3)
@@ -1313,7 +1281,7 @@ mod tests {
     fn metrics_count_intermediate_pairs() {
         let e = engine();
         let input: Vec<u32> = (0..100).collect();
-        let _ = e
+        let (_, j) = e
             .run(
                 JobSpec::new("double-emit")
                     .reducers(8)
@@ -1330,9 +1298,6 @@ mod tests {
                 &input,
             )
             .unwrap();
-        let report = e.report();
-        assert_eq!(report.num_jobs(), 1);
-        let j = &report.jobs[0];
         assert_eq!(j.map_input_records, 100);
         assert_eq!(j.map_output_records, 200);
         assert_eq!(j.reduce_input_records, 200);
@@ -1356,7 +1321,7 @@ mod tests {
     fn all_values_for_a_key_meet_at_one_reducer() {
         let e = engine();
         let input: Vec<u64> = (0..1000).collect();
-        let out = e
+        let (out, _) = e
             .run(
                 JobSpec::new("group")
                     .reducers(16)
@@ -1435,7 +1400,7 @@ mod tests {
     fn empty_input_produces_no_output() {
         let e = engine();
         let input: Vec<u32> = Vec::new();
-        let out: Vec<u32> = e
+        let (out, metrics): (Vec<u32>, _) = e
             .run(
                 JobSpec::new("empty")
                     .reducers(4)
@@ -1446,7 +1411,7 @@ mod tests {
             )
             .unwrap();
         assert!(out.is_empty());
-        assert_eq!(e.report().jobs[0].map_output_records, 0);
+        assert_eq!(metrics.map_output_records, 0);
     }
 
     #[test]
@@ -1454,7 +1419,8 @@ mod tests {
         let e = engine();
         let input: Vec<u32> = (0..10).collect();
         let even_odd = |&k: &u32, n: usize| k as usize % n;
-        let stage1: Vec<u32> = e
+        let mut report = MetricsReport::default();
+        let (stage1, metrics): (Vec<u32>, _) = e
             .run(
                 JobSpec::new("stage1")
                     .reducers(2)
@@ -1468,8 +1434,12 @@ mod tests {
                 &input,
             )
             .unwrap();
-        let stage2_input = e.dfs.materialize("intermediate", stage1).unwrap();
-        let out: Vec<u32> = e
+        report.jobs.push(metrics);
+        let stage2_input = e
+            .dfs
+            .materialize("intermediate", stage1, &mut report)
+            .unwrap();
+        let (out, metrics): (Vec<u32>, _) = e
             .run(
                 JobSpec::new("stage2")
                     .reducers(2)
@@ -1483,8 +1453,8 @@ mod tests {
                 &stage2_input,
             )
             .unwrap();
+        report.jobs.push(metrics);
         assert_eq!(out.len(), 10);
-        let report = e.report();
         assert_eq!(report.num_jobs(), 2);
         assert_eq!(report.dfs_write_bytes, 40);
         assert_eq!(report.dfs_read_bytes, 40);
@@ -1525,7 +1495,7 @@ mod tests {
         }]);
         let e = engine_with(plan);
         let input: Vec<u32> = (0..100).collect();
-        let mut out = e
+        let (mut out, j) = e
             .run(
                 JobSpec::new("retry")
                     .reducers(4)
@@ -1537,7 +1507,6 @@ mod tests {
             .unwrap();
         out.sort_unstable();
         assert_eq!(out, (0..100).collect::<Vec<_>>());
-        let j = &e.report().jobs[0];
         assert_eq!(j.map_task_failures, 1);
         assert_eq!(j.retries, 1);
         // The retried task committed exactly once: no double-emits.
@@ -1621,10 +1590,8 @@ mod tests {
         plan.straggler_delay = std::time::Duration::from_millis(2);
         let e = engine_with(plan);
         let input: Vec<u32> = (0..200).collect();
-        let mut out = e.run(identity_spec("slow"), &input).unwrap();
-        out.sort_unstable();
+        let (out, j) = e.run(identity_spec("slow"), &input).unwrap();
         assert_eq!(out.len(), 200);
-        let j = &e.report().jobs[0];
         assert!(j.speculative_launched > 0);
         assert!(j.speculative_won <= j.speculative_launched);
         // Speculation must not distort the logical counters.
@@ -1644,8 +1611,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let input: Vec<u32> = (0..400).collect();
-        let _ = e.run(identity_spec("eager"), &input).unwrap();
-        let j = &e.report().jobs[0];
+        let (_, j) = e.run(identity_spec("eager"), &input).unwrap();
         // Every task straggles (rate 1.0) and races a duplicate: 4 map
         // chunks + 4 reduce partitions.
         assert_eq!(j.speculative_launched, 8);
@@ -1659,9 +1625,8 @@ mod tests {
     fn corrupt_runs_repaired_with_identical_counters() {
         let input: Vec<u32> = (0..250).collect();
         let clean_engine = engine();
-        let mut expected = clean_engine.run(identity_spec("job"), &input).unwrap();
+        let (mut expected, clean) = clean_engine.run(identity_spec("job"), &input).unwrap();
         expected.sort_unstable();
-        let clean = clean_engine.report().jobs[0].clone();
 
         let plan = FaultPlan {
             seed: 41,
@@ -1669,11 +1634,10 @@ mod tests {
         }
         .with_corruption(0.1);
         let e = engine_with(plan);
-        let mut out = e.run(identity_spec("job"), &input).unwrap();
+        let (mut out, j) = e.run(identity_spec("job"), &input).unwrap();
         out.sort_unstable();
         assert_eq!(out, expected);
 
-        let j = &e.report().jobs[0];
         assert!(j.corrupt_runs > 0, "seed 41 must corrupt at least one run");
         assert_eq!(clean.corrupt_runs, 0);
         // Recovery never re-charges committed work: the whole logical
@@ -1714,8 +1678,6 @@ mod tests {
             }
             other => panic!("expected AttemptsExhausted, got {other:?}"),
         }
-        // Failed jobs do not publish metrics.
-        assert_eq!(e.report().num_jobs(), 0);
         // The shuffle's own failure path returns its slot too.
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
@@ -1798,8 +1760,7 @@ mod tests {
     fn concurrent_jobs_match_solo_counters() {
         let solo_engine = engine();
         let input: Vec<u32> = (0..300).collect();
-        let _ = solo_engine.run(identity_spec("solo"), &input).unwrap();
-        let solo = solo_engine.report().jobs[0].clone();
+        let (_, solo) = solo_engine.run(identity_spec("solo"), &input).unwrap();
 
         let e = Engine::new(EngineConfig {
             map_tasks: 4,
@@ -1807,23 +1768,19 @@ mod tests {
             slots: 2,
             ..EngineConfig::default()
         });
-        let hub = MetricsHub::new();
-        std::thread::scope(|s| {
-            for i in 0..4 {
-                let e = &e;
-                let input = &input;
-                let hub = hub.clone();
-                s.spawn(move || {
-                    let _ = e
-                        .run(
-                            identity_spec(&format!("contender-{i}")).collect_into(hub),
-                            input,
-                        )
-                        .unwrap();
-                });
-            }
+        let jobs: Vec<JobMetrics> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let (e, input) = (&e, &input);
+                    s.spawn(move || {
+                        e.run(identity_spec(&format!("contender-{i}")), input)
+                            .unwrap()
+                            .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let jobs = hub.take();
         assert_eq!(jobs.len(), 4);
         for j in &jobs {
             assert_eq!(j.map_input_records, solo.map_input_records);
@@ -1834,8 +1791,6 @@ mod tests {
             assert_eq!(j.shuffle_bytes, solo.shuffle_bytes);
             assert_eq!(j.spill_runs, solo.spill_runs);
         }
-        // Hub-collected jobs bypass the engine-global metrics vec.
-        assert_eq!(e.report().num_jobs(), 0);
         // Every slot went back to the pool.
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
@@ -1986,8 +1941,7 @@ mod tests {
     fn slot_accounting_reaches_metrics() {
         let e = engine();
         let input: Vec<u32> = (0..500).collect();
-        let _ = e.run(identity_spec("metered"), &input).unwrap();
-        let j = &e.report().jobs[0];
+        let (_, j) = e.run(identity_spec("metered"), &input).unwrap();
         assert!(
             j.slot_wall > Duration::ZERO,
             "tasks must be metered while holding slots"
@@ -2019,7 +1973,7 @@ mod tests {
                 here();
                 out(k);
             });
-        assert_eq!(e.run(spec, &input).unwrap().len(), 200);
+        assert_eq!(e.run(spec, &input).unwrap().0.len(), 200);
         let seen = seen.into_inner();
         assert_eq!(seen.len(), 1, "{seen:?}");
         assert!(seen.contains(&std::thread::current().id()));

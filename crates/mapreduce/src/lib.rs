@@ -31,9 +31,11 @@
 //! [`Engine::run`] surfaces failed jobs as [`JobError`]s.
 //!
 //! Jobs are described declaratively with a [`JobSpec`] builder and
-//! submitted with [`Engine::run`]; a [`TraceSink`] attached to the engine
-//! or to one spec records a span per job, phase and task attempt,
-//! exportable as a JSON-lines event log or a `chrome://tracing` file.
+//! submitted with [`Engine::run`], which returns the job's output and its
+//! [`JobMetrics`] (the engine keeps no history of its own); a
+//! [`TraceSink`] attached to the engine or to one spec records a span per
+//! job, phase and task attempt, exportable as a JSON-lines event log or a
+//! `chrome://tracing` file.
 //!
 //! # Example
 //!
@@ -43,7 +45,7 @@
 //! let trace = TraceSink::recording();
 //! let engine = Engine::new(EngineConfig::default().with_trace(trace.clone()));
 //! let words = vec!["a b", "b c", "c b"];
-//! let mut counts = engine
+//! let (mut counts, metrics) = engine
 //!     .run(
 //!         JobSpec::new("word-count")
 //!             .reducers(4)
@@ -61,6 +63,7 @@
 //!     .expect("word-count failed");
 //! counts.sort();
 //! assert_eq!(counts, vec![("a".into(), 1), ("b".into(), 3), ("c".into(), 2)]);
+//! assert_eq!(metrics.map_output_records, 6);
 //! assert!(trace.to_chrome_trace().contains("word-count"));
 //! ```
 
@@ -81,7 +84,7 @@ pub use engine::{Engine, EngineConfig, JobSpec, Unset};
 pub use fault::{
     FaultInjector, FaultPlan, ForcedFault, JobError, JobErrorKind, NetFault, NetFaultPlan, Phase,
 };
-pub use metrics::{CostModel, JobMetrics, MetricsHub, MetricsReport};
+pub use metrics::{CostModel, JobMetrics, MetricsReport};
 pub use record::{Fnv64, RecordSize, RunFrame};
 pub use schedule::{CancelToken, JobRegistration, SlotScheduler};
 pub use trace::{

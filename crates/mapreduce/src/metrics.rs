@@ -121,46 +121,13 @@ pub struct JobMetrics {
     pub input_fingerprint: u64,
 }
 
-/// A cloneable per-run metrics collector.
-///
-/// With one engine multiplexing concurrent jobs, the engine-global metrics
-/// vector interleaves unrelated runs. A submitter that attaches a hub via
-/// [`JobSpec::collect_into`](crate::JobSpec::collect_into) gets exactly its
-/// own jobs delivered here instead (the engine-global vector is then left
-/// untouched, so long-lived services do not accumulate history).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsHub {
-    jobs: std::sync::Arc<parking_lot::Mutex<Vec<JobMetrics>>>,
-}
-
-impl MetricsHub {
-    /// Creates an empty hub.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one finished job's metrics (called by the engine).
-    pub fn push(&self, metrics: JobMetrics) {
-        self.jobs.lock().push(metrics);
-    }
-
-    /// The jobs collected so far, in completion order.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<JobMetrics> {
-        self.jobs.lock().clone()
-    }
-
-    /// Removes and returns the jobs collected so far.
-    #[must_use]
-    pub fn take(&self) -> Vec<JobMetrics> {
-        std::mem::take(&mut *self.jobs.lock())
-    }
-}
-
 /// Aggregated metrics over a sequence of jobs (one distributed join run may
 /// execute several jobs: C-Rep runs two rounds, 2-way Cascade runs one job
-/// per 2-way join).
+/// per 2-way join). The run builds it itself: it appends the
+/// [`JobMetrics`] each [`Engine::run`](crate::Engine::run) returns and
+/// passes it to [`Dfs::materialize`](crate::Dfs::materialize), which
+/// charges it the DFS counters, so the report covers exactly that run
+/// however many others share the engine.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsReport {
     /// Per-job metrics in execution order.

@@ -218,8 +218,8 @@ pub enum TraceEvent {
         ts: u64,
     },
     /// The finished job's counter snapshot — the exact [`JobMetrics`]
-    /// appended to the engine's [`MetricsReport`](crate::MetricsReport),
-    /// so trace totals always equal the report totals.
+    /// [`Engine::run`](crate::Engine::run) returns, so trace totals always
+    /// equal the report totals.
     Counters {
         /// The owning job.
         job: u64,

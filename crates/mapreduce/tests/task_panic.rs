@@ -83,7 +83,7 @@ fn a_panic_outside_an_attempt_returns_every_slot_and_reaches_the_submitter() {
         match result {
             Ok(out) => panic!(
                 "run {run}: the panic was lost, the job returned {:?}",
-                out.map(|groups| groups.len())
+                out.map(|(groups, _)| groups.len())
             ),
             Err(payload) => assert_eq!(
                 message(&*payload),
@@ -100,7 +100,7 @@ fn a_panic_outside_an_attempt_returns_every_slot_and_reaches_the_submitter() {
     }
 
     // The engine is still whole: a clean job gets every group, exactly.
-    let out = engine
+    let (out, _) = engine
         .run(
             JobSpec::new("clean")
                 .reducers(PARTITIONS as usize)

@@ -4,6 +4,7 @@
 //! ties, empty cells and clustered data.
 
 use mwsj_core::ann::{ann_brute_force, ann_join};
+use mwsj_core::mapreduce::{EngineConfig, TraceEvent, TraceSink};
 use mwsj_core::{Cluster, ClusterConfig};
 use mwsj_geom::Rect;
 use proptest::prelude::*;
@@ -14,6 +15,22 @@ const SPACE: (f64, f64) = (0.0, 1000.0);
 
 fn cluster(side: u32) -> Cluster {
     Cluster::new(ClusterConfig::for_space(SPACE, SPACE, side))
+}
+
+/// A cluster whose engine records every job into the returned sink.
+fn traced_cluster(side: u32) -> (Cluster, TraceSink) {
+    let sink = TraceSink::recording();
+    let config = ClusterConfig::for_space(SPACE, SPACE, side)
+        .with_engine(EngineConfig::default().with_trace(sink.clone()));
+    (Cluster::new(config), sink)
+}
+
+/// The jobs started on a traced cluster so far.
+fn jobs_started(sink: &TraceSink) -> usize {
+    sink.events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::JobStart { .. }))
+        .count()
 }
 
 fn relation(n: usize, seed: u64) -> Vec<Rect> {
@@ -131,9 +148,9 @@ fn self_ann_is_reflexive_at_zero() {
 fn runs_three_jobs() {
     let outer = relation(50, 9);
     let inner = relation(50, 10);
-    let cl = cluster(4);
+    let (cl, sink) = traced_cluster(4);
     let _ = ann_join(&cl, &outer, &inner);
-    assert_eq!(cl.engine().report().num_jobs(), 3);
+    assert_eq!(jobs_started(&sink), 3);
 }
 
 proptest! {
@@ -217,7 +234,7 @@ mod knn {
 
     #[test]
     fn caller_errors_are_invalid_input_naming_the_side() {
-        let cl = cluster(4);
+        let (cl, sink) = traced_cluster(4);
         let ok = relation(10, 31);
         let outside = vec![ok[0], Rect::new(990.0, 500.0, 20.0, 5.0)];
         assert_invalid(try_knn_join(&cl, &ok, &ok, 0), "k must be positive");
@@ -228,7 +245,7 @@ mod knn {
             "outside the cluster space",
         );
         // Nothing ran: caller errors are found before any job starts.
-        assert_eq!(cl.engine().report().num_jobs(), 0);
+        assert_eq!(jobs_started(&sink), 0);
     }
 
     #[test]

@@ -32,13 +32,15 @@
 //!
 //! The last test is the shared-cluster regression: inter-round streams
 //! used to live under one constant DFS name per algorithm, so concurrent
-//! runs on one cluster could read each other's; and the nearest-neighbor
+//! runs on one cluster could read each other's; the nearest-neighbor
 //! joins used to reset the cluster's shared DFS byte counters, so a
-//! cascade running beside one reported less traffic than it moved.
+//! cascade running beside one reported less traffic than it moved; and
+//! a run's DFS bytes used to be a delta of engine-wide counters, so
+//! cascades running together each reported the sum of all of them.
 
 use mwsj_core::ann::try_knn_join;
 use mwsj_core::local::{multiway, LocalRect};
-use mwsj_core::mapreduce::EngineConfig;
+use mwsj_core::mapreduce::{EngineConfig, MetricsReport};
 use mwsj_core::partition::Grid;
 use mwsj_core::shards::{self, GatherSpec};
 use mwsj_core::store::{StoreBuilder, StoredDataset};
@@ -47,7 +49,7 @@ use mwsj_geom::Rect;
 use mwsj_query::Query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 const EXTENT: f64 = 1000.0;
@@ -651,53 +653,79 @@ fn concurrent_runs_on_one_cluster_equal_their_solo_results() {
     });
     assert!(wrong.is_empty(), "{wrong:?}");
 
-    // One cascade at a time — the only run moving DFS bytes — with
-    // nearest-neighbor joins starting beside it on every other thread
-    // until it reports: they are ordinary jobs on the shared engine, so
-    // the cascade's DFS traffic reads exactly as in its solo run.
-    let slices: Vec<&[Rect]> = inputs[0].iter().map(Vec::as_slice).collect();
-    let cascade = JoinRun::new(&query, &slices).algorithm(Algorithm::TwoWayCascade);
-    let solo = cluster(4).submit(&cascade).unwrap().report;
-    assert!(solo.dfs_write_bytes > 0);
-    let reported = AtomicBool::new(false);
+    // Every thread submits its own cascade at the same barrier, with
+    // nearest-neighbor joins running beside them until the last reports:
+    // each cascade's DFS traffic must read exactly as in its input's solo
+    // run, however many runs move DFS bytes at once.
+    const NEIGHBORS: usize = 2;
+    let dfs = |r: &MetricsReport| {
+        (
+            r.dfs_read_bytes,
+            r.dfs_write_bytes,
+            r.dfs_transient_read_failures,
+        )
+    };
+    let solo_dfs: Vec<(u64, u64, u64)> = inputs
+        .iter()
+        .map(|relations| {
+            let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+            let cascade = JoinRun::new(&query, &slices).algorithm(Algorithm::TwoWayCascade);
+            dfs(&cluster(4).submit(&cascade).unwrap().report)
+        })
+        .collect();
+    assert!(solo_dfs.iter().all(|&(_, written, _)| written > 0));
+    let barrier = std::sync::Barrier::new(THREADS + NEIGHBORS);
+    let reported = AtomicUsize::new(0);
     let wrong: Vec<String> = std::thread::scope(|s| {
-        let neighbors: Vec<_> = (1..THREADS)
-            .map(|t| {
-                let (cl, barrier, reported, inputs) = (&cl, &barrier, &reported, &inputs[t]);
+        let neighbors: Vec<_> = inputs[..NEIGHBORS]
+            .iter()
+            .map(|relations| {
+                let (cl, barrier, reported) = (&cl, &barrier, &reported);
                 s.spawn(move || {
-                    for _ in 0..RUNS {
+                    for run in 0..RUNS {
                         barrier.wait();
-                        while !reported.load(Ordering::Acquire) {
-                            let _ = try_knn_join(cl, &inputs[0], &inputs[1], 2);
+                        while reported.load(Ordering::Acquire) < THREADS * (run + 1) {
+                            let _ = try_knn_join(cl, &relations[0], &relations[1], 2);
                         }
                         barrier.wait();
                     }
                 })
             })
             .collect();
-        let mut wrong = Vec::new();
-        for run in 0..RUNS {
-            reported.store(false, Ordering::Release);
-            barrier.wait();
-            let got = cl.submit(&cascade).map(|out| out.report);
-            reported.store(true, Ordering::Release);
-            barrier.wait();
-            match got {
-                Ok(r)
-                    if (r.dfs_read_bytes, r.dfs_write_bytes)
-                        == (solo.dfs_read_bytes, solo.dfs_write_bytes) => {}
-                Ok(r) => wrong.push(format!(
-                    "run {run}: {} B read, {} B written beside nearest-neighbor joins; \
-                     solo {} and {}",
-                    r.dfs_read_bytes, r.dfs_write_bytes, solo.dfs_read_bytes, solo.dfs_write_bytes
-                )),
-                Err(e) => wrong.push(format!("run {run}: {e}")),
-            }
-        }
+        let cascades: Vec<_> = inputs
+            .iter()
+            .zip(&solo_dfs)
+            .map(|(relations, &solo)| {
+                let (cl, query, barrier, reported) = (&cl, &query, &barrier, &reported);
+                s.spawn(move || {
+                    let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+                    let cascade = JoinRun::new(query, &slices).algorithm(Algorithm::TwoWayCascade);
+                    let mut wrong = Vec::new();
+                    for run in 0..RUNS {
+                        barrier.wait();
+                        let got = cl.submit(&cascade).map(|out| dfs(&out.report));
+                        reported.fetch_add(1, Ordering::Release);
+                        barrier.wait();
+                        match got {
+                            Ok(got) if got == solo => {}
+                            Ok(got) => wrong.push(format!(
+                                "run {run}: (read, written, transient failures) \
+                                 got {got:?}, solo {solo:?}"
+                            )),
+                            Err(e) => wrong.push(format!("run {run}: {e}")),
+                        }
+                    }
+                    wrong
+                })
+            })
+            .collect();
         for h in neighbors {
             h.join().expect("neighbor thread");
         }
-        wrong
+        cascades
+            .into_iter()
+            .flat_map(|h| h.join().expect("cascade thread"))
+            .collect()
     });
     assert!(wrong.is_empty(), "{wrong:?}");
 }

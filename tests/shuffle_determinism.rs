@@ -78,18 +78,15 @@ fn engine_shuffle(
         fault_plan: plan,
         ..EngineConfig::default()
     });
-    let out = e
-        .run(
-            JobSpec::new("shuffle-determinism")
-                .reducers(reducers)
-                .map(|x: &u64, emit| map_pairs(x, emit))
-                .partition(route)
-                .reduce(|&k: &u64, vs: &[u64], out| out((k, vs.to_vec()))),
-            input,
-        )
-        .expect("fault-free or within attempt budget");
-    let metrics = e.report().jobs[0].clone();
-    (out, metrics)
+    e.run(
+        JobSpec::new("shuffle-determinism")
+            .reducers(reducers)
+            .map(|x: &u64, emit| map_pairs(x, emit))
+            .partition(route)
+            .reduce(|&k: &u64, vs: &[u64], out| out((k, vs.to_vec()))),
+        input,
+    )
+    .expect("fault-free or within attempt budget")
 }
 
 /// Logical (data-dependent) counters that must be byte-identical across
@@ -179,7 +176,7 @@ fn first_task_committing_late_still_merges_in_task_order() {
             reduce_tasks: 2,
             ..EngineConfig::default()
         });
-        let got = e
+        let (got, _) = e
             .run(
                 JobSpec::new("late-first-task")
                     .reducers(reducers)
