@@ -157,7 +157,7 @@ pub fn measure(
                 wall: t0.elapsed(),
                 output,
                 input_records: relations.iter().map(|r| r.len() as u64).sum(),
-                reducers: cluster.num_reducers(),
+                reducers: cluster.grid().num_cells(),
             }
         })
         .min_by_key(|m| m.wall)

@@ -496,7 +496,6 @@ fn bind(args: &Args, query: &Query) -> Result<(Cluster, Vec<StoredDataset>, Dura
         y_range: grid.y_range(),
         grid_cols: grid.cols(),
         grid_rows: grid.rows(),
-        num_reducers: None,
         engine: parse_engine_config(args)?,
     });
     Ok((cluster, stores, open_wall))
@@ -709,7 +708,6 @@ fn cmd_ann(args: &Args) -> Result<(), String> {
         y_range,
         grid_cols: grid,
         grid_rows: grid,
-        num_reducers: None,
         engine,
     });
     let t0 = std::time::Instant::now();

@@ -125,7 +125,7 @@ pub(crate) fn run(
     let sizes: Vec<u64> = (0..inputs.len()).map(|p| inputs.size(p) as u64).collect();
     // The same derivation the optimizer's plan reports, so an auto run
     // and its pinned twin are byte-identical.
-    let shares = derive_shares(&sizes, ctx.num_reducers);
+    let shares = derive_shares(&sizes, ctx.grid.num_cells());
     debug_assert_eq!(shares.len(), query.num_relations());
     let strides = strides(&shares);
     let job = JoinJob {

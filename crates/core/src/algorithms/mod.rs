@@ -33,10 +33,9 @@ use crate::{JoinError, JoinOutput, ReplicationStats, TaggedRect};
 pub(crate) struct AlgoCtx<'a> {
     /// The map-reduce engine executing the jobs.
     pub engine: &'a Engine,
-    /// The grid partitioning of the space.
+    /// The grid partitioning of the space: one reducer (shuffle
+    /// partition) per cell.
     pub grid: &'a Grid,
-    /// Number of physical reducers (shuffle partitions).
-    pub num_reducers: u32,
     /// Count output tuples instead of materializing them.
     pub count_only: bool,
     /// Per-run trace sink (disabled unless the caller attached one).
@@ -63,7 +62,7 @@ impl AlgoCtx<'_> {
     /// every job an algorithm submits starts from this.
     pub fn spec(&self, name: impl Into<String>) -> JobSpec<Unset, Unset, Unset> {
         JobSpec::new(name)
-            .reducers(self.num_reducers as usize)
+            .reducers(self.grid.num_cells() as usize)
             .trace(self.trace.clone())
             .cancel(self.cancel.clone())
             .priority(self.priority)
@@ -376,10 +375,11 @@ pub(crate) struct JoinJob {
 
 /// The one replicate-and-join job behind All-Replicate, round 2 of
 /// C-Rep / C-Rep-L and the hypercube join (§6–§7): the map applies the
-/// algorithm's replication function `route` to every input record, keys
-/// hash onto the physical reducers, and every reducer group runs the
-/// compiled local join over whatever arrived. The algorithms differ only
-/// in `route` — their mapping schema — and in the [`JoinJob`] description.
+/// algorithm's replication function `route` to every input record, each
+/// key (a grid or hypercube cell) names its reducer, and every reducer
+/// group runs the compiled local join over whatever arrived. The
+/// algorithms differ only in `route` — their mapping schema — and in the
+/// [`JoinJob`] description.
 ///
 /// The map walks the indices `0..records` and `read` yields the record
 /// behind each: the one-round algorithms read the bound relations in

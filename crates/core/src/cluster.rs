@@ -13,9 +13,10 @@ use crate::shards::{self, GatherSpec, ShardPartial};
 use crate::{JoinError, JoinOutput, JoinRun, StoredRun};
 
 /// Cluster configuration: the partitioned space, the reducer grid and the
-/// engine parallelism.
+/// engine.
 ///
-/// The paper runs 64 reducers as an 8×8 grid over the data space (§7.8.1);
+/// A join job has one reducer (shuffle partition) per grid cell: the paper
+/// runs 64 reducers as an 8×8 grid over the data space (§7.8.1), and
 /// [`ClusterConfig::for_space`] mirrors that construction.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -27,15 +28,7 @@ pub struct ClusterConfig {
     pub grid_cols: u32,
     /// Grid rows.
     pub grid_rows: u32,
-    /// Number of physical reducers (shuffle partitions). `None` (the
-    /// default, and the paper's setup) uses one reducer per grid cell.
-    /// Setting it **below** the cell count decouples *logical* cells from
-    /// *physical* reducers — the standard skew mitigation: a finer grid
-    /// spreads hot regions over many cells, which hash onto the available
-    /// reducers. All key-value pairs of one cell still meet at a single
-    /// reducer, so every correctness argument is untouched.
-    pub num_reducers: Option<u32>,
-    /// Engine thread parallelism.
+    /// The engine's slots, fault plan and trace sink.
     pub engine: EngineConfig,
 }
 
@@ -49,21 +42,11 @@ impl ClusterConfig {
             y_range,
             grid_cols: side,
             grid_rows: side,
-            num_reducers: None,
             engine: EngineConfig::default(),
         }
     }
 
-    /// Uses a fixed number of physical reducers independent of the grid
-    /// resolution (cells hash onto reducers).
-    #[must_use]
-    pub fn with_reducers(mut self, reducers: u32) -> Self {
-        assert!(reducers > 0);
-        self.num_reducers = Some(reducers);
-        self
-    }
-
-    /// Overrides the engine parallelism.
+    /// Overrides the engine configuration.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
@@ -76,7 +59,6 @@ impl ClusterConfig {
 pub struct Cluster {
     engine: Engine,
     grid: Grid,
-    num_reducers: u32,
 }
 
 impl Cluster {
@@ -89,22 +71,10 @@ impl Cluster {
             config.grid_cols,
             config.grid_rows,
         );
-        let num_reducers = config
-            .num_reducers
-            .unwrap_or_else(|| grid.num_cells())
-            .min(grid.num_cells());
         Self {
             engine: Engine::new(config.engine),
             grid,
-            num_reducers,
         }
-    }
-
-    /// Number of physical reducers (shuffle partitions) used by the join
-    /// jobs.
-    #[must_use]
-    pub fn num_reducers(&self) -> u32 {
-        self.num_reducers
     }
 
     /// The grid partitioning (one reducer per cell).
@@ -150,7 +120,7 @@ impl Cluster {
     /// relation positions.
     #[must_use]
     pub fn plan(&self, query: &Query, relations: &[&[Rect]]) -> Plan {
-        optimizer::plan(query, relations, &self.grid, self.num_reducers)
+        optimizer::plan(query, relations, &self.grid)
     }
 
     /// Submits a fully-described join run over in-memory datasets. The
@@ -338,7 +308,7 @@ impl Cluster {
 
     /// The optimizer's plan for validated inputs.
     fn plan_inputs(&self, query: &Query, inputs: Inputs<'_>) -> Plan {
-        optimizer::plan_inputs(query, inputs, &self.grid, self.num_reducers)
+        optimizer::plan_inputs(query, inputs, &self.grid)
     }
 
     /// The algorithm context of one run: the cluster's engine and grid
@@ -347,7 +317,6 @@ impl Cluster {
         AlgoCtx {
             engine: &self.engine,
             grid: &self.grid,
-            num_reducers: self.num_reducers,
             count_only: run.count_only,
             trace: &run.trace,
             cancel: run.cancel.clone(),

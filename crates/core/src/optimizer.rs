@@ -15,7 +15,7 @@
 //! written (both walk `cascade::execution_order`) and never reorders, so a
 //! pinned `cascade` and an `auto` that chose it run the same jobs.
 //!
-//! Everything is a pure function of `(query, relations, grid, reducers)`:
+//! Everything is a pure function of `(query, relations, grid)`:
 //! sampling uses a fixed seed, shares are enumerated deterministically,
 //! and cost arithmetic avoids platform-dependent operations — so planner
 //! decisions can be pinned in golden tests and cache keys can rely on the
@@ -158,7 +158,7 @@ pub struct Plan {
     /// The optimizer's choice — always a concrete algorithm, never
     /// [`Algorithm::Auto`].
     pub algorithm: Algorithm,
-    /// Physical reducers the plan runs on.
+    /// Reducers the plan runs on: one per grid cell.
     pub reducers: u32,
     /// The reducer grid granularity `(cols, rows)` of the spatial
     /// algorithms.
@@ -431,13 +431,13 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
         .sum()
 }
 
-/// Builds the costed plan for a query over bound datasets on a cluster of
-/// `reducers` physical reducers partitioning the space by `grid`.
+/// Builds the costed plan for a query over bound datasets on a cluster
+/// partitioning the space by `grid`, one reducer per cell.
 ///
 /// Deterministic: same inputs, same plan (see the module docs).
 #[must_use]
-pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) -> Plan {
-    plan_inputs(query, Inputs::Memory(relations), grid, reducers)
+pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid) -> Plan {
+    plan_inputs(query, Inputs::Memory(relations), grid)
 }
 
 /// [`plan`] over whatever a run binds. Over *stored* datasets the five
@@ -446,7 +446,8 @@ pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) ->
 /// candidate. Map-side moves zero records — the inputs are already
 /// partitioned on the grid — so its cost is one round of overhead plus the
 /// estimated matched pairs the local kernels touch.
-pub(crate) fn plan_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid, reducers: u32) -> Plan {
+pub(crate) fn plan_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid) -> Plan {
+    let reducers = grid.num_cells();
     assert_eq!(inputs.len(), query.num_relations());
     let samples = &sample_relations(inputs);
     let sizes: &[f64] = &(0..inputs.len())
@@ -567,17 +568,17 @@ mod tests {
         let b = relation(300, 2, 30.0);
         let c = relation(300, 3, 30.0);
         let grid = grid8();
-        let p1 = plan(&q, &[&a, &b, &c], &grid, 64);
-        let p2 = plan(&q, &[&a, &b, &c], &grid, 64);
+        let p1 = plan(&q, &[&a, &b, &c], &grid);
+        let p2 = plan(&q, &[&a, &b, &c], &grid);
         assert_eq!(p1.algorithm, p2.algorithm);
         assert_eq!(p1.to_json(), p2.to_json());
         // A plan is a function of its own inputs only: other datasets
         // planned in between — the same rectangles in other positions, a
         // relation of the same length — leave no trace in the next one.
         let d = relation(300, 4, 30.0);
-        assert_ne!(plan(&q, &[&c, &b, &a], &grid, 64).to_json(), p1.to_json());
-        assert_ne!(plan(&q, &[&a, &b, &d], &grid, 64).to_json(), p1.to_json());
-        assert_eq!(plan(&q, &[&a, &b, &c], &grid, 64).to_json(), p1.to_json());
+        assert_ne!(plan(&q, &[&c, &b, &a], &grid).to_json(), p1.to_json());
+        assert_ne!(plan(&q, &[&a, &b, &d], &grid).to_json(), p1.to_json());
+        assert_eq!(plan(&q, &[&a, &b, &c], &grid).to_json(), p1.to_json());
         assert_ne!(p1.algorithm, Algorithm::Auto);
         assert_eq!(p1.candidates.len(), Algorithm::ALL.len());
     }
@@ -590,7 +591,7 @@ mod tests {
         let a = relation(5, 4, 10.0);
         let b = relation(5, 5, 10.0);
         let grid = grid8();
-        let p = plan(&q, &[&a, &b], &grid, 64);
+        let p = plan(&q, &[&a, &b], &grid);
         assert_eq!(p.candidates[0].jobs, 1, "plan: {}", p.to_json());
     }
 
@@ -607,11 +608,11 @@ mod tests {
             })
             .collect();
         let refs: Vec<&StoredDataset> = stores.iter().collect();
-        let p = plan_inputs(&q, Inputs::Stored(&refs), &grid, 64);
+        let p = plan_inputs(&q, Inputs::Stored(&refs), &grid);
         assert_eq!(p.candidates.len(), Algorithm::ALL.len() + 1);
         assert_eq!(p.algorithm, Algorithm::MapSide, "plan: {}", p.to_json());
         // Deterministic.
-        let again = plan_inputs(&q, Inputs::Stored(&refs), &grid, 64);
+        let again = plan_inputs(&q, Inputs::Stored(&refs), &grid);
         assert_eq!(p.to_json(), again.to_json());
         // Each triple's selectivity is estimated once and feeds both the
         // cascade and map-side terms; the plan is, byte for byte, what
@@ -634,7 +635,7 @@ mod tests {
             relation(300, 2, 30.0),
             relation(300, 3, 30.0),
         );
-        let in_memory = plan(&q, &[&a, &b, &c], &grid, 64);
+        let in_memory = plan(&q, &[&a, &b, &c], &grid);
         assert!(in_memory
             .candidates
             .iter()
@@ -688,8 +689,8 @@ mod tests {
                 stages.iter().map(|&(i, _)| written.triples()[i]).collect();
             assert_eq!(executed_triples, executed.triples(), "{written}");
             assert_eq!(
-                cascade_row(&plan(&written, &inputs, &grid, 64)),
-                cascade_row(&plan(&executed, &inputs, &grid, 64)),
+                cascade_row(&plan(&written, &inputs, &grid)),
+                cascade_row(&plan(&executed, &inputs, &grid)),
                 "{written}"
             );
             // The walk `cascade_cost` prices is the one `cascade::run`
@@ -759,7 +760,7 @@ mod tests {
         let a = relation(50, 6, 20.0);
         let b = relation(50, 7, 20.0);
         let grid = grid8();
-        let json = plan(&q, &[&a, &b], &grid, 64).to_json();
+        let json = plan(&q, &[&a, &b], &grid).to_json();
         assert!(json.starts_with("{\"algorithm\":\""));
         assert!(json.contains("\"candidates\":["));
         assert!(json.contains("\"shares\":["));

@@ -10,20 +10,17 @@ use crate::schedule::{CancelToken, JobRegistration, SlotScheduler};
 use crate::trace::{AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink};
 use crate::{Dfs, JobError, JobMetrics, RecordSize, RunFrame};
 
-/// Engine configuration: degrees of parallelism for the two phases, plus
-/// an optional fault-injection plan and an engine-wide [`TraceSink`].
+/// Engine configuration: the size of the task-slot pool, plus an optional
+/// fault-injection plan and an engine-wide [`TraceSink`].
 ///
-/// The paper's cluster runs 16 cores with 64 reduce *slots*; here
-/// `reduce_tasks` is the number of workers executing reducers (the thread
-/// that submits a job is the first of them), while the number of logical
-/// reducers (partitions) is chosen per job — the join algorithms use one
-/// partition per grid cell.
-#[derive(Debug, Clone)]
+/// The paper's cluster runs 16 cores with 64 reduce *slots*. Here the
+/// slots are the only parallelism setting: every phase of every job starts
+/// as many workers as there are free slots (see [`Engine`]), while the
+/// number of map tasks ([`Engine::MAP_TASKS`]) and of logical reducers
+/// (partitions, chosen per job — the join algorithms use one per grid
+/// cell) never depend on it, so neither does any counter.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Workers of the map phase, *including the submitting thread*.
-    pub map_tasks: usize,
-    /// Workers of the shuffle and reduce phases, the submitter included.
-    pub reduce_tasks: usize,
     /// Faults to inject into every job (`None` runs fault-free). See
     /// [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
@@ -32,23 +29,10 @@ pub struct EngineConfig {
     pub trace: TraceSink,
     /// Task slots in the shared [`SlotScheduler`] pool gating concurrent
     /// task execution across *all* jobs this engine runs. `0` (the
-    /// default) sizes the pool to `max(map_tasks, reduce_tasks)`, so a
-    /// solo job runs at full parallelism and never queues — concurrency
+    /// default) sizes the pool to the machine's available parallelism, so
+    /// a solo job runs at full parallelism and never queues — concurrency
     /// only matters when several jobs are submitted at once.
     pub slots: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        let n = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        Self {
-            map_tasks: n,
-            reduce_tasks: n,
-            fault_plan: None,
-            trace: TraceSink::disabled(),
-            slots: 0,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -290,6 +274,15 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
 /// [`JobMetrics`] go back to its submitter with its output; the engine
 /// keeps no per-run history.
 ///
+/// # Parallelism
+///
+/// A job's input is cut into [`Engine::MAP_TASKS`] map tasks and its
+/// shuffle into [`JobSpec::reducers`] partitions, whatever the slot count.
+/// Every phase starts its workers by one rule: the submitting thread, plus
+/// one helper per other slot free when the phase starts, never more
+/// workers than tasks. Slots change when tasks run, never what a job
+/// computes or counts.
+///
 /// # Fault tolerance
 ///
 /// Each map chunk and each reduce partition executes as a **task
@@ -430,19 +423,20 @@ impl JobCtx<'_> {
     }
 
     /// Runs one phase of the job — the only place tasks are claimed and
-    /// slots are held. The caller and `workers - 1` scoped helpers (never
-    /// more threads than slots) each build a state with `init`, claim
-    /// tasks `0..tasks` in order and run `body(&mut state, task)` on each,
-    /// holding a slot; the first `Err`, a tripped [`CancelToken`] or a
-    /// panic stops every worker at its next claim. Every slot is returned,
-    /// then a panic reaches the caller. Queue and slot time is charged to
-    /// the job. Returns the phase's wall time and each worker's state,
-    /// the caller's first.
+    /// slots are held. The caller is the first worker and starts one
+    /// scoped helper per *other* slot free when the phase starts, never
+    /// more workers than tasks: a lone job takes the pool, a job beside
+    /// others brings fewer threads or none. Each worker builds a state with
+    /// `init`, claims tasks `0..tasks` in order and runs
+    /// `body(&mut state, task)` on each, holding a slot; the first `Err`, a
+    /// tripped [`CancelToken`] or a panic stops every worker at its next
+    /// claim. Every slot is returned, then a panic reaches the caller.
+    /// Queue and slot time is charged to the job. Returns the phase's wall
+    /// time and each worker's state, the caller's first.
     fn run_phase<S: Send>(
         &self,
         span: SpanPhase,
         tasks: usize,
-        workers: usize,
         init: impl Fn() -> S + Sync,
         body: impl Fn(&mut S, usize) -> Result<(), JobError> + Sync,
     ) -> Result<(Duration, Vec<S>), JobError> {
@@ -492,7 +486,7 @@ impl JobCtx<'_> {
         // gone, before the next phase spawns its own — and a helper's panic
         // is resumed here, after the scope has joined the rest.
         let states = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers.min(self.scheduler.slots()))
+            let helpers: Vec<_> = (1..self.scheduler.available().min(tasks))
                 .map(|_| scope.spawn(claim))
                 .collect();
             let mut states = vec![claim()];
@@ -791,18 +785,21 @@ fn merge_sorted_runs<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> MergedPartition<K, V>
 }
 
 impl Engine {
+    /// The number of map tasks every job's input is cut into (fewer only
+    /// when the input has fewer records): a property of the job, like
+    /// Hadoop's split count, so no counter depends on the slot count.
+    pub const MAP_TASKS: usize = 8;
+
     /// Creates an engine with the given configuration.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
-        assert!(config.map_tasks > 0 && config.reduce_tasks > 0);
         let injector = config
             .fault_plan
             .clone()
             .map_or_else(FaultInjector::none, FaultInjector::new);
-        let slots = if config.slots == 0 {
-            config.map_tasks.max(config.reduce_tasks)
-        } else {
-            config.slots
+        let slots = match config.slots {
+            0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+            n => n,
         };
         Self {
             dfs: Dfs::with_faults(injector.clone()),
@@ -856,14 +853,13 @@ impl Engine {
 
     /// Runs `tasks` independent tasks as one map-only job — the spec's
     /// name, trace sink, scheduling weights and cancel token apply — and
-    /// returns every worker's state, the caller's first. The caller is the
-    /// first worker and starts a helper per *other* slot free at that
-    /// moment, never more workers than tasks: a lone job takes the pool, a
-    /// job beside others brings no thread. Each worker builds its state
-    /// with `init` and runs `body(&mut state, task)` on each task it
-    /// claims, holding one slot. A task is not an attempt: nothing is
-    /// injected or retried. A panic in `body` returns every slot, then
-    /// reaches the caller.
+    /// returns every worker's state, the caller's first. Its workers start
+    /// by the rule of every phase: the caller plus one helper per *other*
+    /// slot free at that moment, never more workers than tasks. Each
+    /// worker builds its state with `init` and runs `body(&mut state,
+    /// task)` on each task it claims, holding one slot. A task is not an
+    /// attempt: nothing is injected or retried. A panic in `body` returns
+    /// every slot, then reaches the caller.
     ///
     /// # Errors
     /// [`JobErrorKind::Cancelled`] if the spec's [`CancelToken`] has
@@ -876,12 +872,11 @@ impl Engine {
         body: impl Fn(&mut S, usize) + Sync,
     ) -> Result<Vec<S>, JobError> {
         let job = self.start_job(&spec);
-        let workers = self.scheduler.available().min(tasks).max(1);
         let body = |state: &mut S, task| {
             body(state, task);
             Ok(())
         };
-        let result = match job.run_phase(SpanPhase::Map, tasks, workers, init, body) {
+        let result = match job.run_phase(SpanPhase::Map, tasks, init, body) {
             Ok(_) if spec.cancel.is_cancelled() => Err(job.cancelled(Phase::Map, 0, 0)),
             run => run.map(|(_, states)| states),
         };
@@ -961,20 +956,21 @@ impl Engine {
         }
 
         // ---- Map phase -------------------------------------------------
-        // The input is divided into chunks; each chunk is one map *task*,
-        // executed as one or more attempts. An attempt fills attempt-local
-        // buckets (the mapper-side spill files of a real deployment),
-        // sorts each bucket by key — the mapper-side sorted spill,
-        // parallel across map workers — and commits the sorted buckets as
-        // immutable *runs*, together with its counter deltas, only on
-        // success. Logical metrics count committed work, not attempts.
+        // The input is divided into `MAP_TASKS` chunks (fewer for a shorter
+        // input); each chunk is one map *task*, executed as one or more
+        // attempts. An attempt fills attempt-local buckets (the
+        // mapper-side spill files of a real deployment), sorts each bucket
+        // by key — the mapper-side sorted spill, parallel across map
+        // workers — and commits the sorted buckets as immutable *runs*,
+        // together with its counter deltas, only on success. Logical
+        // metrics count committed work, not attempts.
         //
         // Each run remembers its producing task and the shuffle orders
         // each partition's runs by it, so reducer value
         // order depends only on the input, not on which worker claimed
         // which chunk first (and not on whether a task was retried) —
         // reruns with equal seeds see byte-identical value streams.
-        let chunk_size = input.len().div_ceil(self.config.map_tasks * 4).max(1);
+        let chunk_size = input.len().div_ceil(Self::MAP_TASKS).max(1);
         let chunks: Vec<&[I]> = input.chunks(chunk_size).collect();
         let emitted = AtomicU64::new(0);
         let shuffled_bytes = AtomicU64::new(0);
@@ -1032,7 +1028,6 @@ impl Engine {
             .run_phase(
                 SpanPhase::Map,
                 chunks.len(),
-                self.config.map_tasks,
                 || (),
                 |(), task| {
                     let commit = map.run_task(task, &run_map_attempt)?;
@@ -1142,7 +1137,6 @@ impl Engine {
             .run_phase(
                 SpanPhase::Shuffle,
                 num_partitions,
-                self.config.reduce_tasks,
                 || (),
                 |(), p| {
                     let mut runs = partitions[p].lock();
@@ -1160,8 +1154,8 @@ impl Engine {
 
         // ---- Reduce phase ----------------------------------------------
         // Each partition is one reduce task. The task merges its verified
-        // runs once, outside its attempts — so at most `reduce_tasks`
-        // merged partitions exist at a time — and every attempt, a retry
+        // runs once, outside its attempts — so at most one merged
+        // partition per slot exists at a time — and every attempt, a retry
         // or a speculative duplicate, borrows each group as a slice of
         // that one immutable buffer: nothing is cloned. The merge is
         // dropped when the task commits.
@@ -1177,7 +1171,6 @@ impl Engine {
             .run_phase(
                 SpanPhase::Reduce,
                 num_partitions,
-                self.config.reduce_tasks,
                 || (),
                 |(), task| {
                     let runs = std::mem::take(&mut *partitions[task].lock());
@@ -1236,20 +1229,11 @@ mod tests {
     use crate::MetricsReport;
 
     fn engine() -> Engine {
-        Engine::new(EngineConfig {
-            map_tasks: 4,
-            reduce_tasks: 4,
-            ..EngineConfig::default()
-        })
+        Engine::new(EngineConfig::default().with_slots(4))
     }
 
     fn engine_with(plan: FaultPlan) -> Engine {
-        Engine::new(EngineConfig {
-            map_tasks: 4,
-            reduce_tasks: 4,
-            fault_plan: Some(plan),
-            ..EngineConfig::default()
-        })
+        Engine::new(EngineConfig::default().with_slots(4).with_fault_plan(plan))
     }
 
     #[test]
@@ -1312,9 +1296,9 @@ mod tests {
         assert_eq!(j.speculative_launched, 0);
         // Mapper-side spill: every committed run is counted, and runs are
         // per (task, non-empty partition) so the count is deterministic.
-        // 100 records in 7-record chunks is 15 map tasks × ≤ 8 partitions.
+        // 100 records in 13-record chunks is 8 map tasks × ≤ 8 partitions.
         assert!(j.spill_runs > 0);
-        assert!(j.spill_runs <= 15 * 8, "spill_runs = {}", j.spill_runs);
+        assert!(j.spill_runs <= 8 * 8, "spill_runs = {}", j.spill_runs);
     }
 
     #[test]
@@ -1604,17 +1588,13 @@ mod tests {
     fn every_straggler_races_a_duplicate() {
         let mut plan = FaultPlan::chaos(13, 0.0, 1.0);
         plan.straggler_delay = std::time::Duration::from_micros(100);
-        let e = Engine::new(EngineConfig {
-            map_tasks: 1,
-            reduce_tasks: 1,
-            fault_plan: Some(plan),
-            ..EngineConfig::default()
-        });
+        let e = Engine::new(EngineConfig::default().with_slots(1).with_fault_plan(plan));
         let input: Vec<u32> = (0..400).collect();
         let (_, j) = e.run(identity_spec("eager"), &input).unwrap();
-        // Every task straggles (rate 1.0) and races a duplicate: 4 map
-        // chunks + 4 reduce partitions.
-        assert_eq!(j.speculative_launched, 8);
+        // Every task straggles (rate 1.0) and races a duplicate: 400
+        // records in 50-record chunks is 8 map tasks, plus 4 reduce
+        // partitions — 12.
+        assert_eq!(j.speculative_launched, 12);
     }
 
     /// Injected spill corruption is detected when the shuffle verifies the
@@ -1733,12 +1713,9 @@ mod tests {
     fn trace_sink_selection() {
         let engine_sink = TraceSink::recording();
         let e = Engine::new(
-            EngineConfig {
-                map_tasks: 2,
-                reduce_tasks: 2,
-                ..EngineConfig::default()
-            }
-            .with_trace(engine_sink.clone()),
+            EngineConfig::default()
+                .with_slots(2)
+                .with_trace(engine_sink.clone()),
         );
         let input: Vec<u32> = (0..50).collect();
 
@@ -1762,12 +1739,7 @@ mod tests {
         let input: Vec<u32> = (0..300).collect();
         let (_, solo) = solo_engine.run(identity_spec("solo"), &input).unwrap();
 
-        let e = Engine::new(EngineConfig {
-            map_tasks: 4,
-            reduce_tasks: 4,
-            slots: 2,
-            ..EngineConfig::default()
-        });
+        let e = Engine::new(EngineConfig::default().with_slots(2));
         let jobs: Vec<JobMetrics> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|i| {
@@ -1857,11 +1829,7 @@ mod tests {
     #[test]
     fn cancel_after_the_last_map_claim_fails_at_the_shuffle() {
         let sink = TraceSink::recording();
-        let e = Engine::new(EngineConfig {
-            map_tasks: 1,
-            reduce_tasks: 1,
-            ..EngineConfig::default()
-        });
+        let e = Engine::new(EngineConfig::default().with_slots(1));
         let token = CancelToken::new();
         let input: Vec<u32> = (0..40).collect();
         let spec = JobSpec::new("late-cancel")
@@ -1900,8 +1868,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        // Every map task committed; nothing ran after the cancel.
-        assert_eq!(attempts, vec![(Phase::Map, AttemptOutcome::Succeeded); 4]);
+        // Every map task committed — 40 records in 5-record chunks is 8 —
+        // and nothing ran after the cancel.
+        assert_eq!(attempts, vec![(Phase::Map, AttemptOutcome::Succeeded); 8]);
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
     }
 
@@ -1952,11 +1921,7 @@ mod tests {
     /// spawns nothing, so every map and reduce call runs on the caller.
     #[test]
     fn a_one_worker_job_runs_every_task_on_the_submitting_thread() {
-        let e = Engine::new(EngineConfig {
-            map_tasks: 1,
-            reduce_tasks: 1,
-            ..EngineConfig::default()
-        });
+        let e = Engine::new(EngineConfig::default().with_slots(1));
         let seen = Mutex::new(std::collections::HashSet::new());
         let here = || {
             seen.lock().insert(std::thread::current().id());

@@ -53,14 +53,9 @@ fn message(payload: &(dyn Any + Send)) -> Option<&str> {
 
 #[test]
 fn a_panic_outside_an_attempt_returns_every_slot_and_reaches_the_submitter() {
-    // Two map and two reduce workers on two slots: the merge that panics
-    // runs on the submitter in some runs and on its helper in others.
-    let engine = Engine::new(EngineConfig {
-        map_tasks: 2,
-        reduce_tasks: 2,
-        slots: 2,
-        ..EngineConfig::default()
-    });
+    // Two workers a phase on two slots: the merge that panics runs on the
+    // submitter in some runs and on its helper in others.
+    let engine = Engine::new(EngineConfig::default().with_slots(2));
     let input: Vec<u32> = (0..RECORDS).collect();
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

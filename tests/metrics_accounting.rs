@@ -302,31 +302,62 @@ fn wall_times_are_populated() {
 
 #[test]
 fn results_and_counts_independent_of_parallelism() {
-    // The engine's thread counts must never affect results or the logical
-    // counters (only wall times may differ).
-    use mwsj_core::mapreduce::EngineConfig;
+    // The slot count must never affect results or any logical counter —
+    // spill runs included, since every job is cut into the same map tasks
+    // at any slot count — nor, under a fault plan, which attempts fail:
+    // only wall times may differ.
+    use mwsj_core::mapreduce::{EngineConfig, FaultPlan, JobMetrics};
     let (r1, r2, r3) = workload();
     let q = Query::parse("R1 ov R2 and R2 ra(120) R3").unwrap();
-    let mut baseline: Option<(Vec<Vec<u32>>, u64, u64)> = None;
-    for threads in [1usize, 2, 8] {
-        let cl = Cluster::new(
-            ClusterConfig::for_space((0.0, 100_000.0), (0.0, 100_000.0), 8).with_engine(
-                EngineConfig {
-                    map_tasks: threads,
-                    reduce_tasks: threads,
+    let counters = |j: &JobMetrics| {
+        (
+            j.job_name.clone(),
+            [
+                j.map_input_records,
+                j.map_output_records,
+                j.shuffle_bytes,
+                j.reduce_input_groups,
+                j.reduce_input_records,
+                j.max_partition_records,
+                j.reduce_output_records,
+                j.spill_runs,
+            ],
+            [j.retries, j.map_task_failures, j.reduce_task_failures],
+        )
+    };
+    for plan in [None, Some(FaultPlan::chaos(7, 0.1, 0.0))] {
+        for alg in [
+            Algorithm::ControlledReplicateLimit,
+            Algorithm::TwoWayCascade,
+        ] {
+            let mut baseline = None;
+            for slots in [1usize, 2, 8] {
+                let engine = EngineConfig {
+                    fault_plan: plan.clone(),
+                    slots,
                     ..EngineConfig::default()
-                },
-            ),
-        );
-        let out = cl.run(&q, &[&r1, &r2, &r3], Algorithm::ControlledReplicateLimit);
-        let counts = (
-            out.tuples,
-            out.stats.rectangles_after_replication,
-            out.report.total_intermediate_records(),
-        );
-        match &baseline {
-            None => baseline = Some(counts),
-            Some(b) => assert_eq!(&counts, b, "threads = {threads}"),
+                };
+                let cl = Cluster::new(
+                    ClusterConfig::for_space((0.0, 100_000.0), (0.0, 100_000.0), 8)
+                        .with_engine(engine),
+                );
+                let out = cl.run(&q, &[&r1, &r2, &r3], alg);
+                let got = (
+                    out.tuples,
+                    out.stats.rectangles_after_replication,
+                    out.report.dfs_write_bytes,
+                    out.report.dfs_read_bytes,
+                    out.report.dfs_transient_read_failures,
+                    out.report.jobs.iter().map(counters).collect::<Vec<_>>(),
+                );
+                let want = baseline.get_or_insert_with(|| got.clone());
+                assert_eq!(
+                    &got,
+                    want,
+                    "{} at {slots} slots, faults {plan:?}",
+                    alg.name()
+                );
+            }
         }
     }
 }
@@ -363,11 +394,7 @@ fn eight_concurrent_submitters_on_two_slots_get_their_solo_counters() {
     use mwsj_core::JoinRun;
 
     let two_slots = || {
-        let engine = EngineConfig {
-            map_tasks: 4,
-            reduce_tasks: 4,
-            ..EngineConfig::default().with_slots(2)
-        };
+        let engine = EngineConfig::default().with_slots(2);
         Cluster::new(
             ClusterConfig::for_space((0.0, 5_000.0), (0.0, 5_000.0), 4).with_engine(engine),
         )

@@ -97,7 +97,6 @@ fn figure3_all_replicate_routing_and_designated_reducer() {
         y_range: (0.0, 40.0),
         grid_cols: 8,
         grid_rows: 4,
-        num_reducers: None,
         engine: mwsj_mapreduce::EngineConfig::default(),
     });
     let out = cluster.run(&q, &[&[u1], &[v1], &[w1], &[x1]], Algorithm::AllReplicate);

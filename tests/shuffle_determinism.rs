@@ -66,16 +66,14 @@ fn reference_shuffle(input: &[u64], reducers: usize) -> Vec<(u64, Vec<u64>)> {
 /// shuffle — `(key, value-stream)` in partition order, key order within —
 /// plus the job's metrics.
 fn engine_shuffle(
-    map_tasks: usize,
-    reduce_tasks: usize,
+    slots: usize,
     reducers: usize,
     plan: Option<FaultPlan>,
     input: &[u64],
 ) -> (Vec<(u64, Vec<u64>)>, JobMetrics) {
     let e = Engine::new(EngineConfig {
-        map_tasks,
-        reduce_tasks,
         fault_plan: plan,
+        slots,
         ..EngineConfig::default()
     });
     e.run(
@@ -103,26 +101,30 @@ fn logical(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
 }
 
 /// The merged shuffle equals the single-threaded reference for every
-/// combination of seed, reducer count and map parallelism — runs merged in
-/// task order put equal keys in global input order whatever the chunking,
-/// so even the *value streams* are chunking-invariant.
+/// combination of seed, input length, reducer count and slot count — runs
+/// merged in task order put equal keys in global input order whatever the
+/// chunking, so even the *value streams* are chunking-invariant. Lengths
+/// around the map-task count cover fewer records than tasks, one per task
+/// and one chunk longer than the rest; the chunking depends on the length
+/// alone, so every counter, spill runs included, is the same at every
+/// slot count.
 #[test]
 fn matches_single_threaded_reference_across_configs() {
     for seed in [1u64, 42, 1234] {
-        let input = synth(2_000, seed);
-        for reducers in [1usize, 3, 8] {
-            let expect = reference_shuffle(&input, reducers);
-            let mut counters = None;
-            for map_tasks in [1usize, 2, 4, 8] {
-                for reduce_tasks in [1usize, 4] {
-                    let (got, m) = engine_shuffle(map_tasks, reduce_tasks, reducers, None, &input);
+        for len in [0usize, 1, 7, 8, 9, 2_000] {
+            let input = synth(len, seed);
+            for reducers in [1usize, 3, 8] {
+                let expect = reference_shuffle(&input, reducers);
+                let mut counters = None;
+                for slots in [1usize, 2, 4, 8] {
+                    let (got, m) = engine_shuffle(slots, reducers, None, &input);
                     assert_eq!(
                         got, expect,
-                        "seed {seed}, {reducers} reducers, {map_tasks} map / \
-                         {reduce_tasks} reduce threads deviates from the reference"
+                        "seed {seed}, {len} records, {reducers} reducers, {slots} slots \
+                         deviates from the reference"
                     );
-                    let l = logical(&m);
-                    assert_eq!(*counters.get_or_insert(l), l, "counters drift with threads");
+                    let l = (logical(&m), m.spill_runs);
+                    assert_eq!(*counters.get_or_insert(l), l, "counters drift with slots");
                 }
             }
         }
@@ -136,13 +138,13 @@ fn matches_single_threaded_reference_across_configs() {
 #[test]
 fn chaos_runs_commit_identical_shuffles() {
     let input = synth(3_000, 7);
-    let (clean, clean_m) = engine_shuffle(4, 4, 8, None, &input);
+    let (clean, clean_m) = engine_shuffle(4, 8, None, &input);
     assert_eq!(clean, reference_shuffle(&input, 8));
 
     for fault_seed in [3u64, 77, 2024] {
         let mut plan = FaultPlan::chaos(fault_seed, 0.25, 0.1).with_max_attempts(8);
         plan.straggler_delay = std::time::Duration::from_millis(1);
-        let (faulty, faulty_m) = engine_shuffle(4, 4, 8, Some(plan), &input);
+        let (faulty, faulty_m) = engine_shuffle(4, 8, Some(plan), &input);
         assert_eq!(
             faulty, clean,
             "value streams drift under fault seed {fault_seed}"
@@ -171,11 +173,7 @@ fn first_task_committing_late_still_merges_in_task_order() {
     let (first, last) = (input[0], input[input.len() - 1]);
     for reducers in [3usize, 8] {
         let last_mapped = AtomicBool::new(false);
-        let e = Engine::new(EngineConfig {
-            map_tasks: 2,
-            reduce_tasks: 2,
-            ..EngineConfig::default()
-        });
+        let e = Engine::new(EngineConfig::default().with_slots(2));
         let (got, _) = e
             .run(
                 JobSpec::new("late-first-task")
@@ -207,15 +205,15 @@ fn first_task_committing_late_still_merges_in_task_order() {
 /// non-empty partition and still matches the reference.
 #[test]
 fn single_run_fast_path_matches_reference() {
-    let input = synth(1, 9); // one record → one chunk at any parallelism
-    let (got, m) = engine_shuffle(1, 1, 1, None, &input);
+    let input = synth(1, 9); // one record → one chunk
+    let (got, m) = engine_shuffle(1, 1, None, &input);
     assert_eq!(got, reference_shuffle(&input, 1));
     assert_eq!(m.spill_runs, 1, "one map task, one non-empty partition");
 
     // Larger single-reducer job: every map task contributes one run to the
     // only partition, so the merge is a genuine k-way.
     let input = synth(500, 9);
-    let (got, m) = engine_shuffle(4, 2, 1, None, &input);
+    let (got, m) = engine_shuffle(2, 1, None, &input);
     assert_eq!(got, reference_shuffle(&input, 1));
     assert!(m.spill_runs > 1, "multiple chunks must spill multiple runs");
 }
@@ -232,10 +230,10 @@ proptest! {
         n in 0usize..300,
         seed in 0u64..1_000,
         reducers in 1usize..9,
-        map_tasks in 1usize..5,
+        slots in 1usize..5,
     ) {
         let input = synth(n, seed);
-        let (got, m) = engine_shuffle(map_tasks, 2, reducers, None, &input);
+        let (got, m) = engine_shuffle(slots, reducers, None, &input);
         prop_assert_eq!(&got, &reference_shuffle(&input, reducers));
 
         // Strictly increasing keys within each partition: no split or

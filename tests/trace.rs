@@ -19,12 +19,8 @@ fn synthetic(n: usize, seed: u64) -> Vec<Rect> {
     mwsj_datagen::SyntheticConfig::paper_default(n, seed).generate()
 }
 
-/// A cluster with pinned engine parallelism so fault decisions — and span
-/// counts — are machine-independent.
 fn cluster_with(plan: Option<FaultPlan>) -> Cluster {
     let mut config = ClusterConfig::for_space((0.0, 100_000.0), (0.0, 100_000.0), 8);
-    config.engine.map_tasks = 4;
-    config.engine.reduce_tasks = 4;
     config.engine.fault_plan = plan;
     Cluster::new(config)
 }
