@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, FaultPlan, JobErrorKind, Phase};
 use crate::schedule::{CancelToken, JobRegistration, SlotScheduler};
-use crate::trace::{AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink};
+use crate::trace::{AttemptOutcome, RaceWinner, TraceEvent, TraceSink};
 use crate::{Dfs, JobError, JobMetrics, RecordSize, RunFrame};
 
 /// Engine configuration: the size of the task-slot pool, plus an optional
@@ -242,8 +242,8 @@ impl<MF, PF, RF> JobSpec<MF, PF, RF> {
     }
 
     /// Attaches a cancellation token. The engine checks it at every task
-    /// boundary (map chunk claim, shuffle partition claim, reduce partition
-    /// claim and before each retry): a tripped token fails the job with
+    /// boundary (map chunk claim, reduce partition claim and before each
+    /// retry): a tripped token fails the job with
     /// [`JobErrorKind::Cancelled`] within one task granularity, with no
     /// retries and all slots released.
     #[must_use]
@@ -322,8 +322,8 @@ enum AttemptError {
         partition: usize,
         num_partitions: usize,
     },
-    /// A committed spill run failed integrity verification on shuffle
-    /// open; the producing map attempt is re-executed.
+    /// A committed spill run failed integrity verification when its reduce
+    /// task opened it; the producing map attempt is re-executed.
     CorruptRun,
 }
 
@@ -435,7 +435,7 @@ impl JobCtx<'_> {
     /// time and each worker's state, the caller's first.
     fn run_phase<S: Send>(
         &self,
-        span: SpanPhase,
+        phase: Phase,
         tasks: usize,
         init: impl Fn() -> S + Sync,
         body: impl Fn(&mut S, usize) -> Result<(), JobError> + Sync,
@@ -443,15 +443,9 @@ impl JobCtx<'_> {
         let start = Instant::now();
         self.sink.record(TraceEvent::PhaseStart {
             job: self.id,
-            phase: span,
+            phase,
             ts: self.sink.now_micros(),
         });
-        // The shuffle runs no attempts of its own: a failure there is
-        // reported against the reduce task whose partition it was opening.
-        let phase = match span {
-            SpanPhase::Map => Phase::Map,
-            SpanPhase::Shuffle | SpanPhase::Reduce => Phase::Reduce,
-        };
         let next_task = AtomicUsize::new(0);
         let claim = || {
             let mut state = init();
@@ -497,7 +491,7 @@ impl JobCtx<'_> {
         });
         self.sink.record(TraceEvent::PhaseEnd {
             job: self.id,
-            phase: span,
+            phase,
             ts: self.sink.now_micros(),
         });
         match self.failure.lock().take() {
@@ -565,7 +559,7 @@ impl<'a> TaskCtx<'a> {
             job: job.id,
             phase: self.phase,
             task,
-            attempt: attempt & !SPECULATIVE_BIT,
+            attempt: attempt & !(SPECULATIVE_BIT | REEXEC_BIT),
             speculative: attempt & SPECULATIVE_BIT != 0,
             start,
             end: sink.now_micros(),
@@ -708,11 +702,11 @@ struct MapCommit<K, V> {
 }
 
 /// One committed spill run: a sorted `(key, value)` run sealed under a
-/// [`RunFrame`] integrity frame at commit, verified by the shuffle.
-/// `task` names the producing map task: the shuffle orders a partition's
-/// runs by it, and it is the unit re-executed if verification fails (the
-/// reader cannot repair at-rest corruption; only the producer can
-/// regenerate the data).
+/// [`RunFrame`] integrity frame at commit, verified by the reduce task
+/// that reads it. `task` names the producing map task: that reduce task
+/// orders its partition's runs by it, and it is the unit re-executed if
+/// verification fails (the reader cannot repair at-rest corruption; only
+/// the producer can regenerate the data).
 struct SpillRun<K, V> {
     task: usize,
     frame: RunFrame,
@@ -720,8 +714,8 @@ struct SpillRun<K, V> {
 }
 
 /// The sorted spill runs committed to one partition: one framed run per
-/// map task that routed anything here — in commit order after the map
-/// phase, in task order and verified after the shuffle.
+/// map task that routed anything here, in commit order; its reduce task
+/// takes it and puts it in task order.
 type RunSet<K, V> = Vec<SpillRun<K, V>>;
 
 /// One partition as its reduce task merged it: the distinct keys with the
@@ -876,7 +870,7 @@ impl Engine {
             body(state, task);
             Ok(())
         };
-        let result = match job.run_phase(SpanPhase::Map, tasks, init, body) {
+        let result = match job.run_phase(Phase::Map, tasks, init, body) {
             Ok(_) if spec.cancel.is_cancelled() => Err(job.cancelled(Phase::Map, 0, 0)),
             run => run.map(|(_, states)| states),
         };
@@ -899,11 +893,11 @@ impl Engine {
     ///   for that key, in a deterministic order (input order within each
     ///   map task, map tasks in input order).
     ///
-    /// The job is three phases — map (sorted runs), shuffle (each
-    /// partition's runs put in task order and verified), reduce (each task
-    /// merges its partition, then runs its attempts) — driven by one task
-    /// driver that owns claiming, cancellation and slot accounting; map
-    /// and reduce tasks go through one retry loop and one attempt wrapper.
+    /// The job is two phases — map (sorted runs), then reduce (each task
+    /// puts its partition's runs in task order, verifies them, merges
+    /// them and runs its attempts) — driven by one task driver that owns
+    /// claiming, cancellation and slot accounting; map and reduce tasks go
+    /// through one retry loop and one attempt wrapper.
     ///
     /// # Errors
     /// [`JobErrorKind::AttemptsExhausted`] if a task fails more than
@@ -965,11 +959,11 @@ impl Engine {
         // together with its counter deltas, only on success. Logical
         // metrics count committed work, not attempts.
         //
-        // Each run remembers its producing task and the shuffle orders
-        // each partition's runs by it, so reducer value
-        // order depends only on the input, not on which worker claimed
-        // which chunk first (and not on whether a task was retried) —
-        // reruns with equal seeds see byte-identical value streams.
+        // Each run remembers its producing task and the reduce task orders
+        // its partition's runs by it, so reducer value order depends only
+        // on the input, not on which worker claimed which chunk first (and
+        // not on whether a task was retried) — reruns with equal seeds see
+        // byte-identical value streams.
         let chunk_size = input.len().div_ceil(Self::MAP_TASKS).max(1);
         let chunks: Vec<&[I]> = input.chunks(chunk_size).collect();
         let emitted = AtomicU64::new(0);
@@ -1026,7 +1020,7 @@ impl Engine {
         };
         (metrics.map_wall, _) = job
             .run_phase(
-                SpanPhase::Map,
+                Phase::Map,
                 chunks.len(),
                 || (),
                 |(), task| {
@@ -1034,9 +1028,9 @@ impl Engine {
                     // Atomic commit: each non-empty sorted bucket becomes one
                     // immutable run (moved, never copied — no contended
                     // extend), sealed under an integrity frame that the
-                    // shuffle verifies. Injected corruption tampers
-                    // the stored frame — what a flipped byte looks like to a
-                    // reader checking a checksum.
+                    // reading reduce task verifies. Injected corruption
+                    // tampers the stored frame — what a flipped byte looks
+                    // like to a reader checking a checksum.
                     let mut runs = 0u64;
                     for (p, bucket) in commit.buckets.into_iter().enumerate() {
                         if !bucket.is_empty() {
@@ -1068,23 +1062,23 @@ impl Engine {
         metrics.reduce_input_records = metrics.map_output_records;
         metrics.shuffle_bytes = shuffled_bytes.load(Ordering::Relaxed);
 
-        // ---- Shuffle: the runs in task order, verified ------------------
-        // The work that must finish before any reducer runs: each
-        // partition's runs are put in producing-task order (commit order
-        // is a race) — retries, speculative duplicates and re-executions
-        // all commit under their task's index, so this order is a pure
-        // function of the input — and every run's integrity frame is
-        // checked. A mismatch means at-rest corruption, which the reader
-        // cannot repair — the *producing* map task is re-executed (fresh
-        // fault and corruption draws per generation) and only this
-        // partition's bucket of the fresh commit replaces the run. Logical
-        // counters (emitted pairs, shuffle bytes, spill runs, sort time)
-        // were charged when the original attempt committed and are never
-        // re-charged, so recovery leaves the job's counter surface
-        // byte-identical to a clean run; only the fault-bookkeeping
-        // counters move. Re-executions share the task's retry budget, so a
-        // pathological corruption rate fails the job deterministically
-        // instead of looping forever.
+        // ---- Reduce phase ----------------------------------------------
+        // Each partition is one reduce task, and its copy step is the
+        // shuffle: the task takes its partition's runs, puts them in
+        // producing-task order (commit order is a race) — retries,
+        // speculative duplicates and re-executions all commit under their
+        // task's index, so this order is a pure function of the input —
+        // and checks every run's integrity frame. A mismatch means at-rest
+        // corruption, which the reader cannot repair: the *producing* map
+        // task is re-executed (fresh fault and corruption draws per
+        // generation) and only this partition's bucket of the fresh commit
+        // replaces the run. Logical counters (emitted pairs, shuffle
+        // bytes, spill runs, sort time) were charged when the original
+        // attempt committed and are never re-charged, so recovery leaves
+        // the job's counter surface byte-identical to a clean run; only
+        // the fault-bookkeeping counters move. Re-executions share the map
+        // task's retry budget, so a pathological corruption rate fails the
+        // job deterministically instead of looping forever.
         let corrupt_runs = AtomicU64::new(0);
         let regenerate = |task: usize, partition: usize| -> Result<Vec<(K, V)>, JobError> {
             let mut generation = 0u32;
@@ -1130,53 +1124,38 @@ impl Engine {
                 }
             }
         };
-        // The shuffle can fail two ways: cancellation, or a corrupt run
-        // whose producer exhausted its re-execution budget — either
-        // surfaces before the reduce phase starts.
-        (metrics.shuffle_wall, _) = job
-            .run_phase(
-                SpanPhase::Shuffle,
-                num_partitions,
-                || (),
-                |(), p| {
-                    let mut runs = partitions[p].lock();
-                    runs.sort_by_key(|r| r.task);
-                    for run in runs.iter_mut() {
-                        if !run.frame.verify(&run.records) {
-                            run.records = regenerate(run.task, p)?;
-                        }
-                    }
-                    Ok(())
-                },
-            )
-            .map_err(&fail)?;
-        metrics.corrupt_runs = corrupt_runs.load(Ordering::Relaxed);
-
-        // ---- Reduce phase ----------------------------------------------
-        // Each partition is one reduce task. The task merges its verified
-        // runs once, outside its attempts — so at most one merged
-        // partition per slot exists at a time — and every attempt, a retry
-        // or a speculative duplicate, borrows each group as a slice of
-        // that one immutable buffer: nothing is cloned. The merge is
-        // dropped when the task commits.
+        // The task then merges its verified runs once, outside its
+        // attempts — so at most one merged partition per slot exists at a
+        // time — and every attempt, a retry or a speculative duplicate,
+        // borrows each group as a slice of that one immutable buffer:
+        // nothing is cloned. The merge is dropped when the task commits.
         let output_slots: Vec<Mutex<Vec<O>>> = (0..num_partitions)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         let out_count = AtomicU64::new(0);
+        let shuffle_nanos = AtomicU64::new(0);
         let merge_nanos = AtomicU64::new(0);
         let group_counter = AtomicU64::new(0);
         let max_partition = AtomicU64::new(0);
         let reduce = TaskCtx::new(&job, Phase::Reduce);
         (metrics.reduce_wall, _) = job
             .run_phase(
-                SpanPhase::Reduce,
+                Phase::Reduce,
                 num_partitions,
                 || (),
                 |(), task| {
-                    let runs = std::mem::take(&mut *partitions[task].lock());
+                    let mut runs = std::mem::take(&mut *partitions[task].lock());
                     let t0 = Instant::now();
+                    runs.sort_by_key(|r| r.task);
+                    for run in &mut runs {
+                        if !run.frame.verify(&run.records) {
+                            run.records = regenerate(run.task, task)?;
+                        }
+                    }
+                    let t1 = Instant::now();
                     let merged = merge_sorted_runs(runs.into_iter().map(|r| r.records).collect());
-                    merge_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    shuffle_nanos.fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
+                    merge_nanos.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     max_partition.fetch_max(merged.values.len() as u64, Ordering::Relaxed);
                     group_counter.fetch_add(merged.groups.len() as u64, Ordering::Relaxed);
                     let run_attempt = |task: usize, attempt: u32| {
@@ -1195,6 +1174,8 @@ impl Engine {
                 },
             )
             .map_err(&fail)?;
+        metrics.shuffle_wall = Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed));
+        metrics.corrupt_runs = corrupt_runs.load(Ordering::Relaxed);
         metrics.merge_wall = Duration::from_nanos(merge_nanos.load(Ordering::Relaxed));
         metrics.reduce_input_groups = group_counter.load(Ordering::Relaxed);
         metrics.max_partition_records = max_partition.load(Ordering::Relaxed);
@@ -1597,10 +1578,10 @@ mod tests {
         assert_eq!(j.speculative_launched, 12);
     }
 
-    /// Injected spill corruption is detected when the shuffle verifies the
-    /// run and repaired by re-executing the producing map task: output
-    /// and every logical counter are byte-identical to a clean run, and
-    /// only the `corrupt_runs` bookkeeping moves.
+    /// Injected spill corruption is detected when the reduce task reading
+    /// the run verifies it and repaired by re-executing the producing map
+    /// task: output and every logical counter are byte-identical to a
+    /// clean run, and only the `corrupt_runs` bookkeeping moves.
     #[test]
     fn corrupt_runs_repaired_with_identical_counters() {
         let input: Vec<u32> = (0..250).collect();
@@ -1660,6 +1641,75 @@ mod tests {
         }
         // The shuffle's own failure path returns its slot too.
         assert_eq!(e.scheduler().available(), e.scheduler().slots());
+    }
+
+    /// A corrupt run is repaired by the reduce task that reads it, before
+    /// that task reduces anything: on one slot, where tasks run in claim
+    /// order, every re-execution of map task `t` for partition `p` falls
+    /// after partition `p - 1`'s reduce calls and before partition `p`'s
+    /// first.
+    #[test]
+    fn each_reduce_task_repairs_the_runs_it_reads() {
+        #[derive(Clone, Copy)]
+        enum Call {
+            Map(usize),
+            Reduce(usize),
+        }
+        let plan = FaultPlan {
+            seed: 41,
+            ..FaultPlan::none()
+        }
+        .with_corruption(0.2)
+        .with_max_attempts(8);
+        let injector = FaultInjector::new(plan.clone());
+        let e = Engine::new(EngineConfig::default().with_slots(1).with_fault_plan(plan));
+        let log = Mutex::new(Vec::new());
+        // 400 records in 50-record chunks: 8 map tasks, each routing to
+        // all 4 partitions.
+        let input: Vec<u32> = (0..400).collect();
+        let spec = JobSpec::new("repair-order")
+            .reducers(4)
+            .map(|&x: &u32, emit| {
+                log.lock().push(Call::Map(x as usize / 50));
+                emit(x, x);
+            })
+            .partition(|&k: &u32, n| k as usize % n)
+            .reduce(|&k: &u32, _: &[u32], out| {
+                log.lock().push(Call::Reduce(k as usize % 4));
+                out(k);
+            });
+        let (_, j) = e.run(spec, &input).unwrap();
+        assert!(j.corrupt_runs > 0, "seed 41 must corrupt at least one run");
+
+        // After the map phase's 400 calls, map calls that come before
+        // partition `p`'s first reduce call repair partition `p`.
+        let log = log.into_inner();
+        let mut repaired: Vec<Vec<usize>> = vec![Vec::new(); 5];
+        let mut reading = 0;
+        for call in &log[input.len()..] {
+            match *call {
+                Call::Map(t) => repaired[reading].push(t),
+                Call::Reduce(p) => {
+                    assert!(p + 1 >= reading, "partition {p} reduced out of order");
+                    reading = p + 1;
+                }
+            }
+        }
+        for tasks in &mut repaired {
+            tasks.dedup();
+        }
+        let expected: Vec<Vec<usize>> = (0..5)
+            .map(|p| {
+                (0..8)
+                    .filter(|&t| p < 4 && injector.should_corrupt_run(0, t, p, 0))
+                    .collect()
+            })
+            .collect();
+        assert!(
+            expected[1..].iter().any(|tasks| !tasks.is_empty()),
+            "seed 41 must corrupt a run past partition 0"
+        );
+        assert_eq!(repaired, expected);
     }
 
     /// Runs given in task order as `(key, value)` merge to a stable
@@ -1824,8 +1874,9 @@ mod tests {
 
     /// A token tripped by the mapper on the last input record is seen by
     /// no map claim (the phase has none left): the job fails at the
-    /// shuffle's first claim, before any reduce attempt, and the map
-    /// phase's slot is already back in the pool.
+    /// reduce phase's first claim, before that task opens (shuffles) its
+    /// partition or runs an attempt, and the map phase's slot is already
+    /// back in the pool.
     #[test]
     fn cancel_after_the_last_map_claim_fails_at_the_shuffle() {
         let sink = TraceSink::recording();
@@ -1853,14 +1904,14 @@ mod tests {
         );
         assert_eq!((err.phase, err.task, err.attempts), (Phase::Reduce, 0, 0));
         let events = sink.events();
-        let phases: Vec<SpanPhase> = events
+        let phases: Vec<Phase> = events
             .iter()
             .filter_map(|ev| match ev {
                 TraceEvent::PhaseStart { phase, .. } => Some(*phase),
                 _ => None,
             })
             .collect();
-        assert_eq!(phases, vec![SpanPhase::Map, SpanPhase::Shuffle]);
+        assert_eq!(phases, vec![Phase::Map, Phase::Reduce]);
         let attempts: Vec<(Phase, AttemptOutcome)> = events
             .iter()
             .filter_map(|ev| match ev {

@@ -19,9 +19,9 @@
 //! the reduce phase starts only after every mapper finishes (barrier), all
 //! pairs with equal keys meet at a single reducer, and reducers process
 //! keys in sorted order. As in Hadoop, sorting happens mapper-side: each
-//! map task commits its output as per-partition *sorted runs*, the
-//! shuffle verifies them in task order, each reduce task k-way-merges its
-//! own, and reducers borrow each key's values as a slice of the merged
+//! map task commits its output as per-partition *sorted runs*, and each
+//! reduce task puts its own in task order, verifies and merges them, and
+//! reducers borrow each key's values as a slice of the merged
 //! buffer — the data path from map emit to reduce is zero-copy.
 //!
 //! It is also faithful to map-reduce's *failure* model: every map chunk
@@ -87,6 +87,4 @@ pub use fault::{
 pub use metrics::{CostModel, JobMetrics, MetricsReport};
 pub use record::{Fnv64, RecordSize, RunFrame};
 pub use schedule::{CancelToken, JobRegistration, SlotScheduler};
-pub use trace::{
-    json_escape, validate_json, AttemptOutcome, RaceWinner, SpanPhase, TraceEvent, TraceSink,
-};
+pub use trace::{json_escape, validate_json, AttemptOutcome, RaceWinner, TraceEvent, TraceSink};

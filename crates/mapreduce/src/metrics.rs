@@ -82,8 +82,8 @@ pub struct JobMetrics {
     /// per-partition bucket of a committed attempt). Deterministic for a
     /// fixed engine config: each task commits exactly once, faults or not.
     pub spill_runs: u64,
-    /// Spill runs whose integrity frame failed verification in the
-    /// shuffle (at-rest corruption, detected and repaired by
+    /// Spill runs whose integrity frame failed verification when their
+    /// reduce task opened them (at-rest corruption, detected and repaired by
     /// re-executing the producing map task). Fault-tolerance bookkeeping
     /// like `retries`, never a paper-table counter.
     pub corrupt_runs: u64,
@@ -93,7 +93,9 @@ pub struct JobMetrics {
     /// committed attempts (the sorts run in parallel inside the map
     /// phase, so this can exceed any single phase's wall clock).
     pub sort_wall: Duration,
-    /// Wall time of the shuffle: ordering and verifying the runs.
+    /// Time reduce tasks spent putting their runs in task order and
+    /// verifying them (repairs included), summed over reduce tasks (it
+    /// falls inside `reduce_wall`).
     pub shuffle_wall: Duration,
     /// Time reduce tasks spent k-way-merging their runs, summed over
     /// reduce tasks (it falls inside `reduce_wall`).

@@ -4,10 +4,10 @@
 //! because its *intermediate pairs* and *per-phase costs* are smaller
 //! (§1, §7.8) — so the engine records not just end-of-run aggregates but a
 //! structured event stream: one span per **job**, per **phase** (map,
-//! shuffle, reduce) and per **task attempt** (including retries and
-//! speculative duplicates, tagged with their outcome), plus one counter
-//! snapshot per finished job taken from the exact [`JobMetrics`] the
-//! paper tables are built from.
+//! reduce) and per **task attempt** (including retries and speculative
+//! duplicates, tagged with their outcome), plus one counter snapshot per
+//! finished job taken from the exact [`JobMetrics`] the paper tables are
+//! built from.
 //!
 //! # Span hierarchy
 //!
@@ -15,9 +15,9 @@
 //! job (one per Engine::run)
 //! ├── phase: map
 //! │   └── task attempt (chunk × attempt, speculative duplicates tagged)
-//! ├── phase: shuffle          (runs ordered and verified; no attempts)
 //! ├── phase: reduce
-//! │   └── task attempt (partition × attempt)
+//! │   ├── task attempt (partition × attempt)
+//! │   └── map task attempt (re-executed to repair a corrupt run)
 //! └── counters                (snapshot of the job's JobMetrics)
 //! ```
 //!
@@ -51,37 +51,6 @@ use parking_lot::Mutex;
 use crate::fault::Phase;
 use crate::JobMetrics;
 
-/// A span phase: the engine's two task phases plus the shuffle barrier
-/// between them (which verifies the runs but runs no retryable tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanPhase {
-    /// The map phase (input chunks → intermediate pairs).
-    Map,
-    /// The shuffle: each partition's runs put in task order and verified.
-    Shuffle,
-    /// The reduce phase (one task per partition).
-    Reduce,
-}
-
-impl From<Phase> for SpanPhase {
-    fn from(p: Phase) -> Self {
-        match p {
-            Phase::Map => SpanPhase::Map,
-            Phase::Reduce => SpanPhase::Reduce,
-        }
-    }
-}
-
-impl std::fmt::Display for SpanPhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SpanPhase::Map => "map",
-            SpanPhase::Shuffle => "shuffle",
-            SpanPhase::Reduce => "reduce",
-        })
-    }
-}
-
 /// How one task attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptOutcome {
@@ -95,8 +64,8 @@ pub enum AttemptOutcome {
     Panicked,
     /// The partitioner routed a key out of range (fails the job).
     BadPartition,
-    /// A committed spill run failed integrity verification in the
-    /// shuffle; the producing map task is re-executed.
+    /// A committed spill run failed integrity verification when its
+    /// reduce task opened it; the producing map task is re-executed.
     CorruptRun,
 }
 
@@ -166,7 +135,7 @@ pub enum TraceEvent {
         /// The owning job.
         job: u64,
         /// Which phase.
-        phase: SpanPhase,
+        phase: Phase,
         /// Start timestamp (µs).
         ts: u64,
     },
@@ -175,7 +144,7 @@ pub enum TraceEvent {
         /// The owning job.
         job: u64,
         /// Which phase.
-        phase: SpanPhase,
+        phase: Phase,
         /// End timestamp (µs).
         ts: u64,
     },
@@ -358,8 +327,8 @@ impl TraceSink {
     ///
     /// Jobs become processes (`pid` = job id), phases and job spans live
     /// on thread 0, task attempts on one thread per task (map and reduce
-    /// tasks share lanes — the phases are disjoint in time), and each
-    /// job's counter snapshot becomes a `ph:"C"` counter sample.
+    /// tasks share lanes), and each job's counter snapshot becomes a
+    /// `ph:"C"` counter sample.
     #[must_use]
     pub fn to_chrome_trace(&self) -> String {
         chrome_trace(&self.events())
@@ -485,7 +454,8 @@ fn event_to_json(ev: &TraceEvent) -> String {
 
 /// Thread lane for a task attempt slice: one lane per task index. Lane 0
 /// holds the job and phase spans; map and reduce tasks share lanes 1+
-/// (the phases are disjoint in time, so slices never overlap).
+/// (the phases are disjoint in time; only a map task re-executed to
+/// repair a corrupt run runs inside the reduce phase).
 fn attempt_tid(task: usize) -> usize {
     task + 1
 }
@@ -508,7 +478,7 @@ fn chrome_trace(events: &[TraceEvent]) -> String {
     // Open-span bookkeeping: (job, phase-or-job) start timestamps.
     let mut job_open: std::collections::HashMap<u64, (String, u64)> =
         std::collections::HashMap::new();
-    let mut phase_open: std::collections::HashMap<(u64, SpanPhase), u64> =
+    let mut phase_open: std::collections::HashMap<(u64, Phase), u64> =
         std::collections::HashMap::new();
 
     for ev in events {
@@ -700,7 +670,7 @@ mod tests {
         });
         s.record(TraceEvent::PhaseStart {
             job: 0,
-            phase: SpanPhase::Map,
+            phase: Phase::Map,
             ts: 1,
         });
         s.record(TraceEvent::Attempt {
@@ -715,7 +685,7 @@ mod tests {
         });
         s.record(TraceEvent::PhaseEnd {
             job: 0,
-            phase: SpanPhase::Map,
+            phase: Phase::Map,
             ts: 6,
         });
         s.record(TraceEvent::JobEnd {

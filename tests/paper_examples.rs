@@ -3,7 +3,7 @@
 //! The paper's figures are conceptual (not measured plots); each one walks
 //! a small geometric configuration through part of the machinery. These
 //! tests pin the full pipeline to those walkthroughs: Figure 2 (the
-//! project / split / replicate transforms), Figure 3 (All-Replicate
+//! project / split / replicate routing of `Grid`), Figure 3 (All-Replicate
 //! routing and the §6.2 designated reducer), Figure 4 (the crossing-pair
 //! motivation of §7.6), Figure 5 (the complete Controlled-Replicate
 //! example of §7.7) and Figure 6/8 (the C-Rep-L bounds, covered in
@@ -12,7 +12,7 @@
 
 use mwsj_core::{reference, Algorithm, Cluster, ClusterConfig};
 use mwsj_geom::Rect;
-use mwsj_partition::{CellId, Grid, Transform};
+use mwsj_partition::{CellId, Grid};
 use mwsj_query::Query;
 
 fn numbers(cells: &[CellId]) -> Vec<u32> {
@@ -29,15 +29,27 @@ fn figure2_project_split_replicate() {
     // 10, 11}.
     let grid = Grid::square((0.0, 8.0), (0.0, 8.0), 4);
     let r1 = Rect::new(3.0, 5.5, 1.5, 1.0);
-    assert_eq!(numbers(&Transform::Project.target_cells(&r1, &grid)), [6]);
-    assert_eq!(numbers(&Transform::Split.target_cells(&r1, &grid)), [6, 7]);
+    assert_eq!(numbers(&[grid.cell_of(&r1)]), [6]);
+    assert_eq!(numbers(&grid.split_cells(&r1)), [6, 7]);
     assert_eq!(
-        numbers(&Transform::ReplicateF1.target_cells(&r1, &grid)),
+        numbers(&grid.fourth_quadrant_cells(&r1)),
         [6, 7, 8, 10, 11, 12, 14, 15, 16]
     );
     assert_eq!(
-        numbers(&Transform::ReplicateF2 { d: 0.5 }.target_cells(&r1, &grid)),
+        numbers(&grid.fourth_quadrant_cells_within(&r1, 0.5)),
         [6, 7, 10, 11]
+    );
+}
+
+#[test]
+fn figure2b_split_enlarged() {
+    // Figure 2(b): r1 enlarged by d overlaps cells 2-4, 6-8 and 10-12.
+    let grid = Grid::square((0.0, 8.0), (0.0, 8.0), 4);
+    let r1 = Rect::new(3.0, 5.5, 2.5, 1.0);
+    let d = 1.0; // pushes the enlarged rect into rows 0 and 2, columns 1-3
+    assert_eq!(
+        numbers(&grid.split_cells_enlarged(&r1, d)),
+        [2, 3, 4, 6, 7, 8, 10, 11, 12]
     );
 }
 
@@ -50,10 +62,10 @@ fn figure2_overlap_needs_split_not_project() {
     let r1 = Rect::new(3.0, 5.5, 1.5, 1.0); // cell 6, into 7
     let r2 = Rect::new(4.2, 6.5, 0.8, 1.5); // cell 3, into 7
     assert!(r1.overlaps(&r2));
-    let proj1 = Transform::Project.target_cells(&r1, &grid);
-    let split2 = Transform::Split.target_cells(&r2, &grid);
-    assert!(proj1.iter().all(|c| !split2.contains(c)));
-    let split1 = Transform::Split.target_cells(&r1, &grid);
+    let proj1 = grid.cell_of(&r1);
+    let split2 = grid.split_cells(&r2);
+    assert!(!split2.contains(&proj1));
+    let split1 = grid.split_cells(&r1);
     assert!(split1.iter().any(|c| split2.contains(c)));
 }
 

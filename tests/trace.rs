@@ -8,7 +8,8 @@
 //! fault-free run.
 
 use mwsj_core::mapreduce::{
-    validate_json, FaultPlan, ForcedFault, JobMetrics, Phase, SpanPhase, TraceEvent, TraceSink,
+    validate_json, Engine, EngineConfig, FaultPlan, ForcedFault, JobMetrics, JobSpec, Phase,
+    TraceEvent, TraceSink,
 };
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
@@ -82,9 +83,17 @@ fn jsonl_export_round_trips_and_covers_every_job() {
     let ends = jsonl.matches("\"type\":\"job_end\"").count();
     assert_eq!(starts, out.report.num_jobs());
     assert_eq!(ends, out.report.num_jobs());
-    // Three phases per job, started and ended.
+    // Two phases per job, map and reduce, started and ended.
     let phase_starts = jsonl.matches("\"type\":\"phase_start\"").count();
-    assert_eq!(phase_starts, 3 * out.report.num_jobs());
+    assert_eq!(phase_starts, 2 * out.report.num_jobs());
+    for phase in ["map", "reduce"] {
+        let named = jsonl
+            .lines()
+            .filter(|l| l.contains("\"type\":\"phase_start\""))
+            .filter(|l| l.contains(&format!("\"phase\":\"{phase}\"")))
+            .count();
+        assert_eq!(named, out.report.num_jobs(), "{phase} phase starts");
+    }
     assert_eq!(
         jsonl.matches("\"type\":\"phase_end\"").count(),
         phase_starts
@@ -107,7 +116,7 @@ fn chrome_trace_is_loadable_and_names_every_span_kind() {
     }
     // Phase slices on lane 0, attempt slices on per-task lanes, one counter
     // sample per job.
-    for phase in ["\"map\"", "\"shuffle\"", "\"reduce\""] {
+    for phase in ["\"map\"", "\"reduce\""] {
         assert!(trace.contains(&format!("{{\"name\":{phase},\"cat\":\"phase\"")));
     }
     assert!(trace.contains("\"cat\":\"attempt\""));
@@ -132,7 +141,7 @@ fn span_tree_nests_attempts_in_phases_in_jobs() {
 
     for jobid in 0..out.report.num_jobs() as u64 {
         let job_span = span_of(&events, jobid, None);
-        for phase in [SpanPhase::Map, SpanPhase::Shuffle, SpanPhase::Reduce] {
+        for phase in [Phase::Map, Phase::Reduce] {
             let phase_span = span_of(&events, jobid, Some(phase));
             assert!(
                 job_span.0 <= phase_span.0 && phase_span.1 <= job_span.1,
@@ -140,8 +149,8 @@ fn span_tree_nests_attempts_in_phases_in_jobs() {
             );
         }
         let (map, reduce) = (
-            span_of(&events, jobid, Some(SpanPhase::Map)),
-            span_of(&events, jobid, Some(SpanPhase::Reduce)),
+            span_of(&events, jobid, Some(Phase::Map)),
+            span_of(&events, jobid, Some(Phase::Reduce)),
         );
         let mut attempts = 0;
         for ev in &events {
@@ -169,13 +178,13 @@ fn span_tree_nests_attempts_in_phases_in_jobs() {
                 );
             }
         }
-        // Pinned parallelism: 4 map + 4 reduce tasks, ≥ 1 attempt each.
+        // 8 map tasks and one reduce task per grid cell, ≥ 1 attempt each.
         assert!(attempts >= 8, "job {jobid}: only {attempts} attempt spans");
     }
 }
 
 /// Start/end timestamps of a job span (`phase: None`) or a phase span.
-fn span_of(events: &[TraceEvent], jobid: u64, phase: Option<SpanPhase>) -> (u64, u64) {
+fn span_of(events: &[TraceEvent], jobid: u64, phase: Option<Phase>) -> (u64, u64) {
     let mut start = None;
     let mut end = None;
     for ev in events {
@@ -244,7 +253,7 @@ fn a_map_side_run_records_one_job_span_holding_one_phase_span() {
         .count();
     assert_eq!(phases, 1);
     let job_span = span_of(&events, job, None);
-    let phase_span = span_of(&events, job, Some(SpanPhase::Map));
+    let phase_span = span_of(&events, job, Some(Phase::Map));
     assert!(job_span.0 <= phase_span.0 && phase_span.1 <= job_span.1);
     assert!(events
         .iter()
@@ -394,4 +403,44 @@ fn tracing_does_not_perturb_logical_counters() {
         );
     }
     assert_eq!(traced.report.dfs_read_bytes, untraced.report.dfs_read_bytes);
+}
+
+/// A map task re-executed to repair a corrupt run is traced under its
+/// generation, like any retry: no attempt number, in either export,
+/// reaches the attempt budget.
+#[test]
+fn re_executed_map_attempts_are_numbered_within_the_budget() {
+    let plan = FaultPlan::none().with_corruption(0.3).with_max_attempts(8);
+    let max_attempts = plan.max_attempts;
+    let sink = TraceSink::recording();
+    let engine = Engine::new(EngineConfig::default().with_slots(2).with_fault_plan(plan));
+    let input: Vec<u32> = (0..400).collect();
+    let spec = JobSpec::new("repaired")
+        .reducers(4)
+        .trace(sink.clone())
+        .map(|&x: &u32, emit| emit(x, x))
+        .partition(|&k: &u32, n| k as usize % n)
+        .reduce(|&k: &u32, _: &[u32], out: &mut dyn FnMut(u32)| out(k));
+    let (out, metrics) = engine.run(spec, &input).expect("eight attempts survive");
+    assert_eq!(out.len(), 400);
+    assert!(metrics.corrupt_runs > 0, "the plan corrupted nothing");
+
+    let mut re_executed = 0;
+    for ev in sink.events() {
+        if let TraceEvent::Attempt {
+            phase,
+            task,
+            attempt,
+            ..
+        } = ev
+        {
+            assert!(
+                attempt < max_attempts,
+                "{phase} task {task} traced as attempt {attempt}"
+            );
+            re_executed += usize::from(phase == Phase::Map && attempt > 0);
+        }
+    }
+    assert!(re_executed > 0, "no map task was re-executed");
+    validate_json(&sink.to_chrome_trace()).expect("chrome trace must be well-formed JSON");
 }
