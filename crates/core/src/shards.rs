@@ -149,7 +149,7 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
     };
     JoinOutput {
         algorithm: Algorithm::MapSide,
-        tuples: sorted_rows(&ids, arity),
+        tuples: sorted_rows(ids, arity),
         tuple_count,
         stats: ReplicationStats::default(),
         report: MetricsReport {
@@ -163,19 +163,43 @@ pub fn gather(partials: Vec<ShardPartial>, spec: &GatherSpec) -> JoinOutput {
 
 /// The distinct rows of the row-major buffer `ids` in ascending order,
 /// one `Vec` of capacity `arity` each: what
-/// [`mwsj_local::multiway::normalized`] returns for the same rows, from
-/// one sort of `u32` row indices and one allocation per distinct tuple.
-fn sorted_rows(ids: &[u32], arity: usize) -> Vec<Vec<u32>> {
+/// [`mwsj_local::multiway::normalized`] returns for the same rows, with one
+/// allocation per distinct tuple. Rows of arity 2 to 4 are sorted and
+/// deduplicated in place; other arities sort `u32` row indices.
+fn sorted_rows(mut ids: Vec<u32>, arity: usize) -> Vec<Vec<u32>> {
     if ids.is_empty() {
         return Vec::new();
     }
     debug_assert_eq!(ids.len() % arity, 0, "whole rows only");
-    let rows = u32::try_from(ids.len() / arity).expect("fewer than 2^32 tuples in one result");
-    let row = |r: u32| &ids[r as usize * arity..(r as usize + 1) * arity];
-    let mut order: Vec<u32> = (0..rows).collect();
-    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-    order.dedup_by(|a, b| row(*a) == row(*b));
-    order.into_iter().map(|r| row(r).to_vec()).collect()
+    match arity {
+        2 => sorted_fixed_rows::<2>(&mut ids),
+        3 => sorted_fixed_rows::<3>(&mut ids),
+        4 => sorted_fixed_rows::<4>(&mut ids),
+        _ => {
+            let rows =
+                u32::try_from(ids.len() / arity).expect("fewer than 2^32 tuples in one result");
+            let row = |r: u32| &ids[r as usize * arity..(r as usize + 1) * arity];
+            let mut order: Vec<u32> = (0..rows).collect();
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            order.dedup_by(|a, b| row(*a) == row(*b));
+            order.into_iter().map(|r| row(r).to_vec()).collect()
+        }
+    }
+}
+
+/// [`sorted_rows`] for rows of `N` ids: sorts the rows of `ids` as arrays,
+/// moves each distinct row to the front, and copies those out.
+fn sorted_fixed_rows<const N: usize>(ids: &mut [u32]) -> Vec<Vec<u32>> {
+    let rows = ids.as_chunks_mut::<N>().0;
+    rows.sort_unstable();
+    let mut kept = 1;
+    for r in 1..rows.len() {
+        if rows[r] != rows[kept - 1] {
+            rows[kept] = rows[r];
+            kept += 1;
+        }
+    }
+    rows[..kept].iter().map(|row| row.to_vec()).collect()
 }
 
 #[cfg(test)]

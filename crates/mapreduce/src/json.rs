@@ -213,17 +213,25 @@ impl Parser<'_> {
         self.pos > start
     }
 
-    /// `-? digits (. digits)? ([eE] [+-]? digits)?` — what `f64::from_str`
-    /// accepts beyond that (`1.`, `-.5`, `1.e3`) is not JSON.
+    /// `-? int (. digits)? ([eE] [+-]? digits)?`, where `int` is `0` or
+    /// digits without a leading zero — what `f64::from_str` accepts beyond
+    /// that (`01`, `1.`, `-.5`, `1.e3`) is not JSON. An integer of at most
+    /// 15 digits is below 2^53, so it is accumulated as a `u64` and
+    /// converted exactly; anything else goes to `f64::from_str`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        let mut ok = self.digits();
+        let int = self.pos;
+        let mut ok = self.digits() && (self.bytes[int] != b'0' || self.pos == int + 1);
+        let int = int..self.pos;
+        let mut integer = true;
         if ok && self.peek() == Some(b'.') {
             self.pos += 1;
             ok = self.digits();
+            integer = false;
         }
         if ok && matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
@@ -231,6 +239,13 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             ok = self.digits();
+            integer = false;
+        }
+        if ok && integer && int.len() <= 15 {
+            let n = self.bytes[int]
+                .iter()
+                .fold(0, |n, &d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
         }
         match self.text[start..self.pos].parse() {
             Ok(n) if ok => Ok(Json::Num(n)),
@@ -421,6 +436,40 @@ mod tests {
         for bad in ["1.", "-.5", "1.e3", "1e", "-", "\"a\tb\"", "\"\\u+1ab\""] {
             assert!(parse(bad).is_err(), "`{bad}` is not JSON");
         }
+        // Leading zeros, which `f64::from_str` reads as decimals.
+        for bad in ["01", "-01", "00", "-00", "007", "[0,01]", "01.5", "00e1"] {
+            assert!(parse(bad).is_err(), "`{bad}` is not JSON");
+        }
+    }
+
+    /// An integer token reads as `f64::from_str` reads it, bit for bit,
+    /// on both sides of the 15-digit exact path (and see the property
+    /// `integer_tokens_read_as_from_str`).
+    #[test]
+    fn integers_read_as_f64_from_str_reads_them() {
+        for token in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "-1000000000000000",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            reads_as_from_str(token).unwrap();
+        }
+    }
+
+    /// Checks that `token` reads as `f64::from_str` reads it, bit for bit.
+    fn reads_as_from_str(token: &str) -> Result<(), String> {
+        let want = token.parse::<f64>().unwrap();
+        match parse(token) {
+            Ok(Json::Num(n)) if n.to_bits() == want.to_bits() => Ok(()),
+            other => Err(format!("`{token}` gave {other:?}, not {want:?}")),
+        }
     }
 
     #[test]
@@ -586,6 +635,25 @@ mod tests {
                 "{{\"a\":[{arr}],\"b\":{flag},\"s\":\"{}\",\"n\":null}}",
                 crate::json_escape(&s)
             )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            /// Integer tokens of 1 to 20 digits, either sign, read as
+            /// `f64::from_str` reads them.
+            #[test]
+            fn integer_tokens_read_as_from_str(
+                negative in proptest::bool::ANY,
+                len in 1usize..21,
+                lead in 1u64..10,
+                rest in 0u64..u64::MAX,
+            ) {
+                let digits = format!("{lead}{rest:019}");
+                let sign = if negative { "-" } else { "" };
+                let token = format!("{sign}{}", &digits[..len]);
+                prop_assert!(super::reads_as_from_str(&token).is_ok(), "{token}");
+            }
         }
 
         proptest! {

@@ -1,10 +1,11 @@
 //! What an opened store costs the heap. A counting global allocator sees
-//! every request this test binary makes, so the binary holds this one
-//! test and measures only across each open.
+//! every request this test binary makes, so its tests take turns
+//! (`SERIAL`) and measure only across each open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 use mwsj_geom::Rect;
 use mwsj_partition::Grid;
@@ -15,6 +16,10 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test for its whole run, so no other test allocates while
+/// it measures.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn granted(size: usize) {
     let live = LIVE.fetch_add(size, Relaxed) + size;
@@ -69,22 +74,21 @@ fn rects(n: usize) -> Vec<Rect> {
 
 /// Live bytes still held after `open` returns and the peak during it,
 /// both relative to the live bytes before it.
-fn measure(open: impl FnOnce() -> StoredDataset, n: usize) -> (usize, usize) {
+fn measure<T>(open: impl FnOnce() -> T) -> (T, usize, usize) {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
-    let store = open();
+    let opened = open();
     let held = LIVE.load(Relaxed) - base;
     let peak = PEAK.load(Relaxed) - base;
-    assert_eq!(store.record_count(), n as u64);
-    drop(store);
-    (held, peak)
+    (opened, held, peak)
 }
 
 #[test]
 fn an_opened_store_holds_its_records_and_no_growth_slack() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 8);
     let cells = grid.num_cells() as usize;
-    let meta_words = 11 + 6 * cells;
+    let meta_words = 11 + 7 * cells;
     let path =
         std::env::temp_dir().join(format!("mwsj-open-footprint-{}.store", std::process::id()));
     for n in [0, 1, 20_000, 32_769] {
@@ -105,7 +109,9 @@ fn an_opened_store_holds_its_records_and_no_growth_slack() {
                 "from_bytes" => StoredDataset::from_bytes(&bytes),
                 _ => StoredDataset::from_bytes_scoped(&bytes, 0..cells as u32 / 2),
             };
-            let (held, peak) = measure(|| open().unwrap(), n);
+            let (store, held, peak) = measure(|| open().unwrap());
+            assert_eq!(store.record_count(), n as u64);
+            drop(store);
             assert!(
                 held <= held_bound,
                 "{name}, n = {n}: holds {held} B, bound {held_bound} B"
@@ -115,6 +121,71 @@ fn an_opened_store_holds_its_records_and_no_growth_slack() {
                 "{name}, n = {n}: peak {peak} B while opening, bound {peak_bound} B"
             );
         }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `frame` with the store's frame header: its length and its word-wise
+/// checksum (pinned by `mwsj-store`'s `frame_checksum_is_pinned`).
+fn framed(section: &[u64]) -> Vec<u8> {
+    let mut sum = 0x243F_6A88_85A3_08D3_u64;
+    for w in std::iter::once(section.len() as u64).chain(section.iter().copied()) {
+        let h = (sum ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        sum = h ^ (h >> 32);
+    }
+    [section.len() as u64, sum]
+        .iter()
+        .chain(section)
+        .flat_map(|w| w.to_le_bytes())
+        .collect()
+}
+
+#[test]
+fn a_count_the_ids_cannot_hold_reserves_nothing() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A thousand copies of one point: every column of their cell is 0 bits
+    // wide, so ENTRIES is empty whatever count the cell claims, and only
+    // the IDS frame bounds it.
+    let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 8);
+    let bytes = StoreBuilder::new(&grid)
+        .build(&vec![Rect::new(10.0, 990.0, 0.0, 0.0); 1_000])
+        .unwrap();
+    let words: Vec<u64> = (bytes.as_chunks::<8>().0.iter())
+        .map(|w| u64::from_le_bytes(*w))
+        .collect();
+    let (meta, rest) = words[2..].split_at(words[0] as usize);
+    assert_eq!(rest[0], 0, "no ENTRIES words");
+    let ids = &rest[4..];
+    // META claims 2^24 records, all in the points' cell; later cells start
+    // after them.
+    let claimed = 1u64 << 24;
+    let mut meta = meta.to_vec();
+    meta[3] = claimed;
+    for row in meta[11..].chunks_exact_mut(7) {
+        if row[1] > 0 {
+            row[1] = claimed;
+        } else if row[0] > 0 {
+            row[0] = claimed;
+        }
+    }
+    let forged: Vec<u8> = [framed(&meta), framed(&[]), framed(ids)].concat();
+    let path = std::env::temp_dir().join(format!("mwsj-forged-count-{}.store", std::process::id()));
+    std::fs::write(&path, &forged).unwrap();
+    for name in ["open", "from_bytes", "from_bytes_scoped"] {
+        let (opened, _, peak) = measure(|| match name {
+            "open" => StoredDataset::open(&path),
+            "from_bytes" => StoredDataset::from_bytes(&forged),
+            _ => StoredDataset::from_bytes_scoped(&forged, 0..1),
+        });
+        let msg = opened.unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("IDS words for {claimed} records")),
+            "{name}: {msg}"
+        );
+        // The read buffer (the file is smaller than 64 KiB), META and the
+        // error: nothing sized from the claimed count.
+        let bound = forged.len() + 8 * meta.len() + 1024;
+        assert!(peak <= bound, "{name}: peak {peak} B, bound {bound} B");
     }
     std::fs::remove_file(&path).unwrap();
 }
