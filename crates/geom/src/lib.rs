@@ -32,10 +32,3 @@ pub use rect::Rect;
 
 /// Numeric coordinate type used throughout the workspace.
 pub type Coord = f64;
-
-/// Compares two coordinates for approximate equality (used by tests and the
-/// refinement step; the filter step never needs tolerances).
-#[must_use]
-pub fn approx_eq(a: Coord, b: Coord) -> bool {
-    (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-}

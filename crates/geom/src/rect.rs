@@ -223,14 +223,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// Minimum distance from the closed rectangle to a point.
-    #[must_use]
-    pub fn distance_to_point(&self, p: &Point) -> Coord {
-        let dx = axis_gap(self.min_x, self.max_x, p.x, p.x);
-        let dy = axis_gap(self.min_y, self.max_y, p.y, p.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// The paper's `Range(r1, r2, d)` predicate (§1.2): true iff some point of
     /// `self` is within distance `d` of some point of `other`.
     #[must_use]
@@ -431,13 +423,6 @@ mod tests {
         assert!(!a.within_distance(&b, 0.0));
         assert!(!a.bounds_within(b.bounds(), 0.0));
         assert!(a.within_distance(&b, 1e-100));
-    }
-
-    #[test]
-    fn distance_to_point_inside_and_outside() {
-        let a = r(0.0, 10.0, 5.0, 5.0);
-        assert_eq!(a.distance_to_point(&Point::new(2.0, 7.0)), 0.0);
-        assert_eq!(a.distance_to_point(&Point::new(8.0, 7.0)), 3.0);
     }
 
     #[test]

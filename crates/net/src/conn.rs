@@ -6,8 +6,9 @@
 //!
 //! * [`fill`](Connection::fill) — drain the socket into the read
 //!   buffer, applying read-side faults chunk by chunk. An injected
-//!   stall *defers* the read (the loop parks the connection on the
-//!   timer wheel) instead of sleeping.
+//!   stall *defers* the read until an instant the connection keeps
+//!   ([`next_resume`](Connection::next_resume), which the loop polls
+//!   against) instead of sleeping.
 //! * [`next_request`](Connection::next_request) — extract the next
 //!   complete request payload, sniffing the protocol from the first
 //!   byte of the connection.
@@ -171,6 +172,12 @@ impl Connection {
     #[must_use]
     pub fn read_stalled(&self) -> bool {
         self.read_resume.is_some()
+    }
+
+    /// Whether an injected fault currently defers writing.
+    #[must_use]
+    pub fn write_stalled(&self) -> bool {
+        self.write_resume.is_some()
     }
 
     /// The earliest instant a deferred read or write becomes due.
@@ -528,12 +535,6 @@ impl Sequencer {
     pub fn drained(&self) -> bool {
         self.next_assign == self.next_emit
     }
-
-    /// Requests assigned but not yet emitted.
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.next_assign - self.next_emit
-    }
 }
 
 #[cfg(test)]
@@ -810,7 +811,6 @@ mod tests {
         assert_eq!((a, b, c), (0, 1, 2));
         assert!(seq.complete(c, b"C".to_vec()).is_empty());
         assert!(seq.complete(b, b"B".to_vec()).is_empty());
-        assert_eq!(seq.outstanding(), 3);
         let out = seq.complete(a, b"A".to_vec());
         assert_eq!(out, vec![b"A".to_vec(), b"B".to_vec(), b"C".to_vec()]);
         assert!(seq.drained());

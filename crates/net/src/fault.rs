@@ -4,8 +4,9 @@
 //! [`mwsj_mapreduce::NetFaultPlan`] — abrupt disconnects, torn frames,
 //! flipped bytes, mid-operation stalls and slow-loris reads — to one
 //! event-loop connection. It only *decides*: the connection state machine
-//! enacts the decision (deferring a stalled read via the timer wheel
-//! instead of sleeping, tearing its own buffers, latching death).
+//! enacts the decision (deferring a stalled read until a resume instant
+//! the event loop polls against instead of sleeping, tearing its own
+//! buffers, latching death).
 //!
 //! Two deliberate choices keep the injected chaos honest:
 //!

@@ -13,10 +13,10 @@
 //!   binary) and the length-prefixed binary frame codec with typed,
 //!   never-panicking decode errors.
 //! * [`conn`] — per-connection state machines (read/write buffering,
-//!   protocol sniffing, fault application) and the [`conn::Sequencer`]
-//!   that keeps pipelined responses in request order.
-//! * [`timer`] — a hashed timer wheel for idle eviction, injected-stall
-//!   resumption and slow-loris pacing.
+//!   protocol sniffing, fault application, and the deadlines the event
+//!   loop reads: last activity for idle eviction, an injected stall's
+//!   resume instant) and the [`conn::Sequencer`] that keeps pipelined
+//!   responses in request order.
 //! * [`fault`] — deterministic network-fault injection: the
 //!   [`fault::FaultGate`] decider, which draws a
 //!   [`mwsj_mapreduce::NetFaultPlan`]'s decisions per (connection,
@@ -32,10 +32,8 @@ pub mod conn;
 pub mod fault;
 pub mod frame;
 pub mod poll;
-pub mod timer;
 
 pub use conn::{Connection, FlushOutcome, ProtoError, ReadOutcome, Sequencer};
 pub use fault::FaultGate;
 pub use frame::{FrameError, WireMode, FRAME_HEADER, FRAME_MAGIC};
 pub use poll::{Event, Interest, Poller, Waker};
-pub use timer::TimerWheel;

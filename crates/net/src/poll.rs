@@ -1,7 +1,8 @@
 //! Readiness polling behind a safe API.
 //!
 //! On Linux this is `epoll`; on other Unix platforms it falls back to
-//! `poll(2)`. Either way the raw syscalls live in one small
+//! `poll(2)` (module `portable`, which the tests also run on Linux).
+//! Either way the raw syscalls live in one small
 //! `#[allow(unsafe_code)]` module (the same isolation pattern as the
 //! signal shim in `mwsj-server`) and nothing unsafe leaks into the
 //! event loop: callers register descriptors with a `u64` token and get
@@ -48,6 +49,12 @@ pub struct Event {
     /// The peer hung up or the descriptor errored; a read will observe
     /// EOF or the error.
     pub hangup: bool,
+}
+
+/// A wait's timeout in whole milliseconds, rounded up: a wait never
+/// returns before a deadline it was asked to sleep until.
+fn millis(timeout: Duration) -> i32 {
+    i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
 }
 
 #[cfg(target_os = "linux")]
@@ -187,8 +194,7 @@ impl Poller {
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
         events.clear();
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 128];
-        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        let n = match sys::wait(self.epfd, &mut buf, timeout_ms) {
+        let n = match sys::wait(self.epfd, &mut buf, millis(timeout)) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
             Err(e) => return Err(e),
@@ -215,128 +221,144 @@ impl Drop for Poller {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-#[allow(unsafe_code)]
-mod sys {
-    //! `poll(2)` fallback for non-Linux Unix platforms.
+/// The `poll(2)` backend: the poller off Linux, and compiled on Linux
+/// for its tests, so both backends run the same suite everywhere.
+#[cfg(any(test, not(target_os = "linux")))]
+mod portable {
+    use super::*;
 
-    use std::io;
-    use std::os::raw::c_ulong;
+    #[allow(unsafe_code)]
+    mod sys {
+        //! `poll(2)` fallback for non-Linux Unix platforms.
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
+        use std::io;
+        use std::os::raw::c_ulong;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: i32) -> i32;
-    }
-
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is valid for `fds.len()` entries for the whole
-        // call; the kernel only writes `revents` within that range.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-        if rc < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(rc as usize)
+        #[repr(C)]
+        #[derive(Clone, Copy)]
+        pub struct PollFd {
+            pub fd: i32,
+            pub events: i16,
+            pub revents: i16,
         }
-    }
-}
 
-/// Level-triggered readiness poller over `poll(2)` (non-Linux Unix).
-#[cfg(all(unix, not(target_os = "linux")))]
-pub struct Poller {
-    registered: std::sync::Mutex<Vec<(RawFd, u64, Interest)>>,
-}
+        pub const POLLIN: i16 = 0x001;
+        pub const POLLOUT: i16 = 0x004;
+        pub const POLLERR: i16 = 0x008;
+        pub const POLLHUP: i16 = 0x010;
 
-#[cfg(all(unix, not(target_os = "linux")))]
-impl Poller {
-    /// Creates a poller.
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            registered: std::sync::Mutex::new(Vec::new()),
-        })
-    }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: i32) -> i32;
+        }
 
-    /// Registers a descriptor under `token`.
-    pub fn register(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.registered
-            .lock()
-            .expect("poller registry poisoned")
-            .push((fd.as_raw_fd(), token, interest));
-        Ok(())
-    }
-
-    /// Changes the interest set of a registered descriptor.
-    pub fn reregister(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let raw = fd.as_raw_fd();
-        let mut reg = self.registered.lock().expect("poller registry poisoned");
-        for slot in reg.iter_mut() {
-            if slot.0 == raw {
-                slot.1 = token;
-                slot.2 = interest;
-                return Ok(());
+        pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+            // SAFETY: `fds` is valid for `fds.len()` entries for the whole
+            // call; the kernel only writes `revents` within that range.
+            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+            if rc < 0 {
+                Err(io::Error::last_os_error())
+            } else {
+                Ok(rc as usize)
             }
         }
-        Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
     }
 
-    /// Removes a descriptor from the poller.
-    pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
-        let raw = fd.as_raw_fd();
-        self.registered
-            .lock()
-            .expect("poller registry poisoned")
-            .retain(|slot| slot.0 != raw);
-        Ok(())
+    /// Level-triggered readiness poller over `poll(2)` (non-Linux Unix).
+    pub struct Poller {
+        registered: std::sync::Mutex<Vec<(RawFd, u64, Interest)>>,
     }
 
-    /// Waits up to `timeout` for readiness, appending to `events`
-    /// (cleared first). Returns the number of events delivered.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
-        events.clear();
-        let reg = self
-            .registered
-            .lock()
-            .expect("poller registry poisoned")
-            .clone();
-        let mut fds: Vec<sys::PollFd> = reg
-            .iter()
-            .map(|&(fd, _, interest)| sys::PollFd {
-                fd,
-                events: if interest.readable { sys::POLLIN } else { 0 }
-                    | if interest.writable { sys::POLLOUT } else { 0 },
-                revents: 0,
+    impl Poller {
+        /// Creates a poller.
+        pub fn new() -> io::Result<Poller> {
+            Ok(Poller {
+                registered: std::sync::Mutex::new(Vec::new()),
             })
-            .collect();
-        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        let n = match sys::wait(&mut fds, timeout_ms) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        for (slot, pfd) in reg.iter().zip(&fds) {
-            if pfd.revents != 0 {
-                events.push(Event {
-                    token: slot.1,
-                    readable: pfd.revents & (sys::POLLIN | sys::POLLHUP) != 0,
-                    writable: pfd.revents & sys::POLLOUT != 0,
-                    hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-                });
-            }
         }
-        Ok(n)
+
+        /// Registers a descriptor under `token`.
+        pub fn register(
+            &self,
+            fd: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.registered
+                .lock()
+                .expect("poller registry poisoned")
+                .push((fd.as_raw_fd(), token, interest));
+            Ok(())
+        }
+
+        /// Changes the interest set of a registered descriptor.
+        pub fn reregister(
+            &self,
+            fd: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            let raw = fd.as_raw_fd();
+            let mut reg = self.registered.lock().expect("poller registry poisoned");
+            for slot in reg.iter_mut() {
+                if slot.0 == raw {
+                    slot.1 = token;
+                    slot.2 = interest;
+                    return Ok(());
+                }
+            }
+            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
+        }
+
+        /// Removes a descriptor from the poller.
+        pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
+            let raw = fd.as_raw_fd();
+            self.registered
+                .lock()
+                .expect("poller registry poisoned")
+                .retain(|slot| slot.0 != raw);
+            Ok(())
+        }
+
+        /// Waits up to `timeout` for readiness, appending to `events`
+        /// (cleared first). Returns the number of events delivered.
+        pub fn wait(&self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
+            events.clear();
+            let reg = self
+                .registered
+                .lock()
+                .expect("poller registry poisoned")
+                .clone();
+            let mut fds: Vec<sys::PollFd> = reg
+                .iter()
+                .map(|&(fd, _, interest)| sys::PollFd {
+                    fd,
+                    events: if interest.readable { sys::POLLIN } else { 0 }
+                        | if interest.writable { sys::POLLOUT } else { 0 },
+                    revents: 0,
+                })
+                .collect();
+            let n = match sys::wait(&mut fds, millis(timeout)) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+                Err(e) => return Err(e),
+            };
+            for (slot, pfd) in reg.iter().zip(&fds) {
+                if pfd.revents != 0 {
+                    events.push(Event {
+                        token: slot.1,
+                        readable: pfd.revents & (sys::POLLIN | sys::POLLHUP) != 0,
+                        writable: pfd.revents & sys::POLLOUT != 0,
+                        hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0,
+                    });
+                }
+            }
+            Ok(n)
+        }
     }
 }
+
+#[cfg(not(target_os = "linux"))]
+pub use portable::Poller;
 
 /// Wakes a [`Poller::wait`] call from another thread.
 ///
@@ -413,104 +435,127 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn reports_readable_when_bytes_arrive() {
-        let (mut a, b) = pair();
-        b.set_nonblocking(true).expect("nonblocking");
-        let poller = Poller::new().expect("poller");
-        poller.register(&b, 7, Interest::READ).expect("register");
+    /// The readiness suite over one backend: the native poller here, the
+    /// `poll(2)` one in `tests::portable`.
+    macro_rules! poller_tests {
+        ($poller:ty) => {
+            #[test]
+            fn reports_readable_when_bytes_arrive() {
+                let (mut a, b) = pair();
+                b.set_nonblocking(true).expect("nonblocking");
+                let poller = <$poller>::new().expect("poller");
+                poller.register(&b, 7, Interest::READ).expect("register");
 
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Duration::from_millis(10))
-            .expect("wait");
-        assert!(events.is_empty(), "no bytes yet");
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Duration::from_millis(10))
+                    .expect("wait");
+                assert!(events.is_empty(), "no bytes yet");
 
-        a.write_all(b"x").expect("write");
-        poller
-            .wait(&mut events, Duration::from_millis(1000))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
+                a.write_all(b"x").expect("write");
+                poller
+                    .wait(&mut events, Duration::from_millis(1000))
+                    .expect("wait");
+                assert_eq!(events.len(), 1);
+                assert_eq!(events[0].token, 7);
+                assert!(events[0].readable);
+            }
+
+            #[test]
+            fn write_interest_toggles_with_reregister() {
+                let (_a, b) = pair();
+                b.set_nonblocking(true).expect("nonblocking");
+                let poller = <$poller>::new().expect("poller");
+                poller.register(&b, 1, Interest::READ).expect("register");
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Duration::from_millis(10))
+                    .expect("wait");
+                assert!(events.iter().all(|e| !e.writable));
+
+                poller
+                    .reregister(
+                        &b,
+                        1,
+                        Interest {
+                            readable: true,
+                            writable: true,
+                        },
+                    )
+                    .expect("reregister");
+                poller
+                    .wait(&mut events, Duration::from_millis(1000))
+                    .expect("wait");
+                assert!(events.iter().any(|e| e.token == 1 && e.writable));
+            }
+
+            #[test]
+            fn hangup_is_reported_as_readable_eof() {
+                let (a, b) = pair();
+                b.set_nonblocking(true).expect("nonblocking");
+                let poller = <$poller>::new().expect("poller");
+                poller.register(&b, 3, Interest::READ).expect("register");
+                drop(a);
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Duration::from_millis(1000))
+                    .expect("wait");
+                assert_eq!(events.len(), 1);
+                assert!(events[0].readable || events[0].hangup);
+                let mut buf = [0u8; 8];
+                let mut b = &b;
+                assert_eq!(b.read(&mut buf).expect("read"), 0, "EOF after hangup");
+            }
+
+            #[test]
+            fn waker_fires_from_another_thread() {
+                let poller = <$poller>::new().expect("poller");
+                let (wk, mut rx) = waker().expect("waker");
+                poller.register(&rx, 9, Interest::READ).expect("register");
+                let handle = std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(20));
+                    wk.wake();
+                });
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Duration::from_millis(2000))
+                    .expect("wait");
+                assert!(events.iter().any(|e| e.token == 9 && e.readable));
+                rx.drain();
+                handle.join().expect("join");
+            }
+
+            #[test]
+            fn deregister_stops_events() {
+                let (mut a, b) = pair();
+                b.set_nonblocking(true).expect("nonblocking");
+                let poller = <$poller>::new().expect("poller");
+                poller.register(&b, 5, Interest::READ).expect("register");
+                poller.deregister(&b).expect("deregister");
+                a.write_all(b"x").expect("write");
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Duration::from_millis(50))
+                    .expect("wait");
+                assert!(events.is_empty());
+            }
+        };
+    }
+
+    poller_tests!(Poller);
+
+    mod portable {
+        use super::*;
+
+        poller_tests!(crate::poll::portable::Poller);
     }
 
     #[test]
-    fn write_interest_toggles_with_reregister() {
-        let (_a, b) = pair();
-        b.set_nonblocking(true).expect("nonblocking");
-        let poller = Poller::new().expect("poller");
-        poller.register(&b, 1, Interest::READ).expect("register");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Duration::from_millis(10))
-            .expect("wait");
-        assert!(events.iter().all(|e| !e.writable));
-
-        poller
-            .reregister(
-                &b,
-                1,
-                Interest {
-                    readable: true,
-                    writable: true,
-                },
-            )
-            .expect("reregister");
-        poller
-            .wait(&mut events, Duration::from_millis(1000))
-            .expect("wait");
-        assert!(events.iter().any(|e| e.token == 1 && e.writable));
-    }
-
-    #[test]
-    fn hangup_is_reported_as_readable_eof() {
-        let (a, b) = pair();
-        b.set_nonblocking(true).expect("nonblocking");
-        let poller = Poller::new().expect("poller");
-        poller.register(&b, 3, Interest::READ).expect("register");
-        drop(a);
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Duration::from_millis(1000))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert!(events[0].readable || events[0].hangup);
-        let mut buf = [0u8; 8];
-        let mut b = &b;
-        assert_eq!(b.read(&mut buf).expect("read"), 0, "EOF after hangup");
-    }
-
-    #[test]
-    fn waker_fires_from_another_thread() {
-        let poller = Poller::new().expect("poller");
-        let (wk, mut rx) = waker().expect("waker");
-        poller.register(&rx, 9, Interest::READ).expect("register");
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            wk.wake();
-        });
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Duration::from_millis(2000))
-            .expect("wait");
-        assert!(events.iter().any(|e| e.token == 9 && e.readable));
-        rx.drain();
-        handle.join().expect("join");
-    }
-
-    #[test]
-    fn deregister_stops_events() {
-        let (mut a, b) = pair();
-        b.set_nonblocking(true).expect("nonblocking");
-        let poller = Poller::new().expect("poller");
-        poller.register(&b, 5, Interest::READ).expect("register");
-        poller.deregister(&b).expect("deregister");
-        a.write_all(b"x").expect("write");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Duration::from_millis(50))
-            .expect("wait");
-        assert!(events.is_empty());
+    fn a_wait_rounds_its_timeout_up_to_whole_milliseconds() {
+        assert_eq!(millis(Duration::ZERO), 0);
+        assert_eq!(millis(Duration::from_nanos(1)), 1);
+        assert_eq!(millis(Duration::from_millis(25)), 25);
+        assert_eq!(millis(Duration::from_micros(25_001)), 26);
+        assert_eq!(millis(Duration::MAX), i32::MAX);
     }
 }

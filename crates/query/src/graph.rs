@@ -26,12 +26,6 @@ impl JoinGraph {
         Self { adj }
     }
 
-    /// Number of vertices (relation positions).
-    #[must_use]
-    pub fn num_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
     /// The `(neighbor, predicate, forward)` entries incident to `r`
     /// (`forward` = `r` is the triple's left side). A pair of relations may
     /// be joined by several predicates; each appears here.
@@ -179,7 +173,6 @@ mod tests {
     #[test]
     fn adjacency_of_chain() {
         let g = chain4().graph();
-        assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.neighbors(RelationId(0)).len(), 1);
         assert_eq!(g.neighbors(RelationId(1)).len(), 2);
         assert!(g.is_connected());

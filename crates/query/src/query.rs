@@ -238,21 +238,6 @@ impl Query {
         self.triples.iter().all(|t| !t.predicate.is_range())
     }
 
-    /// The *consistency* check of §7.3 on a partial assignment of rectangles
-    /// to relation positions: every triple whose **both** positions are
-    /// bound must be satisfied. A full assignment that is consistent is an
-    /// output tuple.
-    #[must_use]
-    pub fn is_consistent(&self, assignment: &[Option<Rect>]) -> bool {
-        debug_assert_eq!(assignment.len(), self.num_relations());
-        self.triples.iter().all(|t| {
-            match (assignment[t.left.index()], assignment[t.right.index()]) {
-                (Some(a), Some(b)) => t.predicate.eval(&a, &b),
-                _ => true,
-            }
-        })
-    }
-
     /// The canonical form of this query: a semantically identical query
     /// with a unique spelling, so that trivially-different phrasings of
     /// the same join compare (and hash, via their `Display` rendering) equal.
@@ -521,20 +506,6 @@ mod tests {
                 Predicate::Range(0.0).eval(&a, &b)
             );
         }
-    }
-
-    #[test]
-    fn consistency_ignores_unbound_positions() {
-        let q = chain3();
-        let a = Rect::new(0.0, 10.0, 5.0, 5.0);
-        let far = Rect::new(100.0, 10.0, 5.0, 5.0);
-        // Only R1 bound: trivially consistent.
-        assert!(q.is_consistent(&[Some(a), None, None]));
-        // R1 and R3 bound but not adjacent in the chain: consistent even
-        // though they are far apart (no condition R1-R3 in Q2, cf. §7.3).
-        assert!(q.is_consistent(&[Some(a), None, Some(far)]));
-        // R1 and R2 bound and disjoint: inconsistent.
-        assert!(!q.is_consistent(&[Some(a), Some(far), None]));
     }
 
     #[test]

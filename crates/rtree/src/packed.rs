@@ -181,13 +181,6 @@ impl<'a> PackedRTree<'a> {
         (start..end, self.nodes[base + 4] == KIND_LEAF)
     }
 
-    /// The MBR of the whole tree (`None` when empty) — the cheap
-    /// whole-tree prune for forest probes.
-    #[must_use]
-    pub fn root_mbr(&self) -> Option<Rect> {
-        self.root().map(|root| self.node_mbr(root))
-    }
-
     /// The `(rect, payload)` of entry `i` in storage (leaf-pack) order.
     ///
     /// # Panics
@@ -328,7 +321,6 @@ mod tests {
         assert!(entries.is_empty() && nodes.is_empty());
         let packed = PackedRTree::new(&entries, &nodes).unwrap();
         assert!(packed.is_empty());
-        assert_eq!(packed.root_mbr(), None);
         let mut stack = Vec::new();
         let mut hits = 0;
         packed.query_within_scratch(
@@ -361,7 +353,6 @@ mod tests {
             let items = random_rects(n, 40 + n as u64);
             let (entries, nodes) = pack(&RTree::bulk_load(items.clone()));
             let packed = PackedRTree::new(&entries, &nodes).unwrap();
-            assert!(packed.root_mbr().is_some());
             let mut rng = StdRng::seed_from_u64(900 + n as u64);
             let mut stack = Vec::new();
             for probe_no in 0..40 {

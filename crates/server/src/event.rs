@@ -2,15 +2,17 @@
 //!
 //! One thread owns every connection: a [`Poller`] (epoll on Linux)
 //! reports socket readiness, [`Connection`] state machines buffer and
-//! frame both directions, a [`TimerWheel`] paces idle eviction and
-//! injected-fault resumption, and a [`Sequencer`] per connection keeps
-//! pipelined responses in request order. The loop thread is the first
-//! to try each request — it answers what costs no load, no plan and no
-//! join (`crate::answer`) — and the rest runs on its fixed worker pool
-//! ([`crate::pool`]; the loop itself creates no thread), whose workers
-//! report back through a completion queue and a cross-thread [`Waker`], so
-//! a slow join never stalls the thousands of other connections the loop
-//! is holding.
+//! frame both directions and carry their own deadlines (idle eviction,
+//! injected-fault resumption), and a [`Sequencer`] per connection keeps
+//! pipelined responses in request order. One pass over the connections
+//! per iteration ([`sweep`]) reaps the dead, evicts the idle, resumes
+//! the stalls that are due, and sets the next poll timeout. The loop
+//! thread is the first to try each request — it answers what costs no
+//! load, no plan and no join (`crate::answer`) — and the rest runs on
+//! its fixed worker pool ([`crate::pool`]; the loop itself creates no
+//! thread), whose workers report back through a completion queue and a
+//! cross-thread [`Waker`], so a slow join never stalls the thousands of
+//! other connections the loop is holding.
 //!
 //! Lifecycle rules:
 //!
@@ -41,7 +43,7 @@ use mwsj_core::mapreduce::CancelToken;
 use mwsj_net::poll::waker;
 use mwsj_net::{
     Connection, FaultGate, FlushOutcome, Interest, Poller, ProtoError, ReadOutcome, Sequencer,
-    TimerWheel, WireMode,
+    WireMode,
 };
 use parking_lot::Mutex;
 
@@ -55,9 +57,6 @@ const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 /// First connection token.
 const FIRST_CONN: u64 = 2;
-/// Timer tokens with this bit set are stall-resume hints for the
-/// connection in the low bits; without it, idle-eviction checks.
-const STALL_BIT: u64 = 1 << 63;
 /// The poll tick: an upper bound on how stale the stop flag and drain
 /// deadline can get while the loop is otherwise idle.
 const TICK: Duration = Duration::from_millis(25);
@@ -81,8 +80,6 @@ struct ConnState {
     closing: bool,
     /// What the poller is currently watching for this socket.
     registered: Interest,
-    /// A write stall is waiting on its resume timer, not on readiness.
-    write_stalled: bool,
 }
 
 impl ConnState {
@@ -124,27 +121,21 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
     // a pinned chaos seed draws the same per-connection decision streams
     // for the same accept order.
     let mut conn_seq = 0u64;
-    let mut timers = TimerWheel::new(Duration::from_millis(10), 512, Instant::now());
     let mut events = Vec::new();
-    let mut due: Vec<u64> = Vec::new();
     let mut dirty: Vec<u64> = Vec::new();
-    let mut draining = false;
-    let mut drain_deadline = Instant::now();
+    let mut timeout = TICK;
+    let mut drain_deadline: Option<Instant> = None;
     let mut drain_cancelled = false;
 
     loop {
-        let timeout = timers
-            .next_due()
-            .map_or(TICK, |at| at.saturating_duration_since(Instant::now()))
-            .min(TICK);
         poller.wait(&mut events, timeout)?;
         let now = Instant::now();
 
-        if !draining && inner.stopping() {
-            draining = true;
-            drain_deadline = now + inner.config.drain_deadline;
+        if drain_deadline.is_none() && inner.stopping() {
+            drain_deadline = Some(now + inner.config.drain_deadline);
             poller.deregister(listener).ok();
         }
+        let draining = drain_deadline.is_some();
 
         dirty.clear();
         for ev in &events {
@@ -158,7 +149,6 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
                             &mut conns,
                             &mut next_token,
                             &mut conn_seq,
-                            &mut timers,
                             now,
                         )?;
                     }
@@ -169,24 +159,6 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
                         dirty.push(token);
                     }
                 }
-            }
-        }
-
-        timers.advance(now, &mut due);
-        for t in due.drain(..) {
-            let token = t & !STALL_BIT;
-            let Some(cs) = conns.get_mut(&token) else {
-                continue;
-            };
-            if t & STALL_BIT != 0 {
-                // Stall resumes are hints: clear the latch and re-drive;
-                // the connection re-checks its own resume clocks.
-                cs.write_stalled = false;
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-            } else {
-                idle_check(inner, cs, &mut timers, token, now);
             }
         }
 
@@ -207,33 +179,16 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
 
         for token in dirty.drain(..) {
             if let Some(cs) = conns.get_mut(&token) {
-                drive(
-                    inner,
-                    &poller,
-                    &mut pool,
-                    cs,
-                    &mut timers,
-                    token,
-                    now,
-                    draining,
-                );
+                drive(inner, &poller, &mut pool, cs, token, now, draining);
             }
         }
 
-        // Reap: dead connections, and violators that finished flushing.
-        conns.retain(|_, cs| {
-            let gone = cs.conn.is_dead() || (cs.closing && cs.drained());
-            if gone {
-                for tok in cs.inflight.values() {
-                    tok.cancel();
-                }
-                poller.deregister(cs.conn.socket()).ok();
-                cs.conn.kill();
-            }
-            !gone
+        let nearest = sweep(&mut conns, &poller, inner, now, draining, |token, cs| {
+            drive(inner, &poller, &mut pool, cs, token, now, draining);
         });
+        timeout = nearest.map_or(TICK, |at| at.saturating_duration_since(now).min(TICK));
 
-        if draining {
+        if let Some(drain_deadline) = drain_deadline {
             if !drain_cancelled && now >= drain_deadline {
                 for cs in conns.values() {
                     for tok in cs.inflight.values() {
@@ -242,15 +197,6 @@ pub(crate) fn run(listener: &TcpListener, inner: &Arc<Inner>) -> std::io::Result
                 }
                 drain_cancelled = true;
             }
-            conns.retain(|_, cs| {
-                if cs.drained() {
-                    poller.deregister(cs.conn.socket()).ok();
-                    cs.conn.kill();
-                    false
-                } else {
-                    true
-                }
-            });
             if conns.is_empty() || now >= drain_deadline + DRAIN_BACKSTOP {
                 return Ok(());
             }
@@ -272,8 +218,57 @@ fn answer_isolated(inner: &Inner, handler: impl FnOnce() -> Option<String>) -> O
     })
 }
 
+/// The loop's one pass over its connections per iteration: re-drives
+/// (`resume`) each whose stalled read or write is due, evicts each that
+/// has sat idle for the idle timeout with nothing in flight (the
+/// slow-loris defence; counted in `evicted` unless it was closing
+/// anyway), reaps the dead, and the drained ones among the violators
+/// (or among all, when `draining`), and returns the nearest deadline
+/// left.
+fn sweep(
+    conns: &mut HashMap<u64, ConnState>,
+    poller: &Poller,
+    inner: &Inner,
+    now: Instant,
+    draining: bool,
+    mut resume: impl FnMut(u64, &mut ConnState),
+) -> Option<Instant> {
+    let mut nearest: Option<Instant> = None;
+    conns.retain(|&token, cs| {
+        if cs.conn.next_resume().is_some_and(|at| at <= now) {
+            resume(token, cs);
+        }
+        let idle_at = if cs.inflight.is_empty() {
+            cs.conn
+                .last_activity()
+                .checked_add(inner.config.idle_timeout)
+        } else {
+            None
+        };
+        if !cs.conn.is_dead() && idle_at.is_some_and(|at| at <= now) {
+            if !cs.closing {
+                inner.stats.evicted.fetch_add(1, Ordering::Relaxed);
+            }
+            cs.conn.kill();
+        }
+        if cs.conn.is_dead() || ((cs.closing || draining) && cs.drained()) {
+            for tok in cs.inflight.values() {
+                tok.cancel();
+            }
+            poller.deregister(cs.conn.socket()).ok();
+            cs.conn.kill();
+            return false;
+        }
+        nearest = [nearest, idle_at, cs.conn.next_resume()]
+            .into_iter()
+            .flatten()
+            .min();
+        true
+    });
+    nearest
+}
+
 /// Accepts every pending connection (edge-free: loops to `WouldBlock`).
-#[allow(clippy::too_many_arguments)]
 fn accept_all(
     listener: &TcpListener,
     poller: &Poller,
@@ -281,7 +276,6 @@ fn accept_all(
     conns: &mut HashMap<u64, ConnState>,
     next_token: &mut u64,
     conn_seq: &mut u64,
-    timers: &mut TimerWheel,
     now: Instant,
 ) -> std::io::Result<()> {
     loop {
@@ -300,7 +294,6 @@ fn accept_all(
                 {
                     continue;
                 }
-                timers.schedule(token, inner.config.idle_timeout);
                 conns.insert(
                     token,
                     ConnState {
@@ -309,7 +302,6 @@ fn accept_all(
                         inflight: HashMap::new(),
                         closing: false,
                         registered: Interest::READ,
-                        write_stalled: false,
                     },
                 );
             }
@@ -320,40 +312,14 @@ fn accept_all(
     }
 }
 
-/// The recurring idle check: evicts a connection that has made no
-/// progress for the idle timeout with nothing in flight (the slow-loris
-/// defence), otherwise re-arms the timer for the remaining window.
-fn idle_check(
-    inner: &Arc<Inner>,
-    cs: &mut ConnState,
-    timers: &mut TimerWheel,
-    token: u64,
-    now: Instant,
-) {
-    if cs.conn.is_dead() {
-        return;
-    }
-    let idle_for = now.saturating_duration_since(cs.conn.last_activity());
-    let timeout = inner.config.idle_timeout;
-    if cs.inflight.is_empty() && idle_for >= timeout {
-        if !cs.closing {
-            inner.stats.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        cs.conn.kill(); // reaped by the caller's sweep
-    } else {
-        timers.schedule(token, timeout.saturating_sub(idle_for).max(TICK));
-    }
-}
-
 /// Drives one connection: read, parse and answer or dispatch pipelined
-/// requests, flush pending responses, and resync poller interest.
-#[allow(clippy::too_many_arguments)]
+/// requests, flush pending responses, and resync poller interest. A
+/// stalled read or write waits for [`sweep`] to find it due.
 fn drive(
     inner: &Arc<Inner>,
     poller: &Poller,
     pool: &mut Pool<Completion>,
     cs: &mut ConnState,
-    timers: &mut TimerWheel,
     token: u64,
     now: Instant,
     draining: bool,
@@ -362,19 +328,10 @@ fn drive(
         return;
     }
 
-    if !cs.closing {
-        match cs.conn.fill(now) {
-            ReadOutcome::Open | ReadOutcome::Eof => {}
-            ReadOutcome::Stalled(resume) => {
-                timers.schedule(token | STALL_BIT, resume.saturating_duration_since(now));
-            }
-            ReadOutcome::Dead => {
-                for tok in cs.inflight.values() {
-                    tok.cancel();
-                }
-                return;
-            }
-        }
+    // A dead connection's in-flight work is cancelled when the sweep
+    // reaps it, later in the same iteration.
+    if !cs.closing && cs.conn.fill(now) == ReadOutcome::Dead {
+        return;
     }
 
     // Parse and dispatch every complete request in the buffer. During
@@ -457,18 +414,8 @@ fn drive(
         }
     }
 
-    match cs.conn.flush(now) {
-        FlushOutcome::Flushed | FlushOutcome::Blocked => {}
-        FlushOutcome::Stalled(resume) => {
-            cs.write_stalled = true;
-            timers.schedule(token | STALL_BIT, resume.saturating_duration_since(now));
-        }
-        FlushOutcome::Dead => {
-            for tok in cs.inflight.values() {
-                tok.cancel();
-            }
-            return;
-        }
+    if cs.conn.flush(now) == FlushOutcome::Dead {
+        return;
     }
 
     // An EOF'd connection with nothing left to answer or flush is done.
@@ -479,7 +426,7 @@ fn drive(
 
     let desired = Interest {
         readable: !cs.closing && !cs.conn.peer_eof() && !cs.conn.read_stalled() && !draining,
-        writable: cs.conn.wants_write() && !cs.write_stalled,
+        writable: cs.conn.wants_write() && !cs.conn.write_stalled(),
     };
     if desired != cs.registered && poller.reregister(cs.conn.socket(), token, desired).is_ok() {
         cs.registered = desired;
@@ -490,6 +437,129 @@ fn drive(
 mod tests {
     use super::*;
     use crate::{Server, ServerConfig};
+    use mwsj_core::mapreduce::NetFaultPlan;
+    use std::net::TcpStream;
+
+    const IDLE: Duration = Duration::from_millis(300);
+
+    fn server(idle_timeout: Duration) -> Arc<Inner> {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        };
+        Server::bind(config.with_idle_timeout(idle_timeout))
+            .expect("bind")
+            .inner
+    }
+
+    /// One connection over a loopback pair, last active at `t0`, as the
+    /// only entry (token `FIRST_CONN`) of a connection table; the peer
+    /// end comes back too, to keep the socket open.
+    fn table(plan: Option<NetFaultPlan>, t0: Instant) -> (TcpStream, HashMap<u64, ConnState>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let conn = Connection::new(stream, FaultGate::new(plan, 0), t0).expect("conn");
+        let cs = ConnState {
+            conn,
+            seq: Sequencer::new(),
+            inflight: HashMap::new(),
+            closing: false,
+            registered: Interest::READ,
+        };
+        (peer, HashMap::from([(FIRST_CONN, cs)]))
+    }
+
+    /// Sweeps at `now` and returns the nearest deadline and the tokens
+    /// the pass resumed.
+    fn sweep_at(
+        conns: &mut HashMap<u64, ConnState>,
+        inner: &Inner,
+        now: Instant,
+    ) -> (Option<Instant>, Vec<u64>) {
+        let poller = Poller::new().expect("poller");
+        let mut resumed = Vec::new();
+        let nearest = sweep(conns, &poller, inner, now, false, |token, _| {
+            resumed.push(token);
+        });
+        (nearest, resumed)
+    }
+
+    fn evicted(inner: &Inner) -> u64 {
+        inner.stats.evicted.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn an_idle_connection_is_evicted_at_the_idle_timeout_and_not_before() {
+        let inner = server(IDLE);
+        let t0 = Instant::now();
+        let (_peer, mut conns) = table(None, t0);
+        let almost = t0 + IDLE - Duration::from_nanos(1);
+        assert_eq!(
+            sweep_at(&mut conns, &inner, almost),
+            (Some(t0 + IDLE), vec![])
+        );
+        assert!(conns.contains_key(&FIRST_CONN));
+        assert_eq!(evicted(&inner), 0);
+        assert_eq!(sweep_at(&mut conns, &inner, t0 + IDLE), (None, vec![]));
+        assert!(conns.is_empty());
+        assert_eq!(evicted(&inner), 1);
+    }
+
+    #[test]
+    fn a_request_in_flight_holds_off_eviction() {
+        let inner = server(IDLE);
+        let t0 = Instant::now();
+        let (_peer, mut conns) = table(None, t0);
+        let cs = conns.get_mut(&FIRST_CONN).expect("conn");
+        cs.inflight.insert(cs.seq.assign(), CancelToken::new());
+        assert_eq!(sweep_at(&mut conns, &inner, t0 + 10 * IDLE), (None, vec![]));
+        assert!(conns.contains_key(&FIRST_CONN));
+        assert_eq!(evicted(&inner), 0);
+    }
+
+    #[test]
+    fn a_closing_connection_is_evicted_at_the_idle_timeout_uncounted() {
+        let inner = server(IDLE);
+        let t0 = Instant::now();
+        let (_peer, mut conns) = table(None, t0);
+        let cs = conns.get_mut(&FIRST_CONN).expect("conn");
+        cs.closing = true;
+        // An unanswered request keeps it from being reaped as drained.
+        cs.seq.assign();
+        let almost = t0 + IDLE - Duration::from_nanos(1);
+        assert_eq!(
+            sweep_at(&mut conns, &inner, almost),
+            (Some(t0 + IDLE), vec![])
+        );
+        assert!(conns.contains_key(&FIRST_CONN));
+        assert_eq!(sweep_at(&mut conns, &inner, t0 + IDLE), (None, vec![]));
+        assert!(conns.is_empty());
+        assert_eq!(evicted(&inner), 0);
+    }
+
+    #[test]
+    fn a_stalled_read_is_due_at_its_resume_instant_and_not_before() {
+        let inner = server(ServerConfig::default().idle_timeout);
+        let t0 = Instant::now();
+        let stall = NetFaultPlan {
+            stall_rate: 1.0,
+            ..NetFaultPlan::none()
+        };
+        let (_peer, mut conns) = table(Some(stall), t0);
+        let cs = conns.get_mut(&FIRST_CONN).expect("conn");
+        let ReadOutcome::Stalled(resume) = cs.conn.fill(t0) else {
+            panic!("every read stalls");
+        };
+        assert!(resume > t0 && cs.conn.read_stalled());
+        let almost = resume - Duration::from_nanos(1);
+        assert_eq!(sweep_at(&mut conns, &inner, almost), (Some(resume), vec![]));
+        assert_eq!(
+            sweep_at(&mut conns, &inner, resume),
+            (Some(resume), vec![FIRST_CONN])
+        );
+        assert_eq!(evicted(&inner), 0);
+    }
 
     #[test]
     fn a_panicking_handler_answers_join_failed_and_counts_an_error() {
