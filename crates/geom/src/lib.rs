@@ -28,7 +28,7 @@ mod rect;
 
 pub use point::Point;
 pub use polygon::Polygon;
-pub use rect::Rect;
+pub use rect::{bounds_within, Rect};
 
 /// Numeric coordinate type used throughout the workspace.
 pub type Coord = f64;

@@ -245,16 +245,8 @@ impl Rect {
     /// node or entry instead of up to four times.
     #[inline]
     #[must_use]
-    pub fn bounds_within(&self, [min_x, min_y, max_x, max_y]: [Coord; 4], d_sq: Coord) -> bool {
-        if d_sq == 0.0 {
-            return (min_x <= self.max_x)
-                & (self.min_x <= max_x)
-                & (min_y <= self.max_y)
-                & (self.min_y <= max_y);
-        }
-        let dx = axis_gap(self.min_x, self.max_x, min_x, max_x);
-        let dy = axis_gap(self.min_y, self.max_y, min_y, max_y);
-        dx * dx + dy * dy <= d_sq
+    pub fn bounds_within(&self, bounds: [Coord; 4], d_sq: Coord) -> bool {
+        bounds_within(self.bounds(), bounds, d_sq)
     }
 
     /// The corner coordinates as `[min_x, min_y, max_x, max_y]` — the
@@ -308,6 +300,22 @@ impl Rect {
             self.max_y.max(other.max_y),
         )
     }
+}
+
+/// [`Rect::bounds_within`] with both rectangles as raw bounds — the one
+/// body of the test, for a caller that holds a rectangle's corners in
+/// columns (the reducer sweep) and would otherwise re-validate them into a
+/// [`Rect`] per call. `a` must be the bounds of a rectangle: finite, with
+/// `min ≤ max` on both axes.
+#[inline]
+#[must_use]
+pub fn bounds_within(a: [Coord; 4], [min_x, min_y, max_x, max_y]: [Coord; 4], d_sq: Coord) -> bool {
+    if d_sq == 0.0 {
+        return (min_x <= a[2]) & (a[0] <= max_x) & (min_y <= a[3]) & (a[1] <= max_y);
+    }
+    let dx = axis_gap(a[0], a[2], min_x, max_x);
+    let dy = axis_gap(a[1], a[3], min_y, max_y);
+    dx * dx + dy * dy <= d_sq
 }
 
 /// Gap between closed intervals `[a_lo, a_hi]` and `[b_lo, b_hi]` (0 if they

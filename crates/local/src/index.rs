@@ -12,15 +12,21 @@
 //!
 //! # The sweep
 //!
-//! Both relations are copied into coordinate columns in ascending `min_x`
-//! (one sort per relation per group, kept across edges). A forward scan
-//! merges the two columns: the entry with the smaller `min_x` *opens* and is
-//! tested against the other side's entries from the merge cursor on, as
-//! long as they start within its x-reach `max_x + d`. Each pair is met
-//! exactly once — when the member that starts first opens — and is accepted
-//! by [`Rect::bounds_within`](mwsj_geom::Rect::bounds_within), the test
-//! every index in the workspace accepts by, written to the output without a
-//! branch on the outcome.
+//! Each relation's `min_x` order is found once per group, by one stable
+//! sort, and kept across edges. A relation read off stored cells arrives as
+//! ascending runs (one per cell a map-side gather read; the start relation
+//! is one), and the run-adaptive sort merges the long ones as they are, so
+//! a stored cell is a sorted run the sweep does not sort again. Both
+//! relations are copied in that order into entry arrays, and a forward scan
+//! merges the two: the entry with the smaller `min_x` *opens* and is tested
+//! against the other side's entries from the merge cursor on, as long as
+//! they start within its x-reach `max_x + d`. Each pair is met exactly once
+//! — when the member that starts first opens — and is accepted by
+//! [`bounds_within`], the body of
+//! [`Rect::bounds_within`](mwsj_geom::Rect::bounds_within) that every index
+//! in the workspace accepts by, on the corners as copied (they came from a
+//! `Rect`, so nothing is validated again), and written to the output
+//! without a branch on the outcome.
 //!
 //! **The window is a one-sided filter.** `max_x + d` is a computed sum and
 //! the exact test compares computed squares, so the reach is widened by a
@@ -29,22 +35,25 @@
 //! rejected.
 //!
 //! **Strips.** The x-window alone admits every rectangle of the column
-//! above or below the opening one. When the group is large and tall
-//! against its rectangles (`Strips::of_group` — from the relations'
-//! sizes, their y-extent and their mean height, nothing else), the columns
-//! are cut into horizontal strips and swept strip by strip. A rectangle is
-//! copied into every strip its y-range meets — the `from` side's range
-//! padded by `d`, both widened like the x-reach — and a pair is kept only
-//! in the strip where the later of the two ranges begins: the strip of the
-//! reference point `max(a.min_y − d, b.min_y)`. That strip lies in both
-//! ranges whenever the exact test can accept the pair, and the rule
-//! compares strip *numbers*, so a pair is reported once whatever the
-//! rounding of the strip boundaries.
+//! above or below the opening one. The entries are therefore cut into
+//! horizontal strips about four mean heights tall, as many as the smaller
+//! side fills with 32 entries a strip (`Strips::of_group` — from the
+//! relations' sizes, their y-extent and their mean height, nothing else),
+//! and swept strip by strip: a cell-sized group of about 335 a relation
+//! is six or seven strips, and its sweep makes about three tests per kept
+//! pair instead of fourteen. A rectangle is copied into every strip its
+//! y-range meets — the `from` side's range padded by `d`, both widened
+//! like the x-reach — and a pair is kept only in the strip where the later
+//! of the two ranges begins: the strip of the reference point
+//! `max(a.min_y − d, b.min_y)`. That strip lies in both ranges whenever
+//! the exact test can accept the pair, and the rule compares strip
+//! *numbers*, so a pair is reported once whatever the rounding of the
+//! strip boundaries.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
-use mwsj_geom::{Coord, Rect};
+use mwsj_geom::{bounds_within, Coord, Rect};
 
 use crate::LocalRect;
 
@@ -116,14 +125,21 @@ struct Order {
 
 impl Order {
     fn of(rel: &[LocalRect]) -> Self {
-        let mut keyed: Vec<(Coord, u32)> = rel.iter().map(|(r, _)| r.min_x()).zip(0..).collect();
-        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let (y_range, height_sum) = rel.iter().fold(
             ((Coord::INFINITY, Coord::NEG_INFINITY), 0.0),
             |((lo, hi), sum), (r, _)| ((lo.min(r.min_y()), hi.max(r.max_y())), sum + r.b()),
         );
+        // A relation read off stored cells is a few ascending runs (one per
+        // cell a map-side gather read; the start relation is one): the
+        // run-adaptive stable sort merges the long ones as they are. It
+        // sorts positions, so its scratch is 4 B a record, not a keyed copy.
+        let mut by_min_x: Vec<u32> = (0..rel.len() as u32).collect();
+        by_min_x.sort_by(|&a, &b| {
+            let x = |p: u32| rel[p as usize].0.min_x();
+            x(a).total_cmp(&x(b))
+        });
         Self {
-            by_min_x: keyed.into_iter().map(|(_, i)| i).collect(),
+            by_min_x,
             y_range,
             height_sum,
         }
@@ -138,12 +154,16 @@ struct Strips {
 }
 
 impl Strips {
-    /// Fewest entries of the smaller relation a strip is worth: below it
-    /// the copies and the per-strip merge cost more than the tests saved.
-    const MIN_ENTRIES: usize = 256;
+    /// Fewest entries of the smaller relation a strip is worth, measured
+    /// on the benchmark's map-side groups (DESIGN §7): at 256 every
+    /// cell-sized group was one strip and its sweep made 14 tests per
+    /// kept pair; at 32 the height bound decides (6–7 strips, 3.2 tests a
+    /// pair, the scan a third faster for a dearer fill); 16 changes
+    /// nothing there.
+    const MIN_ENTRIES: usize = 32;
 
     /// Strips four mean (padded) heights tall, as many as the smaller
-    /// side can fill: one for a cell-sized group, tens for a whole input.
+    /// side can fill: a few for a cell-sized group, tens for a whole input.
     fn of_group(a: (&Order, usize), b: (&Order, usize), d: Coord) -> Self {
         let y0 = a.0.y_range.0.min(b.0.y_range.0) - d;
         let extent = a.0.y_range.1.max(b.0.y_range.1) + d - y0;
@@ -165,19 +185,27 @@ impl Strips {
     }
 }
 
-/// One relation in ascending `min_x` as coordinate columns, cut into
-/// strips: strip `s` is `strips[s]..strips[s + 1]`.
-#[derive(Default)]
-struct Columns {
-    /// `min_x`, `min_y`, `max_x`, `max_y`.
-    corners: [Vec<Coord>; 4],
-    pos: Vec<u32>,
+/// One rectangle's copy in one strip.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    /// `[min_x, min_y, max_x, max_y]`, copied from the rectangle.
+    bounds: [Coord; 4],
+    pos: u32,
     /// Whether the entry's strip range begins in this strip.
-    first: Vec<bool>,
-    strips: Vec<usize>,
+    first: bool,
 }
 
-impl Columns {
+/// One side of a sweep: a relation in ascending `min_x`, cut into strips —
+/// strip `s` is `entries[strips[s]..strips[s + 1]]`.
+#[derive(Default)]
+struct Side {
+    entries: Vec<Entry>,
+    strips: Vec<usize>,
+    /// The fill's `[position, first strip, last strip]` per live entry.
+    spans: Vec<[u32; 3]>,
+}
+
+impl Side {
     /// Copies the `alive` rectangles of `rel` in, each into every strip
     /// its y-range padded by `pad` meets.
     fn fill(
@@ -188,41 +216,38 @@ impl Columns {
         pad: Coord,
         strips: &Strips,
     ) {
-        let entries = || {
-            let live = order
-                .iter()
-                .filter(move |&&p| alive.is_none_or(|a| a[p as usize]));
-            live.map(move |&p| {
-                let bounds = rel[p as usize].0.bounds();
-                let lo = strips.of(-reach(-bounds[1], pad));
-                (p, bounds, lo, strips.of(reach(bounds[3], pad)))
-            })
-        };
+        let live = order
+            .iter()
+            .filter(|&&p| alive.is_none_or(|a| a[p as usize]));
+        self.spans.clear();
+        self.spans.reserve(order.len());
+        self.spans.extend(live.map(|&p| {
+            let [_, min_y, _, max_y] = rel[p as usize].0.bounds();
+            let lo = strips.of(-reach(-min_y, pad));
+            [p, lo as u32, strips.of(reach(max_y, pad)) as u32]
+        }));
         self.strips.clear();
         self.strips.resize(strips.count + 2, 0);
-        for (_, _, lo, hi) in entries() {
-            for s in lo..=hi {
-                self.strips[s + 2] += 1;
+        for &[_, lo, hi] in &self.spans {
+            for s in lo..hi + 1 {
+                self.strips[s as usize + 2] += 1;
             }
         }
         for s in 2..self.strips.len() {
             self.strips[s] += self.strips[s - 1];
         }
-        let total = self.strips[strips.count + 1];
-        for column in &mut self.corners {
-            column.resize(total, 0.0);
-        }
-        self.pos.resize(total, 0);
-        self.first.resize(total, false);
-        for (p, bounds, lo, hi) in entries() {
-            for s in lo..=hi {
-                let at = self.strips[s + 1];
-                self.strips[s + 1] += 1;
-                for (column, c) in self.corners.iter_mut().zip(bounds) {
-                    column[at] = c;
-                }
-                self.pos[at] = p;
-                self.first[at] = s == lo;
+        self.entries
+            .resize(self.strips[strips.count + 1], Entry::default());
+        for &[pos, lo, hi] in &self.spans {
+            let bounds = rel[pos as usize].0.bounds();
+            for s in lo..hi + 1 {
+                let at = &mut self.strips[s as usize + 1];
+                self.entries[*at] = Entry {
+                    bounds,
+                    pos,
+                    first: s == lo,
+                };
+                *at += 1;
             }
         }
     }
@@ -231,7 +256,7 @@ impl Columns {
 /// Sweep working memory, kept per thread across groups.
 #[derive(Default)]
 struct Sweep {
-    sides: [Columns; 2],
+    sides: [Side; 2],
     /// Accepted pairs in `..found`; past that, room the scan writes each
     /// candidate into before it knows whether the candidate is accepted.
     pairs: Vec<[u32; 2]>,
@@ -248,27 +273,30 @@ impl Sweep {
     /// accepted pair (this side's position in slot `SIDE`) in the strip
     /// that owns it. Returns the tests made.
     fn open<const SIDE: usize>(&mut self, i: usize, from: usize, to: usize, d: Coord) -> usize {
-        let (me, other) = (&self.sides[SIDE], &self.sides[1 - SIDE]);
-        let [x0, y0, x1, y1] = [0, 1, 2, 3].map(|c| me.corners[c][i]);
-        let rect = Rect::from_bounds(x0, y0, x1, y1).expect("copied from a rectangle");
-        let limit = reach(x1, d);
-        let [min_x, min_y, max_x, max_y] = [0, 1, 2, 3].map(|c| &other.corners[c][from..to]);
-        let (pos, first) = (&other.pos[from..to], &other.first[from..to]);
-        let (own, mut pair) = (me.first[i], [me.pos[i]; 2]);
-        if self.pairs.len() < self.found + (to - from) {
-            self.pairs.resize(2 * (self.found + (to - from)), [0; 2]);
+        let me = self.sides[SIDE].entries[i];
+        let others = &self.sides[1 - SIDE].entries[from..to];
+        // Copied from a rectangle: nothing to validate.
+        let [x0, y0, x1, y1] = me.bounds;
+        debug_assert!(Rect::from_bounds(x0, y0, x1, y1).is_some());
+        let (limit, d_sq) = (reach(x1, d), d * d);
+        if self.pairs.len() < self.found + others.len() {
+            self.pairs.resize(2 * (self.found + others.len()), [0; 2]);
         }
-        let out = &mut self.pairs[self.found..][..to - from];
-        let (mut k, mut n) = (0, 0);
-        while k < min_x.len() && min_x[k] <= limit {
-            pair[1 - SIDE] = pos[k];
+        let out = &mut self.pairs[self.found..][..others.len()];
+        let mut pair = [me.pos; 2];
+        let (mut tests, mut n) = (0, 0);
+        for other in others {
+            if other.bounds[0] > limit {
+                break;
+            }
+            pair[1 - SIDE] = other.pos;
             out[n] = pair;
-            let hit = rect.bounds_within([min_x[k], min_y[k], max_x[k], max_y[k]], d * d);
-            n += usize::from((own | first[k]) & hit);
-            k += 1;
+            let hit = bounds_within(me.bounds, other.bounds, d_sq);
+            n += usize::from((me.first | other.first) & hit);
+            tests += 1;
         }
         self.found += n;
-        k
+        tests
     }
 
     /// The forward scan over the filled sides, strip by strip: of the two
@@ -281,7 +309,8 @@ impl Sweep {
             let [a, b] = [0, 1].map(|side| &self.sides[side].strips);
             let ((mut i, a_end), (mut j, b_end)) = ((a[s], a[s + 1]), (b[s], b[s + 1]));
             while i < a_end && j < b_end {
-                if self.sides[0].corners[0][i] <= self.sides[1].corners[0][j] {
+                let x = |side: usize, k: usize| self.sides[side].entries[k].bounds[0];
+                if x(0, i) <= x(1, j) {
                     tests += self.open::<0>(i, j, b_end, d);
                     i += 1;
                 } else {
@@ -456,7 +485,9 @@ mod tests {
 
     #[test]
     fn swept_pair_lists_equal_the_brute_force_pair_set() {
-        // (size, grid columns): one strip up to 335, many at 5 000.
+        // (size, grid columns): one strip up to 48, several from 335
+        // unless the distance (a gap of 148 at 335) pads every rectangle
+        // past the strip height.
         for (n, cols) in [
             (0, 7),
             (1, 7),
@@ -520,7 +551,73 @@ mod tests {
 
                 let strips =
                     Strips::of_group((&Order::of(a), a.len()), (&Order::of(b), b.len()), d).count;
-                assert_eq!(strips > 1, n == 5_000, "n {n} d {d}: {strips} strips");
+                let cut = n >= 335 && d < 100.0;
+                assert_eq!(strips > 1, cut, "n {n} d {d}: {strips} strips");
+            }
+        }
+    }
+
+    /// Every pair of every edge, both directions, as record ids.
+    fn id_pairs(rels: &[Vec<LocalRect>], d: Coord) -> Vec<Vec<[u32; 2]>> {
+        let group = GroupIndex::new(rels);
+        let edges = [(0, 1), (1, 2), (0, 2)];
+        let directed = edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]);
+        directed
+            .map(|(from, to)| {
+                let rows = group.pairs(from, to, d, None);
+                let (rows, n) = (rows.from(from, to), rels[from].len());
+                let ids = |i: usize, j: u32| [rels[from][i].1, rels[to][j as usize].1];
+                let mut out: Vec<[u32; 2]> = (0..n)
+                    .flat_map(|i| rows.row(i).iter().map(move |&j| ids(i, j)))
+                    .collect();
+                out.sort_unstable();
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concatenated_sorted_runs_give_the_pairs_of_any_order() {
+        // A map-side group: each relation one run per stored cell read,
+        // each run in ascending `min_x`, their x-ranges overlapping — and
+        // the same records in no order at all.
+        for runs in 1..=9 {
+            let mut rng = StdRng::seed_from_u64(runs as u64);
+            let n = 40 * runs + 7;
+            let as_runs: Vec<Vec<LocalRect>> = (0..3)
+                .map(|k| {
+                    let rel = snapped_relation(n + k, 13, 100 * runs as u64 + k as u64);
+                    let mut cells: Vec<Vec<LocalRect>> = vec![Vec::new(); runs];
+                    for r in rel {
+                        cells[rng.random_range(0..runs)].push(r);
+                    }
+                    for cell in &mut cells {
+                        cell.sort_by(|a, b| a.0.min_x().total_cmp(&b.0.min_x()));
+                    }
+                    cells.concat()
+                })
+                .collect();
+            let shuffled: Vec<Vec<LocalRect>> = as_runs
+                .iter()
+                .map(|rel| {
+                    let mut rel = rel.clone();
+                    for i in (1..rel.len()).rev() {
+                        rel.swap(i, rng.random_range(0..=i));
+                    }
+                    rel
+                })
+                .collect();
+            let (a, b) = (&as_runs[0], &as_runs[1]);
+            for d in [0.0, a_gap(a, b, 0), a_gap(a, b, 1)] {
+                let got = id_pairs(&as_runs, d);
+                assert_eq!(got, id_pairs(&shuffled, d), "{runs} runs, d {d}");
+                let ids = |(i, j): (usize, usize)| [a[i].1, b[j].1];
+                let mut want: Vec<[u32; 2]> = brute_force(a, b, d)
+                    .into_iter()
+                    .map(|[i, j]| ids((i as usize, j as usize)))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(got[0], want, "{runs} runs, d {d}");
             }
         }
     }
@@ -538,9 +635,12 @@ mod tests {
             let order = Order::of(&rel);
             Strips::of_group((&order, n), (&order, n), d).count
         };
-        // A cell-sized group is one strip however tall its cell is.
-        assert_eq!(count(335, 50.0, 1_250.0, 0.0), 1);
-        assert_eq!(count(335, 1.0, 100_000.0, 0.0), 1);
+        // A cell-sized group: strips about four mean heights tall...
+        assert_eq!(count(335, 50.0, 1_250.0, 0.0), 6);
+        // ...as many as its smaller side fills however tall its cell is...
+        assert_eq!(count(335, 1.0, 100_000.0, 0.0), 335 / Strips::MIN_ENTRIES);
+        // ...and one when that side cannot fill two.
+        assert_eq!(count(47, 1.0, 100_000.0, 0.0), 1);
         // A whole input: strips about four mean heights tall...
         assert!((40..=50).contains(&count(20_000, 50.0, 10_000.0, 0.0)));
         // ...fewer when the range distance pads every rectangle...

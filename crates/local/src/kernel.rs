@@ -19,11 +19,13 @@
 //!   `search`, and one way into it: [`JoinKernel::execute_on`] resolves
 //!   each step's pair list from the group's [`GroupIndex`] up front — in
 //!   plan order, each list swept only for the rectangles the previous
-//!   steps can reach — and its probe copies an adjacency row into the
-//!   arena: entries carry their *position* in the relation while inside
-//!   the search and are mapped back to record ids on emit. A group is
-//!   whatever the caller wrapped: a reducer's key group, or the group the
-//!   map-side join gathers per seed cell from its stored per-cell runs.
+//!   steps can reach — and its probe copies an adjacency row (the
+//!   candidates' *positions* in their relation) into the arena; a
+//!   candidate's `(rect, id)` is read when it is consumed, and the last
+//!   depth emits each consumed candidate without leaving its loop. A group
+//!   is whatever the caller wrapped: a reducer's key group, or the group
+//!   the map-side join gathers per seed cell from its stored per-cell
+//!   runs.
 //! * **Thread-local scratch.** Arena, frames and reach bitmaps live in one
 //!   scratch struct per worker thread, reused across groups: after the
 //!   first group on a thread, the search itself allocates nothing (the
@@ -52,22 +54,23 @@ struct Frame {
 /// What the backtracking loop itself works on.
 #[derive(Default)]
 struct Search {
-    /// Flat candidate arena shared by all depths. Probes copy the full
-    /// `(rect, id)` in, so consuming a candidate is one sequential arena
-    /// read — no random access back into the relation vectors.
-    arena: Vec<LocalRect>,
+    /// Flat candidate arena shared by all depths, of positions in the
+    /// relation the depth binds: a probe is one copy of an adjacency row,
+    /// and a candidate's `(rect, id)` is read when it is consumed.
+    arena: Vec<u32>,
     frames: Vec<Frame>,
+    /// The tuple under construction — what `emit` receives — and the
+    /// positions of its members, which the next depth's probe reads.
     tuple: Vec<LocalRect>,
+    bound: Vec<u32>,
 }
 
 /// Reusable per-thread working memory.
 #[derive(Default)]
 struct Scratch {
     search: Search,
-    /// The reach bitmaps, per relation, and the tuple handed to `emit`
-    /// (positions mapped back to ids).
+    /// The reach bitmaps, per relation.
     alive: Vec<Vec<bool>>,
-    emitted: Vec<LocalRect>,
 }
 
 thread_local! {
@@ -129,7 +132,6 @@ impl JoinKernel {
         let Scratch {
             search: state,
             alive,
-            emitted,
         } = &mut scratch;
         // Each step's pair list, by the relation it binds. A list the group
         // does not hold yet is swept for the `from` rectangles some partial
@@ -154,47 +156,45 @@ impl JoinKernel {
             lists[w] = Some((list, from));
         }
         state.arena.clear();
-        let seeds = relations[start].iter().zip(0..);
-        state.arena.extend(seeds.map(|(&(r, _), i)| (r, i)));
+        state.arena.extend(0..relations[start].len() as u32);
         search(
             steps,
-            self.n,
+            relations,
             state,
-            &mut |w, &(_, i), out| {
+            &mut |w, i, out| {
                 let (list, from) = lists[w].as_ref().expect("every later step has a list");
-                let row = list.from(*from, w).row(i as usize);
-                out.extend(row.iter().map(|&j| (relations[w][j as usize].0, j)));
+                out.extend_from_slice(list.from(*from, w).row(i as usize));
             },
-            &mut |tuple| {
-                emitted.clear();
-                let ids = tuple.iter().zip(relations);
-                emitted.extend(ids.map(|(&(r, i), rel)| (r, rel[i as usize].1)));
-                emit(emitted);
-            },
+            &mut emit,
         );
         SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
 }
 
 /// The iterative backtracking loop: candidate generation is behind
-/// `probe(w, entry, out)`, which appends the candidates of relation `w`
-/// for the bound entry of the step's `from` relation; verify edges and
-/// frame bookkeeping are here. `state.arena` must arrive holding exactly
-/// the depth-0 seeds; frames and tuple are (re)initialized here.
+/// `probe(w, i, out)`, which appends the positions in relation `w` of the
+/// candidates for position `i` of the step's `from` relation; verify
+/// edges and frame bookkeeping are here. `state.arena` must arrive holding
+/// exactly the depth-0 seeds; frames, tuple and bound positions are
+/// (re)initialized here.
 fn search(
     steps: &[PlanStep],
-    n: usize,
+    relations: &[Vec<LocalRect>],
     state: &mut Search,
-    probe: &mut impl FnMut(usize, &LocalRect, &mut Vec<LocalRect>),
+    probe: &mut impl FnMut(usize, u32, &mut Vec<u32>),
     emit: &mut impl FnMut(&[LocalRect]),
 ) {
     let Search {
         arena,
         frames,
         tuple,
+        bound,
     } = state;
+    let n = relations.len();
     tuple.clear();
     tuple.resize(n, (Rect::new(0.0, 0.0, 0.0, 0.0), 0));
+    bound.clear();
+    bound.resize(n, 0);
     frames.clear();
     frames.resize(n, Frame::default());
 
@@ -206,10 +206,12 @@ fn search(
         let len = arena.len() - base;
 
         // Advance to the next candidate at this depth that satisfies
-        // its verify edges.
+        // its verify edges; at the last depth, emit every one.
+        let last = depth + 1 == n;
         let mut extended = false;
         while cursor < len {
-            let (rect, id) = arena[base + cursor];
+            let at = arena[base + cursor];
+            let (rect, id) = relations[v][at as usize];
             cursor += 1;
             let ok = step.verify.iter().all(|e| {
                 let other = &tuple[e.against.index()].0;
@@ -221,6 +223,11 @@ fn search(
             });
             if ok {
                 tuple[v] = (rect, id);
+                bound[v] = at;
+                if last {
+                    emit(tuple);
+                    continue;
+                }
                 extended = true;
                 break;
             }
@@ -236,19 +243,11 @@ fn search(
             depth -= 1;
             continue;
         }
-        if depth + 1 == n {
-            emit(tuple);
-            continue;
-        }
         // Probe for the next depth's candidates.
         let next = &steps[depth + 1];
         let probe_edge = next.probe.as_ref().expect("non-root steps have a probe");
         let next_base = arena.len();
-        probe(
-            next.relation.index(),
-            &tuple[probe_edge.from.index()],
-            arena,
-        );
+        probe(next.relation.index(), bound[probe_edge.from.index()], arena);
         depth += 1;
         frames[depth] = Frame {
             base: next_base,

@@ -8,10 +8,11 @@
 //! 3 × 20 000 rectangles), once as its round-1 reducers receive it (split
 //! onto the 8 × 8 grid: 64 groups of about 1 000 a relation) and once as
 //! a single group, where the sweep cuts strips. No timing:
-//! `local.kernel_ms` in `benchmark/` is the number.
+//! `local.kernel_ms` in `benchmark/` is the number. The same 64 groups
+//! also bound the sweep's work, counted in tests per kept pair.
 
 use mwsj_datagen::SyntheticConfig;
-use mwsj_local::{multiway, LocalRect};
+use mwsj_local::{multiway, GroupIndex, JoinKernel, LocalRect};
 use mwsj_partition::Grid;
 use mwsj_query::Query;
 
@@ -39,11 +40,10 @@ fn assert_identical(name: &str, query: &Query, groups: &[Vec<Vec<LocalRect>>]) -
     tuples
 }
 
-#[test]
-fn kernel_equals_naive_matcher_on_the_benchmark_input() {
-    let q2 = Query::parse("A ov B and B ov C").unwrap();
+/// The benchmark's Q2 relations, whole and split onto its 8 × 8 grid as
+/// the round-1 reducers receive them.
+fn benchmark_groups() -> (Vec<Vec<LocalRect>>, Vec<Vec<Vec<LocalRect>>>) {
     let whole: Vec<Vec<LocalRect>> = (0..3).map(|i| relation(20_000, 1_000 + i)).collect();
-
     let grid = Grid::square(EXTENT, EXTENT, 8);
     let mut cells = vec![vec![Vec::new(); 3]; grid.num_cells() as usize];
     for (position, rel) in whole.iter().enumerate() {
@@ -53,9 +53,42 @@ fn kernel_equals_naive_matcher_on_the_benchmark_input() {
             }
         }
     }
+    (whole, cells)
+}
+
+#[test]
+fn kernel_equals_naive_matcher_on_the_benchmark_input() {
+    let q2 = Query::parse("A ov B and B ov C").unwrap();
+    let (whole, cells) = benchmark_groups();
     // A tuple is found in every cell all its members reach, so the split
     // groups count the boundary-crossing ones more than once.
     let split = assert_identical("reducer_groups_64x1000_q2", &q2, &cells);
     let single = assert_identical("whole_input_3x20k", &q2, &[whole]);
     assert!(single > 0 && split >= single, "{split} vs {single}");
+}
+
+#[test]
+fn sweep_work_per_kept_pair_stays_bounded_on_the_reducer_groups() {
+    // Every overlap test the kernel's sweeps make over the 64 groups,
+    // per pair they keep: 3.1 (243 308 for 78 167) with each cell-sized
+    // group cut into strips about four mean heights tall, 13.1 when a
+    // group of under 256 a side was one strip and every opening
+    // rectangle met its whole column.
+    let q2 = Query::parse("A ov B and B ov C").unwrap();
+    let (_, cells) = benchmark_groups();
+    let kernel = JoinKernel::new(&q2);
+    let (mut tests, mut kept) = (0, 0);
+    for group in &cells {
+        let index = GroupIndex::new(group);
+        kernel.execute_on(&index, |_| {});
+        let (t, p) = index.sweep_counts();
+        tests += t;
+        kept += p;
+    }
+    assert!(kept > 50_000, "the groups should keep pairs: {kept}");
+    let per_pair = tests as f64 / kept as f64;
+    assert!(
+        per_pair < 4.0,
+        "{tests} tests for {kept} pairs: {per_pair:.2} a pair"
+    );
 }

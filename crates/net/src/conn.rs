@@ -41,8 +41,9 @@ pub enum ReadOutcome {
     Open,
     /// The peer half-closed; buffered requests remain servable.
     Eof,
-    /// An injected fault defers reading until the given instant.
-    Stalled(Instant),
+    /// An injected fault defers reading until
+    /// [`Connection::next_resume`].
+    Stalled,
     /// The connection died (reset, error, or injected kill).
     Dead,
 }
@@ -55,8 +56,9 @@ pub enum FlushOutcome {
     /// The socket would block with bytes still buffered; the loop
     /// should register write interest.
     Blocked,
-    /// An injected fault defers writing until the given instant.
-    Stalled(Instant),
+    /// An injected fault defers writing until
+    /// [`Connection::next_resume`].
+    Stalled,
     /// The connection died mid-write.
     Dead,
 }
@@ -238,7 +240,7 @@ impl Connection {
         // A deferred read resumes first: one chunk, no new fault draw.
         if let Some((when, limit)) = self.read_resume {
             if now < when {
-                return ReadOutcome::Stalled(when);
+                return ReadOutcome::Stalled;
             }
             self.read_resume = None;
             match self.read_chunk(limit, now) {
@@ -269,13 +271,13 @@ impl Connection {
                 NetFault::Stall(d) => {
                     let until = now + d;
                     self.read_resume = Some((until, CHUNK));
-                    return ReadOutcome::Stalled(until);
+                    return ReadOutcome::Stalled;
                 }
                 NetFault::SlowLoris(d) => {
                     // Trickle: one byte once the delay elapses.
                     let until = now + d;
                     self.read_resume = Some((until, 1));
-                    return ReadOutcome::Stalled(until);
+                    return ReadOutcome::Stalled;
                 }
                 NetFault::TornFrame => {
                     // Deliver a prefix of what arrived, then die.
@@ -441,7 +443,7 @@ impl Connection {
         // A deferred write resumes first: one attempt, no new draw.
         if let Some(when) = self.write_resume {
             if now < when {
-                return FlushOutcome::Stalled(when);
+                return FlushOutcome::Stalled;
             }
             self.write_resume = None;
             match self.write_once(now) {
@@ -474,7 +476,7 @@ impl Connection {
                 NetFault::Stall(d) | NetFault::SlowLoris(d) => {
                     let until = now + d;
                     self.write_resume = Some(until);
-                    return FlushOutcome::Stalled(until);
+                    return FlushOutcome::Stalled;
                 }
                 NetFault::TornFrame => {
                     // A prefix reaches the peer, then the connection
@@ -771,10 +773,11 @@ mod tests {
         let mut conn = Connection::new(b, FaultGate::new(Some(plan), 0), t0).expect("conn");
         a.write_all(b"{}\n").expect("write");
         std::thread::sleep(Duration::from_millis(5));
-        let outcome = conn.fill(Instant::now());
-        let ReadOutcome::Stalled(until) = outcome else {
-            panic!("expected stall, got {outcome:?}");
-        };
+        let now = Instant::now();
+        let outcome = conn.fill(now);
+        assert_eq!(outcome, ReadOutcome::Stalled);
+        let until = conn.next_resume().expect("a stalled read is due again");
+        assert!(until > now);
         // fill returned without sleeping; the resume instant is ahead.
         assert!(conn.read_stalled());
         assert!(
@@ -787,10 +790,7 @@ mod tests {
         let mut clock = until + Duration::from_millis(1);
         for _ in 0..100 {
             let outcome = conn.fill(clock);
-            assert!(matches!(
-                outcome,
-                ReadOutcome::Open | ReadOutcome::Stalled(_)
-            ));
+            assert!(matches!(outcome, ReadOutcome::Open | ReadOutcome::Stalled));
             if let Some(req) = conn.next_request(64).expect("ok") {
                 assert_eq!(req, b"{}");
                 return;

@@ -548,9 +548,8 @@ mod tests {
         };
         let (_peer, mut conns) = table(Some(stall), t0);
         let cs = conns.get_mut(&FIRST_CONN).expect("conn");
-        let ReadOutcome::Stalled(resume) = cs.conn.fill(t0) else {
-            panic!("every read stalls");
-        };
+        assert_eq!(cs.conn.fill(t0), ReadOutcome::Stalled, "every read stalls");
+        let resume = cs.conn.next_resume().expect("a stalled read is due again");
         assert!(resume > t0 && cs.conn.read_stalled());
         let almost = resume - Duration::from_nanos(1);
         assert_eq!(sweep_at(&mut conns, &inner, almost), (Some(resume), vec![]));
