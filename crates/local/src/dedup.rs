@@ -172,7 +172,64 @@ mod tests {
             .prop_map(|(x, y, l, b)| Rect::new(x, y, l.min(80.0 - x), b.min(y)))
     }
 
+    /// A 7×5 grid, a 9×3 one (3:1) and a non-dyadic one off the origin,
+    /// whose `cell_rect` corners differ from the division's boundaries.
+    fn home_grids() -> [Grid; 3] {
+        [
+            Grid::new((0.0, 70.0), (0.0, 50.0), 7, 5),
+            Grid::new((0.0, 3.0), (0.0, 1.0), 9, 3),
+            Grid::new((-0.3, 0.7), (0.1, 1.0), 7, 3),
+        ]
+    }
+
+    /// A start coordinate in `[lo, hi]`: `kind` 0 is anywhere, 1 a
+    /// `cell_rect` boundary, 2 one float either side of it, 3 `far` (the
+    /// global right or bottom edge).
+    fn start_coord(kind: u32, f: f64, (lo, hi): (f64, f64), far: f64, boundary: f64) -> f64 {
+        let v = match kind {
+            0 => lo + f * (hi - lo),
+            1 => boundary,
+            2 if f < 0.5 => boundary.next_down(),
+            2 => boundary.next_up(),
+            _ => far,
+        };
+        v.clamp(lo, hi)
+    }
+
     proptest! {
+        /// The largest home column and the largest home row of a tuple's
+        /// members name its §6.2 cell, because the point-to-index maps are
+        /// monotone: what the store's once-per-run homing check and the
+        /// map-side tally's shortcut rest on.
+        #[test]
+        fn prop_largest_home_column_and_row_is_the_designated_cell(
+            g in 0..3usize,
+            members in proptest::collection::vec(
+                (0..4u32, 0..4u32, 0.0..1.0f64, 0.0..1.0f64, proptest::bool::ANY),
+                1..6,
+            ),
+        ) {
+            let grid = &home_grids()[g];
+            let ((x0, xn), (y0, yn)) = (grid.x_range(), grid.y_range());
+            let tuple: Vec<Rect> = members
+                .iter()
+                .map(|&(kx, ky, fx, fy, flat)| {
+                    let at = (fx * 8.0) as u32 % grid.cols();
+                    let x = grid.cell_rect(grid.cell_at(at, 0)).min_x();
+                    let x = start_coord(kx, fx, (x0, xn), xn, x);
+                    let at = (fy * 8.0) as u32 % grid.rows();
+                    let y = grid.cell_rect(grid.cell_at(0, at)).max_y();
+                    let y = start_coord(ky, fy, (y0, yn), y0, y);
+                    // Zero-area, or as large as fits in the space.
+                    let (l, b) = if flat { (0.0, 0.0) } else { ((xn - x) * fy, (y - y0) * fx) };
+                    Rect::new(x, y, l, b)
+                })
+                .collect();
+            let col = tuple.iter().map(|r| grid.col_of_x(r.min_x())).max().unwrap();
+            let row = tuple.iter().map(|r| grid.row_of_y(r.max_y())).max().unwrap();
+            prop_assert_eq!(grid.cell_at(col, row), multiway_tuple_cell_of(grid, &tuple));
+        }
+
         #[test]
         fn prop_overlap_cell_unique_and_shared(a in arb_rect(), b in arb_rect()) {
             // The designated cell must be among the split cells of both

@@ -110,7 +110,8 @@ impl PairList {
 
 /// `x + d`, widened upward by more than the rounding of the sum and of the
 /// squared-distance test: nothing the exact test accepts starts beyond it.
-/// The map-side join cuts a stored cell's `min_x`-sorted run with it too.
+/// The map-side join cuts a stored cell's `min_x`-sorted run with it too,
+/// and mirrored (`-reach(-x, d)`) on the run's left.
 #[must_use]
 pub fn reach(x: Coord, d: Coord) -> Coord {
     x + d + (x.abs() + d) * (4.0 * Coord::EPSILON)

@@ -157,6 +157,47 @@ impl Grid {
         (idx as i64).clamp(0, i64::from(self.rows) - 1) as u32
     }
 
+    /// The smallest `x` of the space that [`Grid::col_of_x`] places in
+    /// column `col` or right of it: where the column begins under the
+    /// division, which can lie an ulp or two off the multiplied
+    /// [`Grid::cell_rect`] corner. `col_of_x` is monotone, so `x` lies
+    /// left of column `col` exactly when `x < col_start_x(col)`.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the grid.
+    #[must_use]
+    pub fn col_start_x(&self, col: u32) -> Coord {
+        assert!(col < self.cols, "column {col} out of range");
+        let mut x = (self.x0 + Coord::from(col) * self.cell_w).clamp(self.x0, self.xn);
+        while x > self.x0 && self.col_of_x(x.next_down()) >= col {
+            x = x.next_down();
+        }
+        while self.col_of_x(x) < col {
+            x = x.next_up();
+        }
+        x
+    }
+
+    /// The largest `y` of the space that [`Grid::row_of_y`] places in row
+    /// `row` or below it: where the row begins under the division.
+    /// `row_of_y` is monotone, so `y` lies above row `row` exactly when
+    /// `y > row_start_y(row)`.
+    ///
+    /// # Panics
+    /// Panics if `row` is not a row of the grid.
+    #[must_use]
+    pub fn row_start_y(&self, row: u32) -> Coord {
+        assert!(row < self.rows, "row {row} out of range");
+        let mut y = (self.yn - Coord::from(row) * self.cell_h).clamp(self.y0, self.yn);
+        while y < self.yn && self.row_of_y(y.next_up()) >= row {
+            y = y.next_up();
+        }
+        while self.row_of_y(y) < row {
+            y = y.next_down();
+        }
+        y
+    }
+
     /// The cell containing a point.
     #[must_use]
     pub fn cell_of_point(&self, p: &Point) -> CellId {
@@ -339,6 +380,32 @@ mod tests {
         assert_eq!(g.cell_at(0, 1).paper_number(), 5);
         assert_eq!(g.cell_at(3, 3).paper_number(), 16);
         assert_eq!(g.num_cells(), 16);
+    }
+
+    /// Where each column and row begins under the division, on grids whose
+    /// multiplied corners miss it: the first `x` of a column and the top
+    /// `y` of a row are in it, and the float before (after) is not.
+    #[test]
+    fn col_and_row_starts_are_where_the_division_turns() {
+        let grids = [
+            fig2_grid(),
+            Grid::new((0.0, 70.0), (0.0, 50.0), 7, 5),
+            Grid::new((-0.3, 0.7), (0.1, 1.0), 7, 3),
+            Grid::new((0.0, 1.0), (0.0, 1.0), 10, 10),
+            Grid::new((1e15, 1e15 + 3.0), (0.0, 3.0), 10, 1),
+        ];
+        for g in &grids {
+            let ((x0, _), (_, yn)) = (g.x_range(), g.y_range());
+            assert_eq!((g.col_start_x(0), g.row_start_y(0)), (x0, yn));
+            for col in 1..g.cols() {
+                let x = g.col_start_x(col);
+                assert!(g.col_of_x(x) >= col && g.col_of_x(x.next_down()) < col);
+            }
+            for row in 1..g.rows() {
+                let y = g.row_start_y(row);
+                assert!(g.row_of_y(y) >= row && g.row_of_y(y.next_up()) < row);
+            }
+        }
     }
 
     #[test]

@@ -395,6 +395,8 @@ pub struct StoredDataset {
     cells: Vec<CellMeta>,
     rects: Vec<Rect>,
     ids: Vec<u32>,
+    /// The largest `l()` and `b()` of any record.
+    max_sides: (f64, f64),
 }
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
@@ -839,6 +841,7 @@ impl StoredDataset {
         let num_cells = grid.num_cells() as usize;
         let mut cells = Vec::with_capacity(num_cells);
         let mut seen = vec![false; n];
+        let mut sides: (f64, f64) = (0.0, 0.0);
         for (c, row) in meta[META_HEADER_WORDS..]
             .chunks_exact(META_CELL_WORDS)
             .enumerate()
@@ -852,20 +855,48 @@ impl StoredDataset {
             if !run.is_empty() && !grid.extent().contains_rect(&extent) {
                 return Err(corrupt(format!("cell {c}: extent lies outside the grid")));
             }
-            // Inside the extent, hence inside the grid: `cell_of` is defined.
-            if let Some(k) = run.iter().position(|r| !extent.contains_rect(r)) {
+            // One pass, comparisons only: containment, order, the run's
+            // lowest and highest `max_y`, and the largest sides.
+            let (mut inside, mut sorted) = (true, true);
+            let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            let mut prev = f64::NEG_INFINITY;
+            for r in run {
+                inside &= extent.contains_rect(r);
+                sorted &= prev <= r.min_x();
+                prev = r.min_x();
+                (y_lo, y_hi) = (y_lo.min(r.max_y()), y_hi.max(r.max_y()));
+                sides = (sides.0.max(r.l()), sides.1.max(r.b()));
+            }
+            if !inside {
+                let k = run.iter().position(|r| !extent.contains_rect(r));
                 return Err(corrupt(format!(
                     "cell {c}: record {} lies outside the cell extent",
-                    entries.start + k
+                    entries.start + k.expect("a record outside the extent")
                 )));
             }
-            if run.windows(2).any(|p| p[0].min_x() > p[1].min_x()) {
+            if !sorted {
                 return Err(corrupt(format!("cell {c}: run is not in ascending min_x")));
             }
-            if let Some(k) = run.iter().position(|r| grid.cell_of(r).0 as usize != c) {
+            // Inside the extent, hence inside the grid: `cell_of` is defined.
+            // `col_of_x` is monotone in `x` and `row_of_y` in `y`, so a
+            // sorted run is homed at `c` exactly when its first and last
+            // `min_x` fall in `c`'s column and its extreme `max_y` in `c`'s
+            // row. Only a run that fails is scanned, to name its offender.
+            let (col, row) = (grid.col_of(CellId(c as u32)), grid.row_of(CellId(c as u32)));
+            let homed = match (run.first(), run.last()) {
+                (Some(first), Some(last)) => {
+                    grid.col_of_x(first.min_x()) == col
+                        && grid.col_of_x(last.min_x()) == col
+                        && grid.row_of_y(y_hi) == row
+                        && grid.row_of_y(y_lo) == row
+                }
+                _ => true,
+            };
+            if !homed {
+                let k = run.iter().position(|r| grid.cell_of(r).0 as usize != c);
                 return Err(corrupt(format!(
                     "cell {c}: record {} is homed at another cell",
-                    entries.start + k
+                    entries.start + k.expect("a record homed elsewhere")
                 )));
             }
             let in_scope = scope.as_ref().is_none_or(|r| r.contains(&(c as u32)));
@@ -884,6 +915,7 @@ impl StoredDataset {
             cells,
             rects,
             ids,
+            max_sides: sides,
         })
     }
 
@@ -925,6 +957,15 @@ impl StoredDataset {
     pub fn cell_extent(&self, cell: CellId) -> Option<Rect> {
         let meta = &self.cells[cell.0 as usize];
         (!meta.entries.is_empty()).then_some(meta.extent)
+    }
+
+    /// The largest length ([`Rect::l`]) and breadth ([`Rect::b`]) of any
+    /// record, `(0.0, 0.0)` when there is none: how far a body reaches
+    /// right of and below its start point, so a gather knows which cells'
+    /// runs, and which part of each run, can hold a record near a window.
+    #[must_use]
+    pub fn max_sides(&self) -> (f64, f64) {
+        self.max_sides
     }
 
     /// The `(rect, input_order_id)` at storage position `i` (cell by
@@ -990,6 +1031,8 @@ mod tests {
         assert_eq!(store.fingerprint(), dataset_fingerprint(&rects));
         assert_eq!(store.grid(), &grid);
         assert_eq!(store.materialize(), rects);
+        let sides = (rects.iter()).fold((0.0, 0.0), |(l, b), r| (r.l().max(l), r.b().max(b)));
+        assert_eq!(store.max_sides(), sides);
     }
 
     #[test]
@@ -1055,6 +1098,7 @@ mod tests {
         let store = StoredDataset::from_bytes(&bytes).unwrap();
         assert_eq!(store.record_count(), 0);
         assert!(store.materialize().is_empty());
+        assert_eq!(store.max_sides(), (0.0, 0.0));
         for cell in grid.cells() {
             assert!(store.cell(cell).0.is_empty());
             assert_eq!(store.cell_extent(cell), None);
@@ -1577,6 +1621,25 @@ mod tests {
                 c + 1,
                 store.cells[c].entries.end - 1
             ),
+        );
+
+        // A record in the middle of a run homed at another cell: its
+        // `max_y` moved into the row above, under an extent grown to the
+        // whole grid. The run's first and last records still fall in its
+        // column, so only its highest `max_y` betrays it.
+        let c = (0..store.cells.len())
+            .find(|&c| c >= grid.cols() as usize && store.cells[c].entries.len() >= 3)
+            .expect("a run of three below the top row");
+        let k = store.cells[c].entries.start + store.cells[c].entries.len() / 2;
+        let above = grid.cell_rect(CellId((c - grid.cols() as usize) as u32));
+        let mut raised = image.clone();
+        raised.records[k][3] = ((above.min_y() + above.max_y()) / 2.0).to_bits();
+        for (w, bound) in grid.extent().bounds().into_iter().enumerate() {
+            raised.meta[cell_word(c, 2 + w)] = bound.to_bits();
+        }
+        file.rejected(
+            &raised.seal(),
+            &format!("cell {c}: record {k} is homed at another cell"),
         );
 
         // A duplicated id: the second record takes the first one's.

@@ -39,7 +39,7 @@
 //! cascades running together each reported the sum of all of them.
 
 use mwsj_core::ann::try_knn_join;
-use mwsj_core::local::{multiway, LocalRect};
+use mwsj_core::local::{dedup, multiway, LocalRect};
 use mwsj_core::mapreduce::{EngineConfig, MetricsReport};
 use mwsj_core::partition::Grid;
 use mwsj_core::shards::{self, GatherSpec};
@@ -395,6 +395,24 @@ fn map_side_gathers_every_tuple_on_uneven_grids_from_every_start() {
                     StoredCase::generate(&mut StdRng::seed_from_u64(seed), &query, sizes, grid);
                 let stores = case.open();
                 let stores: Vec<&StoredDataset> = stores.iter().collect();
+                // Map-side tallies each tuple at its §6.2 cell, the one
+                // `dedup` computes, with few divisions of its own.
+                let cells = case.cluster.grid();
+                let rects: Vec<Vec<Rect>> = stores.iter().map(|s| s.materialize()).collect();
+                let mut tally = vec![0u64; cells.num_cells() as usize];
+                for tuple in &case.expected {
+                    let members = tuple.iter().zip(&rects).map(|(&id, r)| &r[id as usize]);
+                    tally[dedup::multiway_tuple_cell_of(cells, members).0 as usize] += 1;
+                }
+                let run = StoredRun::new(&query, &stores).algorithm(Algorithm::MapSide);
+                let partial = case
+                    .cluster
+                    .submit_stored_partial(&run, 0..cells.num_cells());
+                assert!(
+                    partial.expect("fault-free run").tally == tally,
+                    "map-side over `{text}` {sizes:?} on grid {grid:?}, seed {seed}: \
+                     a tuple tallied at another cell"
+                );
                 // The shuffle algorithms read the same stores' runs as
                 // their map input.
                 for alg in Algorithm::ALL.into_iter().chain([Algorithm::MapSide]) {
