@@ -64,8 +64,8 @@
 //!    one axis never exceeds the distance: `x* ≤ m.max_x + B`. Likewise
 //!    `y*` is the top edge of a member within `B`: `m.min_y − B ≤ y*`.
 //! 4. `col_of_x` and `row_of_y` are monotone (a subtraction, a division by
-//!    a positive constant, a floor and a clamp), in computed arithmetic
-//!    as over the reals.
+//!    a positive constant, a truncation and a clamp), in computed
+//!    arithmetic as over the reals.
 //! 5. Hence the designated cell lies in the index span of `m` stretched
 //!    right and down by `B` — [`Grid::fourth_quadrant_cells_within`], the
 //!    *split* of that stretched rectangle. No distance is computed, and no
@@ -143,11 +143,16 @@ pub(crate) fn run(
             .reduce(|&cell: &u32, values: &[InputRef], out| {
                 let rels = group_by_relation(n, values.iter().map(|v| inputs.get(v.index)));
                 // One sweep per edge serves the marking and the join below.
+                // So does one classification of every member against the
+                // cell: marking's crossing test, the home test below and
+                // the count read it.
                 let group = GroupIndex::new(&rels);
                 let flags = marking::mark_indexed(query, grid, CellId(cell), &group);
+                let classes = group.classes(grid, CellId(cell));
                 for (pos, (rel_rects, rel_flags)) in rels.iter().zip(&flags).enumerate() {
-                    for (&(rect, id), &marked) in rel_rects.iter().zip(rel_flags) {
-                        if marked && grid.cell_of(&rect) == CellId(cell) {
+                    let rel = rel_rects.iter().zip(rel_flags).zip(&classes[pos]);
+                    for ((&(rect, id), &marked), class) in rel {
+                        if marked && class.is_home() {
                             out(Round1::Marked(TaggedRect::new(
                                 RelationId(pos as u16),
                                 id,
@@ -228,7 +233,7 @@ mod tests {
         let b = Rect::from_bounds(cell / 2.0, 2.0 * cell, cell, 1000.0).unwrap();
         assert!(grid
             .fourth_quadrant_cells_within(&b, reach[1])
-            .contains(&CellId(8)));
+            .any(|c| c == CellId(8)));
         // The reach is the paper's bound; the widening is slack for
         // rounding, not more reach.
         assert!(reach[1] > cell && reach[1] < cell * (1.0 + 1e-12));

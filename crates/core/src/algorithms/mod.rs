@@ -13,7 +13,7 @@ pub(crate) mod hypercube;
 pub(crate) mod map_side;
 
 use mwsj_geom::Rect;
-use mwsj_local::{multiway, GroupIndex, JoinKernel, LocalRect};
+use mwsj_local::{multiway, GroupIndex, JoinKernel, LocalRect, TupleFilter};
 use mwsj_mapreduce::{
     CancelToken, DfsError, Engine, JobError, JobSpec, MetricsReport, RecordSize, TraceSink, Unset,
 };
@@ -297,32 +297,18 @@ impl Inputs<'_> {
     }
 }
 
-/// Which of the tuples its local join finds a reducer emits.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TupleFilter {
-    /// Every tuple. For the hypercube, whose delivery is already
-    /// exactly-once: the members of a joining tuple share exactly one
-    /// hypercube cell.
-    All,
-    /// Tuples whose multi-way duplicate-avoidance point (§6.2) lies in the
-    /// reducer's cell. For the spatial algorithms, whose routing delivers
-    /// a tuple's members to several cells.
-    Designated,
-    /// [`TupleFilter::Designated`] tuples with at least one member that
-    /// is not split onto the reducer's cell. Round 2 of C-Rep: the tuples
-    /// whose members are all split onto their designated cell were
-    /// emitted there by round 1.
-    DesignatedCrossCell,
-}
-
-/// The reducer body every join job shares: runs the compiled local join
-/// over one (indexed) reducer group and emits what passes `filter` — the
-/// tuple's ids, or in count-only mode one [`count_record`] for the group.
+/// The reducer body every join job shares: emits what the compiled local
+/// join over one (indexed) reducer group finds and `filter` keeps — the
+/// tuple's ids, or in count-only mode one [`count_record`] for the group,
+/// iff the count is positive.
 ///
-/// Faithful to the paper's reducers: enumerate the local join of
-/// everything received, then filter. The test runs once per *candidate*
-/// tuple at every receiving reducer and is allocation-free (the extrema
-/// stream through `multiway_tuple_cell_of`; membership is
+/// A count-only reducer over an acyclic join graph of symmetric predicates
+/// counts on the join tree ([`JoinKernel::count_on`]): each member is
+/// classified once against the cell's bounds, and no tuple is enumerated.
+/// Everything else is faithful to the paper's reducers: enumerate the local
+/// join of everything received, then filter. That test runs once per
+/// *candidate* tuple at every receiving reducer and is allocation-free
+/// (the extrema stream through `multiway_tuple_cell_of`; membership is
 /// [`Grid::splits_onto`], the predicate that routed round 1).
 pub(crate) fn join_group(
     ctx: &AlgoCtx<'_>,
@@ -334,6 +320,14 @@ pub(crate) fn join_group(
 ) {
     let grid = ctx.grid;
     let cell = CellId(key);
+    if ctx.count_only {
+        if let Some(found) = kernel.count_on(group, filter, grid, cell) {
+            if found > 0 {
+                out(count_record(found));
+            }
+            return;
+        }
+    }
     let mut found = 0u64;
     kernel.execute_on(group, |tuple| {
         let designated = || {

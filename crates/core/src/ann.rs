@@ -36,7 +36,7 @@
 
 use mwsj_geom::{Coord, Rect};
 use mwsj_mapreduce::JobSpec;
-use mwsj_partition::CellId;
+use mwsj_partition::CellSpan;
 use mwsj_rtree::{PackedRTree, RTree};
 
 use crate::record::{Fixed, InputRef};
@@ -256,7 +256,7 @@ enum Record {
 type RecordRef = InputRef<Fixed<{ 1 + 4 + 32 }>>;
 
 /// Emits a reference to input record `i` to every cell of `cells`.
-fn emit_to(cells: Vec<CellId>, i: u32, emit: &mut dyn FnMut(u32, RecordRef)) {
+fn emit_to(cells: CellSpan, i: u32, emit: &mut dyn FnMut(u32, RecordRef)) {
     for cell in cells {
         emit(cell.0, InputRef::fixed(i));
     }

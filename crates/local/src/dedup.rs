@@ -236,8 +236,8 @@ mod tests {
             // rectangles: both are routed there by the 2-way overlap join.
             let grid = grid8();
             if let Some(cell) = overlap_pair_cell(&grid, &a, &b) {
-                prop_assert!(grid.split_cells(&a).contains(&cell));
-                prop_assert!(grid.split_cells(&b).contains(&cell));
+                prop_assert!(grid.split_cells(&a).any(|c| c == cell));
+                prop_assert!(grid.split_cells(&b).any(|c| c == cell));
             }
         }
 
@@ -248,8 +248,8 @@ mod tests {
             let grid = grid8();
             if let Some(cell) = range_pair_cell(&grid, &a, &b, d) {
                 let enlarged = a.enlarge(d).intersection(&grid.extent()).unwrap();
-                prop_assert!(grid.split_cells(&enlarged).contains(&cell));
-                prop_assert!(grid.split_cells(&b).contains(&cell));
+                prop_assert!(grid.split_cells(&enlarged).any(|c| c == cell));
+                prop_assert!(grid.split_cells(&b).any(|c| c == cell));
             }
         }
 
@@ -263,7 +263,7 @@ mod tests {
             let cell = multiway_tuple_cell(&grid, &[a, b, c]);
             for r in [&a, &b, &c] {
                 prop_assert!(
-                    grid.fourth_quadrant_cells(r).contains(&cell),
+                    grid.fourth_quadrant_cells(r).any(|c| c == cell),
                     "designated cell {cell:?} outside 4th quadrant of {r:?}"
                 );
             }

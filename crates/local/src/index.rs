@@ -54,6 +54,7 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use mwsj_geom::{bounds_within, Coord, Rect};
+use mwsj_partition::{CellClass, CellId, Grid};
 
 use crate::LocalRect;
 
@@ -328,11 +329,13 @@ impl Sweep {
 type Built = ((usize, usize, u64), Rc<PairList>);
 
 /// The local relations of one reducer group, with a lazily built pair list
-/// per join-graph edge.
+/// per join-graph edge and, once asked for, each member's class against
+/// the reducer's cell.
 pub struct GroupIndex<'a> {
     relations: &'a [Vec<LocalRect>],
     orders: Vec<OnceCell<Order>>,
     built: RefCell<Vec<Built>>,
+    classes: OnceCell<(CellId, Vec<Vec<CellClass>>)>,
     tests: Cell<u64>,
     pairs: Cell<u64>,
 }
@@ -346,6 +349,7 @@ impl<'a> GroupIndex<'a> {
             relations,
             orders: relations.iter().map(|_| OnceCell::new()).collect(),
             built: RefCell::default(),
+            classes: OnceCell::new(),
             tests: Cell::new(0),
             pairs: Cell::new(0),
         }
@@ -355,6 +359,24 @@ impl<'a> GroupIndex<'a> {
     #[must_use]
     pub fn relations(&self) -> &'a [Vec<LocalRect>] {
         self.relations
+    }
+
+    /// Every member's [`CellClass`] against `cell` of `grid`, aligned with
+    /// the relations: classified by comparison on first use and kept, so
+    /// marking, round 1's home test and the count read one classification.
+    ///
+    /// # Panics
+    /// Panics if the group was classified against another cell.
+    #[must_use]
+    pub fn classes(&self, grid: &Grid, cell: CellId) -> &[Vec<CellClass>] {
+        let (at, classes) = self.classes.get_or_init(|| {
+            let bounds = grid.cell_bounds(cell);
+            let classify =
+                |rel: &Vec<LocalRect>| rel.iter().map(|(r, _)| bounds.classify(r)).collect();
+            (cell, self.relations.iter().map(classify).collect())
+        });
+        assert_eq!(*at, cell, "a group is classified against one cell");
+        classes
     }
 
     /// `(overlap tests executed, pairs materialized)` by this group's

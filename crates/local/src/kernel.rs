@@ -30,17 +30,62 @@
 //!   scratch struct per worker thread, reused across groups: after the
 //!   first group on a thread, the search itself allocates nothing (the
 //!   group's pair lists and whatever `emit` does still allocate).
+//! * **Counting on the join tree.** When no plan step verifies an edge —
+//!   an acyclic join graph of symmetric predicates, every chain and star
+//!   of the paper's tables — [`JoinKernel::count_on`] counts the tuples a
+//!   [`TupleFilter`] keeps without enumerating one: a bottom-up pass over
+//!   the same pair lists (below), per inclusion–exclusion term.
 //!
 //! `multiway_join_naive` in [`crate::multiway`] is the independent
 //! recursive matcher the tests compare the kernel's tuple set against.
+//!
+//! # The count
+//!
+//! With `N(X)` the number of tuples whose every member lies in a set `X`,
+//! one pass over the plan's steps from the last to the first gives it:
+//! `cnt(i) = [i ∈ X] · Π_children Σ_{j ∈ row(i)} cnt(j)` and
+//! `N(X) = Σ_{i ∈ start} cnt(i)`. The reducer of cell `(C, R)` keeps a
+//! tuple when its §6.2 designated point — the largest start `x` and the
+//! smallest top `y` over its members — lies in the cell. `col_of_x` and
+//! `row_of_y` are monotone, so that point's column is the largest member
+//! start column and its row the largest member start row, and the
+//! designated count is
+//! `N(≤C, ≤R) + N(≤C−1, ≤R−1) − N(≤C−1, ≤R) − N(≤C, ≤R−1)`, where
+//! `≤c, ≤r` holds the members starting in column `c` or left of it and in
+//! row `r` or above it. Each member's side of those bounds is its
+//! [`CellClass`], comparisons against four bounds read once per group and
+//! kept in [`GroupIndex::classes`]; no coordinate is divided. The terms are
+//! `u64` and added before they are subtracted. Cross-cell tuples (round 2
+//! of C-Rep) subtract the same four terms over the members split onto the
+//! cell, which count the designated tuples round 1 emitted.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 use mwsj_geom::Rect;
+use mwsj_partition::{CellClass, CellId, Grid};
 use mwsj_query::{JoinPlan, PlanStep, Query};
 
-use crate::index::GroupIndex;
+use crate::index::{GroupIndex, PairList};
 use crate::LocalRect;
+
+/// Which of the tuples a reducer's local join finds it keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TupleFilter {
+    /// Every tuple. For the hypercube, whose delivery is already
+    /// exactly-once: the members of a joining tuple share exactly one
+    /// hypercube cell.
+    All,
+    /// Tuples whose multi-way duplicate-avoidance point (§6.2) lies in the
+    /// reducer's cell. For the spatial algorithms, whose routing delivers
+    /// a tuple's members to several cells.
+    Designated,
+    /// [`TupleFilter::Designated`] tuples with at least one member that
+    /// is not split onto the reducer's cell. Round 2 of C-Rep: the tuples
+    /// whose members are all split onto their designated cell were
+    /// emitted there by round 1.
+    DesignatedCrossCell,
+}
 
 /// One depth of the iterative search: its candidates occupy
 /// `arena[base..]` (up to the next frame's base) and `cursor` counts how
@@ -71,7 +116,13 @@ struct Scratch {
     search: Search,
     /// The reach bitmaps, per relation.
     alive: Vec<Vec<bool>>,
+    /// The count's per-position terms, per relation.
+    terms: Vec<Vec<u64>>,
 }
+
+/// A step's pair list and the relation it is probed from, by the relation
+/// the step binds.
+type StepLists = Vec<Option<(Rc<PairList>, usize)>>;
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
@@ -85,15 +136,38 @@ thread_local! {
 pub struct JoinKernel {
     plans: Vec<JoinPlan>,
     n: usize,
+    /// The plan [`JoinKernel::count_on`] counts on, when no plan verifies
+    /// an edge (every predicate is its probe's, so a tuple is one member
+    /// per relation joined along the plan's tree).
+    count_root: Option<usize>,
 }
 
 impl JoinKernel {
     /// Compiles the kernel for a query.
     #[must_use]
     pub fn new(query: &Query) -> Self {
+        let plans = JoinPlan::compile_all(query);
+        let tree = (plans.iter().flat_map(JoinPlan::steps)).all(|step| step.verify.is_empty());
+        // Every root counts the same tuples; rooted where the fewest other
+        // relations have children (a chain's middle, a star's centre), the
+        // count keeps the fewest terms — none for a 3-chain or a star.
+        let inner = |plan: &JoinPlan| {
+            let froms = plan
+                .steps()
+                .iter()
+                .filter_map(|s| s.probe.map(|p| p.from.index()));
+            let mask = froms.fold(0u64, |m, from| m | 1 << from);
+            (mask & !(1 << plan.steps()[0].relation.index())).count_ones()
+        };
+        let count_root = if tree {
+            (0..plans.len()).min_by_key(|&r| inner(&plans[r]))
+        } else {
+            None
+        };
         Self {
-            plans: JoinPlan::compile_all(query),
+            plans,
             n: query.num_relations(),
+            count_root,
         }
     }
 
@@ -114,49 +188,21 @@ impl JoinKernel {
     /// pair lists it may have built already, as C-Rep's round-1 reducer
     /// does to mark.
     pub fn execute_on(&self, group: &GroupIndex<'_>, mut emit: impl FnMut(&[LocalRect])) {
-        let relations = group.relations();
-        assert_eq!(
-            relations.len(),
-            self.n,
-            "one rectangle set per relation position"
-        );
-        if relations.iter().any(Vec::is_empty) {
+        let Some(steps) = self.plan_for(group) else {
             return;
-        }
-        // Seed from the smallest relation (the first of several).
-        let start = (0..self.n)
-            .min_by_key(|&i| relations[i].len())
-            .expect("non-empty query");
-        let steps = self.plans[start].steps();
+        };
+        let relations = group.relations();
         let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         let Scratch {
             search: state,
             alive,
+            ..
         } = &mut scratch;
-        // Each step's pair list, by the relation it binds. A list the group
-        // does not hold yet is swept for the `from` rectangles some partial
-        // tuple can bind — those with a partner along the plan so far.
-        alive.resize_with(self.n, Vec::new);
-        alive[start].clear();
-        alive[start].resize(relations[start].len(), true);
-        let mut lists: Vec<_> = (0..self.n).map(|_| None).collect();
-        for step in &steps[1..] {
-            let edge = step.probe.as_ref().expect("non-root steps have a probe");
-            let (from, w) = (edge.from.index(), step.relation.index());
-            let list = group.pairs(from, w, edge.predicate.distance(), Some(&alive[from]));
-            let mut reached = std::mem::take(&mut alive[w]);
-            reached.clear();
-            reached.resize(relations[w].len(), false);
-            for (i, _) in alive[from].iter().enumerate().filter(|(_, &on)| on) {
-                for &j in list.from(from, w).row(i) {
-                    reached[j as usize] = true;
-                }
-            }
-            alive[w] = reached;
-            lists[w] = Some((list, from));
-        }
+        let lists = step_lists(group, steps, alive);
         state.arena.clear();
-        state.arena.extend(0..relations[start].len() as u32);
+        state
+            .arena
+            .extend(0..relations[steps[0].relation.index()].len() as u32);
         search(
             steps,
             relations,
@@ -169,6 +215,192 @@ impl JoinKernel {
         );
         SCRATCH.with(|s| *s.borrow_mut() = scratch);
     }
+
+    /// The number of tuples [`JoinKernel::execute_on`] would find over the
+    /// group that `filter` keeps at `cell` of `grid` (unused for
+    /// [`TupleFilter::All`]), counted on the join tree without enumerating
+    /// one (module docs). `None` when a plan verifies an edge — a cycle,
+    /// `Contains` or parallel predicates — which only enumeration answers.
+    #[must_use]
+    pub fn count_on(
+        &self,
+        group: &GroupIndex<'_>,
+        filter: TupleFilter,
+        grid: &Grid,
+        cell: CellId,
+    ) -> Option<u64> {
+        let root = self.count_root?;
+        if self.plan_for(group).is_none() {
+            return Some(0);
+        }
+        let steps = self.plans[root].steps();
+        let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let Scratch { alive, terms, .. } = &mut scratch;
+        let lists = step_lists(group, steps, alive);
+        let count = match filter {
+            TupleFilter::All => count_terms::<1>(steps, &lists, alive, terms, |_, _| 1)[0],
+            TupleFilter::Designated => {
+                let classes = group.classes(grid, cell);
+                let term = |w: usize, i: usize| designated_terms(classes[w][i]);
+                let [n0, n1, n2, n3] = count_terms(steps, &lists, alive, terms, term);
+                (n0 + n1) - (n2 + n3)
+            }
+            TupleFilter::DesignatedCrossCell => {
+                let classes = group.classes(grid, cell);
+                let term = |w: usize, i: usize| {
+                    let class = classes[w][i];
+                    let designated = designated_terms(class);
+                    let split = if class.splits_onto() { designated } else { 0 };
+                    designated | split << 4
+                };
+                let [n0, n1, n2, n3, s0, s1, s2, s3] =
+                    count_terms(steps, &lists, alive, terms, term);
+                ((n0 + n1) - (n2 + n3)) - ((s0 + s1) - (s2 + s3))
+            }
+        };
+        SCRATCH.with(|s| *s.borrow_mut() = scratch);
+        Some(count)
+    }
+
+    /// The plan seeded from the group's smallest relation (the first of
+    /// several), or `None` when a relation is empty and nothing joins.
+    fn plan_for(&self, group: &GroupIndex<'_>) -> Option<&[PlanStep]> {
+        let relations = group.relations();
+        assert_eq!(
+            relations.len(),
+            self.n,
+            "one rectangle set per relation position"
+        );
+        if relations.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let start = (0..self.n)
+            .min_by_key(|&i| relations[i].len())
+            .expect("non-empty query");
+        Some(self.plans[start].steps())
+    }
+}
+
+/// Each step's pair list, by the relation it binds. A list the group does
+/// not hold yet is swept for the `from` rectangles some partial tuple can
+/// bind — those with a partner along the plan so far. On return
+/// `alive[w]` flags the rectangles of relation `w` a partial tuple
+/// reaches (all of the start relation).
+fn step_lists(group: &GroupIndex<'_>, steps: &[PlanStep], alive: &mut Vec<Vec<bool>>) -> StepLists {
+    let relations = group.relations();
+    let start = steps[0].relation.index();
+    alive.resize_with(relations.len().max(alive.len()), Vec::new);
+    alive[start].clear();
+    alive[start].resize(relations[start].len(), true);
+    let mut lists: StepLists = (0..relations.len()).map(|_| None).collect();
+    for step in &steps[1..] {
+        let edge = step.probe.as_ref().expect("non-root steps have a probe");
+        let (from, w) = (edge.from.index(), step.relation.index());
+        let list = group.pairs(from, w, edge.predicate.distance(), Some(&alive[from]));
+        let mut reached = std::mem::take(&mut alive[w]);
+        reached.clear();
+        reached.resize(relations[w].len(), false);
+        for (i, _) in alive[from].iter().enumerate().filter(|(_, &on)| on) {
+            for &j in list.from(from, w).row(i) {
+                reached[j as usize] = true;
+            }
+        }
+        alive[w] = reached;
+        lists[w] = Some((list, from));
+    }
+    lists
+}
+
+/// The inclusion–exclusion terms a member of a tuple designated to the
+/// classifying cell `(C, R)` belongs to, one bit each: `(≤C, ≤R)`,
+/// `(≤C−1, ≤R−1)`, `(≤C−1, ≤R)` and `(≤C, ≤R−1)`.
+fn designated_terms(class: CellClass) -> u8 {
+    let (col, left) = (!class.starts_right(), class.starts_left());
+    let (row, above) = (!class.starts_below(), class.starts_above());
+    u8::from(col && row)
+        | u8::from(left && above) << 1
+        | u8::from(left && row) << 2
+        | u8::from(col && above) << 3
+}
+
+/// `N(X_k)` for the `K` member sets `X_k`, where bit `k` of `term(w, i)`
+/// puts position `i` of relation `w` in `X_k`: one pass over the steps
+/// from the last to the first (every child binds after its parent). A
+/// relation's value at a reached position is its term bits times, per
+/// child relation, the sum of the child's values over the position's row;
+/// a leaf's value is its term bits, read where its parent sums them, and
+/// the start's values are summed as they are found. So only the inner
+/// relations of the plan's tree keep their values, `K` words a position,
+/// in `acc`. `alive` and `lists` are [`step_lists`]'.
+fn count_terms<const K: usize>(
+    steps: &[PlanStep],
+    lists: &StepLists,
+    alive: &[Vec<bool>],
+    acc: &mut Vec<Vec<u64>>,
+    term: impl Fn(usize, usize) -> u8,
+) -> [u64; K] {
+    let bits = |w: usize, i: usize| {
+        let mask = term(w, i);
+        std::array::from_fn::<u64, K, _>(|k| u64::from(mask >> k & 1))
+    };
+    let parent = |w: usize| lists[w].as_ref().map(|(_, from)| *from);
+    // The relations some step is probed from: the tree's inner vertices
+    // (a query has at most 32 relations, as marking's subset masks assume).
+    let inner = (0..lists.len())
+        .filter_map(parent)
+        .fold(0u64, |m, w| m | 1 << w);
+    let is_leaf = |w: usize| inner & 1 << w == 0;
+    acc.resize_with(lists.len().max(acc.len()), Vec::new);
+    let mut total = [0u64; K];
+    for (depth, step) in steps.iter().enumerate().rev() {
+        let v = step.relation.index();
+        if depth > 0 && is_leaf(v) {
+            continue;
+        }
+        let children = || {
+            let later = steps[depth + 1..].iter().map(|s| s.relation.index());
+            later.filter(move |&c| parent(c) == Some(v))
+        };
+        let mut values = std::mem::take(&mut acc[v]);
+        values.clear();
+        if depth > 0 {
+            values.resize(alive[v].len() * K, 0);
+        }
+        for (i, _) in alive[v].iter().enumerate().filter(|(_, &on)| on) {
+            let mut value = bits(v, i);
+            for c in children() {
+                if value.iter().all(|&lane| lane == 0) {
+                    break;
+                }
+                let (list, _) = lists[c].as_ref().expect("a child has a list");
+                let (row, leaf) = (list.from(v, c).row(i), is_leaf(c));
+                let mut sums = [0u64; K];
+                for &j in row {
+                    let j = j as usize;
+                    let child = if leaf {
+                        bits(c, j)
+                    } else {
+                        acc[c][j * K..][..K].try_into().expect("K lanes")
+                    };
+                    for (sum, lane) in sums.iter_mut().zip(child) {
+                        *sum += lane;
+                    }
+                }
+                for (lane, sum) in value.iter_mut().zip(sums) {
+                    *lane *= sum;
+                }
+            }
+            if depth == 0 {
+                for (sum, lane) in total.iter_mut().zip(value) {
+                    *sum += lane;
+                }
+            } else {
+                values[i * K..][..K].copy_from_slice(&value);
+            }
+        }
+        acc[v] = values;
+    }
+    total
 }
 
 /// The iterative backtracking loop: candidate generation is behind
@@ -260,6 +492,7 @@ fn search(
 mod tests {
     use super::*;
     use crate::multiway::{brute_force_join, multiway_join_naive, normalized};
+    use mwsj_partition::{CellId, Grid};
     use mwsj_query::Query;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -497,6 +730,175 @@ mod tests {
         assert!(expect > 0, "test should exercise non-empty output");
         assert_eq!(outer, expect);
         assert_eq!(inner_total, expect);
+    }
+
+    /// The kernel's tuples that `filter` keeps at `cell`, enumerated and
+    /// tested as a reducer that enumerates tests them: by the division.
+    fn enumerated_count(
+        kernel: &JoinKernel,
+        group: &GroupIndex<'_>,
+        filter: TupleFilter,
+        grid: &Grid,
+        cell: CellId,
+    ) -> u64 {
+        let mut kept = 0;
+        kernel.execute_on(group, |tuple| {
+            let designated =
+                || crate::dedup::multiway_tuple_cell_of(grid, tuple.iter().map(|(r, _)| r)) == cell;
+            kept += u64::from(match filter {
+                TupleFilter::All => true,
+                TupleFilter::Designated => designated(),
+                TupleFilter::DesignatedCrossCell => {
+                    designated() && tuple.iter().any(|(r, _)| !grid.splits_onto(r, cell))
+                }
+            });
+        });
+        kept
+    }
+
+    const FILTERS: [TupleFilter; 3] = [
+        TupleFilter::All,
+        TupleFilter::Designated,
+        TupleFilter::DesignatedCrossCell,
+    ];
+
+    /// Uneven, non-dyadic and off-origin grids.
+    fn count_grids() -> [Grid; 4] {
+        [
+            Grid::square((0.0, 1000.0), (0.0, 1000.0), 3),
+            Grid::new((100.1, 1100.1), (-50.3, 949.7), 7, 5),
+            Grid::new((0.0, 300.0), (0.0, 100.0), 2, 5),
+            Grid::square((0.0, 8.0), (0.0, 8.0), 4),
+        ]
+    }
+
+    /// A rectangle of `grid`'s space whose edges sit on its half-cell
+    /// lattice (computed by multiplication, so a float off the division's
+    /// boundary on non-dyadic grids), a float either side of it, or
+    /// anywhere, `(x, y, width, height, nudge)` in lattice steps.
+    fn lattice_rect(grid: &Grid, (x, y, w, h, nudge): (u32, u32, u32, u32, u32)) -> Rect {
+        let ((x0, xn), (y0, yn)) = (grid.x_range(), grid.y_range());
+        let half_x = (xn - x0) / f64::from(grid.cols()) / 2.0;
+        let half_y = (yn - y0) / f64::from(grid.rows()) / 2.0;
+        let nudged = |v: f64| match nudge {
+            0 => v.next_up(),
+            1 => v.next_down(),
+            2 => v + 0.37 * half_x.min(half_y),
+            _ => v,
+        };
+        let left = nudged(x0 + f64::from(x % (2 * grid.cols() + 1)) * half_x).clamp(x0, xn);
+        let bottom = nudged(y0 + f64::from(y % (2 * grid.rows() + 1)) * half_y).clamp(y0, yn);
+        let right = (left + f64::from(w) * half_x).min(xn);
+        let top = (bottom + f64::from(h) * half_y).min(yn);
+        Rect::from_bounds(left, bottom, right, top).expect("ordered, in-space bounds")
+    }
+
+    #[test]
+    fn a_plan_that_verifies_an_edge_is_refused() {
+        let grid = Grid::square((0.0, 300.0), (0.0, 300.0), 2);
+        let rels = vec![
+            random_relation(20, 1, 40.0),
+            random_relation(20, 2, 40.0),
+            random_relation(20, 3, 40.0),
+        ];
+        let group = GroupIndex::new(&rels);
+        for text in [
+            "A ov B and B ov C and C ov A",
+            "A contains B and B ov C",
+            "A ov B and A ra(3) B and B ov C",
+        ] {
+            let kernel = JoinKernel::new(&Query::parse(text).unwrap());
+            for filter in FILTERS {
+                assert_eq!(
+                    kernel.count_on(&group, filter, &grid, CellId(0)),
+                    None,
+                    "{text}"
+                );
+            }
+        }
+        for text in ["A ov B and B ov C", "A ra(3) B and A ov C"] {
+            let kernel = JoinKernel::new(&Query::parse(text).unwrap());
+            assert!(kernel
+                .count_on(&group, TupleFilter::All, &grid, CellId(0))
+                .is_some());
+        }
+    }
+
+    #[test]
+    fn designated_counts_over_every_cell_sum_to_the_join() {
+        // Groups large enough to sweep in several strips, one cell at a
+        // time: every tuple is designated to one cell, and counted there.
+        let q = Query::parse("A ov B and B ra(4) C").unwrap();
+        let kernel = JoinKernel::new(&q);
+        let rels = vec![
+            random_relation(400, 31, 20.0),
+            random_relation(500, 32, 20.0),
+            random_relation(450, 33, 20.0),
+        ];
+        let group = GroupIndex::new(&rels);
+        let total = kernel.count_on(
+            &group,
+            TupleFilter::All,
+            &Grid::square((0.0, 1.0), (0.0, 1.0), 1),
+            CellId(0),
+        );
+        let mut all = 0;
+        kernel.execute_on(&group, |_| all += 1);
+        assert!(all > 2_000, "test should exercise a real output");
+        assert_eq!(total, Some(all));
+        let grid = Grid::new((0.0, 300.0), (0.0, 300.0), 7, 3);
+        let mut sum = 0;
+        for cell in grid.cells() {
+            // A fresh index per cell: a group is classified against one.
+            let group = GroupIndex::new(&rels);
+            let counted = kernel.count_on(&group, TupleFilter::Designated, &grid, cell);
+            let want = enumerated_count(&kernel, &group, TupleFilter::Designated, &grid, cell);
+            assert_eq!(counted, Some(want), "{cell:?}");
+            sum += want;
+        }
+        assert_eq!(sum, all);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        /// Counting on the join tree keeps exactly the tuples the filtered
+        /// enumeration keeps: chains shaped like Q2, Q3 and Q4, a star, a
+        /// 4-chain (whose count keeps an inner relation's terms), every
+        /// filter, any cell of uneven and non-dyadic grids, members on cell
+        /// boundaries and a float off them, empty relations.
+        #[test]
+        fn prop_count_on_the_tree_equals_the_filtered_enumeration(
+            which in 0usize..4,
+            cell in 0u32..35,
+            shape in 0usize..5,
+            rels in proptest::collection::vec(
+                proptest::collection::vec((0u32..64, 0u32..64, 0u32..5, 0u32..5, 0u32..5), 0..12),
+                4..5,
+            ),
+        ) {
+            let grid = &count_grids()[which];
+            let cell = CellId(cell % grid.num_cells());
+            let d = (grid.x_range().1 - grid.x_range().0) / f64::from(grid.cols()) / 2.0;
+            let text = match shape {
+                0 => "A ov B and B ov C".to_string(),
+                1 => format!("A ra({d}) B and B ra({d}) C"),
+                2 => format!("A ov B and B ra({d}) C"),
+                3 => format!("A ov B and A ov C and A ra({d}) D"),
+                _ => format!("A ov B and B ra({d}) C and C ov D"),
+            };
+            let q = Query::parse(&text).unwrap();
+            let rels: Vec<Vec<LocalRect>> = rels
+                .into_iter()
+                .take(q.num_relations())
+                .map(|rel| rel.into_iter().zip(0..).map(|(r, id)| (lattice_rect(grid, r), id)).collect())
+                .collect();
+            let kernel = JoinKernel::new(&q);
+            for filter in FILTERS {
+                let group = GroupIndex::new(&rels);
+                let want = enumerated_count(&kernel, &group, filter, grid, cell);
+                prop_assert_eq!(kernel.count_on(&group, filter, grid, cell), Some(want), "{:?}", filter);
+            }
+        }
     }
 
     proptest! {

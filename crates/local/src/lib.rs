@@ -11,7 +11,8 @@
 //!   rounds of *Controlled-Replicate*, the hypercube, map-side): finds
 //!   every tuple of local rectangles satisfying the query with per-depth
 //!   probe/verify plans, an iterative stack over a flat candidate arena
-//!   and thread-local scratch;
+//!   and thread-local scratch — or, for a count over an acyclic join
+//!   graph, counts them on the join tree without enumerating one;
 //! * [`marking`] — the round-1 *Controlled-Replicate* marking procedure:
 //!   which rectangles satisfy conditions C1-C4 (§7.4) and must be
 //!   replicated;
@@ -35,7 +36,7 @@ pub mod marking;
 pub mod multiway;
 
 pub use index::GroupIndex;
-pub use kernel::JoinKernel;
+pub use kernel::{JoinKernel, TupleFilter};
 
 use mwsj_geom::Rect;
 

@@ -90,6 +90,7 @@ pub fn mark_indexed(
         "one rectangle set per relation position"
     );
     let graph = query.graph();
+    let classes = group.classes(grid, cell);
     let mut pairs = internal_pairs(query);
     let mut marked: Vec<Vec<bool>> = relations.iter().map(|r| vec![false; r.len()]).collect();
     // The survivors of the subset under consideration, as a bitmap per
@@ -115,10 +116,20 @@ pub fn mark_indexed(
             }
             let (rects, known) = (&relations[rel.index()], &mut crossing[rel.index()]);
             let obligations = graph.outside_edges(rel, mask);
-            for p in &obligations {
-                if !known.iter().any(|(q, _)| q == p) {
-                    let crosses = |(r, _): &LocalRect| crosses_for_predicate(grid, cell, r, *p);
-                    known.push((*p, rects.iter().map(crosses).collect()));
+            for &p in &obligations {
+                if !known.iter().any(|&(q, _)| q == p) {
+                    // Containment implies overlap, so its crossing
+                    // obligation is the overlap one (§9's per-edge union
+                    // extends naturally); the overlap one is the class's.
+                    let flags = match p {
+                        Predicate::Overlap | Predicate::Contains => {
+                            classes[rel.index()].iter().map(|c| c.crosses()).collect()
+                        }
+                        Predicate::Range(d) => (rects.iter())
+                            .map(|(r, _)| grid.other_cell_within(r, cell, d))
+                            .collect(),
+                    };
+                    known.push((p, flags));
                 }
             }
             let imposed = |(q, _): &&(Predicate, Vec<bool>)| obligations.contains(q);
@@ -151,17 +162,6 @@ pub fn mark_indexed(
         }
     }
     marked
-}
-
-/// The C2 crossing test for one predicate (§7.4 for overlap, §8 for range,
-/// §9 takes the union for hybrid queries).
-fn crosses_for_predicate(grid: &Grid, cell: CellId, rect: &Rect, p: Predicate) -> bool {
-    match p {
-        // Containment implies overlap, so its crossing obligation is the
-        // overlap one (§9's per-edge union extends naturally).
-        Predicate::Overlap | Predicate::Contains => grid.rect_crosses_cell(rect, cell),
-        Predicate::Range(d) => grid.other_cell_within(rect, cell, d),
-    }
 }
 
 /// The constraint between one relation pair `a < b`: the conjunction of
@@ -332,7 +332,7 @@ mod tests {
             .iter()
             .map(|rel| {
                 rel.iter()
-                    .filter(|(r, _)| f.grid.split_cells(r).contains(&cell))
+                    .filter(|(r, _)| f.grid.split_cells(r).any(|c| c == cell))
                     .copied()
                     .collect()
             })
@@ -561,6 +561,16 @@ mod tests {
         let local = vec![vec![u_far], vec![v_far], Vec::new()];
         let flags = mark_for_replication(&query, &grid, c1, &local);
         assert!(flags.iter().flatten().all(|&m| !m), "{flags:?}");
+    }
+
+    /// The C2 crossing test for one predicate by its definition (§7.4 for
+    /// overlap, §8 for range, §9 takes the union for hybrid queries): the
+    /// division's own crossing test, not the cell's comparison class.
+    fn crosses_for_predicate(grid: &Grid, cell: CellId, rect: &Rect, p: Predicate) -> bool {
+        match p {
+            Predicate::Overlap | Predicate::Contains => grid.rect_crosses_cell(rect, cell),
+            Predicate::Range(d) => grid.other_cell_within(rect, cell, d),
+        }
     }
 
     /// Marking by definition: per connected proper subset, C2-filter the

@@ -141,7 +141,9 @@ impl Default for Fnv64 {
 /// The engine never serializes payloads (everything stays in memory), so
 /// the checksum covers what a compact binary frame would expose without a
 /// payload scan: the record count and each record's encoded size, in
-/// order. Readers re-derive the frame on open ([`RunFrame::verify`]) and
+/// order. Frames never leave memory, so the checksum is FNV-1a over those
+/// values as 64-bit *words* — one multiply a record, not eight — and no
+/// stored frame has to match another recipe. Readers re-derive the frame on open ([`RunFrame::verify`]) and
 /// treat any mismatch as at-rest corruption — in the engine's case, by
 /// re-executing the map task that produced the run. Deterministic fault
 /// injection models a flipped byte by tampering the stored checksum
@@ -160,14 +162,11 @@ impl RunFrame {
     #[must_use]
     pub fn seal<T: RecordSize>(records: &[T]) -> Self {
         let len = records.len() as u64;
-        let mut h = Fnv64::new();
-        h.write_u64(len);
-        for r in records {
-            h.write_u64(r.size_bytes() as u64);
-        }
+        let word = |h: u64, w: u64| (h ^ w).wrapping_mul(Fnv64::PRIME);
+        let sizes = records.iter().map(|r| r.size_bytes() as u64);
         Self {
             len,
-            checksum: h.finish(),
+            checksum: sizes.fold(word(Fnv64::OFFSET_BASIS, len), word),
         }
     }
 
@@ -222,6 +221,9 @@ mod tests {
         // Empty runs still frame (len 0) and verify.
         let empty: Vec<u64> = Vec::new();
         assert!(RunFrame::seal(&empty).verify(&empty));
+        // Two records trading sizes change the checksum too.
+        let swapped = vec![(2u32, 8u64, "d".to_string()), (1, 7, "abc".into())];
+        assert!(!frame.verify(&swapped));
     }
 
     #[test]

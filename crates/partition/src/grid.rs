@@ -44,6 +44,14 @@ pub struct Grid {
     cell_h: Coord,
 }
 
+/// The index a quotient `(coordinate − origin) / cell size` falls in,
+/// clamped to `0..cells`. Truncated, not floored (`floor` is a libm call
+/// on baseline x86-64): the two part only on negative non-integers, which
+/// both clamp to 0; NaN gives 0 either way.
+fn index_of(quotient: Coord, cells: u32) -> u32 {
+    (quotient as i64).clamp(0, i64::from(cells) - 1) as u32
+}
+
 impl Grid {
     /// Creates a grid over `[x0, xn] × [y0, yn]` with `cols × rows` cells.
     ///
@@ -143,8 +151,7 @@ impl Grid {
     #[must_use]
     pub fn col_of_x(&self, x: Coord) -> u32 {
         debug_assert!(x >= self.x0 && x <= self.xn, "x = {x} outside the space");
-        let idx = ((x - self.x0) / self.cell_w).floor();
-        (idx as i64).clamp(0, i64::from(self.cols) - 1) as u32
+        index_of((x - self.x0) / self.cell_w, self.cols)
     }
 
     /// Row index containing coordinate `y`. A point on a horizontal boundary
@@ -153,8 +160,7 @@ impl Grid {
     #[must_use]
     pub fn row_of_y(&self, y: Coord) -> u32 {
         debug_assert!(y >= self.y0 && y <= self.yn, "y = {y} outside the space");
-        let idx = ((self.yn - y) / self.cell_h).floor();
-        (idx as i64).clamp(0, i64::from(self.rows) - 1) as u32
+        index_of((self.yn - y) / self.cell_h, self.rows)
     }
 
     /// The smallest `x` of the space that [`Grid::col_of_x`] places in
@@ -310,17 +316,18 @@ impl Grid {
     }
 
     /// All cells overlapped by the rectangle (the **split** target set, §4):
-    /// exactly the cells [`Grid::splits_onto`] accepts.
+    /// exactly the cells [`Grid::splits_onto`] accepts, row-major, yielded
+    /// one at a time from the index span (nothing is allocated; its
+    /// `len()` is the span's area).
     #[must_use]
-    pub fn split_cells(&self, r: &Rect) -> Vec<CellId> {
+    pub fn split_cells(&self, r: &Rect) -> CellSpan {
         let (c0, c1, r0, r1) = self.index_span(r);
-        let mut out = Vec::with_capacity(((c1 - c0 + 1) * (r1 - r0 + 1)) as usize);
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                out.push(self.cell_at(col, row));
-            }
+        CellSpan {
+            stride: self.cols,
+            cols: (c0, c1),
+            last_row: r1,
+            at: (c0, r0),
         }
-        out
     }
 
     /// The **enlarged split** of §5.3: all cells overlapped by the rectangle
@@ -330,7 +337,7 @@ impl Grid {
     /// # Panics
     /// Panics when the rectangle lies outside the space.
     #[must_use]
-    pub fn split_cells_enlarged(&self, r: &Rect, d: Coord) -> Vec<CellId> {
+    pub fn split_cells_enlarged(&self, r: &Rect, d: Coord) -> CellSpan {
         let reach = r
             .enlarge(d)
             .intersection(&self.extent())
@@ -343,7 +350,7 @@ impl Grid {
     /// `row ≥ row(c_u)` where `c_u` is the rectangle's cell — the split of
     /// the rectangle stretched to the right and bottom edges of the space.
     #[must_use]
-    pub fn fourth_quadrant_cells(&self, r: &Rect) -> Vec<CellId> {
+    pub fn fourth_quadrant_cells(&self, r: &Rect) -> CellSpan {
         let corner = Point::new(self.xn, self.y0);
         self.split_cells(&Rect::from_corners(r.start_point(), corner))
     }
@@ -355,11 +362,55 @@ impl Grid {
     /// equal `d` this is a superset of the cells within Euclidean distance
     /// `d`.
     #[must_use]
-    pub fn fourth_quadrant_cells_within(&self, r: &Rect, d: Coord) -> Vec<CellId> {
+    pub fn fourth_quadrant_cells_within(&self, r: &Rect, d: Coord) -> CellSpan {
         let corner = Point::new(r.max_x() + d, r.min_y() - d);
         self.split_cells(&Rect::from_corners(r.start_point(), corner))
     }
 }
+
+/// The cells of one inclusive index span, row-major: what
+/// [`Grid::split_cells`] and every transform built on it yield. A caller
+/// that keeps the set collects it.
+#[derive(Debug, Clone)]
+pub struct CellSpan {
+    /// The grid's column count.
+    stride: u32,
+    /// First and last column of the span.
+    cols: (u32, u32),
+    last_row: u32,
+    /// The next cell's `(col, row)`; past the span once `row > last_row`.
+    at: (u32, u32),
+}
+
+impl Iterator for CellSpan {
+    type Item = CellId;
+
+    fn next(&mut self) -> Option<CellId> {
+        let (col, row) = self.at;
+        if row > self.last_row {
+            return None;
+        }
+        self.at = if col == self.cols.1 {
+            (self.cols.0, row + 1)
+        } else {
+            (col + 1, row)
+        };
+        Some(CellId(row * self.stride + col))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (col, row) = self.at;
+        let left = if row > self.last_row {
+            0
+        } else {
+            let width = (self.cols.1 - self.cols.0 + 1) as usize;
+            (self.last_row - row) as usize * width + (self.cols.1 - col + 1) as usize
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for CellSpan {}
 
 #[cfg(test)]
 mod tests {
@@ -448,7 +499,7 @@ mod tests {
         let g = fig2_grid();
         // A rectangle inside cell 6 only.
         let r = Rect::new(2.5, 5.5, 1.0, 1.0);
-        let cells: Vec<u32> = g.split_cells(&r).iter().map(|c| c.paper_number()).collect();
+        let cells: Vec<u32> = g.split_cells(&r).map(|c| c.paper_number()).collect();
         assert_eq!(cells, vec![6]);
     }
 
@@ -457,7 +508,7 @@ mod tests {
         let g = fig2_grid();
         // Spans columns 1-2 and rows 1-2: cells 6, 7, 10, 11.
         let r = Rect::new(3.0, 5.0, 2.0, 2.0);
-        let cells: Vec<u32> = g.split_cells(&r).iter().map(|c| c.paper_number()).collect();
+        let cells: Vec<u32> = g.split_cells(&r).map(|c| c.paper_number()).collect();
         assert_eq!(cells, vec![6, 7, 10, 11]);
     }
 
@@ -467,7 +518,7 @@ mod tests {
         // max_x = 4.0 exactly on the col 1 / col 2 boundary: the rectangle's
         // right edge lies in column 2's region.
         let r = Rect::new(3.0, 5.5, 1.0, 0.5);
-        let cells: Vec<u32> = g.split_cells(&r).iter().map(|c| c.paper_number()).collect();
+        let cells: Vec<u32> = g.split_cells(&r).map(|c| c.paper_number()).collect();
         assert_eq!(cells, vec![6, 7]);
     }
 
@@ -477,7 +528,7 @@ mod tests {
         // min_y = 4.0 exactly on the row 1 / row 2 boundary: the bottom edge
         // lies in row 2's region.
         let r = Rect::new(2.5, 5.0, 1.0, 1.0);
-        let cells: Vec<u32> = g.split_cells(&r).iter().map(|c| c.paper_number()).collect();
+        let cells: Vec<u32> = g.split_cells(&r).map(|c| c.paper_number()).collect();
         assert_eq!(cells, vec![6, 10]);
     }
 
@@ -485,7 +536,7 @@ mod tests {
     fn split_starting_on_boundary_stays_right() {
         let g = fig2_grid();
         let r = Rect::new(4.0, 5.5, 1.0, 0.5);
-        let cells: Vec<u32> = g.split_cells(&r).iter().map(|c| c.paper_number()).collect();
+        let cells: Vec<u32> = g.split_cells(&r).map(|c| c.paper_number()).collect();
         assert_eq!(cells, vec![7]);
     }
 
@@ -499,7 +550,7 @@ mod tests {
         // only.
         let g = Grid::square((0.0, 1000.0), (0.0, 1000.0), 3);
         let r = Rect::from_bounds(700.0, 666.666_666_666_666_7, 800.0, 900.0).unwrap();
-        assert_eq!(g.split_cells(&r), vec![CellId(2)]);
+        assert!(g.split_cells(&r).eq([CellId(2)]));
         assert!(g.splits_onto(&r, CellId(2)));
         assert!(!g.splits_onto(&r, CellId(5)));
         assert!(!g.rect_overlaps_cell(&r, CellId(5)));
@@ -528,7 +579,6 @@ mod tests {
         assert_eq!(g.cell_of(&r1).paper_number(), 6);
         let cells: Vec<u32> = g
             .fourth_quadrant_cells(&r1)
-            .iter()
             .map(|c| c.paper_number())
             .collect();
         assert_eq!(cells, vec![6, 7, 8, 10, 11, 12, 14, 15, 16]);
@@ -552,7 +602,6 @@ mod tests {
         let d = 0.6; // reaches one cell right/down but not further
         let cells: Vec<u32> = g
             .fourth_quadrant_cells_within(&r1, d)
-            .iter()
             .map(|c| c.paper_number())
             .collect();
         assert_eq!(cells, vec![6, 7, 10, 11]);
@@ -607,7 +656,7 @@ mod tests {
                                 let r = Rect::from_bounds(left, bottom, right, top).unwrap();
                                 let f1 = g.fourth_quadrant_cells(&r);
                                 h = fnv(h, f1.len() as u32);
-                                h = f1.iter().fold(h, |h, c| fnv(h, c.0));
+                                h = f1.fold(h, |h, c| fnv(h, c.0));
                             }
                         }
                     }
@@ -631,7 +680,7 @@ mod tests {
         // A rectangle in the top-left corner: enlargement leaves the space.
         let r = Rect::new(0.1, 7.9, 0.5, 0.5);
         let grid = fig2_grid();
-        let cells = grid.split_cells_enlarged(&r, 3.0);
+        let cells: Vec<CellId> = grid.split_cells_enlarged(&r, 3.0).collect();
         assert!(!cells.is_empty());
         assert!(cells.iter().all(|c| c.0 < grid.num_cells()));
     }
@@ -654,7 +703,7 @@ mod tests {
         ] {
             let on_the_edge = Rect::from_bounds(min_x, min_y, max_x, max_y).unwrap();
             assert!(e.contains_rect(&on_the_edge), "{on_the_edge:?}");
-            assert!(!g.split_cells(&on_the_edge).is_empty());
+            assert!(g.split_cells(&on_the_edge).next().is_some());
         }
     }
 
@@ -673,17 +722,47 @@ mod tests {
     }
 
     proptest! {
+        /// Truncating the quotient gives the index `floor` gave, for every
+        /// `f64`: in the space, on a boundary and a float either side,
+        /// negative, beyond the last cell, ±∞ and NaN.
+        #[test]
+        fn prop_truncated_index_is_the_floored_index(
+            kind in 0u32..9,
+            free in -1e3..1e3f64,
+            k in 0u32..20,
+            cells in 1u32..12,
+        ) {
+            let at = f64::from(k);
+            let quotient = match kind {
+                0 => free,
+                1 => at,
+                2 => at.next_down(),
+                3 => at.next_up(),
+                4 => -at - 0.5,
+                5 => f64::INFINITY,
+                6 => f64::NEG_INFINITY,
+                7 => f64::NAN,
+                _ => free * 1e300,
+            };
+            let floored = (quotient.floor() as i64).clamp(0, i64::from(cells) - 1) as u32;
+            prop_assert_eq!(index_of(quotient, cells), floored, "{quotient}");
+            let g = Grid::new((-3.7, 10.1), (2.2, 9.9), cells, cells);
+            let x = (-3.7 + (free + 1e3) / 2e3 * 13.8).min(10.1);
+            let floored = (((x + 3.7) / g.cell_w).floor() as i64).clamp(0, i64::from(cells) - 1);
+            prop_assert_eq!(i64::from(g.col_of_x(x)), floored);
+        }
+
         #[test]
         fn prop_cell_of_is_in_split_set(r in arb_rect_in(100.0)) {
             let g = Grid::square((0.0, 100.0), (0.0, 100.0), 8);
             let cu = g.cell_of(&r);
-            prop_assert!(g.split_cells(&r).contains(&cu));
+            prop_assert!(g.split_cells(&r).any(|c| c == cu));
         }
 
         #[test]
         fn prop_split_subset_of_fourth_quadrant(r in arb_rect_in(100.0)) {
             let g = Grid::square((0.0, 100.0), (0.0, 100.0), 8);
-            let quad = g.fourth_quadrant_cells(&r);
+            let quad: Vec<CellId> = g.fourth_quadrant_cells(&r).collect();
             for c in g.split_cells(&r) {
                 prop_assert!(quad.contains(&c), "split cell {c:?} outside 4th quadrant");
             }
@@ -692,7 +771,7 @@ mod tests {
         #[test]
         fn prop_split_matches_overlap_scan(r in arb_rect_in(100.0)) {
             let g = Grid::square((0.0, 100.0), (0.0, 100.0), 8);
-            let split = g.split_cells(&r);
+            let split: Vec<CellId> = g.split_cells(&r).collect();
             for c in g.cells() {
                 prop_assert_eq!(split.contains(&c), g.rect_overlaps_cell(&r, c));
             }
@@ -716,7 +795,7 @@ mod tests {
             let (x0, x1) = (snap(a).min(snap(b)), snap(a).max(snap(b)));
             let (y0, y1) = (snap(c).min(snap(d)), snap(c).max(snap(d)));
             let r = Rect::from_bounds(x0, y0, x1, y1).unwrap();
-            let split = g.split_cells(&r);
+            let split: Vec<CellId> = g.split_cells(&r).collect();
             for cell in g.cells() {
                 prop_assert_eq!(split.contains(&cell), g.splits_onto(&r, cell));
                 prop_assert_eq!(split.contains(&cell), g.rect_overlaps_cell(&r, cell));
@@ -778,8 +857,8 @@ mod tests {
                 d_free * (xn - x0)
             };
 
-            let f1 = g.fourth_quadrant_cells(&r);
-            let f2 = g.fourth_quadrant_cells_within(&r, d);
+            let f1: Vec<CellId> = g.fourth_quadrant_cells(&r).collect();
+            let f2: Vec<CellId> = g.fourth_quadrant_cells_within(&r, d).collect();
             let stretched = Rect::from_bounds(
                 r.min_x(),
                 (r.min_y() - d).max(y0),
@@ -793,10 +872,10 @@ mod tests {
                 .filter(|&c| g.splits_onto(&stretched, c))
                 .collect();
             prop_assert_eq!(&f2, &expect);
-            prop_assert_eq!(g.fourth_quadrant_cells_within(&r, 0.0), g.split_cells(&r));
-            prop_assert_eq!(&g.fourth_quadrant_cells_within(&r, Coord::INFINITY), &f1);
+            prop_assert!(g.fourth_quadrant_cells_within(&r, 0.0).eq(g.split_cells(&r)));
+            prop_assert!(g.fourth_quadrant_cells_within(&r, Coord::INFINITY).eq(f1.iter().copied()));
             let across = (xn - x0) + (yn - y0);
-            prop_assert_eq!(&g.fourth_quadrant_cells_within(&r, across), &f1);
+            prop_assert!(g.fourth_quadrant_cells_within(&r, across).eq(f1.iter().copied()));
 
             // What the index span means in coordinates, away from the one
             // ulp by which cell corners part from the routing division.
@@ -817,7 +896,7 @@ mod tests {
         fn prop_crossing_iff_split_count(r in arb_rect_in(100.0)) {
             let g = Grid::square((0.0, 100.0), (0.0, 100.0), 8);
             let cu = g.cell_of(&r);
-            let split = g.split_cells(&r);
+            let split: Vec<CellId> = g.split_cells(&r).collect();
             // The rectangle crosses its own cell iff it overlaps another cell.
             prop_assert_eq!(g.rect_crosses_cell(&r, cu), split.len() > 1);
         }

@@ -38,7 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod class;
 mod grid;
 mod transforms;
 
-pub use grid::{CellId, Grid};
+pub use class::{CellBounds, CellClass};
+pub use grid::{CellId, CellSpan, Grid};

@@ -16,27 +16,27 @@ mod tests {
         (grid, r1)
     }
 
-    fn numbers(cells: &[CellId]) -> Vec<u32> {
-        cells.iter().map(|c| c.paper_number()).collect()
+    fn numbers(cells: impl IntoIterator<Item = CellId>) -> Vec<u32> {
+        cells.into_iter().map(CellId::paper_number).collect()
     }
 
     #[test]
     fn figure2_project() {
         let (grid, r1) = fig2();
-        assert_eq!(numbers(&[grid.cell_of(&r1)]), vec![6]);
+        assert_eq!(numbers([grid.cell_of(&r1)]), vec![6]);
     }
 
     #[test]
     fn figure2_split() {
         let (grid, r1) = fig2();
-        assert_eq!(numbers(&grid.split_cells(&r1)), vec![6, 7]);
+        assert_eq!(numbers(grid.split_cells(&r1)), vec![6, 7]);
     }
 
     #[test]
     fn figure2_replicate_f1() {
         let (grid, r1) = fig2();
         assert_eq!(
-            numbers(&grid.fourth_quadrant_cells(&r1)),
+            numbers(grid.fourth_quadrant_cells(&r1)),
             vec![6, 7, 8, 10, 11, 12, 14, 15, 16]
         );
     }
@@ -47,6 +47,6 @@ mod tests {
         // With d reaching one cell over, f2 returns cells 6, 7, 10, 11 as in
         // Figure 2(c).
         let cells = grid.fourth_quadrant_cells_within(&r1, 0.5);
-        assert_eq!(numbers(&cells), vec![6, 7, 10, 11]);
+        assert_eq!(numbers(cells), vec![6, 7, 10, 11]);
     }
 }

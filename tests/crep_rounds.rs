@@ -220,6 +220,88 @@ fn every_algorithm_emits_each_reference_tuple_exactly_once() {
     );
 }
 
+/// Count-only against materialized, with no reference between them: on an
+/// acyclic join graph a count-only reducer counts on the join tree and a
+/// materializing one enumerates and tests each tuple by division, so the
+/// two share no code past the pair lists. Every algorithm's count must be
+/// its materialized tuple count, and a spatial reducer must commit a count
+/// record exactly when its cell keeps a tuple: All-Rep at every designated
+/// cell, C-Rep's round 1 at every designated cell of a tuple split whole
+/// onto it and its round 2 at every other one. With no reference to keep
+/// tractable, the inputs are 64 rectangles a relation (20 for the star);
+/// the cycles check the enumerating fallback the same way.
+#[test]
+fn count_only_equals_the_materialized_count_on_every_case() {
+    let mut tuples = 0u64;
+    for side in 1..=8u32 {
+        let cl = cluster(side);
+        let grid = cl.grid();
+        for (shape, (arity, query)) in queries(EXTENT / f64::from(side)).iter().enumerate() {
+            let seed = 90_000 + u64::from(side) * 100 + shape as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = if *arity > 3 { 20 } else { 64 };
+            let relations: Vec<Vec<Rect>> = (0..*arity)
+                .map(|_| adversarial_relation(&mut rng, n, side))
+                .collect();
+            let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+            // Each materialized tuple's designated cell, and whether every
+            // member is split onto it.
+            let placed = |tuple: &[u32]| {
+                let members = tuple
+                    .iter()
+                    .zip(&relations)
+                    .map(|(&id, rel)| &rel[id as usize]);
+                let cell = dedup::multiway_tuple_cell_of(grid, members.clone());
+                (cell, members.clone().all(|r| grid.splits_onto(r, cell)))
+            };
+            for alg in Algorithm::ALL {
+                let what = format!("{} on side {side}, shape {shape}, seed {seed}", alg.name());
+                let run = JoinRun::new(query, &slices).algorithm(alg);
+                let got = cl.submit(&run).expect("fault-free run");
+                let counted = cl.submit(&run.counting()).expect("fault-free run");
+                assert_eq!(
+                    counted.tuple_count,
+                    got.tuples.len() as u64,
+                    "{what}: counted and materialized differ"
+                );
+                tuples += counted.tuple_count;
+                let records =
+                    |out: &JoinOutput, job: usize| out.report.jobs[job].reduce_output_records;
+                let cells = |local: Option<bool>| {
+                    let mut cells: Vec<_> = (got.tuples.iter().map(|t| placed(t)))
+                        .filter(|&(_, whole)| local.is_none_or(|l| l == whole))
+                        .map(|(cell, _)| cell)
+                        .collect();
+                    cells.sort_unstable();
+                    cells.dedup();
+                    cells.len() as u64
+                };
+                match alg {
+                    Algorithm::AllReplicate => {
+                        assert_eq!(records(&counted, 0), cells(None), "{what}: count records");
+                    }
+                    Algorithm::ControlledReplicate | Algorithm::ControlledReplicateLimit => {
+                        let local = got.tuples.iter().filter(|t| placed(t).1).count() as u64;
+                        assert_eq!(
+                            records(&counted, 0) + local,
+                            records(&got, 0) + cells(Some(true)),
+                            "{what}: round 1 count records"
+                        );
+                        assert_eq!(
+                            records(&counted, 1),
+                            cells(Some(false)),
+                            "{what}: round 2 count records"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    // The generator must keep producing joins worth checking.
+    assert!(tuples > 1_000_000, "{tuples} tuples counted");
+}
+
 /// The corner C-Rep-L's bound is about, once for every home cell it fits
 /// on a `cols × rows` grid: a rectangle `b`, a vertical segment `a` one
 /// range distance (a cell width) to its right and a horizontal segment

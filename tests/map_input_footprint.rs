@@ -158,28 +158,52 @@ fn no_shuffle_algorithm_copies_its_input() {
     );
 }
 
-/// The hypercube map emits each record to its share of cells without a
-/// coordinate vector per record. Doubling the input grows buffers and
-/// reducer groups, by fewer than one allocation per two added records; an
-/// allocation per mapped record alone would add one for each.
-#[test]
-fn hypercube_map_allocates_nothing_per_record() {
-    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
-    let cluster = cluster();
-    let calls = |scale| {
-        let (query, relations) = workload(scale);
-        let memory: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
-        let run = JoinRun::new(&query, &memory)
-            .algorithm(Algorithm::Hypercube)
-            .counting();
-        let records: usize = relations.iter().map(Vec::len).sum();
-        (measure(|| cluster.submit(&run).unwrap()).1, records)
-    };
-    let (small, small_records) = calls(1);
-    let (large, large_records) = calls(2);
+/// Allocator calls of a counting `algorithm` run over the workload at
+/// `scale`, and the records it read.
+fn counting_run_calls(cluster: &Cluster, algorithm: Algorithm, scale: usize) -> (usize, usize) {
+    let (query, relations) = workload(scale);
+    let memory: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+    let run = JoinRun::new(&query, &memory)
+        .algorithm(algorithm)
+        .counting();
+    let records: usize = relations.iter().map(Vec::len).sum();
+    (measure(|| cluster.submit(&run).unwrap()).1, records)
+}
+
+/// Doubling the input grows buffers and reducer groups, by fewer than one
+/// allocation per two added records; an allocation per mapped record alone
+/// would add one for each.
+fn assert_nothing_per_record(cluster: &Cluster, algorithm: Algorithm) {
+    let (small, small_records) = counting_run_calls(cluster, algorithm, 1);
+    let (large, large_records) = counting_run_calls(cluster, algorithm, 2);
     let added = large.saturating_sub(small);
     assert!(
         added < (large_records - small_records) / 2,
-        "{small_records} → {large_records} records took {small} → {large} allocations"
+        "{algorithm}: {small_records} → {large_records} records took {small} → {large} allocations"
     );
+}
+
+/// The hypercube map emits each record to its share of cells without a
+/// coordinate vector per record.
+#[test]
+fn hypercube_map_allocates_nothing_per_record() {
+    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    assert_nothing_per_record(&cluster(), Algorithm::Hypercube);
+}
+
+/// All-Rep's map and both rounds of C-Rep and C-Rep-L (split, then
+/// replicate the marked) walk each record's cells off its index span
+/// without collecting them, and their count-only reducers count on the
+/// join tree in per-thread scratch.
+#[test]
+fn replicating_maps_allocate_nothing_per_record() {
+    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let cluster = cluster();
+    for algorithm in [
+        Algorithm::AllReplicate,
+        Algorithm::ControlledReplicate,
+        Algorithm::ControlledReplicateLimit,
+    ] {
+        assert_nothing_per_record(&cluster, algorithm);
+    }
 }

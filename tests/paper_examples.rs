@@ -15,8 +15,8 @@ use mwsj_geom::Rect;
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::Query;
 
-fn numbers(cells: &[CellId]) -> Vec<u32> {
-    cells.iter().map(|c| c.paper_number()).collect()
+fn numbers(cells: impl IntoIterator<Item = CellId>) -> Vec<u32> {
+    cells.into_iter().map(CellId::paper_number).collect()
 }
 
 // ---------------------------------------------------------------- Figure 2
@@ -29,14 +29,14 @@ fn figure2_project_split_replicate() {
     // 10, 11}.
     let grid = Grid::square((0.0, 8.0), (0.0, 8.0), 4);
     let r1 = Rect::new(3.0, 5.5, 1.5, 1.0);
-    assert_eq!(numbers(&[grid.cell_of(&r1)]), [6]);
-    assert_eq!(numbers(&grid.split_cells(&r1)), [6, 7]);
+    assert_eq!(numbers([grid.cell_of(&r1)]), [6]);
+    assert_eq!(numbers(grid.split_cells(&r1)), [6, 7]);
     assert_eq!(
-        numbers(&grid.fourth_quadrant_cells(&r1)),
+        numbers(grid.fourth_quadrant_cells(&r1)),
         [6, 7, 8, 10, 11, 12, 14, 15, 16]
     );
     assert_eq!(
-        numbers(&grid.fourth_quadrant_cells_within(&r1, 0.5)),
+        numbers(grid.fourth_quadrant_cells_within(&r1, 0.5)),
         [6, 7, 10, 11]
     );
 }
@@ -48,7 +48,7 @@ fn figure2b_split_enlarged() {
     let r1 = Rect::new(3.0, 5.5, 2.5, 1.0);
     let d = 1.0; // pushes the enlarged rect into rows 0 and 2, columns 1-3
     assert_eq!(
-        numbers(&grid.split_cells_enlarged(&r1, d)),
+        numbers(grid.split_cells_enlarged(&r1, d)),
         [2, 3, 4, 6, 7, 8, 10, 11, 12]
     );
 }
@@ -63,10 +63,9 @@ fn figure2_overlap_needs_split_not_project() {
     let r2 = Rect::new(4.2, 6.5, 0.8, 1.5); // cell 3, into 7
     assert!(r1.overlaps(&r2));
     let proj1 = grid.cell_of(&r1);
-    let split2 = grid.split_cells(&r2);
+    let split2: Vec<CellId> = grid.split_cells(&r2).collect();
     assert!(!split2.contains(&proj1));
-    let split1 = grid.split_cells(&r1);
-    assert!(split1.iter().any(|c| split2.contains(c)));
+    assert!(grid.split_cells(&r1).any(|c| split2.contains(&c)));
 }
 
 // ---------------------------------------------------------------- Figure 3
@@ -85,16 +84,16 @@ fn figure3_all_replicate_routing_and_designated_reducer() {
         assert_eq!(grid.cell_of(&r).paper_number(), expect_cell);
     }
     // The split targets the figure states for each rectangle.
-    assert_eq!(numbers(&grid.split_cells(&u1)), [18]);
-    assert_eq!(numbers(&grid.split_cells(&v1)), [10, 18]);
-    assert_eq!(numbers(&grid.split_cells(&w1)), [2, 3, 10, 11]);
-    assert_eq!(numbers(&grid.split_cells(&x1)), [3, 11]);
+    assert_eq!(numbers(grid.split_cells(&u1)), [18]);
+    assert_eq!(numbers(grid.split_cells(&v1)), [10, 18]);
+    assert_eq!(numbers(grid.split_cells(&w1)), [2, 3, 10, 11]);
+    assert_eq!(numbers(grid.split_cells(&x1)), [3, 11]);
 
     // §6.1: after f1 replication, reducers 19-24 and 27-32 receive all
     // four rectangles.
     let targets: Vec<Vec<u32>> = [u1, v1, w1, x1]
         .iter()
-        .map(|r| numbers(&grid.fourth_quadrant_cells(r)))
+        .map(|r| numbers(grid.fourth_quadrant_cells(r)))
         .collect();
     let all_four: Vec<u32> = (1..=32)
         .filter(|c| targets.iter().all(|t| t.contains(c)))

@@ -25,7 +25,7 @@ fn split_only_join(query: &Query, relations: &[&[Rect]], grid: &Grid) -> Vec<Vec
                 relations[pos]
                     .iter()
                     .enumerate()
-                    .filter(|(_, r)| grid.split_cells(r).contains(&cell))
+                    .filter(|(_, r)| grid.split_cells(r).any(|c| c == cell))
                     .map(|(id, r)| (*r, id as u32))
                     .collect()
             })
