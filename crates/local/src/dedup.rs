@@ -19,19 +19,11 @@
 use mwsj_geom::{Coord, Point, Rect};
 use mwsj_partition::{CellId, Grid};
 
-/// Designated cell of a 2-way overlap pair: the cell containing the start
-/// point of `a ∩ b` (§5.2).
-///
-/// Returns `None` when the rectangles do not overlap (no cell may emit).
-#[must_use]
-pub fn overlap_pair_cell(grid: &Grid, a: &Rect, b: &Rect) -> Option<CellId> {
-    a.intersection(b)
-        .map(|o| grid.cell_of_point(&o.start_point()))
-}
-
 /// Designated cell of a 2-way range pair: the cell containing the start
 /// point of `a.enlarge(d) ∩ b` (§5.3). `None` when the enlarged rectangles
 /// do not overlap (then the pair cannot satisfy the range predicate either).
+/// At `d = 0` it is the overlap pair's cell, the start point of `a ∩ b`
+/// (§5.2).
 #[must_use]
 pub fn range_pair_cell(grid: &Grid, a: &Rect, b: &Rect, d: Coord) -> Option<CellId> {
     a.enlarge(d)
@@ -40,16 +32,8 @@ pub fn range_pair_cell(grid: &Grid, a: &Rect, b: &Rect, d: Coord) -> Option<Cell
 }
 
 /// Designated cell of a multi-way output tuple (§6.2): the cell containing
-/// `(u_r.x, u_l.y)`.
-#[must_use]
-pub fn multiway_tuple_cell(grid: &Grid, tuple: &[Rect]) -> CellId {
-    multiway_tuple_cell_of(grid, tuple)
-}
-
-/// [`multiway_tuple_cell`] over any borrowing iterator of tuple members —
-/// the allocation-free form for reducers whose tuples carry payloads next
-/// to the rectangles (previously they collected a `Vec<Rect>` per
-/// candidate tuple just to call the slice form).
+/// `(u_r.x, u_l.y)`. Takes any borrowing iterator of the tuple's members,
+/// a slice or the rectangles of a tuple that carries payloads beside them.
 ///
 /// # Panics
 ///
@@ -99,7 +83,7 @@ mod tests {
         let grid = Grid::square((0.0, 8.0), (0.0, 8.0), 4);
         let r3 = Rect::new(0.5, 1.8, 4.0, 1.2);
         let r4 = Rect::new(2.5, 1.5, 3.0, 0.8);
-        let cell = overlap_pair_cell(&grid, &r3, &r4).unwrap();
+        let cell = range_pair_cell(&grid, &r3, &r4, 0.0).unwrap();
         assert_eq!(cell.paper_number(), 14);
     }
 
@@ -108,7 +92,7 @@ mod tests {
         let grid = grid8();
         let a = Rect::new(0.0, 10.0, 2.0, 2.0);
         let b = Rect::new(50.0, 10.0, 2.0, 2.0);
-        assert_eq!(overlap_pair_cell(&grid, &a, &b), None);
+        assert_eq!(range_pair_cell(&grid, &a, &b, 0.0), None);
     }
 
     #[test]
@@ -136,7 +120,7 @@ mod tests {
         let w1 = Rect::new(22.0, 38.0, 6.0, 10.0);
         // x1 starts in cell 3 (col 2, row 0), rightmost start x.
         let x1 = Rect::new(26.0, 39.0, 3.0, 8.0);
-        let cell = multiway_tuple_cell(&grid, &[u1, v1, w1, x1]);
+        let cell = multiway_tuple_cell_of(&grid, &[u1, v1, w1, x1]);
         // (x1.x, u1.y) = (26, 15) -> col 2, row 2 -> cell 19 (1-based).
         assert_eq!(cell.paper_number(), 19);
     }
@@ -156,7 +140,7 @@ mod tests {
             .collect();
         assert_eq!(
             multiway_tuple_cell_of(&grid, with_ids.iter().map(|(r, _)| r)),
-            multiway_tuple_cell(&grid, &tuple)
+            multiway_tuple_cell_of(&grid, &tuple)
         );
     }
 
@@ -164,7 +148,7 @@ mod tests {
     fn multiway_single_rect_is_its_own_cell() {
         let grid = grid8();
         let r = Rect::new(33.0, 47.0, 2.0, 2.0);
-        assert_eq!(multiway_tuple_cell(&grid, &[r]), grid.cell_of(&r));
+        assert_eq!(multiway_tuple_cell_of(&grid, &[r]), grid.cell_of(&r));
     }
 
     fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -231,25 +215,17 @@ mod tests {
         }
 
         #[test]
-        fn prop_overlap_cell_unique_and_shared(a in arb_rect(), b in arb_rect()) {
-            // The designated cell must be among the split cells of both
-            // rectangles: both are routed there by the 2-way overlap join.
-            let grid = grid8();
-            if let Some(cell) = overlap_pair_cell(&grid, &a, &b) {
-                prop_assert!(grid.split_cells(&a).any(|c| c == cell));
-                prop_assert!(grid.split_cells(&b).any(|c| c == cell));
-            }
-        }
-
-        #[test]
         fn prop_range_cell_shared_by_routing(a in arb_rect(), b in arb_rect(), d in 0.0..20.0f64) {
             // §5.3 routing: a is sent to cells overlapping a.enlarge(d), b
-            // is split. The designated cell must be in both target sets.
+            // is split. The designated cell must be in both target sets. At
+            // d = 0 both are split: the 2-way overlap join (§5.2).
             let grid = grid8();
-            if let Some(cell) = range_pair_cell(&grid, &a, &b, d) {
-                let enlarged = a.enlarge(d).intersection(&grid.extent()).unwrap();
-                prop_assert!(grid.split_cells(&enlarged).any(|c| c == cell));
-                prop_assert!(grid.split_cells(&b).any(|c| c == cell));
+            for d in [0.0, d] {
+                if let Some(cell) = range_pair_cell(&grid, &a, &b, d) {
+                    let enlarged = a.enlarge(d).intersection(&grid.extent()).unwrap();
+                    prop_assert!(grid.split_cells(&enlarged).any(|c| c == cell));
+                    prop_assert!(grid.split_cells(&b).any(|c| c == cell));
+                }
             }
         }
 
@@ -260,7 +236,7 @@ mod tests {
             // All-Replicate routes every rectangle to its 4th quadrant; the
             // designated cell must lie in each member's 4th quadrant.
             let grid = grid8();
-            let cell = multiway_tuple_cell(&grid, &[a, b, c]);
+            let cell = multiway_tuple_cell_of(&grid, &[a, b, c]);
             for r in [&a, &b, &c] {
                 prop_assert!(
                     grid.fourth_quadrant_cells(r).any(|c| c == cell),

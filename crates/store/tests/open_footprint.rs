@@ -1,84 +1,16 @@
-//! What an opened store costs the heap. A counting global allocator sees
-//! every request this test binary makes, so its tests take turns
-//! (`SERIAL`) and measure only across each open, counting only the
-//! requests of the thread that opens.
+//! What an opened store costs the heap, measured across each open by the
+//! workspace's counting allocator, which counts only the requests of the
+//! thread that opens.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
 
 use mwsj_geom::Rect;
+use mwsj_heapcount::{measure, Counting, Heap};
 use mwsj_partition::Grid;
 use mwsj_store::{StoreBuilder, StoredDataset};
 
-/// `System`, counting live and peak requested bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// Held by each test for its whole run, so no other test measures while
-/// it measures.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-thread_local! {
-    /// Set on the thread inside [`measure`]. The harness starts and ends
-    /// the other test's thread whenever it likes, and that thread's
-    /// requests landed inside a measured open (7.7 KB of them at the
-    /// one-record open, about one run in ten).
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn measuring() -> bool {
-    MEASURING.try_with(Cell::get).unwrap_or(false)
-}
-
-fn granted(size: usize) {
-    if measuring() {
-        let live = LIVE.fetch_add(size, Relaxed) + size;
-        PEAK.fetch_max(live, Relaxed);
-    }
-}
-
-fn released(size: usize) {
-    if measuring() {
-        LIVE.fetch_sub(size, Relaxed);
-    }
-}
-
-// SAFETY: every method passes its arguments to `System` unchanged and
-// returns what `System` returned; the counters only observe.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            granted(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        released(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            released(layout.size());
-            granted(new_size);
-        }
-        new
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static HEAP: Counting = Counting;
 
 /// `n` small rectangles spread over the grid by a fixed LCG.
 fn rects(n: usize) -> Vec<Rect> {
@@ -94,22 +26,8 @@ fn rects(n: usize) -> Vec<Rect> {
         .collect()
 }
 
-/// Live bytes still held after `open` returns and the peak during it,
-/// both relative to the live bytes before it.
-fn measure<T>(open: impl FnOnce() -> T) -> (T, usize, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    MEASURING.set(true);
-    let opened = open();
-    MEASURING.set(false);
-    let held = LIVE.load(Relaxed) - base;
-    let peak = PEAK.load(Relaxed) - base;
-    (opened, held, peak)
-}
-
 #[test]
 fn an_opened_store_holds_its_records_and_no_growth_slack() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 8);
     let cells = grid.num_cells() as usize;
     let meta_words = 11 + 7 * cells;
@@ -133,11 +51,12 @@ fn an_opened_store_holds_its_records_and_no_growth_slack() {
                 "from_bytes" => StoredDataset::from_bytes(&bytes),
                 _ => StoredDataset::from_bytes_scoped(&bytes, 0..cells as u32 / 2),
             };
-            let (store, held, peak) = measure(|| open().unwrap());
+            let (store, heap) = measure(|| open().unwrap());
+            let (held, peak) = (heap.live, heap.peak);
             assert_eq!(store.record_count(), n as u64);
             drop(store);
             assert!(
-                held <= held_bound,
+                held <= held_bound as isize,
                 "{name}, n = {n}: holds {held} B, bound {held_bound} B"
             );
             assert!(
@@ -166,7 +85,6 @@ fn framed(section: &[u64]) -> Vec<u8> {
 
 #[test]
 fn a_count_the_ids_cannot_hold_reserves_nothing() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A thousand copies of one point: every column of their cell is 0 bits
     // wide, so ENTRIES is empty whatever count the cell claims, and only
     // the IDS frame bounds it.
@@ -196,7 +114,7 @@ fn a_count_the_ids_cannot_hold_reserves_nothing() {
     let path = std::env::temp_dir().join(format!("mwsj-forged-count-{}.store", std::process::id()));
     std::fs::write(&path, &forged).unwrap();
     for name in ["open", "from_bytes", "from_bytes_scoped"] {
-        let (opened, _, peak) = measure(|| match name {
+        let (opened, Heap { peak, .. }) = measure(|| match name {
             "open" => StoredDataset::open(&path),
             "from_bytes" => StoredDataset::from_bytes(&forged),
             _ => StoredDataset::from_bytes_scoped(&forged, 0..1),

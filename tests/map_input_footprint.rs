@@ -5,78 +5,28 @@
 //! result the same way. So no allocation a run makes comes near a tagged
 //! copy of its input, `size_of::<TaggedRect>()` bytes a record.
 //!
-//! A counting global allocator sees every request of this test binary, so
-//! each test holds one lock while it measures.
+//! The workspace's counting allocator measures each run on the test's
+//! thread. The cluster runs at one slot, so every task runs on that thread
+//! and the figures repeat exactly.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
-
-use mwsj_core::mapreduce::CancelToken;
+use mwsj_core::mapreduce::{CancelToken, EngineConfig};
 use mwsj_core::partition::Grid;
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinRun, StoredRun, TaggedRect};
 use mwsj_datagen::SyntheticConfig;
 use mwsj_geom::Rect;
+use mwsj_heapcount::{measure, Counting, Heap};
 use mwsj_query::Query;
 
-/// `System`, counting calls and the largest single request.
-struct Counting;
-
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-fn granted(size: usize) {
-    CALLS.fetch_add(1, Relaxed);
-    LARGEST.fetch_max(size, Relaxed);
-}
-
-// SAFETY: every method passes its arguments to `System` unchanged and
-// returns what `System` returned; the counters only observe.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            granted(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) };
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            granted(new_size);
-        }
-        new
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Serializes the tests: the counters are process-wide.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-/// Runs `run` and returns what it returned with the allocator calls it
-/// made and the largest single request among them.
-fn measure<T>(run: impl FnOnce() -> T) -> (T, usize, usize) {
-    CALLS.store(0, Relaxed);
-    LARGEST.store(0, Relaxed);
-    let out = run();
-    (out, CALLS.load(Relaxed), LARGEST.load(Relaxed))
-}
+static HEAP: Counting = Counting;
 
 const SPACE: f64 = 100_000.0;
 
 fn cluster() -> Cluster {
-    Cluster::new(ClusterConfig::for_space((0.0, SPACE), (0.0, SPACE), 8))
+    let config = ClusterConfig::for_space((0.0, SPACE), (0.0, SPACE), 8)
+        .with_engine(EngineConfig::default().with_slots(1));
+    Cluster::new(config)
 }
 
 /// A chain over relations of 2 400, 2 400 and 400 records, dense enough
@@ -108,7 +58,6 @@ fn stores(grid: &Grid, relations: &[Vec<Rect>]) -> Vec<StoredDataset> {
 /// token is cancelled up front, which its first job refuses to start).
 #[test]
 fn no_shuffle_algorithm_copies_its_input() {
-    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let cluster = cluster();
     let (query, relations) = workload(1);
     let records: usize = relations.iter().map(Vec::len).sum();
@@ -134,7 +83,8 @@ fn no_shuffle_algorithm_copies_its_input() {
                         .cancel(cancel.clone()),
                 ),
             };
-            let (out, _, before_map) = measure(|| run(&cancelled));
+            let (out, before_map) = measure(|| run(&cancelled));
+            let before_map = before_map.largest;
             assert!(out.is_err(), "{algorithm} over {binding} ran cancelled");
             if before_map >= copy {
                 copies.push(format!(
@@ -142,7 +92,7 @@ fn no_shuffle_algorithm_copies_its_input() {
                 ));
             }
 
-            let (out, _, largest) = measure(|| run(&CancelToken::new()));
+            let (out, Heap { largest, .. }) = measure(|| run(&CancelToken::new()));
             assert!(out.unwrap().tuple_count > 0, "{algorithm} over {binding}");
             if largest >= copy {
                 copies.push(format!(
@@ -158,24 +108,25 @@ fn no_shuffle_algorithm_copies_its_input() {
     );
 }
 
-/// Allocator calls of a counting `algorithm` run over the workload at
+/// Heap requests of a counting `algorithm` run over the workload at
 /// `scale`, and the records it read.
-fn counting_run_calls(cluster: &Cluster, algorithm: Algorithm, scale: usize) -> (usize, usize) {
+fn counting_run_requests(cluster: &Cluster, algorithm: Algorithm, scale: usize) -> (usize, usize) {
     let (query, relations) = workload(scale);
     let memory: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
     let run = JoinRun::new(&query, &memory)
         .algorithm(algorithm)
         .counting();
     let records: usize = relations.iter().map(Vec::len).sum();
-    (measure(|| cluster.submit(&run).unwrap()).1, records)
+    let (_, heap) = measure(|| cluster.submit(&run).unwrap());
+    (heap.requests, records)
 }
 
 /// Doubling the input grows buffers and reducer groups, by fewer than one
 /// allocation per two added records; an allocation per mapped record alone
 /// would add one for each.
 fn assert_nothing_per_record(cluster: &Cluster, algorithm: Algorithm) {
-    let (small, small_records) = counting_run_calls(cluster, algorithm, 1);
-    let (large, large_records) = counting_run_calls(cluster, algorithm, 2);
+    let (small, small_records) = counting_run_requests(cluster, algorithm, 1);
+    let (large, large_records) = counting_run_requests(cluster, algorithm, 2);
     let added = large.saturating_sub(small);
     assert!(
         added < (large_records - small_records) / 2,
@@ -187,7 +138,6 @@ fn assert_nothing_per_record(cluster: &Cluster, algorithm: Algorithm) {
 /// coordinate vector per record.
 #[test]
 fn hypercube_map_allocates_nothing_per_record() {
-    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     assert_nothing_per_record(&cluster(), Algorithm::Hypercube);
 }
 
@@ -197,7 +147,6 @@ fn hypercube_map_allocates_nothing_per_record() {
 /// join tree in per-thread scratch.
 #[test]
 fn replicating_maps_allocate_nothing_per_record() {
-    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let cluster = cluster();
     for algorithm in [
         Algorithm::AllReplicate,

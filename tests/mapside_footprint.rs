@@ -1,65 +1,21 @@
 //! What a map-side join costs the heap. The join gathers one group per
 //! seed cell and tallies each tuple at its §6.2 cell by comparing it with
 //! two bounds of the seed cell; nothing a group allocates is kept per
-//! record beside the group itself. A counting global allocator sees every
-//! request of this test binary: its one test counts the requests a
-//! counting, one-slot join makes over the benchmark's stores, and the
-//! most bytes it holds at once.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+//! record beside the group itself. The test counts, with the workspace's
+//! counting allocator, the requests a counting join makes over the
+//! benchmark's stores and the most bytes it holds at once. It runs at one
+//! slot, so every task runs on the measured thread and the figures repeat
+//! exactly.
 
 use mwsj_core::mapreduce::EngineConfig;
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, StoredRun};
 use mwsj_datagen::SyntheticConfig;
+use mwsj_heapcount::{measure, Counting, Heap};
 use mwsj_query::Query;
 
-/// `System`, counting requests and tracking the bytes live and their
-/// high-water mark.
-struct Counting;
-
-static REQUESTS: AtomicUsize = AtomicUsize::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    REQUESTS.fetch_add(1, Relaxed);
-    let live = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method passes its arguments to `System` unchanged and
-// returns what `System` returned; the counters only observe.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        new
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static HEAP: Counting = Counting;
 
 /// The heap requests and the requested-heap peak, in bytes, of the join
 /// when it placed each tuple by division. Reading each member's home off
@@ -105,12 +61,8 @@ fn a_map_side_group_allocates_nothing_per_record_beside_itself() {
         .counting();
     let first = cluster.submit_stored(&run).unwrap().tuple_count;
 
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let before = REQUESTS.load(Relaxed);
-    let tuples = cluster.submit_stored(&run).unwrap().tuple_count;
-    let requests = REQUESTS.load(Relaxed) - before;
-    let peak = PEAK.load(Relaxed).saturating_sub(base);
+    let (tuples, Heap { requests, peak, .. }) =
+        measure(|| cluster.submit_stored(&run).unwrap().tuple_count);
 
     assert_eq!((first, tuples), (93_945, 93_945));
     assert!(

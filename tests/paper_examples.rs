@@ -238,7 +238,7 @@ fn figure4_crossing_pair_is_replicated_and_output_lands_at_c4() {
 
     // End-to-end, the tuple is produced once; its designated cell is c4
     // (the duplicate-avoidance point combines u1's x with x1's y).
-    let designated = mwsj_local::dedup::multiway_tuple_cell(&grid, &[u1, v1, w1, x1]);
+    let designated = mwsj_local::dedup::multiway_tuple_cell_of(&grid, &[u1, v1, w1, x1]);
     assert_eq!(designated.paper_number(), 4);
     let cluster = Cluster::new(ClusterConfig::for_space((0.0, 8.0), (0.0, 8.0), 2));
     let out = cluster.run(

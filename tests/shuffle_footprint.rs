@@ -6,74 +6,27 @@
 //! spread over the pairs its jobs shuffled, stays near the few bytes a
 //! pair holds, not the 48 B of a `(u32, TaggedRect)` copy.
 //!
-//! A counting global allocator sees every request of this test binary, so
-//! each measurement holds one lock.
+//! The workspace's counting allocator measures each run on the test's
+//! thread. The clusters run at one slot, so every task runs on that thread
+//! and the figures repeat exactly.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
-
+use mwsj_core::mapreduce::EngineConfig;
 use mwsj_core::partition::Grid;
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinOutput, JoinRun, StoredRun};
 use mwsj_datagen::SyntheticConfig;
 use mwsj_geom::Rect;
+use mwsj_heapcount::{measure, Counting, Heap};
 use mwsj_query::Query;
 
-/// `System`, tracking the bytes live and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method passes its arguments to `System` unchanged and
-// returns what `System` returned; the counters only observe.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        new
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static HEAP: Counting = Counting;
 
-/// Serializes the measurements: the counters are process-wide.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-/// Runs `run` and returns what it returned with the most bytes it held
-/// live at once beyond those live when it started.
-fn peak_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
-    let _lock = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = run();
-    (out, PEAK.load(Relaxed).saturating_sub(base))
+/// A one-slot cluster over `[0, extent]²` on an 8×8 grid.
+fn cluster(extent: f64) -> Cluster {
+    let config = ClusterConfig::for_space((0.0, extent), (0.0, extent), 8)
+        .with_engine(EngineConfig::default().with_slots(1));
+    Cluster::new(config)
 }
 
 const SPACE: f64 = 100_000.0;
@@ -112,7 +65,7 @@ fn pairs(out: &JoinOutput) -> u64 {
 /// is a tuple per row.
 #[test]
 fn a_buffered_pair_is_a_reference() {
-    let cluster = Cluster::new(ClusterConfig::for_space((0.0, SPACE), (0.0, SPACE), 8));
+    let cluster = cluster(SPACE);
     let (query, relations) = workload();
     let memory: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
     let stores = stores(cluster.grid(), &relations);
@@ -125,7 +78,7 @@ fn a_buffered_pair_is_a_reference() {
             _ => 24.0,
         };
         for binding in ["memory", "stored"] {
-            let (out, peak) = peak_of(|| match binding {
+            let (out, Heap { peak, .. }) = measure(|| match binding {
                 "memory" => cluster.submit(
                     &JoinRun::new(&query, &memory)
                         .algorithm(algorithm)
@@ -154,4 +107,49 @@ fn a_buffered_pair_is_a_reference() {
         "live-heap peaks above a reference per pair:\n{}",
         over.join("\n")
     );
+}
+
+/// The heap requests and the requested-heap peak, in bytes, of a counting
+/// C-Rep-L Q2 over the benchmark's seed-1 relations (`q2_shuffle`'s op)
+/// when its count-only reducers counted on the join tree.
+const REQUESTS_BOUND: usize = 15_455;
+const PEAK_BOUND: usize = 1_066_086;
+
+/// The benchmark's space.
+const EXTENT: f64 = 10_000.0;
+
+/// `q2_shuffle`'s op on one slot: its requests (allocations and
+/// reallocations) and the most bytes live at once beyond those live
+/// before it, over the benchmark's first draw at its seed 1 —
+/// paper-default relations of 20 000 rectangles, relation seeds 10 000
+/// to 10 002, over its 10 000² space on an 8×8 grid. The run after a
+/// first one is measured, so scratch a worker keeps is counted only where
+/// a run allocates it anew.
+#[test]
+fn the_benchmark_shuffle_op_stays_within_its_heap() {
+    let cluster = cluster(EXTENT);
+    let relations: Vec<Vec<Rect>> = (0..3)
+        .map(|i| {
+            let mut cfg = SyntheticConfig::paper_default(20_000, 10_000 + i);
+            cfg.x_range = (0.0, EXTENT);
+            cfg.y_range = (0.0, EXTENT);
+            cfg.generate()
+        })
+        .collect();
+    let rels: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
+    let query = Query::parse("R1 ov R2 and R2 ov R3").unwrap();
+    let run = JoinRun::new(&query, &rels)
+        .algorithm(Algorithm::ControlledReplicateLimit)
+        .counting();
+    let first = cluster.submit(&run).unwrap().tuple_count;
+
+    let (tuples, Heap { requests, peak, .. }) =
+        measure(|| cluster.submit(&run).unwrap().tuple_count);
+
+    assert_eq!((first, tuples), (93_945, 93_945));
+    assert!(
+        requests <= REQUESTS_BOUND,
+        "{requests} heap requests, bound {REQUESTS_BOUND}"
+    );
+    assert!(peak <= PEAK_BOUND, "peak {peak} B, bound {PEAK_BOUND} B");
 }
