@@ -52,37 +52,43 @@
 //! # The C-Rep-L bound
 //!
 //! §7.9/§8 bound the distance between *joined rectangles* along join-graph
-//! paths (`replication_bounds`): a marked member `m` of an output tuple is
-//! within `B` of every other member. That bound holds **per axis**, and
-//! per axis is all the routing needs:
+//! paths (`replication_bounds`), charging each rectangle crossed on the
+//! way its diagonal. The bound holds **per axis**, with each body charged
+//! its side on that axis, and per axis is all the routing needs:
 //!
-//! 1. The designated cell is `cell_of_point(x*, y*)` with `x*` the largest
+//! 1. Along a path `m = V_0, …, V_h = v` between members, consecutive
+//!    members are within their edge's distance, a gap on one axis never
+//!    exceeds the distance, and a member crossed spans at most `l_max` on
+//!    x ([`Inputs::max_sides`]): the x gap between `m` and any member `v`
+//!    is at most `Bx = replication_bounds(query, l_max)` at `m`'s
+//!    relation. Likewise `By`, with `b_max`, on y.
+//! 2. The designated cell is `cell_of_point(x*, y*)` with `x*` the largest
 //!    start x and `y*` the smallest top y over the tuple's members
 //!    (`mwsj_local::dedup::multiway_tuple_cell_of`).
-//! 2. `m` is a member, so `m.min_x ≤ x*` and `y* ≤ m.max_y`.
-//! 3. `x*` is the left edge of a member within `B` of `m`, and a gap on
-//!    one axis never exceeds the distance: `x* ≤ m.max_x + B`. Likewise
-//!    `y*` is the top edge of a member within `B`: `m.min_y − B ≤ y*`.
-//! 4. `col_of_x` and `row_of_y` are monotone (a subtraction, a division by
+//! 3. `m` is a member, so `m.min_x ≤ x*` and `y* ≤ m.max_y`.
+//! 4. `x*` is the left edge of a member within an x gap of `Bx` of `m`:
+//!    `x* ≤ m.max_x + Bx`. Likewise `y*` is the top edge of a member
+//!    within a y gap of `By`: `m.min_y − By ≤ y*`.
+//! 5. `col_of_x` and `row_of_y` are monotone (a subtraction, a division by
 //!    a positive constant, a truncation and a clamp), in computed
 //!    arithmetic as over the reals.
-//! 5. Hence the designated cell lies in the index span of `m` stretched
-//!    right and down by `B` — [`Grid::fourth_quadrant_cells_within`], the
-//!    *split* of that stretched rectangle. No distance is computed, and no
-//!    cell corner (`x0 + col × width`, which parts from the routing
+//! 6. Hence the designated cell lies in the index span of `m` stretched
+//!    right by `Bx` and down by `By` — [`Grid::fourth_quadrant_cells_within`],
+//!    the *split* of that stretched rectangle. No distance is computed, and
+//!    no cell corner (`x0 + col × width`, which parts from the routing
 //!    division by an ulp on non-dyadic grids) is consulted.
 //!
-//! Step 3 is a statement about real numbers, and `m.max_x + B` is a
+//! Step 4 is a statement about real numbers, and `m.max_x + Bx` is a
 //! computed sum of a computed path cost; with a range distance of exactly
 //! one cell width a designated cell sits *at* the bound on both axes
 //! (`tests/crep_l_bound_counterexample.rs`, where a bound one ulp low lost
 //! the tuple). `replication_bounds` yields a one-hop bound exactly, and
-//! [`limited_reach`] widens the bound by a few ulps of itself and of the
-//! largest grid coordinate, which covers the rounding of that sum. What
-//! the bound guarantees is one-sided: every cell within the real-number
-//! bound is reached. A cell a rounding error beyond it may be reached
-//! too, which costs one shuffled record and no correctness — round 2's
-//! designated-cell filter decides what is emitted.
+//! [`limited_reach`] widens each axis's bound by a few ulps of itself and
+//! of the largest grid coordinate, which covers the rounding of that sum.
+//! What the bound guarantees is one-sided: every cell within the
+//! real-number bound is reached. A cell a rounding error beyond it may be
+//! reached too, which costs one shuffled record and no correctness —
+//! round 2's designated-cell filter decides what is emitted.
 
 use mwsj_local::{marking, GroupIndex, JoinKernel};
 use mwsj_partition::{CellId, Grid};
@@ -92,12 +98,12 @@ use super::{join_group, replicate_join, AlgoCtx, Algorithm, Inputs, JoinJob, Tup
 use crate::record::{group_by_relation, InputRef};
 use crate::{JoinError, JoinOutput, TaggedRect};
 
-/// The C-Rep-L replication reach per relation position, on each axis: the
-/// join-graph bound for rectangles of diagonal at most `d_max`, widened so
-/// that rounding cannot stop short of a cell at exactly that gap (module
-/// docs). The one definition both the routing and the optimizer's pricing
-/// of it use.
-pub(crate) fn limited_reach(query: &Query, d_max: f64, grid: &Grid) -> Vec<f64> {
+/// The C-Rep-L replication reach per relation position, `(x, y)`: the
+/// join-graph bound for bodies at most `l` long on the x axis and at most
+/// `b` broad on the y axis, each widened so that rounding cannot stop
+/// short of a cell at exactly that gap (module docs). The one definition
+/// both the routing and the optimizer's pricing of it use.
+pub(crate) fn limited_reach(query: &Query, (l, b): (f64, f64), grid: &Grid) -> Vec<(f64, f64)> {
     const ULPS: f64 = 8.0 * f64::EPSILON;
     let (x0, xn) = grid.x_range();
     let (y0, yn) = grid.y_range();
@@ -105,9 +111,11 @@ pub(crate) fn limited_reach(query: &Query, d_max: f64, grid: &Grid) -> Vec<f64> 
         .into_iter()
         .map(f64::abs)
         .fold(0.0, f64::max);
-    replication_bounds(query, d_max)
-        .into_iter()
-        .map(|b| b * (1.0 + ULPS) + largest_coordinate * ULPS)
+    let widen = |reach: f64| reach * (1.0 + ULPS) + largest_coordinate * ULPS;
+    let y = replication_bounds(query, b);
+    (replication_bounds(query, l).into_iter())
+        .zip(y)
+        .map(|(x, y)| (widen(x), widen(y)))
         .collect()
 }
 
@@ -189,7 +197,7 @@ pub(crate) fn run(
     // retries surface as a `JoinError::Dfs`.
     let marked = ctx.materialize("c-rep/marked", marked)?;
 
-    let bounds: Option<Vec<f64>> = limit.then(|| limited_reach(query, inputs.max_diagonal(), grid));
+    let reach = limit.then(|| limited_reach(query, inputs.max_sides(), grid));
 
     // ---- Round 2: replicate the marked, join across cells ------------
     let (name, algorithm) = if limit {
@@ -205,8 +213,8 @@ pub(crate) fn run(
     };
     let read = |i: u32| marked[i as usize];
     replicate_join(ctx, query, job, marked.len(), read, |tr, emit| {
-        let targets = match &bounds {
-            Some(b) => grid.fourth_quadrant_cells_within(&tr.rect, b[tr.relation.index()]),
+        let targets = match reach.as_ref().map(|reach| reach[tr.relation.index()]) {
+            Some((x, y)) => grid.fourth_quadrant_cells_within(&tr.rect, x, y),
             None => grid.fourth_quadrant_cells(&tr.rect),
         };
         for cell in targets {
@@ -229,13 +237,16 @@ mod tests {
         let grid = Grid::square((0.0, 1000.0), (0.0, 1000.0), 3);
         let cell = 1000.0 / 3.0;
         let query = Query::parse(&format!("A ra({cell}) B and B ra({cell}) C")).unwrap();
-        let reach = limited_reach(&query, 1000.0_f64.hypot(1000.0), &grid);
+        let reach = limited_reach(&query, (1000.0, 1000.0), &grid);
         let b = Rect::from_bounds(cell / 2.0, 2.0 * cell, cell, 1000.0).unwrap();
+        let (x, y) = reach[1];
         assert!(grid
-            .fourth_quadrant_cells_within(&b, reach[1])
+            .fourth_quadrant_cells_within(&b, x, y)
             .any(|c| c == CellId(8)));
         // The reach is the paper's bound; the widening is slack for
         // rounding, not more reach.
-        assert!(reach[1] > cell && reach[1] < cell * (1.0 + 1e-12));
+        for bound in [x, y] {
+            assert!(bound > cell && bound < cell * (1.0 + 1e-12));
+        }
     }
 }

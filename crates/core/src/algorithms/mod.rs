@@ -288,12 +288,17 @@ impl Inputs<'_> {
         (0..self.total() as u32).collect()
     }
 
-    /// The largest rectangle diagonal across all inputs — the `d_max`
-    /// dataset statistic the C-Rep-L bounds assume known (§7.9).
-    pub fn max_diagonal(self) -> f64 {
-        (0..self.len())
-            .flat_map(|pos| (0..self.size(pos)).map(move |i| self.record(pos, i).rect.diagonal()))
-            .fold(0.0, f64::max)
+    /// The largest length ([`Rect::l`]) and breadth ([`Rect::b`]) of any
+    /// bound record, `(0.0, 0.0)` when there is none: the dataset statistic
+    /// the C-Rep-L bounds assume known (§7.9), per axis. A store folded its
+    /// own at open.
+    pub fn max_sides(self) -> (f64, f64) {
+        match self {
+            Inputs::Memory(relations) => (relations.iter().copied().flatten())
+                .fold((0.0, 0.0), |(l, b), r| (r.l().max(l), r.b().max(b))),
+            Inputs::Stored(stores) => (stores.iter().map(|store| store.max_sides()))
+                .fold((0.0, 0.0), |(l, b), (sl, sb)| (sl.max(l), sb.max(b))),
+        }
     }
 }
 
@@ -511,10 +516,25 @@ mod tests {
     }
 
     #[test]
-    fn max_diagonal_over_relations() {
-        let a = vec![Rect::new(0.0, 10.0, 3.0, 4.0)];
-        let b = vec![Rect::new(0.0, 10.0, 6.0, 8.0)];
-        assert_eq!(Inputs::Memory(&[&a, &b]).max_diagonal(), 10.0);
+    fn max_sides_over_stores_equals_it_over_slices() {
+        // The longest and the broadest bodies are records of different
+        // relations; the third relation is empty.
+        let a = vec![
+            Rect::new(0.0, 10.0, 3.0, 4.0),
+            Rect::new(5.0, 5.0, 1.0, 1.0),
+        ];
+        let b = vec![Rect::new(2.0, 10.0, 6.0, 2.0)];
+        let none: Vec<Rect> = Vec::new();
+        let grid = Grid::square((0.0, 10.0), (0.0, 10.0), 2);
+        let builder = mwsj_store::StoreBuilder::new(&grid);
+        let stores: Vec<StoredDataset> = [&a, &b, &none]
+            .map(|rel| StoredDataset::from_bytes(&builder.build(rel).unwrap()).unwrap())
+            .into();
+        let stores: Vec<&StoredDataset> = stores.iter().collect();
+        assert_eq!(Inputs::Memory(&[&a, &b, &none]).max_sides(), (6.0, 4.0));
+        assert_eq!(Inputs::Stored(&stores).max_sides(), (6.0, 4.0));
+        assert_eq!(Inputs::Memory(&[&none]).max_sides(), (0.0, 0.0));
+        assert_eq!(Inputs::Stored(&stores[2..]).max_sides(), (0.0, 0.0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! nearest-neighbor processing the paper's §10 (and its related work, §3)
 //! name as the next query class for the grid approach. There is one
 //! scheme, [`knn_join`], with `k` a parameter; the all-nearest-neighbor
-//! join [`ann_join`] is that scheme at `k = 1`, flattened.
+//! join is that scheme at `k = 1`, flattened.
 //!
 //! For every rectangle of the *outer* relation, find its `k` nearest
 //! rectangles in the *inner* relation (minimum closed
@@ -52,31 +52,6 @@ pub struct NearestNeighbor {
     pub inner: u32,
     /// Their closed rectangle distance.
     pub distance: Coord,
-}
-
-/// Computes the all-nearest-neighbor join of `outer` against `inner` on
-/// the cluster: [`knn_join`] at `k = 1`, flattened. Returns one entry per
-/// outer rectangle, sorted by outer id; empty when `inner` is empty.
-///
-/// # Panics
-/// Panics if any rectangle lies outside the cluster space, or — under a
-/// fault plan — if a job fails outright (use [`try_ann_join`] to handle
-/// both).
-#[must_use]
-pub fn ann_join(cluster: &Cluster, outer: &[Rect], inner: &[Rect]) -> Vec<NearestNeighbor> {
-    try_ann_join(cluster, outer, inner).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`ann_join`], returning what it panics on as a [`JoinError`].
-///
-/// # Errors
-/// As [`try_knn_join`].
-pub fn try_ann_join(
-    cluster: &Cluster,
-    outer: &[Rect],
-    inner: &[Rect],
-) -> Result<Vec<NearestNeighbor>, JoinError> {
-    Ok(try_knn_join(cluster, outer, inner, 1)?.concat())
 }
 
 /// Computes the k-nearest-neighbor join: for every outer rectangle, its
@@ -325,11 +300,4 @@ pub fn knn_brute_force(outer: &[Rect], inner: &[Rect], k: usize) -> Vec<Vec<Near
             all
         })
         .collect()
-}
-
-/// Reference all-nearest-neighbor implementation: [`knn_brute_force`] at
-/// `k = 1`, flattened.
-#[must_use]
-pub fn ann_brute_force(outer: &[Rect], inner: &[Rect]) -> Vec<NearestNeighbor> {
-    knn_brute_force(outer, inner, 1).concat()
 }

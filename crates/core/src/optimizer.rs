@@ -244,15 +244,15 @@ fn relation_stats(
     sizes: &[f64],
     samples: &[Vec<Rect>],
     grid: &Grid,
-    bounds: &[f64],
+    reach: &[(f64, f64)],
     d: f64,
 ) -> Vec<RelationStats> {
     let extent = grid.extent();
     sizes
         .iter()
         .zip(samples.iter())
-        .zip(bounds.iter())
-        .map(|((&n, sample), &bound)| {
+        .zip(reach.iter())
+        .map(|((&n, sample), &(reach_x, reach_y))| {
             if sample.is_empty() {
                 return RelationStats {
                     n,
@@ -270,7 +270,7 @@ fn relation_stats(
             let mut q4b_m = 0.0;
             for r in sample {
                 let f1 = grid.fourth_quadrant_cells(r).len() as f64;
-                let f2 = grid.fourth_quadrant_cells_within(r, bound).len() as f64;
+                let f2 = grid.fourth_quadrant_cells_within(r, reach_x, reach_y).len() as f64;
                 q4 += f1;
                 split += grid.split_cells(r).len() as f64;
                 let probe = clamp_to(&extent, &r.enlarge(d));
@@ -454,8 +454,8 @@ pub(crate) fn plan_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid) -> Pla
         .map(|pos| inputs.size(pos) as f64)
         .collect::<Vec<_>>();
     let d = query.max_range_distance();
-    let bounds = limited_reach(query, inputs.max_diagonal(), grid);
-    let stats = relation_stats(sizes, samples, grid, &bounds, d);
+    let reach = limited_reach(query, inputs.max_sides(), grid);
+    let stats = relation_stats(sizes, samples, grid, &reach, d);
 
     // All-Replicate: one round, every rectangle shuffled q4-fold.
     let all_rep_comm: f64 = stats.iter().map(|s| s.n * s.q4).sum();
@@ -623,7 +623,7 @@ mod tests {
                 r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
                 r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":168.0,"cost":2003.4},"#,
                 r#"{"algorithm":"cascade","jobs":2,"comm_records":985.0,"dfs_records":23.5,"local_pairs":0.0,"cost":5055.6},"#,
-                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1500.0,"dfs_records":162.0,"local_pairs":0.0,"cost":5986.0},"#,
+                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1472.0,"dfs_records":162.0,"local_pairs":0.0,"cost":5958.0},"#,
                 r#"{"algorithm":"crep","jobs":2,"comm_records":4770.0,"dfs_records":162.0,"local_pairs":0.0,"cost":9256.0},"#,
                 r#"{"algorithm":"allrep","jobs":1,"comm_records":19229.0,"dfs_records":0.0,"local_pairs":0.0,"cost":21229.0},"#,
                 r#"{"algorithm":"hypercube","jobs":1,"comm_records":14400.0,"dfs_records":0.0,"local_pairs":720000.0,"cost":30800.0}]}"#,

@@ -151,9 +151,9 @@ impl Rect {
         self.l() * self.b()
     }
 
-    /// Length of the rectangle's diagonal. Used by the *C-Rep-L* bounds
-    /// (§7.9): the replication distance is a multiple of the maximum diagonal
-    /// over a relation.
+    /// Length of the rectangle's diagonal. The paper's *C-Rep-L* bounds
+    /// (§7.9) charge each rectangle a path crosses its diagonal; bounding
+    /// one axis at a time charges its side there ([`Rect::l`], [`Rect::b`]).
     #[must_use]
     pub fn diagonal(&self) -> Coord {
         let l = self.l();

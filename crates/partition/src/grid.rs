@@ -356,14 +356,14 @@ impl Grid {
     }
 
     /// Replicate target set with function `f2` (§4): the 4th-quadrant cells
-    /// whose region is within a gap of `d` of the rectangle **on each
-    /// axis** — the split of the rectangle stretched by `d` to the right
-    /// and by `d` downward (clipped to the space, like every split). For
-    /// equal `d` this is a superset of the cells within Euclidean distance
-    /// `d`.
+    /// whose region is within a gap of `dx` of the rectangle on the x axis
+    /// and of `dy` on the y axis — the split of the rectangle stretched by
+    /// `dx` to the right and by `dy` downward (clipped to the space, like
+    /// every split). For `dx = dy = d` this is a superset of the cells
+    /// within Euclidean distance `d`.
     #[must_use]
-    pub fn fourth_quadrant_cells_within(&self, r: &Rect, d: Coord) -> CellSpan {
-        let corner = Point::new(r.max_x() + d, r.min_y() - d);
+    pub fn fourth_quadrant_cells_within(&self, r: &Rect, dx: Coord, dy: Coord) -> CellSpan {
+        let corner = Point::new(r.max_x() + dx, r.min_y() - dy);
         self.split_cells(&Rect::from_corners(r.start_point(), corner))
     }
 }
@@ -601,10 +601,25 @@ mod tests {
         let r1 = Rect::new(3.0, 5.5, 2.0, 1.0);
         let d = 0.6; // reaches one cell right/down but not further
         let cells: Vec<u32> = g
-            .fourth_quadrant_cells_within(&r1, d)
+            .fourth_quadrant_cells_within(&r1, d, d)
             .map(|c| c.paper_number())
             .collect();
         assert_eq!(cells, vec![6, 7, 10, 11]);
+    }
+
+    #[test]
+    fn replicate_f2_stretches_each_axis_by_its_own_reach() {
+        // r1 of Figure 2(c): a reach of 2.6 crosses two cell boundaries,
+        // one of 0.6 a single one, on whichever axis it is given for.
+        let g = fig2_grid();
+        let r1 = Rect::new(3.0, 5.5, 2.0, 1.0);
+        let cells = |dx, dy| -> Vec<u32> {
+            (g.fourth_quadrant_cells_within(&r1, dx, dy))
+                .map(|c| c.paper_number())
+                .collect()
+        };
+        assert_eq!(cells(2.6, 0.6), vec![6, 7, 8, 10, 11, 12]);
+        assert_eq!(cells(0.6, 2.6), vec![6, 7, 10, 11, 14, 15]);
     }
 
     #[test]
@@ -858,7 +873,7 @@ mod tests {
             };
 
             let f1: Vec<CellId> = g.fourth_quadrant_cells(&r).collect();
-            let f2: Vec<CellId> = g.fourth_quadrant_cells_within(&r, d).collect();
+            let f2: Vec<CellId> = g.fourth_quadrant_cells_within(&r, d, d).collect();
             let stretched = Rect::from_bounds(
                 r.min_x(),
                 (r.min_y() - d).max(y0),
@@ -872,10 +887,11 @@ mod tests {
                 .filter(|&c| g.splits_onto(&stretched, c))
                 .collect();
             prop_assert_eq!(&f2, &expect);
-            prop_assert!(g.fourth_quadrant_cells_within(&r, 0.0).eq(g.split_cells(&r)));
-            prop_assert!(g.fourth_quadrant_cells_within(&r, Coord::INFINITY).eq(f1.iter().copied()));
+            prop_assert!(g.fourth_quadrant_cells_within(&r, 0.0, 0.0).eq(g.split_cells(&r)));
+            let unbounded = Coord::INFINITY;
+            prop_assert!(g.fourth_quadrant_cells_within(&r, unbounded, unbounded).eq(f1.iter().copied()));
             let across = (xn - x0) + (yn - y0);
-            prop_assert!(g.fourth_quadrant_cells_within(&r, across).eq(f1.iter().copied()));
+            prop_assert!(g.fourth_quadrant_cells_within(&r, across, across).eq(f1.iter().copied()));
 
             // What the index span means in coordinates, away from the one
             // ulp by which cell corners part from the routing division.

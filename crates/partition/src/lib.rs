@@ -12,12 +12,12 @@
 //!   ([`Grid::split_cells`]; grown by `d` on every side,
 //!   [`Grid::split_cells_enlarged`], for the range join of §5.3);
 //! * *replicate* — every cell in the 4th quadrant w.r.t. the rectangle
-//!   (`f1`, [`Grid::fourth_quadrant_cells`]), optionally within a gap of
-//!   `d` on each axis (`f2`, [`Grid::fourth_quadrant_cells_within`]).
+//!   (`f1`, [`Grid::fourth_quadrant_cells`]), optionally within a gap per
+//!   axis, `dx` and `dy` (`f2`, [`Grid::fourth_quadrant_cells_within`]).
 //!
 //! All of them ask the grid one question — which cells does a rectangle
 //! intersect ([`Grid::split_cells`]): `f2` is the split of the rectangle
-//! stretched by `d` to the right and downward, `f1` of the rectangle
+//! stretched by `dx` to the right and `dy` downward, `f1` of the rectangle
 //! stretched to the right and bottom edges of the space, the enlarged
 //! split of the rectangle grown by `d` on every side.
 //!

@@ -46,7 +46,7 @@ mod tests {
         let (grid, r1) = fig2();
         // With d reaching one cell over, f2 returns cells 6, 7, 10, 11 as in
         // Figure 2(c).
-        let cells = grid.fourth_quadrant_cells_within(&r1, 0.5);
+        let cells = grid.fourth_quadrant_cells_within(&r1, 0.5, 0.5);
         assert_eq!(numbers(cells), vec![6, 7, 10, 11]);
     }
 }

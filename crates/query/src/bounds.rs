@@ -10,40 +10,42 @@ use crate::query::{Query, RelationId};
 /// reach reducers that might hold a rectangle `v` of some relation `R_j`
 /// joining (transitively) with `u`. Walking a path `R_i = V_0, V_1, …,
 /// V_h = R_j` in the join graph, consecutive rectangles are at most
-/// `d_edge` apart and each intermediate rectangle spans at most `d_max`
-/// (its diagonal), so
+/// `d_edge` apart and each intermediate rectangle spans at most `body`, so
 ///
 /// ```text
-/// dist(u, v) ≤ Σ_path d_edge + (h - 1) · d_max .
+/// gap(u, v) ≤ Σ_path d_edge + (h - 1) · body .
 /// ```
+///
+/// The paper charges every body its diagonal and bounds the distance; the
+/// same walk bounds the gap on one axis with every body charged its side
+/// there, since a gap on one axis never exceeds the distance. So `body` is
+/// `l_max` for the x reach and `b_max` for the y reach (C-Rep-L's routing).
 ///
 /// The replication bound for `R_i` is the maximum over all `R_j` of the
 /// minimum such path cost — a weighted eccentricity, computed here with
-/// Dijkstra where leaving a vertex other than the source costs that
-/// vertex's `d_max` on top of the edge's `d_edge`. Each intermediate
-/// vertex is charged as it is crossed, never added and taken back: a
-/// one-hop bound is `d_edge` to the bit, where `(d + d_max) − d_max` lands
-/// an ulp below `d` and, at a range of exactly one cell width, lost the
-/// cell sitting at the bound.
+/// Dijkstra where leaving a vertex other than the source costs `body` on
+/// top of the edge's `d_edge`. Each intermediate vertex is charged as it
+/// is crossed, never added and taken back: a one-hop bound is `d_edge` to
+/// the bit, where `(d + body) − body` lands an ulp below `d` and, at a
+/// range of exactly one cell width, lost the cell sitting at the bound.
 ///
 /// For the paper's chains this reproduces the closed forms exactly:
-/// * overlap chain of `m` relations: `(m-2)·d_max` at the ends (§7.9);
-/// * range chain, all edges `d`: `(m-2)·d_max + (m-1)·d` at the ends and
-///   `d_max + 2d` for the inner relations of a 4-chain (§8, Figure 8).
-///
-/// `d_max` is the upper bound on the rectangle diagonal across all
-/// relations (known from dataset statistics, as the paper assumes).
+/// * overlap chain of `m` relations: `(m-2)·body` at the ends (§7.9);
+/// * range chain, all edges `d`: `(m-2)·body + (m-1)·d` at the ends and
+///   `body + 2d` for the inner relations of a 4-chain (§8, Figure 8).
 #[must_use]
-pub fn replication_bounds(query: &Query, d_max: Coord) -> Vec<Coord> {
-    assert!(d_max >= 0.0, "d_max must be non-negative");
+pub fn replication_bounds(query: &Query, body: Coord) -> Vec<Coord> {
+    assert!(body >= 0.0, "body must be non-negative");
     let g = query.graph();
     let n = query.num_relations();
     let mut bounds = Vec::with_capacity(n);
+    let mut dist = vec![Coord::INFINITY; n];
+    let mut visited = vec![false; n];
     for src in 0..n {
         // Dijkstra; a hop out of an intermediate vertex crosses its body.
-        let mut dist = vec![Coord::INFINITY; n];
+        dist.fill(Coord::INFINITY);
         dist[src] = 0.0;
-        let mut visited = vec![false; n];
+        visited.fill(false);
         for _ in 0..n {
             // n is tiny (≤ 16): linear extraction beats a heap.
             let Some(u) = (0..n)
@@ -56,9 +58,9 @@ pub fn replication_bounds(query: &Query, d_max: Coord) -> Vec<Coord> {
                 break;
             }
             visited[u] = true;
-            let body = if u == src { 0.0 } else { d_max };
+            let crossed = if u == src { 0.0 } else { body };
             for &(w, p, _) in g.neighbors(RelationId(u as u16)) {
-                let cand = dist[u] + body + p.distance();
+                let cand = dist[u] + crossed + p.distance();
                 if cand < dist[w.index()] {
                     dist[w.index()] = cand;
                 }
@@ -107,6 +109,26 @@ mod tests {
         assert_eq!(b[3], 2.0 * d_max + 3.0 * d);
         assert_eq!(b[1], d_max + 2.0 * d);
         assert_eq!(b[2], d_max + 2.0 * d);
+    }
+
+    #[test]
+    fn figure6_and_8_chains_bound_each_axis_by_its_side() {
+        // Bodies up to 10 long and 4 broad: a chain charges each axis its
+        // own side, so Q1's ends reach (2·l_max, 2·b_max) and Figure 8's
+        // ends (2·l_max + 3d, 2·b_max + 3d).
+        let (l_max, b_max) = (10.0, 4.0);
+        let per_axis = |q: &Query| -> Vec<(Coord, Coord)> {
+            let y = replication_bounds(q, b_max);
+            replication_bounds(q, l_max).into_iter().zip(y).collect()
+        };
+        let q1 = Query::parse("R1 ov R2 and R2 ov R3 and R3 ov R4").unwrap();
+        let (end, inner) = ((2.0 * l_max, 2.0 * b_max), (l_max, b_max));
+        assert_eq!(per_axis(&q1), vec![end, inner, inner, end]);
+        let d = 7.0;
+        let q = Query::parse("R1 ra(7) R2 and R2 ra(7) R3 and R3 ra(7) R4").unwrap();
+        let end = (2.0 * l_max + 3.0 * d, 2.0 * b_max + 3.0 * d);
+        let inner = (l_max + 2.0 * d, b_max + 2.0 * d);
+        assert_eq!(per_axis(&q), vec![end, inner, inner, end]);
     }
 
     #[test]

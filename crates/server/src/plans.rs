@@ -6,8 +6,8 @@
 //! `(canonical query text, per-position dataset fingerprints)` names a
 //! plan completely — a `store:` spec and the spec it was ingested from
 //! share one entry. Planning
-//! costs time proportional to the datasets (an index shuffle, a
-//! diagonal scan, sample-pair tests); a request that has been planned
+//! costs time proportional to the datasets (an index shuffle,
+//! sample-pair tests); a request that has been planned
 //! before — every result-cache hit, every repeated `explain` — reads the
 //! plan back from here. Because the planner is deterministic the memo
 //! is bit-transparent: chosen algorithms, cache keys and `explain` JSON

@@ -3,7 +3,7 @@
 //! join at k = 1 — must match the brute-force reference exactly, including
 //! ties, empty cells and clustered data.
 
-use mwsj_core::ann::{ann_brute_force, ann_join};
+use mwsj_core::ann::{knn_brute_force, knn_join};
 use mwsj_core::mapreduce::{EngineConfig, TraceEvent, TraceSink};
 use mwsj_core::{Cluster, ClusterConfig};
 use mwsj_geom::Rect;
@@ -55,8 +55,8 @@ fn matches_brute_force_random() {
     let inner = relation(300, 2);
     let cl = cluster(8);
     assert_eq!(
-        ann_join(&cl, &outer, &inner),
-        ann_brute_force(&outer, &inner)
+        knn_join(&cl, &outer, &inner, 1).concat(),
+        knn_brute_force(&outer, &inner, 1).concat()
     );
 }
 
@@ -68,8 +68,8 @@ fn matches_brute_force_sparse_inner() {
     let inner = relation(3, 4);
     let cl = cluster(8);
     assert_eq!(
-        ann_join(&cl, &outer, &inner),
-        ann_brute_force(&outer, &inner)
+        knn_join(&cl, &outer, &inner, 1).concat(),
+        knn_brute_force(&outer, &inner, 1).concat()
     );
 }
 
@@ -99,8 +99,8 @@ fn matches_brute_force_clustered_far_apart() {
         .collect();
     let cl = cluster(8);
     assert_eq!(
-        ann_join(&cl, &outer, &inner),
-        ann_brute_force(&outer, &inner)
+        knn_join(&cl, &outer, &inner, 1).concat(),
+        knn_brute_force(&outer, &inner, 1).concat()
     );
 }
 
@@ -114,19 +114,19 @@ fn overlapping_rectangles_have_distance_zero_nn() {
         Rect::new(500.0, 500.0, 10.0, 10.0),
     ];
     let cl = cluster(4);
-    let got = ann_join(&cl, &outer, &inner);
+    let got = knn_join(&cl, &outer, &inner, 1).concat();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].inner, 0);
     assert_eq!(got[0].distance, 0.0);
-    assert_eq!(got, ann_brute_force(&outer, &inner));
+    assert_eq!(got, knn_brute_force(&outer, &inner, 1).concat());
 }
 
 #[test]
 fn empty_relations() {
     let r = relation(10, 7);
     let cl = cluster(4);
-    assert!(ann_join(&cl, &r, &[]).is_empty());
-    assert!(ann_join(&cl, &[], &r).is_empty());
+    assert!(knn_join(&cl, &r, &[], 1).concat().is_empty());
+    assert!(knn_join(&cl, &[], &r, 1).concat().is_empty());
 }
 
 #[test]
@@ -136,12 +136,12 @@ fn self_ann_is_reflexive_at_zero() {
     // rectangle — distance must still be 0).
     let r = relation(100, 8);
     let cl = cluster(8);
-    let got = ann_join(&cl, &r, &r);
+    let got = knn_join(&cl, &r, &r, 1).concat();
     assert_eq!(got.len(), r.len());
     for nn in &got {
         assert_eq!(nn.distance, 0.0);
     }
-    assert_eq!(got, ann_brute_force(&r, &r));
+    assert_eq!(got, knn_brute_force(&r, &r, 1).concat());
 }
 
 #[test]
@@ -149,7 +149,7 @@ fn runs_three_jobs() {
     let outer = relation(50, 9);
     let inner = relation(50, 10);
     let (cl, sink) = traced_cluster(4);
-    let _ = ann_join(&cl, &outer, &inner);
+    let _ = knn_join(&cl, &outer, &inner, 1);
     assert_eq!(jobs_started(&sink), 3);
 }
 
@@ -165,7 +165,10 @@ proptest! {
         let outer = relation(n_outer, seed);
         let inner = relation(n_inner, seed.wrapping_add(1));
         let cl = cluster(side);
-        prop_assert_eq!(ann_join(&cl, &outer, &inner), ann_brute_force(&outer, &inner));
+        prop_assert_eq!(
+            knn_join(&cl, &outer, &inner, 1).concat(),
+            knn_brute_force(&outer, &inner, 1).concat()
+        );
     }
 }
 
@@ -173,7 +176,7 @@ proptest! {
 
 mod knn {
     use super::*;
-    use mwsj_core::ann::{knn_brute_force, knn_join, try_knn_join};
+    use mwsj_core::ann::try_knn_join;
     use mwsj_core::JoinError;
 
     #[test]
@@ -209,11 +212,7 @@ mod knn {
         for inner in [relation(100, 26), relation(1, 29), Vec::new()] {
             let knn = knn_join(&cl, &outer, &inner, 1);
             assert_eq!(knn.len(), outer.len());
-            assert_eq!(knn.concat(), ann_join(&cl, &outer, &inner));
-            assert_eq!(
-                knn_brute_force(&outer, &inner, 1).concat(),
-                ann_brute_force(&outer, &inner)
-            );
+            assert_eq!(knn.concat(), knn_brute_force(&outer, &inner, 1).concat());
         }
         // |inner| < k: every list is the whole inner relation, nearest
         // first, and its head is the all-nearest-neighbor answer.
@@ -221,7 +220,7 @@ mod knn {
         let knn = knn_join(&cl, &outer, &inner, 5);
         assert!(knn.iter().all(|list| list.len() == 3));
         let heads: Vec<_> = knn.iter().map(|list| list[0]).collect();
-        assert_eq!(heads, ann_join(&cl, &outer, &inner));
+        assert_eq!(heads, knn_join(&cl, &outer, &inner, 1).concat());
     }
 
     #[track_caller]
@@ -241,7 +240,7 @@ mod knn {
         assert_invalid(try_knn_join(&cl, &outside, &ok, 2), "outer relation");
         assert_invalid(try_knn_join(&cl, &ok, &outside, 2), "inner relation");
         assert_invalid(
-            mwsj_core::ann::try_ann_join(&cl, &ok, &outside),
+            try_knn_join(&cl, &ok, &outside, 1),
             "outside the cluster space",
         );
         // Nothing ran: caller errors are found before any job starts.

@@ -5,8 +5,9 @@
 //! geometry that should agree could differ — edges on the cell boundaries
 //! of grids whose cell width is not a binary fraction, zero-area,
 //! duplicate and whole-extent rectangles, a range distance of exactly one
-//! cell width, cyclic and hybrid join graphs, reducer groups from empty
-//! to several dozen rectangles a relation — and runs all five shuffle
+//! cell width, an overlap chain whose middle body is exactly the longest
+//! and the broadest, cyclic and hybrid join graphs, reducer groups from
+//! empty to several dozen rectangles a relation — and runs all five shuffle
 //! algorithms, plus the map-side join over stores built from the same
 //! rectangles, against the in-memory reference, checking both the
 //! materialized tuples and the count-only total: the tuple set is
@@ -396,6 +397,97 @@ fn a_designated_cell_at_the_bound_on_both_axes_is_reached() {
                 "{what}: round 2 emitted {} tuples",
                 round2.reduce_output_records
             );
+        }
+    }
+}
+
+/// The corner C-Rep-L's per-axis bound is about, once for every column
+/// `k ≥ 1` and row `t ≥ 1` of `grid`: an overlap chain `a`–`b`–`c` whose
+/// middle body `b` runs from `a`, a point on its top-left corner half a
+/// cell from the left edge and a third of one from the top, to `c`, a
+/// point on its bottom-right corner at the first x of column `k` and the
+/// last y of row `t`. The tuple's designated point is `c`, so `a`'s
+/// designated cell lies exactly `b`'s length right of `a` and `b`'s
+/// breadth below it: at both of the end relation's reaches at once when
+/// `b` is the longest and the broadest body. `b`'s left and top edges move
+/// one float at a time, up to 64 times, to where adding the computed side
+/// back to them falls short of the far edge, so a reach that is not
+/// widened for rounding stops a column or a row short.
+fn axis_corners(grid: &Grid) -> Vec<[Rect; 3]> {
+    let (x0, xn) = grid.x_range();
+    let (y0, yn) = grid.y_range();
+    let (cw, ch) = (
+        (xn - x0) / f64::from(grid.cols()),
+        (yn - y0) / f64::from(grid.rows()),
+    );
+    let nudged = |start: f64, step: fn(f64) -> f64, short: &dyn Fn(f64) -> bool| {
+        std::iter::successors(Some(start), |&v| Some(step(v)))
+            .take(64)
+            .find(|&v| short(v))
+            .unwrap_or(start)
+    };
+    let mut out = Vec::new();
+    for k in 1..grid.cols() {
+        for t in 1..grid.rows() {
+            let (x_star, y_star) = (grid.col_start_x(k), grid.row_start_y(t));
+            let left = nudged(x0 + cw / 2.0, f64::next_down, &|l| {
+                l + (x_star - l) < x_star
+            });
+            let top = nudged(yn - ch / 3.0, f64::next_up, &|h| h - (h - y_star) > y_star);
+            let b = Rect::from_bounds(left, y_star, x_star, top).expect("ordered bounds");
+            let a = Rect::from_bounds(left, top, left, top).expect("a point");
+            let c = Rect::from_bounds(x_star, y_star, x_star, y_star).expect("a point");
+            out.push([a, b, c]);
+        }
+    }
+    out
+}
+
+#[test]
+fn an_end_relation_at_both_of_its_per_axis_reaches_is_reached() {
+    let query = Query::parse("A ov B and B ov C").unwrap();
+    // A grid of binary-fraction cells and two whose cell widths are not.
+    for (g, (cols, rows)) in [(8u32, 4u32), (3, 3), (7, 5)].into_iter().enumerate() {
+        let cl = Cluster::new(ClusterConfig {
+            grid_cols: cols,
+            grid_rows: rows,
+            ..ClusterConfig::for_space((0.0, EXTENT), (0.0, EXTENT), 1)
+        });
+        let corners = axis_corners(cl.grid());
+        assert!(
+            corners.len() >= 4,
+            "{cols}×{rows}: {} corners",
+            corners.len()
+        );
+        for (n, corner) in corners.iter().enumerate() {
+            let [a, b, c] = corner;
+            assert_ne!(b.l(), b.b(), "a corner's length is not its breadth");
+            // Round 1 cannot see the tuple: only `a`'s bounded replication
+            // takes it to the designated cell.
+            let grid = cl.grid();
+            assert!(!grid.splits_onto(a, grid.cell_of(c)), "corner {n}");
+            let seed = 24_000 + g as u64 * 100 + n as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A background of bodies shorter and narrower than `b`, so
+            // that `b`'s sides are the inputs' `(l_max, b_max)`.
+            let mut relations: Vec<Vec<Rect>> = (0..3)
+                .map(|_| {
+                    let mut rel = adversarial_on(&mut rng, 30, (EXTENT, cols), (EXTENT, rows), 4);
+                    rel.retain(|r| r.l() < b.l() && r.b() < b.b());
+                    rel
+                })
+                .collect();
+            let ids: Vec<u32> = relations.iter().map(|rel| rel.len() as u32).collect();
+            for (rel, r) in relations.iter_mut().zip(corner) {
+                rel.push(*r);
+            }
+            let what = format!(
+                "corner {n} on {cols}×{rows} ({} long, {} broad), seed {seed}",
+                b.l(),
+                b.b()
+            );
+            let expected = check_every_algorithm(&cl, &query, &relations, &what);
+            assert!(expected.contains(&ids), "{what}: the corner joins");
         }
     }
 }

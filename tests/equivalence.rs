@@ -307,10 +307,11 @@ fn kernel_reducers_leave_communication_counters_unchanged() {
             &[(917, 38_514, 64, 537), (8_317, 349_314, 64, 22)],
         ),
         // The same marked rectangles, each to the cells within its
-        // relation's bound on each axis.
+        // relation's bound on each axis, with each body charged its side
+        // on that axis (its diagonal on both: 1 137 pairs, 47 754 B).
         (
             Algorithm::ControlledReplicateLimit,
-            &[(917, 38_514, 64, 537), (1_137, 47_754, 64, 22)],
+            &[(917, 38_514, 64, 537), (1_069, 44_898, 64, 22)],
         ),
         (Algorithm::Hypercube, &[(12_000, 504_000, 64, 152)]),
     ];

@@ -36,7 +36,7 @@ fn figure2_project_split_replicate() {
         [6, 7, 8, 10, 11, 12, 14, 15, 16]
     );
     assert_eq!(
-        numbers(grid.fourth_quadrant_cells_within(&r1, 0.5)),
+        numbers(grid.fourth_quadrant_cells_within(&r1, 0.5, 0.5)),
         [6, 7, 10, 11]
     );
 }
