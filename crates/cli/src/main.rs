@@ -30,7 +30,7 @@ use args::Args;
 use mwsj_core::mapreduce::{json_escape, validate_json, EngineConfig, FaultPlan, TraceSink};
 use mwsj_core::partition::Grid;
 use mwsj_core::store::{StoreBuilder, StoredDataset};
-use mwsj_core::{optimizer, Algorithm, Cluster, ClusterConfig, StoredRun};
+use mwsj_core::{Algorithm, Cluster, ClusterConfig, StoredRun};
 use mwsj_datagen::CaliforniaStats;
 use mwsj_geom::Rect;
 use mwsj_query::Query;
@@ -40,6 +40,11 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
+    // `--help` after any subcommand asks for the usage, not for a run.
+    if args.flag("help") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
     let result = match args.command.as_deref() {
         Some("run") => cmd_run(&args),
         Some("explain") => cmd_explain(&args),
@@ -101,7 +106,7 @@ RUN OPTIONS
   --grid N        reducer grid side, N x N cells (default 8; stores that are
                   every binding keep their own grid)
   --count-only    count result tuples without materializing them
-  --plan          reorder the cascade's joins by sampled selectivity
+  --plan          reorder the cascade's joins by estimated selectivity
   --out FILE      write result tuples as CSV ids
 
 INGEST OPTIONS  (partition + index a dataset into an on-disk store)
@@ -529,13 +534,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         stores.len(),
         stores.iter().map(|s| s.record_count()).sum::<u64>()
     );
+    let stores: Vec<&StoredDataset> = stores.iter().collect();
     if args.flag("plan") {
-        let relations: Vec<Vec<Rect>> = stores.iter().map(StoredDataset::materialize).collect();
-        let slices: Vec<&[Rect]> = relations.iter().map(Vec::as_slice).collect();
-        query = optimizer::cascade_order(&query, &slices);
+        query = cluster.cascade_order_stored(&query, &stores);
         eprintln!("planned order: {query}");
     }
-    let stores: Vec<&StoredDataset> = stores.iter().collect();
     let run = StoredRun::new(&query, &stores)
         .algorithm(algorithm)
         .count_only(args.flag("count-only"))

@@ -19,7 +19,7 @@ use mwsj_mapreduce::{
 };
 use mwsj_partition::{CellId, Grid};
 use mwsj_query::{Query, RelationId};
-use mwsj_store::StoredDataset;
+use mwsj_store::{Sides, StoredDataset};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -288,17 +288,46 @@ impl Inputs<'_> {
         (0..self.total() as u32).collect()
     }
 
+    /// The side statistic of position `pos`: a store's, folded at open,
+    /// or one pass over the slice.
+    pub fn sides(self, pos: usize) -> Sides {
+        match self {
+            Inputs::Memory(relations) => Sides::of(relations[pos]),
+            Inputs::Stored(stores) => stores[pos].sides(),
+        }
+    }
+
+    /// The planner's statistic of position `pos`: its records per home
+    /// cell of `grid`, row-major, and its side statistic. A store reads
+    /// both off what it folded at open — its cell table and its
+    /// [`Sides`] — in O(cells); a slice folds them in one pass.
+    pub fn statistic(self, pos: usize, grid: &Grid) -> (Vec<u32>, Sides) {
+        match self {
+            Inputs::Memory(relations) => {
+                let mut homes = vec![0; grid.num_cells() as usize];
+                let mut sides = Sides::default();
+                for r in relations[pos] {
+                    homes[grid.cell_of(r).0 as usize] += 1;
+                    sides.add(r);
+                }
+                (homes, sides)
+            }
+            Inputs::Stored(stores) => {
+                let store = stores[pos];
+                let homes = grid.cells().map(|c| store.cell(c).0.len() as u32);
+                (homes.collect(), store.sides())
+            }
+        }
+    }
+
     /// The largest length ([`Rect::l`]) and breadth ([`Rect::b`]) of any
     /// bound record, `(0.0, 0.0)` when there is none: the dataset statistic
-    /// the C-Rep-L bounds assume known (§7.9), per axis. A store folded its
-    /// own at open.
+    /// the C-Rep-L bounds assume known (§7.9), per axis, read off each
+    /// position's [`Inputs::sides`].
     pub fn max_sides(self) -> (f64, f64) {
-        match self {
-            Inputs::Memory(relations) => (relations.iter().copied().flatten())
-                .fold((0.0, 0.0), |(l, b), r| (r.l().max(l), r.b().max(b))),
-            Inputs::Stored(stores) => (stores.iter().map(|store| store.max_sides()))
-                .fold((0.0, 0.0), |(l, b), (sl, sb)| (sl.max(l), sb.max(b))),
-        }
+        (0..self.len())
+            .map(|pos| self.sides(pos))
+            .fold((0.0, 0.0), |(l, b), s| (s.max_l.max(l), s.max_b.max(b)))
     }
 }
 
@@ -516,7 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn max_sides_over_stores_equals_it_over_slices() {
+    fn statistic_over_a_store_equals_it_over_the_slice() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let grid = Grid::new((0.0, 10.0), (0.0, 12.0), 3, 4);
+        let random: Vec<Rect> = (0..500)
+            .map(|_| {
+                let (x, y) = (rng.random_range(0.0..9.0), rng.random_range(1.5..12.0));
+                let (l, b) = (rng.random_range(0.0..1.0), rng.random_range(0.0..1.5));
+                Rect::new(x, y, l, b)
+            })
+            .collect();
         // The longest and the broadest bodies are records of different
         // relations; the third relation is empty.
         let a = vec![
@@ -525,16 +564,33 @@ mod tests {
         ];
         let b = vec![Rect::new(2.0, 10.0, 6.0, 2.0)];
         let none: Vec<Rect> = Vec::new();
-        let grid = Grid::square((0.0, 10.0), (0.0, 10.0), 2);
+        let slices: [&[Rect]; 4] = [&random, &a, &b, &none];
         let builder = mwsj_store::StoreBuilder::new(&grid);
-        let stores: Vec<StoredDataset> = [&a, &b, &none]
+        let stores: Vec<StoredDataset> = slices
             .map(|rel| StoredDataset::from_bytes(&builder.build(rel).unwrap()).unwrap())
             .into();
         let stores: Vec<&StoredDataset> = stores.iter().collect();
-        assert_eq!(Inputs::Memory(&[&a, &b, &none]).max_sides(), (6.0, 4.0));
-        assert_eq!(Inputs::Stored(&stores).max_sides(), (6.0, 4.0));
+        let (memory, stored) = (Inputs::Memory(&slices), Inputs::Stored(&stores));
+        for (pos, slice) in slices.iter().enumerate() {
+            let ((homes, m), (stored_homes, s)) =
+                (memory.statistic(pos, &grid), stored.statistic(pos, &grid));
+            assert_eq!(homes, stored_homes, "position {pos}");
+            assert_eq!(homes.iter().sum::<u32>() as usize, slice.len());
+            assert_eq!((m.max_l, m.max_b), (s.max_l, s.max_b), "position {pos}");
+            // The two folds add in different orders.
+            for (x, y) in [(m.sum_l, s.sum_l), (m.sum_b, s.sum_b), (m.sum_lb, s.sum_lb)] {
+                assert!(
+                    (x - y).abs() <= 1e-12 * x.abs(),
+                    "position {pos}: {x} vs {y}"
+                );
+            }
+            assert_eq!(memory.sides(pos), m, "one fold of the slice");
+        }
+        assert_eq!(memory.max_sides(), stored.max_sides());
+        assert_eq!(Inputs::Memory(&slices[1..]).max_sides(), (6.0, 4.0));
+        assert_eq!(Inputs::Stored(&stores[1..]).max_sides(), (6.0, 4.0));
         assert_eq!(Inputs::Memory(&[&none]).max_sides(), (0.0, 0.0));
-        assert_eq!(Inputs::Stored(&stores[2..]).max_sides(), (0.0, 0.0));
+        assert_eq!(Inputs::Stored(&stores[3..]).max_sides(), (0.0, 0.0));
     }
 
     #[test]

@@ -116,11 +116,15 @@ impl Cluster {
     /// inputs (see [`crate::optimizer`]).
     ///
     /// # Panics
-    /// Panics if the number of datasets does not match the query's
-    /// relation positions.
+    /// Panics on the caller errors [`Cluster::submit`] reports: the
+    /// number of datasets does not match the query's relation positions,
+    /// or a rectangle lies outside the configured space.
     #[must_use]
     pub fn plan(&self, query: &Query, relations: &[&[Rect]]) -> Plan {
-        optimizer::plan(query, relations, &self.grid)
+        let inputs = Inputs::Memory(relations);
+        self.validate(query, inputs)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.plan_inputs(query, inputs)
     }
 
     /// Submits a fully-described join run over in-memory datasets. The
@@ -161,6 +165,20 @@ impl Cluster {
         self.validate(query, inputs)
             .unwrap_or_else(|e| panic!("{e}"));
         self.plan_inputs(query, inputs)
+    }
+
+    /// The 2-way cascade's condition order over *stored* datasets
+    /// ([`optimizer::cascade_order`]), priced from the statistic each
+    /// store folded at open: nothing is materialized.
+    ///
+    /// # Panics
+    /// Panics like [`Cluster::plan_stored`].
+    #[must_use]
+    pub fn cascade_order_stored(&self, query: &Query, stores: &[&StoredDataset]) -> Query {
+        let inputs = Inputs::Stored(stores);
+        self.validate(query, inputs)
+            .unwrap_or_else(|e| panic!("{e}"));
+        optimizer::cascade_order_inputs(query, inputs, &self.grid)
     }
 
     /// Submits a join run over stored datasets.
@@ -430,6 +448,14 @@ mod tests {
             cluster.submit_stored(&StoredRun::new(&q, &stores[..1])),
             "one stored dataset per query relation position",
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the cluster space")]
+    fn plans_reject_rectangles_outside_the_space() {
+        let (cluster, q, r) = small_cluster();
+        let outside = [Rect::new(11.0, 9.0, 1.0, 1.0)];
+        let _ = cluster.plan(&q, &[&r, &outside]);
     }
 
     #[test]

@@ -1,28 +1,52 @@
 //! The cost-based algorithm optimizer behind [`Algorithm::Auto`].
 //!
-//! The paper fixes the algorithm per experiment; ROADMAP item 1 asks the
-//! system to *choose*. From cheap, seeded samples of the bound datasets
-//! this module estimates — per candidate algorithm — the records
-//! communicated, the records materialized on the DFS, the number of
-//! map-reduce rounds and the local join work, combines them into one
-//! scalar cost, and picks the cheapest plan. For the hypercube it also
-//! derives the share vector; the spatial algorithms inherit the cluster's
-//! reducer grid.
+//! The paper fixes the algorithm per experiment; this module *chooses*.
+//! From one statistic per bound relation — its records per home cell and
+//! its [`Sides`] (Σl, Σb, Σl·b and the largest sides), which a store folds
+//! at open and a slice in one pass — it estimates, per candidate
+//! algorithm, the records communicated, the records materialized on the
+//! DFS, the number of map-reduce rounds and the local join work, combines
+//! them into one scalar cost, and picks the cheapest plan. For the
+//! hypercube it also derives the share vector; the spatial algorithms
+//! inherit the cluster's reducer grid. Nothing is sampled: over stores a
+//! plan costs O(cells), so no caller needs to keep one.
 //!
-//! The same samples order the 2-way cascade's conditions
+//! The same statistic orders the 2-way cascade's conditions
 //! ([`cascade_order`], §6.1's "optimal order" footnote). That is opt-in:
 //! [`plan`] prices the cascade over the stages it runs for the query as
 //! written (both walk `cascade::execution_order`) and never reorders, so a
 //! pinned `cascade` and an `auto` that chose it run the same jobs.
 //!
-//! Everything is a pure function of `(query, relations, grid)`:
-//! sampling uses a fixed seed, shares are enumerated deterministically,
-//! and cost arithmetic avoids platform-dependent operations — so planner
-//! decisions can be pinned in golden tests and cache keys can rely on the
-//! same query always resolving to the same concrete algorithm. The module
-//! holds no state: every call draws its samples again, and a caller that
-//! plans the same datasets over and over memoizes the *plan* (the server's
-//! plan memo does).
+//! Everything is a pure function of `(query, relations, grid)`: the
+//! statistic is exact, shares are enumerated deterministically, and cost
+//! arithmetic avoids platform-dependent operations — so planner decisions
+//! can be pinned in golden tests and cache keys can rely on the same query
+//! always resolving to the same concrete algorithm.
+//!
+//! # Estimates
+//!
+//! In a cell `c` at column `col` and row `row` of a `cols × rows` grid of
+//! `w × h` cells, with `n(c)` records of a relation homed there and the
+//! relation's mean length `l̄`, breadth `b̄` and area `lb̄`:
+//!
+//! - `f1` is exact: `(cols − col)(rows − row)` cells.
+//! - The split, the marking proxy and `f2` are expectations for a
+//!   mean-sided body whose start is uniform in its cell. Along one axis a
+//!   body of length `s` spans `1 + min(s / w, cols − 1 − col)` cells in
+//!   expectation (the [`mwsj_partition::CellSpan`] length), so the split is
+//!   `(1 + min(l̄/w, ·))(1 + min(b̄/h, ·))` and `f2` the same for the body
+//!   stretched by the C-Rep-L reach. A body is *marked* when its
+//!   `d`-enlargement leaves its cell: it stays with probability
+//!   `(w − d·[col > 0] − (l̄ + d)·[col < cols − 1]) / w`, clipped to
+//!   `[0, 1]`, times the same along y.
+//! - A triple's pair count is `Σ_c n_a(c)·n_b(c)·E[M] / (w·h)`, where `M`
+//!   is the area a body of `b` must start in to satisfy the predicate with
+//!   a body of `a` (each side's density held constant around the cell):
+//!   `(l_a + l_b)(b_a + b_b)` for overlap, that plus
+//!   `2d(l_a + l_b + b_a + b_b) + πd²` for `ra(d)`, and
+//!   `(l_a − l_b)⁺(b_a − b_b)⁺` of the means for `Contains`. It is capped
+//!   at `n_a·n_b`, and feeds the cascade, the map-side matched pairs and
+//!   [`cascade_order`].
 //!
 //! # Cost model
 //!
@@ -51,27 +75,16 @@
 //! `auto` lands within ~15% of the best manual choice on every Table 2
 //! row of *this* implementation.
 
+use std::f64::consts::PI;
+
 use mwsj_geom::Rect;
-use mwsj_partition::Grid;
-use mwsj_query::{Query, Triple};
-use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
+use mwsj_partition::{CellId, Grid};
+use mwsj_query::{Predicate, Query, Triple};
+use mwsj_store::Sides;
 
 use crate::algorithms::controlled_replicate::limited_reach;
 use crate::algorithms::hypercube::derive_shares;
 use crate::algorithms::{cascade, Algorithm, Inputs};
-
-/// Fixed sampling seed: planner decisions must be a pure function of the
-/// inputs (golden-pinnable, cache-key safe), never of run-to-run entropy.
-const PLAN_SEED: u64 = 0xC0_57;
-
-/// Sample size per relation. The optimizer compares *algorithms*, and the
-/// cascade's cost hinges on pairwise selectivities estimated from
-/// `sample²` pairs — at Table 2 densities a 200-rect sample expects only a
-/// handful of matches, and that Poisson noise is enough to flip the
-/// cascade/C-Rep-L decision. 600 rects per relation keeps sampling cheap
-/// (sub-millisecond) while cutting the estimate's relative error ~3x.
-const PLAN_SAMPLE: usize = 600;
 
 /// Cost charged per map-reduce round, in record units.
 const JOB_OVERHEAD: f64 = 2_000.0;
@@ -82,41 +95,83 @@ const DFS_WEIGHT: f64 = 3.0;
 /// Cost per unfiltered candidate pair at a hypercube reducer.
 const PAIR_WEIGHT: f64 = 0.02;
 
-/// The one sampler: a seeded uniform sample without replacement of up to
-/// [`PLAN_SAMPLE`] rectangles from each relation, read by record position
-/// (a store's is its storage order, so nothing is materialized). One RNG
-/// runs across the relations.
-fn sample_relations(inputs: Inputs<'_>) -> Vec<Vec<Rect>> {
-    let mut rng = StdRng::seed_from_u64(PLAN_SEED);
+/// One bound relation as the planner sees it: its records per home cell
+/// and the means of its [`Sides`].
+struct Relation {
+    /// Records homed at each cell, row-major.
+    homes: Vec<u32>,
+    /// Records.
+    n: f64,
+    /// Mean length, breadth and area of a body (0 without records).
+    l: f64,
+    b: f64,
+    lb: f64,
+    /// The largest length and breadth.
+    max_sides: (f64, f64),
+}
+
+impl Relation {
+    fn new((homes, sides): (Vec<u32>, Sides)) -> Self {
+        let n: f64 = homes.iter().map(|&k| f64::from(k)).sum();
+        let mean = |sum: f64| if n > 0.0 { sum / n } else { 0.0 };
+        Self {
+            n,
+            l: mean(sides.sum_l),
+            b: mean(sides.sum_b),
+            lb: mean(sides.sum_lb),
+            max_sides: (sides.max_l, sides.max_b),
+            homes,
+        }
+    }
+}
+
+/// Every bound relation's statistic.
+fn relations(inputs: Inputs<'_>, grid: &Grid) -> Vec<Relation> {
     (0..inputs.len())
-        .map(|pos| {
-            let mut idx: Vec<usize> = (0..inputs.size(pos)).collect();
-            idx.shuffle(&mut rng);
-            idx.truncate(PLAN_SAMPLE);
-            idx.into_iter()
-                .map(|i| inputs.record(pos, i).rect)
-                .collect()
-        })
+        .map(|pos| Relation::new(inputs.statistic(pos, grid)))
         .collect()
 }
 
-/// Estimates the selectivity of one triple on samples of its two
-/// relations: the fraction of sampled pairs satisfying the predicate.
-fn estimate_selectivity(t: &Triple, samples: &[Vec<Rect>]) -> f64 {
-    let left = &samples[t.left.index()];
-    let right = &samples[t.right.index()];
-    if left.is_empty() || right.is_empty() {
+/// The expected area a body of `b` must start in, relative to a body of
+/// `a`'s start, to satisfy `predicate` (`a` on the triple's left).
+fn match_area(predicate: Predicate, a: &Relation, b: &Relation) -> f64 {
+    let overlap = a.lb + a.l * b.b + b.l * a.b + b.lb;
+    match predicate {
+        Predicate::Overlap => overlap,
+        Predicate::Range(d) => overlap + 2.0 * d * (a.l + b.l + a.b + b.b) + PI * d * d,
+        Predicate::Contains => (a.l - b.l).max(0.0) * (a.b - b.b).max(0.0),
+    }
+}
+
+/// Estimated selectivity of one triple: its pair count over the pairs
+/// of its two relations (see the module docs).
+fn selectivity(t: &Triple, relations: &[Relation], grid: &Grid) -> f64 {
+    let (a, b) = (&relations[t.left.index()], &relations[t.right.index()]);
+    if a.n == 0.0 || b.n == 0.0 {
         return 0.0;
     }
-    let mut hits = 0usize;
-    for a in left {
-        for b in right {
-            if t.predicate.eval(a, b) {
-                hits += 1;
-            }
-        }
-    }
-    hits as f64 / (left.len() * right.len()) as f64
+    let cell = grid.cell_rect(CellId(0));
+    let co_homed: f64 = (a.homes.iter().zip(&b.homes))
+        .map(|(&x, &y)| f64::from(x) * f64::from(y))
+        .sum();
+    let pairs = co_homed * match_area(t.predicate, a, b) / (cell.l() * cell.b());
+    (pairs / (a.n * b.n)).min(1.0)
+}
+
+/// Expected cells a body of length `len` spans along one axis when its
+/// start is uniform in a cell of size `cell` with `room` cells beyond it
+/// before the space ends.
+fn span(len: f64, cell: f64, room: u32) -> f64 {
+    1.0 + (len / cell).min(f64::from(room))
+}
+
+/// Probability that a body of length `len` whose start is uniform in a
+/// cell of size `cell`, enlarged by `d`, stays inside the cell along one
+/// axis: the enlargement may not cross the near wall unless that is the
+/// space's edge (`near`), nor the body plus it the far wall (`far`).
+fn stays(len: f64, d: f64, cell: f64, near: bool, far: bool) -> f64 {
+    let need = if near { d } else { 0.0 } + if far { len + d } else { 0.0 };
+    ((cell - need) / cell).clamp(0.0, 1.0)
 }
 
 /// The estimated cost breakdown of one candidate algorithm.
@@ -208,102 +263,9 @@ impl Plan {
     }
 }
 
-/// Per-relation sampled statistics feeding the candidate cost formulas.
-struct RelationStats {
-    /// Relation cardinality.
-    n: f64,
-    /// Mean 4th-quadrant replication factor (`f1`) over the sample.
-    q4: f64,
-    /// Mean split factor (cells a rectangle overlaps).
-    split: f64,
-    /// Fraction of the sample estimated to be *marked* by C-Rep round 1:
-    /// rectangles whose `d`-enlargement overlaps more than one cell. An
-    /// interior rectangle with `d` of margin can never satisfy C1-C4, so
-    /// this upper-bounds the marking rate while scaling the same way
-    /// (rect size + d versus cell size).
-    marked: f64,
-    /// Mean `f1` factor conditioned on the marked sample (marked
-    /// rectangles are the large ones, so their replication factor is
-    /// above the relation mean).
-    q4_marked: f64,
-    /// Like `q4_marked` under the C-Rep-L bound.
-    q4_bounded_marked: f64,
-}
-
-/// Clamps a rectangle to the grid extent (enlarged probe rectangles may
-/// poke outside the space, which the grid treats as a caller error).
-fn clamp_to(extent: &Rect, r: &Rect) -> Rect {
-    let left = r.min_x().max(extent.min_x());
-    let right = r.max_x().min(extent.max_x());
-    let top = r.max_y().min(extent.max_y());
-    let bottom = r.min_y().max(extent.min_y());
-    Rect::new(left, top, (right - left).max(0.0), (top - bottom).max(0.0))
-}
-
-fn relation_stats(
-    sizes: &[f64],
-    samples: &[Vec<Rect>],
-    grid: &Grid,
-    reach: &[(f64, f64)],
-    d: f64,
-) -> Vec<RelationStats> {
-    let extent = grid.extent();
-    sizes
-        .iter()
-        .zip(samples.iter())
-        .zip(reach.iter())
-        .map(|((&n, sample), &(reach_x, reach_y))| {
-            if sample.is_empty() {
-                return RelationStats {
-                    n,
-                    q4: 1.0,
-                    split: 1.0,
-                    marked: 0.0,
-                    q4_marked: 1.0,
-                    q4_bounded_marked: 1.0,
-                };
-            }
-            let mut q4 = 0.0;
-            let mut split = 0.0;
-            let mut marked = 0usize;
-            let mut q4_m = 0.0;
-            let mut q4b_m = 0.0;
-            for r in sample {
-                let f1 = grid.fourth_quadrant_cells(r).len() as f64;
-                let f2 = grid.fourth_quadrant_cells_within(r, reach_x, reach_y).len() as f64;
-                q4 += f1;
-                split += grid.split_cells(r).len() as f64;
-                let probe = clamp_to(&extent, &r.enlarge(d));
-                if grid.split_cells(&probe).len() > 1 {
-                    marked += 1;
-                    q4_m += f1;
-                    q4b_m += f2;
-                }
-            }
-            let count = sample.len() as f64;
-            RelationStats {
-                n,
-                q4: q4 / count,
-                split: split / count,
-                marked: marked as f64 / count,
-                q4_marked: if marked > 0 {
-                    q4_m / marked as f64
-                } else {
-                    1.0
-                },
-                q4_bounded_marked: if marked > 0 {
-                    q4b_m / marked as f64
-                } else {
-                    1.0
-                },
-            }
-        })
-        .collect()
-}
-
 /// Estimated communication and DFS volume of the 2-way cascade over the
 /// stages it runs ([`cascade::execution_order`] — the query is never
-/// reordered here), from the sampled selectivity of each triple: each
+/// reordered here), from the estimated selectivity of each triple: each
 /// stage shuffles the previous intermediate plus the newly-bound base
 /// relation and materializes its output on the DFS for the next.
 fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> CandidateCost {
@@ -346,19 +308,20 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 
 /// Returns the query with its conditions reordered for the 2-way cascade
 /// (§6.1's footnote assumes "the optimal order" without saying how to find
-/// it): a sampling-based greedy order that keeps the estimated
-/// intermediate result small — start with the condition of smallest
-/// estimated output, then repeatedly append the connected condition whose
-/// estimated growth factor is smallest, so every prefix stays connected
-/// and the cascade executes the conditions exactly as listed.
+/// it): a greedy order that keeps the estimated intermediate result small
+/// — start with the condition of smallest estimated output, then
+/// repeatedly append the connected condition whose estimated growth
+/// factor is smallest, so every prefix stays connected and the cascade
+/// executes the conditions exactly as listed.
 ///
-/// `relations[i]` is the dataset bound to position `i`; selectivities are
-/// estimated on the samples [`plan`] draws for the same datasets.
-/// Reordering conjuncts never changes the result, only the cascade's
-/// intermediate sizes; position numbering is preserved.
+/// `relations[i]` is the dataset bound to position `i`, inside `grid`'s
+/// space; selectivities are the ones [`plan`] estimates for the same
+/// datasets. Reordering conjuncts never changes the result, only the
+/// cascade's intermediate sizes; position numbering is preserved.
 ///
 /// ```
 /// use mwsj_core::optimizer::cascade_order;
+/// use mwsj_core::partition::Grid;
 /// use mwsj_geom::Rect;
 /// use mwsj_query::Query;
 ///
@@ -366,18 +329,24 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 /// let a = vec![Rect::new(0.0, 10.0, 5.0, 5.0)];
 /// let b = vec![Rect::new(4.0, 10.0, 5.0, 5.0)];
 /// let c = vec![Rect::new(8.0, 10.0, 5.0, 5.0)];
-/// let planned = cascade_order(&q, &[&a, &b, &c]);
+/// let grid = Grid::square((0.0, 16.0), (0.0, 16.0), 2);
+/// let planned = cascade_order(&q, &[&a, &b, &c], &grid);
 /// assert_eq!(planned.triples().len(), q.triples().len());
 /// ```
 #[must_use]
-pub fn cascade_order(query: &Query, relations: &[&[Rect]]) -> Query {
-    assert_eq!(relations.len(), query.num_relations());
-    let samples = sample_relations(Inputs::Memory(relations));
-    let size = |r: mwsj_query::RelationId| relations[r.index()].len() as f64;
+pub fn cascade_order(query: &Query, relations: &[&[Rect]], grid: &Grid) -> Query {
+    cascade_order_inputs(query, Inputs::Memory(relations), grid)
+}
+
+/// [`cascade_order`] over whatever a run binds.
+pub(crate) fn cascade_order_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid) -> Query {
+    assert_eq!(inputs.len(), query.num_relations());
+    let rels = relations(inputs, grid);
+    let size = |r: mwsj_query::RelationId| rels[r.index()].n;
     let mut remaining: Vec<(Triple, f64)> = query
         .triples()
         .iter()
-        .map(|t| (*t, estimate_selectivity(t, &samples)))
+        .map(|t| (*t, selectivity(t, &rels, grid)))
         .collect();
 
     let mut ordered: Vec<Triple> = Vec::with_capacity(remaining.len());
@@ -431,8 +400,9 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
         .sum()
 }
 
-/// Builds the costed plan for a query over bound datasets on a cluster
-/// partitioning the space by `grid`, one reducer per cell.
+/// Builds the costed plan for a query over bound datasets, inside
+/// `grid`'s space, on a cluster partitioning it by `grid`, one reducer per
+/// cell.
 ///
 /// Deterministic: same inputs, same plan (see the module docs).
 #[must_use]
@@ -440,53 +410,62 @@ pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid) -> Plan {
     plan_inputs(query, Inputs::Memory(relations), grid)
 }
 
-/// [`plan`] over whatever a run binds. Over *stored* datasets the five
-/// shuffle candidates are costed from storage-order samples (nothing is
-/// materialized), and the shuffle-free [`Algorithm::MapSide`] is a sixth
-/// candidate. Map-side moves zero records — the inputs are already
-/// partitioned on the grid — so its cost is one round of overhead plus the
-/// estimated matched pairs the local kernels touch.
+/// [`plan`] over whatever a run binds. Over *stored* datasets the
+/// shuffle-free [`Algorithm::MapSide`] is a sixth candidate. Map-side moves
+/// zero records — the inputs are already partitioned on the grid — so its
+/// cost is one round of overhead plus the estimated matched pairs the
+/// local kernels touch.
 pub(crate) fn plan_inputs(query: &Query, inputs: Inputs<'_>, grid: &Grid) -> Plan {
     let reducers = grid.num_cells();
     assert_eq!(inputs.len(), query.num_relations());
-    let samples = &sample_relations(inputs);
-    let sizes: &[f64] = &(0..inputs.len())
-        .map(|pos| inputs.size(pos) as f64)
-        .collect::<Vec<_>>();
+    let rels = relations(inputs, grid);
+    let sizes: &[f64] = &rels.iter().map(|r| r.n).collect::<Vec<_>>();
+    let max_sides = (rels.iter().map(|r| r.max_sides))
+        .fold((0.0, 0.0), |(l, b), (rl, rb)| (rl.max(l), rb.max(b)));
+    let reach = limited_reach(query, max_sides, grid);
     let d = query.max_range_distance();
-    let reach = limited_reach(query, inputs.max_sides(), grid);
-    let stats = relation_stats(sizes, samples, grid, &reach, d);
+    let cell = grid.cell_rect(CellId(0));
+    let (w, h) = (cell.l(), cell.b());
 
-    // All-Replicate: one round, every rectangle shuffled q4-fold.
-    let all_rep_comm: f64 = stats.iter().map(|s| s.n * s.q4).sum();
-    // C-Rep: round 1 splits everything and joins per cell; only the
-    // marked rectangles make the DFS round-trip and are replicated by
-    // round 2, f1-fold (f2-fold under the C-Rep-L bound).
-    let round1: f64 = stats.iter().map(|s| s.n * s.split).sum();
-    let marked: f64 = stats.iter().map(|s| s.n * s.marked).sum();
-    let crep_round2: f64 = stats.iter().map(|s| s.n * s.marked * s.q4_marked).sum();
-    let crep_l_round2: f64 = stats
-        .iter()
-        .map(|s| s.n * s.marked * s.q4_bounded_marked)
-        .sum();
+    // All-Replicate: one round, every rectangle shuffled f1-fold. C-Rep:
+    // round 1 splits everything and joins per cell; only the marked
+    // rectangles make the DFS round-trip and are replicated by round 2,
+    // f1-fold (f2-fold under the C-Rep-L bound).
+    let [mut all_rep_comm, mut round1, mut marked, mut crep_round2, mut crep_l_round2] = [0.0; 5];
+    for c in grid.cells() {
+        let (col, row) = (grid.col_of(c), grid.row_of(c));
+        let (room_x, room_y) = (grid.cols() - 1 - col, grid.rows() - 1 - row);
+        let f1 = f64::from(room_x + 1) * f64::from(room_y + 1);
+        for (rel, &(reach_x, reach_y)) in rels.iter().zip(&reach) {
+            let n = f64::from(rel.homes[c.0 as usize]);
+            let split = span(rel.l, w, room_x) * span(rel.b, h, room_y);
+            let f2 = span(rel.l + reach_x, w, room_x) * span(rel.b + reach_y, h, room_y);
+            let stay =
+                stays(rel.l, d, w, col > 0, room_x > 0) * stays(rel.b, d, h, row > 0, room_y > 0);
+            let n_marked = n * (1.0 - stay);
+            all_rep_comm += n * f1;
+            round1 += n * split;
+            marked += n_marked;
+            crep_round2 += n_marked * f1;
+            crep_l_round2 += n_marked * f2;
+        }
+    }
     // Hypercube: one round, relation i shuffled Π_{j≠i} s_j-fold.
     let share_sizes: Vec<u64> = sizes.iter().map(|&n| n as u64).collect();
     let shares = derive_shares(&share_sizes, reducers);
     let hyper_comm: f64 = {
         let product: f64 = shares.iter().map(|&s| f64::from(s)).product();
-        stats
-            .iter()
-            .zip(shares.iter())
-            .map(|(s, &sh)| s.n * product / f64::from(sh))
+        (sizes.iter().zip(shares.iter()))
+            .map(|(n, &sh)| n * product / f64::from(sh))
             .sum()
     };
     let pairs = hypercube_pairs(query.triples(), sizes, &shares);
-    // One sample-pair scan per triple, shared by the cascade's stages
-    // and map-side's matched-pair term.
+    // One estimate per triple, shared by the cascade's stages and
+    // map-side's matched-pair term.
     let selectivities: Vec<f64> = query
         .triples()
         .iter()
-        .map(|t| estimate_selectivity(t, samples))
+        .map(|t| selectivity(t, &rels, grid))
         .collect();
 
     let mut candidates = vec![
@@ -615,16 +594,16 @@ mod tests {
         let again = plan_inputs(&q, Inputs::Stored(&refs), &grid);
         assert_eq!(p.to_json(), again.to_json());
         // Each triple's selectivity is estimated once and feeds both the
-        // cascade and map-side terms; the plan is, byte for byte, what
-        // estimating it per term produced.
+        // cascade and map-side terms. Pinned byte for byte: f1 (All-Rep)
+        // and the hypercube are exact, the rest are the closed forms.
         assert_eq!(
             p.to_json(),
             concat!(
                 r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
-                r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":168.0,"cost":2003.4},"#,
-                r#"{"algorithm":"cascade","jobs":2,"comm_records":985.0,"dfs_records":23.5,"local_pairs":0.0,"cost":5055.6},"#,
-                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1472.0,"dfs_records":162.0,"local_pairs":0.0,"cost":5958.0},"#,
-                r#"{"algorithm":"crep","jobs":2,"comm_records":4770.0,"dfs_records":162.0,"local_pairs":0.0,"cost":9256.0},"#,
+                r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":158.3,"cost":2003.2},"#,
+                r#"{"algorithm":"cascade","jobs":2,"comm_records":977.8,"dfs_records":20.9,"local_pairs":0.0,"cost":5040.4},"#,
+                r#"{"algorithm":"crep-l","jobs":2,"comm_records":1395.3,"dfs_records":182.2,"local_pairs":0.0,"cost":5941.8},"#,
+                r#"{"algorithm":"crep","jobs":2,"comm_records":5288.2,"dfs_records":182.2,"local_pairs":0.0,"cost":9834.7},"#,
                 r#"{"algorithm":"allrep","jobs":1,"comm_records":19229.0,"dfs_records":0.0,"local_pairs":0.0,"cost":21229.0},"#,
                 r#"{"algorithm":"hypercube","jobs":1,"comm_records":14400.0,"dfs_records":0.0,"local_pairs":720000.0,"cost":30800.0}]}"#,
             )
@@ -660,7 +639,7 @@ mod tests {
         // Each spelling lists a condition before anything binds its
         // endpoints; the cascade defers it, so the spelling is priced (and
         // run) as the one next to it, written in executed order. Same
-        // first-mention order within a pair: same positions, same samples.
+        // first-mention order within a pair: same positions, same data.
         for (written, executed) in [
             // The chain of ISSUE 22's measurement.
             (
@@ -714,8 +693,11 @@ mod tests {
         let q = Query::parse("A ov B and B ra(30) C and C ov D and D ov A").unwrap();
         let rels: Vec<Vec<Rect>> = (1..=4).map(|seed| relation(60, seed, 40.0)).collect();
         let inputs: Vec<&[Rect]> = rels.iter().map(Vec::as_slice).collect();
-        let planned = cascade_order(&q, &inputs);
-        assert_eq!(planned.to_string(), cascade_order(&q, &inputs).to_string());
+        let planned = cascade_order(&q, &inputs, &grid8());
+        assert_eq!(
+            planned.to_string(),
+            cascade_order(&q, &inputs, &grid8()).to_string()
+        );
         assert_eq!(planned.triples().len(), q.triples().len());
         // Same relation names in the same positions, so the caller's
         // positional bindings stay valid and the result is the same.
@@ -739,19 +721,72 @@ mod tests {
     #[test]
     fn cascade_order_starts_with_the_most_selective_condition() {
         // B-C barely joins (tiny rectangles in a far corner); A-B joins a
-        // lot (big rectangles). The order must start with B-C — also when
-        // a relation is smaller than the sample.
+        // lot (big rectangles). The order must start with B-C.
         let a = relation(80, 11, 120.0);
         let b = relation(80, 12, 120.0);
         let c = vec![Rect::new(0.5, 1.0, 0.2, 0.2); 80];
         let q = Query::parse("A ov B and B ov C").unwrap();
-        let planned = cascade_order(&q, &[&a, &b, &c]);
+        let planned = cascade_order(&q, &[&a, &b, &c], &grid8());
         let first = planned.triples()[0];
         assert_eq!(
             (planned.name(first.left), planned.name(first.right)),
             ("B", "C"),
             "planned order: {planned}"
         );
+    }
+
+    /// Exact pair counts of every triple, by testing every pair.
+    fn brute_force_pairs(q: &Query, rels: &[&[Rect]]) -> Vec<f64> {
+        (q.triples().iter())
+            .map(|t| {
+                let (a, b) = (rels[t.left.index()], rels[t.right.index()]);
+                let hits = a
+                    .iter()
+                    .map(|x| b.iter().filter(|y| t.predicate.eval(x, y)).count());
+                hits.sum::<usize>() as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pair_counts_are_within_fifteen_percent_of_brute_force() {
+        let grid = grid8();
+        let rels: Vec<Vec<Rect>> = (1..=3).map(|seed| relation(2_000, seed, 30.0)).collect();
+        let slices: Vec<&[Rect]> = rels.iter().map(Vec::as_slice).collect();
+        let stats = relations(Inputs::Memory(&slices), &grid);
+        for q in ["A ov B and B ov C", "A ra(25) B and B ra(25) C"] {
+            let q = Query::parse(q).unwrap();
+            let exact = brute_force_pairs(&q, &slices);
+            for (t, exact) in q.triples().iter().zip(exact) {
+                let estimated = selectivity(t, &stats, &grid) * 2_000.0 * 2_000.0;
+                let error = estimated / exact - 1.0;
+                assert!(
+                    error.abs() < 0.15,
+                    "{q}: {estimated:.0} estimated, {exact} exact"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn relations_that_share_a_populated_cell_never_price_selectivity_zero() {
+        let grid = grid8();
+        let q = Query::parse("A ov B").unwrap();
+        // Sparse bodies a sample of 600² pairs misses: 5 000 specks each,
+        // a thousandth of a cell's side, and one disjoint pair in a cell.
+        let (a, b) = (relation(5_000, 21, 0.125), relation(5_000, 22, 0.125));
+        let c = [Rect::new(1.0, 120.0, 2.0, 2.0)];
+        let d = [Rect::new(100.0, 10.0, 2.0, 2.0)];
+        for (left, right) in [(&a[..], &b[..]), (&c, &d)] {
+            let stats = relations(Inputs::Memory(&[left, right]), &grid);
+            let shared = (stats[0].homes.iter().zip(&stats[1].homes)).any(|(&x, &y)| x * y > 0);
+            assert!(shared);
+            assert!(selectivity(&q.triples()[0], &stats, &grid) > 0.0);
+        }
+        // No shared populated cell, no pair.
+        let e = [Rect::new(900.0, 120.0, 2.0, 2.0)];
+        let stats = relations(Inputs::Memory(&[&c, &e]), &grid);
+        assert_eq!(selectivity(&q.triples()[0], &stats, &grid), 0.0);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! One threading rule runs from the socket to the reducer: *the thread
 //! that submits is the first worker, and nothing spawns per unit of
-//! work*. The loop thread answers what needs no load, no plan and no join
-//! — `stats`, malformed requests, sheds, and a request whose datasets are
-//! registered, whose plan is memoized and whose result is cached (it
-//! copies those bytes to the socket anyway). The rest are jobs for the
+//! work*. The loop thread answers what needs no load and no join —
+//! `stats`, malformed requests, sheds, an `explain` and a request whose
+//! result is cached, over registered datasets (a plan reads statistics
+//! the stores folded at open, O(cells)). The rest are jobs for the
 //! [`ServerConfig::max_inflight`] threads of the `pool` module, each the
 //! first worker of every engine phase and map-side cell queue under it,
 //! on one shared engine whose fair-share slot scheduler arbitrates.
@@ -52,7 +52,6 @@
 pub mod cache;
 pub mod client;
 mod event;
-mod plans;
 mod pool;
 pub mod protocol;
 pub mod signal;
@@ -67,13 +66,11 @@ use std::time::{Duration, Instant};
 use mwsj_core::mapreduce::{
     json_escape, CancelToken, EngineConfig, FaultPlan, JobErrorKind, JobMetrics, NetFaultPlan,
 };
-use mwsj_core::optimizer::Plan;
 use mwsj_core::store::{StoreBuilder, StoredDataset};
 use mwsj_core::{Algorithm, Cluster, ClusterConfig, JoinError, JoinOutput, StoredRun};
 use mwsj_query::Query;
 
 use cache::{CacheKey, CachedResult, ResultCache};
-use plans::{PlanKey, PlanMemo};
 use protocol::{ErrorCode, ExplainRequest, QueryRequest, Request};
 
 pub use client::{Client, ClientConfig, ClientError, Proto};
@@ -295,8 +292,6 @@ struct Inner {
     config: ServerConfig,
     cluster: Cluster,
     cache: ResultCache,
-    /// Costed plans by `(canonical query, fingerprints)`.
-    plans: PlanMemo,
     /// Every bound dataset by source spec, as a store on the service grid:
     /// each query joins straight off these.
     datasets: Registry<Arc<StoredDataset>>,
@@ -399,7 +394,6 @@ impl Server {
             Cluster::new(ClusterConfig::for_space(space, space, config.grid).with_engine(engine));
         let inner = Arc::new(Inner {
             cache: ResultCache::new(config.cache_bytes),
-            plans: PlanMemo::default(),
             datasets: Registry::new(),
             stats: ServiceStats::default(),
             stop: AtomicBool::new(false),
@@ -485,9 +479,9 @@ impl BoundQuery {
 // The query path is six stages, one function each:
 // bind → resolve → lookup → admit → run → render.
 // A result-cache hit leaves after lookup, so everything it pays — parse,
-// bind, the plan memo, the cache get, the response render — is
-// proportional to the request and the reply, never to the datasets; the
-// loop thread runs those three stages itself, as peeks. `admit` is its
+// bind, the plan, the cache get, the response render — is proportional to
+// the request, the grid and the reply, never to the datasets; the loop
+// thread runs those three stages itself, as peeks. `admit` is its
 // step between that attempt and a worker's run of the whole path.
 
 /// Stage 1 — bind: parses a query and binds a dataset to every canonical
@@ -558,23 +552,6 @@ fn bind_query(
     }))
 }
 
-/// The costed plan of a bound query, through the plan memo. A miss plans
-/// exactly as [`Cluster::plan_stored`] does — or, with `peek`, is `None`;
-/// the plan is a pure function of the memo key (see [`plans`]), so a hit
-/// returns the same bytes without touching the datasets.
-fn plan_for(inner: &Inner, bound: &BoundQuery, peek: bool) -> Option<Arc<Plan>> {
-    let key = PlanKey {
-        query: bound.canonical.to_string(),
-        fingerprints: bound.fingerprints.clone(),
-    };
-    if peek {
-        return inner.plans.peek(&key);
-    }
-    Some(inner.plans.get_or_plan(key, || {
-        inner.cluster.plan_stored(&bound.canonical, &bound.refs())
-    }))
-}
-
 /// Answers an `explain` request: binds the datasets and returns the
 /// costed plan without executing anything.
 fn handle_explain(inner: &Inner, e: &ExplainRequest, peek: bool) -> Option<String> {
@@ -584,7 +561,10 @@ fn handle_explain(inner: &Inner, e: &ExplainRequest, peek: bool) -> Option<Strin
     };
     Some(format!(
         "{{\"ok\":true,\"plan\":{},\"fingerprint\":\"{:016x}\"}}",
-        plan_for(inner, &bound, peek)?.to_json(),
+        inner
+            .cluster
+            .plan_stored(&bound.canonical, &bound.refs())
+            .to_json(),
         bound.combined_fingerprint
     ))
 }
@@ -594,17 +574,15 @@ fn handle_explain(inner: &Inner, e: &ExplainRequest, peek: bool) -> Option<Strin
 /// formed: the key must never contain `"auto"`, so an auto query and its
 /// manually-pinned twin share one cache entry. The plan is deterministic,
 /// so resolving here and pinning the run keeps the key and the execution
-/// consistent. A pinned request never plans; `None` is a peek that would
-/// have had to.
-fn resolve(
-    inner: &Inner,
-    bound: &BoundQuery,
-    requested: Algorithm,
-    peek: bool,
-) -> Option<Algorithm> {
+/// consistent. A pinned request never plans.
+fn resolve(inner: &Inner, bound: &BoundQuery, requested: Algorithm) -> Algorithm {
     match requested {
-        Algorithm::Auto => Some(plan_for(inner, bound, peek)?.algorithm),
-        pinned => Some(pinned),
+        Algorithm::Auto => {
+            (inner.cluster)
+                .plan_stored(&bound.canonical, &bound.refs())
+                .algorithm
+        }
+        pinned => pinned,
     }
 }
 
@@ -733,7 +711,7 @@ fn handle_query(inner: &Inner, q: &QueryRequest, worker: Option<&CancelToken>) -
         Ok(bound) => bound,
         Err(msg) => return Some(fail(inner, ErrorCode::BadRequest, &msg)),
     };
-    let algorithm = resolve(inner, &bound, q.algorithm, peek)?;
+    let algorithm = resolve(inner, &bound, q.algorithm);
     let key = CacheKey {
         query: bound.canonical.to_string(),
         fingerprints: bound.fingerprints.clone(),
@@ -782,10 +760,9 @@ fn counters_json(jobs: &[JobMetrics]) -> String {
 /// Renders the `stats` response.
 fn stats_response(inner: &Inner) -> String {
     let c = inner.cache.stats();
-    let p = inner.plans.stats();
     let sched = inner.cluster.engine().scheduler();
     format!(
-        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"plans\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"workers\":{},\"busy\":{},\"queued\":{},\"answered_inline\":{}}}",
+        "{{\"ok\":true,\"queries\":{},\"served_from_cache\":{},\"cancelled\":{},\"shed\":{},\"brownout_sheds\":{},\"evicted\":{},\"errors\":{},\"brownout\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}},\"slots\":{},\"slots_available\":{},\"workers\":{},\"busy\":{},\"queued\":{},\"answered_inline\":{}}}",
         inner.stats.queries.load(Ordering::Relaxed),
         inner.stats.served_from_cache.load(Ordering::Relaxed),
         inner.stats.cancelled.load(Ordering::Relaxed),
@@ -801,9 +778,6 @@ fn stats_response(inner: &Inner) -> String {
         c.entries,
         sched.slots(),
         sched.available(),
-        p.hits,
-        p.misses,
-        p.entries,
         inner.config.max_inflight,
         inner.stats.pool_load.0.load(Ordering::Relaxed),
         inner.stats.pool_load.1.load(Ordering::Relaxed),
@@ -971,10 +945,10 @@ mod tests {
         remove(&stores);
     }
 
-    /// The loop thread's attempt: a request over registered names whose
-    /// plan is memoized and whose result is cached is answered while other
-    /// names are mid-load; anything else is handed on without waiting for
-    /// a load and without counting the miss the worker will count.
+    /// The loop thread's attempt: a cached request or an `explain` over
+    /// registered names is answered while other names are mid-load;
+    /// anything else is handed on without waiting for a load and without
+    /// counting the miss the worker will count.
     #[test]
     fn the_loop_answers_hits_beside_running_loads_and_counts_no_miss_twice() {
         let inner = service();
@@ -983,10 +957,10 @@ mod tests {
         assert_eq!(peek(&inner, &hit), None, "nothing is registered yet");
         assert!(ask(&inner, &hit).contains("\"cached\":false"));
         let counted = |inner: &Inner| {
-            let (plans, cache) = (inner.plans.stats(), inner.cache.stats());
-            (plans.hits, plans.misses, cache.hits, cache.misses)
+            let cache = inner.cache.stats();
+            (cache.hits, cache.misses)
         };
-        assert_eq!(counted(&inner), (0, 1, 0, 1));
+        assert_eq!(counted(&inner), (0, 1));
 
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -1004,7 +978,7 @@ mod tests {
             started_rx.recv().unwrap();
             scope.spawn(move || {
                 let bc = [("B", B), ("C", C)];
-                let unplanned = request("explain", "A ov B", &[("A", B), ("B", A)], "");
+                let swapped = request("explain", "A ov B", &[("A", B), ("B", A)], "");
                 let peeks = [
                     peek(inner, &hit),
                     peek(inner, &request("explain", "A ov B", &ab, "")),
@@ -1013,7 +987,7 @@ mod tests {
                         inner,
                         &request("query", "A ov B", &ab, ",\"count_only\":true"),
                     ),
-                    peek(inner, &unplanned),
+                    peek(inner, &swapped),
                 ];
                 peeked_tx.send(peeks).unwrap();
             });
@@ -1021,15 +995,16 @@ mod tests {
             // turns that hang into a failure.
             let peeks = peeked_rx.recv_timeout(Duration::from_secs(30));
             release_tx.send(()).unwrap();
-            let [hit, explained, mid_load, uncached, unplanned] =
+            let [hit, explained, mid_load, uncached, swapped] =
                 peeks.expect("a peek waited behind `C`'s load");
             assert!(hit.expect("a cached result").contains("\"cached\":true"));
-            assert!(explained.expect("a memoized plan").contains("\"plan\":"));
-            assert_eq!([mid_load, uncached, unplanned], [None, None, None]);
+            for explained in [explained, swapped] {
+                assert!(explained.expect("a plan").contains("\"plan\":"));
+            }
+            assert_eq!([mid_load, uncached], [None, None]);
         });
-        // Three plan-memo hits (two answers and the uncached query's
-        // resolve), one cache hit, and not one miss more.
-        assert_eq!(counted(&inner), (3, 1, 1, 1));
+        // One cache hit, and not one miss more.
+        assert_eq!(counted(&inner), (1, 1));
         assert_eq!(inner.stats.errors.load(Ordering::Relaxed), 0);
     }
 
@@ -1061,16 +1036,15 @@ mod tests {
     }
 
     #[test]
-    fn explain_is_memoized_and_byte_identical_to_a_fresh_plan() {
+    fn explain_is_byte_identical_to_a_fresh_plan() {
         let inner = service();
         let q2 = "A ov B and B ov C";
         let abc = [("A", A), ("B", B), ("C", C)];
         let cold = ask(&inner, &request("explain", q2, &abc, ""));
         let warm = ask(&inner, &request("explain", q2, &abc, ""));
         assert_eq!(cold, warm);
-        let s = inner.plans.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        // What the memo answers is what the planner says.
+        // What `explain` answers is what the planner says, and a
+        // differently-spelled query plans its canonical form.
         let bound = bind_query(
             &inner,
             q2,
@@ -1083,44 +1057,24 @@ mod tests {
             .plan_stored(&bound.canonical, &bound.refs())
             .to_json();
         assert!(warm.contains(&fresh), "{warm} vs {fresh}");
-
-        // An `auto` query over the same binding resolves from the memo,
-        // and a differently-spelled one shares its canonical key.
-        let auto = ask(&inner, &request("query", q2, &abc, ",\"count_only\":true"));
-        assert!(auto.contains("\"ok\":true"), "{auto}");
-        ask(&inner, &request("explain", "C ov B and B ov A", &abc, ""));
-        assert_eq!(inner.plans.stats().hits, 3);
-        // A pinned query never plans.
-        let before = inner.plans.stats();
-        ask(
-            &inner,
-            &request(
-                "query",
-                q2,
-                &abc,
-                ",\"algorithm\":\"cascade\",\"count_only\":true",
-            ),
-        );
-        assert_eq!(inner.plans.stats(), before);
+        let respelled = ask(&inner, &request("explain", "C ov B and B ov A", &abc, ""));
+        assert_eq!(respelled, warm);
 
         // Another query over the same datasets, and the same query over a
         // re-seeded dataset, are different plans.
-        ask(
+        let cycle = ask(
             &inner,
             &request("explain", "A ov B and B ov C and A ov C", &abc, ""),
         );
+        assert_ne!(cycle, warm);
         let reseeded = "synthetic:n=300,seed=4,extent=5000,lmax=300";
-        ask(
+        let reseeded = ask(
             &inner,
             &request("explain", q2, &[("A", A), ("B", B), ("C", reseeded)], ""),
         );
-        let s = inner.plans.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (3, 3, 3));
+        assert_ne!(reseeded, warm);
         let stats = ask(&inner, "{\"op\":\"stats\"}");
-        assert!(
-            stats.contains(",\"plans\":{\"hits\":3,\"misses\":3,\"entries\":3},\"workers\":4,"),
-            "{stats}"
-        );
+        assert!(!stats.contains("\"plans\""), "{stats}");
     }
 
     /// Every binding is a store on the service grid, so a generator spec
@@ -1140,8 +1094,6 @@ mod tests {
             "{}",
             explained[0]
         );
-        let s = inner.plans.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         // The stores are registered now; no bind reads their files again.
         remove(&stores);
 
@@ -1157,8 +1109,7 @@ mod tests {
             format!("{}{}", &reply[..at], &reply[end..])
         };
         assert_eq!(logical(&answered[0]), logical(&answered[1]));
-        let (cache, plans) = (inner.cache.stats(), inner.plans.stats());
+        let cache = inner.cache.stats();
         assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
-        assert_eq!((plans.misses, plans.entries), (1, 1));
     }
 }

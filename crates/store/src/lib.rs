@@ -395,8 +395,47 @@ pub struct StoredDataset {
     cells: Vec<CellMeta>,
     rects: Vec<Rect>,
     ids: Vec<u32>,
-    /// The largest `l()` and `b()` of any record.
-    max_sides: (f64, f64),
+    /// The side sums and maxima of the records.
+    sides: Sides,
+}
+
+/// The side statistic of a relation, folded in one pass over its records:
+/// the sums of every body's length ([`Rect::l`]), breadth ([`Rect::b`])
+/// and area, and the largest of each side. With the records per home cell
+/// it is all the planner prices a relation by; the maxima are the reach
+/// C-Rep-L and a map-side gather assume.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Sides {
+    /// `Σ l` over the records.
+    pub sum_l: f64,
+    /// `Σ b` over the records.
+    pub sum_b: f64,
+    /// `Σ l·b` over the records.
+    pub sum_lb: f64,
+    /// The largest `l`, 0 when there is no record.
+    pub max_l: f64,
+    /// The largest `b`, 0 when there is no record.
+    pub max_b: f64,
+}
+
+impl Sides {
+    /// Folds one record in.
+    pub fn add(&mut self, r: &Rect) {
+        let (l, b) = (r.l(), r.b());
+        self.sum_l += l;
+        self.sum_b += b;
+        self.sum_lb += l * b;
+        self.max_l = self.max_l.max(l);
+        self.max_b = self.max_b.max(b);
+    }
+
+    /// The statistic of a relation.
+    #[must_use]
+    pub fn of(rects: &[Rect]) -> Self {
+        let mut sides = Self::default();
+        rects.iter().for_each(|r| sides.add(r));
+        sides
+    }
 }
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
@@ -841,7 +880,7 @@ impl StoredDataset {
         let num_cells = grid.num_cells() as usize;
         let mut cells = Vec::with_capacity(num_cells);
         let mut seen = vec![false; n];
-        let mut sides: (f64, f64) = (0.0, 0.0);
+        let mut sides = Sides::default();
         for (c, row) in meta[META_HEADER_WORDS..]
             .chunks_exact(META_CELL_WORDS)
             .enumerate()
@@ -855,8 +894,8 @@ impl StoredDataset {
             if !run.is_empty() && !grid.extent().contains_rect(&extent) {
                 return Err(corrupt(format!("cell {c}: extent lies outside the grid")));
             }
-            // One pass, comparisons only: containment, order, the run's
-            // lowest and highest `max_y`, and the largest sides.
+            // One pass: containment, order, the run's lowest and highest
+            // `max_y`, and the side statistic.
             let (mut inside, mut sorted) = (true, true);
             let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let mut prev = f64::NEG_INFINITY;
@@ -865,7 +904,7 @@ impl StoredDataset {
                 sorted &= prev <= r.min_x();
                 prev = r.min_x();
                 (y_lo, y_hi) = (y_lo.min(r.max_y()), y_hi.max(r.max_y()));
-                sides = (sides.0.max(r.l()), sides.1.max(r.b()));
+                sides.add(r);
             }
             if !inside {
                 let k = run.iter().position(|r| !extent.contains_rect(r));
@@ -915,7 +954,7 @@ impl StoredDataset {
             cells,
             rects,
             ids,
-            max_sides: sides,
+            sides,
         })
     }
 
@@ -965,12 +1004,18 @@ impl StoredDataset {
     /// runs, and which part of each run, can hold a record near a window.
     #[must_use]
     pub fn max_sides(&self) -> (f64, f64) {
-        self.max_sides
+        (self.sides.max_l, self.sides.max_b)
+    }
+
+    /// The side statistic, folded at open.
+    #[must_use]
+    pub fn sides(&self) -> Sides {
+        self.sides
     }
 
     /// The `(rect, input_order_id)` at storage position `i` (cell by
-    /// cell, each run in `min_x` order) — O(1) random access, for sampling
-    /// and for a map phase that reads the store in place.
+    /// cell, each run in `min_x` order) — O(1) random access, for a map
+    /// phase that reads the store in place.
     ///
     /// # Panics
     /// Panics when `i` is out of bounds.

@@ -240,11 +240,11 @@ fn planned_cascade_shrinks_intermediates_on_skewed_selectivity() {
         })
         .collect();
     let q = Query::parse("A ov B and B ov C").unwrap();
-    let planned = cascade_order(&q, &[&a, &b, &c]);
+    let cl = cluster();
+    let planned = cascade_order(&q, &[&a, &b, &c], cl.grid());
     // The planned first condition is the selective one.
     assert_eq!(q.name(planned.triples()[0].right), "C");
 
-    let cl = cluster();
     let naive = cl.run(&q, &[&a, &b, &c], Algorithm::TwoWayCascade);
     let smart = cl.run(&planned, &[&a, &b, &c], Algorithm::TwoWayCascade);
     assert_eq!(naive.tuples, smart.tuples, "reordering preserves results");
