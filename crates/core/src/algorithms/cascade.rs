@@ -6,8 +6,9 @@
 //! touches a relation already bound — the query's own order whenever every
 //! prefix of it is connected (the paper assumes the given order is the
 //! optimal one, §6.1 footnote; [`crate::optimizer::cascade_order`] finds a
-//! better one from samples). The optimizer prices the cascade by walking
-//! the same function, so its estimate describes the jobs that run.
+//! better one from each relation's records per home cell and side sums,
+//! not from samples). The optimizer prices the cascade by walking the same
+//! function, so its estimate describes the jobs that run.
 //! Each job joins the growing intermediate result with the next base
 //! relation using the 2-way blueprint of §5: the bound side is routed to
 //! every cell its (enlarged, for range predicates) anchor rectangle

@@ -144,8 +144,8 @@ pub enum Algorithm {
     /// not in [`Algorithm::ALL`] because it needs stored inputs.
     MapSide,
     /// Let the cost-based optimizer ([`crate::optimizer`]) pick one of the
-    /// concrete algorithms from dataset statistics, sampled selectivities
-    /// and the query's join graph.
+    /// concrete algorithms from each relation's records per home cell and
+    /// side sums, priced in closed form, and the query's join graph.
     Auto,
 }
 

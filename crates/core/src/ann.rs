@@ -10,16 +10,18 @@
 //! id). The classic grid scheme:
 //!
 //! 1. **Candidate round.** The inner relation is *split*; outer rectangles
-//!    are *projected*. Each reducer answers every local outer rectangle
-//!    from its local R-tree; the distance of the k-th local neighbor is a
-//!    correct **upper bound** on the true k-th NN distance (any k local
-//!    neighbors are at least as far as the true ones). Outer rectangles
-//!    whose cell holds fewer than `k` inner rectangles fall back to the
-//!    space diagonal.
+//!    are *projected*. Each reducer sorts its inner rectangles by `min_x`
+//!    and answers every local outer rectangle by scanning that run outward
+//!    from it ([`SortedRun::k_best`]); the distance of the k-th local
+//!    neighbor is a correct **upper bound** on the true k-th NN distance
+//!    (any k local neighbors are at least as far as the true ones). Outer
+//!    rectangles whose cell holds fewer than `k` inner rectangles fall
+//!    back to the space diagonal.
 //! 2. **Verification round.** Each outer rectangle is re-routed to every
 //!    cell within its upper bound ([`Grid::split_cells_enlarged`], the
 //!    enlarged split of §5.3); the inner relation is split again.
-//!    Reducers emit their local k best per outer id. Since the true
+//!    Reducers emit their local k best per outer id, found by the same
+//!    scan and kept by `(distance², inner id)`. Since the true
 //!    neighbors lie within the upper bound of some cell the rectangle
 //!    reaches, their union holds the exact answer.
 //! 3. **Aggregation round.** Keyed by outer id, a third job keeps the
@@ -35,10 +37,12 @@
 //! [`Grid::split_cells_enlarged`]: mwsj_partition::Grid::split_cells_enlarged
 
 use mwsj_geom::{Coord, Rect};
+use mwsj_local::index::SortedRun;
+use mwsj_local::LocalRect;
 use mwsj_mapreduce::JobSpec;
 use mwsj_partition::CellSpan;
-use mwsj_rtree::{PackedRTree, RTree};
 
+use crate::algorithms::Inputs;
 use crate::record::{Fixed, InputRef};
 use crate::{Cluster, JoinError};
 
@@ -88,30 +92,20 @@ pub fn try_knn_join(
 ) -> Result<Vec<Vec<NearestNeighbor>>, JoinError> {
     let grid = cluster.grid();
     let engine = cluster.engine();
-    let extent = grid.extent();
     if k == 0 {
         return Err(JoinError::InvalidInput("k must be positive".to_string()));
     }
-    for (side, rects) in [("outer", outer), ("inner", inner)] {
-        if !rects.iter().all(|r| extent.contains_rect(r)) {
-            return Err(JoinError::InvalidInput(format!(
-                "{side} relation contains rectangles outside the cluster space"
-            )));
-        }
-    }
-    // Rounds 1–2 map a `u32` index per record.
-    if outer.len() + inner.len() > u32::MAX as usize {
-        return Err(JoinError::InvalidInput(format!(
-            "{} records bound; a join reads at most {}",
-            outer.len() + inner.len(),
-            u32::MAX
-        )));
-    }
+    let sides = ["outer relation", "inner relation"];
+    cluster.check_inputs(
+        Inputs::Memory(&[outer, inner]),
+        |i| sides[i].to_string(),
+        "a join",
+    )?;
     if inner.is_empty() || outer.is_empty() {
         return Ok(vec![Vec::new(); outer.len()]);
     }
     // The worst-possible NN distance: the space diagonal.
-    let diag = extent.diagonal();
+    let diag = grid.extent().diagonal();
 
     // Rounds 1–2 map over record indices, the outer records then the
     // inner ones, and read each record in place: the map, and the reducer
@@ -133,13 +127,13 @@ pub fn try_knn_join(
             .partition(|&cell: &u32, _| cell as usize)
             .reduce(|_: &u32, values: &[RecordRef], out| {
                 let (outers, inners) = partition_records(values.iter().map(|v| read(v.index)));
-                let tree = RTree::bulk_load(inners);
-                let tree = tree.view();
+                let inners = SortedRun::new(inners);
+                let mut best = Vec::with_capacity(k);
                 for (id, r) in outers {
-                    let knn = tree.k_nearest(&r, k);
+                    inners.k_best(&r, k, &mut best);
                     // A valid bound needs k local neighbors; otherwise the
                     // true k-th neighbor may be anywhere.
-                    let ub = if knn.len() == k { knn[k - 1].2 } else { diag };
+                    let ub = best.get(k - 1).map_or(diag, |b| b.0.sqrt());
                     out((id, ub));
                 }
             }),
@@ -164,13 +158,11 @@ pub fn try_knn_join(
             .partition(|&cell: &u32, _| cell as usize)
             .reduce(|_: &u32, values: &[RecordRef], out| {
                 let (outers, inners) = partition_records(values.iter().map(|v| read(v.index)));
-                if inners.is_empty() {
-                    return;
-                }
-                let tree = RTree::bulk_load(inners);
-                let tree = tree.view();
+                let inners = SortedRun::new(inners);
+                let mut best = Vec::with_capacity(k);
                 for (outer, r) in outers {
-                    for (distance_sq, inner) in local_k_best(tree, &r, k) {
+                    inners.k_best(&r, k, &mut best);
+                    for &(distance_sq, inner) in &best {
                         out(NearestNeighbor {
                             outer,
                             inner,
@@ -237,13 +229,9 @@ fn emit_to(cells: CellSpan, i: u32, emit: &mut dyn FnMut(u32, RecordRef)) {
     }
 }
 
-/// Outer rectangles at a reducer, as `(id, rect)`.
-type OuterList = Vec<(u32, Rect)>;
-/// Inner rectangles at a reducer, shaped for R-tree bulk loading.
-type InnerList = Vec<(Rect, u32)>;
-
-/// Splits reducer input into `(outer, inner)` lists.
-fn partition_records(values: impl Iterator<Item = Record>) -> (OuterList, InnerList) {
+/// Splits reducer input into `(outer, inner)` lists: outer rectangles as
+/// `(id, rect)`, inner ones as `(rect, id)`.
+fn partition_records(values: impl Iterator<Item = Record>) -> (Vec<(u32, Rect)>, Vec<LocalRect>) {
     let mut outers = Vec::new();
     let mut inners = Vec::new();
     for v in values {
@@ -253,29 +241,6 @@ fn partition_records(values: impl Iterator<Item = Record>) -> (OuterList, InnerL
         }
     }
     (outers, inners)
-}
-
-/// The local top-k by `(distance², inner id)`: exact even under the
-/// sqrt-rounding of the k-th distance, by unioning the tree's k-nearest
-/// with the ≤ d_k ball.
-fn local_k_best(tree: PackedRTree<'_>, r: &Rect, k: usize) -> Vec<(Coord, u32)> {
-    let knn = tree.k_nearest(r, k);
-    let Some(&(_, _, d_k)) = knn.last() else {
-        return Vec::new();
-    };
-    let mut cands: Vec<(Coord, u32)> = knn
-        .iter()
-        .map(|&(rect, id, _)| (rect.distance_sq(r), id))
-        .collect();
-    tree.query_within(r, d_k, |rect, id| {
-        cands.push((rect.distance_sq(r), id));
-    });
-    cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    cands.dedup_by_key(|c| c.1);
-    // dedup_by_key only merges adjacent duplicates; equal ids always have
-    // equal distances here, so adjacency holds after the sort.
-    cands.truncate(k);
-    cands
 }
 
 /// Reference kNN implementation: brute-force scan (every distance, sorted,

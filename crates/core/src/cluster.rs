@@ -291,14 +291,6 @@ impl Cluster {
                 if relations.len() != query.num_relations() {
                     return invalid("one dataset per query relation position".to_string());
                 }
-                let extent = self.grid.extent();
-                for (i, rel) in relations.iter().enumerate() {
-                    if !rel.iter().all(|r| extent.contains_rect(r)) {
-                        return invalid(format!(
-                            "relation {i} contains rectangles outside the cluster space"
-                        ));
-                    }
-                }
             }
             Inputs::Stored(stores) => {
                 if stores.len() != query.num_relations() {
@@ -313,10 +305,35 @@ impl Cluster {
                 }
             }
         }
-        // A shuffle job's map input is one `u32` index per bound record.
+        self.check_inputs(inputs, |i| format!("relation {i}"), "a run")
+    }
+
+    /// The checks of bound records every job sequence needs, before any
+    /// job starts: every rectangle of a slice inside the cluster space
+    /// (`name(i)` names position `i` in the message), and at most
+    /// `u32::MAX` records in all, since a shuffle job's map input is one
+    /// `u32` index per record (`reader` says what reads them).
+    pub(crate) fn check_inputs(
+        &self,
+        inputs: Inputs<'_>,
+        name: impl Fn(usize) -> String,
+        reader: &str,
+    ) -> Result<(), JoinError> {
+        let invalid = |msg: String| Err(JoinError::InvalidInput(msg));
+        if let Inputs::Memory(relations) = inputs {
+            let extent = self.grid.extent();
+            for (i, rel) in relations.iter().enumerate() {
+                if !rel.iter().all(|r| extent.contains_rect(r)) {
+                    return invalid(format!(
+                        "{} contains rectangles outside the cluster space",
+                        name(i)
+                    ));
+                }
+            }
+        }
         if inputs.total() > u32::MAX as usize {
             return invalid(format!(
-                "{} records bound; a run reads at most {}",
+                "{} records bound; {reader} reads at most {}",
                 inputs.total(),
                 u32::MAX
             ));

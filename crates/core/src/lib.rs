@@ -19,7 +19,8 @@
 //! * [`Algorithm::Hypercube`] — the Shares-style hypercube join: a
 //!   reducer grid over per-relation *shares* instead of space;
 //! * [`Algorithm::Auto`] (the default) — the [`optimizer`] picks among
-//!   the above from sampled dataset statistics.
+//!   the above from one statistic per relation (records per home cell and
+//!   side sums), which a store folds at open and a slice in one pass.
 //!
 //! Beside them: [`ann`], the nearest-neighbor join §10 names as future
 //! work (one kNN scheme; the all-nearest-neighbor join is its `k = 1`);

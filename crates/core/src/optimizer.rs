@@ -13,7 +13,7 @@
 //!
 //! The same statistic orders the 2-way cascade's conditions
 //! ([`cascade_order`], §6.1's "optimal order" footnote). That is opt-in:
-//! [`plan`] prices the cascade over the stages it runs for the query as
+//! a plan prices the cascade over the stages it runs for the query as
 //! written (both walk `cascade::execution_order`) and never reorders, so a
 //! pinned `cascade` and an `auto` that chose it run the same jobs.
 //!
@@ -315,9 +315,10 @@ fn cascade_cost(query: &Query, sizes: &[f64], selectivities: &[f64]) -> Candidat
 /// executes the conditions exactly as listed.
 ///
 /// `relations[i]` is the dataset bound to position `i`, inside `grid`'s
-/// space; selectivities are the ones [`plan`] estimates for the same
-/// datasets. Reordering conjuncts never changes the result, only the
-/// cascade's intermediate sizes; position numbering is preserved.
+/// space; selectivities are the ones [`Cluster::plan`](crate::Cluster::plan)
+/// estimates for the same datasets. Reordering conjuncts never changes the
+/// result, only the cascade's intermediate sizes; position numbering is
+/// preserved.
 ///
 /// ```
 /// use mwsj_core::optimizer::cascade_order;
@@ -400,18 +401,13 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
         .sum()
 }
 
-/// Builds the costed plan for a query over bound datasets, inside
+/// Builds the costed plan for a query over whatever a run binds, inside
 /// `grid`'s space, on a cluster partitioning it by `grid`, one reducer per
-/// cell.
-///
-/// Deterministic: same inputs, same plan (see the module docs).
-#[must_use]
-pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid) -> Plan {
-    plan_inputs(query, Inputs::Memory(relations), grid)
-}
-
-/// [`plan`] over whatever a run binds. Over *stored* datasets the
-/// shuffle-free [`Algorithm::MapSide`] is a sixth candidate. Map-side moves
+/// cell. Deterministic: same inputs, same plan (see the module docs).
+/// [`Cluster::plan`](crate::Cluster::plan) and
+/// [`Cluster::plan_stored`](crate::Cluster::plan_stored) validate the
+/// inputs first. Over *stored* datasets the shuffle-free
+/// [`Algorithm::MapSide`] is a sixth candidate. Map-side moves
 /// zero records — the inputs are already partitioned on the grid — so its
 /// cost is one round of overhead plus the estimated matched pairs the
 /// local kernels touch.
@@ -547,17 +543,26 @@ mod tests {
         let b = relation(300, 2, 30.0);
         let c = relation(300, 3, 30.0);
         let grid = grid8();
-        let p1 = plan(&q, &[&a, &b, &c], &grid);
-        let p2 = plan(&q, &[&a, &b, &c], &grid);
+        let p1 = plan_inputs(&q, Inputs::Memory(&[&a, &b, &c]), &grid);
+        let p2 = plan_inputs(&q, Inputs::Memory(&[&a, &b, &c]), &grid);
         assert_eq!(p1.algorithm, p2.algorithm);
         assert_eq!(p1.to_json(), p2.to_json());
         // A plan is a function of its own inputs only: other datasets
         // planned in between — the same rectangles in other positions, a
         // relation of the same length — leave no trace in the next one.
         let d = relation(300, 4, 30.0);
-        assert_ne!(plan(&q, &[&c, &b, &a], &grid).to_json(), p1.to_json());
-        assert_ne!(plan(&q, &[&a, &b, &d], &grid).to_json(), p1.to_json());
-        assert_eq!(plan(&q, &[&a, &b, &c], &grid).to_json(), p1.to_json());
+        assert_ne!(
+            plan_inputs(&q, Inputs::Memory(&[&c, &b, &a]), &grid).to_json(),
+            p1.to_json()
+        );
+        assert_ne!(
+            plan_inputs(&q, Inputs::Memory(&[&a, &b, &d]), &grid).to_json(),
+            p1.to_json()
+        );
+        assert_eq!(
+            plan_inputs(&q, Inputs::Memory(&[&a, &b, &c]), &grid).to_json(),
+            p1.to_json()
+        );
         assert_ne!(p1.algorithm, Algorithm::Auto);
         assert_eq!(p1.candidates.len(), Algorithm::ALL.len());
     }
@@ -570,7 +575,7 @@ mod tests {
         let a = relation(5, 4, 10.0);
         let b = relation(5, 5, 10.0);
         let grid = grid8();
-        let p = plan(&q, &[&a, &b], &grid);
+        let p = plan_inputs(&q, Inputs::Memory(&[&a, &b]), &grid);
         assert_eq!(p.candidates[0].jobs, 1, "plan: {}", p.to_json());
     }
 
@@ -614,7 +619,7 @@ mod tests {
             relation(300, 2, 30.0),
             relation(300, 3, 30.0),
         );
-        let in_memory = plan(&q, &[&a, &b, &c], &grid);
+        let in_memory = plan_inputs(&q, Inputs::Memory(&[&a, &b, &c]), &grid);
         assert!(in_memory
             .candidates
             .iter()
@@ -668,8 +673,8 @@ mod tests {
                 stages.iter().map(|&(i, _)| written.triples()[i]).collect();
             assert_eq!(executed_triples, executed.triples(), "{written}");
             assert_eq!(
-                cascade_row(&plan(&written, &inputs, &grid)),
-                cascade_row(&plan(&executed, &inputs, &grid)),
+                cascade_row(&plan_inputs(&written, Inputs::Memory(&inputs), &grid)),
+                cascade_row(&plan_inputs(&executed, Inputs::Memory(&inputs), &grid)),
                 "{written}"
             );
             // The walk `cascade_cost` prices is the one `cascade::run`
@@ -795,7 +800,7 @@ mod tests {
         let a = relation(50, 6, 20.0);
         let b = relation(50, 7, 20.0);
         let grid = grid8();
-        let json = plan(&q, &[&a, &b], &grid).to_json();
+        let json = plan_inputs(&q, Inputs::Memory(&[&a, &b]), &grid).to_json();
         assert!(json.starts_with("{\"algorithm\":\""));
         assert!(json.contains("\"candidates\":["));
         assert!(json.contains("\"shares\":["));

@@ -7,6 +7,8 @@
 //! * [`index`] — the one index a reducer builds over its group: per
 //!   join-graph edge a pair list, swept from the two relations in `min_x`
 //!   order on first use and read as adjacency rows by everything below;
+//!   and for the kNN join a [`SortedRun`](index::SortedRun), one relation
+//!   in `min_x` order, scanned outward from each probe;
 //! * [`kernel`] — the reducer-side multi-way join (*All-Replicate*, both
 //!   rounds of *Controlled-Replicate*, the hypercube, map-side): finds
 //!   every tuple of local rectangles satisfying the query with per-depth

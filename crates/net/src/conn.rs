@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn sniffs_line_mode_and_extracts_lines() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         a.write_all(b"{\"op\":\"stats\"}\n{\"op\":").expect("write");
         settle(&mut conn);
         assert_eq!(conn.mode(), Some(WireMode::Line));
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn sniffs_binary_mode_and_extracts_frames() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         let mut wire = Vec::new();
         frame::encode_frame(b"first", &mut wire);
         frame::encode_frame(b"second", &mut wire);
@@ -600,7 +600,7 @@ mod tests {
     #[test]
     fn binary_mode_skips_interframe_whitespace() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         let mut wire = Vec::new();
         frame::encode_frame(b"probe", &mut wire);
         wire.push(b'\n');
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn oversize_line_is_a_typed_error() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         a.write_all(&vec![b'x'; 300]).expect("write");
         settle(&mut conn);
         match conn.next_request(256) {
@@ -629,7 +629,7 @@ mod tests {
     #[test]
     fn oversize_frame_is_a_typed_error() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         let mut wire = vec![FRAME_MAGIC];
         wire.extend_from_slice(&100_000u32.to_le_bytes());
         a.write_all(&wire).expect("write");
@@ -646,7 +646,7 @@ mod tests {
     #[test]
     fn eof_remnant_line_is_delivered() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         a.write_all(b"{\"op\":\"stats\"}").expect("write");
         a.shutdown(Shutdown::Write).expect("shutdown");
         for _ in 0..200 {
@@ -663,7 +663,7 @@ mod tests {
     #[test]
     fn eof_mid_frame_is_a_typed_error() {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         let mut wire = Vec::new();
         frame::encode_frame(b"cut short", &mut wire);
         a.write_all(&wire[..wire.len() - 3]).expect("write");
@@ -684,7 +684,7 @@ mod tests {
     /// it) and its peer, which reads with a timeout.
     fn connected(mode: WireMode) -> (TcpStream, Connection) {
         let (mut a, b) = pair();
-        let mut conn = Connection::new(b, FaultGate::transparent(), Instant::now()).expect("conn");
+        let mut conn = Connection::new(b, FaultGate::new(None, 0), Instant::now()).expect("conn");
         let mut request = b"{}\n".to_vec();
         if mode == WireMode::Binary {
             request.clear();

@@ -53,12 +53,6 @@ impl FaultGate {
         }
     }
 
-    /// A gate that never injects anything.
-    #[must_use]
-    pub fn transparent() -> FaultGate {
-        FaultGate::new(None, 0)
-    }
-
     /// Draws the next read-side decision and its operation id.
     pub fn next_read(&mut self) -> (u64, NetFault) {
         let op = READ_OP_BIT | self.reads;
@@ -125,7 +119,7 @@ mod tests {
 
     #[test]
     fn transparent_gate_never_faults() {
-        let mut gate = FaultGate::transparent();
+        let mut gate = FaultGate::new(None, 0);
         for _ in 0..64 {
             assert_eq!(gate.next_read().1, NetFault::None);
             assert_eq!(gate.next_write().1, NetFault::None);

@@ -182,7 +182,7 @@ mod tests {
         let q = parse("R1 overlaps R2 and R2 overlaps R3").unwrap();
         assert_eq!(q.num_relations(), 3);
         assert_eq!(q.triples().len(), 2);
-        assert!(q.is_overlap_only());
+        assert!(q.triples().iter().all(|t| !t.predicate.is_range()));
     }
 
     #[test]

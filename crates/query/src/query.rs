@@ -232,12 +232,6 @@ impl Query {
             .fold(0.0, Coord::max)
     }
 
-    /// Whether every predicate is an overlap (a *multi-way overlap join*).
-    #[must_use]
-    pub fn is_overlap_only(&self) -> bool {
-        self.triples.iter().all(|t| !t.predicate.is_range())
-    }
-
     /// The canonical form of this query: a semantically identical query
     /// with a unique spelling, so that trivially-different phrasings of
     /// the same join compare (and hash, via their `Display` rendering) equal.
@@ -524,14 +518,14 @@ mod tests {
     #[test]
     fn max_range_distance_and_overlap_only() {
         let q = chain3();
-        assert!(q.is_overlap_only());
+        assert!(q.triples().iter().all(|t| !t.predicate.is_range()));
         assert_eq!(q.max_range_distance(), 0.0);
         let q4 = Query::builder()
             .overlap("R1", "R2")
             .range("R2", "R3", 200.0)
             .build()
             .unwrap();
-        assert!(!q4.is_overlap_only());
+        assert!(q4.triples().iter().any(|t| t.predicate.is_range()));
         assert_eq!(q4.max_range_distance(), 200.0);
     }
 

@@ -1,11 +1,11 @@
 //! An STR (Sort-Tile-Recursive) bulk-loaded R-tree.
 //!
-//! Every reducer-local join in this workspace needs a spatial index: the
-//! 2-way local joins of §5, the multi-way backtracking matcher, and the
-//! C-Rep round-1 marking procedure all probe "which rectangles of relation
-//! R overlap / lie within d of this window?". The paper leaves the local
-//! algorithm unspecified; we use index nested loops over an R-tree,
-//! validated against brute force here and in `mwsj-local`.
+//! No product join reads it: every reducer, the map-side join and the
+//! kNN join search a `min_x`-sorted run (`mwsj_local::index`). Two
+//! callers are left — the independent reference matcher the kernel is
+//! tested against (`mwsj_local::multiway::multiway_join_naive`, index
+//! nested loops over one tree per relation) and the repo benchmark's
+//! probe layer — validated against brute force here.
 //!
 //! The tree is immutable after construction (reducer inputs are batch data),
 //! so STR bulk loading gives near-optimal packing with no insert machinery.

@@ -169,10 +169,6 @@ impl<'a> PackedRTree<'a> {
             .map(|r| r as u32)
     }
 
-    fn node_mbr(&self, node: u32) -> Rect {
-        rect_at(self.nodes, node as usize * NODE_WORDS).expect("validated at construction")
-    }
-
     /// A node's `start..end` range and whether it indexes entries (a leaf)
     /// or child nodes.
     fn node_children(&self, node: u32) -> (std::ops::Range<u32>, bool) {
@@ -237,61 +233,6 @@ impl<'a> PackedRTree<'a> {
                 }
             }
         }
-    }
-
-    /// Returns the entry nearest to the probe rectangle (smallest closed
-    /// rectangle-to-rectangle distance), with its distance: the first of
-    /// [`PackedRTree::k_nearest`] at `k = 1`, so ties resolve to the entry
-    /// earliest in storage order.
-    #[must_use]
-    pub fn nearest(&self, probe: &Rect) -> Option<(Rect, u32, Coord)> {
-        self.k_nearest(probe, 1).into_iter().next()
-    }
-
-    /// Returns the `k` entries nearest to the probe (by closed rectangle
-    /// distance, ties toward earlier storage order), sorted nearest-first.
-    /// Fewer than `k` when the tree is smaller. Branch-and-bound, nearer
-    /// child first: nodes farther than the current k-th best are never
-    /// opened.
-    #[must_use]
-    pub fn k_nearest(&self, probe: &Rect, k: usize) -> Vec<(Rect, u32, Coord)> {
-        let Some(root) = self.root().filter(|_| k > 0) else {
-            return Vec::new();
-        };
-        // Current k best as (distance, entry index), kept sorted ascending;
-        // worst at the back. k is small in practice (NN queries), so a
-        // sorted Vec beats a heap.
-        let mut best: Vec<(Coord, u32)> = Vec::with_capacity(k + 1);
-        let mut stack: Vec<(Coord, u32)> = vec![(self.node_mbr(root).distance(probe), root)];
-        while let Some((node_dist, node)) = stack.pop() {
-            if best.len() == k && node_dist > best[k - 1].0 {
-                continue;
-            }
-            let (children, is_leaf) = self.node_children(node);
-            if !is_leaf {
-                // Nearer children on top: popped first, they tighten the
-                // bound before the farther ones are looked at.
-                let first = stack.len();
-                stack.extend(children.map(|c| (self.node_mbr(c).distance(probe), c)));
-                stack[first..].sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-                continue;
-            }
-            for c in children {
-                let cand = (self.entry(c as usize).0.distance(probe), c);
-                if best.len() == k && cand >= best[k - 1] {
-                    continue;
-                }
-                let pos = best.partition_point(|&b| b < cand);
-                best.insert(pos, cand);
-                best.truncate(k);
-            }
-        }
-        best.into_iter()
-            .map(|(d, e)| {
-                let (rect, payload) = self.entry(e as usize);
-                (rect, payload, d)
-            })
-            .collect()
     }
 }
 
@@ -376,33 +317,6 @@ mod tests {
                     .filter(|(r, _)| r.within_distance(&probe, d))
                     .collect();
                 assert_eq!(got, want, "n = {n}, probe {probe_no}, d = {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn borrowed_view_nearest_and_k_nearest_agree_with_a_linear_scan() {
-        for n in [1usize, 17, 1000] {
-            let items = random_rects(n, 70 + n as u64);
-            let (entries, nodes) = pack(&RTree::bulk_load(items.clone()));
-            let packed = PackedRTree::new(&entries, &nodes).unwrap();
-            let mut rng = StdRng::seed_from_u64(300 + n as u64);
-            for _ in 0..40 {
-                let probe = Rect::new(
-                    rng.random_range(0.0..1000.0),
-                    rng.random_range(10.0..1000.0),
-                    rng.random_range(0.0..10.0),
-                    rng.random_range(0.0..10.0),
-                );
-                let mut scan: Vec<Coord> = items.iter().map(|(r, _)| r.distance(&probe)).collect();
-                scan.sort_unstable_by(Coord::total_cmp);
-                let (rect, id, d) = packed.nearest(&probe).unwrap();
-                assert_eq!(d, scan[0]);
-                assert_eq!(items[id as usize], (rect, id));
-                for k in [1usize, 3, 50] {
-                    let got: Vec<Coord> = packed.k_nearest(&probe, k).iter().map(|t| t.2).collect();
-                    assert_eq!(got, scan[..k.min(n)], "n = {n}, k = {k}");
-                }
             }
         }
     }

@@ -278,180 +278,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod nearest_tests {
-    use super::*;
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, u32)> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                (
-                    Rect::new(
-                        rng.random_range(0.0..1000.0),
-                        rng.random_range(20.0..1000.0),
-                        rng.random_range(0.0..30.0),
-                        rng.random_range(0.0..15.0),
-                    ),
-                    i as u32,
-                )
-            })
-            .collect()
-    }
-
-    fn brute_nearest(items: &[(Rect, u32)], probe: &Rect) -> Option<(u32, f64)> {
-        items
-            .iter()
-            .map(|(r, i)| (*i, r.distance(probe)))
-            .min_by(|(i1, d1), (i2, d2)| d1.total_cmp(d2).then(i1.cmp(i2)))
-    }
-
-    #[test]
-    fn nearest_empty_tree() {
-        let t = RTree::bulk_load(Vec::new());
-        assert!(t.view().nearest(&Rect::new(0.0, 1.0, 1.0, 1.0)).is_none());
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let items = random_rects(600, 5);
-        let tree = RTree::bulk_load(items.clone());
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..100 {
-            let probe = Rect::new(
-                rng.random_range(0.0..1000.0),
-                rng.random_range(10.0..1000.0),
-                rng.random_range(0.0..10.0),
-                rng.random_range(0.0..10.0),
-            );
-            let (_, id, d) = tree.view().nearest(&probe).unwrap();
-            let (bid, bd) = brute_nearest(&items, &probe).unwrap();
-            assert_eq!(d, bd, "distance mismatch");
-            // With equal distance, ids may differ only if distances tie;
-            // the tree breaks ties by storage order == insertion order
-            // after STR sorting, so compare distances of both.
-            assert_eq!(
-                items[bid as usize].0.distance(&probe),
-                items[id as usize].0.distance(&probe)
-            );
-        }
-    }
-
-    #[test]
-    fn nearest_overlapping_probe_returns_zero() {
-        let items = random_rects(100, 6);
-        let tree = RTree::bulk_load(items.clone());
-        let probe = items[42].0;
-        let (_, _, d) = tree.view().nearest(&probe).unwrap();
-        assert_eq!(d, 0.0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        #[test]
-        fn prop_nearest_distance_equals_scan(
-            rects in proptest::collection::vec(
-                (0.0..400.0f64, 40.0..400.0f64, 0.0..40.0f64, 0.0..40.0f64), 1..80),
-            px in 0.0..400.0f64, py in 40.0..400.0f64,
-        ) {
-            let items: Vec<(Rect, u32)> = rects
-                .into_iter()
-                .enumerate()
-                .map(|(i, (x, y, l, b))| (Rect::new(x, y, l, b), i as u32))
-                .collect();
-            let tree = RTree::bulk_load(items.clone());
-            let probe = Rect::new(px, py, 1.0, 1.0);
-            let (_, _, d) = tree.view().nearest(&probe).unwrap();
-            let (_, bd) = brute_nearest(&items, &probe).unwrap();
-            prop_assert_eq!(d, bd);
-        }
-    }
-}
-
-#[cfg(test)]
-mod k_nearest_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_rects(n: usize, seed: u64) -> Vec<(Rect, u32)> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                (
-                    Rect::new(
-                        rng.random_range(0.0..500.0),
-                        rng.random_range(10.0..500.0),
-                        rng.random_range(0.0..10.0),
-                        rng.random_range(0.0..10.0),
-                    ),
-                    i as u32,
-                )
-            })
-            .collect()
-    }
-
-    fn brute_k(items: &[(Rect, u32)], probe: &Rect, k: usize) -> Vec<f64> {
-        let mut d: Vec<f64> = items.iter().map(|(r, _)| r.distance(probe)).collect();
-        d.sort_unstable_by(f64::total_cmp);
-        d.truncate(k);
-        d
-    }
-
-    #[test]
-    fn k_nearest_distances_match_brute_force() {
-        let items = random_rects(300, 21);
-        let tree = RTree::bulk_load(items.clone());
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..40 {
-            let probe = Rect::new(
-                rng.random_range(0.0..500.0),
-                rng.random_range(10.0..500.0),
-                2.0,
-                2.0,
-            );
-            for k in [1usize, 3, 10, 50] {
-                let got: Vec<f64> = tree
-                    .view()
-                    .k_nearest(&probe, k)
-                    .iter()
-                    .map(|&(_, _, d)| d)
-                    .collect();
-                assert_eq!(got, brute_k(&items, &probe, k), "k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn k_zero_and_k_exceeding_size() {
-        let items = random_rects(5, 22);
-        let tree = RTree::bulk_load(items);
-        let probe = Rect::new(100.0, 100.0, 1.0, 1.0);
-        assert!(tree.view().k_nearest(&probe, 0).is_empty());
-        assert_eq!(tree.view().k_nearest(&probe, 50).len(), 5);
-    }
-
-    #[test]
-    fn results_sorted_ascending() {
-        let items = random_rects(200, 23);
-        let tree = RTree::bulk_load(items);
-        let probe = Rect::new(250.0, 250.0, 1.0, 1.0);
-        let res = tree.view().k_nearest(&probe, 20);
-        for w in res.windows(2) {
-            assert!(w[0].2 <= w[1].2);
-        }
-    }
-
-    #[test]
-    fn k_one_agrees_with_nearest() {
-        let items = random_rects(150, 24);
-        let tree = RTree::bulk_load(items);
-        let probe = Rect::new(33.0, 44.0, 1.0, 1.0);
-        let (_, _, d1) = tree.view().nearest(&probe).unwrap();
-        assert_eq!(tree.view().k_nearest(&probe, 1)[0].2, d1);
-    }
-}

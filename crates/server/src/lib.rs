@@ -137,13 +137,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the listen address.
-    #[must_use]
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
     /// Sets the shared engine slot count.
     #[must_use]
     pub fn with_slots(mut self, slots: usize) -> Self {
